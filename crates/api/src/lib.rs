@@ -50,8 +50,7 @@ pub mod stats;
 
 pub use maintainer::{DfsMaintainer, ForestQuery};
 pub use policy::{
-    maintain_index, maintain_index_with, IndexMaintenanceStats, IndexPolicy, RebuildPolicy,
-    RebuildPolicyStats,
+    maintain_index, IndexMaintenanceStats, IndexPolicy, RebuildPolicy, RebuildPolicyStats,
 };
 pub use report::{BatchReport, RecoveryStats, StatsReport, StatsRollup};
 pub use routing::{OwnershipMap, RoutingStats};

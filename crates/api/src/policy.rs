@@ -211,55 +211,64 @@ impl IndexMaintenanceStats {
 }
 
 /// Maintain `idx` after one update: splice `patch` if `policy` allows and the
-/// patch is spliceable, otherwise rebuild from the authoritative parent array
-/// `new_par`. The one decision point every backend routes through.
+/// patch is spliceable, otherwise rebuild the index from the parent array of
+/// the updated tree. The one decision point every backend routes through.
+///
+/// The parent array is **materialised lazily**: only the rebuild paths
+/// (policy says rebuild, patch refused) reconstruct it, from the still
+/// unmodified pre-update index plus the patch, over `capacity` vertex slots
+/// (the graph's id space after the update). Engines describe an update to
+/// the index purely by its `TreePatch`, so the patch path never pays an
+/// `O(n)` copy. Returns whether the parent array was materialised.
 pub fn maintain_index(
     idx: &mut pardfs_tree::TreeIndex,
     patch: &pardfs_tree::TreePatch,
-    new_par: &[pardfs_graph::Vertex],
-    root: pardfs_graph::Vertex,
+    capacity: usize,
     policy: IndexPolicy,
     stats: &mut IndexMaintenanceStats,
-) {
-    maintain_index_with(idx, patch, root, policy, stats, |_| new_par.to_vec());
-}
-
-/// [`maintain_index`] with a **lazily materialised** parent array: `new_par`
-/// is invoked — with the still-unmodified pre-update index — only on the
-/// rebuild paths (policy says rebuild, patch refused). Callers whose engine
-/// does not otherwise need a full parent copy (the sequential baseline:
-/// its reduction and reroots are fully described by the `TreePatch`) use
-/// this to skip the per-update `O(n)` copy entirely on the patch path.
-pub fn maintain_index_with(
-    idx: &mut pardfs_tree::TreeIndex,
-    patch: &pardfs_tree::TreePatch,
-    root: pardfs_graph::Vertex,
-    policy: IndexPolicy,
-    stats: &mut IndexMaintenanceStats,
-    new_par: impl FnOnce(&pardfs_tree::TreeIndex) -> Vec<pardfs_graph::Vertex>,
-) {
+) -> bool {
     use pardfs_tree::PatchOutcome;
-    let rebuild = |idx: &mut pardfs_tree::TreeIndex| {
-        let par = new_par(idx);
-        *idx = pardfs_tree::TreeIndex::from_parent_slice(&par, root);
-    };
     match policy.region_limit(idx.num_vertices()) {
-        None => {
-            rebuild(idx);
-            stats.full_rebuilds += 1;
-        }
+        None => {}
         Some(limit) => match idx.apply_patch(patch, limit) {
             PatchOutcome::Applied { vertices_touched } => {
                 stats.patches_applied += 1;
                 stats.vertices_touched += vertices_touched as u64;
+                return false;
             }
             PatchOutcome::RegionTooLarge { .. } | PatchOutcome::Unsupported(_) => {
-                rebuild(idx);
                 stats.fallback_rebuilds += 1;
-                stats.full_rebuilds += 1;
             }
         },
     }
+    let par = patched_parents(idx, patch, capacity);
+    *idx = pardfs_tree::TreeIndex::from_parent_slice(&par, idx.root());
+    stats.full_rebuilds += 1;
+    true
+}
+
+/// The parent array of the tree `patch` turns `old` into (`parent[root] ==
+/// root`, `NO_VERTEX` outside the tree), over at least `capacity` slots.
+fn patched_parents(
+    old: &pardfs_tree::TreeIndex,
+    patch: &pardfs_tree::TreePatch,
+    capacity: usize,
+) -> Vec<pardfs_graph::Vertex> {
+    let mut par = vec![pardfs_tree::NO_VERTEX; capacity.max(old.capacity())];
+    for &v in old.pre_order_vertices() {
+        par[v as usize] = old.parent(v).unwrap_or(v);
+    }
+    // Assignments replay in application order (last one wins, matching the
+    // array an engine writing parents directly would hold); removals are
+    // recorded before any reroot can touch other vertices, and never
+    // conflict with an assignment.
+    for &(child, parent) in patch.assignments() {
+        par[child as usize] = parent;
+    }
+    for &v in patch.removed() {
+        par[v as usize] = pardfs_tree::NO_VERTEX;
+    }
+    par
 }
 
 #[cfg(test)]
@@ -340,18 +349,29 @@ mod tests {
         parent[0] = 0;
         let mut idx = TreeIndex::from_parent_slice(&parent, 0);
         let mut stats = IndexMaintenanceStats::default();
+        // The index's parent array, as `maintain_index` materialises it.
+        let parents = |idx: &TreeIndex| -> Vec<u32> {
+            (0..idx.capacity() as u32)
+                .map(|v| {
+                    if idx.contains(v) {
+                        idx.parent(v).unwrap_or(v)
+                    } else {
+                        NO_VERTEX
+                    }
+                })
+                .collect()
+        };
 
         // Small patch: leaf 7 re-hangs under 3 — the region is subtree(3),
         // 5 of 8 vertices, spliced under a generous fraction.
-        let mut new_par = parent.clone();
-        new_par[7] = 3;
+        let mut expected = parent.clone();
+        expected[7] = 3;
         let mut patch = TreePatch::new();
         patch.assign(7, 3);
         maintain_index(
             &mut idx,
             &patch,
-            &new_par,
-            0,
+            expected.len(),
             IndexPolicy::Patched { max_fraction: 0.7 },
             &mut stats,
         );
@@ -359,12 +379,13 @@ mod tests {
         assert!(stats.vertices_touched >= 2);
         assert_eq!(stats.full_rebuilds, 0);
         assert_eq!(idx.parent(7), Some(3));
+        assert_eq!(parents(&idx), expected);
 
         // Oversized region under a tight policy — fallback rebuild.
-        let mut new_par2 = new_par.clone();
-        new_par2[1] = 3; // would-be region is nearly the whole path
-        new_par2[2] = 1;
-        new_par2[3] = 0;
+        let mut expected2 = expected.clone();
+        expected2[1] = 3; // would-be region is nearly the whole path
+        expected2[2] = 1;
+        expected2[3] = 0;
         let mut patch = TreePatch::new();
         patch.assign(3, 0);
         patch.assign(2, 1);
@@ -372,39 +393,38 @@ mod tests {
         maintain_index(
             &mut idx,
             &patch,
-            &new_par2,
-            0,
+            expected2.len(),
             IndexPolicy::Patched { max_fraction: 0.1 },
             &mut stats,
         );
         assert_eq!(stats.fallback_rebuilds, 1);
         assert_eq!(stats.full_rebuilds, 1);
         assert_eq!(idx.parent(1), Some(3), "rebuilt from the parent array");
+        assert_eq!(parents(&idx), expected2, "old index plus the patch");
 
         // Membership change — always a fallback, even under PatchAlways.
-        let mut new_par3: Vec<u32> = new_par2.clone();
-        new_par3[7] = NO_VERTEX;
+        let mut expected3: Vec<u32> = expected2.clone();
+        expected3[7] = NO_VERTEX;
         let mut patch = TreePatch::new();
         patch.record_removed(7);
         maintain_index(
             &mut idx,
             &patch,
-            &new_par3,
-            0,
+            expected3.len(),
             IndexPolicy::PatchAlways,
             &mut stats,
         );
         assert_eq!(stats.fallback_rebuilds, 2);
         assert!(!idx.contains(7));
+        assert_eq!(parents(&idx), expected3);
 
         // EveryUpdate never patches.
         let mut patch = TreePatch::new();
-        patch.assign(2, 1); // no-op vs new_par3 but policy rebuilds anyway
+        patch.assign(2, 1); // no-op vs expected3 but policy rebuilds anyway
         maintain_index(
             &mut idx,
             &patch,
-            &new_par3,
-            0,
+            expected3.len(),
             IndexPolicy::EveryUpdate,
             &mut stats,
         );
@@ -412,6 +432,7 @@ mod tests {
         assert_eq!(stats.fallback_rebuilds, 2);
         assert_eq!(stats.patches_applied, 1);
         assert!(stats.patch_rate() > 0.24 && stats.patch_rate() < 0.26);
+        assert_eq!(parents(&idx), expected3);
     }
 
     #[test]

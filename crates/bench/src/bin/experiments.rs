@@ -1,5 +1,5 @@
-//! Print the experiment tables of EXPERIMENTS.md and write their
-//! machine-readable companions (`BENCH_E*.json`).
+//! Print the experiment tables (see the README's experiment index) and write
+//! their machine-readable companions (`BENCH_E*.json`).
 //!
 //! ```text
 //! cargo run -p pardfs-bench --release --bin experiments -- all          # quick scale

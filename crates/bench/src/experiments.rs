@@ -1,5 +1,5 @@
-//! The experiments of EXPERIMENTS.md. Every function regenerates one table;
-//! the binary `experiments` prints them.
+//! The experiments of the README's experiment index. Every function
+//! regenerates one table; the binary `experiments` prints them.
 //!
 //! Every experiment that measures a maintainer builds it through
 //! [`MaintainerBuilder`] and feeds it to the one shared [`drive`] loop —
@@ -21,13 +21,14 @@ use pardfs::tree::TreeIndex;
 use pardfs::{
     Backend, CheckpointPolicy, ConcurrentOutcome, ConcurrentScenarioRunner, DfsMaintainer,
     DurabilityConfig, IndexPolicy, MaintainerBuilder, RebuildPolicy, Scenario, Strategy,
+    StreamingDfsExt,
 };
 use std::collections::HashMap;
 use std::time::Instant;
 
 /// Experiment scale: `tiny` is the CI smoke configuration (seconds, tiny n),
-/// `quick` keeps every table under a few seconds, `full` uses the sizes
-/// recorded in EXPERIMENTS.md.
+/// `quick` keeps every table under a few seconds, `full` uses the sizes of
+/// the committed `BENCH_E*.json` baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Minimal sizes for the CI quick-bench smoke step — just enough to
@@ -1553,7 +1554,7 @@ pub fn e17_write_amplification(scale: Scale) -> Table {
     t
 }
 
-/// All experiments in EXPERIMENTS.md order.
+/// All experiments, in experiment-index order.
 pub fn all_experiments(scale: Scale) -> Vec<Table> {
     vec![
         e1_update_time(scale),
@@ -1583,7 +1584,7 @@ mod tests {
 
     /// Smoke test: representative experiments run end-to-end at a tiny scale
     /// and produce non-empty tables. (The quick scale itself is exercised by
-    /// the `experiments` binary and the recorded EXPERIMENTS.md runs.)
+    /// the `experiments` binary.)
     #[test]
     fn experiments_smoke() {
         let tables = vec![e3_query_rounds(Scale::Quick), e5_streaming(Scale::Quick)];

@@ -1,11 +1,11 @@
 //! # pardfs-bench
 //!
 //! The experiment harness that regenerates every quantitative claim of the
-//! paper (see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for the
-//! recorded results). Each experiment is a function returning a printable
-//! table; the `experiments` binary prints them, and the Criterion benches in
-//! `benches/` provide statistically robust wall-clock numbers for the
-//! latency-style experiments.
+//! paper (see the README's experiment index for what each table measures,
+//! and its performance index for the recorded `BENCH_E*.json` baselines).
+//! Each experiment is a function returning a printable table; the
+//! `experiments` binary prints them. The end-to-end benchmark of the served
+//! stack is `perfbench/`, a package of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

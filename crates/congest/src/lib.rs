@@ -22,8 +22,10 @@
 //! * [`BroadcastOracle`] — a [`QueryOracle`] whose `answer_batch` charges the
 //!   network for one convergecast/broadcast phase and answers the queries from
 //!   per-node adjacency only.
-//! * [`DistributedDynamicDfs`] — the maintainer of Theorem 16, reporting
-//!   rounds and messages per update.
+//! * [`BroadcastModel`] — the engine model of Theorem 16, and
+//!   [`DistributedDynamicDfs`], `pardfs-core`'s `EngineDfs` in that model,
+//!   reporting rounds and messages per update ([`DistributedDfsExt`] adds
+//!   the model's own counters).
 //!
 //! The pseudo root of the augmented graph is not a network node; queries whose
 //! answer is a pseudo edge are resolved locally (they correspond to "this
@@ -35,18 +37,13 @@
 pub mod network;
 
 use network::Network;
-use pardfs_api::{
-    maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, StatsReport,
-};
+use pardfs_api::{DfsMaintainer, IndexMaintenanceStats, StatsReport};
 use pardfs_core::reduction::ReductionInput;
-use pardfs_core::{reduce_update, Rerooter, Strategy, UpdateStats};
+use pardfs_core::{EngineDfs, Model, UpdateStats};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{EdgeHit, QueryOracle, VertexQuery};
-use pardfs_seq::augment::{self, AugmentedGraph};
-use pardfs_seq::check::check_spanning_dfs_tree;
-use pardfs_seq::static_dfs::static_dfs;
-use pardfs_tree::rooted::NO_VERTEX;
-use pardfs_tree::{TreeIndex, TreePatch};
+use pardfs_seq::augment::AugmentedGraph;
+use pardfs_tree::TreeIndex;
 use parking_lot::Mutex;
 
 pub use pardfs_api::CongestStats;
@@ -138,326 +135,136 @@ impl QueryOracle for BroadcastOracle<'_> {
     }
 }
 
-/// Distributed fully dynamic DFS maintainer (Theorem 16).
+/// Distributed fully dynamic DFS maintainer (Theorem 16): the engine in the
+/// [`BroadcastModel`], configured with the message bandwidth `B` in words
+/// (the paper uses `B = n / D`).
+pub type DistributedDynamicDfs = EngineDfs<BroadcastModel>;
+
+/// The distributed CONGEST(B) model (Theorem 16): every set of independent
+/// queries is one [`BroadcastOracle`] convergecast/broadcast phase, charged
+/// to a fresh [`Network`] accountant per update. The broadcast of the
+/// changed parent pointers is charged whether the (per-node) tree index is
+/// patched or rebuilt; patching saves the local recomputation at every node.
 #[derive(Debug)]
-pub struct DistributedDynamicDfs {
-    aug: AugmentedGraph,
-    idx: TreeIndex,
-    strategy: Strategy,
+pub struct BroadcastModel {
     bandwidth: usize,
-    index_policy: IndexPolicy,
-    index_stats: IndexMaintenanceStats,
-    last_engine_stats: UpdateStats,
-    last_congest_stats: CongestStats,
-    total_congest_stats: CongestStats,
+    last: CongestStats,
+    total: CongestStats,
 }
 
-impl DistributedDynamicDfs {
-    /// Build the maintainer. `bandwidth` is `B`, the number of words a message
-    /// may carry (the paper uses `B = n / D`).
-    pub fn new(user_graph: &Graph, bandwidth: usize) -> Self {
-        Self::with_strategy(user_graph, bandwidth, Strategy::Phased)
-    }
+impl Model for BroadcastModel {
+    const NAME: &'static str = "congest";
+    type Config = usize;
 
-    /// Build the maintainer with an explicit rerooting strategy.
-    pub fn with_strategy(user_graph: &Graph, bandwidth: usize, strategy: Strategy) -> Self {
-        let aug = AugmentedGraph::new(user_graph);
-        let idx = TreeIndex::build(&static_dfs(aug.graph(), aug.pseudo_root()));
-        DistributedDynamicDfs {
-            aug,
-            idx,
-            strategy,
+    fn build(_aug: &AugmentedGraph, _idx: &TreeIndex, bandwidth: usize) -> Self {
+        BroadcastModel {
             bandwidth: bandwidth.max(1),
-            index_policy: IndexPolicy::default(),
-            index_stats: IndexMaintenanceStats::default(),
-            last_engine_stats: UpdateStats::default(),
-            last_congest_stats: CongestStats::default(),
-            total_congest_stats: CongestStats::default(),
+            last: CongestStats::default(),
+            total: CongestStats::default(),
         }
     }
 
-    /// Resume the maintainer from previously captured state: an augmented
-    /// graph and a DFS tree of it (a durability checkpoint's contents). The
-    /// initial static DFS is skipped — the provided tree *is* the maintained
-    /// tree — so the maintainer continues the crash-time trajectory.
-    pub fn from_state(
-        aug: AugmentedGraph,
-        idx: TreeIndex,
-        bandwidth: usize,
-        strategy: Strategy,
-    ) -> Self {
-        assert_eq!(
-            idx.root(),
+    fn absorb(
+        &mut self,
+        aug: &AugmentedGraph,
+        idx: &TreeIndex,
+        update: &Update,
+        _input: &ReductionInput,
+        reroot: impl FnOnce(&dyn QueryOracle) -> UpdateStats,
+    ) -> UpdateStats {
+        // The network accountant for this recovery stage: a BFS tree per
+        // component of the *user* graph, plus the broadcast of the update
+        // description to every node.
+        let mut network = Network::new(&user_view(aug), self.bandwidth);
+        network.build_bfs_forest();
+        network.broadcast_words(update.description_words());
+        let network = Mutex::new(network);
+
+        // Reduction + reroot, every query set charged to the network.
+        let stats = reroot(&BroadcastOracle::new(
+            aug.graph(),
+            idx,
             aug.pseudo_root(),
-            "resumed tree must be rooted at the pseudo root"
-        );
-        assert_eq!(
-            idx.capacity(),
-            aug.graph().capacity(),
-            "resumed tree id space must match the graph"
-        );
-        DistributedDynamicDfs {
-            aug,
-            idx,
-            strategy,
-            bandwidth: bandwidth.max(1),
-            index_policy: IndexPolicy::default(),
-            index_stats: IndexMaintenanceStats::default(),
-            last_engine_stats: UpdateStats::default(),
-            last_congest_stats: CongestStats::default(),
-            total_congest_stats: CongestStats::default(),
+            &network,
+        ));
+
+        // Broadcast the new DFS tree (its changed parent pointers) so every
+        // node stores the updated tree.
+        let mut network = network.into_inner();
+        network.broadcast_words(2 * (stats.reroot.relinked_vertices as usize + 1));
+        self.last = network.finish();
+        self.total.merge(&self.last);
+        stats
+    }
+
+    fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport {
+        StatsReport::Congest {
+            engine,
+            congest: self.last,
+            index,
         }
     }
+}
 
-    /// Select when the (per-node) tree index is delta-patched versus rebuilt.
-    /// The broadcast of the changed parent pointers is charged to the network
-    /// either way — patching saves the *local* recomputation at every node.
-    pub fn set_index_policy(&mut self, policy: IndexPolicy) {
-        self.index_policy = policy;
+/// The user graph (internal ids minus the pseudo root), used as the
+/// communication topology.
+fn user_view(aug: &AugmentedGraph) -> Graph {
+    let g = aug.graph();
+    let mut user = Graph::new(g.capacity());
+    for v in 0..g.capacity() as Vertex {
+        if v == aug.pseudo_root() || !g.is_active(v) {
+            user.delete_vertex(v);
+        }
     }
-
-    /// The index-maintenance policy in use.
-    pub fn index_policy(&self) -> IndexPolicy {
-        self.index_policy
+    for e in g.edges() {
+        if e.0 != aug.pseudo_root() && e.1 != aug.pseudo_root() {
+            user.insert_edge(e.0, e.1);
+        }
     }
+    user
+}
 
-    /// What the index-maintenance policy has done so far.
-    pub fn index_stats(&self) -> IndexMaintenanceStats {
-        self.index_stats
-    }
-
-    /// The current DFS tree of the augmented graph.
-    pub fn tree(&self) -> &TreeIndex {
-        &self.idx
-    }
-
+/// The CONGEST model's own quantities on a [`DistributedDynamicDfs`]. The
+/// engine statistics of the last update (`last_stats`) are on the
+/// maintainer itself.
+pub trait DistributedDfsExt {
     /// Message bandwidth `B` in words.
-    pub fn bandwidth(&self) -> usize {
-        self.bandwidth
-    }
-
-    /// Parent of user vertex `v` in the maintained DFS forest.
-    pub fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        augment::forest_parent(&self.idx, v)
-    }
-
-    /// Roots of the maintained DFS forest (user ids), one per connected
-    /// component of the user graph.
-    pub fn forest_roots(&self) -> Vec<Vertex> {
-        augment::forest_roots(&self.idx)
-    }
-
-    /// Are user vertices `u` and `v` in the same connected component?
-    pub fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        augment::same_component(&self.idx, u, v)
-    }
-
-    /// Number of user vertices (network nodes) currently in the graph.
-    pub fn num_vertices(&self) -> usize {
-        self.aug.user_num_vertices()
-    }
-
-    /// Number of user edges (network links) currently in the graph.
-    pub fn num_edges(&self) -> usize {
-        self.aug.user_num_edges()
-    }
-
-    /// Engine statistics of the most recent update.
-    pub fn last_engine_stats(&self) -> UpdateStats {
-        self.last_engine_stats
-    }
+    fn bandwidth(&self) -> usize;
 
     /// Distributed cost of the most recent update.
-    pub fn last_congest_stats(&self) -> CongestStats {
-        self.last_congest_stats
-    }
+    fn last_congest_stats(&self) -> CongestStats;
 
     /// Accumulated distributed cost.
-    pub fn total_congest_stats(&self) -> CongestStats {
-        self.total_congest_stats
-    }
+    fn total_congest_stats(&self) -> CongestStats;
 
     /// Per-node space in words: current tree + partially built tree + own
     /// adjacency (the `O(n)` space claim).
-    pub fn per_node_space_words(&self) -> usize {
-        2 * self.idx.capacity()
-            + self
-                .aug
-                .graph()
-                .vertices()
-                .map(|v| self.aug.graph().degree(v))
-                .max()
-                .unwrap_or(0)
-    }
-
-    /// Validate the maintained tree.
-    pub fn check(&self) -> Result<(), String> {
-        check_spanning_dfs_tree(self.aug.graph(), &self.idx)
-    }
-
-    /// Apply one dynamic update (user ids), charging the simulated network.
-    pub fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        let internal = self.aug.translate(update);
-        let proot = self.aug.pseudo_root();
-        let mut stats = UpdateStats::default();
-        let mut input = ReductionInput::default();
-
-        // 1. Apply the update to the (distributed) graph state.
-        let inserted = match &internal {
-            Update::InsertVertex { .. } => {
-                let nv = self.aug.apply_internal(&internal);
-                if let Some(nv) = nv {
-                    let nbrs: Vec<Vertex> = self
-                        .aug
-                        .graph()
-                        .neighbors(nv)
-                        .iter()
-                        .copied()
-                        .filter(|&x| x != proot)
-                        .collect();
-                    input.inserted = Some(nv);
-                    input.inserted_neighbors = nbrs;
-                }
-                nv
-            }
-            other => self.aug.apply_internal(other),
-        };
-
-        // 2. Build the network accountant for this recovery stage: a BFS tree
-        //    per component of the *user* graph, plus the broadcast of the
-        //    update description to every node.
-        let user_graph = self.user_view();
-        let mut network = Network::new(&user_graph, self.bandwidth);
-        network.build_bfs_forest();
-        network.broadcast_words(internal.description_words());
-        let network = Mutex::new(network);
-
-        // 3. Reduction + reroot, every query set charged to the network.
-        let oracle = BroadcastOracle::new(self.aug.graph(), &self.idx, proot, &network);
-        let mut new_par: Vec<Vertex> = parent_array(&self.idx);
-        if new_par.len() < self.aug.graph().capacity() {
-            new_par.resize(self.aug.graph().capacity(), NO_VERTEX);
-        }
-        let mut patch = TreePatch::new();
-        let jobs = reduce_update(
-            &self.idx,
-            &oracle,
-            proot,
-            &internal,
-            &input,
-            &mut new_par,
-            &mut patch,
-            &mut stats,
-        );
-        stats.reroot_jobs = jobs.len() as u64;
-        let engine = Rerooter::new(&self.idx, &oracle, self.strategy);
-        stats.reroot = engine.run(&jobs, &mut new_par, &mut patch);
-
-        // 4. Broadcast the new DFS tree (its changed parent pointers) so every
-        //    node stores the updated tree.
-        let changed = stats.reroot.relinked_vertices as usize + 1;
-        {
-            let mut net = network.lock();
-            net.broadcast_words(2 * changed);
-        }
-        let congest = network.into_inner().finish();
-
-        maintain_index(
-            &mut self.idx,
-            &patch,
-            &new_par,
-            proot,
-            self.index_policy,
-            &mut self.index_stats,
-        );
-        self.last_engine_stats = stats;
-        self.last_congest_stats = congest;
-        self.total_congest_stats.merge(&congest);
-        inserted.map(|v| self.aug.to_user(v))
-    }
-
-    /// The user graph (internal ids minus the pseudo root), used as the
-    /// communication topology.
-    fn user_view(&self) -> Graph {
-        let g = self.aug.graph();
-        let mut user = Graph::new(g.capacity());
-        for v in 0..g.capacity() as Vertex {
-            if v == self.aug.pseudo_root() || !g.is_active(v) {
-                user.delete_vertex(v);
-            }
-        }
-        for e in g.edges() {
-            if e.0 != self.aug.pseudo_root() && e.1 != self.aug.pseudo_root() {
-                user.insert_edge(e.0, e.1);
-            }
-        }
-        user
-    }
+    fn per_node_space_words(&self) -> usize;
 }
 
-impl ForestQuery for DistributedDynamicDfs {
-    fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        DistributedDynamicDfs::forest_parent(self, v)
+impl DistributedDfsExt for DistributedDynamicDfs {
+    fn bandwidth(&self) -> usize {
+        self.model().bandwidth
     }
 
-    fn forest_roots(&self) -> Vec<Vertex> {
-        DistributedDynamicDfs::forest_roots(self)
+    fn last_congest_stats(&self) -> CongestStats {
+        self.model().last
     }
 
-    fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        DistributedDynamicDfs::same_component(self, u, v)
+    fn total_congest_stats(&self) -> CongestStats {
+        self.model().total
     }
 
-    fn num_vertices(&self) -> usize {
-        DistributedDynamicDfs::num_vertices(self)
+    fn per_node_space_words(&self) -> usize {
+        let g = self.augmented_graph();
+        2 * self.tree().capacity() + g.vertices().map(|v| g.degree(v)).max().unwrap_or(0)
     }
-
-    fn num_edges(&self) -> usize {
-        DistributedDynamicDfs::num_edges(self)
-    }
-}
-
-impl DfsMaintainer for DistributedDynamicDfs {
-    fn backend_name(&self) -> &'static str {
-        "congest"
-    }
-
-    fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        DistributedDynamicDfs::apply_update(self, update)
-    }
-
-    fn tree(&self) -> &TreeIndex {
-        DistributedDynamicDfs::tree(self)
-    }
-
-    fn augmented_graph(&self) -> &Graph {
-        self.aug.graph()
-    }
-
-    fn check(&self) -> Result<(), String> {
-        DistributedDynamicDfs::check(self)
-    }
-
-    fn stats(&self) -> StatsReport {
-        StatsReport::Congest {
-            engine: self.last_engine_stats,
-            congest: self.last_congest_stats,
-            index: self.index_stats,
-        }
-    }
-}
-
-fn parent_array(idx: &TreeIndex) -> Vec<Vertex> {
-    let mut out = vec![NO_VERTEX; idx.capacity()];
-    for &v in idx.pre_order_vertices() {
-        out[v as usize] = idx.parent(v).unwrap_or(v);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pardfs_core::Strategy;
     use pardfs_graph::generators;
     use pardfs_graph::updates::{random_update_sequence, UpdateMix};
     use rand::prelude::*;
@@ -468,7 +275,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(15);
         let g = generators::random_connected_gnm(30, 70, &mut rng);
         let updates = random_update_sequence(&g, 20, &UpdateMix::default(), &mut rng);
-        let mut d = DistributedDynamicDfs::new(&g, 8);
+        let mut d = DistributedDynamicDfs::with_config(&g, Strategy::Phased, 8);
         d.check().unwrap();
         for (i, u) in updates.iter().enumerate() {
             d.apply_update(u);
@@ -486,8 +293,10 @@ mod tests {
         // A long path (large D) needs far more rounds per update than a star
         // (D = 2) of the same size, for the same bandwidth.
         let n = 120usize;
-        let mut path_dfs = DistributedDynamicDfs::new(&generators::path(n), 4);
-        let mut star_dfs = DistributedDynamicDfs::new(&generators::star(n), 4);
+        let mut path_dfs =
+            DistributedDynamicDfs::with_config(&generators::path(n), Strategy::Phased, 4);
+        let mut star_dfs =
+            DistributedDynamicDfs::with_config(&generators::star(n), Strategy::Phased, 4);
         path_dfs.apply_update(&Update::DeleteEdge(60, 61));
         star_dfs.apply_update(&Update::DeleteEdge(0, 50));
         path_dfs.check().unwrap();
@@ -503,8 +312,8 @@ mod tests {
     #[test]
     fn bandwidth_trades_against_rounds() {
         let g = generators::grid(8, 8);
-        let mut narrow = DistributedDynamicDfs::new(&g, 1);
-        let mut wide = DistributedDynamicDfs::new(&g, 64);
+        let mut narrow = DistributedDynamicDfs::with_config(&g, Strategy::Phased, 1);
+        let mut wide = DistributedDynamicDfs::with_config(&g, Strategy::Phased, 64);
         narrow.apply_update(&Update::DeleteEdge(27, 28));
         wide.apply_update(&Update::DeleteEdge(27, 28));
         narrow.check().unwrap();
@@ -515,7 +324,7 @@ mod tests {
     #[test]
     fn message_size_limit_is_respected() {
         let g = generators::grid(5, 5);
-        let mut d = DistributedDynamicDfs::new(&g, 3);
+        let mut d = DistributedDynamicDfs::with_config(&g, Strategy::Phased, 3);
         d.apply_update(&Update::InsertEdge(0, 24));
         d.apply_update(&Update::DeleteVertex(12));
         d.check().unwrap();

@@ -1,86 +1,120 @@
 //! The parallel fully dynamic DFS maintainer (Theorem 13), with **incremental
 //! maintenance of `D`** under an amortized rebuild policy.
 //!
-//! Per update: record the update in `D`'s overlay, apply it to the augmented
-//! graph, run the reduction (Section 3), reroot the affected subtrees with the
-//! parallel engine (Section 4), then **delta-patch** the tree index with the
-//! engine's `TreePatch` (`O(|region| · log n)`, [`IndexPolicy`]); a full
-//! `O(n)` index rebuild happens only when the patch is not spliceable
-//! (vertex churn) or its region outgrows the policy threshold. The `O(m)`
-//! structure `D` is *not* rebuilt either: it stays anchored to the tree it
-//! was last built on (the *base* tree), queries against paths of the current
-//! tree are decomposed into ancestor–descendant segments of the base tree
-//! (the Theorem 9 argument, shared with the fault tolerant algorithm), and
-//! the overlay absorbs the edge/vertex churn. Only when the overlay outgrows
-//! the configured [`RebuildPolicy`] threshold (`c · m / log₂ n` by default)
-//! is `D` rebuilt on the current tree — the `O(log n)`-time, `m`-processor
+//! [`DynamicDfs`] is the engine ([`crate::engine`]) in the live-`D` model
+//! [`LiveD`]. Per update the model records the update in `D`'s overlay and
+//! answers the reroot's queries from `D`; the engine delta-patches the tree
+//! index with the update's `TreePatch` (`O(|region| · log n)`,
+//! [`IndexPolicy`](pardfs_api::IndexPolicy)). The `O(m)` structure `D` is
+//! *not* rebuilt per update: it stays anchored to the tree it was last built
+//! on (the *base* tree), queries against paths of the current tree are
+//! decomposed into ancestor–descendant segments of the base tree (the
+//! Theorem 9 argument, shared with the fault tolerant algorithm), and the
+//! overlay absorbs the edge/vertex churn. Only when the overlay outgrows the
+//! configured [`RebuildPolicy`] threshold (`c · m / log₂ n` by default) is
+//! `D` rebuilt on the current tree — the `O(log n)`-time, `m`-processor
 //! preprocessing of Theorem 8, now an amortized rather than per-update event.
 
+use crate::engine::{EngineDfs, Model};
 use crate::fault::FaultOracle;
-use crate::reduction::{reduce_update, ReductionInput};
-use crate::reroot::{RerootJob, Rerooter, Strategy};
+use crate::reduction::ReductionInput;
+use crate::reroot::Strategy;
 use crate::stats::UpdateStats;
-use pardfs_api::{
-    maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, RebuildPolicy,
-    RebuildPolicyStats, StatsReport,
-};
+use pardfs_api::{IndexMaintenanceStats, RebuildPolicy, RebuildPolicyStats, StatsReport};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{QueryOracle, StructureD};
-use pardfs_seq::augment;
 use pardfs_seq::augment::AugmentedGraph;
-use pardfs_seq::check::check_spanning_dfs_tree;
-use pardfs_seq::static_dfs::static_dfs;
-use pardfs_tree::rooted::NO_VERTEX;
-use pardfs_tree::{TreeIndex, TreePatch};
+use pardfs_tree::TreeIndex;
 use std::time::Instant;
 
-/// Parallel fully dynamic DFS of an undirected graph.
-///
-/// The maintained structure is a DFS tree of the *augmented* graph (user graph
-/// plus a pseudo root adjacent to every vertex, Section 2); its children are
-/// the roots of a DFS forest of the user graph. The public API speaks user
-/// vertex ids throughout.
+/// Parallel fully dynamic DFS of an undirected graph: the engine in the
+/// live-`D` model.
+pub type DynamicDfs = EngineDfs<LiveD>;
+
+/// The live-`D` model (Theorem 13): `D` absorbs updates through its overlay
+/// and is rebuilt on the current tree when the [`RebuildPolicy`] says the
+/// overlay has outgrown it.
 #[derive(Debug)]
-pub struct DynamicDfs {
-    aug: AugmentedGraph,
-    idx: TreeIndex,
+pub struct LiveD {
     /// `D`, built on the *base* tree (the current tree as of the last
     /// rebuild) and carrying the overlay of every update applied since.
     d: StructureD,
     /// True while the base tree and the current tree are one and the same
     /// (right after a rebuild), letting queries skip path decomposition.
     d_fresh: bool,
-    strategy: Strategy,
     policy: RebuildPolicy,
     policy_stats: RebuildPolicyStats,
-    index_policy: IndexPolicy,
-    index_stats: IndexMaintenanceStats,
-    last_stats: UpdateStats,
-    updates_applied: u64,
 }
 
-/// Run the reduction and the rerooting engine for one (already applied)
-/// update through the given oracle, filling `stats`, `new_par` and the
-/// update's `patch`. Shared by the dynamic and fault tolerant maintainers —
-/// the only difference between them is which oracle (and which lifetime of
-/// `D`) they pass in.
-#[allow(clippy::too_many_arguments)] // mirrors reduce_update's surface plus the strategy
-pub(crate) fn reduce_and_reroot<O: QueryOracle>(
-    idx: &TreeIndex,
-    oracle: &O,
-    proot: Vertex,
-    update: &Update,
-    input: &ReductionInput,
-    new_par: &mut [Vertex],
-    patch: &mut TreePatch,
-    stats: &mut UpdateStats,
-    strategy: Strategy,
-) {
-    let jobs: Vec<RerootJob> =
-        reduce_update(idx, oracle, proot, update, input, new_par, patch, stats);
-    stats.reroot_jobs = jobs.len() as u64;
-    let engine = Rerooter::new(idx, oracle, strategy);
-    stats.reroot = engine.run(&jobs, new_par, patch);
+impl LiveD {
+    /// Rebuild `D` on the current tree, discarding the overlay.
+    fn rebuild(&mut self, graph: &Graph, idx: &TreeIndex) {
+        let t = Instant::now();
+        self.d = StructureD::build(graph, idx.clone());
+        self.d_fresh = true;
+        self.policy_stats
+            .record_rebuild(t.elapsed().as_micros() as u64);
+        self.policy_stats.threshold = self
+            .policy
+            .threshold(graph.num_edges(), graph.num_vertices())
+            .unwrap_or(u64::MAX);
+    }
+}
+
+impl Model for LiveD {
+    const NAME: &'static str = "parallel";
+    type Config = RebuildPolicy;
+
+    fn build(aug: &AugmentedGraph, idx: &TreeIndex, policy: RebuildPolicy) -> Self {
+        LiveD {
+            d: StructureD::build(aug.graph(), idx.clone()),
+            d_fresh: true,
+            policy,
+            policy_stats: RebuildPolicyStats::default(),
+        }
+    }
+
+    fn absorb(
+        &mut self,
+        aug: &AugmentedGraph,
+        _idx: &TreeIndex,
+        update: &Update,
+        input: &ReductionInput,
+        reroot: impl FnOnce(&dyn QueryOracle) -> UpdateStats,
+    ) -> UpdateStats {
+        note_update(&mut self.d, update, input, aug.pseudo_root());
+        // While `D` is anchored to the current tree the oracle is `D` itself;
+        // once the trees diverge, current-tree paths are decomposed into
+        // base-tree segments.
+        if self.d_fresh {
+            reroot(&self.d)
+        } else {
+            reroot(&FaultOracle::new(&self.d))
+        }
+    }
+
+    fn finish(&mut self, aug: &AugmentedGraph, idx: &TreeIndex) {
+        // Leave `D` anchored to its base tree unless the policy says the
+        // overlay has outgrown it.
+        self.d_fresh = false;
+        let graph = aug.graph();
+        let (m, n) = (graph.num_edges(), graph.num_vertices());
+        if self.policy.should_rebuild(self.d.overlay_updates(), m, n) {
+            self.rebuild(graph, idx);
+        } else {
+            self.policy_stats.threshold = self.policy.threshold(m, n).unwrap_or(u64::MAX);
+            self.policy_stats.updates_since_rebuild += 1;
+        }
+        self.policy_stats.overlay_updates = self.d.overlay_updates() as u64;
+    }
+
+    fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport {
+        StatsReport::Parallel {
+            engine,
+            rebuild: self.policy_stats,
+            index,
+        }
+    }
 }
 
 impl DynamicDfs {
@@ -96,362 +130,59 @@ impl DynamicDfs {
         Self::with_config(user_graph, strategy, RebuildPolicy::default())
     }
 
-    /// Build the maintainer with an explicit strategy and rebuild policy.
-    pub fn with_config(user_graph: &Graph, strategy: Strategy, policy: RebuildPolicy) -> Self {
-        let aug = AugmentedGraph::new(user_graph);
-        let idx = TreeIndex::build(&static_dfs(aug.graph(), aug.pseudo_root()));
-        let d = StructureD::build(aug.graph(), idx.clone());
-        DynamicDfs {
-            aug,
-            idx,
-            d,
-            d_fresh: true,
-            strategy,
-            policy,
-            policy_stats: RebuildPolicyStats::default(),
-            index_policy: IndexPolicy::default(),
-            index_stats: IndexMaintenanceStats::default(),
-            last_stats: UpdateStats::default(),
-            updates_applied: 0,
-        }
-    }
-
-    /// Resume the maintainer from previously captured state: an augmented
-    /// graph and a DFS tree of it (a durability checkpoint's contents).
-    /// The static DFS is **skipped** — the provided tree *is* the maintained
-    /// tree, so a maintainer resumed from a crash-time checkpoint continues
-    /// on the exact tree trajectory the crashed one was on. `D` is built
-    /// fresh on the provided tree (an empty overlay answers the same
-    /// queries a carried-over overlay would — the incremental ≡ fresh-build
-    /// equivalence the differential suite pins).
-    pub fn from_state(
-        aug: AugmentedGraph,
-        idx: TreeIndex,
-        strategy: Strategy,
-        policy: RebuildPolicy,
-    ) -> Self {
-        assert_eq!(
-            idx.root(),
-            aug.pseudo_root(),
-            "resumed tree must be rooted at the pseudo root"
-        );
-        assert_eq!(
-            idx.capacity(),
-            aug.graph().capacity(),
-            "resumed tree id space must match the graph"
-        );
-        let d = StructureD::build(aug.graph(), idx.clone());
-        DynamicDfs {
-            aug,
-            idx,
-            d,
-            d_fresh: true,
-            strategy,
-            policy,
-            policy_stats: RebuildPolicyStats::default(),
-            index_policy: IndexPolicy::default(),
-            index_stats: IndexMaintenanceStats::default(),
-            last_stats: UpdateStats::default(),
-            updates_applied: 0,
-        }
-    }
-
-    /// The rerooting strategy in use.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
     /// The rebuild policy in use.
     pub fn rebuild_policy(&self) -> RebuildPolicy {
-        self.policy
+        self.model.policy
     }
 
     /// What the rebuild policy has done so far.
     pub fn policy_stats(&self) -> RebuildPolicyStats {
-        self.policy_stats
-    }
-
-    /// Select when the tree index is delta-patched versus rebuilt.
-    pub fn set_index_policy(&mut self, policy: IndexPolicy) {
-        self.index_policy = policy;
-    }
-
-    /// The index-maintenance policy in use.
-    pub fn index_policy(&self) -> IndexPolicy {
-        self.index_policy
-    }
-
-    /// What the index-maintenance policy has done so far.
-    pub fn index_stats(&self) -> IndexMaintenanceStats {
-        self.index_stats
+        self.model.policy_stats
     }
 
     /// Number of overlay records currently pending on `D` (0 right after a
     /// rebuild).
     pub fn overlay_updates(&self) -> usize {
-        self.d.overlay_updates()
+        self.model.d.overlay_updates()
     }
 
     /// Rebuild `D` on the current tree right now, regardless of the policy,
     /// discarding the overlay. Counted in [`Self::policy_stats`] like a
     /// policy-triggered rebuild.
     pub fn force_rebuild(&mut self) {
-        let t = Instant::now();
-        self.d = StructureD::build(self.aug.graph(), self.idx.clone());
-        self.d_fresh = true;
-        self.policy_stats
-            .record_rebuild(t.elapsed().as_micros() as u64);
-        let (m, n) = (
-            self.aug.graph().num_edges(),
-            self.aug.graph().num_vertices(),
-        );
-        self.policy_stats.threshold = self.policy.threshold(m, n).unwrap_or(u64::MAX);
-    }
-
-    /// The current DFS tree of the augmented graph (internal ids; the pseudo
-    /// root is vertex 0 and user vertex `v` is internal `v + 1`).
-    pub fn tree(&self) -> &TreeIndex {
-        &self.idx
-    }
-
-    /// The augmented graph (internal ids).
-    pub fn augmented_graph(&self) -> &Graph {
-        self.aug.graph()
-    }
-
-    /// The pseudo root (internal id).
-    pub fn pseudo_root(&self) -> Vertex {
-        self.aug.pseudo_root()
-    }
-
-    /// Number of user vertices currently in the graph.
-    pub fn num_vertices(&self) -> usize {
-        self.aug.user_num_vertices()
-    }
-
-    /// Number of user edges currently in the graph.
-    pub fn num_edges(&self) -> usize {
-        self.aug.user_num_edges()
-    }
-
-    /// Parent of user vertex `v` in the maintained DFS forest (`None` for
-    /// component roots and vertices not present).
-    pub fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        augment::forest_parent(&self.idx, v)
-    }
-
-    /// Roots of the maintained DFS forest (user ids), one per connected
-    /// component of the user graph.
-    pub fn forest_roots(&self) -> Vec<Vertex> {
-        augment::forest_roots(&self.idx)
-    }
-
-    /// Are user vertices `u` and `v` in the same connected component? (A DFS
-    /// forest answers connectivity for free: same tree ⇔ same component.)
-    pub fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        augment::same_component(&self.idx, u, v)
-    }
-
-    /// Statistics of the most recent update.
-    pub fn last_stats(&self) -> UpdateStats {
-        self.last_stats
-    }
-
-    /// Total number of updates applied so far.
-    pub fn updates_applied(&self) -> u64 {
-        self.updates_applied
-    }
-
-    /// Validate the maintained tree against the augmented graph (used by tests
-    /// and debug assertions; `O(n + m)`).
-    pub fn check(&self) -> Result<(), String> {
-        check_spanning_dfs_tree(self.aug.graph(), &self.idx)
-    }
-
-    /// Apply one dynamic update (user ids). Returns the user id of the
-    /// inserted vertex for vertex insertions.
-    pub fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        let internal = self.aug.translate(update);
-        self.apply_internal(&internal).map(|v| self.aug.to_user(v))
-    }
-
-    fn apply_internal(&mut self, update: &Update) -> Option<Vertex> {
-        let mut stats = UpdateStats::default();
-        let proot = self.aug.pseudo_root();
-
-        // 1. Overlay + graph application (the oracle must describe the updated
-        //    edge set during the reroot).
-        let mut input = ReductionInput::default();
-        let inserted = match update {
-            Update::InsertEdge(u, v) => {
-                self.d.note_insert_edge(*u, *v);
-                self.aug.apply_internal(update)
-            }
-            Update::DeleteEdge(u, v) => {
-                self.d.note_delete_edge(*u, *v);
-                self.aug.apply_internal(update)
-            }
-            Update::DeleteVertex(v) => {
-                self.d.note_delete_vertex(*v);
-                self.aug.apply_internal(update)
-            }
-            Update::InsertVertex { .. } => {
-                let nv = self.aug.apply_internal(update);
-                if let Some(nv) = nv {
-                    let nbrs: Vec<Vertex> = self
-                        .aug
-                        .graph()
-                        .neighbors(nv)
-                        .iter()
-                        .copied()
-                        .filter(|&x| x != proot)
-                        .collect();
-                    self.d.note_insert_vertex(nv, &nbrs);
-                    // Also record the pseudo edge added by the augmentation so
-                    // queries within this very update can see it.
-                    self.d.note_insert_edge(nv, proot);
-                    input.inserted = Some(nv);
-                    input.inserted_neighbors = nbrs;
-                }
-                nv
-            }
-        };
-
-        // 2. Reduction + parallel reroot. While `D` is anchored to the
-        //    current tree the oracle is `D` itself; once the trees diverge,
-        //    current-tree paths are decomposed into base-tree segments.
-        let reroot_start = Instant::now();
-        let mut new_par: Vec<Vertex> = old_parents(&self.idx);
-        if new_par.len() < self.aug.graph().capacity() {
-            new_par.resize(self.aug.graph().capacity(), NO_VERTEX);
-        }
-        let mut patch = TreePatch::new();
-        if self.d_fresh {
-            reduce_and_reroot(
-                &self.idx,
-                &self.d,
-                proot,
-                update,
-                &input,
-                &mut new_par,
-                &mut patch,
-                &mut stats,
-                self.strategy,
-            );
-        } else {
-            let oracle = FaultOracle::new(&self.d);
-            reduce_and_reroot(
-                &self.idx,
-                &oracle,
-                proot,
-                update,
-                &input,
-                &mut new_par,
-                &mut patch,
-                &mut stats,
-                self.strategy,
-            );
-        }
-        stats.reroot_micros = reroot_start.elapsed().as_micros() as u64;
-
-        // 3. Delta-patch the tree index with the update's rewrites (full
-        //    rebuild only when the patch is not spliceable or too large);
-        //    leave D anchored to its base tree unless the policy says the
-        //    overlay has outgrown it.
-        let rebuild_start = Instant::now();
-        maintain_index(
-            &mut self.idx,
-            &patch,
-            &new_par,
-            proot,
-            self.index_policy,
-            &mut self.index_stats,
-        );
-        self.d_fresh = false;
-        let (m, n) = (
-            self.aug.graph().num_edges(),
-            self.aug.graph().num_vertices(),
-        );
-        if self.policy.should_rebuild(self.d.overlay_updates(), m, n) {
-            self.force_rebuild();
-        } else {
-            self.policy_stats.threshold = self.policy.threshold(m, n).unwrap_or(u64::MAX);
-            self.policy_stats.updates_since_rebuild += 1;
-        }
-        self.policy_stats.overlay_updates = self.d.overlay_updates() as u64;
-        stats.rebuild_micros = rebuild_start.elapsed().as_micros() as u64;
-
-        self.last_stats = stats;
-        self.updates_applied += 1;
-        inserted
+        self.model.rebuild(self.aug.graph(), &self.idx);
     }
 }
 
-impl ForestQuery for DynamicDfs {
-    fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        DynamicDfs::forest_parent(self, v)
-    }
-
-    fn forest_roots(&self) -> Vec<Vertex> {
-        DynamicDfs::forest_roots(self)
-    }
-
-    fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        DynamicDfs::same_component(self, u, v)
-    }
-
-    fn num_vertices(&self) -> usize {
-        DynamicDfs::num_vertices(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        DynamicDfs::num_edges(self)
-    }
-}
-
-impl DfsMaintainer for DynamicDfs {
-    fn backend_name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        DynamicDfs::apply_update(self, update)
-    }
-
-    fn tree(&self) -> &TreeIndex {
-        DynamicDfs::tree(self)
-    }
-
-    fn augmented_graph(&self) -> &Graph {
-        self.aug.graph()
-    }
-
-    fn check(&self) -> Result<(), String> {
-        DynamicDfs::check(self)
-    }
-
-    fn stats(&self) -> StatsReport {
-        StatsReport::Parallel {
-            engine: self.last_stats,
-            rebuild: self.policy_stats,
-            index: self.index_stats,
+/// Record one applied update (internal ids) in `D`'s overlay, so the queries
+/// of its reduction and reroot see the updated edge set.
+pub(crate) fn note_update(
+    d: &mut StructureD,
+    update: &Update,
+    input: &ReductionInput,
+    proot: Vertex,
+) {
+    match update {
+        Update::InsertEdge(u, v) => d.note_insert_edge(*u, *v),
+        Update::DeleteEdge(u, v) => d.note_delete_edge(*u, *v),
+        Update::DeleteVertex(v) => d.note_delete_vertex(*v),
+        Update::InsertVertex { .. } => {
+            if let Some(nv) = input.inserted {
+                d.note_insert_vertex(nv, &input.inserted_neighbors);
+                // The augmentation also gave the new vertex a pseudo edge;
+                // the overlay must know about it so that a later
+                // disconnection can still attach the vertex under the pseudo
+                // root.
+                d.note_insert_edge(nv, proot);
+            }
         }
     }
-}
-
-/// Extract the parent array of a tree index (`parent[root] == root`,
-/// `NO_VERTEX` outside the tree).
-pub(crate) fn old_parents(idx: &TreeIndex) -> Vec<Vertex> {
-    let mut out = vec![NO_VERTEX; idx.capacity()];
-    for &v in idx.pre_order_vertices() {
-        out[v as usize] = idx.parent(v).unwrap_or(v);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pardfs_api::{DfsMaintainer, ForestQuery};
     use pardfs_graph::generators;
     use pardfs_graph::updates::{random_update_sequence, UpdateMix};
     use rand::prelude::*;

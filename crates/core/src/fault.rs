@@ -10,26 +10,23 @@
 //! `T*_i` is a concatenation of monotone runs of original tree edges, plus the
 //! freshly inserted vertices).
 //!
-//! Compared with [`crate::DynamicDfs`], the only extra cost is the segment
-//! decomposition (local computation) and the `O(log n + k)` overlay scan in
-//! each query — there is no per-update rebuild of `D`, which is what makes the
-//! result achievable with `n` processors.
+//! [`FaultTolerantDfs`] is the engine ([`crate::engine`]) in the frozen-`D`
+//! model [`FrozenD`]. Compared with [`crate::DynamicDfs`], the only extra
+//! cost is the segment decomposition (local computation) and the
+//! `O(log n + k)` overlay scan in each query — there is no per-update
+//! rebuild of `D`, which is what makes the result achievable with `n`
+//! processors.
 
-use crate::dynamic::{old_parents, reduce_and_reroot};
+use crate::dynamic::note_update;
+use crate::engine::{step, EngineDfs, Model};
 use crate::reduction::ReductionInput;
-use crate::reroot::Strategy;
 use crate::stats::UpdateStats;
-use pardfs_api::{
-    maintain_index, BatchReport, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy,
-    StatsReport,
-};
+use pardfs_api::{BatchReport, IndexMaintenanceStats, StatsReport};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{EdgeHit, QueryOracle, StructureD, VertexQuery};
 use pardfs_seq::augment::{self, AugmentedGraph};
 use pardfs_seq::check::check_spanning_dfs_tree;
-use pardfs_seq::static_dfs::static_dfs;
-use pardfs_tree::rooted::NO_VERTEX;
-use pardfs_tree::{TreeIndex, TreePatch};
+use pardfs_tree::TreeIndex;
 
 /// Oracle adapter for the fault tolerant algorithm: answers come from the
 /// original `D` (plus its overlay), and query paths of the current tree are
@@ -206,8 +203,8 @@ impl FtResult {
 ///   with independent batches; each call answers "what would the DFS tree be
 ///   after these `k` failures" from the frozen preprocessed structure and
 ///   leaves the maintainer untouched.
-/// * **Maintainer style** ([`DfsMaintainer`]): [`DfsMaintainer::apply_update`]
-///   and [`DfsMaintainer::apply_batch`] *accumulate* updates; the maintained
+/// * **Maintainer style** ([`DfsMaintainer`](pardfs_api::DfsMaintainer)):
+///   `apply_update` and `apply_batch` *accumulate* updates; the maintained
 ///   tree is always `tree_after(all updates so far)`. `D` is still never
 ///   rebuilt — the overlay records of the accumulated batch stay alive
 ///   between calls, so absorbing the `i`-th update resumes from the current
@@ -218,255 +215,89 @@ impl FtResult {
 ///   run against the pristine structure, and restore it.
 ///   [`FaultTolerantDfs::reset`] drops the accumulated batch (and its
 ///   overlay) and returns to the preprocessed state.
+pub type FaultTolerantDfs = EngineDfs<FrozenD>;
+
+/// The frozen-`D` model (Theorem 14): `D` is built once on the preprocessed
+/// tree and only ever absorbs updates through its overlay; every query path
+/// of the current tree is decomposed into segments of the preprocessed tree.
 #[derive(Debug)]
-pub struct FaultTolerantDfs {
-    aug: AugmentedGraph,
-    original_idx: TreeIndex,
+pub struct FrozenD {
+    /// `D`, built on the preprocessed tree, carrying the overlay of the
+    /// pending maintainer-style batch.
     d: StructureD,
-    strategy: Strategy,
-    /// Updates absorbed in maintainer style since the last [`Self::reset`].
-    pending: Vec<Update>,
-    /// The overlay records (internal ids) backing the pending updates,
-    /// replayed into `d` after a query-style call wipes the overlay.
-    notes: Vec<OverlayNote>,
-    /// The tree of the pending batch (`None` ⇔ no pending updates).
-    current: Option<FtResult>,
-    /// Total single-update absorptions performed in maintainer style (the
-    /// quantity the `O(k)` claim bounds; tests pin it).
-    absorptions: u64,
-    /// When the per-absorption tree index is delta-patched vs rebuilt.
-    index_policy: IndexPolicy,
-    /// What the index-maintenance policy did (both usage styles).
-    index_stats: IndexMaintenanceStats,
+    /// The preprocessed graph, restored by `reset` and copied by
+    /// `tree_after`.
+    base: AugmentedGraph,
+    /// The pending batch (internal ids) with its reduction inputs, replayed
+    /// into `d`'s overlay after a query-style call wipes it.
+    pending: Vec<(Update, ReductionInput)>,
 }
 
-/// One overlay record of the maintainer-style pending batch, in internal ids.
-/// Replaying the sequence through `StructureD`'s `note_*` methods reproduces
-/// the overlay exactly (the notes are order-sensitive: a delete after an
-/// insert cancels differently than the reverse).
-#[derive(Debug, Clone)]
-enum OverlayNote {
-    InsertEdge(Vertex, Vertex),
-    DeleteEdge(Vertex, Vertex),
-    DeleteVertex(Vertex),
-    /// Vertex insertion with its real neighbours; the pseudo edge to the
-    /// root is re-noted alongside, as during the original absorption.
-    InsertVertex(Vertex, Vec<Vertex>),
+impl Model for FrozenD {
+    const NAME: &'static str = "fault-tolerant";
+    type Config = ();
+
+    fn build(aug: &AugmentedGraph, idx: &TreeIndex, (): ()) -> Self {
+        FrozenD {
+            d: StructureD::build(aug.graph(), idx.clone()),
+            base: aug.clone(),
+            pending: Vec::new(),
+        }
+    }
+
+    fn absorb(
+        &mut self,
+        aug: &AugmentedGraph,
+        _idx: &TreeIndex,
+        update: &Update,
+        input: &ReductionInput,
+        reroot: impl FnOnce(&dyn QueryOracle) -> UpdateStats,
+    ) -> UpdateStats {
+        note_update(&mut self.d, update, input, aug.pseudo_root());
+        self.pending.push((update.clone(), input.clone()));
+        reroot(&FaultOracle::new(&self.d))
+    }
+
+    fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport {
+        StatsReport::FaultTolerant { engine, index }
+    }
 }
 
 impl FaultTolerantDfs {
-    /// Preprocess the user graph: augment, run a static DFS and build `D`.
-    pub fn new(user_graph: &Graph) -> Self {
-        Self::with_strategy(user_graph, Strategy::Phased)
-    }
-
-    /// Preprocess with an explicit rerooting strategy.
-    pub fn with_strategy(user_graph: &Graph, strategy: Strategy) -> Self {
-        let aug = AugmentedGraph::new(user_graph);
-        let original_idx = TreeIndex::build(&static_dfs(aug.graph(), aug.pseudo_root()));
-        let d = StructureD::build(aug.graph(), original_idx.clone());
-        FaultTolerantDfs {
-            aug,
-            original_idx,
-            d,
-            strategy,
-            pending: Vec::new(),
-            notes: Vec::new(),
-            current: None,
-            absorptions: 0,
-            index_policy: IndexPolicy::default(),
-            index_stats: IndexMaintenanceStats::default(),
-        }
-    }
-
-    /// Resume the maintainer from previously captured state: an augmented
-    /// graph and a DFS tree of it (a durability checkpoint's contents). The
-    /// provided tree becomes the preprocessed `original_idx` — exactly as if
-    /// the maintainer had been preprocessed at the checkpointed moment — so
-    /// the maintained tree continues from the crash-time tree, with an empty
-    /// pending batch.
-    pub fn from_state(aug: AugmentedGraph, idx: TreeIndex, strategy: Strategy) -> Self {
-        assert_eq!(
-            idx.root(),
-            aug.pseudo_root(),
-            "resumed tree must be rooted at the pseudo root"
-        );
-        assert_eq!(
-            idx.capacity(),
-            aug.graph().capacity(),
-            "resumed tree id space must match the graph"
-        );
-        let d = StructureD::build(aug.graph(), idx.clone());
-        FaultTolerantDfs {
-            aug,
-            original_idx: idx,
-            d,
-            strategy,
-            pending: Vec::new(),
-            notes: Vec::new(),
-            current: None,
-            absorptions: 0,
-            index_policy: IndexPolicy::default(),
-            index_stats: IndexMaintenanceStats::default(),
-        }
-    }
-
-    /// Select when the per-absorption tree index is delta-patched vs rebuilt.
-    pub fn set_index_policy(&mut self, policy: IndexPolicy) {
-        self.index_policy = policy;
-    }
-
-    /// The index-maintenance policy in use.
-    pub fn index_policy(&self) -> IndexPolicy {
-        self.index_policy
-    }
-
-    /// What the index-maintenance policy has done so far (across both the
-    /// maintainer-style and query-style paths).
-    pub fn index_stats(&self) -> IndexMaintenanceStats {
-        self.index_stats
-    }
-
-    /// The updates accumulated in maintainer style since the last reset.
-    pub fn pending_updates(&self) -> &[Update] {
-        &self.pending
+    /// Number of updates accumulated in maintainer style since the last
+    /// reset.
+    pub fn pending_updates(&self) -> usize {
+        self.model.pending.len()
     }
 
     /// Total single-update absorptions performed in maintainer style since
     /// construction. With the resumable overlay this grows by exactly one per
-    /// [`DfsMaintainer::apply_update`] — `O(k)` for `k` accumulated updates.
+    /// `apply_update` — `O(k)` for `k` accumulated updates.
     pub fn absorptions(&self) -> u64 {
-        self.absorptions
+        self.updates_applied()
     }
 
     /// Drop the accumulated maintainer-style updates (and their overlay
     /// records), returning to the preprocessed graph and tree. The as-built
-    /// part of the structure `D` is untouched (it never changes).
+    /// part of the structure `D` is untouched (it never changes); the index
+    /// census keeps counting from construction.
     pub fn reset(&mut self) {
-        self.pending.clear();
-        self.notes.clear();
-        self.current = None;
-        self.d.clear_overlay();
-    }
-
-    /// Re-record the pending maintainer-style updates into `d`'s overlay
-    /// (after a query-style call cleared it).
-    fn replay_notes(&mut self) {
-        for note in &self.notes {
-            match note {
-                OverlayNote::InsertEdge(u, v) => self.d.note_insert_edge(*u, *v),
-                OverlayNote::DeleteEdge(u, v) => self.d.note_delete_edge(*u, *v),
-                OverlayNote::DeleteVertex(v) => self.d.note_delete_vertex(*v),
-                OverlayNote::InsertVertex(v, nbrs) => {
-                    self.d.note_insert_vertex(*v, nbrs);
-                    self.d.note_insert_edge(*v, self.aug.pseudo_root());
-                }
-            }
-        }
-    }
-
-    /// Absorb one maintainer-style update, resuming from the current tree:
-    /// the overlay keeps the whole pending batch, so this is a single
-    /// absorption regardless of how many updates came before.
-    fn absorb_one(&mut self, update: &Update) -> Option<Vertex> {
-        if self.current.is_none() {
-            self.current = Some(FtResult {
-                idx: self.original_idx.clone(),
-                aug: self.aug.clone(),
-                stats: Vec::new(),
-                inserted: Vec::new(),
-                index: IndexMaintenanceStats::default(),
-                index_per_update: Vec::new(),
-            });
-        }
-        let proot = self.aug.pseudo_root();
-        let cur = self.current.as_mut().expect("initialised above");
-        let internal = cur.aug.translate(update);
-        let mut stats = UpdateStats::default();
-        let mut input = ReductionInput::default();
-        let mut inserted_user = None;
-
-        match &internal {
-            Update::InsertEdge(u, v) => {
-                self.d.note_insert_edge(*u, *v);
-                self.notes.push(OverlayNote::InsertEdge(*u, *v));
-                cur.aug.apply_internal(&internal);
-            }
-            Update::DeleteEdge(u, v) => {
-                self.d.note_delete_edge(*u, *v);
-                self.notes.push(OverlayNote::DeleteEdge(*u, *v));
-                cur.aug.apply_internal(&internal);
-            }
-            Update::DeleteVertex(v) => {
-                self.d.note_delete_vertex(*v);
-                self.notes.push(OverlayNote::DeleteVertex(*v));
-                cur.aug.apply_internal(&internal);
-            }
-            Update::InsertVertex { .. } => {
-                if let Some(nv) = cur.aug.apply_internal(&internal) {
-                    let user = cur.aug.to_user(nv);
-                    cur.inserted.push(user);
-                    inserted_user = Some(user);
-                    let nbrs: Vec<Vertex> = cur
-                        .aug
-                        .graph()
-                        .neighbors(nv)
-                        .iter()
-                        .copied()
-                        .filter(|&x| x != proot)
-                        .collect();
-                    self.d.note_insert_vertex(nv, &nbrs);
-                    self.d.note_insert_edge(nv, proot);
-                    self.notes.push(OverlayNote::InsertVertex(nv, nbrs.clone()));
-                    input.inserted = Some(nv);
-                    input.inserted_neighbors = nbrs;
-                }
-            }
-        }
-
-        let mut new_par: Vec<Vertex> = old_parents(&cur.idx);
-        if new_par.len() < cur.aug.graph().capacity() {
-            new_par.resize(cur.aug.graph().capacity(), NO_VERTEX);
-        }
-        let mut patch = TreePatch::new();
-        let oracle = FaultOracle::new(&self.d);
-        reduce_and_reroot(
-            &cur.idx,
-            &oracle,
-            proot,
-            &internal,
-            &input,
-            &mut new_par,
-            &mut patch,
-            &mut stats,
-            self.strategy,
-        );
-        let before = self.index_stats;
-        maintain_index(
-            &mut cur.idx,
-            &patch,
-            &new_par,
-            proot,
-            self.index_policy,
-            &mut self.index_stats,
-        );
-        cur.index.merge(&self.index_stats.since(&before));
-        cur.index_per_update.push(cur.index);
-        cur.stats.push(stats);
-        self.pending.push(update.clone());
-        self.absorptions += 1;
-        inserted_user
+        self.aug = self.model.base.clone();
+        self.idx = self.model.d.tree().clone();
+        self.model.d.clear_overlay();
+        self.model.pending.clear();
+        self.last_stats = UpdateStats::default();
     }
 
     /// The preprocessed DFS tree (internal ids).
     pub fn original_tree(&self) -> &TreeIndex {
-        &self.original_idx
+        self.model.d.tree()
     }
 
     /// Size of the preprocessed structure `D` in words (the `O(m)` space claim
     /// of Theorem 14).
     pub fn structure_words(&self) -> usize {
-        self.d.size_words()
+        self.model.d.size_words()
     }
 
     /// Compute a DFS tree of the graph obtained by applying `updates`
@@ -478,198 +309,44 @@ impl FaultTolerantDfs {
     pub fn tree_after(&mut self, updates: &[Update]) -> FtResult {
         // Maintainer-style absorptions keep their overlay alive in `d`; a
         // query-style batch is relative to the *preprocessed* graph, so it
-        // must see a pristine overlay.
-        self.d.clear_overlay();
-        let proot = self.aug.pseudo_root();
-        let mut graph_aug = self.aug.clone();
-        let mut idx = self.original_idx.clone();
-        let mut all_stats = Vec::with_capacity(updates.len());
-        let mut all_index = Vec::with_capacity(updates.len());
-        let mut all_inserted = Vec::new();
-        let index_before = self.index_stats;
-
+        // must see a pristine overlay and stay out of the pending batch.
+        let pending = std::mem::take(&mut self.model.pending);
+        self.model.d.clear_overlay();
+        let mut aug = self.model.base.clone();
+        let mut idx = self.model.d.tree().clone();
+        let before = self.upkeep.stats;
+        let mut stats = Vec::with_capacity(updates.len());
+        let mut index_per_update = Vec::with_capacity(updates.len());
+        let mut inserted = Vec::new();
         for update in updates {
-            let internal = graph_aug.translate(update);
-            let mut stats = UpdateStats::default();
-            let mut input = ReductionInput::default();
-
-            match &internal {
-                Update::InsertEdge(u, v) => {
-                    self.d.note_insert_edge(*u, *v);
-                    graph_aug.apply_internal(&internal);
-                }
-                Update::DeleteEdge(u, v) => {
-                    self.d.note_delete_edge(*u, *v);
-                    graph_aug.apply_internal(&internal);
-                }
-                Update::DeleteVertex(v) => {
-                    self.d.note_delete_vertex(*v);
-                    graph_aug.apply_internal(&internal);
-                }
-                Update::InsertVertex { .. } => {
-                    let nv = graph_aug.apply_internal(&internal);
-                    if let Some(nv) = nv {
-                        all_inserted.push(graph_aug.to_user(nv));
-                        let nbrs: Vec<Vertex> = graph_aug
-                            .graph()
-                            .neighbors(nv)
-                            .iter()
-                            .copied()
-                            .filter(|&x| x != proot)
-                            .collect();
-                        self.d.note_insert_vertex(nv, &nbrs);
-                        // The augmentation also gave the new vertex a pseudo
-                        // edge; the overlay must know about it so that a later
-                        // disconnection can still attach the vertex under the
-                        // pseudo root.
-                        self.d.note_insert_edge(nv, proot);
-                        input.inserted = Some(nv);
-                        input.inserted_neighbors = nbrs;
-                    }
-                }
-            }
-
-            let mut new_par: Vec<Vertex> = old_parents(&idx);
-            if new_par.len() < graph_aug.graph().capacity() {
-                new_par.resize(graph_aug.graph().capacity(), NO_VERTEX);
-            }
-            let mut patch = TreePatch::new();
-            let oracle = FaultOracle::new(&self.d);
-            reduce_and_reroot(
-                &idx,
-                &oracle,
-                proot,
-                &internal,
-                &input,
-                &mut new_par,
-                &mut patch,
-                &mut stats,
-                self.strategy,
-            );
-
-            // The tree index is local O(n) state; only D is frozen — so it
-            // is delta-patched like every other backend's.
-            maintain_index(
+            let (nv, s) = step(
+                &mut aug,
                 &mut idx,
-                &patch,
-                &new_par,
-                proot,
-                self.index_policy,
-                &mut self.index_stats,
+                &mut self.model,
+                self.strategy,
+                &mut self.upkeep,
+                update,
             );
-            all_index.push(self.index_stats.since(&index_before));
-            all_stats.push(stats);
+            inserted.extend(nv);
+            stats.push(s);
+            index_per_update.push(self.upkeep.stats.since(&before));
         }
 
-        // Restore the preprocessed structure, then the maintainer-style
-        // overlay (if a pending batch exists), for the next call.
-        self.d.clear_overlay();
-        self.replay_notes();
+        // Restore the preprocessed structure, then the pending batch's
+        // overlay, for the next call.
+        self.model.d.clear_overlay();
+        for (update, input) in &pending {
+            note_update(&mut self.model.d, update, input, aug.pseudo_root());
+        }
+        self.model.pending = pending;
 
         FtResult {
             idx,
-            aug: graph_aug,
-            stats: all_stats,
-            inserted: all_inserted,
-            index: self.index_stats.since(&index_before),
-            index_per_update: all_index,
-        }
-    }
-}
-
-impl ForestQuery for FaultTolerantDfs {
-    fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        augment::forest_parent(DfsMaintainer::tree(self), v)
-    }
-
-    fn forest_roots(&self) -> Vec<Vertex> {
-        augment::forest_roots(DfsMaintainer::tree(self))
-    }
-
-    fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        augment::same_component(DfsMaintainer::tree(self), u, v)
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.current
-            .as_ref()
-            .map(|r| r.num_vertices())
-            .unwrap_or_else(|| self.aug.user_num_vertices())
-    }
-
-    fn num_edges(&self) -> usize {
-        self.current
-            .as_ref()
-            .map(|r| r.num_edges())
-            .unwrap_or_else(|| self.aug.user_num_edges())
-    }
-}
-
-impl DfsMaintainer for FaultTolerantDfs {
-    fn backend_name(&self) -> &'static str {
-        "fault-tolerant"
-    }
-
-    fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        // Resume from the current tree: the shared overlay already describes
-        // the pending batch, so the i-th update costs one absorption.
-        self.absorb_one(update)
-    }
-
-    fn apply_batch(&mut self, updates: &[Update]) -> BatchReport {
-        // Native batch path: absorb each new update once, resuming from the
-        // current tree — O(k) absorptions for the whole batch.
-        if updates.is_empty() {
-            return BatchReport::default();
-        }
-        let already_applied = self.current.as_ref().map(|r| r.stats.len()).unwrap_or(0);
-        let already_inserted = self.current.as_ref().map(|r| r.inserted.len()).unwrap_or(0);
-        for update in updates {
-            self.absorb_one(update);
-        }
-        let cur = self.current.as_ref().expect("batch absorbed above");
-        BatchReport {
-            inserted: cur.inserted[already_inserted..].to_vec(),
-            per_update: cur.stats[already_applied..]
-                .iter()
-                .zip(&cur.index_per_update[already_applied..])
-                .map(|(&s, &index)| StatsReport::FaultTolerant { engine: s, index })
-                .collect(),
-        }
-    }
-
-    fn tree(&self) -> &TreeIndex {
-        self.current
-            .as_ref()
-            .map(|r| r.tree())
-            .unwrap_or(&self.original_idx)
-    }
-
-    fn augmented_graph(&self) -> &Graph {
-        // The maintained graph, like the maintained tree, lives in the
-        // pending result once maintainer-style updates have been absorbed —
-        // `self.aug` stays frozen at the preprocessed graph.
-        self.current
-            .as_ref()
-            .map(|r| r.augmented_graph())
-            .unwrap_or(self.aug.graph())
-    }
-
-    fn check(&self) -> Result<(), String> {
-        match &self.current {
-            Some(r) => r.check(),
-            None => check_spanning_dfs_tree(self.aug.graph(), &self.original_idx),
-        }
-    }
-
-    fn stats(&self) -> StatsReport {
-        StatsReport::FaultTolerant {
-            engine: self
-                .current
-                .as_ref()
-                .and_then(|r| r.stats.last().copied())
-                .unwrap_or_default(),
-            index: self.index_stats,
+            aug,
+            stats,
+            inserted,
+            index: self.upkeep.stats.since(&before),
+            index_per_update,
         }
     }
 }
@@ -677,8 +354,10 @@ impl DfsMaintainer for FaultTolerantDfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pardfs_api::{DfsMaintainer, ForestQuery};
     use pardfs_graph::generators;
     use pardfs_graph::updates::{random_update_sequence, UpdateMix};
+    use pardfs_seq::static_dfs::static_dfs;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
@@ -784,7 +463,7 @@ mod tests {
             DfsMaintainer::check(&ft).unwrap();
         }
         assert_eq!(ft.absorptions(), k as u64, "one absorption per update");
-        assert_eq!(ft.pending_updates().len(), k);
+        assert_eq!(ft.pending_updates(), k);
     }
 
     #[test]
@@ -833,6 +512,31 @@ mod tests {
     }
 
     #[test]
+    fn reset_keeps_the_index_census_counting_from_construction() {
+        // A two-update batch, a reset, one more update: the last per-update
+        // report must carry the census since construction, as `stats()`
+        // does — not the census since the reset.
+        let g = generators::grid(4, 4);
+        let mut ft = FaultTolerantDfs::new(&g);
+        DfsMaintainer::apply_batch(
+            &mut ft,
+            &[Update::DeleteEdge(0, 1), Update::DeleteEdge(5, 6)],
+        );
+        ft.reset();
+        let r = DfsMaintainer::apply_batch(&mut ft, &[Update::DeleteEdge(10, 11)]);
+        let census = *r.per_update.last().unwrap().index_maintenance();
+        assert_eq!(census, *DfsMaintainer::stats(&ft).index_maintenance());
+        assert_eq!(
+            (
+                census.patches_applied,
+                census.vertices_touched,
+                census.full_rebuilds
+            ),
+            (2, 10, 1)
+        );
+    }
+
+    #[test]
     fn query_style_calls_do_not_disturb_the_pending_batch() {
         // Interleave maintainer-style updates with query-style tree_after
         // calls: the pending batch's overlay must survive the query-style
@@ -868,7 +572,7 @@ mod tests {
         DfsMaintainer::apply_update(&mut ft, &Update::InsertEdge(0, 9));
         assert!(ft.structure_words() > words, "overlay holds records");
         ft.reset();
-        assert_eq!(ft.pending_updates().len(), 0);
+        assert_eq!(ft.pending_updates(), 0);
         assert_eq!(ft.structure_words(), words, "overlay gone");
         DfsMaintainer::check(&ft).unwrap();
         assert_eq!(ForestQuery::num_edges(&ft), 9, "back to preprocessed");

@@ -16,18 +16,26 @@
 //!   depending on the [`Strategy`]), attaches the traversed path to the new
 //!   tree `T*`, and splits into new components via batched `D` queries
 //!   (the components property, Lemma 1).
-//! * [`dynamic`] — Theorem 13: the fully dynamic maintainer. After every
-//!   update only the `O(n)` tree index is rebuilt; `D` stays anchored to the
-//!   tree of its last build, absorbing updates through its overlay and
-//!   answering current-tree queries via the Theorem 9 segment decomposition.
-//!   A configurable [`RebuildPolicy`] (default: overlay > `m / log₂ n`)
-//!   decides when the `m`-processor preprocessing of Theorem 8 re-runs, so
-//!   rebuilds are amortized instead of per-update.
-//! * [`fault`] — Theorem 14: the fault tolerant maintainer. `D` is built
-//!   *once*; a batch of `k` updates is absorbed by decomposing every queried
-//!   path of the evolving tree into ancestor–descendant segments of the
-//!   *original* tree (Theorem 9) and consulting the original `D` plus a small
-//!   overlay.
+//! * [`engine`] — the one update loop: translate → apply → reduce → reroot
+//!   → delta-patch the tree index, generic over the execution [`Model`]
+//!   that answers the reroot's independent queries. [`EngineDfs`] runs it;
+//!   the maintainers of Theorems 13–16 are [`EngineDfs`] over four models
+//!   (the streaming and CONGEST models live in `pardfs-stream` and
+//!   `pardfs-congest`).
+//! * [`dynamic`] — Theorem 13: the fully dynamic maintainer, the live-`D`
+//!   model. After every update the `O(n)` tree index is delta-patched with
+//!   the update's `TreePatch` (rebuilt only when the patch is refused); `D`
+//!   stays anchored to the tree of its last build, absorbing updates
+//!   through its overlay and answering current-tree queries via the
+//!   Theorem 9 segment decomposition. A configurable [`RebuildPolicy`]
+//!   (default: overlay > `m / log₂ n`) decides when the `m`-processor
+//!   preprocessing of Theorem 8 re-runs, so rebuilds are amortized instead
+//!   of per-update.
+//! * [`fault`] — Theorem 14: the fault tolerant maintainer, the frozen-`D`
+//!   model. `D` is built *once*; a batch of `k` updates is absorbed by
+//!   decomposing every queried path of the evolving tree into
+//!   ancestor–descendant segments of the *original* tree (Theorem 9) and
+//!   consulting the original `D` plus a small overlay.
 //! * [`stats`] — instrumentation: engine rounds, sequential query sets,
 //!   traversal census. These are the quantities the paper's theorems bound
 //!   (`O(log^2 n)` query sets per reroot, `O(log^3 n)` EREW time), and the
@@ -35,8 +43,9 @@
 //!   themselves live in [`pardfs_api`] (shared by every backend) and are
 //!   re-exported here under their historical paths.
 //!
-//! Both maintainers implement [`pardfs_api::DfsMaintainer`], the unified
-//! trait the bench harness, examples and integration tests program against.
+//! [`EngineDfs`] implements [`pardfs_api::DfsMaintainer`], the unified trait
+//! the bench harness, examples and integration tests program against, once
+//! for every model.
 //!
 //! ## Faithfulness note
 //!
@@ -48,21 +57,24 @@
 //! traversals and their special case (Section 4.4); those scenarios exist to
 //! guarantee the synchronous phase/stage schedule and are replaced here by the
 //! generalised grouping, whose measured round counts are reported by
-//! experiment E3 (see DESIGN.md §4 and EXPERIMENTS.md). The `Simple` strategy
-//! is the parallelised sequential baseline and serves as the ablation.
+//! experiment E3 (see `docs/ARCHITECTURE.md` and the README's experiment
+//! index). The `Simple` strategy is the parallelised sequential baseline and
+//! serves as the ablation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dynamic;
+pub mod engine;
 pub mod fault;
 pub mod reduction;
 pub mod reroot;
 
 pub use pardfs_api::stats;
 
-pub use dynamic::DynamicDfs;
-pub use fault::{FaultTolerantDfs, FtResult};
+pub use dynamic::{DynamicDfs, LiveD};
+pub use engine::{EngineDfs, Model};
+pub use fault::{FaultTolerantDfs, FrozenD, FtResult};
 pub use pardfs_api::{BatchReport, DfsMaintainer, RebuildPolicy, RebuildPolicyStats, StatsReport};
 pub use reduction::reduce_update;
 pub use reroot::{RerootJob, Rerooter, Strategy};

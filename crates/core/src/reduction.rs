@@ -11,7 +11,6 @@ use crate::reroot::RerootJob;
 use crate::stats::UpdateStats;
 use pardfs_graph::{Update, Vertex};
 use pardfs_query::{QueryOracle, VertexQuery};
-use pardfs_tree::rooted::NO_VERTEX;
 use pardfs_tree::{TreeIndex, TreePatch};
 
 /// Context of a reduction: which internal vertex was just inserted (for vertex
@@ -26,21 +25,19 @@ pub struct ReductionInput {
 }
 
 /// Reduce an update (internal ids) on the DFS tree `idx` (rooted at the pseudo
-/// root `proot`) into reroot jobs, applying the trivial parent rewrites
-/// (deleted-vertex removal, inserted-vertex attachment) directly to `new_par`
-/// and recording them — plus any vertex-set change — into `patch`.
+/// root `proot`) into reroot jobs, recording the trivial parent rewrites
+/// (deleted-vertex removal, inserted-vertex attachment) — plus any vertex-set
+/// change — into `patch`.
 ///
 /// The graph must already reflect the update; the oracle must reflect it too
 /// (deleted edges/vertices masked, inserted edges visible), so that "lowest
 /// edge" queries never return a stale edge.
-#[allow(clippy::too_many_arguments)] // the full update context plus both output sinks
 pub fn reduce_update<O: QueryOracle>(
     idx: &TreeIndex,
     oracle: &O,
     proot: Vertex,
     update: &Update,
     input: &ReductionInput,
-    new_par: &mut [Vertex],
     patch: &mut TreePatch,
     stats: &mut UpdateStats,
 ) -> Vec<RerootJob> {
@@ -85,7 +82,6 @@ pub fn reduce_update<O: QueryOracle>(
             let anchor = idx.parent(*u).unwrap_or(proot);
             let children: Vec<Vertex> = idx.children(*u).to_vec();
             let hits = lowest_edges_from_subtrees(idx, oracle, &children, anchor, proot, stats);
-            new_par[*u as usize] = NO_VERTEX;
             patch.record_removed(*u);
             children
                 .iter()
@@ -106,7 +102,6 @@ pub fn reduce_update<O: QueryOracle>(
                 .inserted
                 .expect("vertex insertion provides the inserted id");
             let vj = input.inserted_neighbors.first().copied().unwrap_or(proot);
-            new_par[nv as usize] = vj;
             patch.record_added(nv);
             patch.assign(nv, vj);
             let mut jobs: Vec<RerootJob> = Vec::new();
@@ -194,7 +189,6 @@ mod tests {
         let user = generators::path(4);
         let (aug, idx, d) = setup(&user);
         let mut stats = UpdateStats::default();
-        let mut new_par = vec![NO_VERTEX; aug.graph().capacity()];
         let mut patch = TreePatch::new();
         let update = aug.translate(&Update::InsertEdge(0, 3));
         let jobs = reduce_update(
@@ -203,7 +197,6 @@ mod tests {
             aug.pseudo_root(),
             &update,
             &ReductionInput::default(),
-            &mut new_par,
             &mut patch,
             &mut stats,
         );
@@ -217,7 +210,6 @@ mod tests {
         let user = generators::star(5);
         let (aug, idx, d) = setup(&user);
         let mut stats = UpdateStats::default();
-        let mut new_par = vec![NO_VERTEX; aug.graph().capacity()];
         let mut patch = TreePatch::new();
         let update = aug.translate(&Update::InsertEdge(1, 2));
         let jobs = reduce_update(
@@ -226,7 +218,6 @@ mod tests {
             aug.pseudo_root(),
             &update,
             &ReductionInput::default(),
-            &mut new_par,
             &mut patch,
             &mut stats,
         );
@@ -263,7 +254,6 @@ mod tests {
         let internal = Update::DeleteEdge(ui, vi);
         aug.apply_internal(&internal);
         let mut stats = UpdateStats::default();
-        let mut new_par = vec![NO_VERTEX; aug.graph().capacity()];
         let mut patch = TreePatch::new();
         let jobs = reduce_update(
             &idx,
@@ -271,7 +261,6 @@ mod tests {
             aug.pseudo_root(),
             &internal,
             &ReductionInput::default(),
-            &mut new_par,
             &mut patch,
             &mut stats,
         );
@@ -295,7 +284,6 @@ mod tests {
         let internal = Update::DeleteVertex(centre);
         aug.apply_internal(&internal);
         let mut stats = UpdateStats::default();
-        let mut new_par = vec![NO_VERTEX; aug.graph().capacity()];
         let mut patch = TreePatch::new();
         let jobs = reduce_update(
             &idx,
@@ -303,7 +291,6 @@ mod tests {
             aug.pseudo_root(),
             &internal,
             &ReductionInput::default(),
-            &mut new_par,
             &mut patch,
             &mut stats,
         );
@@ -313,7 +300,7 @@ mod tests {
         for j in &jobs {
             assert_eq!(j.attach_parent, aug.pseudo_root());
         }
-        assert_eq!(new_par[centre as usize], NO_VERTEX);
+        assert_eq!(patch.removed(), [centre]);
     }
 
     #[test]
@@ -331,7 +318,6 @@ mod tests {
         let nv = aug.apply_internal(&internal).unwrap();
         d.note_insert_vertex(nv, &internal_edges);
         let mut stats = UpdateStats::default();
-        let mut new_par = vec![NO_VERTEX; aug.graph().capacity()];
         let mut patch = TreePatch::new();
         let jobs = reduce_update(
             &idx,
@@ -342,11 +328,10 @@ mod tests {
                 inserted: Some(nv),
                 inserted_neighbors: internal_edges.clone(),
             },
-            &mut new_par,
             &mut patch,
             &mut stats,
         );
-        assert_eq!(new_par[nv as usize], internal_edges[0]);
+        assert_eq!(patch.assignments(), [(nv, internal_edges[0])]);
         assert!(jobs.len() <= 2);
         let roots: Vec<Vertex> = jobs.iter().map(|j| j.sub_root).collect();
         let dedup: std::collections::HashSet<_> = roots.iter().collect();

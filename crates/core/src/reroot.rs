@@ -107,9 +107,9 @@ struct StepOutput {
 }
 
 /// The rerooting engine. Borrowing the old tree index and a query oracle, it
-/// rewrites the parent pointers of the rerooted subtrees into a caller-owned
-/// parent array, and emits the same rewrites as a [`TreePatch`] so the caller
-/// can delta-patch its tree index instead of rebuilding it.
+/// records the new parent pointers of the rerooted subtrees as a
+/// [`TreePatch`], so the caller can delta-patch its tree index instead of
+/// rebuilding it.
 pub struct Rerooter<'a, O: QueryOracle> {
     idx: &'a TreeIndex,
     oracle: &'a O,
@@ -126,16 +126,9 @@ impl<'a, O: QueryOracle> Rerooter<'a, O> {
         }
     }
 
-    /// Execute all reroot jobs, writing the new parent of every affected
-    /// vertex into `new_par` (which must already contain the old parents so
-    /// that untouched subtrees keep their structure) and recording every
-    /// rewrite into `patch` for the index splice.
-    pub fn run(
-        &self,
-        jobs: &[RerootJob],
-        new_par: &mut [Vertex],
-        patch: &mut TreePatch,
-    ) -> RerootStats {
+    /// Execute all reroot jobs, recording the new parent of every affected
+    /// vertex into `patch` (untouched subtrees keep their structure).
+    pub fn run(&self, jobs: &[RerootJob], patch: &mut TreePatch) -> RerootStats {
         let mut stats = RerootStats::default();
         let root_trail = Arc::new(TrailNode {
             segs: Vec::new(),
@@ -180,7 +173,6 @@ impl<'a, O: QueryOracle> Rerooter<'a, O> {
                 }
                 for (child, parent) in out.assignments {
                     debug_assert_ne!(parent, NO_VERTEX);
-                    new_par[child as usize] = parent;
                     patch.assign(child, parent);
                     stats.relinked_vertices += 1;
                 }

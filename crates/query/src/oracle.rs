@@ -57,7 +57,8 @@ pub struct OracleStats {
     pub hits: u64,
 }
 
-/// A batched, read-only query answerer.
+/// A batched, read-only query answerer — what distinguishes the engine's
+/// execution models (`pardfs-core::Model`) from one another.
 ///
 /// Implementations:
 /// * [`StructureD`](crate::StructureD) — in-memory sorted adjacency
@@ -65,7 +66,7 @@ pub struct OracleStats {
 /// * `pardfs-stream::PassOracle` — one pass over the edge stream per batch;
 /// * `pardfs-congest::BroadcastOracle` — one pipelined broadcast/convergecast
 ///   per batch;
-/// * `pardfs-core::FaultTolerantOracle` — the original `D` plus an overlay,
+/// * `pardfs-core::FaultOracle` — the original `D` plus an overlay,
 ///   with current-tree paths decomposed into original-tree segments
 ///   (Theorem 9).
 pub trait QueryOracle: Sync {

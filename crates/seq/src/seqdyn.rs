@@ -18,12 +18,10 @@ use crate::augment::{self, AugmentedGraph};
 use crate::check::check_spanning_dfs_tree;
 use crate::static_dfs::static_dfs;
 use pardfs_api::{
-    maintain_index_with, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy,
-    StatsReport,
+    maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, StatsReport,
 };
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{QueryOracle, StructureD, VertexQuery};
-use pardfs_tree::rooted::NO_VERTEX;
 use pardfs_tree::{RootedTree, TreeIndex, TreePatch};
 
 pub use pardfs_api::SeqUpdateStats;
@@ -230,38 +228,18 @@ impl SeqRerootDfs {
 
         // Delta-patch the tree index with the update's rewrites; `D` is
         // still rebuilt per update on the new tree (this baseline's model).
-        // The authoritative parent array is materialised lazily: only the
-        // rebuild fallbacks (membership change, oversized region, an
-        // `EveryUpdate` policy) reconstruct it from the pre-update index
-        // plus the patch.
-        let capacity = self.aug.graph().capacity();
-        let copies = &mut self.parent_materializations;
-        let patch_ref = &patch;
-        maintain_index_with(
+        // The parent array is materialised lazily: only the rebuild
+        // fallbacks (membership change, oversized region, an `EveryUpdate`
+        // policy) reconstruct it from the pre-update index plus the patch.
+        if maintain_index(
             &mut self.idx,
-            patch_ref,
-            proot,
+            &patch,
+            self.aug.graph().capacity(),
             self.index_policy,
             &mut self.index_stats,
-            |old| {
-                *copies += 1;
-                let mut par = vec![NO_VERTEX; capacity.max(old.capacity())];
-                for &v in old.pre_order_vertices() {
-                    par[v as usize] = old.parent(v).unwrap_or(v);
-                }
-                // Assignments replay in application order (last one wins,
-                // matching the array the engine used to write directly);
-                // removals are recorded before any reroot can touch other
-                // vertices, and never conflict with an assignment.
-                for &(child, parent) in patch_ref.assignments() {
-                    par[child as usize] = parent;
-                }
-                for &v in patch_ref.removed() {
-                    par[v as usize] = NO_VERTEX;
-                }
-                par
-            },
-        );
+        ) {
+            self.parent_materializations += 1;
+        }
         self.d = StructureD::build(self.aug.graph(), self.idx.clone());
         self.last_stats = stats;
         inserted

@@ -16,9 +16,11 @@
 //! * [`PassOracle`] — a [`QueryOracle`] that answers every batch by a single
 //!   pass over the edge stream, maintaining one partial result per query and
 //!   counting passes, edges scanned and peak resident words.
-//! * [`StreamingDynamicDfs`] — the maintainer of Theorem 15: the same
-//!   reduction and rerooting engine as `pardfs-core`, driven by the pass
-//!   oracle, with no `D` ever materialised.
+//! * [`PassModel`] — the engine model of Theorem 15, and
+//!   [`StreamingDynamicDfs`], `pardfs-core`'s `EngineDfs` in that model:
+//!   the same reduction and rerooting engine as every other backend, driven
+//!   by the pass oracle, with no `D` ever materialised. [`StreamingDfsExt`]
+//!   adds the model's own counters.
 //!
 //! ### Pass accounting
 //!
@@ -28,23 +30,20 @@
 //! therefore reports both numbers: [`StreamStats::passes`] (batches actually
 //! executed, i.e. passes of this implementation) and the maintainer exposes
 //! the *batched-model* pass count `total_query_sets` from the engine
-//! statistics, which is the quantity Theorem 15 bounds. See DESIGN.md §4.
+//! statistics, which is the quantity Theorem 15 bounds. See
+//! `docs/ARCHITECTURE.md` and experiment E5 in the README's experiment
+//! index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pardfs_api::{
-    maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, StatsReport,
-};
+use pardfs_api::{DfsMaintainer, IndexMaintenanceStats, StatsReport};
 use pardfs_core::reduction::ReductionInput;
-use pardfs_core::{reduce_update, Rerooter, Strategy, UpdateStats};
+use pardfs_core::{EngineDfs, Model, UpdateStats};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{EdgeHit, QueryOracle, VertexQuery};
-use pardfs_seq::augment::{self, AugmentedGraph};
-use pardfs_seq::check::check_spanning_dfs_tree;
-use pardfs_seq::static_dfs::static_dfs;
-use pardfs_tree::rooted::NO_VERTEX;
-use pardfs_tree::{TreeIndex, TreePatch};
+use pardfs_seq::augment::AugmentedGraph;
+use pardfs_tree::TreeIndex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use pardfs_api::StreamStats;
@@ -160,275 +159,94 @@ impl QueryOracle for PassOracle<'_> {
     }
 }
 
-/// Semi-streaming fully dynamic DFS maintainer (Theorem 15).
-#[derive(Debug)]
-pub struct StreamingDynamicDfs {
-    aug: AugmentedGraph,
-    idx: TreeIndex,
-    strategy: Strategy,
-    index_policy: IndexPolicy,
-    index_stats: IndexMaintenanceStats,
-    last_update_stats: UpdateStats,
-    last_stream_stats: StreamStats,
-    total_stream_stats: StreamStats,
+/// Semi-streaming fully dynamic DFS maintainer (Theorem 15): the engine in
+/// the [`PassModel`].
+pub type StreamingDynamicDfs = EngineDfs<PassModel>;
+
+/// The semi-streaming model (Theorem 15): no `D` is ever materialised, and
+/// every set of independent queries is answered by one [`PassOracle`] pass
+/// over the edge stream. The tree index is `O(n)` local state, so patching
+/// it leaves the space bound alone. The initial DFS is computed with the
+/// static algorithm; in a pure streaming setting that costs `O(n)` passes
+/// once, as the paper notes.
+#[derive(Debug, Default)]
+pub struct PassModel {
+    last: StreamStats,
+    total: StreamStats,
 }
 
-impl StreamingDynamicDfs {
-    /// Build the maintainer from a user graph (initial DFS is computed with
-    /// the static algorithm; in a pure streaming setting this costs `O(n)`
-    /// passes once, as the paper notes).
-    pub fn new(user_graph: &Graph) -> Self {
-        Self::with_strategy(user_graph, Strategy::Phased)
+impl Model for PassModel {
+    const NAME: &'static str = "streaming";
+    type Config = ();
+
+    fn build(_aug: &AugmentedGraph, _idx: &TreeIndex, (): ()) -> Self {
+        PassModel::default()
     }
 
-    /// Build the maintainer with an explicit rerooting strategy.
-    pub fn with_strategy(user_graph: &Graph, strategy: Strategy) -> Self {
-        let aug = AugmentedGraph::new(user_graph);
-        let idx = TreeIndex::build(&static_dfs(aug.graph(), aug.pseudo_root()));
-        StreamingDynamicDfs {
-            aug,
-            idx,
-            strategy,
-            index_policy: IndexPolicy::default(),
-            index_stats: IndexMaintenanceStats::default(),
-            last_update_stats: UpdateStats::default(),
-            last_stream_stats: StreamStats::default(),
-            total_stream_stats: StreamStats::default(),
+    fn absorb(
+        &mut self,
+        aug: &AugmentedGraph,
+        idx: &TreeIndex,
+        _update: &Update,
+        _input: &ReductionInput,
+        reroot: impl FnOnce(&dyn QueryOracle) -> UpdateStats,
+    ) -> UpdateStats {
+        // The stream already reflects the update: deleted edges vanished from
+        // it, inserted edges appeared (this is the adversary changing the
+        // input).
+        let oracle = PassOracle::new(aug.graph(), idx);
+        let stats = reroot(&oracle);
+        self.last = oracle.stats();
+        self.total.merge(&self.last);
+        stats
+    }
+
+    fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport {
+        StatsReport::Streaming {
+            engine,
+            stream: self.last,
+            index,
         }
     }
+}
 
-    /// Resume the maintainer from previously captured state: an augmented
-    /// graph and a DFS tree of it (a durability checkpoint's contents). The
-    /// initial static DFS is skipped — the provided tree *is* the maintained
-    /// tree — so the maintainer continues the crash-time trajectory.
-    pub fn from_state(aug: AugmentedGraph, idx: TreeIndex, strategy: Strategy) -> Self {
-        assert_eq!(
-            idx.root(),
-            aug.pseudo_root(),
-            "resumed tree must be rooted at the pseudo root"
-        );
-        assert_eq!(
-            idx.capacity(),
-            aug.graph().capacity(),
-            "resumed tree id space must match the graph"
-        );
-        StreamingDynamicDfs {
-            aug,
-            idx,
-            strategy,
-            index_policy: IndexPolicy::default(),
-            index_stats: IndexMaintenanceStats::default(),
-            last_update_stats: UpdateStats::default(),
-            last_stream_stats: StreamStats::default(),
-            total_stream_stats: StreamStats::default(),
-        }
-    }
-
-    /// Select when the tree index is delta-patched versus rebuilt. The index
-    /// is `O(n)` local state in this model, so patching it does not change
-    /// the space bound — it removes the per-update rebuild work.
-    pub fn set_index_policy(&mut self, policy: IndexPolicy) {
-        self.index_policy = policy;
-    }
-
-    /// The index-maintenance policy in use.
-    pub fn index_policy(&self) -> IndexPolicy {
-        self.index_policy
-    }
-
-    /// What the index-maintenance policy has done so far.
-    pub fn index_stats(&self) -> IndexMaintenanceStats {
-        self.index_stats
-    }
-
-    /// The current DFS tree of the augmented graph.
-    pub fn tree(&self) -> &TreeIndex {
-        &self.idx
-    }
-
-    /// Parent of user vertex `v` in the maintained DFS forest.
-    pub fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        augment::forest_parent(&self.idx, v)
-    }
-
-    /// Roots of the maintained DFS forest (user ids), one per connected
-    /// component of the user graph.
-    pub fn forest_roots(&self) -> Vec<Vertex> {
-        augment::forest_roots(&self.idx)
-    }
-
-    /// Are user vertices `u` and `v` in the same connected component?
-    pub fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        augment::same_component(&self.idx, u, v)
-    }
-
-    /// Number of user vertices currently in the graph.
-    pub fn num_vertices(&self) -> usize {
-        self.aug.user_num_vertices()
-    }
-
-    /// Number of user edges currently in the stream.
-    pub fn num_edges(&self) -> usize {
-        self.aug.user_num_edges()
-    }
-
-    /// Engine statistics of the most recent update. `total_query_sets()` is
-    /// the batched-model pass count bounded by Theorem 15.
-    pub fn last_update_stats(&self) -> UpdateStats {
-        self.last_update_stats
-    }
-
+/// The semi-streaming model's own quantities on a [`StreamingDynamicDfs`].
+/// The engine statistics of the last update (`last_stats`, whose
+/// `total_query_sets()` is the batched-model pass count Theorem 15 bounds)
+/// are on the maintainer itself.
+pub trait StreamingDfsExt {
     /// Stream-access statistics of the most recent update.
-    pub fn last_stream_stats(&self) -> StreamStats {
-        self.last_stream_stats
-    }
+    fn last_stream_stats(&self) -> StreamStats;
 
     /// Accumulated stream-access statistics.
-    pub fn total_stream_stats(&self) -> StreamStats {
-        self.total_stream_stats
-    }
+    fn total_stream_stats(&self) -> StreamStats;
 
     /// Resident local state in words: the tree (one parent word per vertex)
     /// plus the partially built tree — the `O(n)` space claim.
-    pub fn resident_words(&self) -> usize {
-        2 * self.idx.capacity()
-    }
-
-    /// Validate the maintained tree.
-    pub fn check(&self) -> Result<(), String> {
-        check_spanning_dfs_tree(self.aug.graph(), &self.idx)
-    }
-
-    /// Apply one dynamic update (user ids).
-    pub fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        let internal = self.aug.translate(update);
-        let proot = self.aug.pseudo_root();
-        let mut stats = UpdateStats::default();
-        let mut input = ReductionInput::default();
-
-        // The stream is updated first: deleted edges vanish from it, inserted
-        // edges appear (this is the adversary changing the input).
-        let inserted = match &internal {
-            Update::InsertVertex { .. } => {
-                let nv = self.aug.apply_internal(&internal);
-                if let Some(nv) = nv {
-                    let nbrs: Vec<Vertex> = self
-                        .aug
-                        .graph()
-                        .neighbors(nv)
-                        .iter()
-                        .copied()
-                        .filter(|&x| x != proot)
-                        .collect();
-                    input.inserted = Some(nv);
-                    input.inserted_neighbors = nbrs;
-                }
-                nv
-            }
-            other => self.aug.apply_internal(other),
-        };
-
-        let mut new_par: Vec<Vertex> = parent_array(&self.idx);
-        if new_par.len() < self.aug.graph().capacity() {
-            new_par.resize(self.aug.graph().capacity(), NO_VERTEX);
-        }
-        let mut patch = TreePatch::new();
-        let oracle = PassOracle::new(self.aug.graph(), &self.idx);
-        let jobs = reduce_update(
-            &self.idx,
-            &oracle,
-            proot,
-            &internal,
-            &input,
-            &mut new_par,
-            &mut patch,
-            &mut stats,
-        );
-        stats.reroot_jobs = jobs.len() as u64;
-        let engine = Rerooter::new(&self.idx, &oracle, self.strategy);
-        stats.reroot = engine.run(&jobs, &mut new_par, &mut patch);
-
-        let stream_stats = oracle.stats();
-        maintain_index(
-            &mut self.idx,
-            &patch,
-            &new_par,
-            proot,
-            self.index_policy,
-            &mut self.index_stats,
-        );
-        self.last_update_stats = stats;
-        self.last_stream_stats = stream_stats;
-        self.total_stream_stats.merge(&stream_stats);
-        inserted.map(|v| self.aug.to_user(v))
-    }
+    fn resident_words(&self) -> usize;
 }
 
-impl ForestQuery for StreamingDynamicDfs {
-    fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        StreamingDynamicDfs::forest_parent(self, v)
+impl StreamingDfsExt for StreamingDynamicDfs {
+    fn last_stream_stats(&self) -> StreamStats {
+        self.model().last
     }
 
-    fn forest_roots(&self) -> Vec<Vertex> {
-        StreamingDynamicDfs::forest_roots(self)
+    fn total_stream_stats(&self) -> StreamStats {
+        self.model().total
     }
 
-    fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        StreamingDynamicDfs::same_component(self, u, v)
+    fn resident_words(&self) -> usize {
+        2 * self.tree().capacity()
     }
-
-    fn num_vertices(&self) -> usize {
-        StreamingDynamicDfs::num_vertices(self)
-    }
-
-    fn num_edges(&self) -> usize {
-        StreamingDynamicDfs::num_edges(self)
-    }
-}
-
-impl DfsMaintainer for StreamingDynamicDfs {
-    fn backend_name(&self) -> &'static str {
-        "streaming"
-    }
-
-    fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        StreamingDynamicDfs::apply_update(self, update)
-    }
-
-    fn tree(&self) -> &TreeIndex {
-        StreamingDynamicDfs::tree(self)
-    }
-
-    fn augmented_graph(&self) -> &Graph {
-        self.aug.graph()
-    }
-
-    fn check(&self) -> Result<(), String> {
-        StreamingDynamicDfs::check(self)
-    }
-
-    fn stats(&self) -> StatsReport {
-        StatsReport::Streaming {
-            engine: self.last_update_stats,
-            stream: self.last_stream_stats,
-            index: self.index_stats,
-        }
-    }
-}
-
-fn parent_array(idx: &TreeIndex) -> Vec<Vertex> {
-    let mut out = vec![NO_VERTEX; idx.capacity()];
-    for &v in idx.pre_order_vertices() {
-        out[v as usize] = idx.parent(v).unwrap_or(v);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pardfs_api::ForestQuery;
     use pardfs_graph::generators;
     use pardfs_graph::updates::{random_update_sequence, UpdateMix};
+    use pardfs_seq::static_dfs::static_dfs;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
@@ -485,9 +303,9 @@ mod tests {
             // Batched-model pass count must stay within the Theorem 15 envelope
             // (generous constant; the experiments report the exact numbers).
             assert!(
-                (s.last_update_stats().total_query_sets() as f64) <= 20.0 * log2n * log2n,
+                (s.last_stats().total_query_sets() as f64) <= 20.0 * log2n * log2n,
                 "update {i}: {} query sets for n={n}",
-                s.last_update_stats().total_query_sets()
+                s.last_stats().total_query_sets()
             );
         }
         assert!(s.total_stream_stats().passes > 0);

@@ -16,7 +16,7 @@
 
 use pardfs::graph::generators;
 use pardfs::graph::updates::{random_update_sequence, UpdateMix};
-use pardfs::{DfsMaintainer, StreamingDynamicDfs};
+use pardfs::{DfsMaintainer, StreamingDfsExt, StreamingDynamicDfs};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 

@@ -3,17 +3,20 @@
 //!
 //! The umbrella crate is the only crate that depends on every backend, so the
 //! factory lives here; the trait it hands out ([`DfsMaintainer`]) lives in
-//! `pardfs-api` and is implemented by each backend crate.
+//! `pardfs-api` and is implemented twice: once by `pardfs-core`'s
+//! [`EngineDfs`] for the four engine models, and once by the sequential
+//! baseline.
 
 use pardfs_api::{
     BatchReport, DfsMaintainer, ForestQuery, IndexPolicy, RebuildPolicy, StatsReport,
 };
-use pardfs_congest::DistributedDynamicDfs;
-use pardfs_core::{DynamicDfs, FaultTolerantDfs, Strategy};
+use pardfs_congest::BroadcastModel;
+use pardfs_core::{EngineDfs, FrozenD, LiveD, Model, Strategy};
 use pardfs_graph::{Graph, Update, Vertex};
+use pardfs_seq::static_dfs::static_dfs;
 use pardfs_seq::{AugmentedGraph, SeqRerootDfs};
 use pardfs_serve::{PartitionedRouter, Server, ShardFactory, ShardRouter};
-use pardfs_stream::StreamingDynamicDfs;
+use pardfs_stream::PassModel;
 use pardfs_tree::TreeIndex;
 use pardfs_wal::{recover_with, DurabilityConfig, Recovered};
 use pardfs_workload::{ScenarioOutcome, ScenarioRunner, Trace};
@@ -21,23 +24,24 @@ use pardfs_workload::{ScenarioOutcome, ScenarioRunner, Trace};
 /// Which maintainer implementation to construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Shared-memory parallel maintainer ([`DynamicDfs`], Theorem 13).
+    /// Shared-memory parallel maintainer ([`DynamicDfs`](crate::DynamicDfs), Theorem 13).
     Parallel,
     /// Sequential baseline ([`SeqRerootDfs`], reference \[6\] of the paper).
     /// Ignores the configured strategy (it *is* the root-path baseline).
     Sequential,
-    /// Semi-streaming maintainer ([`StreamingDynamicDfs`], Theorem 15).
+    /// Semi-streaming maintainer ([`StreamingDynamicDfs`](crate::StreamingDynamicDfs), Theorem 15).
     Streaming,
-    /// Distributed CONGEST maintainer ([`DistributedDynamicDfs`],
-    /// Theorem 16) with the given per-message bandwidth `B` in words.
+    /// Distributed CONGEST maintainer
+    /// ([`DistributedDynamicDfs`](crate::DistributedDynamicDfs), Theorem 16) with the given per-message bandwidth `B` in words.
     Congest {
         /// Words per message per round (the paper uses `B = n / D`).
         bandwidth: usize,
     },
-    /// Fault tolerant maintainer ([`FaultTolerantDfs`], Theorem 14):
+    /// Fault tolerant maintainer
+    /// ([`FaultTolerantDfs`](crate::FaultTolerantDfs), Theorem 14):
     /// preprocesses once and absorbs each accumulated batch against the
     /// frozen structure. Best for small numbers of updates between
-    /// [`FaultTolerantDfs::reset`] calls.
+    /// [`FaultTolerantDfs::reset`](crate::FaultTolerantDfs::reset) calls.
     FaultTolerant,
 }
 
@@ -253,52 +257,9 @@ impl MaintainerBuilder {
 
     /// Construct the maintainer over `user_graph`.
     pub fn build(&self, user_graph: &Graph) -> Box<dyn DfsMaintainer> {
-        let inner: Box<dyn DfsMaintainer> = match self.backend {
-            Backend::Parallel => {
-                let mut dfs =
-                    DynamicDfs::with_config(user_graph, self.strategy, self.rebuild_policy);
-                dfs.set_index_policy(self.index_policy);
-                Box::new(dfs)
-            }
-            Backend::Sequential => {
-                let mut dfs = SeqRerootDfs::new(user_graph);
-                dfs.set_index_policy(self.index_policy);
-                Box::new(dfs)
-            }
-            Backend::Streaming => {
-                let mut dfs = StreamingDynamicDfs::with_strategy(user_graph, self.strategy);
-                dfs.set_index_policy(self.index_policy);
-                Box::new(dfs)
-            }
-            Backend::Congest { bandwidth } => {
-                let mut dfs =
-                    DistributedDynamicDfs::with_strategy(user_graph, bandwidth, self.strategy);
-                dfs.set_index_policy(self.index_policy);
-                Box::new(dfs)
-            }
-            Backend::FaultTolerant => {
-                let mut dfs = FaultTolerantDfs::with_strategy(user_graph, self.strategy);
-                dfs.set_index_policy(self.index_policy);
-                Box::new(dfs)
-            }
-        };
-        let checked = match self.check_mode {
-            CheckMode::Never => inner,
-            CheckMode::EveryUpdate => Box::new(Checked { inner }),
-        };
-        match self.num_threads {
-            None => checked,
-            Some(n) => {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(n)
-                    .build()
-                    .expect("failed to build the maintainer's thread pool");
-                Box::new(Threaded {
-                    pool,
-                    inner: checked,
-                })
-            }
-        }
+        let aug = AugmentedGraph::new(user_graph);
+        let index = TreeIndex::build(&static_dfs(aug.graph(), aug.pseudo_root()));
+        self.assemble(aug, index)
     }
 
     /// Construct the maintainer from previously captured state: an
@@ -331,40 +292,31 @@ impl MaintainerBuilder {
                 aug.graph().capacity()
             ));
         }
+        Ok(self.assemble(aug, index))
+    }
+
+    /// This configuration's maintainer over an augmented graph and a DFS tree
+    /// of it — the one backend assembly behind [`MaintainerBuilder::build`]
+    /// (over the static-DFS tree) and [`MaintainerBuilder::build_from_state`]
+    /// (over a checkpointed one), wrapped per the check mode and thread
+    /// count.
+    fn assemble(&self, aug: AugmentedGraph, index: TreeIndex) -> Box<dyn DfsMaintainer> {
         let inner: Box<dyn DfsMaintainer> = match self.backend {
-            Backend::Parallel => {
-                let mut dfs =
-                    DynamicDfs::from_state(aug, index, self.strategy, self.rebuild_policy);
-                dfs.set_index_policy(self.index_policy);
-                Box::new(dfs)
-            }
+            Backend::Parallel => engine::<LiveD>(self, aug, index, self.rebuild_policy),
             Backend::Sequential => {
                 let mut dfs = SeqRerootDfs::from_state(aug, index);
                 dfs.set_index_policy(self.index_policy);
                 Box::new(dfs)
             }
-            Backend::Streaming => {
-                let mut dfs = StreamingDynamicDfs::from_state(aug, index, self.strategy);
-                dfs.set_index_policy(self.index_policy);
-                Box::new(dfs)
-            }
-            Backend::Congest { bandwidth } => {
-                let mut dfs =
-                    DistributedDynamicDfs::from_state(aug, index, bandwidth, self.strategy);
-                dfs.set_index_policy(self.index_policy);
-                Box::new(dfs)
-            }
-            Backend::FaultTolerant => {
-                let mut dfs = FaultTolerantDfs::from_state(aug, index, self.strategy);
-                dfs.set_index_policy(self.index_policy);
-                Box::new(dfs)
-            }
+            Backend::Streaming => engine::<PassModel>(self, aug, index, ()),
+            Backend::Congest { bandwidth } => engine::<BroadcastModel>(self, aug, index, bandwidth),
+            Backend::FaultTolerant => engine::<FrozenD>(self, aug, index, ()),
         };
         let checked = match self.check_mode {
             CheckMode::Never => inner,
             CheckMode::EveryUpdate => Box::new(Checked { inner }),
         };
-        Ok(match self.num_threads {
+        match self.num_threads {
             None => checked,
             Some(n) => {
                 let pool = rayon::ThreadPoolBuilder::new()
@@ -376,7 +328,7 @@ impl MaintainerBuilder {
                     inner: checked,
                 })
             }
-        })
+        }
     }
 
     /// Replay a recorded scenario [`Trace`] end to end: build this
@@ -390,6 +342,19 @@ impl MaintainerBuilder {
         let outcome = ScenarioRunner::new(trace).run(dfs.as_mut());
         (dfs, outcome)
     }
+}
+
+/// An engine-backed maintainer in model `M`, with `builder`'s strategy and
+/// index policy.
+fn engine<M: Model + 'static>(
+    builder: &MaintainerBuilder,
+    aug: AugmentedGraph,
+    index: TreeIndex,
+    config: M::Config,
+) -> Box<dyn DfsMaintainer> {
+    let mut dfs = EngineDfs::<M>::from_state(aug, index, builder.strategy, config);
+    dfs.set_index_policy(builder.index_policy);
+    Box::new(dfs)
 }
 
 /// The builder is its own [`ShardFactory`]: a [`PartitionedRouter`] built

@@ -14,10 +14,12 @@
 //! * [`query`] — the data structure `D` and the query-oracle abstraction
 //!   (Theorems 8–9);
 //! * [`seq`] — static DFS, validity checking, the sequential dynamic baseline;
-//! * [`core`] — parallel fully dynamic DFS ([`DynamicDfs`]) and fault tolerant
-//!   DFS ([`FaultTolerantDfs`]) — Theorems 1, 13 and 14;
-//! * [`stream`] — semi-streaming dynamic DFS (Theorem 15);
-//! * [`congest`] — distributed CONGEST(B) dynamic DFS (Theorem 16);
+//! * [`core`] — the one update engine ([`EngineDfs`], generic over its
+//!   execution [`Model`]) with parallel fully dynamic DFS ([`DynamicDfs`])
+//!   and fault tolerant DFS ([`FaultTolerantDfs`]) — Theorems 1, 13 and 14;
+//! * [`stream`] — the semi-streaming model of the engine (Theorem 15);
+//! * [`congest`] — the distributed CONGEST(B) model of the engine
+//!   (Theorem 16);
 //! * [`scenario`] — the scenario engine: recordable/replayable workload
 //!   traces, six adversarial scenario families and the [`ScenarioRunner`]
 //!   that drives any backend through a [`Trace`] with per-phase roll-ups;
@@ -32,8 +34,9 @@
 //!   epochs, snapshot checkpoints, crash recovery
 //!   ([`MaintainerBuilder::serve_durable`] / [`MaintainerBuilder::recover`]).
 //!
-//! It also hosts the [`MaintainerBuilder`]: all five backends implement the
-//! same [`DfsMaintainer`] trait, and the builder selects one at runtime by
+//! It also hosts the [`MaintainerBuilder`]: all five backends (the engine in
+//! four models, plus the sequential reference) implement the same
+//! [`DfsMaintainer`] trait, and the builder selects one at runtime by
 //! [`Backend`] × [`Strategy`] × [`CheckMode`] — and replays a recorded
 //! [`Trace`] end to end via [`MaintainerBuilder::run_scenario`].
 //!
@@ -92,15 +95,15 @@ pub use pardfs_api::{
     RebuildPolicyStats, StatsReport,
 };
 pub use pardfs_api::{OwnershipMap, RoutingStats};
-pub use pardfs_congest::DistributedDynamicDfs;
-pub use pardfs_core::{DynamicDfs, FaultTolerantDfs, Strategy};
+pub use pardfs_congest::{DistributedDfsExt, DistributedDynamicDfs};
+pub use pardfs_core::{DynamicDfs, EngineDfs, FaultTolerantDfs, Model, Strategy};
 pub use pardfs_graph::{Graph, GraphView, MappedSnapshot, Update, Vertex};
 pub use pardfs_seq::SeqRerootDfs;
 pub use pardfs_serve::{
     ComponentExport, MappedEpoch, PartitionedEpoch, PartitionedRouter, PartitionedView, ReadHandle,
     RouterReadHandle, Server, ShardFactory, ShardRouter, Snapshot, WriteHandle,
 };
-pub use pardfs_stream::StreamingDynamicDfs;
+pub use pardfs_stream::{StreamingDfsExt, StreamingDynamicDfs};
 pub use pardfs_tree::TreeView;
 pub use pardfs_wal::{CheckpointPolicy, CheckpointView, DurabilityConfig, Recovered, SyncPolicy};
 pub use pardfs_workload::{

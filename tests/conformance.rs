@@ -9,7 +9,9 @@
 
 use pardfs::graph::updates::{random_update_sequence, UpdateMix};
 use pardfs::graph::{connected_components, generators, Graph, Update};
-use pardfs::{Backend, CheckMode, DfsMaintainer, MaintainerBuilder, RebuildPolicy, Strategy};
+use pardfs::{
+    Backend, CheckMode, DfsMaintainer, FaultTolerantDfs, MaintainerBuilder, RebuildPolicy, Strategy,
+};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -295,5 +297,39 @@ fn conformance_checked_mode_accepts_all_backends() {
             dfs.apply_update(u);
         }
         assert!(dfs.check().is_ok(), "{name}");
+    }
+}
+
+#[test]
+fn conformance_per_update_census_matches_stats() {
+    // Every backend counts its index census from construction, in the
+    // per-update reports of a batch and in `stats()` alike — so the last
+    // per-update report of any batch reads what `stats()` reads. The
+    // fault-tolerant backend must keep that across `reset()`, which drops
+    // the pending batch but not the census.
+    let mut rng = ChaCha8Rng::seed_from_u64(919);
+    let g = generators::random_connected_gnm(30, 80, &mut rng);
+    let updates = random_update_sequence(&g, 12, &UpdateMix::default(), &mut rng);
+    for (name, builder) in contenders() {
+        let mut dfs = builder.build(&g);
+        for (i, batch) in updates.chunks(4).enumerate() {
+            let report = dfs.apply_batch(batch);
+            assert_eq!(
+                report.per_update.last().unwrap().index_maintenance(),
+                dfs.stats().index_maintenance(),
+                "{name}, batch {i}"
+            );
+        }
+    }
+
+    let mut ft = FaultTolerantDfs::new(&g);
+    for (i, batch) in updates.chunks(4).enumerate() {
+        let report = ft.apply_batch(batch);
+        assert_eq!(
+            report.per_update.last().unwrap().index_maintenance(),
+            ft.stats().index_maintenance(),
+            "fault-tolerant after {i} resets"
+        );
+        ft.reset();
     }
 }

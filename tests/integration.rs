@@ -8,7 +8,11 @@
 
 use pardfs::graph::updates::{random_update_sequence, UpdateMix};
 use pardfs::graph::{connected_components, generators, Graph, Update};
-use pardfs::{Backend, BatchReport, DfsMaintainer, FaultTolerantDfs, MaintainerBuilder, Strategy};
+use pardfs::{
+    Backend, BatchReport, DfsMaintainer, DistributedDynamicDfs, DynamicDfs, EngineDfs,
+    FaultTolerantDfs, IndexMaintenanceStats, IndexPolicy, MaintainerBuilder, Model, Strategy,
+    StreamingDynamicDfs,
+};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -230,6 +234,60 @@ fn batch_reports_expose_normalised_statistics() {
         // Every per-update report carries the right backend tag.
         for r in &report.per_update {
             assert_eq!(r.backend(), dfs.backend_name());
+        }
+    }
+}
+
+#[test]
+fn patch_path_never_materializes_the_parent_array_on_any_engine_backend() {
+    // The sequential baseline's pin, on the four engine models: edge updates
+    // under a splice-everything policy keep the index by TreePatch splices
+    // alone, so no update builds an O(n) parent array; rebuilding every
+    // update builds exactly one per update, on the rebuild path.
+    fn run<M: Model>(
+        mut dfs: EngineDfs<M>,
+        policy: IndexPolicy,
+        updates: &[Update],
+    ) -> (u64, IndexMaintenanceStats) {
+        dfs.set_index_policy(policy);
+        for u in updates {
+            dfs.apply_update(u);
+        }
+        dfs.check().unwrap();
+        (dfs.parent_materializations(), dfs.index_stats())
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(77);
+    let g = generators::random_connected_gnm(60, 150, &mut rng);
+    let updates = random_update_sequence(&g, 25, &UpdateMix::edges_only(), &mut rng);
+    let k = updates.len() as u64;
+    for policy in [IndexPolicy::PatchAlways, IndexPolicy::EveryUpdate] {
+        let runs = [
+            ("parallel", run(DynamicDfs::new(&g), policy, &updates)),
+            (
+                "streaming",
+                run(StreamingDynamicDfs::new(&g), policy, &updates),
+            ),
+            (
+                "congest",
+                run(
+                    DistributedDynamicDfs::with_config(&g, Strategy::Phased, 8),
+                    policy,
+                    &updates,
+                ),
+            ),
+            (
+                "fault-tolerant",
+                run(FaultTolerantDfs::new(&g), policy, &updates),
+            ),
+        ];
+        for (name, (copies, census)) in runs {
+            if policy == IndexPolicy::PatchAlways {
+                assert_eq!(copies, 0, "{name}: patched edge updates copied parents");
+                assert_eq!(census.patches_applied, k, "{name}");
+            } else {
+                assert_eq!(copies, k, "{name}: one parent array per rebuild");
+                assert_eq!(census.full_rebuilds, k, "{name}");
+            }
         }
     }
 }

@@ -17,8 +17,8 @@ use pardfs::seq::augment::AugmentedGraph;
 use pardfs::seq::static_dfs::static_dfs;
 use pardfs::tree::{TreeIndex, NO_VERTEX};
 use pardfs::{
-    Backend, DfsMaintainer, DynamicDfs, FaultTolerantDfs, IndexPolicy, MaintainerBuilder,
-    RebuildPolicy, Strategy, StreamingDynamicDfs,
+    Backend, DfsMaintainer, DynamicDfs, FaultTolerantDfs, ForestQuery, IndexPolicy,
+    MaintainerBuilder, RebuildPolicy, Strategy, StreamingDynamicDfs,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
