@@ -16,6 +16,8 @@
 //! * [`ForestQuery`] — the read-only half of that surface, split out so
 //!   immutable published snapshots (the `pardfs-serve` layer) answer the
 //!   same query vocabulary as a live maintainer;
+//! * [`forest`] — that vocabulary written once against the pseudo-root id
+//!   shift, shared by every maintainer and every served snapshot;
 //! * [`BatchReport`] — what a batch of updates did (applied count, inserted
 //!   vertex ids, per-update statistics);
 //! * [`StatsReport`] — a normalising enum over the per-model statistics
@@ -42,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod forest;
 pub mod maintainer;
 pub mod policy;
 pub mod report;

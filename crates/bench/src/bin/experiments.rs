@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Experiments that carry [`pardfs_bench::BenchRecord`] rows (E1, E2, E9,
-//! E10, E11, E12, E13, E14, E15, E16, E17) also emit `BENCH_<id>.json` into the current directory
+//! E10, E11, E12, E13, E14, E15, E17) also emit `BENCH_<id>.json` into the current directory
 //! (override with `--json-dir <dir>`), so the perf trajectory is recorded as
 //! data, not just prose.
 //!
@@ -114,10 +114,7 @@ fn main() {
         tables.push(exp::e14_durability_overhead(scale));
     }
     if want("e15") {
-        tables.push(exp::e15_snapshot_codec(scale));
-    }
-    if want("e16") {
-        tables.push(exp::e16_mapped_open(scale));
+        tables.push(exp::e15_checkpoint_open(scale));
     }
     if want("e17") {
         tables.push(exp::e17_write_amplification(scale));
@@ -125,7 +122,7 @@ fn main() {
 
     if tables.is_empty() {
         eprintln!(
-            "unknown experiment id; use e1 e2 e3 e3b e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 or all"
+            "unknown experiment id; use e1 e2 e3 e3b e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e17 or all"
         );
         std::process::exit(2);
     }

@@ -1062,20 +1062,32 @@ pub fn e14_durability_overhead(scale: Scale) -> Table {
     t
 }
 
-/// E15 — checkpoint codec: the legacy line-oriented text format versus the
-/// `pardfs-snap v1` binary container, per backend, on the state a
-/// merge-split-storm trace leaves behind. For each codec the benchmark
-/// measures the full durability round trip the WAL performs — render +
-/// write + `sync_all` on the way down, read + parse (framing checks,
-/// representation validation, fingerprint verification and the index
-/// rebuild) on the way up — plus the on-disk checkpoint size. Both codecs
-/// pay the same index rebuild, so the ratio isolates the serialization
-/// itself: token scanning versus flat little-endian arrays.
+/// E15 — checkpoint recovery paths over the one `pardfs-snap v2` format:
+/// how long until a reader answers its *first* query off a checkpoint file?
+/// Each backend commits a deep-path-reroot trace (the paper's adversarial
+/// regime: long paths, sparse adjacency — where the `O(n log n)` index
+/// rebuild is largest relative to `m`) and takes one checkpoint of the end
+/// state, opened two ways:
 ///
-/// Records stamp `disk_bytes` (checkpoint file size) and `adjacency_words`
-/// (the arena memory accountant at capture time) so codec and footprint
-/// regressions surface in the same gate.
-pub fn e15_snapshot_codec(scale: Scale) -> Table {
+/// * `materialize` — render, write and `sync_all` the file, then read it and
+///   [`pardfs::wal::Checkpoint::parse_binary`] it: copy every array out of
+///   the buffer, rebuild the adjacency arena and the whole `TreeIndex`
+///   (Euler tour, RMQ, binary lifting), and check the recorded fingerprint;
+/// * `mapped-open` — [`pardfs::MappedSnapshot`] plus
+///   [`pardfs::CheckpointView`]: validate the container **once** (checksum,
+///   framing, the same structural validation the parser runs) and answer
+///   straight off the mapped bytes with zero array bytes copied.
+///
+/// Both rows end with the same pair of first queries (a tree parent probe
+/// and a neighbourhood scan), so the ratio of their open times isolates
+/// open-to-first-answer latency — the metric of the `publish_to` /
+/// `open_mapped` cross-process serving path.
+///
+/// Records stamp the open-to-first-answer latency in `ns_per_update` (there
+/// is no update stream here; the name is the shared JSON field), the
+/// checkpoint file size in `disk_bytes` and the arena memory accountant in
+/// `adjacency_words`.
+pub fn e15_checkpoint_open(scale: Scale) -> Table {
     use std::io::Write as _;
     let sizes: Vec<usize> = match scale {
         Scale::Tiny => vec![64],
@@ -1083,23 +1095,31 @@ pub fn e15_snapshot_codec(scale: Scale) -> Table {
         Scale::Full => vec![1024, 4096],
     };
     let mut t = Table::new(
-        "E15: checkpoint codec — text vs pardfs-snap v1 binary, write + recover round trip",
+        "E15: checkpoint open — materializing parse vs mapped zero-copy view, to first query",
         &[
             "backend",
-            "codec",
+            "path",
             "n",
             "m",
             "adj words",
             "write ms",
-            "recover ms",
-            "total ms",
-            "vs text",
+            "open ms",
+            "vs materialize",
+            "mapped",
             "disk KiB",
         ],
     );
     t.id = "E15".into();
+    // Best of `reps` runs (fsync, page-cache and allocator jitter: each open
+    // is sub-millisecond, so noise dominates a single run).
+    let best = |reps: usize, f: &mut dyn FnMut()| {
+        (0..reps)
+            .map(|_| micros(&mut *f))
+            .min_by(f64::total_cmp)
+            .expect("at least one run")
+    };
     for &n in &sizes {
-        let trace = Scenario::MergeSplitStorm.record(n, 0xE15);
+        let trace = Scenario::DeepPathStress.record(n, 0xE15);
         let batches: Vec<Vec<pardfs::Update>> = trace
             .phases
             .iter()
@@ -1109,7 +1129,6 @@ pub fn e15_snapshot_codec(scale: Scale) -> Table {
                 TraceBatch::Queries(_) => None,
             })
             .collect();
-        let updates_total: usize = batches.iter().map(|b| b.len()).sum();
         for backend in Backend::all_default() {
             let builder = MaintainerBuilder::new(backend);
             let mut server = builder.serve_single(&trace.initial_graph());
@@ -1122,214 +1141,73 @@ pub fn e15_snapshot_codec(scale: Scale) -> Table {
             let ckpt = pardfs::wal::Checkpoint::capture(epoch, server.maintainer());
             let backend_name = server.maintainer().backend_name();
             let words = ckpt.graph.adjacency_words();
+            let probe = ckpt.tree.children(0).first().copied().unwrap_or(0);
+            let expected_parent = ckpt.tree.parent(probe);
+            let expected_deg = ckpt.graph.neighbors(0).len();
             let dir = std::env::temp_dir().join(format!(
                 "pardfs-bench-e15-{}-{backend_name}-{n}",
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).expect("scratch dir");
-            let mut text_total_us = f64::NAN;
-            for codec in ["text", "binary"] {
-                let path = dir.join(format!("checkpoint.{codec}"));
-                let body: Vec<u8> = match codec {
-                    "text" => ckpt.render().into_bytes(),
-                    _ => ckpt.render_binary(),
-                };
-                // Best of two round trips (fsync and page-cache jitter).
-                let (write_us, recover_us, disk) = (0..2)
-                    .map(|_| {
-                        let write_us = micros(|| {
-                            let rendered: Vec<u8> = match codec {
-                                "text" => ckpt.render().into_bytes(),
-                                _ => ckpt.render_binary(),
-                            };
-                            let mut f =
-                                std::fs::File::create(&path).expect("checkpoint file creates");
-                            f.write_all(&rendered)
-                                .and_then(|()| f.sync_all())
-                                .expect("checkpoint file writes");
-                        });
-                        let disk = std::fs::metadata(&path).expect("written file").len();
-                        assert_eq!(disk as usize, body.len());
-                        let recover_us = micros(|| {
-                            let bytes = std::fs::read(&path).expect("checkpoint file reads");
-                            let loaded = pardfs::wal::Checkpoint::parse_any(&bytes)
-                                .expect("own checkpoint parses");
-                            assert_eq!(
-                                loaded.fingerprint, ckpt.fingerprint,
-                                "{backend_name}/{codec}: recovered tree diverged"
-                            );
-                        });
-                        (write_us, recover_us, disk)
-                    })
-                    .min_by(|a, b| (a.0 + a.1).total_cmp(&(b.0 + b.1)))
-                    .expect("two runs recorded");
-                let total_us = write_us + recover_us;
-                if codec == "text" {
-                    text_total_us = total_us;
-                }
+            let file = dir.join("checkpoint.ckpt");
+            let write_us = best(2, &mut || {
+                let mut f = std::fs::File::create(&file).expect("checkpoint file creates");
+                f.write_all(&ckpt.render_binary())
+                    .and_then(|()| f.sync_all())
+                    .expect("checkpoint file writes");
+            });
+            let disk = std::fs::metadata(&file).expect("written file").len();
+            let materialize_us = best(8, &mut || {
+                let bytes = std::fs::read(&file).expect("checkpoint reads");
+                let loaded =
+                    pardfs::wal::Checkpoint::parse_binary(&bytes).expect("own checkpoint parses");
+                assert_eq!(loaded.tree.parent(probe), expected_parent);
+                assert_eq!(loaded.graph.neighbors(0).len(), expected_deg);
+            });
+            let mut mapped = false;
+            let mapped_us = best(8, &mut || {
+                let map = pardfs::MappedSnapshot::open(&file).expect("checkpoint maps");
+                mapped = map.is_mapped();
+                let view =
+                    pardfs::CheckpointView::parse(map.bytes()).expect("own checkpoint validates");
+                assert_eq!(view.tree().parent(probe), expected_parent);
+                assert_eq!(view.graph().neighbours(0).len(), expected_deg);
+            });
+            let _ = std::fs::remove_dir_all(&dir);
+            let rows: [(&str, f64, String, String); 2] = [
+                (
+                    "materialize",
+                    materialize_us,
+                    format!("{:.3}", write_us / 1e3),
+                    "-".into(),
+                ),
+                ("mapped-open", mapped_us, "-".into(), mapped.to_string()),
+            ];
+            for (path, open_us, write_col, mapped_col) in rows {
                 t.records.push(BenchRecord {
                     n: trace.n,
                     m: trace.m(),
                     backend: backend_name.into(),
-                    policy: codec.into(),
-                    ns_per_update: total_us * 1e3 / updates_total.max(1) as f64,
+                    policy: path.into(),
+                    ns_per_update: open_us * 1e3,
                     disk_bytes: Some(disk),
                     adjacency_words: Some(words),
                     ..BenchRecord::stamped()
                 });
                 t.push_row(vec![
                     backend_name.into(),
-                    codec.into(),
+                    path.into(),
                     trace.n.to_string(),
                     trace.m().to_string(),
                     words.to_string(),
-                    format!("{:.3}", write_us / 1e3),
-                    format!("{:.3}", recover_us / 1e3),
-                    format!("{:.3}", total_us / 1e3),
-                    format!("{:.2}x", text_total_us / total_us.max(f64::MIN_POSITIVE)),
-                    format!("{:.1}", disk as f64 / 1024.0),
-                ]);
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-    t
-}
-
-/// E16 — snapshot open latency: how long until a cold reader answers its
-/// *first* query off a checkpoint file? The v1 path pays the full
-/// materializing parse — copy every array out of the buffer, rebuild the
-/// adjacency arena, rebuild the whole `TreeIndex` (Euler tour, RMQ, binary
-/// lifting — `O(n log n)`) — before it can answer anything. The v2 path
-/// opens the file with [`pardfs::MappedSnapshot`], validates the container
-/// **once** through [`pardfs::CheckpointView`] (checksum, framing, the same
-/// structural validation the parser runs), and then answers straight off
-/// the mapped bytes with zero array bytes copied. Both variants end with
-/// the same pair of first queries (a tree parent probe and a neighbourhood
-/// scan), so the ratio isolates open-to-first-answer latency — the metric
-/// that matters for the publish/open_mapped cross-process serving path.
-/// The state opened is what a deep-path-reroot trace leaves behind (the
-/// paper's adversarial regime: long paths, sparse adjacency) — the regime
-/// where checkpoints are taken most often, and where the `O(n log n)` index
-/// rebuild the v1 path cannot skip is largest relative to `m`.
-///
-/// Records stamp the open-to-first-query latency in `ns_per_update` (there
-/// is no update stream here; the name is the shared JSON field) and the
-/// checkpoint file size in `disk_bytes`.
-pub fn e16_mapped_open(scale: Scale) -> Table {
-    use std::io::Write as _;
-    let sizes: Vec<usize> = match scale {
-        Scale::Tiny => vec![64],
-        Scale::Quick => vec![192],
-        Scale::Full => vec![1024, 4096],
-    };
-    let mut t = Table::new(
-        "E16: snapshot open latency — v1 full parse vs v2 mapped zero-copy view, to first query",
-        &[
-            "backend", "path", "n", "m", "open ms", "vs v1", "mapped", "disk KiB",
-        ],
-    );
-    t.id = "E16".into();
-    for &n in &sizes {
-        let trace = Scenario::DeepPathStress.record(n, 0xE16);
-        let batches: Vec<Vec<pardfs::Update>> = trace
-            .phases
-            .iter()
-            .flat_map(|p| &p.batches)
-            .filter_map(|b| match b {
-                TraceBatch::Updates(u) => Some(u.clone()),
-                TraceBatch::Queries(_) => None,
-            })
-            .collect();
-        for backend in Backend::all_default() {
-            let builder = MaintainerBuilder::new(backend);
-            let mut server = builder.serve_single(&trace.initial_graph());
-            let writer = server.write_handle();
-            for batch in &batches {
-                writer.submit(batch.clone());
-                server.commit().expect("queued batch commits");
-            }
-            let epoch = server.read_handle().epoch();
-            let ckpt = pardfs::wal::Checkpoint::capture(epoch, server.maintainer());
-            let backend_name = server.maintainer().backend_name();
-            let probe = ckpt.tree.children(0).first().copied().unwrap_or(0);
-            let expected_parent = ckpt.tree.parent(probe);
-            let expected_deg = ckpt.graph.neighbors(0).len();
-            let dir = std::env::temp_dir().join(format!(
-                "pardfs-bench-e16-{}-{backend_name}-{n}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("scratch dir");
-            let mut v1_us = f64::NAN;
-            for path_kind in ["v1-parse", "v2-mapped-open"] {
-                let file = dir.join(format!("checkpoint.{path_kind}"));
-                let body = match path_kind {
-                    "v1-parse" => ckpt.render_binary_v1(),
-                    _ => ckpt.render_binary(),
-                };
-                let mut f = std::fs::File::create(&file).expect("checkpoint file creates");
-                f.write_all(&body)
-                    .and_then(|()| f.sync_all())
-                    .expect("checkpoint file writes");
-                drop(f);
-                let mut mapped = false;
-                // Best of eight opens (page-cache and allocator jitter —
-                // each open is sub-millisecond, so noise dominates a single
-                // run; the opens are far cheaper than the trace commits).
-                let open_us = (0..8)
-                    .map(|_| {
-                        micros(|| match path_kind {
-                            "v1-parse" => {
-                                let bytes = std::fs::read(&file).expect("checkpoint reads");
-                                let loaded = pardfs::wal::Checkpoint::parse_any(&bytes)
-                                    .expect("own v1 checkpoint parses");
-                                assert_eq!(loaded.tree.parent(probe), expected_parent);
-                                assert_eq!(loaded.graph.neighbors(0).len(), expected_deg);
-                            }
-                            _ => {
-                                let map =
-                                    pardfs::MappedSnapshot::open(&file).expect("checkpoint maps");
-                                mapped = map.is_mapped();
-                                let view = pardfs::CheckpointView::parse(map.bytes())
-                                    .expect("own v2 checkpoint validates");
-                                assert_eq!(view.tree().parent(probe), expected_parent);
-                                assert_eq!(view.graph().neighbours(0).len(), expected_deg);
-                            }
-                        })
-                    })
-                    .min_by(f64::total_cmp)
-                    .expect("two runs recorded");
-                if path_kind == "v1-parse" {
-                    v1_us = open_us;
-                }
-                let disk = std::fs::metadata(&file).expect("written file").len();
-                t.records.push(BenchRecord {
-                    n: trace.n,
-                    m: trace.m(),
-                    backend: backend_name.into(),
-                    policy: path_kind.into(),
-                    ns_per_update: open_us * 1e3,
-                    disk_bytes: Some(disk),
-                    ..BenchRecord::stamped()
-                });
-                t.push_row(vec![
-                    backend_name.into(),
-                    path_kind.into(),
-                    trace.n.to_string(),
-                    trace.m().to_string(),
+                    write_col,
                     format!("{:.3}", open_us / 1e3),
-                    format!("{:.2}x", v1_us / open_us.max(f64::MIN_POSITIVE)),
-                    if path_kind == "v1-parse" {
-                        "-".into()
-                    } else {
-                        mapped.to_string()
-                    },
+                    format!("{:.2}x", materialize_us / open_us.max(f64::MIN_POSITIVE)),
+                    mapped_col,
                     format!("{:.1}", disk as f64 / 1024.0),
                 ]);
             }
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
     t
@@ -1572,8 +1450,7 @@ pub fn all_experiments(scale: Scale) -> Vec<Table> {
         e12_scenarios(scale),
         e13_serving_throughput(scale),
         e14_durability_overhead(scale),
-        e15_snapshot_codec(scale),
-        e16_mapped_open(scale),
+        e15_checkpoint_open(scale),
         e17_write_amplification(scale),
     ]
 }
@@ -1749,12 +1626,16 @@ mod tests {
     }
 
     #[test]
-    fn mapped_open_measures_both_paths_per_backend() {
-        let t = e16_mapped_open(Scale::Tiny);
-        assert_eq!(t.id, "E16");
-        assert_eq!(t.rows.len(), 5 * 2, "5 backends × {{v1 parse, v2 mapped}}");
+    fn checkpoint_open_measures_both_paths_per_backend() {
+        let t = e15_checkpoint_open(Scale::Tiny);
+        assert_eq!(t.id, "E15");
+        assert_eq!(
+            t.rows.len(),
+            5 * 2,
+            "5 backends × {{materialize, mapped-open}}"
+        );
         assert_eq!(t.records.len(), 5 * 2);
-        for path in ["v1-parse", "v2-mapped-open"] {
+        for path in ["materialize", "mapped-open"] {
             assert_eq!(
                 t.records.iter().filter(|r| r.policy == path).count(),
                 5,
@@ -1769,9 +1650,23 @@ mod tests {
                 r.policy
             );
             assert!(r.disk_bytes.unwrap_or(0) > 0, "{}/{}", r.backend, r.policy);
+            assert!(
+                r.adjacency_words.unwrap_or(0) > 0,
+                "{}/{}",
+                r.backend,
+                r.policy
+            );
         }
-        let json = t.records_json().expect("E16 carries records");
-        assert!(json.contains("\"policy\": \"v2-mapped-open\""));
+        // Both rows of a backend open the same checkpoint file.
+        for pair in t.records.chunks(2) {
+            assert_eq!(
+                pair[0].disk_bytes, pair[1].disk_bytes,
+                "{}",
+                pair[0].backend
+            );
+        }
+        let json = t.records_json().expect("E15 carries records");
+        assert!(json.contains("\"policy\": \"mapped-open\""));
     }
 
     #[test]

@@ -25,11 +25,12 @@ use crate::reduction::{reduce_update, ReductionInput};
 use crate::reroot::{Rerooter, Strategy};
 use crate::stats::UpdateStats;
 use pardfs_api::{
-    maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, StatsReport,
+    forest, maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy,
+    StatsReport,
 };
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::QueryOracle;
-use pardfs_seq::augment::{self, AugmentedGraph};
+use pardfs_seq::augment::AugmentedGraph;
 use pardfs_seq::check::check_spanning_dfs_tree;
 use pardfs_seq::static_dfs::static_dfs;
 use pardfs_tree::{TreeIndex, TreePatch};
@@ -257,15 +258,15 @@ pub(crate) fn step<M: Model>(
 
 impl<M: Model> ForestQuery for EngineDfs<M> {
     fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        augment::forest_parent(&self.idx, v)
+        forest::forest_parent(&self.idx, v)
     }
 
     fn forest_roots(&self) -> Vec<Vertex> {
-        augment::forest_roots(&self.idx)
+        forest::forest_roots(&self.idx)
     }
 
     fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        augment::same_component(&self.idx, u, v)
+        forest::same_component(&self.idx, u, v)
     }
 
     fn num_vertices(&self) -> usize {

@@ -21,10 +21,10 @@ use crate::dynamic::note_update;
 use crate::engine::{step, EngineDfs, Model};
 use crate::reduction::ReductionInput;
 use crate::stats::UpdateStats;
-use pardfs_api::{BatchReport, IndexMaintenanceStats, StatsReport};
+use pardfs_api::{forest, BatchReport, IndexMaintenanceStats, StatsReport};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{EdgeHit, QueryOracle, StructureD, VertexQuery};
-use pardfs_seq::augment::{self, AugmentedGraph};
+use pardfs_seq::augment::AugmentedGraph;
 use pardfs_seq::check::check_spanning_dfs_tree;
 use pardfs_tree::TreeIndex;
 
@@ -151,17 +151,17 @@ impl FtResult {
 
     /// Parent of user vertex `v` in the resulting DFS forest.
     pub fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        augment::forest_parent(&self.idx, v)
+        forest::forest_parent(&self.idx, v)
     }
 
     /// Roots of the resulting DFS forest (user ids).
     pub fn forest_roots(&self) -> Vec<Vertex> {
-        augment::forest_roots(&self.idx)
+        forest::forest_roots(&self.idx)
     }
 
     /// Are user vertices `u` and `v` connected in the updated graph?
     pub fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        augment::same_component(&self.idx, u, v)
+        forest::same_component(&self.idx, u, v)
     }
 
     /// Number of user vertices in the updated graph.

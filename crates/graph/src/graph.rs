@@ -191,9 +191,9 @@ pub(crate) fn validate_flat_adjacency(
 /// same edges but different adjacency order are **not** equal, which is
 /// deliberate — adjacency order determines DFS tree shape, so order-exact
 /// equality is the property snapshot round-trips
-/// ([`Graph::render_snapshot`] / [`Graph::parse_snapshot`], and their binary
-/// counterparts) must preserve. Where the blocks sit in the pool is a
-/// transient artefact of update history and is deliberately excluded.
+/// ([`Graph::render_snapshot_binary`] / [`Graph::parse_snapshot_binary`])
+/// must preserve. Where the blocks sit in the pool is a transient artefact
+/// of update history and is deliberately excluded.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     adj: AdjacencyArena,
@@ -426,125 +426,11 @@ impl Graph {
         }
     }
 
-    /// Render the graph's exact representation as a line-delimited snapshot:
-    ///
-    /// ```text
-    /// graph <capacity> <num_edges>
-    /// adj <v> <n1> <n2> ...     (one line per ACTIVE vertex, ascending v)
-    /// graph-end
-    /// ```
-    ///
-    /// Neighbours appear in **stored adjacency order**, not sorted — a DFS
-    /// tree's shape depends on that order, so a checkpoint that canonicalised
-    /// it would recover a *different* tree than the one that crashed.
-    /// Inactive slots (deleted / never-inserted ids) have no `adj` line;
-    /// [`Graph::parse_snapshot`] reconstructs the activity flags from the
-    /// line set. `parse_snapshot(render_snapshot(g)) == g` exactly
-    /// (representation equality, see the `PartialEq` note on [`Graph`]).
-    pub fn render_snapshot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "graph {} {}", self.capacity(), self.num_edges);
-        for v in self.vertices() {
-            let _ = write!(out, "adj {v}");
-            for &u in self.neighbors(v) {
-                let _ = write!(out, " {u}");
-            }
-            out.push('\n');
-        }
-        out.push_str("graph-end\n");
-        out
-    }
-
-    /// Parse a snapshot produced by [`Graph::render_snapshot`], validating
-    /// the representation invariants (symmetric adjacency, no self loops or
-    /// duplicates, active endpoints, consistent edge count) so a corrupted
-    /// checkpoint is rejected with a description instead of reconstructing a
-    /// graph the maintainers would silently misbehave on.
-    pub fn parse_snapshot(text: &str) -> Result<Graph, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty graph snapshot")?;
-        let rest = header
-            .strip_prefix("graph ")
-            .ok_or_else(|| format!("expected `graph <capacity> <edges>`, got `{header}`"))?;
-        let (cap_tok, edges_tok) = rest
-            .split_once(' ')
-            .ok_or_else(|| format!("expected `graph <capacity> <edges>`, got `{header}`"))?;
-        let capacity: usize = cap_tok
-            .parse()
-            .map_err(|_| format!("bad graph capacity `{cap_tok}`"))?;
-        let claimed_edges: usize = edges_tok
-            .parse()
-            .map_err(|_| format!("bad graph edge count `{edges_tok}`"))?;
-
-        let mut adj: Vec<Vec<Vertex>> = vec![Vec::new(); capacity];
-        let mut active = vec![false; capacity];
-        let mut last_v: Option<Vertex> = None;
-        loop {
-            let line = lines
-                .next()
-                .ok_or("graph snapshot truncated (missing `graph-end`)")?;
-            if line == "graph-end" {
-                break;
-            }
-            let rest = line
-                .strip_prefix("adj ")
-                .ok_or_else(|| format!("expected `adj <v> ...` or `graph-end`, got `{line}`"))?;
-            let mut it = rest.split(' ');
-            let v: Vertex = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| format!("bad vertex id in `{line}`"))?;
-            if (v as usize) >= capacity {
-                return Err(format!("adjacency vertex {v} outside capacity {capacity}"));
-            }
-            if last_v.is_some_and(|p| p >= v) {
-                return Err(format!("adjacency lines out of order at vertex {v}"));
-            }
-            last_v = Some(v);
-            active[v as usize] = true;
-            for t in it {
-                let u: Vertex = t
-                    .parse()
-                    .map_err(|_| format!("bad neighbour id `{t}` of vertex {v}"))?;
-                if (u as usize) >= capacity {
-                    return Err(format!("neighbour {u} of vertex {v} outside capacity"));
-                }
-                if u == v {
-                    return Err(format!("self loop on vertex {v}"));
-                }
-                if adj[v as usize].contains(&u) {
-                    return Err(format!("duplicate neighbour {u} of vertex {v}"));
-                }
-                adj[v as usize].push(u);
-            }
-        }
-        if lines.any(|l| !l.is_empty()) {
-            return Err("trailing content after `graph-end`".to_string());
-        }
-        Self::from_validated_lists(adj, active, claimed_edges)
-    }
-
-    /// Shared tail of both snapshot parsers: check symmetry, endpoint
-    /// activity and the claimed edge count, then pack the lists into the
-    /// arena representation.
-    fn from_validated_lists(
-        adj: Vec<Vec<Vertex>>,
-        active: Vec<bool>,
-        claimed_edges: usize,
-    ) -> Result<Graph, String> {
-        let degrees: Vec<usize> = adj.iter().map(Vec::len).collect();
-        let flat: Vec<Vertex> = adj.into_iter().flatten().collect();
-        Self::from_validated_flat(degrees, flat, active, claimed_edges)
-    }
-
     /// Validate a flat adjacency encoding (per-slot degrees plus the
-    /// concatenated neighbour runs) and pack it into a graph. Symmetry and
-    /// duplicate detection run on a sorted directed-edge key array —
-    /// `O(E log E)` instead of a `contains` scan per edge, which degenerates
-    /// to `O(E·deg)` on the hub vertices adversarial workloads produce.
-    /// Endpoint activity and the claimed edge count are checked here too, so
-    /// text and binary parsers reject exactly the same inputs.
+    /// concatenated neighbour runs) with [`validate_flat_adjacency`] and pack
+    /// it into a graph — the shared tail of the snapshot parser and
+    /// [`Graph::from_adjacency_lists`], so both reject exactly the same
+    /// inputs.
     fn from_validated_flat(
         degrees: Vec<usize>,
         flat: Vec<Vertex>,
@@ -563,7 +449,7 @@ impl Graph {
 
     /// Build a graph directly from per-vertex adjacency lists **in stored
     /// order** plus an activity mask, validating the encoding exactly like
-    /// the snapshot parsers (symmetry, no duplicates/self-loops, inactive
+    /// the snapshot parser (symmetry, no duplicates/self-loops, inactive
     /// slots empty and unreferenced).
     ///
     /// Adjacency order is part of a graph's identity here — DFS tree shape
@@ -628,7 +514,7 @@ impl Graph {
         }
     }
 
-    /// Write the graph's `pardfs-snap v1` sections into an open container
+    /// Write the graph's sections into an open `pardfs-snap v2` container
     /// (used by the standalone [`Graph::render_snapshot_binary`] and by the
     /// WAL's composite checkpoint container):
     ///
@@ -636,8 +522,8 @@ impl Graph {
     /// * `GACT` — activity bitmap (capacity bits packed into `u64` words),
     /// * `GDEG` — per-slot degree (`u32` per slot),
     /// * `GADJ` — the adjacency lists concatenated in ascending vertex order,
-    ///   **in stored order** (the same order-exactness contract as the text
-    ///   codec — DFS tree shape depends on it).
+    ///   **in stored order** (a checkpoint that canonicalised it would
+    ///   recover a *different* DFS tree than the one that crashed).
     ///
     /// Sections are emitted from logical state only (the arena's free blocks
     /// and slack never leak into the file), so rendering is canonical:
@@ -668,8 +554,8 @@ impl Graph {
     }
 
     /// Read the graph sections written by [`Graph::write_snap_sections`] out
-    /// of a verified container, applying the **same** representation
-    /// validation as the text parser (activity of endpoints, self loops,
+    /// of a verified container, applying the representation validation
+    /// shared with [`crate::GraphView`] (activity of endpoints, self loops,
     /// duplicates, symmetry, edge count) before constructing the graph.
     pub fn read_snap_sections(r: &SnapReader<'_>) -> Result<Graph, String> {
         let mut hdr = Cursor::new(SEC_GRAPH_HEADER, r.section(SEC_GRAPH_HEADER)?);
@@ -712,8 +598,10 @@ impl Graph {
         Self::from_validated_flat(degrees, flat, active, claimed_edges)
     }
 
-    /// Render the graph as a standalone `pardfs-snap v1` binary snapshot —
-    /// the flat-array serialization of the arena representation. See
+    /// Render the graph as a standalone `pardfs-snap v2` binary snapshot —
+    /// the flat-array serialization of the arena representation, with the
+    /// array payloads 8-byte aligned so [`crate::GraphView`] can serve
+    /// queries straight off the (mapped) bytes. See
     /// [`Graph::write_snap_sections`] for the section layout and the
     /// byte-stability guarantee; [`crate::snap`] documents the framing.
     pub fn render_snapshot_binary(&self) -> Vec<u8> {
@@ -722,20 +610,10 @@ impl Graph {
         w.finish()
     }
 
-    /// Render the graph as a standalone `pardfs-snap` **v2** binary snapshot:
-    /// same sections as [`Graph::render_snapshot_binary`], but with the
-    /// array payloads 8-byte aligned so [`crate::GraphView`] can serve
-    /// queries straight off the (mapped) bytes without materializing.
-    pub fn render_snapshot_binary_v2(&self) -> Vec<u8> {
-        let mut w = SnapWriter::v2();
-        self.write_snap_sections(&mut w);
-        w.finish()
-    }
-
     /// Parse a binary snapshot produced by [`Graph::render_snapshot_binary`].
     /// Framing damage (bad magic, checksum mismatch, truncated or escaping
     /// sections) and representation violations are both rejected with a
-    /// description, exactly like [`Graph::parse_snapshot`].
+    /// description.
     pub fn parse_snapshot_binary(bytes: &[u8]) -> Result<Graph, String> {
         let r = SnapReader::parse(bytes)?;
         Self::read_snap_sections(&r)
@@ -839,22 +717,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_exact_representation() {
-        let g = history_dependent_graph();
-        let text = g.render_snapshot();
-        let back = Graph::parse_snapshot(&text).expect("own snapshot parses");
-        assert_eq!(back, g, "representation equality, not just edge-set");
-        assert_eq!(back.render_snapshot(), text, "byte-stable round trip");
-        assert!(!back.is_active(3));
-        assert_eq!(back.neighbors(0), g.neighbors(0), "adjacency order kept");
-    }
-
-    #[test]
     fn binary_snapshot_round_trip_is_byte_stable() {
         let g = history_dependent_graph();
         let bytes = g.render_snapshot_binary();
         let back = Graph::parse_snapshot_binary(&bytes).expect("own binary snapshot parses");
-        assert_eq!(back, g, "representation equality through the binary codec");
+        assert_eq!(back, g, "representation equality, not just edge-set");
         assert_eq!(back.neighbors(0), g.neighbors(0), "adjacency order kept");
         assert!(!back.is_active(3));
         assert_eq!(
@@ -862,9 +729,21 @@ mod tests {
             bytes,
             "parse(render(g)) is byte-stable"
         );
-        // Cross-codec equivalence: text and binary loads agree exactly.
-        let via_text = Graph::parse_snapshot(&g.render_snapshot()).unwrap();
-        assert_eq!(via_text, back);
+    }
+
+    /// A container with hand-written graph sections: `(capacity, claimed
+    /// edges, activity word, degrees, adjacency)`.
+    fn hand_written(cap: u64, edges: u64, active: u64, deg: &[u32], adj: &[u32]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        let hdr = w.section(SEC_GRAPH_HEADER);
+        put_u64(hdr, cap);
+        put_u64(hdr, edges);
+        put_u64(w.section(SEC_GRAPH_ACTIVE), active);
+        let d = w.section(SEC_GRAPH_DEGREES);
+        deg.iter().for_each(|&x| put_u32(d, x));
+        let a = w.section(SEC_GRAPH_ADJACENCY);
+        adj.iter().for_each(|&x| put_u32(a, x));
+        w.finish()
     }
 
     #[test]
@@ -882,66 +761,25 @@ mod tests {
             .contains("checksum"));
         // Truncation is a framing error.
         assert!(Graph::parse_snapshot_binary(&good[..good.len() - 3]).is_err());
-        // Representation damage behind a *valid* frame is still rejected:
-        // rebuild a container whose adjacency is asymmetric.
-        let mut w = SnapWriter::new();
-        let hdr = w.section(SEC_GRAPH_HEADER);
-        put_u64(hdr, 2);
-        put_u64(hdr, 1);
-        put_u64(w.section(SEC_GRAPH_ACTIVE), 0b11);
-        let deg = w.section(SEC_GRAPH_DEGREES);
-        put_u32(deg, 1);
-        put_u32(deg, 0);
-        put_u32(w.section(SEC_GRAPH_ADJACENCY), 1); // 0 lists 1; 1 lists nothing
-        assert!(Graph::parse_snapshot_binary(&w.finish())
-            .unwrap_err()
-            .contains("asymmetric"));
-        // Self loop behind a valid frame.
-        let mut w = SnapWriter::new();
-        let hdr = w.section(SEC_GRAPH_HEADER);
-        put_u64(hdr, 1);
-        put_u64(hdr, 0);
-        put_u64(w.section(SEC_GRAPH_ACTIVE), 0b1);
-        put_u32(w.section(SEC_GRAPH_DEGREES), 1);
-        put_u32(w.section(SEC_GRAPH_ADJACENCY), 0);
-        assert!(Graph::parse_snapshot_binary(&w.finish())
-            .unwrap_err()
-            .contains("self loop"));
-    }
-
-    #[test]
-    fn snapshot_rejects_corruption() {
-        let mut g = Graph::new(4);
-        g.insert_edge(0, 1);
-        g.insert_edge(1, 2);
-        let good = g.render_snapshot();
-        // Asymmetric adjacency.
-        let bad = good.replace("adj 2 1", "adj 2 1 3");
-        assert!(Graph::parse_snapshot(&bad)
-            .unwrap_err()
-            .contains("asymmetric"));
-        // Edge-count mismatch.
-        let bad = good.replace("graph 4 2", "graph 4 3");
-        assert!(Graph::parse_snapshot(&bad).unwrap_err().contains("edges"));
-        // Truncation.
-        let cut = good.strip_suffix("graph-end\n").unwrap();
-        assert!(Graph::parse_snapshot(cut)
-            .unwrap_err()
-            .contains("truncated"));
-        // Self loop and duplicate neighbour.
-        let bad = good.replace("adj 0 1", "adj 0 0");
-        assert!(Graph::parse_snapshot(&bad)
-            .unwrap_err()
-            .contains("self loop"));
-        let bad = good.replace("adj 0 1", "adj 0 1 1");
-        assert!(Graph::parse_snapshot(&bad)
-            .unwrap_err()
-            .contains("duplicate"));
-        // Out-of-order adjacency lines.
-        let reordered = "graph 2 0\nadj 1\nadj 0\ngraph-end\n";
-        assert!(Graph::parse_snapshot(reordered)
-            .unwrap_err()
-            .contains("out of order"));
+        // Representation damage behind a *valid* frame is still rejected.
+        let cases: [(&[u8], &str); 5] = [
+            // 0 lists 1; 1 lists nothing.
+            (&hand_written(2, 1, 0b11, &[1, 0], &[1]), "asymmetric"),
+            (&hand_written(1, 0, 0b1, &[1], &[0]), "self loop"),
+            (
+                &hand_written(2, 1, 0b11, &[2, 2], &[1, 1, 0, 0]),
+                "duplicate",
+            ),
+            (
+                &hand_written(2, 2, 0b11, &[1, 1], &[1, 0]),
+                "claims 2 edges",
+            ),
+            (&hand_written(2, 1, 0b01, &[1, 1], &[1, 0]), "inactive"),
+        ];
+        for (bytes, want) in cases {
+            let err = Graph::parse_snapshot_binary(bytes).unwrap_err();
+            assert!(err.contains(want), "expected `{want}`, got: {err}");
+        }
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!   [`AdjacencyArena`] (one contiguous pool for every neighbour list).
 //! * [`Csr`] — an immutable compressed-sparse-row snapshot for cache-friendly
 //!   static traversals (a compaction of the arena).
-//! * [`snap`] — the `pardfs-snap` versioned binary snapshot container (v1
-//!   packed, v2 alignment-padded) used by the graph/tree binary codecs, the
-//!   WAL's binary checkpoints and published serving epochs (normative spec:
-//!   `docs/FORMATS.md`).
+//! * [`snap`] — the `pardfs-snap v2` binary snapshot container (aligned
+//!   sections, one whole-file checksum) used by the graph/tree binary
+//!   codecs, the WAL's checkpoints and published serving epochs (normative
+//!   spec: `docs/FORMATS.md`).
 //! * [`view`] / [`mapped`] — zero-copy reading: [`GraphView`] serves
-//!   neighbour queries by borrowing a v2 container's bytes in place
+//!   neighbour queries by borrowing a container's bytes in place
 //!   (validate once, borrow thereafter), and [`MappedSnapshot`] backs that
 //!   with a read-only `mmap` of a snapshot file.
 //! * [`Update`] and [`UpdateBatch`] — the update vocabulary shared by the

@@ -46,8 +46,8 @@
 //!   and the returned slice borrows the input (same lifetime, no extension).
 //!   Interpreting the bytes as little-endian scalars is only correct on a
 //!   little-endian target, so the cast is compiled only there; big-endian
-//!   targets get a described `Err` and callers fall back to the
-//!   materializing parser.
+//!   targets get a described `Err` from every view (and so from recovery)
+//!   rather than a misread.
 //!
 //! `MappedSnapshot` is `Send + Sync` by the same reasoning: it is an
 //! immutable, read-only region with no interior mutability, so any number of
@@ -63,8 +63,8 @@ use std::path::Path;
 ///
 /// Fails (with a description naming the problem) when the slice's length is
 /// not a multiple of 4, when its base address is not 4-byte aligned — the
-/// misaligned-buffer case the v2 alignment rules exist to prevent — or on a
-/// big-endian target, where no borrowed reinterpretation can be
+/// misaligned-buffer case the container's alignment rules exist to prevent
+/// — or on a big-endian target, where no borrowed reinterpretation can be
 /// little-endian-correct.
 ///
 /// # Examples

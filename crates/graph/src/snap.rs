@@ -1,63 +1,56 @@
-//! `pardfs-snap` — the versioned binary snapshot container (v1 and v2).
+//! `pardfs-snap v2` — the binary snapshot container.
 //!
 //! Every binary snapshot in the workspace (graph snapshots, tree snapshots,
-//! WAL checkpoint bodies, published serving epochs) is one self-describing
-//! file in this framing. Two wire versions exist; the normative byte-level
-//! specification of both (with worked hex dumps) lives in `docs/FORMATS.md`
-//! at the repository root.
-//!
-//! **v1** (`PDFSNAP1`) packs payloads back to back:
+//! WAL checkpoint bodies, published serving epochs, component exports) is
+//! one self-describing file in this framing; the normative byte-level
+//! specification (with a worked hex dump) lives in `docs/FORMATS.md` at the
+//! repository root.
 //!
 //! ```text
-//! offset 0        8 bytes   magic  b"PDFSNAP1"   (format + version)
+//! offset 0        8 bytes   magic  b"PDFSNAP2"   (format + version)
 //! offset 8        4 bytes   section count        (u32 LE)
-//! offset 12      20 bytes   per section: tag [u8;4], offset u64 LE, len u64 LE
-//! ...                       section payloads (little-endian scalar arrays)
-//! last 8 bytes              FNV-1a64 checksum of every preceding byte (LE)
+//! offset 12      24 bytes   per section: tag [u8;4], align u32 LE,
+//!                           offset u64 LE, len u64 LE
+//! ...                       section payloads, each zero-padded to start at
+//!                           a multiple of its declared alignment
+//! last 8 bytes              fnv1a64_words checksum of every preceding byte
 //! ```
 //!
-//! **v2** (`PDFSNAP2`) adds per-section **alignment**: each table entry grows
-//! an `align` field (24-byte entries: tag `[u8;4]`, align u32 LE, offset
-//! u64 LE, len u64 LE) and the writer zero-pads between payloads so every
-//! section's offset is a multiple of its declared alignment. v2 also trades
-//! the byte-wise checksum for the word-folded [`fnv1a64_words`] — same
-//! trailing-u64 framing, ~8× less checksum latency on open. Array sections
-//! (`GADJ`/`GDEG`/`GACT`/`TPAR`) declare 8-byte alignment, which is what lets
-//! [`crate::GraphView`] and the tree's `TreeView` serve `u32`/`u64` array
-//! reads *directly out of a mapped file* ([`crate::MappedSnapshot`]) with no
-//! per-array materialization — validate once at open time, borrow thereafter.
+//! Array sections (`GADJ`/`GDEG`/`GACT`/`TPAR`) declare 8-byte alignment,
+//! which is what lets [`crate::GraphView`] and the tree's `TreeView` serve
+//! `u32`/`u64` array reads *directly out of a mapped file*
+//! ([`crate::MappedSnapshot`]) with no per-array materialization — validate
+//! once at open time, borrow thereafter. The checksum is the word-folded
+//! [`fnv1a64_words`], one multiply per 8 bytes.
 //!
 //! Sections are looked up by four-byte tag, so consumers can compose: a WAL
 //! checkpoint embeds its own header sections next to the graph's and the
 //! tree's in a single container with a single whole-file checksum. Readers
 //! verify magic, checksum and table bounds **before** any section is
 //! interpreted, so truncation and bit flips are rejected with a description
-//! rather than misread. [`SnapReader::parse`] accepts both versions.
+//! rather than misread. [`SnapReader::parse`] accepts only `PDFSNAP2`; any
+//! other magic is refused with an error naming it.
 //!
 //! All multi-byte scalars are little-endian. Writers emit sections in a
 //! deterministic order from logical state only, which is what makes
 //! `parse(render(x))` byte-stable for the graph and tree codecs built on
-//! this module. The v1 writer's output is byte-for-byte what it has been
-//! since PR 8 — v2 is a new producer, not a change to the old one.
+//! this module.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The 8-byte magic prefix of every `pardfs-snap v1` file.
-pub const SNAP_MAGIC: [u8; 8] = *b"PDFSNAP1";
-
-/// The 8-byte magic prefix of every `pardfs-snap v2` (alignment-padded) file.
+/// The 8-byte magic prefix of every `pardfs-snap v2` file.
 pub const SNAP_MAGIC_V2: [u8; 8] = *b"PDFSNAP2";
 
-/// Largest per-section alignment a v2 table entry may declare (one page).
+/// Largest per-section alignment a table entry may declare (one page).
 pub const MAX_SECTION_ALIGN: u32 = 4096;
 
 /// Process-wide count of array bytes *materialized* (copied out of a snapshot
 /// buffer into freshly allocated `Vec`s) by [`Cursor::u32s`] — the only array
 /// copy point in the container layer.
 ///
-/// The zero-copy read path is pinned on this counter: opening a v2 container
+/// The zero-copy read path is pinned on this counter: opening a container
 /// through `GraphView`/`TreeView` and answering queries must not move it,
-/// while the materializing v1 parse path must. See `tests/zero_copy.rs`.
+/// while the materializing parse path must. See `tests/zero_copy.rs`.
 static COPIED_ARRAY_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Current value of the process-wide [`Cursor::u32s`] copy counter (bytes).
@@ -65,30 +58,16 @@ pub fn copied_array_bytes() -> u64 {
     COPIED_ARRAY_BYTES.load(Ordering::Relaxed)
 }
 
-/// FNV-1a 64-bit hash — the whole-file checksum of the container (the same
-/// construction the WAL framing and the tree fingerprint use).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// FNV-1a folded over 64-bit little-endian words — the whole-file checksum
-/// of a **v2** container.
+/// of the container.
 ///
 /// The byte length is folded in first (so buffers differing only in length
 /// of trailing zeros still hash differently), then each 8-byte word of the
 /// body, with the final partial word zero-padded. One multiply per 8 bytes
 /// instead of per byte cuts the checksum pass — a fixed cost *every* reader
 /// pays before it may interpret a single section — to ~1/8th, which matters
-/// on the v2 zero-copy open path where the checksum would otherwise rival
-/// the validators. v1 containers keep the byte-wise [`fnv1a64`]: their
-/// framing has been pinned byte-for-byte since PR 8.
+/// on the zero-copy open path where the checksum would otherwise rival the
+/// validators.
 pub fn fnv1a64_words(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -118,12 +97,9 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Builder for a `pardfs-snap` container: append tagged sections, then
-/// [`finish`](SnapWriter::finish) into the framed byte vector.
-///
-/// [`SnapWriter::new`] builds a v1 container (packed payloads, byte-stable
-/// with every container written since PR 8); [`SnapWriter::v2`] builds a v2
-/// container honouring per-section alignment requests made through
+/// Builder for a `pardfs-snap v2` container: append tagged sections, then
+/// [`finish`](SnapWriter::finish) into the framed byte vector, honouring
+/// the per-section alignment requested through
 /// [`SnapWriter::section_aligned`].
 ///
 /// # Examples
@@ -131,42 +107,23 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// ```
 /// use pardfs_graph::snap::{put_u64, SnapReader, SnapWriter, SNAP_MAGIC_V2};
 ///
-/// let mut w = SnapWriter::v2();
+/// let mut w = SnapWriter::new();
 /// put_u64(w.section_aligned(*b"DATA", 8), 42);
 /// let bytes = w.finish();
 /// assert_eq!(&bytes[..8], &SNAP_MAGIC_V2);
 ///
 /// let r = SnapReader::parse(&bytes).unwrap();
-/// assert_eq!(r.version(), 2);
 /// assert_eq!(r.section(*b"DATA").unwrap(), 42u64.to_le_bytes());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapWriter {
-    version: u8,
     sections: Vec<([u8; 4], u32, Vec<u8>)>,
 }
 
-impl Default for SnapWriter {
-    fn default() -> Self {
-        SnapWriter::new()
-    }
-}
-
 impl SnapWriter {
-    /// An empty **v1** container (packed payloads, 20-byte table entries).
+    /// An empty container.
     pub fn new() -> Self {
-        SnapWriter {
-            version: 1,
-            sections: Vec::new(),
-        }
-    }
-
-    /// An empty **v2** container (aligned payloads, 24-byte table entries).
-    pub fn v2() -> Self {
-        SnapWriter {
-            version: 2,
-            sections: Vec::new(),
-        }
+        SnapWriter::default()
     }
 
     /// Start a new section with `tag` and return its payload buffer.
@@ -177,10 +134,7 @@ impl SnapWriter {
 
     /// Start a new section with `tag`, requesting that its payload start at
     /// a multiple of `align` bytes (a power of two, at most
-    /// [`MAX_SECTION_ALIGN`]). In a v1 container the request is recorded
-    /// nowhere and changes nothing — v1 output stays byte-identical — so
-    /// codecs can declare alignment unconditionally and let the container
-    /// version decide.
+    /// [`MAX_SECTION_ALIGN`]).
     pub fn section_aligned(&mut self, tag: [u8; 4], align: u32) -> &mut Vec<u8> {
         debug_assert!(
             align.is_power_of_two() && align <= MAX_SECTION_ALIGN,
@@ -194,52 +148,38 @@ impl SnapWriter {
         &mut self.sections.last_mut().expect("just pushed").2
     }
 
-    /// Frame the sections: magic, table, payloads (v2: zero-padded to each
+    /// Frame the sections: magic, table, payloads (zero-padded to each
     /// section's alignment), whole-file checksum.
     pub fn finish(self) -> Vec<u8> {
-        let entry = if self.version == 1 { 20 } else { 24 };
-        let table_end = 8 + 4 + entry * self.sections.len();
+        let table_end = 8 + 4 + 24 * self.sections.len();
         let mut offsets = Vec::with_capacity(self.sections.len());
         let mut offset = table_end as u64;
         for (_, align, body) in &self.sections {
-            if self.version >= 2 {
-                offset = offset.next_multiple_of(*align as u64);
-            }
+            offset = offset.next_multiple_of(*align as u64);
             offsets.push(offset);
             offset += body.len() as u64;
         }
-        let magic = if self.version == 1 {
-            SNAP_MAGIC
-        } else {
-            SNAP_MAGIC_V2
-        };
         let mut out = Vec::with_capacity(offset as usize + 8);
-        out.extend_from_slice(&magic);
+        out.extend_from_slice(&SNAP_MAGIC_V2);
         put_u32(&mut out, self.sections.len() as u32);
         for ((tag, align, body), &off) in self.sections.iter().zip(&offsets) {
             out.extend_from_slice(tag);
-            if self.version >= 2 {
-                put_u32(&mut out, *align);
-            }
+            put_u32(&mut out, *align);
             put_u64(&mut out, off);
             put_u64(&mut out, body.len() as u64);
         }
         for ((_, _, body), &off) in self.sections.iter().zip(&offsets) {
-            out.resize(off as usize, 0); // alignment padding (v2); no-op in v1
+            out.resize(off as usize, 0); // alignment padding
             out.extend_from_slice(body);
         }
-        let checksum = if self.version == 1 {
-            fnv1a64(&out)
-        } else {
-            fnv1a64_words(&out)
-        };
+        let checksum = fnv1a64_words(&out);
         put_u64(&mut out, checksum);
         out
     }
 }
 
-/// A verified view into a `pardfs-snap` container (v1 or v2): magic, checksum
-/// and section-table bounds are checked up front, then sections are served as
+/// A verified view into a `pardfs-snap v2` container: magic, checksum and
+/// section-table bounds are checked up front, then sections are served as
 /// borrowed byte slices.
 ///
 /// # Examples
@@ -247,26 +187,28 @@ impl SnapWriter {
 /// ```
 /// use pardfs_graph::snap::{put_u32, SnapReader, SnapWriter};
 ///
-/// let mut w = SnapWriter::new(); // v1
+/// let mut w = SnapWriter::new();
 /// put_u32(w.section(*b"NUMS"), 7);
 /// let bytes = w.finish();
 ///
 /// let r = SnapReader::parse(&bytes).unwrap();
-/// assert_eq!(r.version(), 1);
 /// assert_eq!(r.section(*b"NUMS").unwrap(), 7u32.to_le_bytes());
 /// assert!(r.section(*b"ZZZZ").unwrap_err().contains("missing"));
+///
+/// // Any magic but `PDFSNAP2` is refused, not guessed at.
+/// let err = SnapReader::parse(b"pardfs-checkpoint v1\nepoch 0\n").unwrap_err();
+/// assert!(err.contains("not a pardfs-snap v2 container"));
 /// ```
 #[derive(Debug)]
 pub struct SnapReader<'a> {
-    version: u8,
     base: &'a [u8],
     sections: Vec<([u8; 4], u32, &'a [u8])>,
 }
 
 impl<'a> SnapReader<'a> {
-    /// Verify the container framing and index its sections. Accepts both
-    /// `PDFSNAP1` and `PDFSNAP2` containers; [`SnapReader::version`] reports
-    /// which one was parsed.
+    /// Verify the container framing and index its sections. Only
+    /// `PDFSNAP2` containers are accepted; any other magic is an error
+    /// naming the bytes found.
     pub fn parse(bytes: &'a [u8]) -> Result<SnapReader<'a>, String> {
         if bytes.len() < 8 + 4 + 8 {
             return Err(format!(
@@ -274,26 +216,19 @@ impl<'a> SnapReader<'a> {
                 bytes.len()
             ));
         }
-        let version = if bytes[..8] == SNAP_MAGIC {
-            1
-        } else if bytes[..8] == SNAP_MAGIC_V2 {
-            2
-        } else {
-            return Err("not a pardfs-snap v1/v2 container (bad magic)".to_string());
-        };
+        if bytes[..8] != SNAP_MAGIC_V2 {
+            return Err(format!(
+                "not a pardfs-snap v2 container: magic \"{}\" is not \"PDFSNAP2\"",
+                bytes[..8].escape_ascii()
+            ));
+        }
         let body_end = bytes.len() - 8;
         let recorded = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-        let actual = if version == 1 {
-            fnv1a64(&bytes[..body_end])
-        } else {
-            fnv1a64_words(&bytes[..body_end])
-        };
-        if actual != recorded {
+        if fnv1a64_words(&bytes[..body_end]) != recorded {
             return Err("binary snapshot checksum mismatch (file is corrupt)".to_string());
         }
         let count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let entry = if version == 1 { 20 } else { 24 };
-        let table_end = 8usize + 4 + entry * count;
+        let table_end = 8usize + 4 + 24 * count;
         if table_end > body_end {
             return Err(format!(
                 "binary snapshot section table ({count} sections) exceeds the file"
@@ -301,21 +236,16 @@ impl<'a> SnapReader<'a> {
         }
         let mut sections: Vec<([u8; 4], u32, &'a [u8])> = Vec::with_capacity(count);
         for i in 0..count {
-            let at = 12 + entry * i;
+            let at = 12 + 24 * i;
             let tag: [u8; 4] = bytes[at..at + 4].try_into().expect("4 bytes");
-            let (align, at) = if version == 1 {
-                (1u32, at + 4)
-            } else {
-                let a = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-                (a, at + 8)
-            };
+            let align = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
             if !align.is_power_of_two() || align > MAX_SECTION_ALIGN {
                 return Err(format!(
                     "section {tag:?} declares invalid alignment {align}"
                 ));
             }
-            let offset = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-            let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("8 bytes"));
+            let offset = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("8 bytes"));
+            let len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().expect("8 bytes"));
             let (Ok(offset), Ok(len)) = (usize::try_from(offset), usize::try_from(len)) else {
                 return Err(format!("section {tag:?} offset/length overflows"));
             };
@@ -338,15 +268,9 @@ impl<'a> SnapReader<'a> {
             sections.push((tag, align, &bytes[offset..end]));
         }
         Ok(SnapReader {
-            version,
             base: bytes,
             sections,
         })
-    }
-
-    /// The container version that was parsed (1 or 2).
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// The payload of the section tagged `tag`.
@@ -363,7 +287,7 @@ impl<'a> SnapReader<'a> {
             })
     }
 
-    /// The declared alignment of the section tagged `tag` (always 1 in v1).
+    /// The declared alignment of the section tagged `tag`.
     pub fn section_align(&self, tag: [u8; 4]) -> Result<u32, String> {
         self.sections
             .iter()
@@ -482,10 +406,9 @@ mod tests {
         put_u32(b, 1);
         put_u32(b, 2);
         let bytes = w.finish();
-        assert_eq!(&bytes[..8], &SNAP_MAGIC);
+        assert_eq!(&bytes[..8], &SNAP_MAGIC_V2);
 
         let r = SnapReader::parse(&bytes).expect("own container parses");
-        assert_eq!(r.version(), 1);
         let mut c = Cursor::new(*b"AAAA", r.section(*b"AAAA").unwrap());
         assert_eq!(c.u64().unwrap(), 7);
         c.finish().unwrap();
@@ -496,36 +419,32 @@ mod tests {
     }
 
     #[test]
-    fn v1_framing_is_byte_stable() {
-        // The exact bytes the v1 writer has emitted since PR 8 — pinned so
-        // the v2 work provably did not change the legacy producer.
+    fn worked_example_in_formats_md_is_byte_stable() {
+        // The hex dump in docs/FORMATS.md: one 8-aligned `DATA` section
+        // holding the u64 42, 56 bytes in all.
         let mut w = SnapWriter::new();
-        put_u32(w.section(*b"ONLY"), 5);
+        put_u64(w.section_aligned(*b"DATA", 8), 42);
+        let expect: [u8; 56] = [
+            0x50, 0x44, 0x46, 0x53, 0x4e, 0x41, 0x50, 0x32, 0x01, 0x00, 0x00, 0x00, 0x44, 0x41,
+            0x54, 0x41, 0x08, 0x00, 0x00, 0x00, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x8a, 0xdf, 0x41, 0x9e, 0x80, 0x5b, 0x1c, 0x41,
+        ];
         let bytes = w.finish();
-        let mut expect = Vec::new();
-        expect.extend_from_slice(b"PDFSNAP1");
-        put_u32(&mut expect, 1); // section count
-        expect.extend_from_slice(b"ONLY");
-        put_u64(&mut expect, 32); // offset: 8 + 4 + 20
-        put_u64(&mut expect, 4); // len
-        put_u32(&mut expect, 5); // payload
-        let sum = fnv1a64(&expect);
-        put_u64(&mut expect, sum);
         assert_eq!(bytes, expect);
+        assert_eq!(fnv1a64_words(&bytes[..48]), 0x411c_5b80_9e41_df8a);
     }
 
     #[test]
-    fn v2_sections_honour_their_declared_alignment() {
-        let mut w = SnapWriter::v2();
+    fn sections_honour_their_declared_alignment() {
+        let mut w = SnapWriter::new();
         w.section(*b"ODDB").push(0xAB); // 1-byte section to knock offsets askew
         let b = w.section_aligned(*b"AL8B", 8);
         put_u64(b, 0x1122_3344_5566_7788);
         put_u32(w.section_aligned(*b"AL4B", 4), 9);
         let bytes = w.finish();
-        assert_eq!(&bytes[..8], &SNAP_MAGIC_V2);
 
-        let r = SnapReader::parse(&bytes).expect("own v2 container parses");
-        assert_eq!(r.version(), 2);
+        let r = SnapReader::parse(&bytes).expect("own container parses");
         let (off8, len8) = r.section_range(*b"AL8B").unwrap();
         assert_eq!(off8 % 8, 0, "AL8B starts at {off8}");
         assert_eq!(len8, 8);
@@ -540,11 +459,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_rejects_misaligned_table_entries_and_bad_alignments() {
-        // Hand-corrupt a v2 table so a section's offset violates its declared
+    fn rejects_misaligned_table_entries_and_bad_alignments() {
+        // Hand-corrupt the table so a section's offset violates its declared
         // alignment, re-stamping the checksum so only the alignment check can
         // reject it.
-        let mut w = SnapWriter::v2();
+        let mut w = SnapWriter::new();
         put_u64(w.section_aligned(*b"AAAA", 8), 7);
         let good = w.finish();
         let mut bad = good[..good.len() - 8].to_vec();
@@ -566,32 +485,37 @@ mod tests {
     }
 
     #[test]
-    fn corruption_and_truncation_are_rejected() {
-        for writer in [SnapWriter::new(), SnapWriter::v2()] {
-            let mut w = writer;
-            put_u64(w.section_aligned(*b"AAAA", 8), 7);
-            let good = w.finish();
+    fn corruption_truncation_and_foreign_magic_are_rejected() {
+        let mut w = SnapWriter::new();
+        put_u64(w.section_aligned(*b"AAAA", 8), 7);
+        let good = w.finish();
 
-            // Any single bit flip breaks the whole-file checksum.
-            for at in [0, 9, 13, good.len() / 2] {
-                let mut bad = good.clone();
-                bad[at] ^= 0x40;
-                let err = SnapReader::parse(&bad).unwrap_err();
-                assert!(
-                    err.contains("checksum") || err.contains("magic"),
-                    "flip at {at}: {err}"
-                );
-            }
-            // Truncation (including a cut inside the trailing checksum).
-            for cut in [0, 8, good.len() - 1, good.len() - 9] {
-                assert!(SnapReader::parse(&good[..cut]).is_err(), "cut at {cut}");
-            }
+        // Any single bit flip breaks the whole-file checksum (or the magic).
+        for at in [0, 9, 13, good.len() / 2] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x40;
+            let err = SnapReader::parse(&bad).unwrap_err();
+            assert!(
+                err.contains("checksum") || err.contains("magic"),
+                "flip at {at}: {err}"
+            );
         }
+        // Truncation (including a cut inside the trailing checksum).
+        for cut in [0, 8, good.len() - 1, good.len() - 9] {
+            assert!(SnapReader::parse(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        // A container stamped with another version's magic is refused by
+        // name before its checksum or table is read.
+        let mut relabelled = good.clone();
+        relabelled[7] = b'1';
+        let err = SnapReader::parse(&relabelled).unwrap_err();
+        let named = format!("magic \"{}\"", relabelled[..8].escape_ascii());
+        assert!(err.contains(&named), "{err}");
         // A section table pointing past the body: rebuild with a lying count.
         let empty = SnapWriter::new().finish();
         let mut lying = empty[..empty.len() - 8].to_vec();
         lying[8] = 3; // claims 3 sections, no table bytes follow
-        let tail = fnv1a64(&lying);
+        let tail = fnv1a64_words(&lying);
         put_u64(&mut lying, tail);
         assert!(SnapReader::parse(&lying)
             .unwrap_err()

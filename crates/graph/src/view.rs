@@ -11,7 +11,7 @@
 //! [`crate::snap::copied_array_bytes`] counter in `tests/zero_copy.rs`).
 //!
 //! Borrowing `u32` arrays straight out of file bytes requires the payloads
-//! to be 4-byte aligned, which is what the v2 container's 8-byte section
+//! to be 4-byte aligned, which is what the container's 8-byte section
 //! alignment (plus the 8-byte-aligned base of [`crate::MappedSnapshot`])
 //! guarantees; a misaligned buffer is rejected with a description, not
 //! mis-read. See `docs/FORMATS.md` for the byte-level layout.
@@ -49,7 +49,7 @@ fn bit(bytes: &[u8], v: usize) -> bool {
 /// g.insert_edge(0, 1);
 /// g.insert_edge(1, 2);
 ///
-/// let bytes = g.render_snapshot_binary_v2();
+/// let bytes = g.render_snapshot_binary();
 /// let r = SnapReader::parse(&bytes).unwrap();
 /// let view = GraphView::parse(&r).unwrap();
 /// assert_eq!(view.num_edges(), 2);
@@ -71,9 +71,8 @@ impl<'a> GraphView<'a> {
     /// Validate the graph sections of a parsed container and borrow them.
     ///
     /// Requires the `GDEG`/`GADJ` payloads to sit at 4-byte-aligned
-    /// addresses (v2 containers in an aligned buffer always do; v1's packed
-    /// layout or a misaligned buffer is rejected with an error naming the
-    /// alignment problem, and the caller falls back to the copying parser).
+    /// addresses (containers in an aligned buffer always do; a misaligned
+    /// buffer is rejected with an error naming the alignment problem).
     pub fn parse(r: &SnapReader<'a>) -> Result<GraphView<'a>, String> {
         let mut hdr = Cursor::new(SEC_GRAPH_HEADER, r.section(SEC_GRAPH_HEADER)?);
         let capacity = usize::try_from(hdr.u64()?).map_err(|_| "graph capacity overflows")?;
@@ -195,7 +194,7 @@ mod tests {
     #[test]
     fn view_agrees_with_the_materializing_parser() {
         let g = sample();
-        let bytes = g.render_snapshot_binary_v2();
+        let bytes = g.render_snapshot_binary();
         let r = SnapReader::parse(&bytes).unwrap();
         let view = GraphView::parse(&r).unwrap();
         assert_eq!(view.capacity(), g.capacity());
@@ -206,18 +205,18 @@ mod tests {
             assert_eq!(view.neighbours(v), g.neighbors(v), "vertex {v}");
         }
         assert_eq!(view.to_graph(), g);
-        // And the v2 bytes also still parse through the copying path.
+        // And the same bytes parse identically through the copying path.
         assert_eq!(Graph::parse_snapshot_binary(&bytes).unwrap(), g);
     }
 
     #[test]
     fn view_rejects_misaligned_buffers_instead_of_misreading_them() {
-        // Slide a valid v2 container across every byte residue inside one
+        // Slide a valid container across every byte residue inside one
         // allocation: exactly the shifts that land GDEG/GADJ off a 4-byte
         // boundary must be rejected (with an error naming alignment), and
         // the aligned shifts must parse identically.
         let g = sample();
-        let bytes = g.render_snapshot_binary_v2();
+        let bytes = g.render_snapshot_binary();
         let r = SnapReader::parse(&bytes).unwrap();
         let (deg_off, _) = r.section_range(SEC_GRAPH_DEGREES).unwrap();
         let mut arena = vec![0u8; bytes.len() + 4];
@@ -239,7 +238,7 @@ mod tests {
     #[test]
     fn view_rejects_structural_corruption_like_the_parser_does() {
         let g = sample();
-        let good = g.render_snapshot_binary_v2();
+        let good = g.render_snapshot_binary();
         let r = SnapReader::parse(&good).unwrap();
         let (adj_off, adj_len) = r.section_range(SEC_GRAPH_ADJACENCY).unwrap();
         assert!(adj_len >= 8);

@@ -14,44 +14,12 @@
 //! insertion that a stand-alone [`Graph`] would assign user id `c` receives
 //! internal id `c + 1`, so user-visible ids behave exactly as if no
 //! augmentation existed. All maintainers translate at their public API
-//! boundary via [`AugmentedGraph::to_internal`] / [`AugmentedGraph::to_user`].
+//! boundary via [`AugmentedGraph::to_internal`] / [`AugmentedGraph::to_user`];
+//! the forest queries over this scheme live in [`pardfs_api::forest`].
 
 use pardfs_graph::{Graph, Update, Vertex};
-use pardfs_tree::TreeIndex;
 
-/// The pseudo root's internal vertex id.
-pub const PSEUDO_ROOT: Vertex = 0;
-
-/// Parent of user vertex `v` in the DFS forest encoded by `idx` (`None` for
-/// component roots and vertices not present). `idx` must follow the standard
-/// augmentation id scheme of this module (pseudo root at internal id 0, user
-/// `v` at internal `v + 1`) — every maintainer in the workspace does.
-pub fn forest_parent(idx: &TreeIndex, v: Vertex) -> Option<Vertex> {
-    let vi = v + 1;
-    if !idx.contains(vi) {
-        return None;
-    }
-    idx.parent(vi).filter(|&p| p != PSEUDO_ROOT).map(|p| p - 1)
-}
-
-/// Roots of the DFS forest encoded by `idx` (user ids), one per connected
-/// component of the user graph. See [`forest_parent`] for the id-scheme
-/// contract.
-pub fn forest_roots(idx: &TreeIndex) -> Vec<Vertex> {
-    idx.children(PSEUDO_ROOT).iter().map(|&c| c - 1).collect()
-}
-
-/// Are user vertices `u` and `v` in the same connected component of the
-/// graph whose DFS forest `idx` encodes? (Same child-of-pseudo-root ancestor
-/// ⇔ same tree ⇔ same component.) See [`forest_parent`] for the id-scheme
-/// contract.
-pub fn same_component(idx: &TreeIndex, u: Vertex, v: Vertex) -> bool {
-    let (ui, vi) = (u + 1, v + 1);
-    if !idx.contains(ui) || !idx.contains(vi) {
-        return false;
-    }
-    idx.ancestor_at_level(ui, 1) == idx.ancestor_at_level(vi, 1)
-}
+pub use pardfs_api::forest::PSEUDO_ROOT;
 
 /// A dynamic graph together with its pseudo root, in the shifted id space.
 #[derive(Debug, Clone)]

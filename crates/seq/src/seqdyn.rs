@@ -14,11 +14,12 @@
 //! doubles as an independent implementation against which the parallel
 //! engine's output is cross-checked in tests.
 
-use crate::augment::{self, AugmentedGraph};
+use crate::augment::AugmentedGraph;
 use crate::check::check_spanning_dfs_tree;
 use crate::static_dfs::static_dfs;
 use pardfs_api::{
-    maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, StatsReport,
+    forest, maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy,
+    StatsReport,
 };
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{QueryOracle, StructureD, VertexQuery};
@@ -139,18 +140,18 @@ impl SeqRerootDfs {
     /// graph (`None` when `v` is a component root or not present). Both the
     /// argument and the result are user ids.
     pub fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        augment::forest_parent(&self.idx, v)
+        forest::forest_parent(&self.idx, v)
     }
 
     /// Roots of the maintained DFS forest (user ids), one per connected
     /// component of the user graph.
     pub fn forest_roots(&self) -> Vec<Vertex> {
-        augment::forest_roots(&self.idx)
+        forest::forest_roots(&self.idx)
     }
 
     /// Are user vertices `u` and `v` in the same connected component?
     pub fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        augment::same_component(&self.idx, u, v)
+        forest::same_component(&self.idx, u, v)
     }
 
     /// Number of user vertices currently in the graph.

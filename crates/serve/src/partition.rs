@@ -274,7 +274,7 @@ impl ComponentExport {
     /// Serialize as a `pardfs-snap v2` container (`MHDR` + graph + tree
     /// sections).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::v2();
+        let mut w = SnapWriter::new();
         let hdr = w.section_aligned(SEC_MIGRATION_HEADER, 8);
         put_u64(hdr, self.members.len() as u64);
         put_u64(hdr, self.graph.capacity() as u64);

@@ -2,6 +2,7 @@
 //! ([`Snapshot`]) and cross-process ([`Snapshot::publish_to`] /
 //! [`MappedEpoch`]).
 
+use pardfs_api::forest::{self, internal_id, PSEUDO_ROOT};
 use pardfs_api::ForestQuery;
 use pardfs_graph::mapped::cast_u32s;
 use pardfs_graph::snap::{put_u64, Cursor, SnapReader, SnapWriter};
@@ -9,11 +10,6 @@ use pardfs_graph::{MappedSnapshot, Vertex};
 use pardfs_tree::{TreeIndex, TreeView};
 use std::io::Write as _;
 use std::path::Path;
-
-/// The pseudo root's internal vertex id (the augmentation id scheme every
-/// maintainer follows: pseudo root at internal id 0, user `v` at `v + 1` —
-/// see the [`pardfs_api::DfsMaintainer::tree`] contract).
-const PSEUDO_ROOT: Vertex = 0;
 
 /// Section tag of a published epoch's header (epoch, fingerprint,
 /// num_vertices, num_edges — `u64` each).
@@ -28,7 +24,7 @@ const SEC_EPOCH_BACKEND: [u8; 4] = *b"SBKD";
 /// readers holding an `Arc<Snapshot>` never block the writer and never see a
 /// half-applied batch. It answers the full [`ForestQuery`] vocabulary with
 /// exactly the semantics of the live maintainer it was captured from (the
-/// augmentation id shift is replicated here against the cloned index).
+/// same [`pardfs_api::forest`] helpers, run against the cloned index).
 ///
 /// Identity is the index's [`TreeIndex::fingerprint`], captured at commit
 /// time. Because the snapshot is immutable, recomputing the fingerprint from
@@ -90,7 +86,7 @@ impl Snapshot {
         self.fingerprint
     }
 
-    /// Publish this epoch to `path` as a `pardfs-snap` **v2** container so a
+    /// Publish this epoch to `path` as a `pardfs-snap v2` container so a
     /// *different process* can serve [`ForestQuery`] reads off it via
     /// [`Snapshot::open_mapped`] — see `docs/FORMATS.md` for the byte layout.
     ///
@@ -101,7 +97,7 @@ impl Snapshot {
     /// mapped reader's safety argument relies on
     /// (see [`pardfs_graph::mapped`]).
     pub fn publish_to(&self, path: &Path) -> Result<(), String> {
-        let mut w = SnapWriter::v2();
+        let mut w = SnapWriter::new();
         {
             let hdr = w.section_aligned(SEC_EPOCH_HEADER, 8);
             put_u64(hdr, self.epoch);
@@ -194,13 +190,6 @@ impl MappedEpoch {
         );
         {
             let r = SnapReader::parse(map.bytes())?;
-            if r.version() < 2 {
-                return Err(
-                    "mapped epoch files need a pardfs-snap v2 container (v1 has no alignment \
-                     guarantee); re-publish with Snapshot::publish_to"
-                        .to_string(),
-                );
-            }
             let mut hdr = Cursor::new(SEC_EPOCH_HEADER, r.section(SEC_EPOCH_HEADER)?);
             epoch = hdr.u64()?;
             fingerprint = hdr.u64()?;
@@ -290,7 +279,7 @@ impl MappedEpoch {
 impl ForestQuery for MappedEpoch {
     fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
         self.view()
-            .parent(v + 1)
+            .parent(internal_id(v)?)
             .filter(|&p| p != PSEUDO_ROOT)
             .map(|p| p - 1)
     }
@@ -301,10 +290,8 @@ impl ForestQuery for MappedEpoch {
 
     fn same_component(&self, u: Vertex, v: Vertex) -> bool {
         let view = self.view();
-        match (
-            view.depth_one_ancestor(u + 1),
-            view.depth_one_ancestor(v + 1),
-        ) {
+        let top = |x: Vertex| internal_id(x).and_then(|xi| view.depth_one_ancestor(xi));
+        match (top(u), top(v)) {
             (Some(a), Some(b)) => a == b,
             _ => false,
         }
@@ -321,30 +308,15 @@ impl ForestQuery for MappedEpoch {
 
 impl ForestQuery for Snapshot {
     fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        let vi = v + 1;
-        if !self.tree.contains(vi) {
-            return None;
-        }
-        self.tree
-            .parent(vi)
-            .filter(|&p| p != PSEUDO_ROOT)
-            .map(|p| p - 1)
+        forest::forest_parent(&self.tree, v)
     }
 
     fn forest_roots(&self) -> Vec<Vertex> {
-        self.tree
-            .children(PSEUDO_ROOT)
-            .iter()
-            .map(|&c| c - 1)
-            .collect()
+        forest::forest_roots(&self.tree)
     }
 
     fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        let (ui, vi) = (u + 1, v + 1);
-        if !self.tree.contains(ui) || !self.tree.contains(vi) {
-            return false;
-        }
-        self.tree.ancestor_at_level(ui, 1) == self.tree.ancestor_at_level(vi, 1)
+        forest::same_component(&self.tree, u, v)
     }
 
     fn num_vertices(&self) -> usize {

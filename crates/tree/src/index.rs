@@ -530,93 +530,13 @@ impl TreeIndex {
         &self.parent
     }
 
-    /// Render the index as a line-delimited snapshot:
-    ///
-    /// ```text
-    /// tree <root> <capacity>
-    /// parents <p0> <p1> ...    (`-` for NO_VERTEX holes)
-    /// tree-end
-    /// ```
-    ///
-    /// Only the parent array and root are stored (see
-    /// [`TreeIndex::parent_slice`]); [`TreeIndex::parse_snapshot`] rebuilds
-    /// the orders, levels, Euler segment, RMQ and lifting table and the
-    /// result is structurally identical to the original
-    /// ([`TreeIndex::structural_eq`]).
-    pub fn render_snapshot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "tree {} {}", self.root, self.capacity());
-        out.push_str("parents");
-        for &p in &self.parent {
-            if p == NO_VERTEX {
-                out.push_str(" -");
-            } else {
-                let _ = write!(out, " {p}");
-            }
-        }
-        out.push_str("\ntree-end\n");
-        out
-    }
-
-    /// Parse a snapshot produced by [`TreeIndex::render_snapshot`].
-    ///
-    /// The parent array is fully validated (root in range and self-parented,
-    /// parents inside the id space, every non-hole vertex reachable from the
-    /// root) **before** [`TreeIndex::from_parent_slice`] runs, so a corrupted
-    /// checkpoint comes back as a described `Err` rather than a panic inside
-    /// the rebuild.
-    pub fn parse_snapshot(text: &str) -> Result<TreeIndex, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty tree snapshot")?;
-        let rest = header
-            .strip_prefix("tree ")
-            .ok_or_else(|| format!("expected `tree <root> <capacity>`, got `{header}`"))?;
-        let (root_tok, cap_tok) = rest
-            .split_once(' ')
-            .ok_or_else(|| format!("expected `tree <root> <capacity>`, got `{header}`"))?;
-        let root: Vertex = root_tok
-            .parse()
-            .map_err(|_| format!("bad tree root `{root_tok}`"))?;
-        let capacity: usize = cap_tok
-            .parse()
-            .map_err(|_| format!("bad tree capacity `{cap_tok}`"))?;
-
-        let parents_line = lines.next().ok_or("tree snapshot missing `parents` line")?;
-        let rest = parents_line
-            .strip_prefix("parents")
-            .ok_or_else(|| format!("expected `parents ...`, got `{parents_line}`"))?;
-        let mut parent = Vec::with_capacity(capacity);
-        for t in rest.split(' ').filter(|t| !t.is_empty()) {
-            if t == "-" {
-                parent.push(NO_VERTEX);
-            } else {
-                parent.push(t.parse().map_err(|_| format!("bad parent token `{t}`"))?);
-            }
-        }
-        if parent.len() != capacity {
-            return Err(format!(
-                "parents line has {} entries, header capacity is {capacity}",
-                parent.len()
-            ));
-        }
-        match lines.next() {
-            Some("tree-end") => {}
-            other => return Err(format!("expected `tree-end`, got `{other:?}`")),
-        }
-        if lines.any(|l| !l.is_empty()) {
-            return Err("trailing content after `tree-end`".to_string());
-        }
-
-        Self::validate_parent_array(&parent, root)?;
-        Ok(TreeIndex::from_parent_slice(&parent, root))
-    }
-
-    /// Validate a deserialized parent array before the (assert-happy)
-    /// [`TreeIndex::from_parent_slice`] rebuild — shared by the text and
-    /// binary snapshot parsers **and** the borrowed [`crate::TreeView`], so
-    /// every path rejects a corrupted checkpoint with a described `Err`
-    /// rather than a panic, and views and copies reject the same inputs.
+    /// Validate a deserialized parent array (root in range and
+    /// self-parented, parents inside the id space, every non-hole vertex
+    /// reachable from the root) before the (assert-happy)
+    /// [`TreeIndex::from_parent_slice`] rebuild — shared by the snapshot
+    /// parser **and** the borrowed [`crate::TreeView`], so both reject a
+    /// corrupted checkpoint with a described `Err` rather than a panic, and
+    /// views and copies reject the same inputs.
     pub(crate) fn validate_parent_array(parent: &[Vertex], root: Vertex) -> Result<(), String> {
         let capacity = parent.len();
         if (root as usize) >= capacity {
@@ -682,7 +602,7 @@ impl TreeIndex {
         Ok(())
     }
 
-    /// Write the tree's `pardfs-snap v1` sections into an open container
+    /// Write the tree's sections into an open `pardfs-snap v2` container
     /// (used by [`TreeIndex::render_snapshot_binary`] and by the WAL's
     /// composite checkpoint container):
     ///
@@ -691,9 +611,10 @@ impl TreeIndex {
     ///   [`NO_VERTEX`] holes.
     ///
     /// Only the parent array and root are stored (see
-    /// [`TreeIndex::parent_slice`]), exactly as in the text codec; the reader
-    /// rebuilds every derived structure deterministically, so
-    /// `parse(render(t))` is byte-stable.
+    /// [`TreeIndex::parent_slice`]); the reader rebuilds the orders, levels,
+    /// Euler segment, RMQ and lifting table deterministically, so the result
+    /// is structurally identical to the original
+    /// ([`TreeIndex::structural_eq`]) and `parse(render(t))` is byte-stable.
     pub fn write_snap_sections(&self, w: &mut SnapWriter) {
         let hdr = w.section_aligned(SEC_TREE_HEADER, 8);
         put_u64(hdr, self.root as u64);
@@ -705,8 +626,8 @@ impl TreeIndex {
     }
 
     /// Read the tree sections written by [`TreeIndex::write_snap_sections`]
-    /// out of a verified container, applying the **same** parent-array
-    /// validation as the text parser before the rebuild.
+    /// out of a verified container, validating the parent array before the
+    /// rebuild.
     pub fn read_snap_sections(r: &SnapReader<'_>) -> Result<TreeIndex, String> {
         let mut hdr = Cursor::new(SEC_TREE_HEADER, r.section(SEC_TREE_HEADER)?);
         let root_raw = hdr.u64()?;
@@ -721,28 +642,19 @@ impl TreeIndex {
         Ok(TreeIndex::from_parent_slice(&parent, root))
     }
 
-    /// Render the index as a standalone `pardfs-snap v1` binary snapshot.
-    /// See [`TreeIndex::write_snap_sections`] for the section layout.
+    /// Render the index as a standalone `pardfs-snap v2` binary snapshot,
+    /// with the `TPAR` payload 8-byte aligned so [`crate::TreeView`] can
+    /// answer parent/forest queries straight off the (mapped) bytes. See
+    /// [`TreeIndex::write_snap_sections`] for the section layout.
     pub fn render_snapshot_binary(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.write_snap_sections(&mut w);
         w.finish()
     }
 
-    /// Render the index as a standalone `pardfs-snap` **v2** binary
-    /// snapshot: same sections as [`TreeIndex::render_snapshot_binary`] but
-    /// with the `TPAR` payload 8-byte aligned, so [`crate::TreeView`] can
-    /// answer parent/forest queries straight off the (mapped) bytes.
-    pub fn render_snapshot_binary_v2(&self) -> Vec<u8> {
-        let mut w = SnapWriter::v2();
-        self.write_snap_sections(&mut w);
-        w.finish()
-    }
-
     /// Parse a binary snapshot produced by
     /// [`TreeIndex::render_snapshot_binary`]. Framing damage and parent-array
-    /// violations are both rejected with a description, exactly like
-    /// [`TreeIndex::parse_snapshot`].
+    /// violations are both rejected with a description.
     pub fn parse_snapshot_binary(bytes: &[u8]) -> Result<TreeIndex, String> {
         let r = SnapReader::parse(bytes)?;
         Self::read_snap_sections(&r)
@@ -1083,18 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_is_structurally_identical() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1234);
-        let parent = random_parent_array(60, &mut rng);
-        let idx = TreeIndex::from_parent_slice(&parent, 0);
-        let text = idx.render_snapshot();
-        let loaded = TreeIndex::parse_snapshot(&text).expect("own snapshot parses");
-        loaded.structural_eq(&idx).expect("loaded ≡ original");
-        assert_eq!(loaded.fingerprint(), idx.fingerprint());
-        assert_eq!(loaded.render_snapshot(), text, "byte-stable round trip");
-    }
-
-    #[test]
     fn binary_snapshot_round_trip_is_structurally_identical() {
         let mut rng = ChaCha8Rng::seed_from_u64(4321);
         let parent = random_parent_array(60, &mut rng);
@@ -1108,33 +1008,44 @@ mod tests {
             bytes,
             "parse(render(t)) is byte-stable"
         );
-        // Cross-codec equivalence: text and binary loads agree structurally.
-        let via_text = TreeIndex::parse_snapshot(&idx.render_snapshot()).unwrap();
-        via_text.structural_eq(&loaded).expect("text ≡ binary load");
+    }
+
+    /// A container with hand-written tree sections, laid out as
+    /// [`TreeIndex::write_snap_sections`] lays them out.
+    fn hand_written(root: u64, capacity: u64, parents: &[u32]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        let hdr = w.section_aligned(SEC_TREE_HEADER, 8);
+        put_u64(hdr, root);
+        put_u64(hdr, capacity);
+        let par = w.section_aligned(SEC_TREE_PARENTS, 8);
+        parents.iter().for_each(|&p| put_u32(par, p));
+        w.finish()
     }
 
     #[test]
-    fn binary_snapshot_rejects_corruption() {
+    fn binary_snapshot_rejects_corruption_without_panicking() {
         let idx = TreeIndex::from_parent_slice(&[0, 0, 1, NO_VERTEX], 0);
         let good = idx.render_snapshot_binary();
+        assert_eq!(good, hand_written(0, 4, &[0, 0, 1, NO_VERTEX]));
         let mut bad = good.clone();
         bad[good.len() / 2] ^= 1;
         assert!(TreeIndex::parse_snapshot_binary(&bad)
             .unwrap_err()
             .contains("checksum"));
         assert!(TreeIndex::parse_snapshot_binary(&good[..good.len() - 5]).is_err());
-        // Parent-array damage behind a *valid* frame: a detached cycle.
-        let mut w = SnapWriter::new();
-        let hdr = w.section(SEC_TREE_HEADER);
-        put_u64(hdr, 0);
-        put_u64(hdr, 4);
-        let par = w.section(SEC_TREE_PARENTS);
-        for p in [0u32, 0, 3, 2] {
-            put_u32(par, p);
+        // Parent-array damage behind a *valid* frame.
+        let cases: [(Vec<u8>, &str); 5] = [
+            // A cycle detached from the root.
+            (hand_written(0, 4, &[0, 0, 3, 2]), "reachable"),
+            (hand_written(0, 2, &[1, 0]), "root"),
+            (hand_written(0, 3, &[0, 2, NO_VERTEX]), "hole"),
+            (hand_written(0, 5, &[0, 0]), "truncated"),
+            (hand_written(7, 2, &[0, 0]), "outside capacity"),
+        ];
+        for (bytes, want) in cases {
+            let err = TreeIndex::parse_snapshot_binary(&bytes).unwrap_err();
+            assert!(err.contains(want), "expected `{want}`, got: {err}");
         }
-        assert!(TreeIndex::parse_snapshot_binary(&w.finish())
-            .unwrap_err()
-            .contains("reachable"));
     }
 
     #[test]
@@ -1145,42 +1056,10 @@ mod tests {
         parent[3] = 2;
         parent[7] = 2;
         let idx = TreeIndex::from_parent_slice(&parent, 0);
-        let loaded = TreeIndex::parse_snapshot(&idx.render_snapshot()).unwrap();
+        let loaded = TreeIndex::parse_snapshot_binary(&idx.render_snapshot_binary()).unwrap();
         loaded.structural_eq(&idx).expect("holes preserved");
         assert_eq!(loaded.parent_slice(), idx.parent_slice());
         assert!(!loaded.contains(4));
-    }
-
-    #[test]
-    fn snapshot_rejects_corruption_without_panicking() {
-        let idx = TreeIndex::from_parent_slice(&[0, 0, 1, NO_VERTEX], 0);
-        let good = idx.render_snapshot();
-        assert_eq!(good, "tree 0 4\nparents 0 0 1 -\ntree-end\n");
-        // Cycle detached from the root.
-        assert!(
-            TreeIndex::parse_snapshot("tree 0 4\nparents 0 0 3 2\ntree-end\n")
-                .unwrap_err()
-                .contains("reachable")
-        );
-        // Root not self-parented.
-        assert!(
-            TreeIndex::parse_snapshot("tree 0 2\nparents 1 0\ntree-end\n")
-                .unwrap_err()
-                .contains("root")
-        );
-        // Parent points at a hole.
-        assert!(
-            TreeIndex::parse_snapshot("tree 0 3\nparents 0 2 -\ntree-end\n")
-                .unwrap_err()
-                .contains("hole")
-        );
-        // Capacity mismatch and truncation.
-        assert!(
-            TreeIndex::parse_snapshot("tree 0 5\nparents 0 0\ntree-end\n")
-                .unwrap_err()
-                .contains("capacity")
-        );
-        assert!(TreeIndex::parse_snapshot("tree 0 2\nparents 0 0\n").is_err());
     }
 
     #[test]
@@ -1233,20 +1112,13 @@ mod tests {
             ) {
                 let parent = holey_parent_array(n, seed, hole_bits);
                 let idx = TreeIndex::from_parent_slice(&parent, 0);
-                let text = idx.render_snapshot();
-                let loaded = TreeIndex::parse_snapshot(&text)
+                let bytes = idx.render_snapshot_binary();
+                let loaded = TreeIndex::parse_snapshot_binary(&bytes)
                     .expect("a rendered snapshot always parses");
                 prop_assert!(loaded.structural_eq(&idx).is_ok(),
                     "{}", loaded.structural_eq(&idx).unwrap_err());
                 prop_assert_eq!(loaded.fingerprint(), idx.fingerprint());
-                prop_assert_eq!(loaded.render_snapshot(), text);
-                // The binary codec must satisfy the same differential.
-                let bytes = idx.render_snapshot_binary();
-                let bin = TreeIndex::parse_snapshot_binary(&bytes)
-                    .expect("a rendered binary snapshot always parses");
-                prop_assert!(bin.structural_eq(&idx).is_ok(),
-                    "{}", bin.structural_eq(&idx).unwrap_err());
-                prop_assert_eq!(bin.render_snapshot_binary(), bytes);
+                prop_assert_eq!(loaded.render_snapshot_binary(), bytes);
             }
         }
     }

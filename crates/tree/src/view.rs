@@ -41,7 +41,7 @@ use pardfs_graph::Vertex;
 /// t.set_parent(3, 1);
 /// let index = TreeIndex::build(&t);
 ///
-/// let bytes = index.render_snapshot_binary_v2();
+/// let bytes = index.render_snapshot_binary();
 /// let r = SnapReader::parse(&bytes).unwrap();
 /// let view = TreeView::parse(&r).unwrap();
 /// assert_eq!(view.root(), 0);
@@ -60,8 +60,8 @@ impl<'a> TreeView<'a> {
     /// Runs the same parent-array validation as the materializing parser
     /// (root self-parented and in range, parents in capacity, no
     /// parent-to-hole, full reachability from the root), exactly once.
-    /// Requires the `TPAR` payload to sit at a 4-byte-aligned address (v2
-    /// containers in an aligned buffer always do); misaligned buffers are
+    /// Requires the `TPAR` payload to sit at a 4-byte-aligned address
+    /// (containers in an aligned buffer always do); misaligned buffers are
     /// rejected with an error naming the alignment problem.
     pub fn parse(r: &SnapReader<'a>) -> Result<TreeView<'a>, String> {
         let mut hdr = Cursor::new(SEC_TREE_HEADER, r.section(SEC_TREE_HEADER)?);
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn view_agrees_with_the_materializing_parser() {
         let index = sample();
-        let bytes = index.render_snapshot_binary_v2();
+        let bytes = index.render_snapshot_binary();
         let r = SnapReader::parse(&bytes).unwrap();
         let view = TreeView::parse(&r).unwrap();
         assert_eq!(view.root(), index.root());
@@ -201,7 +201,7 @@ mod tests {
         }
         assert_eq!(view.root_children(), index.children(0).to_vec());
         index.structural_eq(&view.to_index()).unwrap();
-        // The v2 bytes also still parse through the copying path.
+        // The same bytes parse identically through the copying path.
         let copied = TreeIndex::parse_snapshot_binary(&bytes).unwrap();
         index.structural_eq(&copied).unwrap();
     }
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn view_rejects_what_the_parser_rejects() {
         let index = sample();
-        let good = index.render_snapshot_binary_v2();
+        let good = index.render_snapshot_binary();
         let r = SnapReader::parse(&good).unwrap();
         let (par_off, par_len) = r.section_range(SEC_TREE_PARENTS).unwrap();
         // Point each slot's parent at itself in turn (cycle / not-root

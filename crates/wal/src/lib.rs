@@ -45,50 +45,45 @@
 //! `sync` regardless of policy, so a checkpoint is never ahead of the
 //! durable WAL.
 //!
-//! ## Checkpoint formats
+//! ## Checkpoint format
 //!
-//! Checkpoints are written in the `pardfs-snap` **v2** binary container
-//! (`pardfs_graph::snap`, normative spec in `docs/FORMATS.md`): one section
-//! table carrying the WAL header sections (`CHDR` epoch+fingerprint, `CBKD`
-//! backend name) next to the graph's and the tree's flat-array sections,
-//! under a single whole-file FNV-1a64 checksum, with the array payloads
-//! 8-byte aligned so recovery can open the file as a borrowed
-//! [`CheckpointView`] (validate once on the mapped bytes, materialize
-//! arenas only when the backend factory runs). Files produced by older
-//! builds — `pardfs-snap v1` binary or the line-oriented text format (magic
-//! `pardfs-checkpoint v1`) — are still recovered: [`Checkpoint::parse_any`]
-//! sniffs the leading magic bytes and dispatches to the right parser.
+//! Checkpoints are `pardfs-snap v2` containers (`pardfs_graph::snap`,
+//! normative spec in `docs/FORMATS.md`): one section table carrying the WAL
+//! header sections (`CHDR` epoch+fingerprint, `CBKD` backend name) next to
+//! the graph's and the tree's flat-array sections, under a single
+//! whole-file checksum, with the array payloads 8-byte aligned so recovery
+//! opens the file as a borrowed [`CheckpointView`] (validate once on the
+//! mapped bytes, materialize arenas only when the backend factory runs).
+//! v2 is the only format recovery reads: any other file — including the
+//! retired v1 container and the line-oriented text checkpoints of early
+//! builds — is refused with the container parser's error, naming the file,
+//! before the directory is touched.
 //!
 //! ## Recovery state machine
 //!
 //! ```text
-//! scan dir ─▶ latest checkpoint ─▶ parse graph+tree ─▶ factory(graph, tree)
-//!                  │                                        │
-//!                  ▼                                        ▼
+//! scan dir ─▶ latest checkpoint ─▶ CheckpointView ─▶ materialize ─▶ factory(graph, tree)
+//!                  │                                                    │
+//!                  ▼                                                    ▼
 //!             parse wal.log ──▶ drop torn tail ──▶ replay records > C
-//!                  │                                        │ per record:
-//!                  │ interior corruption?                   │ fingerprint
-//!                  ▼                                        ▼ must match
-//!              hard error                         Server::resume(dfs, E)
+//!                  │                                                    │ per record:
+//!                  │ interior corruption?                               │ fingerprint
+//!                  ▼                                                    ▼ must match
+//!              hard error                                     Server::resume(dfs, E)
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use pardfs_api::{DfsMaintainer, RecoveryStats};
-use pardfs_graph::snap::{put_u64, Cursor, SNAP_MAGIC, SNAP_MAGIC_V2};
+use pardfs_graph::snap::{put_u64, Cursor};
 use pardfs_graph::{Graph, GraphView, MappedSnapshot, SnapReader, SnapWriter, Update};
 use pardfs_serve::{CommitLog, EpochRecord, Server};
 use pardfs_tree::{TreeIndex, TreeView};
-use pardfs_workload::wal::{fnv1a64, parse_wal, WalRecord, WAL_MAGIC};
-use std::fmt::Write as _;
+use pardfs_workload::wal::{parse_wal, WalRecord, WAL_MAGIC};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-/// The magic first line of every **legacy text** checkpoint file (still
-/// parsed for back-compat; new checkpoints are `pardfs-snap v2` binary).
-pub const CHECKPOINT_MAGIC: &str = "pardfs-checkpoint v1";
 
 /// Section tag of the binary checkpoint header (epoch, fingerprint).
 const SEC_CKPT_HEADER: [u8; 4] = *b"CHDR";
@@ -231,27 +226,14 @@ impl Checkpoint {
         }
     }
 
-    /// Render the checkpoint as a `pardfs-snap` **v2** binary container:
-    /// the WAL header sections (`CHDR`, `CBKD`) composed with the graph's
-    /// and the tree's flat-array sections under one whole-file checksum,
-    /// with the array payloads 8-byte aligned so recovery (and any other
-    /// reader) can serve the file as a borrowed [`CheckpointView`] without
-    /// materializing. This is the format [`WalWriter`] writes;
-    /// [`Checkpoint::parse_any`] reads it, the v1 container and the legacy
-    /// text format alike.
+    /// Render the checkpoint as a `pardfs-snap v2` container: the WAL
+    /// header sections (`CHDR`, `CBKD`) composed with the graph's and the
+    /// tree's flat-array sections under one whole-file checksum, with the
+    /// array payloads 8-byte aligned so recovery (and any other reader) can
+    /// serve the file as a borrowed [`CheckpointView`] without
+    /// materializing. This is the format [`WalWriter`] writes.
     pub fn render_binary(&self) -> Vec<u8> {
-        self.render_into(SnapWriter::v2())
-    }
-
-    /// Render the checkpoint as a `pardfs-snap` **v1** (packed) container —
-    /// the format PR 8 builds wrote. Kept as a real producer so the
-    /// cross-version differential tests and the E16 open-latency benchmark
-    /// compare against genuine v1 bytes, not a simulation.
-    pub fn render_binary_v1(&self) -> Vec<u8> {
-        self.render_into(SnapWriter::new())
-    }
-
-    fn render_into(&self, mut w: SnapWriter) -> Vec<u8> {
+        let mut w = SnapWriter::new();
         let hdr = w.section_aligned(SEC_CKPT_HEADER, 8);
         put_u64(hdr, self.epoch);
         put_u64(hdr, self.fingerprint);
@@ -262,9 +244,11 @@ impl Checkpoint {
         w.finish()
     }
 
-    /// Parse a binary checkpoint produced by [`Checkpoint::render_binary`],
-    /// with the same validation as the text parser: container framing,
-    /// both snapshot sections, and the recorded tree fingerprint.
+    /// Parse a checkpoint produced by [`Checkpoint::render_binary`] into
+    /// owned state — the copying counterpart of [`CheckpointView`], built
+    /// on the same `read_snap_sections` parsers as component exports.
+    /// Checks the container framing, both snapshot sections, and the
+    /// recorded tree fingerprint.
     pub fn parse_binary(bytes: &[u8]) -> Result<Checkpoint, String> {
         let r = SnapReader::parse(bytes)?;
         let mut hdr = Cursor::new(SEC_CKPT_HEADER, r.section(SEC_CKPT_HEADER)?);
@@ -290,98 +274,9 @@ impl Checkpoint {
             tree,
         })
     }
-
-    /// Parse a checkpoint file in any supported format: `pardfs-snap` v2 or
-    /// v1 binary (sniffed by their leading magic bytes) or the legacy
-    /// line-oriented text format older builds wrote.
-    pub fn parse_any(bytes: &[u8]) -> Result<Checkpoint, String> {
-        if bytes.starts_with(&SNAP_MAGIC) || bytes.starts_with(&SNAP_MAGIC_V2) {
-            return Self::parse_binary(bytes);
-        }
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| "checkpoint is neither pardfs-snap binary nor UTF-8 text".to_string())?;
-        Self::parse(text)
-    }
-
-    /// Render the checkpoint in the **legacy text** format: header lines,
-    /// the graph and tree snapshot sections, and a whole-file checksum line.
-    /// Kept for format documentation and back-compat tests; new checkpoints
-    /// are written with [`Checkpoint::render_binary`].
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{CHECKPOINT_MAGIC}");
-        let _ = writeln!(out, "epoch {}", self.epoch);
-        let _ = writeln!(out, "backend {}", self.backend);
-        let _ = writeln!(out, "fingerprint {:016x}", self.fingerprint);
-        out.push_str(&self.graph.render_snapshot());
-        out.push_str(&self.tree.render_snapshot());
-        let _ = writeln!(out, "checksum {:016x}", fnv1a64(out.as_bytes()));
-        out
-    }
-
-    /// Parse a checkpoint file, verifying the checksum and both snapshot
-    /// sections. A checkpoint is written atomically (tmp + rename), so any
-    /// damage here is storage corruption, never a torn write — callers
-    /// treat an error as fatal.
-    pub fn parse(text: &str) -> Result<Checkpoint, String> {
-        let (payload, tail) = text
-            .rsplit_once("checksum ")
-            .ok_or_else(|| "checkpoint missing its checksum line".to_string())?;
-        let recorded = u64::from_str_radix(tail.trim_end(), 16)
-            .map_err(|_| format!("bad checkpoint checksum value `{}`", tail.trim_end()))?;
-        if fnv1a64(payload.as_bytes()) != recorded {
-            return Err("checkpoint checksum mismatch (file is corrupt)".to_string());
-        }
-        let mut lines = payload.lines();
-        let magic = lines.next().unwrap_or_default();
-        if magic != CHECKPOINT_MAGIC {
-            return Err(format!(
-                "not a pardfs checkpoint (expected `{CHECKPOINT_MAGIC}`, got `{magic}`)"
-            ));
-        }
-        let epoch: u64 = lines
-            .next()
-            .and_then(|l| l.strip_prefix("epoch "))
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| "checkpoint missing `epoch <n>` line".to_string())?;
-        let backend = lines
-            .next()
-            .and_then(|l| l.strip_prefix("backend "))
-            .ok_or_else(|| "checkpoint missing `backend <name>` line".to_string())?
-            .to_string();
-        let fingerprint = lines
-            .next()
-            .and_then(|l| l.strip_prefix("fingerprint "))
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| "checkpoint missing `fingerprint <hex16>` line".to_string())?;
-        // The two snapshot sections are delimited by their own end markers.
-        let rest = &payload[payload
-            .find("\ngraph ")
-            .ok_or_else(|| "checkpoint missing its graph section".to_string())?
-            + 1..];
-        let graph_end = rest
-            .find("graph-end\n")
-            .ok_or_else(|| "checkpoint graph section missing `graph-end`".to_string())?
-            + "graph-end\n".len();
-        let graph = Graph::parse_snapshot(&rest[..graph_end])?;
-        let tree = TreeIndex::parse_snapshot(&rest[graph_end..])?;
-        if tree.fingerprint() != fingerprint {
-            return Err(format!(
-                "checkpoint for epoch {epoch}: loaded tree fingerprint {:016x} disagrees with recorded {fingerprint:016x}",
-                tree.fingerprint()
-            ));
-        }
-        Ok(Checkpoint {
-            epoch,
-            backend,
-            fingerprint,
-            graph,
-            tree,
-        })
-    }
 }
 
-/// A **borrowed, zero-copy view** of a `pardfs-snap v2` binary checkpoint:
+/// A **borrowed, zero-copy view** of a `pardfs-snap v2` checkpoint:
 /// the header fields plus [`GraphView`]/[`TreeView`]s over the mapped (or
 /// aligned in-memory) bytes.
 ///
@@ -415,7 +310,7 @@ impl Checkpoint {
 ///     graph: g,
 ///     tree,
 /// };
-/// let bytes = ckpt.render_binary(); // v2 container
+/// let bytes = ckpt.render_binary();
 /// let view = CheckpointView::parse(&bytes)?;
 /// assert_eq!(view.epoch, 9);
 /// assert_eq!(view.backend(), "sequential");
@@ -438,18 +333,11 @@ pub struct CheckpointView<'a> {
 }
 
 impl<'a> CheckpointView<'a> {
-    /// Validate a v2 binary checkpoint and borrow its state. Rejects v1
-    /// containers (their packed payloads are not alignment-safe to borrow —
-    /// use [`Checkpoint::parse_any`]) with an error saying so.
+    /// Validate a checkpoint and borrow its state. Anything that is not a
+    /// `pardfs-snap v2` checkpoint is rejected with the parser's described
+    /// error; nothing is guessed.
     pub fn parse(bytes: &'a [u8]) -> Result<CheckpointView<'a>, String> {
         let r = SnapReader::parse(bytes)?;
-        if r.version() < 2 {
-            return Err(
-                "zero-copy checkpoint views need a pardfs-snap v2 container; \
-                 parse v1 checkpoints with the materializing parser"
-                    .to_string(),
-            );
-        }
         let mut hdr = Cursor::new(SEC_CKPT_HEADER, r.section(SEC_CKPT_HEADER)?);
         let epoch = hdr.u64()?;
         let fingerprint = hdr.u64()?;
@@ -751,25 +639,16 @@ pub fn recover_with(
             config.dir.display()
         )
     })?;
-    // Open the checkpoint as a mapped, borrowed view when it is a v2
-    // container: one validation pass over the mapped bytes, **no** array
-    // materialization until the backend factory actually needs owned state.
-    // v1-binary and legacy-text checkpoints take the copying parser.
+    // Open the checkpoint as a mapped, borrowed view: one validation pass
+    // over the mapped bytes, **no** array materialization until the backend
+    // factory needs owned state. A file that is not a v2 checkpoint fails
+    // here, before anything in the directory is touched.
     let mapped = MappedSnapshot::open(&ckpt_path)
         .map_err(|e| format!("opening {}: {e}", ckpt_path.display()))?;
-    let ckpt_bytes = mapped.bytes();
-    let (ckpt_epoch, ckpt_fingerprint, graph, tree) = if ckpt_bytes.starts_with(&SNAP_MAGIC_V2) {
-        let view = CheckpointView::parse(ckpt_bytes)
-            .map_err(|e| format!("{}: {e}", ckpt_path.display()))?;
-        let (graph, tree) = view
-            .materialize()
-            .map_err(|e| format!("{}: {e}", ckpt_path.display()))?;
-        (view.epoch, view.fingerprint, graph, tree)
-    } else {
-        let ckpt = Checkpoint::parse_any(ckpt_bytes)
-            .map_err(|e| format!("{}: {e}", ckpt_path.display()))?;
-        (ckpt.epoch, ckpt.fingerprint, ckpt.graph, ckpt.tree)
-    };
+    let in_ckpt = |e: String| format!("{}: {e}", ckpt_path.display());
+    let view = CheckpointView::parse(mapped.bytes()).map_err(in_ckpt)?;
+    let (graph, tree) = view.materialize().map_err(in_ckpt)?;
+    let (ckpt_epoch, ckpt_fingerprint) = (view.epoch, view.fingerprint);
 
     let wal_path = config.dir.join(WAL_FILE);
     let wal_raw =
@@ -964,7 +843,7 @@ mod tests {
         let dfs = DynamicDfs::new(&g);
         let ckpt = Checkpoint::capture(9, &dfs);
         let bytes = ckpt.render_binary();
-        let parsed = Checkpoint::parse_any(&bytes).expect("own binary checkpoint parses");
+        let parsed = Checkpoint::parse_binary(&bytes).expect("own binary checkpoint parses");
         assert_eq!(parsed.epoch, ckpt.epoch);
         assert_eq!(parsed.backend, ckpt.backend);
         assert_eq!(parsed.fingerprint, ckpt.fingerprint);
@@ -977,45 +856,10 @@ mod tests {
         // Any single-byte flip breaks the whole-file checksum.
         let mut bad = bytes.clone();
         bad[bytes.len() / 2] ^= 1;
-        assert!(Checkpoint::parse_any(&bad)
+        assert!(Checkpoint::parse_binary(&bad)
             .expect_err("corrupt binary checkpoint rejected")
             .contains("checksum"));
-        assert!(Checkpoint::parse_any(&bytes[..bytes.len() - 7]).is_err());
-    }
-
-    #[test]
-    fn legacy_text_checkpoints_still_recover() {
-        // Simulate a durability directory written by an older build: a
-        // text-format checkpoint plus an empty (magic-only) WAL.
-        let dir = scratch_dir("legacy");
-        let g = generators::grid(4, 4);
-        let dfs = DynamicDfs::new(&g);
-        let ckpt = Checkpoint::capture(0, &dfs);
-        fs::write(dir.join(checkpoint_file_name(0)), ckpt.render()).unwrap();
-        fs::write(dir.join(WAL_FILE), format!("{WAL_MAGIC}\n")).unwrap();
-
-        let config = DurabilityConfig::new(&dir).policy(CheckpointPolicy::Manual);
-        let recovered = recover_with(&config, parallel_factory).expect("legacy dir recovers");
-        assert_eq!(recovered.stats.checkpoint_epoch, 0);
-        assert_eq!(
-            recovered.server.maintainer().tree().fingerprint(),
-            ckpt.fingerprint
-        );
-        // The recovered server commits and recovers again — the *new*
-        // checkpoint it eventually writes is binary, and both formats
-        // coexist in one history.
-        let mut server = recovered.server;
-        let fp = commit(&mut server, vec![Update::DeleteEdge(0, 1)]);
-        server.force_checkpoint().expect("manual checkpoint");
-        drop(server);
-        let ckpt_bytes = fs::read(dir.join(checkpoint_file_name(1))).unwrap();
-        assert!(
-            ckpt_bytes.starts_with(&SNAP_MAGIC_V2),
-            "new checkpoints are v2 binary"
-        );
-        let again = recover_with(&config, parallel_factory).expect("recovers from binary");
-        assert_eq!(again.server.maintainer().tree().fingerprint(), fp);
-        let _ = fs::remove_dir_all(&dir);
+        assert!(Checkpoint::parse_binary(&bytes[..bytes.len() - 7]).is_err());
     }
 
     #[test]
@@ -1073,28 +917,5 @@ mod tests {
         assert_eq!(recovered.stats.recovered_epoch, 5);
         assert_eq!(recovered.server.maintainer().tree().fingerprint(), last_fp);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_render_parse_round_trips() {
-        let g = generators::broom(6, 6);
-        let dfs = DynamicDfs::new(&g);
-        let ckpt = Checkpoint::capture(7, &dfs);
-        let text = ckpt.render();
-        let parsed = Checkpoint::parse(&text).expect("canonical checkpoint parses");
-        assert_eq!(parsed.epoch, ckpt.epoch);
-        assert_eq!(parsed.backend, ckpt.backend);
-        assert_eq!(parsed.fingerprint, ckpt.fingerprint);
-        assert_eq!(parsed.graph, ckpt.graph);
-        parsed
-            .tree
-            .structural_eq(&ckpt.tree)
-            .expect("identical tree");
-        assert_eq!(parsed.render(), text);
-        // Any single-byte flip breaks the whole-file checksum.
-        let bad = text.replacen("backend parallel", "backend porallel", 1);
-        assert!(Checkpoint::parse(&bad)
-            .expect_err("corrupt checkpoint rejected")
-            .contains("checksum"));
     }
 }

@@ -10,8 +10,8 @@ use pardfs::graph::updates::{random_update_sequence, UpdateMix};
 use pardfs::graph::{connected_components, generators, Graph, Update};
 use pardfs::{
     Backend, BatchReport, DfsMaintainer, DistributedDynamicDfs, DynamicDfs, EngineDfs,
-    FaultTolerantDfs, IndexMaintenanceStats, IndexPolicy, MaintainerBuilder, Model, Strategy,
-    StreamingDynamicDfs,
+    FaultTolerantDfs, ForestQuery, IndexMaintenanceStats, IndexPolicy, MaintainerBuilder, Model,
+    Snapshot, Strategy, StreamingDynamicDfs,
 };
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -290,4 +290,41 @@ fn patch_path_never_materializes_the_parent_array_on_any_engine_backend() {
             }
         }
     }
+}
+
+/// `u32::MAX` is the one user id the pseudo-root shift cannot map: it must
+/// read as an absent vertex on every query surface — each backend, a served
+/// snapshot, a partitioned view and a mapped epoch file — never wrap onto
+/// the pseudo root or overflow.
+#[test]
+fn forest_queries_on_the_top_vertex_id_answer_absent_on_every_surface() {
+    let g = generators::grid(4, 4);
+    let top = u32::MAX;
+    let check = |label: &str, q: &dyn ForestQuery| {
+        assert_eq!(q.forest_parent(top), None, "{label}: forest_parent(MAX)");
+        assert!(!q.same_component(0, top), "{label}: same_component(0, MAX)");
+        assert!(!q.same_component(top, 0), "{label}: same_component(MAX, 0)");
+        assert!(q.same_component(0, 15), "{label}: the grid is connected");
+    };
+    let dir = std::env::temp_dir().join(format!("pardfs-top-id-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for backend in Backend::all_default() {
+        let builder = MaintainerBuilder::new(backend);
+        let dfs = builder.build(&g);
+        let name = dfs.backend_name();
+        check(name, dfs.as_ref());
+        let snapshot = builder.serve_single(&g).read_handle().snapshot();
+        check(&format!("{name} snapshot"), &*snapshot);
+        let view = builder
+            .partitioned_shards(2)
+            .serve_partitioned(&g)
+            .read_handle()
+            .view();
+        check(&format!("{name} partitioned view"), &*view);
+        let path = dir.join(format!("{name}.epoch"));
+        snapshot.publish_to(&path).expect("epoch publishes");
+        let mapped = Snapshot::open_mapped(&path).expect("epoch opens");
+        check(&format!("{name} mapped epoch"), &mapped);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,4 @@
-//! Differential suite for the snapshot codecs: the legacy line-oriented
-//! text format, the `pardfs-snap v1` binary container and the v2
-//! (alignment-padded) container must all describe the same state, and a
+//! Differential suite for the `pardfs-snap v2` snapshot codecs: a
 //! binary-loaded structure must be indistinguishable from a freshly built
 //! one — not just equal at load time, but equally *usable* (further updates
 //! applied to both must keep them identical).
@@ -10,16 +8,13 @@
 //! * binary round trip ≡ identity for [`Graph`] and
 //!   [`pardfs::tree::TreeIndex`], including byte-stability of
 //!   `render(parse(render(x)))`;
-//! * text ↔ binary cross-codec equivalence: parsing one rendering and
-//!   re-rendering through the other converges;
 //! * a binary-loaded graph stays behaviourally identical under continued
 //!   mutation;
-//! * [`Checkpoint`] containers agree across **all three** codecs — and the
-//!   zero-copy [`CheckpointView`] over the v2 bytes materializes the same
-//!   state — for every backend;
+//! * a [`Checkpoint`]'s copying parse, the zero-copy [`CheckpointView`] over
+//!   the same bytes and the captured state agree, for every backend;
 //! * corruption at *every byte offset* and truncation at *every length* of
-//!   both binary generations is rejected rather than silently absorbed, by
-//!   the materializing parser and the view alike.
+//!   a checkpoint is rejected rather than silently absorbed, by the copying
+//!   parser and the view alike.
 
 use pardfs::graph::generators;
 use pardfs::seq::static_dfs_index;
@@ -77,44 +72,29 @@ fn binary_loaded_graph_is_indistinguishable_from_a_freshly_built_one() {
 }
 
 #[test]
-fn text_and_binary_graph_codecs_agree_and_binary_is_byte_stable() {
+fn graph_codec_round_trip_is_byte_stable() {
     let g = churned_graph(0xA11CE);
-    let via_text = Graph::parse_snapshot(&g.render_snapshot()).expect("text parses");
-    let via_binary = Graph::parse_snapshot_binary(&g.render_snapshot_binary()).expect("bin parses");
-    assert_eq!(via_text, via_binary, "codecs disagree about the graph");
-
-    // Cross-codec: text-loaded state re-rendered as binary must equal the
-    // direct binary rendering — and parse(render(x)) must be byte-stable.
     let bytes = g.render_snapshot_binary();
-    assert_eq!(via_text.render_snapshot_binary(), bytes);
+    let loaded = Graph::parse_snapshot_binary(&bytes).expect("own bytes parse");
+    assert_eq!(loaded, g, "binary round trip changed the graph");
     assert_eq!(
-        Graph::parse_snapshot_binary(&bytes)
-            .unwrap()
-            .render_snapshot_binary(),
+        loaded.render_snapshot_binary(),
         bytes,
         "binary rendering is not byte-stable across a round trip"
     );
 }
 
 #[test]
-fn text_and_binary_tree_codecs_agree_and_binary_is_byte_stable() {
+fn tree_codec_round_trip_is_byte_stable() {
     let g = churned_graph(0x7EE);
     let idx = static_dfs_index(&g, 0);
-    let via_text =
-        pardfs::tree::TreeIndex::parse_snapshot(&idx.render_snapshot()).expect("text parses");
-    let via_binary = pardfs::tree::TreeIndex::parse_snapshot_binary(&idx.render_snapshot_binary())
-        .expect("bin parses");
-    via_text
-        .structural_eq(&idx)
-        .expect("text round trip changed the tree");
-    via_binary
+    let bytes = idx.render_snapshot_binary();
+    let loaded = pardfs::tree::TreeIndex::parse_snapshot_binary(&bytes).expect("own bytes parse");
+    loaded
         .structural_eq(&idx)
         .expect("binary round trip changed the tree");
-    assert_eq!(via_binary.fingerprint(), idx.fingerprint());
-
-    let bytes = idx.render_snapshot_binary();
-    assert_eq!(via_text.render_snapshot_binary(), bytes);
-    assert_eq!(via_binary.render_snapshot_binary(), bytes);
+    assert_eq!(loaded.fingerprint(), idx.fingerprint());
+    assert_eq!(loaded.render_snapshot_binary(), bytes);
 }
 
 #[test]
@@ -132,14 +112,16 @@ fn checkpoint_codecs_agree_for_every_backend() {
         let mut dfs = MaintainerBuilder::new(backend).build(&g);
         dfs.apply_batch(&updates);
         let ckpt = Checkpoint::capture(7, dfs.as_ref());
-        let from_text = Checkpoint::parse(&ckpt.render()).expect("text checkpoint parses");
-        let from_v1 =
-            Checkpoint::parse_any(&ckpt.render_binary_v1()).expect("v1 checkpoint parses");
-        let v2 = ckpt.render_binary();
-        let from_v2 = Checkpoint::parse_any(&v2).expect("v2 checkpoint parses");
-        // The zero-copy view over the v2 bytes must materialize the same
-        // state the copying parsers produce.
-        let view = CheckpointView::parse(&v2).expect("v2 checkpoint validates as a view");
+        let bytes = ckpt.render_binary();
+        let copied = Checkpoint::parse_binary(&bytes).expect("checkpoint parses");
+        assert_eq!(
+            copied.render_binary(),
+            bytes,
+            "checkpoint is not byte-stable"
+        );
+        // The zero-copy view over the same bytes must materialize the state
+        // the copying parser produces.
+        let view = CheckpointView::parse(&bytes).expect("checkpoint validates as a view");
         assert_eq!(view.epoch, 7);
         assert_eq!(view.backend(), ckpt.backend);
         let (view_graph, view_tree) = view.materialize().expect("view materializes");
@@ -150,12 +132,7 @@ fn checkpoint_codecs_agree_for_every_backend() {
             graph: view_graph,
             tree: view_tree,
         };
-        for (label, loaded) in [
-            ("text", &from_text),
-            ("v1", &from_v1),
-            ("v2", &from_v2),
-            ("view", &from_view),
-        ] {
+        for (label, loaded) in [("copy", &copied), ("view", &from_view)] {
             assert_eq!(loaded.epoch, 7, "{label}: epoch");
             assert_eq!(loaded.backend, ckpt.backend, "{label}: backend");
             assert_eq!(loaded.fingerprint, ckpt.fingerprint, "{label}: fingerprint");
@@ -173,59 +150,39 @@ fn corrupting_any_region_of_a_binary_checkpoint_is_rejected() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xBAD);
     let g = generators::random_connected_gnm(48, 100, &mut rng);
     let dfs = MaintainerBuilder::new(Backend::Sequential).build(&g);
-    let ckpt = Checkpoint::capture(3, dfs.as_ref());
-    for (gen, bytes) in [
-        ("v1", ckpt.render_binary_v1()),
-        ("v2", ckpt.render_binary()),
-    ] {
-        assert!(
-            Checkpoint::parse_any(&bytes).is_ok(),
-            "{gen}: good bytes parse"
-        );
+    let bytes = Checkpoint::capture(3, dfs.as_ref()).render_binary();
+    assert!(Checkpoint::parse_binary(&bytes).is_ok(), "good bytes parse");
+    assert!(CheckpointView::parse(&bytes).is_ok(), "good bytes validate");
 
-        // Flip one byte at *every* offset of the file — magic, section
-        // table, alignment padding, each payload, checksum. Every flip must
-        // surface as an error through the materializing parser, and through
-        // the zero-copy view for v2: the whole-file checksum guards regions
-        // no structural validation reaches.
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x20;
-            assert!(
-                Checkpoint::parse_any(&bad).is_err(),
-                "{gen}: flip at byte {i}/{} was silently accepted",
-                bytes.len()
-            );
-            if gen == "v2" {
-                assert!(
-                    CheckpointView::parse(&bad).is_err(),
-                    "{gen}: flip at byte {i}/{} was accepted by the view",
-                    bytes.len()
-                );
-            }
-        }
-        // Truncation at *every* length is rejected too (never a partial
-        // load), by both paths.
-        for cut in 0..bytes.len() {
-            assert!(
-                Checkpoint::parse_any(&bytes[..cut]).is_err(),
-                "{gen}: truncation to {cut} bytes was silently accepted"
-            );
-            if gen == "v2" {
-                assert!(
-                    CheckpointView::parse(&bytes[..cut]).is_err(),
-                    "{gen}: truncation to {cut} bytes was accepted by the view"
-                );
-            }
-        }
-        // A v1 body never validates as a zero-copy view (no alignment
-        // guarantee to borrow against) — it must be *rejected*, not
-        // misread.
-        if gen == "v1" {
-            assert!(
-                CheckpointView::parse(&bytes).unwrap_err().contains("v2"),
-                "a v1 checkpoint must not open as a view"
-            );
-        }
+    // Flip one byte at *every* offset of the file — magic, section table,
+    // alignment padding, each payload, checksum. Every flip must surface as
+    // an error through the copying parser and through the zero-copy view:
+    // the whole-file checksum guards regions no structural validation
+    // reaches.
+    for i in 0..bytes.len() {
+        let mut bad = bytes.clone();
+        bad[i] ^= 0x20;
+        assert!(
+            Checkpoint::parse_binary(&bad).is_err(),
+            "flip at byte {i}/{} was silently accepted",
+            bytes.len()
+        );
+        assert!(
+            CheckpointView::parse(&bad).is_err(),
+            "flip at byte {i}/{} was accepted by the view",
+            bytes.len()
+        );
+    }
+    // Truncation at *every* length is rejected too (never a partial load),
+    // by both paths.
+    for cut in 0..bytes.len() {
+        assert!(
+            Checkpoint::parse_binary(&bytes[..cut]).is_err(),
+            "truncation to {cut} bytes was silently accepted"
+        );
+        assert!(
+            CheckpointView::parse(&bytes[..cut]).is_err(),
+            "truncation to {cut} bytes was accepted by the view"
+        );
     }
 }

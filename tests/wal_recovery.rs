@@ -13,6 +13,11 @@
 //! must refuse with a hard error naming the epoch — resuming past silent
 //! corruption would serve a wrong tree as if it were durable).
 //!
+//! Format coverage: a directory whose latest checkpoint is not a
+//! `pardfs-snap v2` container (a legacy text checkpoint, or a container with
+//! the first binary version's magic) must be refused with an error naming
+//! the file, leaving `wal.log` and the checkpoint byte-identical.
+//!
 //! The `--ignored` deep sweep replays one trace killed at **every** batch
 //! boundary on every backend (nightly CI; set `WAL_SWEEP_DIR` to keep the
 //! roll-up summary as an artifact).
@@ -289,119 +294,73 @@ fn flipping_one_byte_of_an_interior_record_fails_recovery_naming_the_epoch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Back-compat pin: a durability directory whose checkpoint was written by a
-/// pre-binary deployment (legacy text format) must still recover, replay the
-/// WAL on top, and carry on — with the *next* checkpoint written in the
-/// current binary format. Recovery sniffs the format per file; nothing in the
-/// directory says which codec wrote it.
-#[test]
-fn legacy_text_checkpoints_recover_and_upgrade_to_binary() {
+/// Recover a directory whose latest checkpoint has been replaced by
+/// `foreign` (a file in a format recovery no longer reads) and demand a
+/// described refusal: an `Err` naming the checkpoint file, with `wal.log`
+/// and the checkpoint left byte-identical — nothing is truncated, rewritten
+/// or replayed on the strength of a file recovery cannot read.
+fn assert_refused_untouched(foreign: impl FnOnce(Vec<u8>) -> Vec<u8>) {
     let (_, trace) = corpus_traces()
         .into_iter()
         .find(|(name, _)| name.starts_with("merge-split-storm"))
         .expect("merge-split-storm trace is in the corpus");
-    let commits = 3;
-    let (dir, _, fingerprints) = seeded_wal_run(&trace, commits);
-
-    // Rewrite the attach-time checkpoint (epoch 0) as the legacy text
-    // rendering of the same state — exactly what a pre-binary deployment
-    // would have left on disk.
+    let (dir, wal, _) = seeded_wal_run(&trace, 3);
     let ckpt_path = dir.join(format!("checkpoint-{:016x}.ckpt", 0));
-    let bytes = std::fs::read(&ckpt_path).expect("attach checkpoint exists");
-    let ckpt = pardfs::wal::Checkpoint::parse_any(&bytes).expect("own checkpoint parses");
-    std::fs::write(&ckpt_path, ckpt.render()).expect("downgrade checkpoint to text");
+    let current = std::fs::read(&ckpt_path).expect("attach checkpoint exists");
+    let planted = foreign(current);
+    std::fs::write(&ckpt_path, &planted).expect("plant the foreign checkpoint");
 
-    let builder = MaintainerBuilder::new(Backend::Parallel);
     let config = DurabilityConfig::new(&dir).policy(CheckpointPolicy::Manual);
-    let recovered = builder
-        .recover(&config)
-        .expect("legacy text checkpoint recovers");
-    assert_eq!(recovered.stats.recovered_epoch, commits as u64);
-    let mut server = recovered.server;
-    assert_eq!(
-        tree_fingerprint(server.maintainer()),
-        fingerprints[commits],
-        "recovery from a text checkpoint landed on the wrong tree"
-    );
-
-    // The next checkpoint this deployment takes is written in the current
-    // binary format — the directory upgrades codec by codec.
-    server
-        .force_checkpoint()
-        .expect("post-recovery checkpoint succeeds");
-    let new_ckpt = std::fs::read(dir.join(format!("checkpoint-{commits:016x}.ckpt")))
-        .expect("forced checkpoint exists");
+    let err = match MaintainerBuilder::new(Backend::Parallel).recover(&config) {
+        Err(e) => e,
+        Ok(_) => panic!("recovery accepted a checkpoint it cannot read"),
+    };
     assert!(
-        new_ckpt.starts_with(&pardfs::graph::snap::SNAP_MAGIC_V2),
-        "post-recovery checkpoint is not in the current (v2) binary format"
+        err.contains(&ckpt_path.display().to_string()),
+        "error does not name the checkpoint: {err}"
     );
-
-    // And the recovered server keeps serving: drive the rest of the trace
-    // and land on the undisturbed trajectory.
-    let batches = update_batches(&trace);
-    let writer = server.write_handle();
-    for batch in &batches[commits..] {
-        writer.submit(batch.clone());
-        server.commit().expect("post-recovery commit");
-    }
-    let (_, outcome) = MaintainerBuilder::new(Backend::Parallel).run_scenario(&trace);
+    assert!(
+        err.contains("not a pardfs-snap v2 container"),
+        "error does not say why the checkpoint was refused: {err}"
+    );
     assert_eq!(
-        tree_fingerprint(server.maintainer()),
-        outcome.tree_fingerprint,
-        "trajectory after text-checkpoint recovery diverged"
+        std::fs::read(dir.join("wal.log")).expect("wal survives"),
+        wal,
+        "a refused recovery modified wal.log"
     );
-    drop(writer);
-    drop(server);
+    assert_eq!(
+        std::fs::read(&ckpt_path).expect("checkpoint survives"),
+        planted,
+        "a refused recovery modified the checkpoint"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Back-compat pin for the *first* binary generation: a durability directory
-/// whose checkpoint is a `pardfs-snap` **v1** container (what PR 8
-/// deployments wrote) must keep recovering now that new checkpoints are v2 —
-/// and, as with the text pin above, upgrade to v2 at the next checkpoint.
+/// A line-oriented text checkpoint, the format of the earliest builds, is
+/// refused rather than recovered.
 #[test]
-fn v1_binary_checkpoints_recover_and_upgrade_to_v2() {
-    let (_, trace) = corpus_traces()
-        .into_iter()
-        .find(|(name, _)| name.starts_with("merge-split-storm"))
-        .expect("merge-split-storm trace is in the corpus");
-    let commits = 3;
-    let (dir, _, fingerprints) = seeded_wal_run(&trace, commits);
+fn legacy_text_checkpoints_are_refused_untouched() {
+    assert_refused_untouched(|_| {
+        "pardfs-checkpoint v1\nepoch 0\nbackend parallel\nfingerprint 0000000000000000\n\
+         graph 2 1\nadj 0 1\nadj 1 0\ngraph-end\ntree 0 2\nparents 0 0\ntree-end\n\
+         checksum 0000000000000000\n"
+            .as_bytes()
+            .to_vec()
+    });
+}
 
-    // Rewrite the attach-time checkpoint as the v1 rendering of the same
-    // state — byte-for-byte what a PR 8 deployment left on disk.
-    let ckpt_path = dir.join(format!("checkpoint-{:016x}.ckpt", 0));
-    let bytes = std::fs::read(&ckpt_path).expect("attach checkpoint exists");
-    assert!(
-        bytes.starts_with(&pardfs::graph::snap::SNAP_MAGIC_V2),
-        "freshly written checkpoints are v2"
-    );
-    let ckpt = pardfs::wal::Checkpoint::parse_any(&bytes).expect("own checkpoint parses");
-    std::fs::write(&ckpt_path, ckpt.render_binary_v1()).expect("downgrade checkpoint to v1");
-
-    let builder = MaintainerBuilder::new(Backend::Parallel);
-    let config = DurabilityConfig::new(&dir).policy(CheckpointPolicy::Manual);
-    let recovered = builder
-        .recover(&config)
-        .expect("v1 binary checkpoint recovers");
-    assert_eq!(recovered.stats.recovered_epoch, commits as u64);
-    let mut server = recovered.server;
-    assert_eq!(
-        tree_fingerprint(server.maintainer()),
-        fingerprints[commits],
-        "recovery from a v1 checkpoint landed on the wrong tree"
-    );
-    server
-        .force_checkpoint()
-        .expect("post-recovery checkpoint succeeds");
-    let new_ckpt = std::fs::read(dir.join(format!("checkpoint-{commits:016x}.ckpt")))
-        .expect("forced checkpoint exists");
-    assert!(
-        new_ckpt.starts_with(&pardfs::graph::snap::SNAP_MAGIC_V2),
-        "post-recovery checkpoint did not upgrade to v2"
-    );
-    drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
+/// A container carrying the first binary version's magic is refused by the
+/// magic check, before its table or checksum is trusted.
+#[test]
+fn v1_binary_checkpoints_are_refused_untouched() {
+    assert_refused_untouched(|mut bytes| {
+        assert!(
+            bytes.starts_with(&pardfs::graph::snap::SNAP_MAGIC_V2),
+            "freshly written checkpoints are v2"
+        );
+        bytes[7] = b'1'; // the version digit of the magic
+        bytes
+    });
 }
 
 /// Nightly deep sweep: one trace, every backend, killed at **every** batch

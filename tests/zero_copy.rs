@@ -82,7 +82,7 @@ fn view_backed_reads_copy_zero_array_bytes() {
     // charge at least the three u32 array payloads (adjacency, degrees,
     // parents). This is what makes the zero above meaningful. ---
     let before = copied_array_bytes();
-    let loaded = Checkpoint::parse_any(&v2).expect("materializing parse");
+    let loaded = Checkpoint::parse_binary(&v2).expect("materializing parse");
     let floor = 4 * (2 * loaded.graph.num_edges() + 2 * loaded.graph.capacity()) as u64;
     assert!(
         copied_array_bytes() >= before + floor,
