@@ -100,8 +100,8 @@ pub fn drive(dfs: &mut dyn DfsMaintainer, updates: &[Update]) -> DriveSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::{workload, Family, Workload};
     use pardfs::{Backend, MaintainerBuilder};
+    use pardfs_workload::{workload, Family, Workload};
 
     #[test]
     fn drive_collects_one_report_per_update() {

@@ -9,7 +9,6 @@
 
 use crate::driver::{drive, DriveSummary};
 use crate::table::{BenchRecord, Table};
-use crate::workloads::{edge_workload, rng, workload, Family, Workload};
 use pardfs::congest::network::diameter;
 use pardfs::core::FaultTolerantDfs;
 use pardfs::graph::updates::{random_update_sequence, UpdateKind, UpdateMix};
@@ -20,9 +19,10 @@ use pardfs::seq::static_dfs::static_dfs;
 use pardfs::tree::TreeIndex;
 use pardfs::{
     Backend, CheckpointPolicy, ConcurrentOutcome, ConcurrentScenarioRunner, DfsMaintainer,
-    DurabilityConfig, IndexPolicy, MaintainerBuilder, RebuildPolicy, Scenario, Strategy,
+    DurabilityConfig, IndexPolicy, MaintainerBuilder, RebuildPolicy, Scenario, Server, Strategy,
     StreamingDfsExt,
 };
+use pardfs_workload::{edge_workload, rng, workload, Family, Workload};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -896,7 +896,8 @@ pub fn e13_serving_throughput(scale: Scale) -> Table {
             let best = (0..2)
                 .map(|_| {
                     let dfs = MaintainerBuilder::new(backend).build(&trace.initial_graph());
-                    let run = ConcurrentScenarioRunner::new(&trace, readers).run(dfs);
+                    let (_, run) =
+                        ConcurrentScenarioRunner::new(&trace, readers).run(Server::new(dfs));
                     assert_eq!(
                         run.torn_snapshots, 0,
                         "torn snapshot observed serving {} with {readers} readers",
@@ -1332,7 +1333,7 @@ pub fn e17_write_amplification(scale: Scale) -> Table {
                         let router = MaintainerBuilder::new(backend)
                             .shards(k)
                             .serve(&trace.initial_graph());
-                        runner.run_replicated(router).1
+                        runner.run(router).1
                     })
                     .max_by(|a, b| a.queries_per_sec().total_cmp(&b.queries_per_sec()))
                     .expect("two runs recorded");
@@ -1341,7 +1342,7 @@ pub fn e17_write_amplification(scale: Scale) -> Table {
                         let router = MaintainerBuilder::new(backend)
                             .partitioned_shards(k)
                             .serve_partitioned(&trace.initial_graph());
-                        runner.run_partitioned(router)
+                        runner.run(router)
                     })
                     .max_by(|(_, a), (_, b)| a.queries_per_sec().total_cmp(&b.queries_per_sec()))
                     .expect("two runs recorded");

@@ -14,7 +14,6 @@ pub mod driver;
 pub mod experiments;
 pub mod gate;
 pub mod table;
-pub mod workloads;
 
 pub use driver::{drive, DriveSummary};
 pub use experiments::*;

@@ -267,8 +267,63 @@ mod tests {
     use pardfs_core::Strategy;
     use pardfs_graph::generators;
     use pardfs_graph::updates::{random_update_sequence, UpdateMix};
+    use pardfs_query::StructureD;
+    use pardfs_seq::static_dfs::static_dfs;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn broadcast_oracle_matches_structure_d() {
+        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let g = generators::random_connected_gnm(60, 180, &mut rng);
+        let mut aug = AugmentedGraph::new(&g);
+        let proot = aug.pseudo_root();
+        let idx = TreeIndex::build(&static_dfs(aug.graph(), proot));
+        let mut d = StructureD::build(aug.graph(), idx.clone());
+        // A vertex inserted after the tree was built: `D` knows it only
+        // through its overlay, which must also carry the pseudo edge the
+        // augmentation adds (as `note_update` records it).
+        let insert = aug.translate(&Update::InsertVertex {
+            edges: vec![3, 17, 42],
+        });
+        let fresh = aug.apply_internal(&insert).expect("an inserted vertex");
+        let Update::InsertVertex { edges } = &insert else {
+            unreachable!("translated from an insertion");
+        };
+        d.note_insert_vertex(fresh, edges);
+        d.note_insert_edge(fresh, proot);
+
+        let verts = idx.pre_order_vertices();
+        let mut queries: Vec<VertexQuery> = (0..300)
+            .map(|_| {
+                let w = verts[rng.gen_range(0..verts.len())];
+                let a = verts[rng.gen_range(0..verts.len())];
+                let anc = idx.ancestor_at_level(a, rng.gen_range(0..=idx.level(a)));
+                if rng.gen_bool(0.5) {
+                    VertexQuery::new(w, a, anc)
+                } else {
+                    VertexQuery::new(w, anc, a)
+                }
+            })
+            .collect();
+        // Singleton queries aimed at the vertex the tree does not contain,
+        // from its neighbours, the pseudo root and everyone else.
+        queries.extend(verts.iter().map(|&w| VertexQuery::new(w, fresh, fresh)));
+
+        let mut network = Network::new(&user_view(&aug), 4);
+        network.build_bfs_forest();
+        let network = Mutex::new(network);
+        let oracle = BroadcastOracle::new(aug.graph(), &idx, proot, &network);
+        let from_broadcast = oracle.answer_batch(&queries);
+        let from_d = d.answer_batch(&queries);
+        let answer = |h: &Option<EdgeHit>| h.map(|h| (h.on_path, h.rank_from_near));
+        for ((q, a), b) in queries.iter().zip(&from_broadcast).zip(&from_d) {
+            assert_eq!(answer(a), answer(b), "query {q:?}");
+        }
+        let hits = from_d[300..].iter().filter(|h| h.is_some()).count();
+        assert_eq!(hits, 4, "three neighbours and the pseudo root reach it");
+        assert_eq!(network.into_inner().finish().broadcast_phases, 1);
+    }
 
     #[test]
     fn distributed_maintainer_stays_valid() {

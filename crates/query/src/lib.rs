@@ -26,10 +26,11 @@
 //! * [`VertexQuery`] / [`EdgeHit`] — the unit of work handed to an oracle;
 //! * [`QueryOracle`] — the batched-query trait implemented by `StructureD`
 //!   (shared memory), by the semi-streaming pass oracle (`pardfs-stream`) and
-//!   by the CONGEST broadcast oracle (`pardfs-congest`);
-//! * [`CountingOracle`] — a decorator counting batches/queries, used by the
-//!   experiment harness to verify the `O(log^2 n)` bound on sequential query
-//!   rounds (Theorem 3).
+//!   by the CONGEST broadcast oracle (`pardfs-congest`).
+//!
+//! The engine itself counts the query sets each update issues
+//! (`UpdateStats::total_query_sets`); experiment E3 checks the `O(log^2 n)`
+//! bound on sequential query rounds (Theorem 3) from those counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,5 +38,5 @@
 pub mod oracle;
 pub mod structure;
 
-pub use oracle::{CountingOracle, EdgeHit, OracleStats, QueryOracle, VertexQuery};
+pub use oracle::{EdgeHit, QueryOracle, VertexQuery};
 pub use structure::StructureD;

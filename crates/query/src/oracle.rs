@@ -2,7 +2,6 @@
 
 use pardfs_graph::Vertex;
 use pardfs_tree::TreeIndex;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One independent query: *among the edges of `w` incident on the oracle-tree
 /// path between `near` and `far`, return the one whose path endpoint is
@@ -41,20 +40,6 @@ pub struct EdgeHit {
     /// and the query's `near` endpoint; 0 means the hit is at `near` itself.
     /// Used to combine partial answers of a multi-vertex query.
     pub rank_from_near: u32,
-}
-
-/// Aggregate statistics of an oracle decorated with [`CountingOracle`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OracleStats {
-    /// Number of `answer_batch` calls (each is one "set of independent
-    /// queries" — one streaming pass / one broadcast phase).
-    pub batches: u64,
-    /// Total number of individual vertex queries.
-    pub queries: u64,
-    /// Largest batch seen.
-    pub max_batch: u64,
-    /// Number of answered (non-`None`) queries.
-    pub hits: u64,
 }
 
 /// A batched, read-only query answerer — what distinguishes the engine's
@@ -104,120 +89,5 @@ impl<O: QueryOracle + ?Sized> QueryOracle for &O {
         far: Vertex,
     ) -> Vec<(Vertex, Vertex)> {
         (**self).decompose_path(current, near, far)
-    }
-}
-
-/// Decorator that counts batches and queries flowing through an oracle.
-#[derive(Debug, Default)]
-pub struct CountingOracle<O> {
-    inner: O,
-    batches: AtomicU64,
-    queries: AtomicU64,
-    max_batch: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl<O> CountingOracle<O> {
-    /// Wrap an oracle.
-    pub fn new(inner: O) -> Self {
-        CountingOracle {
-            inner,
-            batches: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> OracleStats {
-        OracleStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset the counters.
-    pub fn reset(&self) {
-        self.batches.store(0, Ordering::Relaxed);
-        self.queries.store(0, Ordering::Relaxed);
-        self.max_batch.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-    }
-
-    /// Access the wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: QueryOracle> QueryOracle for CountingOracle<O> {
-    fn answer_batch(&self, queries: &[VertexQuery]) -> Vec<Option<EdgeHit>> {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.queries
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.max_batch
-            .fetch_max(queries.len() as u64, Ordering::Relaxed);
-        let out = self.inner.answer_batch(queries);
-        let hits = out.iter().filter(|h| h.is_some()).count() as u64;
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        out
-    }
-
-    fn decompose_path(
-        &self,
-        current: &TreeIndex,
-        near: Vertex,
-        far: Vertex,
-    ) -> Vec<(Vertex, Vertex)> {
-        self.inner.decompose_path(current, near, far)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct DummyOracle;
-    impl QueryOracle for DummyOracle {
-        fn answer_batch(&self, queries: &[VertexQuery]) -> Vec<Option<EdgeHit>> {
-            queries
-                .iter()
-                .map(|q| {
-                    if q.w % 2 == 0 {
-                        Some(EdgeHit {
-                            from: q.w,
-                            on_path: q.near,
-                            rank_from_near: 0,
-                        })
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        }
-    }
-
-    #[test]
-    fn counting_oracle_tracks_batches_and_hits() {
-        let oracle = CountingOracle::new(DummyOracle);
-        let qs: Vec<VertexQuery> = (0..5).map(|w| VertexQuery::new(w, 0, 0)).collect();
-        let out = oracle.answer_batch(&qs);
-        assert_eq!(out.len(), 5);
-        oracle.answer_batch(&qs[..2]);
-        let stats = oracle.stats();
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.queries, 7);
-        assert_eq!(stats.max_batch, 5);
-        assert_eq!(stats.hits, 3 + 1);
-        oracle.reset();
-        assert_eq!(oracle.stats(), OracleStats::default());
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! This is the in-memory realisation of the paper's Theorem 4 (Tarjan–Vishkin
 //! tree functions), Theorem 6 (parallel LCA) and Theorem 10 (the operations the
-//! rerooting algorithm needs on `T`). The EREW PRAM *cost accounting* for
-//! building these structures lives in `pardfs-pram`; here we care about
+//! rerooting algorithm needs on `T`). The paper's EREW PRAM bounds for
+//! building these structures are cited, not simulated; here we care about
 //! providing the queries in `O(1)`/`O(log n)` after an `O(n)` build.
 //!
 //! The index is no longer rebuilt from scratch after every committed update:

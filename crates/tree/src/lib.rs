@@ -26,9 +26,9 @@
 //!
 //! Index construction is `O(n)` work (plus `O(n log n)` for binary lifting)
 //! and parallelises trivially, matching the `O(log n)`-time, `n`-processor
-//! bound of Theorem 10 in the EREW PRAM cost model (see `pardfs-pram` for the
-//! explicit accounting); with delta-patching that cost is paid only when a
-//! patch falls back, not on every committed update.
+//! bound of Theorem 10 in the EREW PRAM cost model (the bound is cited, not
+//! simulated); with delta-patching that cost is paid only when a patch falls
+//! back, not on every committed update.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,30 +1,39 @@
 //! The [`ConcurrentScenarioRunner`]: drive a trace through the serving
-//! layer — one writer thread group-committing the trace's update batches,
-//! `M` reader threads replaying its query batches against live snapshots.
+//! layer — one writer thread committing the trace's update batches, `M`
+//! reader threads replaying its query batches against live views.
 //!
 //! This is the concurrent counterpart of the
 //! [`ScenarioRunner`](crate::runner::ScenarioRunner): the same trace, but
 //! the queries no longer serialize
-//! through `&mut` access to the maintainer. The writer submits each recorded
-//! update batch as one group-commit epoch (preserving the trace's
-//! `apply_batch` boundaries, so the per-epoch trees — and the final tree —
-//! are *identical* to a single-threaded replay of the same trace on the same
+//! through `&mut` access to the maintainer. The writer commits each recorded
+//! update batch as one epoch (preserving the trace's `apply_batch`
+//! boundaries, so the per-epoch trees — and the final tree — are
+//! *identical* to a single-threaded replay of the same trace on the same
 //! backend). Readers loop over the trace's query batches for the whole
-//! serving window, answering each batch against one coherent snapshot, and
-//! keep a torn-read census by recomputing every newly-observed snapshot's
-//! fingerprint against the server's epoch log.
+//! serving window, answering each batch against one coherent view, and
+//! keep a torn-read census by recomputing every newly-observed view's
+//! fingerprint against the epoch log.
+//!
+//! One loop serves every committer: whatever implements [`Served`] — a
+//! single [`Server`], a replicated [`ShardRouter`] or a partitioned
+//! [`PartitionedRouter`] — with readers holding the matching
+//! [`EpochReader`] (a [`ReadHandle`] or a [`RouterReadHandle`]).
 //!
 //! The headline metric is [`ConcurrentOutcome::queries_per_sec`]: aggregate
 //! queries answered across all readers over the serving wall-clock. E13
 //! benches it against the single-threaded runner's rate on the same trace.
 
 use crate::trace::{Trace, TraceBatch, TraceQuery};
-use pardfs_api::{BatchReport, DfsMaintainer, ForestQuery};
+use pardfs_api::ForestQuery;
+use pardfs_graph::Update;
 use pardfs_serve::{
-    EpochRecord, PartitionedRouter, ReadHandle, RouterReadHandle, Server, ShardRouter,
+    EpochRecord, PartitionedEpoch, PartitionedRouter, PartitionedView, ReadHandle,
+    RouterReadHandle, Server, ShardRouter, Snapshot,
 };
 use std::hint::black_box;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything one concurrent replay observed.
@@ -36,13 +45,14 @@ pub struct ConcurrentOutcome {
     pub backend: String,
     /// Number of reader threads.
     pub readers: usize,
-    /// The server's epoch log: epoch 0 (initial state) plus one record per
-    /// committed update batch, fingerprints included.
+    /// The committer's epoch log ([`Served::epoch_log`]): epoch 0 (initial
+    /// state) plus one record per committed update batch, fingerprints
+    /// included.
     pub epochs: Vec<EpochRecord>,
-    /// Updates applied across all epochs.
+    /// Distinct updates applied across all epochs.
     pub updates_applied: u64,
-    /// Wall-clock microseconds the writer spent (submit + group commit of
-    /// every update batch).
+    /// Wall-clock microseconds the writer spent committing every update
+    /// batch.
     pub writer_micros: u64,
     /// Wall-clock microseconds of the whole serving window (first submit to
     /// last reader exit).
@@ -51,13 +61,16 @@ pub struct ConcurrentOutcome {
     pub queries_answered: u64,
     /// Full passes over the trace's query batches, summed across readers.
     pub reader_passes: u64,
-    /// Observed snapshots whose recomputed fingerprint failed to match the
+    /// Observed views whose recomputed fingerprint failed to match the
     /// capture-time fingerprint or the epoch log — **must be zero**; any
     /// other value means a reader saw a torn tree.
     pub torn_snapshots: u64,
-    /// Fingerprint of the final tree (equals the single-threaded replay's
+    /// Fingerprint of the last logged epoch — the last record of
+    /// [`ConcurrentOutcome::epochs`]. On a clean run it equals the
+    /// single-threaded replay's
     /// [`tree_fingerprint`](crate::runner::tree_fingerprint) for the same
-    /// trace and backend). `0` when the writer died before finishing.
+    /// trace and backend; after a commit panic it is the last epoch readers
+    /// could observe, never the poisoned maintainer's unpublished state.
     pub final_fingerprint: u64,
     /// The panic message of a commit that blew up mid-replay (a poisoned
     /// maintainer, a failed durability log, ...), or `None` on a clean run.
@@ -82,15 +95,170 @@ impl ConcurrentOutcome {
     }
 }
 
+/// A committer the [`ConcurrentScenarioRunner`] replays a trace through:
+/// it commits one recorded update batch as one epoch, hands each reader
+/// thread its read handle, and keeps the epoch log.
+pub trait Served {
+    /// What a reader thread holds.
+    type Reader: EpochReader;
+
+    /// Backend name of the served maintainer(s).
+    fn backend(&self) -> &'static str;
+
+    /// The read handle of reader thread `i`.
+    fn reader(&self, i: usize) -> Self::Reader;
+
+    /// Commit `updates` as one epoch and return the number of distinct
+    /// updates it applied.
+    fn commit_batch(&mut self, updates: &[Update]) -> u64;
+
+    /// The epoch log so far: epoch 0 plus one record per committed batch.
+    fn epoch_log(&self) -> Vec<EpochRecord>;
+}
+
+/// The read side of a [`Served`] committer: the currently published view,
+/// its epoch, and the torn-read check.
+pub trait EpochReader: Send {
+    /// An immutable, epoch-consistent view of the served forest.
+    type View: ForestQuery;
+
+    /// The most recently published view.
+    fn current(&self) -> Arc<Self::View>;
+
+    /// The epoch `view` captures.
+    fn epoch_of(view: &Self::View) -> u64;
+
+    /// Is `view` torn? True when its recomputed fingerprint differs from
+    /// its capture-time fingerprint or from the epoch log's record of its
+    /// epoch (records are appended before views are published, so a
+    /// missing record is a violation too).
+    fn is_torn(&self, view: &Self::View) -> bool;
+}
+
+impl Served for Server {
+    type Reader = ReadHandle;
+
+    fn backend(&self) -> &'static str {
+        self.backend_name()
+    }
+
+    fn reader(&self, _i: usize) -> ReadHandle {
+        self.read_handle()
+    }
+
+    fn commit_batch(&mut self, updates: &[Update]) -> u64 {
+        self.write_handle().submit(updates.to_vec());
+        let stats = self.commit().expect("the batch submitted above is queued");
+        stats.record.updates as u64
+    }
+
+    fn epoch_log(&self) -> Vec<EpochRecord> {
+        self.epochs()
+    }
+}
+
+/// The replicated group broadcasts each batch to every shard as one epoch.
+/// Reader `i` is pinned to shard `i mod k` (every shard is a full replica,
+/// so any shard answers any query authoritatively), and the log and the
+/// applied count are shard 0's: replication multiplies the applied work by
+/// the shard count, not the number of logical updates, and E17 reports the
+/// amplification from that invariant rather than from a counter.
+impl Served for ShardRouter {
+    type Reader = ReadHandle;
+
+    fn backend(&self) -> &'static str {
+        self.servers()[0].backend_name()
+    }
+
+    fn reader(&self, i: usize) -> ReadHandle {
+        self.read_handle(i % self.num_shards())
+    }
+
+    fn commit_batch(&mut self, updates: &[Update]) -> u64 {
+        self.commit(updates)[0].record.updates as u64
+    }
+
+    fn epoch_log(&self) -> Vec<EpochRecord> {
+        self.servers()[0].epochs()
+    }
+}
+
+/// The partitioned router routes each batch as one router epoch; its log
+/// records are projected through [`PartitionedEpoch::as_epoch_record`].
+impl Served for PartitionedRouter {
+    type Reader = RouterReadHandle;
+
+    fn backend(&self) -> &'static str {
+        self.servers()[0].backend_name()
+    }
+
+    fn reader(&self, _i: usize) -> RouterReadHandle {
+        self.read_handle()
+    }
+
+    fn commit_batch(&mut self, updates: &[Update]) -> u64 {
+        self.commit(updates)
+            .expect("trace batches are non-empty")
+            .updates as u64
+    }
+
+    fn epoch_log(&self) -> Vec<EpochRecord> {
+        self.read_handle()
+            .epochs()
+            .iter()
+            .map(PartitionedEpoch::as_epoch_record)
+            .collect()
+    }
+}
+
+impl EpochReader for ReadHandle {
+    type View = Snapshot;
+
+    fn current(&self) -> Arc<Snapshot> {
+        self.snapshot()
+    }
+
+    fn epoch_of(snap: &Snapshot) -> u64 {
+        snap.epoch()
+    }
+
+    fn is_torn(&self, snap: &Snapshot) -> bool {
+        let recomputed = snap.tree().fingerprint();
+        recomputed != snap.fingerprint()
+            || self.recorded_fingerprint(snap.epoch()) != Some(recomputed)
+    }
+}
+
+/// A partitioned view is checked by re-assembling the forest across all
+/// shards.
+impl EpochReader for RouterReadHandle {
+    type View = PartitionedView;
+
+    fn current(&self) -> Arc<PartitionedView> {
+        self.view()
+    }
+
+    fn epoch_of(view: &PartitionedView) -> u64 {
+        view.epoch()
+    }
+
+    fn is_torn(&self, view: &PartitionedView) -> bool {
+        let recomputed = view.recompute_fingerprint();
+        recomputed != view.fingerprint()
+            || self.recorded_fingerprint(view.epoch()) != Some(recomputed)
+    }
+}
+
 /// What one reader thread tallied.
+#[derive(Default)]
 struct ReaderTally {
     queries: u64,
     passes: u64,
     torn: u64,
 }
 
-/// Drives a maintainer through a trace behind a [`Server`], with `M`
-/// concurrent readers.
+/// Drives a trace through any [`Served`] committer with `M` concurrent
+/// readers.
 #[derive(Debug, Clone, Copy)]
 pub struct ConcurrentScenarioRunner<'a> {
     trace: &'a Trace,
@@ -111,155 +279,29 @@ impl<'a> ConcurrentScenarioRunner<'a> {
         self.trace
     }
 
-    /// Replay the trace on `dfs` (which must have been built over
-    /// [`Trace::initial_graph`]) behind a server. The calling thread becomes
-    /// the writer; reader threads run until the writer is done and each has
-    /// completed at least one full pass over the query batches.
-    pub fn run(&self, dfs: Box<dyn DfsMaintainer>) -> ConcurrentOutcome {
-        let backend = dfs.backend_name().to_string();
-        let mut server = Server::new(dfs);
-        let read_handle = server.read_handle();
-        let write_handle = server.write_handle();
-
-        let query_batches: Vec<&[TraceQuery]> = self
-            .trace
-            .phases
-            .iter()
-            .flat_map(|p| &p.batches)
+    /// Replay the trace through `served` (whose maintainers must have been
+    /// built over [`Trace::initial_graph`]) — `Server::new(dfs)`, a
+    /// [`ShardRouter`] or a [`PartitionedRouter`]. The calling thread
+    /// becomes the writer; reader threads run until the writer is done and
+    /// each has completed at least one full pass over the query batches.
+    /// The committer is handed back with the outcome, so callers can
+    /// inspect it afterwards (a router's
+    /// [`RoutingStats`](pardfs_api::RoutingStats), say).
+    pub fn run<S: Served>(&self, mut served: S) -> (S, ConcurrentOutcome) {
+        let batches = || self.trace.phases.iter().flat_map(|p| &p.batches);
+        let query_batches: Vec<&[TraceQuery]> = batches()
             .filter_map(|b| match b {
                 TraceBatch::Queries(qs) => Some(qs.as_slice()),
                 TraceBatch::Updates(_) => None,
             })
             .collect();
-        let update_batches: Vec<&[pardfs_graph::Update]> = self
-            .trace
-            .phases
-            .iter()
-            .flat_map(|p| &p.batches)
+        let update_batches: Vec<&[Update]> = batches()
             .filter_map(|b| match b {
                 TraceBatch::Updates(us) => Some(us.as_slice()),
                 TraceBatch::Queries(_) => None,
             })
             .collect();
-
-        let done = AtomicBool::new(false);
-        let start = Instant::now();
-        let mut merged = BatchReport::default();
-        let mut writer_micros = 0u64;
-        let mut tallies: Vec<ReaderTally> = Vec::with_capacity(self.readers);
-        let mut commit_error: Option<String> = None;
-        let mut reader_panics = 0u64;
-
-        std::thread::scope(|scope| {
-            let reader_threads: Vec<_> = (0..self.readers)
-                .map(|_| {
-                    let handle = read_handle.clone();
-                    let done = &done;
-                    let batches = &query_batches;
-                    scope.spawn(move || reader_loop(handle, batches, done))
-                })
-                .collect();
-
-            // The calling thread is the writer: one group-commit epoch per
-            // recorded update batch, preserving the trace's `apply_batch`
-            // boundaries so every epoch's tree matches a single-threaded
-            // replay of the same prefix. A commit that panics (poisoned
-            // maintainer, failed durability log) must not take the runner
-            // down with it mid-scope — the readers still need their `done`
-            // signal and an orderly join, and the caller gets the failure
-            // as `commit_error` on the outcome.
-            let writer_start = Instant::now();
-            for batch in &update_batches {
-                write_handle.submit(batch.to_vec());
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    server
-                        .commit()
-                        .expect("the batch submitted above is queued")
-                }));
-                match result {
-                    Ok(stats) => merged.merge(stats.report),
-                    Err(panic) => {
-                        commit_error = Some(panic_message(panic.as_ref()));
-                        break;
-                    }
-                }
-            }
-            writer_micros = writer_start.elapsed().as_micros() as u64;
-            done.store(true, Ordering::Release);
-
-            for thread in reader_threads {
-                match thread.join() {
-                    Ok(tally) => tallies.push(tally),
-                    Err(_) => reader_panics += 1,
-                }
-            }
-        });
-        let wall_micros = (start.elapsed().as_micros() as u64).max(1);
-        drop(write_handle);
-
-        // After a mid-commit panic the maintainer's state is suspect; even
-        // reading its tree may blow up. The fingerprint is diagnostics, not
-        // ground truth, so fall back to 0 rather than panic on the way out.
-        let final_fingerprint = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            server.maintainer().tree().fingerprint()
-        }))
-        .unwrap_or(0);
-
-        ConcurrentOutcome {
-            scenario: self.trace.scenario.clone(),
-            backend,
-            readers: self.readers,
-            epochs: server.epochs(),
-            updates_applied: merged.applied() as u64,
-            writer_micros,
-            wall_micros,
-            queries_answered: tallies.iter().map(|t| t.queries).sum(),
-            reader_passes: tallies.iter().map(|t| t.passes).sum(),
-            torn_snapshots: tallies.iter().map(|t| t.torn).sum(),
-            final_fingerprint,
-            commit_error,
-            reader_panics,
-        }
-    }
-
-    /// Replay the trace through a **partitioned** router (which must have
-    /// been built over [`Trace::initial_graph`]) — the partitioned
-    /// counterpart of [`ConcurrentScenarioRunner::run`]: the calling thread
-    /// routes and commits each recorded update batch as one router epoch,
-    /// readers replay the query batches against published
-    /// [`PartitionedView`](pardfs_serve::PartitionedView)s and keep the
-    /// same torn-read census (recomputing each newly observed view's
-    /// assembled fingerprint against the router's epoch log). The router is
-    /// returned alongside the outcome so callers can inspect its
-    /// [`RoutingStats`](pardfs_api::RoutingStats) — the per-shard
-    /// write-amplification numbers E17 tables.
-    pub fn run_partitioned(
-        &self,
-        mut router: PartitionedRouter,
-    ) -> (PartitionedRouter, ConcurrentOutcome) {
-        let backend = router.servers()[0].backend_name().to_string();
-        let read_handle = router.read_handle();
-
-        let query_batches: Vec<&[TraceQuery]> = self
-            .trace
-            .phases
-            .iter()
-            .flat_map(|p| &p.batches)
-            .filter_map(|b| match b {
-                TraceBatch::Queries(qs) => Some(qs.as_slice()),
-                TraceBatch::Updates(_) => None,
-            })
-            .collect();
-        let update_batches: Vec<&[pardfs_graph::Update]> = self
-            .trace
-            .phases
-            .iter()
-            .flat_map(|p| &p.batches)
-            .filter_map(|b| match b {
-                TraceBatch::Updates(us) => Some(us.as_slice()),
-                TraceBatch::Queries(_) => None,
-            })
-            .collect();
+        let handles: Vec<S::Reader> = (0..self.readers).map(|i| served.reader(i)).collect();
 
         let done = AtomicBool::new(false);
         let start = Instant::now();
@@ -270,127 +312,27 @@ impl<'a> ConcurrentScenarioRunner<'a> {
         let mut reader_panics = 0u64;
 
         std::thread::scope(|scope| {
-            let reader_threads: Vec<_> = (0..self.readers)
-                .map(|_| {
-                    let handle = read_handle.clone();
-                    let done = &done;
-                    let batches = &query_batches;
-                    scope.spawn(move || partitioned_reader_loop(handle, batches, done))
-                })
-                .collect();
-
-            let writer_start = Instant::now();
-            for batch in &update_batches {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    router.commit(batch).expect("trace batches are non-empty")
-                }));
-                match result {
-                    Ok(record) => updates_applied += record.updates as u64,
-                    Err(panic) => {
-                        commit_error = Some(panic_message(panic.as_ref()));
-                        break;
-                    }
-                }
-            }
-            writer_micros = writer_start.elapsed().as_micros() as u64;
-            done.store(true, Ordering::Release);
-
-            for thread in reader_threads {
-                match thread.join() {
-                    Ok(tally) => tallies.push(tally),
-                    Err(_) => reader_panics += 1,
-                }
-            }
-        });
-        let wall_micros = (start.elapsed().as_micros() as u64).max(1);
-        let final_fingerprint = read_handle.view().fingerprint();
-
-        let outcome = ConcurrentOutcome {
-            scenario: self.trace.scenario.clone(),
-            backend,
-            readers: self.readers,
-            epochs: read_handle
-                .epochs()
-                .iter()
-                .map(|e| e.as_epoch_record())
-                .collect(),
-            updates_applied,
-            writer_micros,
-            wall_micros,
-            queries_answered: tallies.iter().map(|t| t.queries).sum(),
-            reader_passes: tallies.iter().map(|t| t.passes).sum(),
-            torn_snapshots: tallies.iter().map(|t| t.torn).sum(),
-            final_fingerprint,
-            commit_error,
-            reader_panics,
-        };
-        (router, outcome)
-    }
-
-    /// Replay the trace through a **replicated** (v1) [`ShardRouter`] — the
-    /// broadcast counterpart of [`ConcurrentScenarioRunner::run_partitioned`]
-    /// and the other half of the E17 write-amplification comparison. The
-    /// calling thread broadcasts each recorded update batch to every shard
-    /// as one epoch; reader `i` is pinned to shard `i mod k` (every shard is
-    /// a full replica, so any shard answers any query authoritatively) and
-    /// keeps the usual torn-read census against that shard's epoch log.
-    ///
-    /// `updates_applied` on the outcome counts *distinct* updates (shard 0's
-    /// commits) — replication multiplies the applied work by the shard
-    /// count, not the number of logical updates, and E17 reports the
-    /// amplification from that invariant rather than from a counter.
-    pub fn run_replicated(&self, mut router: ShardRouter) -> (ShardRouter, ConcurrentOutcome) {
-        let backend = router.servers()[0].backend_name().to_string();
-
-        let query_batches: Vec<&[TraceQuery]> = self
-            .trace
-            .phases
-            .iter()
-            .flat_map(|p| &p.batches)
-            .filter_map(|b| match b {
-                TraceBatch::Queries(qs) => Some(qs.as_slice()),
-                TraceBatch::Updates(_) => None,
-            })
-            .collect();
-        let update_batches: Vec<&[pardfs_graph::Update]> = self
-            .trace
-            .phases
-            .iter()
-            .flat_map(|p| &p.batches)
-            .filter_map(|b| match b {
-                TraceBatch::Updates(us) => Some(us.as_slice()),
-                TraceBatch::Queries(_) => None,
-            })
-            .collect();
-
-        let shards = router.num_shards();
-        let read_handles: Vec<ReadHandle> =
-            (0..shards).map(|shard| router.read_handle(shard)).collect();
-
-        let done = AtomicBool::new(false);
-        let start = Instant::now();
-        let mut updates_applied = 0u64;
-        let mut writer_micros = 0u64;
-        let mut tallies: Vec<ReaderTally> = Vec::with_capacity(self.readers);
-        let mut commit_error: Option<String> = None;
-        let mut reader_panics = 0u64;
-
-        std::thread::scope(|scope| {
-            let reader_threads: Vec<_> = (0..self.readers)
-                .map(|i| {
-                    let handle = read_handles[i % shards].clone();
+            let reader_threads: Vec<_> = handles
+                .into_iter()
+                .map(|handle| {
                     let done = &done;
                     let batches = &query_batches;
                     scope.spawn(move || reader_loop(handle, batches, done))
                 })
                 .collect();
 
+            // The calling thread is the writer: one epoch per recorded
+            // update batch, preserving the trace's `apply_batch` boundaries
+            // so every epoch's tree matches a single-threaded replay of the
+            // same prefix. A commit that panics (poisoned maintainer, failed
+            // durability log) must not take the runner down with it
+            // mid-scope — the readers still need their `done` signal and an
+            // orderly join, and the caller gets the failure as
+            // `commit_error` on the outcome.
             let writer_start = Instant::now();
             for batch in &update_batches {
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| router.commit(batch)));
-                match result {
-                    Ok(commits) => updates_applied += commits[0].record.updates as u64,
+                match catch_unwind(AssertUnwindSafe(|| served.commit_batch(batch))) {
+                    Ok(applied) => updates_applied += applied,
                     Err(panic) => {
                         commit_error = Some(panic_message(panic.as_ref()));
                         break;
@@ -408,16 +350,17 @@ impl<'a> ConcurrentScenarioRunner<'a> {
             }
         });
         let wall_micros = (start.elapsed().as_micros() as u64).max(1);
-        let final_fingerprint = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            router.servers()[0].maintainer().tree().fingerprint()
-        }))
-        .unwrap_or(0);
 
+        // The final fingerprint is the last *logged* epoch's: after a commit
+        // panic the maintainer may hold a tree no reader ever saw, and the
+        // log needs no `catch_unwind` to read.
+        let epochs = served.epoch_log();
+        let final_fingerprint = epochs.last().map_or(0, |e| e.fingerprint);
         let outcome = ConcurrentOutcome {
             scenario: self.trace.scenario.clone(),
-            backend,
+            backend: served.backend().to_string(),
             readers: self.readers,
-            epochs: router.servers()[0].epochs(),
+            epochs,
             updates_applied,
             writer_micros,
             wall_micros,
@@ -428,7 +371,7 @@ impl<'a> ConcurrentScenarioRunner<'a> {
             commit_error,
             reader_panics,
         };
-        (router, outcome)
+        (served, outcome)
     }
 }
 
@@ -444,80 +387,26 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One reader thread: loop the trace's query batches against live snapshots
+/// One reader thread: loop the trace's query batches against live views
 /// until the writer is done and at least one full pass has completed. Each
-/// batch is answered against a single snapshot (batch-coherent reads); each
-/// *newly observed* epoch's snapshot is re-fingerprinted and checked against
-/// the epoch log (the torn-read census — recomputation is amortized over
-/// epoch changes, not per query).
-fn reader_loop(handle: ReadHandle, batches: &[&[TraceQuery]], done: &AtomicBool) -> ReaderTally {
-    let mut tally = ReaderTally {
-        queries: 0,
-        passes: 0,
-        torn: 0,
-    };
-    let mut last_epoch = u64::MAX;
-    loop {
-        for batch in batches {
-            let snap = handle.snapshot();
-            if snap.epoch() != last_epoch {
-                last_epoch = snap.epoch();
-                let recomputed = snap.tree().fingerprint();
-                let logged = handle.recorded_fingerprint(snap.epoch());
-                if recomputed != snap.fingerprint() || logged != Some(recomputed) {
-                    tally.torn += 1;
-                }
-            }
-            for query in *batch {
-                tally.queries += 1;
-                match query {
-                    TraceQuery::SameComponent(u, v) => {
-                        black_box(snap.same_component(*u, *v));
-                    }
-                    TraceQuery::ForestParent(v) => {
-                        black_box(snap.forest_parent(*v));
-                    }
-                    TraceQuery::ForestRoots => {
-                        black_box(snap.forest_roots());
-                    }
-                }
-            }
-        }
-        tally.passes += 1;
-        if done.load(Ordering::Acquire) {
-            break;
-        }
-        if batches.is_empty() {
-            // Nothing to replay: don't busy-spin the queue-less loop.
-            std::thread::yield_now();
-        }
-    }
-    tally
-}
-
-/// The partitioned counterpart of [`reader_loop`]: answer query batches
-/// against published [`PartitionedView`](pardfs_serve::PartitionedView)s,
-/// re-fingerprinting each newly observed view (the assembled forest across
-/// all shards) against the router's epoch log.
-fn partitioned_reader_loop(
-    handle: RouterReadHandle,
+/// batch is answered against a single view (batch-coherent reads); each
+/// *newly observed* epoch's view is checked with [`EpochReader::is_torn`]
+/// (the torn-read census — recomputation is amortized over epoch changes,
+/// not per query).
+fn reader_loop<R: EpochReader>(
+    handle: R,
     batches: &[&[TraceQuery]],
     done: &AtomicBool,
 ) -> ReaderTally {
-    let mut tally = ReaderTally {
-        queries: 0,
-        passes: 0,
-        torn: 0,
-    };
+    let mut tally = ReaderTally::default();
     let mut last_epoch = u64::MAX;
     loop {
         for batch in batches {
-            let view = handle.view();
-            if view.epoch() != last_epoch {
-                last_epoch = view.epoch();
-                let recomputed = view.recompute_fingerprint();
-                let logged = handle.recorded_fingerprint(view.epoch());
-                if recomputed != view.fingerprint() || logged != Some(recomputed) {
+            let view = handle.current();
+            let epoch = R::epoch_of(&view);
+            if epoch != last_epoch {
+                last_epoch = epoch;
+                if handle.is_torn(&view) {
                     tally.torn += 1;
                 }
             }
@@ -541,6 +430,7 @@ fn partitioned_reader_loop(
             break;
         }
         if batches.is_empty() {
+            // Nothing to replay: don't busy-spin the queue-less loop.
             std::thread::yield_now();
         }
     }
@@ -551,8 +441,10 @@ fn partitioned_reader_loop(
 mod tests {
     use super::*;
     use crate::trace::{Trace, TracePhase};
-    use pardfs_api::StatsReport;
-    use pardfs_graph::{Graph, Update, Vertex};
+    use pardfs_api::{DfsMaintainer, StatsReport};
+    use pardfs_graph::{Graph, Vertex};
+    use pardfs_seq::{AugmentedGraph, SeqRerootDfs};
+    use pardfs_serve::ShardFactory;
     use pardfs_tree::TreeIndex;
 
     /// A maintainer whose second batch panics — the "poisoned writer" the
@@ -636,7 +528,7 @@ mod tests {
             batches_before_boom: 1,
         };
         // Must not panic: the writer's death is data, not a crash.
-        let outcome = ConcurrentScenarioRunner::new(&trace, 2).run(Box::new(dfs));
+        let (_, outcome) = ConcurrentScenarioRunner::new(&trace, 2).run(Server::new(Box::new(dfs)));
         let err = outcome.commit_error.expect("the second commit died");
         assert!(err.contains("maintainer exploded"), "{err}");
         assert_eq!(outcome.reader_panics, 0, "readers exit cleanly");
@@ -653,9 +545,175 @@ mod tests {
             graph: Graph::new(1),
             batches_before_boom: usize::MAX,
         };
-        let outcome = ConcurrentScenarioRunner::new(&trace, 1).run(Box::new(dfs));
+        let (_, outcome) = ConcurrentScenarioRunner::new(&trace, 1).run(Server::new(Box::new(dfs)));
         assert_eq!(outcome.commit_error, None);
         assert_eq!(outcome.reader_panics, 0);
         assert_eq!(outcome.updates_applied, 2);
+    }
+
+    /// A real backend that panics on its `after`-th `apply_update` — after
+    /// applying it, so the poisoned maintainer holds a tree that no epoch
+    /// ever published.
+    struct PanicAfter {
+        inner: Box<dyn DfsMaintainer>,
+        after: usize,
+    }
+
+    impl ForestQuery for PanicAfter {
+        fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
+            self.inner.forest_parent(v)
+        }
+        fn forest_roots(&self) -> Vec<Vertex> {
+            self.inner.forest_roots()
+        }
+        fn same_component(&self, u: Vertex, v: Vertex) -> bool {
+            self.inner.same_component(u, v)
+        }
+        fn num_vertices(&self) -> usize {
+            self.inner.num_vertices()
+        }
+        fn num_edges(&self) -> usize {
+            self.inner.num_edges()
+        }
+    }
+
+    impl DfsMaintainer for PanicAfter {
+        fn backend_name(&self) -> &'static str {
+            self.inner.backend_name()
+        }
+        fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
+            let out = self.inner.apply_update(update);
+            self.after -= 1;
+            if self.after == 0 {
+                panic!("PanicAfter: poisoned after applying {update:?}");
+            }
+            out
+        }
+        fn tree(&self) -> &TreeIndex {
+            self.inner.tree()
+        }
+        fn augmented_graph(&self) -> &Graph {
+            self.inner.augmented_graph()
+        }
+        fn check(&self) -> Result<(), String> {
+            self.inner.check()
+        }
+        fn stats(&self) -> StatsReport {
+            self.inner.stats()
+        }
+    }
+
+    /// Sequential shards, each wrapped in [`PanicAfter`].
+    struct PanicAfterFactory(usize);
+
+    impl ShardFactory for PanicAfterFactory {
+        fn build(&self, user_graph: &Graph) -> Box<dyn DfsMaintainer> {
+            Box::new(PanicAfter {
+                inner: Box::new(SeqRerootDfs::new(user_graph)),
+                after: self.0,
+            })
+        }
+        fn resume(
+            &self,
+            aug_graph: Graph,
+            tree: TreeIndex,
+        ) -> Result<Box<dyn DfsMaintainer>, String> {
+            let aug = AugmentedGraph::from_internal(aug_graph)?;
+            Ok(Box::new(PanicAfter {
+                inner: Box::new(SeqRerootDfs::from_state(aug, tree)),
+                after: self.0,
+            }))
+        }
+    }
+
+    /// A path 0-…-5 and four one-update batches; the third inserts a vertex,
+    /// which always changes the tree.
+    fn poison_trace() -> Trace {
+        Trace {
+            scenario: "poison".into(),
+            seed: 0,
+            n: 6,
+            edges: (0..5).map(|v| (v, v + 1)).collect(),
+            phases: vec![TracePhase {
+                name: "p".into(),
+                batches: vec![
+                    TraceBatch::Updates(vec![Update::InsertEdge(0, 5)]),
+                    TraceBatch::Queries(vec![
+                        TraceQuery::SameComponent(0, 5),
+                        TraceQuery::ForestParent(3),
+                        TraceQuery::ForestRoots,
+                    ]),
+                    TraceBatch::Updates(vec![Update::DeleteEdge(2, 3)]),
+                    TraceBatch::Updates(vec![Update::InsertVertex { edges: vec![1, 4] }]),
+                    TraceBatch::Updates(vec![Update::DeleteVertex(0)]),
+                ],
+            }],
+            fingerprints: vec![],
+        }
+    }
+
+    #[test]
+    fn a_panicking_commit_reports_the_last_logged_epoch_on_every_committer() {
+        let trace = poison_trace();
+        let graph = trace.initial_graph();
+        // The committed prefix: epoch 0 and the first two batches, as a
+        // single-threaded replay sees them.
+        let mut reference = SeqRerootDfs::new(&graph);
+        let mut prefix = vec![(0, reference.tree().fingerprint())];
+        for (epoch, update) in [Update::InsertEdge(0, 5), Update::DeleteEdge(2, 3)]
+            .iter()
+            .enumerate()
+        {
+            reference.apply_update(update);
+            prefix.push((epoch as u64 + 1, reference.tree().fingerprint()));
+        }
+        let poisoned = || -> Box<dyn DfsMaintainer> {
+            Box::new(PanicAfter {
+                inner: Box::new(SeqRerootDfs::new(&graph)),
+                after: 3,
+            })
+        };
+        let runner = ConcurrentScenarioRunner::new(&trace, 2);
+
+        let (server, single) = runner.run(Server::new(poisoned()));
+        assert_ne!(
+            server.maintainer().tree().fingerprint(),
+            single.final_fingerprint,
+            "the poisoned maintainer moved past the last published epoch"
+        );
+        let (_, replicated) = runner.run(ShardRouter::new(vec![poisoned(), poisoned()], &graph));
+        let (_, partitioned) = runner.run(PartitionedRouter::new(
+            Box::new(PanicAfterFactory(3)),
+            &graph,
+            2,
+        ));
+
+        for (name, outcome) in [
+            ("server", single),
+            ("replicated", replicated),
+            ("partitioned", partitioned),
+        ] {
+            assert!(
+                outcome.commit_error.is_some(),
+                "{name}: the third commit died"
+            );
+            assert_eq!(outcome.reader_panics, 0, "{name}: readers exit cleanly");
+            let logged: Vec<(u64, u64)> = outcome
+                .epochs
+                .iter()
+                .map(|e| (e.epoch, e.fingerprint))
+                .collect();
+            assert_eq!(logged, prefix, "{name}: the log holds the committed prefix");
+            assert_eq!(
+                outcome.final_fingerprint,
+                outcome
+                    .epochs
+                    .last()
+                    .expect("epoch 0 is logged")
+                    .fingerprint,
+                "{name}: final fingerprint is the last logged epoch's"
+            );
+            assert_eq!(outcome.updates_applied, 2, "{name}");
+        }
     }
 }

@@ -80,7 +80,7 @@ pub mod scenario;
 pub mod trace;
 pub mod wal;
 
-pub use concurrent::{ConcurrentOutcome, ConcurrentScenarioRunner};
+pub use concurrent::{ConcurrentOutcome, ConcurrentScenarioRunner, EpochReader, Served};
 pub use families::{edge_workload, rng, workload, Family, Workload};
 pub use runner::{tree_fingerprint, PhaseReport, ScenarioOutcome, ScenarioRunner};
 pub use scenario::{Scenario, TraceBuilder};

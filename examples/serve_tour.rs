@@ -17,7 +17,7 @@
 //! every shard on the same tree, reads route by component affinity.
 
 use pardfs::scenario::TraceBatch;
-use pardfs::{Backend, ConcurrentScenarioRunner, MaintainerBuilder, Trace};
+use pardfs::{Backend, ConcurrentScenarioRunner, MaintainerBuilder, Server, Trace};
 
 fn main() {
     let path = concat!(
@@ -39,7 +39,7 @@ fn main() {
     // --- One server, four readers -----------------------------------------
     let readers = 4;
     let dfs = MaintainerBuilder::new(Backend::Parallel).build(&trace.initial_graph());
-    let outcome = ConcurrentScenarioRunner::new(&trace, readers).run(dfs);
+    let (_, outcome) = ConcurrentScenarioRunner::new(&trace, readers).run(Server::new(dfs));
     assert_eq!(outcome.torn_snapshots, 0, "a reader saw a torn snapshot");
 
     println!(

@@ -10,7 +10,6 @@
 //!   cross-backend [`StatsReport`];
 //! * [`graph`] — dynamic undirected graphs, generators, update sequences;
 //! * [`tree`] — rooted-tree indexes (orders, sizes, LCA, paths);
-//! * [`pram`] — EREW PRAM cost-model primitives (Theorems 4–7);
 //! * [`query`] — the data structure `D` and the query-oracle abstraction
 //!   (Theorems 8–9);
 //! * [`seq`] — static DFS, validity checking, the sequential dynamic baseline;
@@ -29,7 +28,8 @@
 //!   [`PartitionedRouter`] component-owned sharding with routed commits and
 //!   cross-shard merge migration (v2 — `docs/SHARDING.md`), and (in
 //!   [`scenario`]) the [`ConcurrentScenarioRunner`] that turns any trace
-//!   into a concurrent-serving benchmark;
+//!   into a concurrent-serving benchmark through any of the three
+//!   committers (its [`Served`] trait);
 //! * [`wal`] — trace-as-WAL durability: write-ahead logging of committed
 //!   epochs, snapshot checkpoints, crash recovery
 //!   ([`MaintainerBuilder::serve_durable`] / [`MaintainerBuilder::recover`]).
@@ -79,7 +79,6 @@ pub use pardfs_api as api;
 pub use pardfs_congest as congest;
 pub use pardfs_core as core;
 pub use pardfs_graph as graph;
-pub use pardfs_pram as pram;
 pub use pardfs_query as query;
 pub use pardfs_seq as seq;
 pub use pardfs_serve as serve;
@@ -107,6 +106,6 @@ pub use pardfs_stream::{StreamingDfsExt, StreamingDynamicDfs};
 pub use pardfs_tree::TreeView;
 pub use pardfs_wal::{CheckpointPolicy, CheckpointView, DurabilityConfig, Recovered, SyncPolicy};
 pub use pardfs_workload::{
-    ConcurrentOutcome, ConcurrentScenarioRunner, PhaseReport, Scenario, ScenarioOutcome,
-    ScenarioRunner, Trace, TraceBuilder,
+    ConcurrentOutcome, ConcurrentScenarioRunner, EpochReader, PhaseReport, Scenario,
+    ScenarioOutcome, ScenarioRunner, Served, Trace, TraceBuilder,
 };

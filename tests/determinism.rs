@@ -169,10 +169,10 @@ fn both_strategies_are_thread_count_invariant_on_adversarial_shapes() {
 
 #[test]
 fn large_parallel_workload_is_thread_count_invariant() {
-    // Large enough to cross the PRAM primitives' parallel thresholds
-    // (par-scan, par-sort at n ≥ 4096) and the batched-query threshold, so
-    // the real executor paths — not the sequential small-input fallbacks —
-    // are the thing being compared.
+    // Large enough that `StructureD::build` fans its rows out across the
+    // pool (and large reroots' batched `D` queries can too), so the real
+    // executor paths — not the sequential small-input fallbacks — are the
+    // thing being compared.
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let graph = generators::random_connected_gnm(5000, 20000, &mut rng);
     let updates = workload(&graph, 10, 31);
@@ -245,7 +245,9 @@ fn serve_layer_replay_is_thread_count_invariant_for_every_backend() {
                     .expect("build test pool");
                 pool.install(|| {
                     let dfs = MaintainerBuilder::new(backend).build(&trace.initial_graph());
-                    pardfs::ConcurrentScenarioRunner::new(&trace, 2).run(dfs)
+                    pardfs::ConcurrentScenarioRunner::new(&trace, 2)
+                        .run(pardfs::Server::new(dfs))
+                        .1
                 })
             };
             let baseline = replay(THREAD_COUNTS[0]);

@@ -9,9 +9,9 @@
 //! The `partition-storm` trace starts with disjoint clusters and bridges
 //! them in waves, so the suite provably exercises cross-shard component
 //! merges (asserted via the router's migration counter), and the concurrent
-//! test drives the same traces through
-//! [`ConcurrentScenarioRunner::run_partitioned`] with the torn-read census
-//! at zero tolerance.
+//! test drives the same traces through [`ConcurrentScenarioRunner::run`]
+//! with the router as the committer and the torn-read census at zero
+//! tolerance.
 
 use pardfs::scenario::TraceBatch;
 use pardfs::{
@@ -125,7 +125,7 @@ fn concurrent_partitioned_runs_are_torn_free_and_match_the_unsharded_replay() {
             reference.apply_batch(batch);
         }
         let runner = ConcurrentScenarioRunner::new(&trace, 3);
-        let (router, outcome) = runner.run_partitioned(builder.serve_partitioned(&graph));
+        let (router, outcome) = runner.run(builder.serve_partitioned(&graph));
         assert_eq!(outcome.commit_error, None, "{name}");
         assert_eq!(outcome.reader_panics, 0, "{name}");
         assert_eq!(

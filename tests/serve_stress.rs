@@ -142,8 +142,8 @@ fn serving_a_trace_matches_the_single_threaded_replay_on_every_backend() {
         let mut reference = MaintainerBuilder::new(backend).build(&trace.initial_graph());
         let outcome = ScenarioRunner::new(&trace).run(reference.as_mut());
 
-        let served = ConcurrentScenarioRunner::new(&trace, 4)
-            .run(MaintainerBuilder::new(backend).build(&trace.initial_graph()));
+        let dfs = MaintainerBuilder::new(backend).build(&trace.initial_graph());
+        let (_, served) = ConcurrentScenarioRunner::new(&trace, 4).run(Server::new(dfs));
         assert_eq!(served.torn_snapshots, 0, "{backend:?}: torn snapshot");
         assert_eq!(
             served.final_fingerprint, outcome.tree_fingerprint,
