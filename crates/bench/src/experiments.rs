@@ -1073,7 +1073,8 @@ pub fn e14_durability_overhead(scale: Scale) -> Table {
 /// * `materialize` — render, write and `sync_all` the file, then read it and
 ///   [`pardfs::wal::Checkpoint::parse_binary`] it: copy every array out of
 ///   the buffer, rebuild the adjacency arena and the whole `TreeIndex`
-///   (Euler tour, RMQ, binary lifting), and check the recorded fingerprint;
+///   (orders, levels, sizes, binary lifting), and check the recorded
+///   fingerprint;
 /// * `mapped-open` — [`pardfs::MappedSnapshot`] plus
 ///   [`pardfs::CheckpointView`]: validate the container **once** (checksum,
 ///   framing, the same structural validation the parser runs) and answer

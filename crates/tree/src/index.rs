@@ -5,14 +5,13 @@
 //! tree functions), Theorem 6 (parallel LCA) and Theorem 10 (the operations the
 //! rerooting algorithm needs on `T`). The paper's EREW PRAM bounds for
 //! building these structures are cited, not simulated; here we care about
-//! providing the queries in `O(1)`/`O(log n)` after an `O(n)` build.
+//! providing the queries in `O(1)`/`O(log n)` after an `O(n log n)` build.
+//! One binary-lifting table answers both LCA and level-ancestor queries in
+//! `O(log n)`, with `O(1)` ancestor tests from pre-order intervals.
 //!
 //! The index is no longer rebuilt from scratch after every committed update:
-//! [`crate::patch`] splices the orderings, Euler-tour segment and
-//! binary-lifting rows of the touched subtree in place. The Euler-tour RMQ is
-//! a segment tree (rather than a sparse table) precisely so that a spliced
-//! segment costs `O(|segment| + log n)` to re-index instead of
-//! `O(n)`-per-row table repair.
+//! [`crate::patch`] splices the orderings and binary-lifting rows of the
+//! touched subtree in place.
 
 use crate::rooted::{RootedTree, NO_VERTEX};
 use pardfs_graph::snap::{put_u32, put_u64, Cursor, SnapReader, SnapWriter};
@@ -26,10 +25,10 @@ pub(crate) const SEC_TREE_PARENTS: [u8; 4] = *b"TPAR";
 /// Structural index of a rooted tree.
 ///
 /// Construction performs a single traversal computing pre/post order numbers,
-/// levels, subtree sizes, an Euler tour with a segment-tree RMQ for
-/// `O(log n)` LCA queries, and a binary-lifting table for level-ancestor
-/// queries. After edge updates the structure can be delta-patched in place by
-/// [`TreeIndex::apply_patch`](crate::patch) instead of rebuilt.
+/// levels and subtree sizes, then a binary-lifting table for `O(log n)` LCA
+/// and level-ancestor queries. After edge updates the structure can be
+/// delta-patched in place by [`TreeIndex::apply_patch`](crate::patch) instead
+/// of rebuilt.
 ///
 /// Every field is a flat array: children lists live in one shared
 /// [`AdjacencyArena`] pool and the binary-lifting table is a single
@@ -46,11 +45,6 @@ pub struct TreeIndex {
     pub(crate) level: Vec<u32>,
     pub(crate) size: Vec<u32>,
     pub(crate) pre_order: Vec<Vertex>,
-    pub(crate) post_order: Vec<Vertex>,
-    pub(crate) euler: Vec<Vertex>,
-    pub(crate) euler_level: Vec<u32>,
-    pub(crate) first_occ: Vec<u32>,
-    pub(crate) rmq: EulerRmq,
     pub(crate) up: LiftingTable,
     pub(crate) n_tree: usize,
 }
@@ -95,97 +89,6 @@ impl LiftingTable {
     pub(crate) fn push_row(&mut self, row: Vec<Vertex>) {
         debug_assert_eq!(row.len(), self.cap, "lifting row width mismatch");
         self.data.extend_from_slice(&row);
-    }
-}
-
-/// Range-argmin over `euler_level`, stored as a flat segment tree of
-/// *positions* into the Euler tour (so the answering vertex can be recovered).
-///
-/// A sparse table answers in `O(1)` but repairing it after a splice costs
-/// `O(|segment| + 2^k)` entries *per row*; the segment tree answers in
-/// `O(log n)` and repairs a spliced leaf range in `O(|segment| + log n)`
-/// total, which is what makes [`crate::patch`] sublinear.
-#[derive(Debug, Clone)]
-pub(crate) struct EulerRmq {
-    /// Number of leaves actually in use (the Euler tour length).
-    len: usize,
-    /// `2 * p` slots for `p = len.next_power_of_two()`; leaf `i` lives at
-    /// `p + i` and stores `i`; internal nodes store the argmin position of
-    /// their window; padding slots store [`UNSET`].
-    tree: Vec<u32>,
-}
-
-impl EulerRmq {
-    /// Build over the given Euler-level array.
-    pub(crate) fn build(euler_level: &[u32]) -> Self {
-        let len = euler_level.len();
-        let p = len.next_power_of_two().max(1);
-        let mut tree = vec![UNSET; 2 * p];
-        for i in 0..len {
-            tree[p + i] = i as u32;
-        }
-        for i in (1..p).rev() {
-            tree[i] = Self::pick(euler_level, tree[2 * i], tree[2 * i + 1]);
-        }
-        EulerRmq { len, tree }
-    }
-
-    /// Argmin of two positions (either may be [`UNSET`]), preferring the
-    /// earlier position on equal levels (matching the sparse table's `<=`).
-    fn pick(euler_level: &[u32], a: u32, b: u32) -> u32 {
-        if a == UNSET {
-            return b;
-        }
-        if b == UNSET {
-            return a;
-        }
-        if euler_level[a as usize] <= euler_level[b as usize] {
-            a
-        } else {
-            b
-        }
-    }
-
-    /// Re-aggregate after `euler_level[lo..hi)` changed in place (leaf
-    /// positions are unchanged — only the compared levels moved).
-    /// `O((hi - lo) + log n)`.
-    pub(crate) fn refresh_range(&mut self, euler_level: &[u32], lo: usize, hi: usize) {
-        if lo >= hi {
-            return;
-        }
-        let p = self.tree.len() / 2;
-        let (mut l, mut r) = ((p + lo) / 2, (p + hi - 1) / 2);
-        while l >= 1 {
-            for i in l..=r {
-                self.tree[i] = Self::pick(euler_level, self.tree[2 * i], self.tree[2 * i + 1]);
-            }
-            if l == 1 {
-                break;
-            }
-            l /= 2;
-            r /= 2;
-        }
-    }
-
-    /// Argmin position over the inclusive range `[i, j]`.
-    pub(crate) fn query(&self, euler_level: &[u32], i: usize, j: usize) -> usize {
-        debug_assert!(i <= j && j < self.len);
-        let p = self.tree.len() / 2;
-        let (mut l, mut r) = (p + i, p + j + 1);
-        let mut best = UNSET;
-        while l < r {
-            if l & 1 == 1 {
-                best = Self::pick(euler_level, best, self.tree[l]);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                best = Self::pick(euler_level, best, self.tree[r]);
-            }
-            l /= 2;
-            r /= 2;
-        }
-        best as usize
     }
 }
 
@@ -240,19 +143,12 @@ impl TreeIndex {
         let mut level = vec![UNSET; cap];
         let mut size = vec![0u32; cap];
         let mut pre_order = Vec::with_capacity(n_tree);
-        let mut post_order = Vec::with_capacity(n_tree);
-        let mut euler = Vec::with_capacity(2 * n_tree);
-        let mut euler_level = Vec::with_capacity(2 * n_tree);
-        let mut first_occ = vec![UNSET; cap];
 
         // Iterative DFS: (vertex, next child position).
         let mut stack: Vec<(Vertex, usize)> = Vec::with_capacity(64);
         level[root as usize] = 0;
         pre[root as usize] = 0;
         pre_order.push(root);
-        first_occ[root as usize] = 0;
-        euler.push(root);
-        euler_level.push(0);
         stack.push((root, 0));
         let mut pre_counter = 1u32;
         let mut post_counter = 0u32;
@@ -264,24 +160,16 @@ impl TreeIndex {
                 pre[c as usize] = pre_counter;
                 pre_counter += 1;
                 pre_order.push(c);
-                first_occ[c as usize] = euler.len() as u32;
-                euler.push(c);
-                euler_level.push(level[c as usize]);
                 stack.push((c, 0));
             } else {
                 stack.pop();
                 post[v as usize] = post_counter;
                 post_counter += 1;
-                post_order.push(v);
                 size[v as usize] = 1 + children
                     .list(v)
                     .iter()
                     .map(|&c| size[c as usize])
                     .sum::<u32>();
-                if let Some(&(p, _)) = stack.last() {
-                    euler.push(p);
-                    euler_level.push(level[p as usize]);
-                }
             }
         }
         assert_eq!(
@@ -289,10 +177,6 @@ impl TreeIndex {
             n_tree,
             "parent array contains vertices unreachable from the root"
         );
-
-        // Segment-tree RMQ over euler_level (storing argmin positions so the
-        // answering vertex can be recovered; patchable in place).
-        let rmq = EulerRmq::build(&euler_level);
 
         // Binary lifting table.
         let max_level = pre_order
@@ -331,11 +215,6 @@ impl TreeIndex {
             level,
             size,
             pre_order,
-            post_order,
-            euler,
-            euler_level,
-            first_occ,
-            rmq,
             up,
             n_tree,
         }
@@ -430,11 +309,6 @@ impl TreeIndex {
         hash
     }
 
-    /// All tree vertices in post-order.
-    pub fn post_order_vertices(&self) -> &[Vertex] {
-        &self.post_order
-    }
-
     /// The vertices of the subtree rooted at `v`, as a contiguous pre-order
     /// slice (constant-time access, `size(v)` elements).
     pub fn subtree_vertices(&self, v: Vertex) -> &[Vertex] {
@@ -445,26 +319,36 @@ impl TreeIndex {
 
     /// Is `a` an ancestor of `d` (vertices are ancestors of themselves)?
     pub fn is_ancestor(&self, a: Vertex, d: Vertex) -> bool {
-        if !self.contains(a) || !self.contains(d) {
-            return false;
-        }
+        self.contains(a) && self.contains(d) && self.covers(a, d)
+    }
+
+    /// [`TreeIndex::is_ancestor`] for two vertices known to be in the tree:
+    /// `d`'s pre-order number lies in `a`'s subtree interval.
+    fn covers(&self, a: Vertex, d: Vertex) -> bool {
         let pa = self.pre[a as usize];
         let pd = self.pre[d as usize];
         pa <= pd && pd < pa + self.size[a as usize]
     }
 
-    /// Lowest common ancestor of `u` and `v`.
+    /// Lowest common ancestor of `u` and `v`, by binary lifting: unless one
+    /// is an ancestor of the other, lift `u` to its highest ancestor that is
+    /// not an ancestor of `v`; that vertex's parent is the answer.
     pub fn lca(&self, u: Vertex, v: Vertex) -> Vertex {
         debug_assert!(self.contains(u) && self.contains(v));
-        let (mut i, mut j) = (
-            self.first_occ[u as usize] as usize,
-            self.first_occ[v as usize] as usize,
-        );
-        if i > j {
-            std::mem::swap(&mut i, &mut j);
+        if self.covers(u, v) {
+            return u;
         }
-        let arg = self.rmq.query(&self.euler_level, i, j);
-        self.euler[arg]
+        if self.covers(v, u) {
+            return v;
+        }
+        let mut cur = u;
+        for k in (0..self.up.rows()).rev() {
+            let next = self.up.get(k, cur as usize);
+            if !self.covers(next, v) {
+                cur = next;
+            }
+        }
+        self.parent[cur as usize]
     }
 
     /// The ancestor of `v` whose level is `target_level`
@@ -485,33 +369,10 @@ impl TreeIndex {
         cur
     }
 
-    /// The `k`-th ancestor of `v` (0-th is `v` itself).
-    pub fn kth_ancestor(&self, v: Vertex, k: u32) -> Option<Vertex> {
-        let lv = self.level[v as usize];
-        if k > lv {
-            None
-        } else {
-            Some(self.ancestor_at_level(v, lv - k))
-        }
-    }
-
     /// Child of `anc` on the tree path towards its proper descendant `desc`.
     pub fn child_toward(&self, anc: Vertex, desc: Vertex) -> Vertex {
         debug_assert!(self.is_ancestor(anc, desc) && anc != desc);
         self.ancestor_at_level(desc, self.level[anc as usize] + 1)
-    }
-
-    /// Number of edges on the tree path between `u` and `v`.
-    pub fn path_len(&self, u: Vertex, v: Vertex) -> u32 {
-        let l = self.lca(u, v);
-        self.level[u as usize] + self.level[v as usize] - 2 * self.level[l as usize]
-    }
-
-    /// Does `x` lie on the tree path between `anc` and `desc`
-    /// (`anc` must be an ancestor of `desc`)?
-    pub fn on_path(&self, x: Vertex, anc: Vertex, desc: Vertex) -> bool {
-        debug_assert!(self.is_ancestor(anc, desc));
-        self.is_ancestor(anc, x) && self.is_ancestor(x, desc)
     }
 
     /// Is the edge `(u, v)` a back edge with respect to this tree (one endpoint
@@ -611,9 +472,9 @@ impl TreeIndex {
     ///   [`NO_VERTEX`] holes.
     ///
     /// Only the parent array and root are stored (see
-    /// [`TreeIndex::parent_slice`]); the reader rebuilds the orders, levels,
-    /// Euler segment, RMQ and lifting table deterministically, so the result
-    /// is structurally identical to the original
+    /// [`TreeIndex::parent_slice`]); the reader rebuilds the children lists,
+    /// orders, levels, sizes and lifting table deterministically, so the
+    /// result is structurally identical to the original
     /// ([`TreeIndex::structural_eq`]) and `parse(render(t))` is byte-stable.
     pub fn write_snap_sections(&self, w: &mut SnapWriter) {
         let hdr = w.section_aligned(SEC_TREE_HEADER, 8);
@@ -661,12 +522,12 @@ impl TreeIndex {
     }
 
     /// Deep structural comparison against `other`, checking **every** raw
-    /// field — parent array, children lists, pre/post orders, levels, sizes,
-    /// Euler segment and its RMQ, first occurrences, the binary-lifting
-    /// table and the tree size — naming the first divergent field on
-    /// mismatch. This is the differential "loaded ≡ freshly built" check the
-    /// snapshot round-trip is pinned on; fingerprint equality alone would
-    /// only cover pre-order and parents.
+    /// field — parent array, children lists, pre/post numbers, the pre-order
+    /// sequence, levels, sizes, the binary-lifting table and the tree size —
+    /// naming the first divergent field on mismatch. This is the
+    /// differential "loaded ≡ freshly built" check the snapshot round-trip
+    /// is pinned on; fingerprint equality alone would only cover pre-order
+    /// and parents.
     pub fn structural_eq(&self, other: &TreeIndex) -> Result<(), String> {
         fn cmp<T: PartialEq + std::fmt::Debug>(field: &str, a: &T, b: &T) -> Result<(), String> {
             if a == b {
@@ -684,12 +545,6 @@ impl TreeIndex {
         cmp("level", &self.level, &other.level)?;
         cmp("size", &self.size, &other.size)?;
         cmp("pre_order", &self.pre_order, &other.pre_order)?;
-        cmp("post_order", &self.post_order, &other.post_order)?;
-        cmp("euler", &self.euler, &other.euler)?;
-        cmp("euler_level", &self.euler_level, &other.euler_level)?;
-        cmp("first_occ", &self.first_occ, &other.first_occ)?;
-        cmp("rmq.len", &self.rmq.len, &other.rmq.len)?;
-        cmp("rmq.tree", &self.rmq.tree, &other.rmq.tree)?;
         cmp("up", &self.up, &other.up)?;
         Ok(())
     }
@@ -719,7 +574,7 @@ impl TreeIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
@@ -756,7 +611,9 @@ mod tests {
         );
     }
 
-    fn naive_lca(parent: &[Vertex], mut u: Vertex, mut v: Vertex) -> Vertex {
+    /// LCA by walking up the parent array (`parent[root] == root`): a
+    /// reference that shares no code with the index's lifting table.
+    pub(crate) fn naive_lca(parent: &[Vertex], mut u: Vertex, mut v: Vertex) -> Vertex {
         let depth = |mut x: Vertex| {
             let mut d = 0;
             while parent[x as usize] != x {
@@ -808,11 +665,6 @@ mod tests {
         assert!(idx.is_ancestor(6, 6));
         assert_eq!(idx.child_toward(0, 6), 1);
         assert_eq!(idx.child_toward(1, 6), 4);
-        assert_eq!(idx.path_len(3, 6), 3);
-        assert_eq!(idx.kth_ancestor(6, 2), Some(1));
-        assert_eq!(idx.kth_ancestor(6, 5), None);
-        assert!(idx.on_path(4, 0, 6));
-        assert!(!idx.on_path(3, 0, 6));
         assert!(idx.is_back_edge(6, 0));
         assert!(!idx.is_back_edge(3, 6));
         let sub: Vec<_> = idx.subtree_vertices(1).to_vec();
@@ -839,9 +691,16 @@ mod tests {
     #[test]
     fn lca_matches_naive_on_random_trees() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for _ in 0..5 {
+        for trial in 0..10 {
             let n: usize = rng.gen_range(2..300);
-            let parent = random_parent_array(n, &mut rng);
+            let mut parent = random_parent_array(n, &mut rng);
+            if trial % 2 == 1 {
+                // Deep, narrow trees: each vertex hangs from one of the three
+                // before it, so most LCAs lie many lifting rows up.
+                for v in 1..n as Vertex {
+                    parent[v as usize] = rng.gen_range(v.saturating_sub(3)..v);
+                }
+            }
             let idx = TreeIndex::from_parent_slice(&parent, 0);
             for _ in 0..200 {
                 let u = rng.gen_range(0..n as Vertex);
@@ -939,8 +798,6 @@ mod tests {
                 if v == (v % (n - 1)) + 1 { v } else { 0 }
             );
             assert_eq!(idx.ancestor_at_level(v, 0), 0);
-            assert_eq!(idx.kth_ancestor(v, 1), Some(0));
-            assert_eq!(idx.kth_ancestor(v, 2), None);
         }
         // Children come back sorted by id — the invariant the patch splice
         // preserves so its numbering matches a fresh build's.
@@ -958,7 +815,6 @@ mod tests {
         assert_eq!(idx.lca(n - 1, 0), 0);
         assert_eq!(idx.lca(100, 250), 100);
         assert_eq!(idx.ancestor_at_level(n - 1, 137), 137);
-        assert_eq!(idx.path_len(10, 290), 280);
         assert_eq!(idx.pre(200), 200);
         assert_eq!(idx.post(200), n - 1 - 200);
     }
@@ -1096,8 +952,8 @@ mod tests {
         }
 
         // The checkpoint differential: load(save(index)) ≡ index on *every*
-        // raw field — pre/post orders, levels, Euler segment + RMQ, lifting
-        // table — and on the fingerprint, including NO_VERTEX holes from
+        // raw field — pre/post numbers, levels, sizes, lifting table — and on
+        // the fingerprint, including NO_VERTEX holes from
         // vertex churn. `structural_eq` is what pins the derived structures;
         // a snapshot format that dropped (say) children order would pass a
         // fingerprint check but fail here.

@@ -4,25 +4,26 @@
 //!
 //! The paper's rerooting engine constantly asks structural questions about the
 //! *current* DFS tree `T`: lowest common ancestors, ancestor/descendant tests,
-//! subtree sizes, the child of a vertex towards a given descendant, the
-//! vertices of an ancestor–descendant path, and the subtrees hanging from such
-//! a path (Section 5.3, Theorem 10). This crate packages those operations:
+//! subtree sizes, the child of a vertex towards a given descendant, and the
+//! vertices of an ancestor–descendant path (Section 5.3, Theorem 10). This
+//! crate packages those operations:
 //!
 //! * [`RootedTree`] — a mutable parent-array representation used while a new
 //!   DFS tree `T*` is being assembled.
 //! * [`TreeIndex`] — an immutable index over a rooted tree providing `O(1)`
-//!   pre/post order numbers, levels, subtree sizes and LCA queries (Euler tour
-//!   plus sparse-table RMQ, the classical substitute for Schieber–Vishkin),
-//!   and binary lifting for level-ancestor / child-toward queries.
-//! * [`paths`] — helpers for ancestor–descendant paths: enumeration, length,
-//!   membership, and the "subtrees hanging from a path" primitive.
+//!   pre/post order numbers, levels, subtree sizes and ancestor tests, and one
+//!   binary-lifting table for `O(log n)` LCA, level-ancestor and child-toward
+//!   queries (the paper's `O(1)` Schieber–Vishkin LCA bound is cited, not
+//!   implemented).
+//! * [`paths`] — helpers for ancestor–descendant paths: orientation,
+//!   enumeration, membership, and splitting around a vertex.
 //!
 //! * [`patch`] — **delta-patching**: the rerooting machinery emits a
 //!   [`TreePatch`] (the parent rewrites of one update) and
-//!   [`TreeIndex::apply_patch`] splices the touched subtree's orderings,
-//!   Euler segment and binary-lifting rows in place in
-//!   `O(|region| · log n)`, falling back to a full rebuild when the patch is
-//!   not spliceable (membership changes) or not worth it (region too large).
+//!   [`TreeIndex::apply_patch`] splices the touched subtree's orderings and
+//!   binary-lifting rows in place in `O(|region| · log n)`, falling back to
+//!   a full rebuild when the patch is not spliceable (membership changes)
+//!   or not worth it (region too large).
 //!
 //! Index construction is `O(n)` work (plus `O(n log n)` for binary lifting)
 //! and parallelises trivially, matching the `O(log n)`-time, `n`-processor

@@ -14,16 +14,14 @@
 //!    the *old* tree) of every changed child, its old parent and its new
 //!    parent. Because every rewrite is confined to `subtree(a)` and every new
 //!    parent lies inside it, `subtree(a)` holds the *same vertex set* before
-//!    and after the patch — so its pre-order interval, post-order interval
-//!    and Euler-tour segment keep their global positions and lengths, and
-//!    everything outside the region is untouched.
+//!    and after the patch — so its pre-order and post-order intervals keep
+//!    their global positions and lengths, and everything outside the region
+//!    is untouched.
 //! 2. **Splice.** A local DFS of the region (with the patched children lists,
 //!    kept id-sorted exactly like a fresh build's) recomputes `pre`, `post`,
-//!    `level`, `size`, the order arrays and the Euler segment for region
-//!    vertices only, writing them into the same global slots. The Euler RMQ
-//!    is a segment tree, so re-aggregating the spliced leaf range costs
-//!    `O(|region| + log n)`; binary-lifting rows are recomputed only for
-//!    region vertices (`O(|region| · log n)`). Total:
+//!    `level`, `size` and the pre-order slice for region vertices only,
+//!    writing them into the same global slots; binary-lifting rows are
+//!    recomputed only for region vertices (`O(|region| · log n)`). Total:
 //!    `O(|region| · log n)` — the `O(|patch| · polylog n)` bound, since the
 //!    region is the span of the patch.
 //! 3. **Equivalence.** Children lists stay sorted by vertex id, which is the
@@ -242,21 +240,15 @@ impl TreeIndex {
         let pre_base = self.pre[a as usize];
         let post_base = self.post[a as usize] + 1 - region as u32;
         let level_base = self.level[a as usize];
-        let euler_base = self.first_occ[a as usize] as usize;
-        let euler_len = 2 * region - 1;
 
         let mut order: Vec<Vertex> = Vec::with_capacity(region); // pre-order
         let mut post_order_loc: Vec<Vertex> = Vec::with_capacity(region);
         let mut level_loc: HashMap<Vertex, u32> = HashMap::with_capacity(region);
         let mut size_loc: HashMap<Vertex, u32> = HashMap::with_capacity(region);
-        let mut euler_loc: Vec<Vertex> = Vec::with_capacity(euler_len);
-        let mut first_occ_loc: HashMap<Vertex, u32> = HashMap::with_capacity(region);
 
         let mut stack: Vec<(Vertex, usize)> = Vec::with_capacity(64);
         level_loc.insert(a, level_base);
         order.push(a);
-        first_occ_loc.insert(a, 0);
-        euler_loc.push(a);
         stack.push((a, 0));
         let mut escaped = false;
         while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
@@ -272,17 +264,12 @@ impl TreeIndex {
                 }
                 level_loc.insert(c, level_loc[&v] + 1);
                 order.push(c);
-                first_occ_loc.insert(c, euler_loc.len() as u32);
-                euler_loc.push(c);
                 stack.push((c, 0));
             } else {
                 stack.pop();
                 post_order_loc.push(v);
                 let s = 1 + kids.iter().map(|c| size_loc[c]).sum::<u32>();
                 size_loc.insert(v, s);
-                if let Some(&(p, _)) = stack.last() {
-                    euler_loc.push(p);
-                }
             }
         }
         if escaped || order.len() != region {
@@ -290,7 +277,6 @@ impl TreeIndex {
             // valid rewrite of this region. Leave the index untouched.
             return PatchOutcome::Unsupported("patch does not preserve the region");
         }
-        debug_assert_eq!(euler_loc.len(), euler_len);
 
         // ---- Commit ------------------------------------------------------
         for &(c, p) in &changed {
@@ -304,18 +290,10 @@ impl TreeIndex {
             self.pre_order[(pre_base as usize) + i] = v;
             self.level[v as usize] = level_loc[&v];
             self.size[v as usize] = size_loc[&v];
-            self.first_occ[v as usize] = euler_base as u32 + first_occ_loc[&v];
         }
         for (i, &v) in post_order_loc.iter().enumerate() {
             self.post[v as usize] = post_base + i as u32;
-            self.post_order[(post_base as usize) + i] = v;
         }
-        for (i, &v) in euler_loc.iter().enumerate() {
-            self.euler[euler_base + i] = v;
-            self.euler_level[euler_base + i] = self.level[v as usize];
-        }
-        self.rmq
-            .refresh_range(&self.euler_level, euler_base, euler_base + euler_len);
 
         // Binary lifting: only region vertices can have changed ancestors.
         // Rows are recomputed level by level so row k-1 is final everywhere
@@ -368,13 +346,15 @@ impl TreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::tests::naive_lca;
     use crate::rooted::RootedTree;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
     /// Assert that `idx` answers every structural query identically to a
     /// fresh `from_parent_slice` build on the same parent array — including
-    /// the raw pre/post numbers, not just derived answers.
+    /// the raw pre/post numbers, not just derived answers — and answers
+    /// `lca` as a walk up the parent array does.
     fn assert_identical_to_fresh(idx: &TreeIndex) {
         let mut parent = vec![NO_VERTEX; idx.capacity()];
         for &v in idx.pre_order_vertices() {
@@ -383,7 +363,6 @@ mod tests {
         let fresh = TreeIndex::from_parent_slice(&parent, idx.root());
         assert_eq!(idx.num_vertices(), fresh.num_vertices());
         assert_eq!(idx.pre_order_vertices(), fresh.pre_order_vertices());
-        assert_eq!(idx.post_order_vertices(), fresh.post_order_vertices());
         for v in 0..idx.capacity() as Vertex {
             assert_eq!(idx.contains(v), fresh.contains(v), "contains({v})");
             if !idx.contains(v) {
@@ -400,6 +379,11 @@ mod tests {
         for &u in verts.iter().step_by(3) {
             for &v in verts.iter().step_by(2) {
                 assert_eq!(idx.lca(u, v), fresh.lca(u, v), "lca({u},{v})");
+                assert_eq!(
+                    idx.lca(u, v),
+                    naive_lca(&parent, u, v),
+                    "naive lca({u},{v})"
+                );
             }
             for l in 0..=fresh.level(u) {
                 assert_eq!(
@@ -588,6 +572,25 @@ mod tests {
         ));
         assert_identical_to_fresh(&idx);
         assert_eq!(idx.level(n as Vertex - 1), n as u32 - 1);
+    }
+
+    #[test]
+    fn depth_shrink_keeps_queries_identical_to_fresh_builds() {
+        // Re-hanging the lower half of a 17-vertex path under the root halves
+        // its depth. The splice keeps the lifting rows the old depth needed
+        // (a fresh build has one fewer), so the raw tables differ while every
+        // query answer must still match.
+        let mut idx = path_index(17);
+        let mut patch = TreePatch::new();
+        patch.assign(9, 0);
+        assert!(matches!(
+            idx.apply_patch(&patch, usize::MAX),
+            PatchOutcome::Applied { .. }
+        ));
+        assert_identical_to_fresh(&idx);
+        assert_eq!(idx.level(16), 8);
+        assert_eq!(idx.lca(16, 8), 0);
+        assert_eq!(idx.lca(16, 12), 12);
     }
 
     #[test]

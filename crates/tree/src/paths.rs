@@ -3,9 +3,9 @@
 //! Throughout the paper, every path that is ever traversed, queried or stored
 //! is an *ancestor–descendant path* of the current DFS tree `T`: one endpoint
 //! is an ancestor of the other. [`PathSeg`] is the canonical representation of
-//! such a path (its two endpoints), and the free functions provide the
-//! operations the rerooting engine needs: vertex enumeration, membership,
-//! hanging subtrees, and splitting around a vertex.
+//! such a path (its two endpoints); its methods and [`path_vertices`] provide
+//! the operations the rerooting engine needs: vertex enumeration,
+//! membership, and splitting around a vertex.
 
 use crate::index::TreeIndex;
 use pardfs_graph::Vertex;
@@ -39,42 +39,9 @@ impl PathSeg {
         }
     }
 
-    /// The single-vertex path.
-    pub fn single(v: Vertex) -> Self {
-        PathSeg { top: v, bottom: v }
-    }
-
-    /// Number of vertices on the path.
-    pub fn num_vertices(&self, idx: &TreeIndex) -> u32 {
-        idx.level(self.bottom) - idx.level(self.top) + 1
-    }
-
-    /// Number of edges on the path.
-    pub fn len(&self, idx: &TreeIndex) -> u32 {
-        self.num_vertices(idx) - 1
-    }
-
-    /// Is this a single-vertex path?
-    pub fn is_single(&self) -> bool {
-        self.top == self.bottom
-    }
-
     /// Does `v` lie on this path?
     pub fn contains(&self, idx: &TreeIndex, v: Vertex) -> bool {
         idx.is_ancestor(self.top, v) && idx.is_ancestor(v, self.bottom)
-    }
-
-    /// The vertices of the path ordered from `from` to the other endpoint.
-    /// `from` must be one of the two endpoints.
-    pub fn vertices_from(&self, idx: &TreeIndex, from: Vertex) -> Vec<Vertex> {
-        let mut out = path_vertices(idx, self.bottom, self.top);
-        if from == self.top {
-            out.reverse();
-            out
-        } else {
-            debug_assert_eq!(from, self.bottom, "from must be an endpoint");
-            out
-        }
     }
 
     /// The vertices of the path from bottom (descendant) to top (ancestor).
@@ -153,35 +120,6 @@ pub fn path_vertices(idx: &TreeIndex, from: Vertex, to: Vertex) -> Vec<Vertex> {
     out
 }
 
-/// Roots of the subtrees hanging from the path `seg`: children of path
-/// vertices that are not themselves on the path.
-///
-/// The returned roots are full subtrees of the indexed tree; together with the
-/// path they partition the union of the subtrees of the path's vertices.
-pub fn hanging_subtrees(idx: &TreeIndex, seg: &PathSeg) -> Vec<Vertex> {
-    let mut out = Vec::new();
-    for v in seg.vertices_bottom_up(idx) {
-        for &c in idx.children(v) {
-            if !seg.contains(idx, c) {
-                out.push(c);
-            }
-        }
-    }
-    out
-}
-
-/// Roots of the subtrees hanging from the tree path between `from` and its
-/// ancestor `to` (convenience wrapper over [`hanging_subtrees`]).
-pub fn hanging_subtrees_between(idx: &TreeIndex, desc: Vertex, anc: Vertex) -> Vec<Vertex> {
-    hanging_subtrees(
-        idx,
-        &PathSeg {
-            top: anc,
-            bottom: desc,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,11 +151,6 @@ mod tests {
         let s = PathSeg::new(&idx, 7, 1);
         assert_eq!(s.top, 1);
         assert_eq!(s.bottom, 7);
-        assert_eq!(s.len(&idx), 3);
-        assert_eq!(s.num_vertices(&idx), 4);
-        let single = PathSeg::single(5);
-        assert!(single.is_single());
-        assert_eq!(single.num_vertices(&idx), 1);
     }
 
     #[test]
@@ -227,8 +160,6 @@ mod tests {
         assert!(s.contains(&idx, 2));
         assert!(!s.contains(&idx, 3));
         assert_eq!(s.vertices_bottom_up(&idx), vec![4, 2, 1, 0]);
-        assert_eq!(s.vertices_from(&idx, 0), vec![0, 1, 2, 4]);
-        assert_eq!(s.vertices_from(&idx, 4), vec![4, 2, 1, 0]);
     }
 
     #[test]
@@ -254,18 +185,6 @@ mod tests {
         // Walking the whole path leaves nothing.
         assert!(s.remainder_after_walk(&idx, 0, 7).is_none());
         assert!(s.remainder_after_walk(&idx, 7, 0).is_none());
-    }
-
-    #[test]
-    fn hanging_subtrees_of_a_path() {
-        let idx = fixture();
-        let s = PathSeg::new(&idx, 0, 4); // 0-1-2-4
-        let mut roots = hanging_subtrees(&idx, &s);
-        roots.sort_unstable();
-        assert_eq!(roots, vec![3, 7]);
-        let mut roots2 = hanging_subtrees_between(&idx, 7, 1);
-        roots2.sort_unstable();
-        assert_eq!(roots2, vec![3]);
     }
 
     #[test]

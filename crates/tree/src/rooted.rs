@@ -58,11 +58,6 @@ impl RootedTree {
         }
     }
 
-    /// Raw parent entry (including the `parent[root] == root` convention).
-    pub fn parent_raw(&self, v: Vertex) -> Vertex {
-        self.parent[v as usize]
-    }
-
     /// Is `v` part of the tree?
     pub fn contains(&self, v: Vertex) -> bool {
         (v as usize) < self.parent.len() && self.parent[v as usize] != NO_VERTEX
@@ -82,19 +77,6 @@ impl RootedTree {
         self.parent[child as usize] = parent;
     }
 
-    /// Remove `v` from the tree (its descendants keep their parent entries and
-    /// become unreachable until re-attached).
-    pub fn detach(&mut self, v: Vertex) {
-        self.parent[v as usize] = NO_VERTEX;
-    }
-
-    /// Grow the id space to `capacity` (new slots are not in the tree).
-    pub fn grow(&mut self, capacity: usize) {
-        if capacity > self.parent.len() {
-            self.parent.resize(capacity, NO_VERTEX);
-        }
-    }
-
     /// Number of vertices currently in the tree.
     pub fn len(&self) -> usize {
         self.parent.iter().filter(|&&p| p != NO_VERTEX).count()
@@ -103,11 +85,6 @@ impl RootedTree {
     /// Is the tree empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Consume into the raw parent array.
-    pub fn into_parent_array(self) -> Vec<Vertex> {
-        self.parent
     }
 
     /// Borrow the raw parent array.
@@ -122,24 +99,6 @@ impl RootedTree {
             .enumerate()
             .filter(|(_, &p)| p != NO_VERTEX)
             .map(|(v, _)| v as Vertex)
-    }
-
-    /// Walk from `v` to the root, returning the vertices in order (inclusive).
-    /// Cycles (malformed trees) are detected and cause a panic after
-    /// `capacity` steps.
-    pub fn path_to_root(&self, v: Vertex) -> Vec<Vertex> {
-        let mut out = Vec::new();
-        let mut cur = v;
-        for _ in 0..=self.parent.len() {
-            out.push(cur);
-            if cur == self.root {
-                return out;
-            }
-            let p = self.parent[cur as usize];
-            assert_ne!(p, NO_VERTEX, "vertex {cur} is not connected to the root");
-            cur = p;
-        }
-        panic!("cycle detected in parent array");
     }
 
     /// Check structural validity: exactly one root, every in-tree vertex
@@ -196,27 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn path_to_root_orders_vertices() {
-        let t = small_tree();
-        assert_eq!(t.path_to_root(4), vec![4, 1, 0]);
-        assert_eq!(t.path_to_root(0), vec![0]);
-    }
-
-    #[test]
     fn detach_breaks_reachability() {
+        // Removing vertex 1 leaves its children 3 and 4 parented to a hole.
         let mut t = small_tree();
-        t.detach(1);
+        t.set_parent(1, NO_VERTEX);
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn grow_extends_id_space() {
-        let mut t = small_tree();
-        t.grow(10);
-        assert_eq!(t.capacity(), 10);
-        assert!(!t.contains(9));
-        t.attach(9, 2);
-        assert_eq!(t.parent(9), Some(2));
     }
 
     #[test]

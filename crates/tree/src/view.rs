@@ -3,7 +3,7 @@
 //!
 //! Where [`TreeIndex::read_snap_sections`](crate::TreeIndex) copies the
 //! parent array out of the file and then rebuilds *every* derived structure
-//! (children arena, orderings, Euler tour, RMQ, binary lifting — the
+//! (children arena, orderings, levels, sizes, binary lifting — the
 //! `O(n log n)` part that dominates checkpoint open time), a `TreeView`
 //! **validates once and borrows thereafter**: the construction pass runs the
 //! exact same parent-array validation as the materializing parser (shared
