@@ -54,11 +54,6 @@ pub struct RerootStats {
     pub disintegrate_traversals: u64,
     /// Path-halving traversals performed.
     pub path_halve_traversals: u64,
-    /// Pieces that had no edge to the freshly traversed path and were attached
-    /// through the component's traversal trail instead. The paper's strict
-    /// invariant makes this 0 for its scenarios; the generalised grouping uses
-    /// it as a safety valve and the tests assert it stays rare.
-    pub trail_attachments: u64,
     /// Largest number of untraversed paths ever held by a single component
     /// (1 under the paper's strict C2 invariant).
     pub max_paths_in_component: u64,
@@ -86,7 +81,6 @@ impl RerootStats {
         self.root_path_traversals += other.root_path_traversals;
         self.disintegrate_traversals += other.disintegrate_traversals;
         self.path_halve_traversals += other.path_halve_traversals;
-        self.trail_attachments += other.trail_attachments;
         self.max_paths_in_component = self
             .max_paths_in_component
             .max(other.max_paths_in_component);

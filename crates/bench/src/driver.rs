@@ -54,14 +54,6 @@ impl DriveSummary {
             .unwrap_or(0)
     }
 
-    /// Total trail attachments across the run (engine backends).
-    pub fn total_trail_attachments(&self) -> u64 {
-        self.per_update
-            .iter()
-            .filter_map(|r| r.engine().map(|e| e.reroot.trail_attachments))
-            .sum()
-    }
-
     /// Mean wall-clock microseconds spent inside the reroot itself
     /// (excluding rebuilds; engine backends only).
     pub fn mean_reroot_micros(&self) -> f64 {

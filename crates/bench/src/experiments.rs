@@ -237,7 +237,6 @@ pub fn e3_query_rounds(scale: Scale) -> Table {
             "max sets",
             "log2(n)^2",
             "max rounds",
-            "trail attach",
         ],
     );
     for family in [Family::Sparse, Family::NearPath, Family::Broom] {
@@ -251,7 +250,6 @@ pub fn e3_query_rounds(scale: Scale) -> Table {
                 summary.max_query_sets().to_string(),
                 format!("{:.1}", log2(n) * log2(n)),
                 summary.max_rounds().to_string(),
-                summary.total_trail_attachments().to_string(),
             ]);
         }
     }

@@ -41,6 +41,7 @@ use pardfs_api::{DfsMaintainer, IndexMaintenanceStats, StatsReport};
 use pardfs_core::reduction::ReductionInput;
 use pardfs_core::{EngineDfs, Model, UpdateStats};
 use pardfs_graph::{Graph, Update, Vertex};
+use pardfs_query::scan::Nearest;
 use pardfs_query::{EdgeHit, QueryOracle, VertexQuery};
 use pardfs_seq::augment::AugmentedGraph;
 use pardfs_tree::TreeIndex;
@@ -74,52 +75,24 @@ impl<'a> BroadcastOracle<'a> {
             network,
         }
     }
-
-    fn on_path(&self, z: Vertex, a: Vertex, b: Vertex) -> bool {
-        if !self.idx.contains(z) {
-            return false;
-        }
-        if a == b {
-            return z == a;
-        }
-        if !self.idx.contains(a) || !self.idx.contains(b) {
-            return false;
-        }
-        (self.idx.is_ancestor(a, z) && self.idx.is_ancestor(z, b))
-            || (self.idx.is_ancestor(b, z) && self.idx.is_ancestor(z, a))
-    }
 }
 
 impl QueryOracle for BroadcastOracle<'_> {
     fn answer_batch(&self, queries: &[VertexQuery]) -> Vec<Option<EdgeHit>> {
         // Each query's partial answer is computed locally at its source node
         // from that node's adjacency list, then combined network-wide.
-        let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
-            let mut best: Option<(u32, Vertex)> = None;
-            if self.graph.is_active(q.w) {
-                for &z in self.graph.neighbors(q.w) {
-                    if q.near == q.far && !self.idx.contains(q.near) {
-                        if z == q.near {
-                            best = Some((0, z));
-                        }
-                        continue;
-                    }
-                    if !self.on_path(z, q.near, q.far) {
-                        continue;
-                    }
-                    let rank = self.idx.level(z).abs_diff(self.idx.level(q.near));
-                    if best.is_none_or(|(r, _)| rank < r) {
-                        best = Some((rank, z));
+        let out = queries
+            .iter()
+            .map(|&q| {
+                let mut nearest = Nearest::new(self.idx, q);
+                if self.graph.is_active(q.w) {
+                    for &z in self.graph.neighbors(q.w) {
+                        nearest.offer(z);
                     }
                 }
-            }
-            out.push(best.map(|(rank, z)| EdgeHit {
-                from: q.w,
-                on_path: z,
-                rank_from_near: rank,
-            }));
-        }
+                nearest.hit()
+            })
+            .collect();
         // Network charge: partial answers whose source is the pseudo root (or
         // whose only purpose is reaching the pseudo root) need no
         // communication; everything else is one pipelined

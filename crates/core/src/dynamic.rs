@@ -9,20 +9,20 @@
 //! *not* rebuilt per update: it stays anchored to the tree it was last built
 //! on (the *base* tree), queries against paths of the current tree are
 //! decomposed into ancestor–descendant segments of the base tree (the
-//! Theorem 9 argument, shared with the fault tolerant algorithm), and the
-//! overlay absorbs the edge/vertex churn. Only when the overlay outgrows the
-//! configured [`RebuildPolicy`] threshold (`c · m / log₂ n` by default) is
-//! `D` rebuilt on the current tree — the `O(log n)`-time, `m`-processor
-//! preprocessing of Theorem 8, now an amortized rather than per-update event.
+//! Theorem 9 argument: `pardfs_query::Drifted`, shared with the fault
+//! tolerant algorithm), and the overlay absorbs the edge/vertex churn.
+//! Only when the overlay outgrows the configured [`RebuildPolicy`] threshold
+//! (`c · m / log₂ n` by default) is `D` rebuilt on the current tree — the
+//! `O(log n)`-time, `m`-processor preprocessing of Theorem 8, now an
+//! amortized rather than per-update event.
 
 use crate::engine::{EngineDfs, Model};
-use crate::fault::FaultOracle;
 use crate::reduction::ReductionInput;
 use crate::reroot::Strategy;
 use crate::stats::UpdateStats;
 use pardfs_api::{IndexMaintenanceStats, RebuildPolicy, RebuildPolicyStats, StatsReport};
 use pardfs_graph::{Graph, Update, Vertex};
-use pardfs_query::{QueryOracle, StructureD};
+use pardfs_query::{Drifted, QueryOracle, StructureD};
 use pardfs_seq::augment::AugmentedGraph;
 use pardfs_tree::TreeIndex;
 use std::time::Instant;
@@ -89,7 +89,7 @@ impl Model for LiveD {
         if self.d_fresh {
             reroot(&self.d)
         } else {
-            reroot(&FaultOracle::new(&self.d))
+            reroot(&Drifted::new(&self.d))
         }
     }
 

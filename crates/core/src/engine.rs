@@ -238,10 +238,10 @@ pub(crate) fn step<M: Model>(
         let start = Instant::now();
         let mut stats = UpdateStats::default();
         let jobs = reduce_update(
-            idx, &oracle, proot, &internal, &input, &mut patch, &mut stats,
+            idx, oracle, proot, &internal, &input, &mut patch, &mut stats,
         );
         stats.reroot_jobs = jobs.len() as u64;
-        stats.reroot = Rerooter::new(idx, &oracle, strategy).run(&jobs, &mut patch);
+        stats.reroot = Rerooter::new(idx, oracle, strategy).run(&jobs, &mut patch);
         stats.reroot_micros = start.elapsed().as_micros() as u64;
         stats
     });

@@ -8,7 +8,9 @@
 //! *current* tree `T*_i` is decomposed into ancestor–descendant segments of
 //! the *original* tree (the argument of Theorem 9: every traversed path of
 //! `T*_i` is a concatenation of monotone runs of original tree edges, plus the
-//! freshly inserted vertices).
+//! freshly inserted vertices). The decomposition lives next to `D`, in
+//! `pardfs-query`: [`FrozenD`] queries `D` through its
+//! [`Drifted`] oracle, which applies [`pardfs_query::base_segments`].
 //!
 //! [`FaultTolerantDfs`] is the engine ([`crate::engine`]) in the frozen-`D`
 //! model [`FrozenD`]. Compared with [`crate::DynamicDfs`], the only extra
@@ -23,99 +25,10 @@ use crate::reduction::ReductionInput;
 use crate::stats::UpdateStats;
 use pardfs_api::{forest, BatchReport, IndexMaintenanceStats, StatsReport};
 use pardfs_graph::{Graph, Update, Vertex};
-use pardfs_query::{EdgeHit, QueryOracle, StructureD, VertexQuery};
+use pardfs_query::{Drifted, QueryOracle, StructureD};
 use pardfs_seq::augment::AugmentedGraph;
 use pardfs_seq::check::check_spanning_dfs_tree;
 use pardfs_tree::TreeIndex;
-
-/// Oracle adapter for the fault tolerant algorithm: answers come from the
-/// original `D` (plus its overlay), and query paths of the current tree are
-/// decomposed into original-tree segments.
-pub struct FaultOracle<'a> {
-    d: &'a StructureD,
-}
-
-impl<'a> FaultOracle<'a> {
-    /// Wrap the preprocessed structure.
-    pub fn new(d: &'a StructureD) -> Self {
-        FaultOracle { d }
-    }
-}
-
-impl QueryOracle for FaultOracle<'_> {
-    fn answer_batch(&self, queries: &[VertexQuery]) -> Vec<Option<EdgeHit>> {
-        self.d.answer_batch(queries)
-    }
-
-    fn decompose_path(
-        &self,
-        current: &TreeIndex,
-        near: Vertex,
-        far: Vertex,
-    ) -> Vec<(Vertex, Vertex)> {
-        decompose_into_original_segments(self.d.tree(), current, near, far)
-    }
-}
-
-/// Decompose the current-tree path between `near` and `far` (an
-/// ancestor–descendant path of `current`) into maximal runs that are
-/// ancestor–descendant paths of `original`, ordered starting from `near`.
-/// Vertices that are not part of the original tree (inserted after the
-/// preprocessing) form singleton runs.
-pub fn decompose_into_original_segments(
-    original: &TreeIndex,
-    current: &TreeIndex,
-    near: Vertex,
-    far: Vertex,
-) -> Vec<(Vertex, Vertex)> {
-    // Walk the current-tree path from `near` to `far`.
-    let walk: Vec<Vertex> = if current.is_ancestor(near, far) {
-        let mut w = pardfs_tree::paths::path_vertices(current, far, near);
-        w.reverse();
-        w
-    } else {
-        pardfs_tree::paths::path_vertices(current, near, far)
-    };
-    let orig_adjacent = |a: Vertex, b: Vertex| -> bool {
-        original.contains(a)
-            && original.contains(b)
-            && (original.parent(a) == Some(b) || original.parent(b) == Some(a))
-    };
-    let mut out: Vec<(Vertex, Vertex)> = Vec::new();
-    let mut run_start = walk[0];
-    let mut run_end = walk[0];
-    // +1 = moving towards original descendants, -1 = towards ancestors,
-    // 0 = direction not fixed yet.
-    let mut dir = 0i32;
-    for &v in walk.iter().skip(1) {
-        let step_dir = if !original.contains(run_end) || !original.contains(v) {
-            None
-        } else if original.parent(v) == Some(run_end) {
-            Some(1)
-        } else if original.parent(run_end) == Some(v) {
-            Some(-1)
-        } else {
-            None
-        };
-        let extend = match step_dir {
-            Some(d) if dir == 0 || dir == d => {
-                dir = d;
-                true
-            }
-            _ => false,
-        };
-        if extend && orig_adjacent(run_end, v) {
-            run_end = v;
-        } else {
-            out.push((run_start, run_end));
-            run_start = v;
-            run_end = v;
-            dir = 0;
-        }
-    }
-    out.push((run_start, run_end));
-    out
-}
 
 /// The result of absorbing a batch of updates with the fault tolerant
 /// structure: the DFS tree of the updated graph and the per-update statistics.
@@ -255,7 +168,7 @@ impl Model for FrozenD {
     ) -> UpdateStats {
         note_update(&mut self.d, update, input, aug.pseudo_root());
         self.pending.push((update.clone(), input.clone()));
-        reroot(&FaultOracle::new(&self.d))
+        reroot(&Drifted::new(&self.d))
     }
 
     fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport {
@@ -357,53 +270,8 @@ mod tests {
     use pardfs_api::{DfsMaintainer, ForestQuery};
     use pardfs_graph::generators;
     use pardfs_graph::updates::{random_update_sequence, UpdateMix};
-    use pardfs_seq::static_dfs::static_dfs;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn decomposition_of_unchanged_paths_is_a_single_segment() {
-        let g = generators::path(8);
-        let aug = AugmentedGraph::new(&g);
-        let idx = TreeIndex::build(&static_dfs(aug.graph(), aug.pseudo_root()));
-        let segs = decompose_into_original_segments(&idx, &idx, 3, 7);
-        assert_eq!(segs, vec![(3, 7)]);
-        let segs = decompose_into_original_segments(&idx, &idx, 5, 5);
-        assert_eq!(segs, vec![(5, 5)]);
-    }
-
-    #[test]
-    fn decomposition_splits_at_direction_changes() {
-        // Original tree: path 1-2-3-4-5 under the pseudo root (internal ids).
-        // A current tree in which 3 hangs from 2 but the path continues
-        // 2-1-... would change walking direction; simulate by decomposing a
-        // current path whose vertex order goes down then up in the original.
-        let g = generators::path(5);
-        let aug = AugmentedGraph::new(&g);
-        let orig = TreeIndex::build(&static_dfs(aug.graph(), aug.pseudo_root()));
-        // Build a different current tree: reroot the path at its middle so the
-        // current root-to-leaf path changes original direction at vertex 3.
-        let mut dfs = crate::DynamicDfs::new(&g);
-        dfs.apply_update(&Update::InsertEdge(0, 4));
-        dfs.apply_update(&Update::DeleteEdge(1, 2));
-        dfs.check().unwrap();
-        let current = dfs.tree();
-        // Take the deepest leaf and decompose its root path.
-        let leaf = *current
-            .pre_order_vertices()
-            .iter()
-            .max_by_key(|&&v| current.level(v))
-            .unwrap();
-        let segs = decompose_into_original_segments(&orig, current, leaf, current.root());
-        // Every segment must be an ancestor-descendant path of the original
-        // tree (or a singleton).
-        for (a, b) in segs {
-            assert!(
-                a == b || orig.is_ancestor(a, b) || orig.is_ancestor(b, a),
-                "segment ({a},{b}) is not monotone in the original tree"
-            );
-        }
-    }
 
     #[test]
     fn single_failures_match_a_fresh_dfs() {

@@ -33,9 +33,10 @@
 //!   of per-update.
 //! * [`fault`] — Theorem 14: the fault tolerant maintainer, the frozen-`D`
 //!   model. `D` is built *once*; a batch of `k` updates is absorbed by
-//!   decomposing every queried path of the evolving tree into
-//!   ancestor–descendant segments of the *original* tree (Theorem 9) and
-//!   consulting the original `D` plus a small overlay.
+//!   consulting the original `D` plus a small overlay through
+//!   `pardfs_query::Drifted`, which decomposes every queried path of the
+//!   evolving tree into ancestor–descendant segments of the *original* tree
+//!   (Theorem 9). The decomposition lives next to `D`, in `pardfs-query`.
 //! * [`stats`] — instrumentation: engine rounds, sequential query sets,
 //!   traversal census. These are the quantities the paper's theorems bound
 //!   (`O(log^2 n)` query sets per reroot, `O(log^3 n)` EREW time), and the
@@ -58,8 +59,12 @@
 //! guarantee the synchronous phase/stage schedule and are replaced here by the
 //! generalised grouping, whose measured round counts are reported by
 //! experiment E3 (see `docs/ARCHITECTURE.md` and the README's experiment
-//! index). The `Simple` strategy is the parallelised sequential baseline and
-//! serves as the ablation.
+//! index). The grouping is exact and has no safety valve: every group of
+//! pieces is a connected part of a connected component minus the path just
+//! traversed, so by the components property (Lemma 1) it has an edge to that
+//! path, and a group without one is an invariant violation that panics. The
+//! `Simple` strategy is the parallelised sequential baseline and serves as
+//! the ablation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -32,9 +32,9 @@ pub struct ReductionInput {
 /// The graph must already reflect the update; the oracle must reflect it too
 /// (deleted edges/vertices masked, inserted edges visible), so that "lowest
 /// edge" queries never return a stale edge.
-pub fn reduce_update<O: QueryOracle>(
+pub fn reduce_update(
     idx: &TreeIndex,
-    oracle: &O,
+    oracle: &dyn QueryOracle,
     proot: Vertex,
     update: &Update,
     input: &ReductionInput,
@@ -128,9 +128,9 @@ pub fn reduce_update<O: QueryOracle>(
 /// One set of independent queries: for every subtree root in `roots`, the
 /// lowest edge (nearest to `near`) from that subtree to the tree path between
 /// `near` and `far`. Results are aligned with `roots`.
-fn lowest_edges_from_subtrees<O: QueryOracle>(
+fn lowest_edges_from_subtrees(
     idx: &TreeIndex,
-    oracle: &O,
+    oracle: &dyn QueryOracle,
     roots: &[Vertex],
     near: Vertex,
     far: Vertex,

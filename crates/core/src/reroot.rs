@@ -25,9 +25,15 @@
 //!   scenarios.
 //!
 //! All edge information is obtained through a [`QueryOracle`], so the same
-//! engine runs on the in-memory structure `D`, on the original `D` of the
-//! fault tolerant algorithm, on a semi-streaming pass oracle and on the
-//! CONGEST broadcast oracle.
+//! engine runs on the in-memory structure `D`, on a drifted `D` queried
+//! through base-tree segments (the live `D` between rebuilds and the
+//! original `D` of the fault tolerant algorithm), on a semi-streaming pass
+//! oracle and on the CONGEST broadcast oracle.
+//!
+//! Every group of pieces that a traversal leaves behind attaches to the path
+//! that traversal just walked: the group is a connected part of a connected
+//! component minus that path, so it has an edge to the path (Lemma 1). The
+//! engine therefore never looks further back than the latest traversal.
 
 use crate::stats::{RerootStats, TraversalKind};
 use pardfs_graph::Vertex;
@@ -37,7 +43,6 @@ use pardfs_tree::rooted::NO_VERTEX;
 use pardfs_tree::{TreeIndex, TreePatch};
 use rayon::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Traversal selection rule of the rerooting engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,14 +76,6 @@ struct TraversalSeg {
     near: Vertex,
 }
 
-/// Linked history of the paths a component's ancestors traversed; used to
-/// attach the rare piece that has no edge to the current traversal.
-#[derive(Debug)]
-struct TrailNode {
-    segs: Vec<TraversalSeg>,
-    parent: Option<Arc<TrailNode>>,
-}
-
 /// A connected component of the unvisited graph.
 #[derive(Debug, Clone)]
 struct Component {
@@ -90,8 +87,6 @@ struct Component {
     paths: Vec<PathSeg>,
     /// Roots of untraversed full subtrees of the old tree.
     subtrees: Vec<Vertex>,
-    /// Traversal history for fallback attachment.
-    trail: Arc<TrailNode>,
 }
 
 /// Output of processing one component for one round.
@@ -102,7 +97,6 @@ struct StepOutput {
     query_sets: u64,
     query_batches: u64,
     queries: u64,
-    trail_attachments: u64,
     max_paths: u64,
 }
 
@@ -110,15 +104,15 @@ struct StepOutput {
 /// records the new parent pointers of the rerooted subtrees as a
 /// [`TreePatch`], so the caller can delta-patch its tree index instead of
 /// rebuilding it.
-pub struct Rerooter<'a, O: QueryOracle> {
+pub struct Rerooter<'a> {
     idx: &'a TreeIndex,
-    oracle: &'a O,
+    oracle: &'a dyn QueryOracle,
     strategy: Strategy,
 }
 
-impl<'a, O: QueryOracle> Rerooter<'a, O> {
+impl<'a> Rerooter<'a> {
     /// Create an engine over the old tree `idx` and the given oracle.
-    pub fn new(idx: &'a TreeIndex, oracle: &'a O, strategy: Strategy) -> Self {
+    pub fn new(idx: &'a TreeIndex, oracle: &'a dyn QueryOracle, strategy: Strategy) -> Self {
         Rerooter {
             idx,
             oracle,
@@ -130,10 +124,6 @@ impl<'a, O: QueryOracle> Rerooter<'a, O> {
     /// vertex into `patch` (untouched subtrees keep their structure).
     pub fn run(&self, jobs: &[RerootJob], patch: &mut TreePatch) -> RerootStats {
         let mut stats = RerootStats::default();
-        let root_trail = Arc::new(TrailNode {
-            segs: Vec::new(),
-            parent: None,
-        });
         let mut components: Vec<Component> = jobs
             .iter()
             .map(|j| {
@@ -143,7 +133,6 @@ impl<'a, O: QueryOracle> Rerooter<'a, O> {
                     attach_parent: j.attach_parent,
                     paths: Vec::new(),
                     subtrees: vec![j.sub_root],
-                    trail: root_trail.clone(),
                 }
             })
             .collect();
@@ -166,7 +155,6 @@ impl<'a, O: QueryOracle> Rerooter<'a, O> {
                 round_max_sets = round_max_sets.max(out.query_sets);
                 stats.query_batches += out.query_batches;
                 stats.queries += out.queries;
-                stats.trail_attachments += out.trail_attachments;
                 stats.max_paths_in_component = stats.max_paths_in_component.max(out.max_paths);
                 if let Some(kind) = out.kind {
                     stats.record_traversal(kind);
@@ -196,7 +184,6 @@ impl<'a, O: QueryOracle> Rerooter<'a, O> {
                 query_sets: 0,
                 query_batches: 0,
                 queries: 0,
-                trail_attachments: 0,
                 max_paths: c.paths.len() as u64,
             };
         }
@@ -360,7 +347,6 @@ impl<'a, O: QueryOracle> Rerooter<'a, O> {
         let mut query_sets = 0u64;
         let mut query_batches = 0u64;
         let mut queries = 0u64;
-        let mut trail_attachments = 0u64;
 
         let n_paths = paths.len();
         let n_pieces = n_paths + subtrees.len();
@@ -492,41 +478,20 @@ impl<'a, O: QueryOracle> Rerooter<'a, O> {
             }
         }
 
-        // --- 3. fallback through the trail for orphan groups ---------------
-        let new_trail = Arc::new(TrailNode {
-            segs: trav.clone(),
-            parent: Some(c.trail.clone()),
-        });
         let mut new_components = Vec::with_capacity(groups.len());
         for (g, members) in groups.iter().enumerate() {
-            let attach = match best[g] {
-                Some((_, h)) => h,
-                None => {
-                    trail_attachments += 1;
-                    let hit = self.attach_through_trail(
-                        c,
-                        members,
-                        &piece_vertices,
-                        &mut query_sets,
-                        &mut query_batches,
-                        &mut queries,
-                    );
-                    match hit {
-                        Some(h) => h,
-                        None => panic!(
-                            "rerooting invariant violated: a piece has no edge to any \
-                             previously traversed path (component entered at {})",
-                            c.rc
-                        ),
-                    }
-                }
+            let Some((_, attach)) = best[g] else {
+                panic!(
+                    "rerooting invariant violated: a piece has no edge to the \
+                     freshly traversed path (component entered at {})",
+                    c.rc
+                );
             };
             let mut comp = Component {
                 rc: attach.from,
                 attach_parent: attach.on_path,
                 paths: Vec::new(),
                 subtrees: Vec::new(),
-                trail: new_trail.clone(),
             };
             for &m in members {
                 if m < n_paths {
@@ -551,58 +516,7 @@ impl<'a, O: QueryOracle> Rerooter<'a, O> {
             query_sets,
             query_batches,
             queries,
-            trail_attachments,
             max_paths,
         }
-    }
-
-    /// Walk the component's traversal history, newest first, until one of the
-    /// group's vertices has an edge to a recorded segment.
-    #[allow(clippy::too_many_arguments)]
-    fn attach_through_trail(
-        &self,
-        c: &Component,
-        members: &[usize],
-        piece_vertices: &dyn Fn(usize) -> Vec<Vertex>,
-        query_sets: &mut u64,
-        query_batches: &mut u64,
-        queries: &mut u64,
-    ) -> Option<EdgeHit> {
-        let idx = self.idx;
-        let mut node = Some(c.trail.clone());
-        while let Some(t) = node {
-            for ts in t.segs.iter().rev() {
-                let far = if ts.near == ts.seg.top {
-                    ts.seg.bottom
-                } else {
-                    ts.seg.top
-                };
-                let mut batch = Vec::new();
-                for &m in members {
-                    for w in piece_vertices(m) {
-                        for (a, b) in self.oracle.decompose_path(idx, ts.near, far) {
-                            batch.push(VertexQuery::new(w, a, b));
-                        }
-                    }
-                }
-                if batch.is_empty() {
-                    continue;
-                }
-                *query_sets += 1;
-                *query_batches += 1;
-                *queries += batch.len() as u64;
-                let hit = self
-                    .oracle
-                    .answer_batch(&batch)
-                    .into_iter()
-                    .flatten()
-                    .min_by_key(|h| h.rank_from_near);
-                if hit.is_some() {
-                    return hit;
-                }
-            }
-            node = t.parent.clone();
-        }
-        None
     }
 }

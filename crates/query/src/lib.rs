@@ -23,10 +23,16 @@
 //! * [`StructureD`] — the sorted-adjacency structure with an *overlay* that
 //!   absorbs edge/vertex updates without rebuilding (Theorem 9), which is what
 //!   the fault-tolerant algorithm relies on;
+//! * [`Drifted`] — `D` queried on the paths of a tree that has drifted from
+//!   the one `D` was built on, each path cut into maximal base-tree segments
+//!   by [`base_segments`] (Theorem 9);
 //! * [`VertexQuery`] / [`EdgeHit`] — the unit of work handed to an oracle;
+//! * [`scan`] — the one nearest-hit fold every oracle answers a query with:
+//!   the oracles differ only in which candidate endpoints they offer it;
 //! * [`QueryOracle`] — the batched-query trait implemented by `StructureD`
-//!   (shared memory), by the semi-streaming pass oracle (`pardfs-stream`) and
-//!   by the CONGEST broadcast oracle (`pardfs-congest`).
+//!   and `Drifted` (shared memory), by the semi-streaming pass oracle
+//!   (`pardfs-stream`) and by the CONGEST broadcast oracle
+//!   (`pardfs-congest`).
 //!
 //! The engine itself counts the query sets each update issues
 //! (`UpdateStats::total_query_sets`); experiment E3 checks the `O(log^2 n)`
@@ -36,7 +42,8 @@
 #![warn(missing_docs)]
 
 pub mod oracle;
+pub mod scan;
 pub mod structure;
 
 pub use oracle::{EdgeHit, QueryOracle, VertexQuery};
-pub use structure::StructureD;
+pub use structure::{base_segments, Drifted, StructureD};

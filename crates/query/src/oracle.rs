@@ -45,15 +45,16 @@ pub struct EdgeHit {
 /// A batched, read-only query answerer — what distinguishes the engine's
 /// execution models (`pardfs-core::Model`) from one another.
 ///
-/// Implementations:
+/// Implementations, each answering every query with the
+/// [`scan`](crate::scan) fold:
 /// * [`StructureD`](crate::StructureD) — in-memory sorted adjacency
 ///   (shared-memory parallel model);
+/// * [`Drifted`](crate::Drifted) — a `D` built on an earlier tree, plus its
+///   overlay, with current-tree paths decomposed into segments of that tree
+///   (Theorem 9);
 /// * `pardfs-stream::PassOracle` — one pass over the edge stream per batch;
 /// * `pardfs-congest::BroadcastOracle` — one pipelined broadcast/convergecast
-///   per batch;
-/// * `pardfs-core::FaultOracle` — the original `D` plus an overlay,
-///   with current-tree paths decomposed into original-tree segments
-///   (Theorem 9).
+///   per batch.
 pub trait QueryOracle: Sync {
     /// Answer a set of independent queries. The result vector is aligned with
     /// the input slice.
@@ -64,8 +65,8 @@ pub trait QueryOracle: Sync {
     /// ordered starting from the `near` end.
     ///
     /// The default is the identity, valid whenever the oracle was built on the
-    /// current tree itself. The fault-tolerant oracle overrides this with the
-    /// original-tree segment decomposition.
+    /// current tree itself. [`Drifted`](crate::Drifted) overrides this with
+    /// the base-tree segment decomposition.
     fn decompose_path(
         &self,
         current: &TreeIndex,
@@ -74,20 +75,5 @@ pub trait QueryOracle: Sync {
     ) -> Vec<(Vertex, Vertex)> {
         let _ = current;
         vec![(near, far)]
-    }
-}
-
-impl<O: QueryOracle + ?Sized> QueryOracle for &O {
-    fn answer_batch(&self, queries: &[VertexQuery]) -> Vec<Option<EdgeHit>> {
-        (**self).answer_batch(queries)
-    }
-
-    fn decompose_path(
-        &self,
-        current: &TreeIndex,
-        near: Vertex,
-        far: Vertex,
-    ) -> Vec<(Vertex, Vertex)> {
-        (**self).decompose_path(current, near, far)
     }
 }

@@ -1,5 +1,7 @@
 //! The data structure `D`: post-order sorted adjacency lists with an update
-//! overlay (Theorems 8 and 9).
+//! overlay (Theorems 8 and 9), and the Theorem 9 decomposition that lets a
+//! `D` built on one tree answer queries on the paths of a later one
+//! ([`base_segments`], queried through the [`Drifted`] oracle).
 //!
 //! ## The overlay / rebuild contract
 //!
@@ -12,13 +14,16 @@
 //!   `note_delete_vertex`) *before* querying, obeying the update vocabulary's
 //!   contract (inserted edges do not already exist, deleted edges/vertices do
 //!   exist). Queries keep speaking in **base-tree paths**: a caller whose
-//!   current tree has diverged from the base tree decomposes its paths into
-//!   base-tree segments first (`QueryOracle::decompose_path`, the Theorem 9
-//!   argument) — inserted vertices, which the base tree has never heard of,
-//!   travel as `near == far` singleton queries.
+//!   current tree has diverged from the base tree queries through
+//!   [`Drifted`], which cuts every current-tree path into maximal base-tree
+//!   segments first ([`base_segments`], the Theorem 9 argument) — inserted
+//!   vertices, which the base tree has never heard of, travel as
+//!   `near == far` singleton queries.
 //! * **`D` itself** answers every query over the *net* edge set: the sorted
 //!   base adjacency minus `removed`/`dead` masks plus the `extra` lists,
-//!   scanned linearly. After `k` overlay records a query costs
+//!   scanned linearly. It offers the survivors of its two post-order
+//!   windows and of the overlay to the [`scan`](crate::scan) fold, which
+//!   picks the hit. After `k` overlay records a query costs
 //!   `O(log n + k)`.
 //!
 //! ## The amortization argument
@@ -35,7 +40,9 @@
 //! overlays forever, `reset` between batches.
 
 use crate::oracle::{EdgeHit, QueryOracle, VertexQuery};
+use crate::scan::Nearest;
 use pardfs_graph::{Graph, Vertex};
+use pardfs_tree::paths::path_vertices;
 use pardfs_tree::TreeIndex;
 use rayon::prelude::*;
 
@@ -216,119 +223,62 @@ impl StructureD {
 
     /// Answer a single query (see [`VertexQuery`] for the semantics).
     pub fn query_vertex(&self, q: VertexQuery) -> Option<EdgeHit> {
-        let VertexQuery { w, near, far } = q;
+        let w = q.w;
         if (w as usize) >= self.sorted_adj.len() || self.is_dead(w) {
             return None;
         }
         let idx = &self.idx;
+        let survives = |z: Vertex| !self.is_dead(z) && !self.edge_removed(w, z);
+        let mut nearest = Nearest::new(idx, q);
 
-        // Target is a single vertex that is not part of the build tree
-        // (a vertex inserted after the build): only overlay edges can reach it.
-        if near == far && !idx.contains(near) {
-            if !self.is_dead(near)
-                && self.extra_adj[w as usize].contains(&near)
-                && !self.edge_removed(w, near)
-            {
-                return Some(EdgeHit {
-                    from: w,
-                    on_path: near,
-                    rank_from_near: 0,
-                });
-            }
-            return None;
-        }
-        if !idx.contains(near) || !idx.contains(far) {
-            debug_assert!(false, "query path endpoints must belong to the oracle tree");
-            return None;
-        }
-        let (top, bottom) = if idx.is_ancestor(near, far) {
-            (near, far)
-        } else if idx.is_ancestor(far, near) {
-            (far, near)
-        } else {
-            debug_assert!(false, "query path endpoints are not ancestor-descendant");
-            return None;
-        };
-        let near_level = idx.level(near);
-        let mut best: Option<(u32, Vertex)> = None;
-        let consider = |z: Vertex, best: &mut Option<(u32, Vertex)>| {
-            let d = idx.level(z).abs_diff(near_level);
-            if best.is_none_or(|(bd, _)| d < bd) {
-                *best = Some((d, z));
-            }
-        };
+        // A target outside the build tree (a vertex inserted after the
+        // build) has no post-order window: only overlay edges can reach it.
+        if let Some((top, bottom)) = nearest.path().filter(|_| idx.contains(w)) {
+            let adj = &self.sorted_adj[w as usize];
 
-        // Fast path: neighbours of `w` that are ancestors of `w` on the path.
-        if idx.contains(w) {
+            // Fast path: neighbours of `w` that are ancestors of `w` on the
+            // path. They fill the window adj[lo..hi]; the survivor nearest
+            // the preferred end is the only one that can win.
             let l = idx.lca(w, bottom);
             if idx.is_ancestor(top, l) {
-                let adj = &self.sorted_adj[w as usize];
                 let lo = adj.partition_point(|&z| idx.post(z) < idx.post(l));
                 let hi = adj.partition_point(|&z| idx.post(z) <= idx.post(top));
-                if lo < hi {
-                    // Candidates adj[lo..hi] all lie on path(top, l); walk from
-                    // the preferred end until one survives the overlay filters.
-                    let prefer_top = near == top;
-                    let range: Box<dyn Iterator<Item = usize>> = if prefer_top {
-                        Box::new((lo..hi).rev())
-                    } else {
-                        Box::new(lo..hi)
-                    };
-                    for i in range {
-                        let z = adj[i];
-                        if self.is_dead(z) || self.edge_removed(w, z) {
-                            continue;
-                        }
-                        consider(z, &mut best);
-                        break;
-                    }
+                let mut window = adj[lo..hi].iter();
+                let first = if q.near == top {
+                    window.rev().find(|&&z| survives(z))
+                } else {
+                    window.find(|&&z| survives(z))
+                };
+                if let Some(&z) = first {
+                    nearest.offer(z);
                 }
             }
 
             // Slow path: neighbours of `w` that are descendants of `w` on the
             // path. This only happens when `w` is an ancestor of the queried
-            // path's lower end; candidates inside the post-order window must be
-            // filtered by an explicit on-path check.
+            // path's lower end; the post-order window also holds descendants
+            // of `w` off the path, which the fold rejects.
             if idx.is_ancestor(w, bottom) && w != bottom {
                 let portion_top = if idx.is_ancestor(top, w) { w } else { top };
-                let adj = &self.sorted_adj[w as usize];
                 let sub_lo = idx.post(w) + 1 - idx.size(w);
                 let win_lo = idx.post(bottom).max(sub_lo);
                 let win_hi = idx.post(portion_top).min(idx.post(w).saturating_sub(1));
                 if win_lo <= win_hi {
                     let lo = adj.partition_point(|&z| idx.post(z) < win_lo);
                     let hi = adj.partition_point(|&z| idx.post(z) <= win_hi);
-                    for &z in &adj[lo..hi] {
-                        if z == w
-                            || self.is_dead(z)
-                            || self.edge_removed(w, z)
-                            || !idx.is_ancestor(z, bottom)
-                            || !idx.is_ancestor(top, z)
-                        {
-                            continue;
-                        }
-                        consider(z, &mut best);
+                    for &z in adj[lo..hi].iter().filter(|&&z| survives(z)) {
+                        nearest.offer(z);
                     }
                 }
             }
         }
 
-        // Overlay: inserted edges may be cross edges, so membership on the path
-        // is checked explicitly for each of them.
-        for &z in &self.extra_adj[w as usize] {
-            if self.is_dead(z) || self.edge_removed(w, z) || !idx.contains(z) {
-                continue;
-            }
-            if idx.is_ancestor(top, z) && idx.is_ancestor(z, bottom) {
-                consider(z, &mut best);
-            }
+        // Overlay: inserted edges may be cross edges or reach inserted
+        // vertices; the fold sorts them out.
+        for &z in self.extra_adj[w as usize].iter().filter(|&&z| survives(z)) {
+            nearest.offer(z);
         }
-
-        best.map(|(d, z)| EdgeHit {
-            from: w,
-            on_path: z,
-            rank_from_near: d,
-        })
+        nearest.hit()
     }
 }
 
@@ -349,6 +299,80 @@ impl QueryOracle for StructureD {
             queries.par_iter().map(|&q| self.query_vertex(q)).collect()
         }
     }
+}
+
+/// `D` answering queries on paths of a *current* tree that has drifted away
+/// from `D`'s base tree: every path is cut into [`base_segments`] first
+/// (Theorem 9), and the segments are queried as they are.
+pub struct Drifted<'a> {
+    d: &'a StructureD,
+}
+
+impl<'a> Drifted<'a> {
+    /// Query `d` through the segment decomposition.
+    pub fn new(d: &'a StructureD) -> Self {
+        Drifted { d }
+    }
+}
+
+impl QueryOracle for Drifted<'_> {
+    fn answer_batch(&self, queries: &[VertexQuery]) -> Vec<Option<EdgeHit>> {
+        self.d.answer_batch(queries)
+    }
+
+    fn decompose_path(
+        &self,
+        current: &TreeIndex,
+        near: Vertex,
+        far: Vertex,
+    ) -> Vec<(Vertex, Vertex)> {
+        base_segments(self.d.tree(), current, near, far)
+    }
+}
+
+/// Cut the path of `current` between `near` and `far` (ancestor and
+/// descendant, in either order) into maximal runs that are
+/// ancestor–descendant paths of `base`, ordered from `near`. A vertex that
+/// `base` does not contain (inserted after `base` was built) forms a
+/// singleton run.
+pub fn base_segments(
+    base: &TreeIndex,
+    current: &TreeIndex,
+    near: Vertex,
+    far: Vertex,
+) -> Vec<(Vertex, Vertex)> {
+    let walk = if current.is_ancestor(near, far) {
+        let mut walk = path_vertices(current, far, near);
+        walk.reverse();
+        walk
+    } else {
+        path_vertices(current, near, far)
+    };
+    let mut out = Vec::new();
+    let (mut start, mut end) = (walk[0], walk[0]);
+    // +1 = moving towards base-tree descendants, -1 = towards ancestors,
+    // 0 = direction not fixed yet.
+    let mut dir = 0i32;
+    for &v in &walk[1..] {
+        let step = if !base.contains(end) || !base.contains(v) {
+            0
+        } else if base.parent(v) == Some(end) {
+            1
+        } else if base.parent(end) == Some(v) {
+            -1
+        } else {
+            0
+        };
+        if step != 0 && (dir == 0 || dir == step) {
+            dir = step;
+            end = v;
+        } else {
+            out.push((start, end));
+            (start, end, dir) = (v, v, 0);
+        }
+    }
+    out.push((start, end));
+    out
 }
 
 #[cfg(test)]
@@ -599,5 +623,146 @@ mod tests {
         let idx = dfs_tree(&g, 0);
         let d = StructureD::build(&g, idx);
         assert_eq!(d.size_words(), 2 * 200);
+    }
+
+    /// The vertices from `from` up to its ancestor `to`, by walking a parent
+    /// array (`parent[root] == root`).
+    fn climb(parent: &[Vertex], mut from: Vertex, to: Vertex) -> Vec<Vertex> {
+        let mut out = vec![from];
+        while from != to {
+            assert_ne!(parent[from as usize], from, "{to} is not an ancestor");
+            from = parent[from as usize];
+            out.push(from);
+        }
+        out
+    }
+
+    /// Is `seq` a walk along base-tree edges that only goes down or only
+    /// goes up, i.e. an ancestor–descendant path of the base tree?
+    fn monotone(base: &[Vertex], seq: &[Vertex]) -> bool {
+        let inside = |v: Vertex| (v as usize) < base.len();
+        let down = |a: Vertex, b: Vertex| inside(a) && inside(b) && a != b && base[b as usize] == a;
+        seq.iter().all(|&v| inside(v))
+            && (seq.windows(2).all(|p| down(p[0], p[1]))
+                || seq.windows(2).all(|p| down(p[1], p[0])))
+    }
+
+    /// A random rooted tree on `0..n`, root 0, as a parent array.
+    fn random_parents(n: usize, rng: &mut impl Rng) -> Vec<Vertex> {
+        let mut order: Vec<Vertex> = (1..n as Vertex).collect();
+        order.shuffle(rng);
+        let mut parent = vec![0; n];
+        for (i, &v) in order.iter().enumerate() {
+            parent[v as usize] = if i == 0 || rng.gen_bool(0.2) {
+                0
+            } else {
+                order[rng.gen_range(0..i)]
+            };
+        }
+        parent
+    }
+
+    /// Drift `base` into a current tree the way reroots do: reverse the path
+    /// from a vertex down to one of its descendants (the descendant takes its
+    /// place), re-hang a subtree elsewhere, or splice in or hang a vertex the
+    /// base tree never had.
+    fn drift(base: &[Vertex], ops: usize, rng: &mut impl Rng) -> Vec<Vertex> {
+        let mut parent = base.to_vec();
+        for _ in 0..ops {
+            let n = parent.len() as Vertex;
+            let x = rng.gen_range(1..n);
+            let chain = climb(&parent, x, 0);
+            match rng.gen_range(0..4) {
+                0 | 1 => {
+                    // Evert the path x .. v, v a proper ancestor-or-self of x.
+                    let j = rng.gen_range(0..chain.len() - 1);
+                    let above = parent[chain[j] as usize];
+                    parent[x as usize] = above;
+                    for k in 1..=j {
+                        parent[chain[k] as usize] = chain[k - 1];
+                    }
+                }
+                2 => {
+                    let u = rng.gen_range(0..n);
+                    if !climb(&parent, u, 0).contains(&x) {
+                        parent[x as usize] = u;
+                    }
+                }
+                _ => {
+                    parent.push(parent[x as usize]);
+                    if rng.gen_bool(0.5) {
+                        parent[x as usize] = n;
+                    }
+                }
+            }
+        }
+        parent
+    }
+
+    #[test]
+    fn base_segments_are_maximal_base_paths_that_spell_the_current_path() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5E6);
+        let (mut multi, mut outside) = (0, 0);
+        for trial in 0..60 {
+            let n = rng.gen_range(2..80);
+            let base_parent = random_parents(n, &mut rng);
+            let ops = if trial % 6 == 0 {
+                0
+            } else {
+                rng.gen_range(1..12)
+            };
+            let cur_parent = drift(&base_parent, ops, &mut rng);
+            let base = TreeIndex::from_parent_slice(&base_parent, 0);
+            let current = TreeIndex::from_parent_slice(&cur_parent, 0);
+            for _ in 0..40 {
+                let a = rng.gen_range(0..cur_parent.len() as Vertex);
+                let b = current.ancestor_at_level(a, rng.gen_range(0..=current.level(a)));
+                let (near, far) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+                let mut path = climb(&cur_parent, a, b);
+                if near == b {
+                    path.reverse();
+                }
+
+                let segs = base_segments(&base, &current, near, far);
+                let ctx = format!("trial {trial}, path {near} -> {far}, segments {segs:?}");
+                let mut spelled = Vec::new();
+                let mut runs: Vec<Vec<Vertex>> = Vec::new();
+                for &(s, e) in &segs {
+                    let run = if s == e {
+                        vec![s]
+                    } else if base.is_ancestor(s, e) {
+                        let mut run = climb(&base_parent, e, s);
+                        run.reverse();
+                        run
+                    } else {
+                        assert!(
+                            base.is_ancestor(e, s),
+                            "{ctx}: ({s},{e}) is not a base path"
+                        );
+                        climb(&base_parent, s, e)
+                    };
+                    assert!(monotone(&base_parent, &run) || s == e, "{ctx}");
+                    outside += usize::from(!base.contains(s));
+                    spelled.extend_from_slice(&run);
+                    runs.push(run);
+                }
+                assert_eq!(spelled, path, "{ctx}: segments do not spell the path");
+                for pair in runs.windows(2) {
+                    let joined = [pair[0].as_slice(), pair[1].as_slice()].concat();
+                    assert!(
+                        !monotone(&base_parent, &joined),
+                        "{ctx}: {joined:?} is one base path"
+                    );
+                }
+                if ops == 0 {
+                    assert_eq!(segs.len(), 1, "{ctx}: an undrifted path is one segment");
+                }
+                multi += usize::from(segs.len() > 1);
+            }
+        }
+        assert!(
+            multi > 500 && outside > 50,
+            "{multi} split paths, {outside} outside runs"
+        );
     }
 }

@@ -41,6 +41,7 @@ use pardfs_api::{DfsMaintainer, IndexMaintenanceStats, StatsReport};
 use pardfs_core::reduction::ReductionInput;
 use pardfs_core::{EngineDfs, Model, UpdateStats};
 use pardfs_graph::{Graph, Update, Vertex};
+use pardfs_query::scan::Nearest;
 use pardfs_query::{EdgeHit, QueryOracle, VertexQuery};
 use pardfs_seq::augment::AugmentedGraph;
 use pardfs_tree::TreeIndex;
@@ -51,8 +52,8 @@ pub use pardfs_api::StreamStats;
 /// A [`QueryOracle`] that answers each batch with one pass over the stream.
 ///
 /// The oracle holds only `O(n)` local state: a reference to the current tree
-/// index (levels / ancestor tests for path-membership checks) — the edge
-/// stream itself is borrowed, never copied.
+/// index, which the [`Nearest`] fold of every query tests streamed edges
+/// against — the edge stream itself is borrowed, never copied.
 pub struct PassOracle<'a> {
     stream: &'a Graph,
     idx: &'a TreeIndex,
@@ -84,20 +85,6 @@ impl<'a> PassOracle<'a> {
             peak_partial_words: self.peak_partial_words.load(Ordering::Relaxed),
         }
     }
-
-    fn on_path(&self, z: Vertex, a: Vertex, b: Vertex) -> bool {
-        if !self.idx.contains(z) {
-            return false;
-        }
-        if a == b {
-            return z == a;
-        }
-        if !self.idx.contains(a) || !self.idx.contains(b) {
-            return false;
-        }
-        (self.idx.is_ancestor(a, z) && self.idx.is_ancestor(z, b))
-            || (self.idx.is_ancestor(b, z) && self.idx.is_ancestor(z, a))
-    }
 }
 
 impl QueryOracle for PassOracle<'_> {
@@ -116,46 +103,19 @@ impl QueryOracle for PassOracle<'_> {
         for (i, q) in queries.iter().enumerate() {
             by_source.entry(q.w).or_default().push(i);
         }
-        let mut best: Vec<Option<(u32, Vertex)>> = vec![None; queries.len()];
+        let mut folds: Vec<Nearest> = queries.iter().map(|&q| Nearest::new(self.idx, q)).collect();
         let mut scanned = 0u64;
         // The single pass over the stream.
         for e in self.stream.edges() {
             scanned += 1;
             for (w, z) in [(e.0, e.1), (e.1, e.0)] {
-                let Some(ids) = by_source.get(&w) else {
-                    continue;
-                };
-                for &i in ids {
-                    let q = &queries[i];
-                    if q.near == q.far && !self.idx.contains(q.near) {
-                        // Target is an inserted vertex: exact endpoint match.
-                        if z == q.near && best[i].is_none() {
-                            best[i] = Some((0, z));
-                        }
-                        continue;
-                    }
-                    if !self.on_path(z, q.near, q.far) {
-                        continue;
-                    }
-                    let near_level = self.idx.level(q.near);
-                    let rank = self.idx.level(z).abs_diff(near_level);
-                    if best[i].is_none_or(|(r, _)| rank < r) {
-                        best[i] = Some((rank, z));
-                    }
+                for &i in by_source.get(&w).into_iter().flatten() {
+                    folds[i].offer(z);
                 }
             }
         }
         self.edges_scanned.fetch_add(scanned, Ordering::Relaxed);
-        best.into_iter()
-            .zip(queries)
-            .map(|(b, q)| {
-                b.map(|(rank, z)| EdgeHit {
-                    from: q.w,
-                    on_path: z,
-                    rank_from_near: rank,
-                })
-            })
-            .collect()
+        folds.iter().map(Nearest::hit).collect()
     }
 }
 

@@ -61,7 +61,6 @@ fn fingerprint(report: &StatsReport) -> Vec<u64> {
             engine.reroot.query_batches,
             engine.reroot.queries,
             engine.reroot.components,
-            engine.reroot.trail_attachments,
         ]);
     }
     if let Some(policy) = report.rebuild_policy() {

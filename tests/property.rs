@@ -7,20 +7,31 @@
 //! overlay-carrying structure must answer every `VertexQuery` identically to
 //! a fresh `StructureD::build` on the final graph (where the final graph is
 //! buildable on the base tree) and to an independent brute-force model
-//! (always). Deeper runs: set `PROPTEST_CASES` and/or run the `--ignored`
-//! stress targets.
+//! (always).
+//!
+//! The **oracle suite** compares the four ways of answering one independent
+//! query set on a tree that has drifted away from `D`'s base tree: a fresh
+//! `D`, the drifted `D` through its base-tree segments, the streaming pass
+//! oracle and the CONGEST broadcast oracle, each against a brute force over
+//! the current graph. Deeper runs: set `PROPTEST_CASES` and/or run the
+//! `--ignored` stress targets.
 
+use pardfs::congest::network::Network;
+use pardfs::congest::BroadcastOracle;
 use pardfs::graph::updates::{random_update_sequence, UpdateMix};
 use pardfs::graph::{generators, Graph, Update, Vertex};
-use pardfs::query::{EdgeHit, QueryOracle, StructureD, VertexQuery};
+use pardfs::query::{Drifted, EdgeHit, QueryOracle, StructureD, VertexQuery};
 use pardfs::seq::augment::AugmentedGraph;
 use pardfs::seq::static_dfs::static_dfs;
+use pardfs::stream::PassOracle;
 use pardfs::tree::{TreeIndex, NO_VERTEX};
 use pardfs::{
     Backend, DfsMaintainer, DynamicDfs, FaultTolerantDfs, ForestQuery, IndexPolicy,
     MaintainerBuilder, RebuildPolicy, Strategy, StreamingDynamicDfs,
 };
+use parking_lot::Mutex;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -299,6 +310,136 @@ fn differential_fresh_rebuild_run(seed: u64, n: usize, extra_edges: usize, steps
     }
 }
 
+/// Oracle-level differential run. A live-`D` maintainer that never rebuilds
+/// absorbs `updates` random updates, so its tree drifts away from the tree
+/// it started on; a test-owned `D` built on that starting tree records the
+/// same updates in its overlay. Then independent query sets on the
+/// *current* tree (distinct `w`, random ancestor–descendant paths in either
+/// orientation) go to a fresh `D`, the pass oracle, the broadcast oracle and
+/// the drifted `D` through its base-tree segments, and every answer must be
+/// the brute force's over the current graph and tree. Returns (queries
+/// checked, queries whose path split into two or more base-tree segments).
+fn oracle_differential_run(
+    seed: u64,
+    n: usize,
+    extra_edges: usize,
+    updates: usize,
+    mix: &UpdateMix,
+) -> (usize, usize) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let m = (n - 1 + extra_edges).min(n * (n - 1) / 2);
+    let g = generators::random_connected_gnm(n, m, &mut rng);
+    let ups = random_update_sequence(&g, updates, mix, &mut rng);
+    let mut dfs = DynamicDfs::with_config(&g, Strategy::Phased, RebuildPolicy::Never);
+    let proot = dfs.tree().root();
+    let mut base_d = StructureD::build(dfs.augmented_graph(), dfs.tree().clone());
+    // Mirror every update into the overlay as the live-`D` model does:
+    // internal id = user id + 1, and a new vertex also gets its pseudo edge.
+    let internal = |v: Vertex| v + 1;
+    for u in &ups {
+        let inserted = dfs.apply_update(u);
+        match u {
+            Update::InsertEdge(a, b) => base_d.note_insert_edge(internal(*a), internal(*b)),
+            Update::DeleteEdge(a, b) => base_d.note_delete_edge(internal(*a), internal(*b)),
+            Update::DeleteVertex(v) => base_d.note_delete_vertex(internal(*v)),
+            Update::InsertVertex { .. } => {
+                let nv = internal(inserted.expect("a vertex insertion creates a vertex"));
+                let nbrs: Vec<Vertex> = dfs
+                    .augmented_graph()
+                    .neighbors(nv)
+                    .iter()
+                    .copied()
+                    .filter(|&x| x != proot)
+                    .collect();
+                base_d.note_insert_vertex(nv, &nbrs);
+                base_d.note_insert_edge(nv, proot);
+            }
+        }
+    }
+    dfs.check().expect("the maintained tree is a DFS tree");
+
+    let (graph, current) = (dfs.augmented_graph(), dfs.tree());
+    let fresh = StructureD::build(graph, current.clone());
+    let pass = PassOracle::new(graph, current);
+    let mut network = Network::new(graph, 4);
+    network.build_bfs_forest();
+    let network = Mutex::new(network);
+    let broadcast = BroadcastOracle::new(graph, current, proot, &network);
+    let drifted = Drifted::new(&base_d);
+
+    let mut verts = current.pre_order_vertices().to_vec();
+    let mut sizes: Vec<usize> = (0..4)
+        .map(|_| rng.gen_range(1..=verts.len().min(48)))
+        .collect();
+    if n >= 300 {
+        // Large enough for `D`'s parallel `answer_batch` path.
+        sizes.push(rng.gen_range(256..=verts.len()));
+    }
+    let (mut checked, mut split) = (0, 0);
+    for size in sizes {
+        verts.shuffle(&mut rng);
+        let set: Vec<VertexQuery> = verts[..size]
+            .iter()
+            .map(|&w| {
+                let (near, far) = random_tree_path(current, &mut rng);
+                VertexQuery::new(w, near, far)
+            })
+            .collect();
+        let want: Vec<Option<(Vertex, u32)>> = set
+            .iter()
+            .map(|&q| brute_force_query(graph, current, &[], &[], &[], q))
+            .map(|h| h.map(|h| (h.on_path, h.rank_from_near)))
+            .collect();
+
+        for (name, oracle) in [
+            ("fresh D", &fresh as &dyn QueryOracle),
+            ("pass", &pass),
+            ("broadcast", &broadcast),
+        ] {
+            for ((q, got), want) in set.iter().zip(oracle.answer_batch(&set)).zip(&want) {
+                assert!(got.is_none_or(|h| h.from == q.w), "{name}: {q:?}");
+                assert_eq!(
+                    got.map(|h| (h.on_path, h.rank_from_near)),
+                    *want,
+                    "seed {seed}: {name} answered {q:?} wrongly"
+                );
+            }
+        }
+
+        // The drifted `D`: every path cut into base-tree segments, one batch,
+        // sub-answers combined by (segment index, rank from near) as the
+        // reduction does.
+        let mut batch = Vec::new();
+        let mut tags = Vec::new();
+        for (i, q) in set.iter().enumerate() {
+            let segments = drifted.decompose_path(current, q.near, q.far);
+            split += usize::from(segments.len() > 1);
+            for (k, (a, b)) in segments.into_iter().enumerate() {
+                batch.push(VertexQuery::new(q.w, a, b));
+                tags.push((i, k));
+            }
+        }
+        let mut best: Vec<Option<((usize, u32), Vertex)>> = vec![None; set.len()];
+        for (&(i, k), hit) in tags.iter().zip(drifted.answer_batch(&batch)) {
+            if let Some(h) = hit {
+                let key = (k, h.rank_from_near);
+                if best[i].is_none_or(|(bk, _)| key < bk) {
+                    best[i] = Some((key, h.on_path));
+                }
+            }
+        }
+        for ((q, got), want) in set.iter().zip(&best).zip(&want) {
+            assert_eq!(
+                got.map(|(_, z)| z),
+                want.map(|(z, _)| z),
+                "seed {seed}: the drifted D answered {q:?} wrongly"
+            );
+        }
+        checked += set.len();
+    }
+    (checked, split)
+}
+
 /// LCA by walking up the parent array (`parent[root] == root`): a reference
 /// that shares no code with the index's lifting table.
 fn naive_lca(parent: &[Vertex], mut u: Vertex, mut v: Vertex) -> Vertex {
@@ -549,6 +690,18 @@ proptest! {
     }
 
     #[test]
+    fn every_oracle_matches_brute_force_on_a_drifted_tree(
+        seed in any::<u64>(),
+        n in 10usize..400,
+        extra in 0usize..600,
+        updates in 1usize..40,
+        edges_only in any::<bool>(),
+    ) {
+        let mix = if edges_only { UpdateMix::edges_only() } else { UpdateMix::default() };
+        oracle_differential_run(seed, n, extra, updates, &mix);
+    }
+
+    #[test]
     fn fault_tolerant_maintainer_absorbs_each_update_once(
         seed in any::<u64>(),
         n in 5usize..30,
@@ -594,6 +747,26 @@ fn stress_differential_fresh_rebuild_deep() {
             60,
         );
     }
+}
+
+#[test]
+#[ignore = "stress target: run with `--ignored` (CI property-stress job)"]
+fn stress_oracle_differential_deep() {
+    let (mut checked, mut split) = (0, 0);
+    for trial in 0..40u64 {
+        let seed = trial.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        let mix = if trial % 2 == 0 {
+            UpdateMix::edges_only()
+        } else {
+            UpdateMix::default()
+        };
+        let n = 10 + (trial as usize * 37) % 600;
+        let (c, s) = oracle_differential_run(seed, n, 2 * n, 10 + trial as usize % 50, &mix);
+        checked += c;
+        split += s;
+    }
+    eprintln!("{checked} queries, {split} split into two or more base-tree segments");
+    assert!(split > 0, "no query path drifted into several segments");
 }
 
 #[test]
