@@ -181,7 +181,8 @@ impl OwnershipMap {
 /// applies *every* update (per-shard applied = total updates), while a
 /// partitioned router applies each routed update on exactly one shard —
 /// plus cheap allocation echoes — so the per-shard count drops towards
-/// `1/k` of the total on multi-component workloads (benchmarked in E17).
+/// `1/k` of the total on multi-component workloads (asserted by the
+/// write-amplification test in `tests/serve_partitioned.rs`).
 ///
 /// ```
 /// use pardfs_api::RoutingStats;

@@ -9,17 +9,17 @@
 //! cargo run -p pardfs-bench --release --bin experiments -- all --threads 4
 //! ```
 //!
-//! Experiments that carry [`pardfs_bench::BenchRecord`] rows (E1, E2, E9,
-//! E10, E11, E12, E13, E14, E15, E17) also emit `BENCH_<id>.json` into the current directory
+//! Experiments that carry [`pardfs_bench::BenchRecord`] rows (E1, E2, E10,
+//! E11, E12, E15) also emit `BENCH_<id>.json` into the current directory
 //! (override with `--json-dir <dir>`), so the perf trajectory is recorded as
-//! data, not just prose.
+//! data, not just prose. All but E1 have a committed baseline at the
+//! repository root, which `bench_gate` checks fresh runs against.
 //!
 //! `--threads N` sizes the global worker pool (equivalent to running with
 //! `PARDFS_THREADS=N`); E2 ignores it — that experiment sweeps its own
 //! explicit pools.
 
-use pardfs_bench::experiments as exp;
-use pardfs_bench::experiments::Scale;
+use pardfs_bench::experiments::{Scale, EXPERIMENTS};
 use pardfs_bench::Table;
 use std::path::PathBuf;
 
@@ -65,67 +65,23 @@ fn main() {
             id => selected.push(id.to_lowercase()),
         }
     }
-    let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id || s == "all");
-
-    let mut tables: Vec<Table> = Vec::new();
-    if want("e1") {
-        tables.push(exp::e1_update_time(scale));
-    }
-    if want("e2") {
-        tables.push(exp::e2_scalability(scale));
-    }
-    if want("e3") {
-        tables.push(exp::e3_query_rounds(scale));
-    }
-    if want("e3b") {
-        tables.push(exp::e3b_ablation(scale));
-    }
-    if want("e4") {
-        tables.push(exp::e4_fault_tolerant(scale));
-    }
-    if want("e5") {
-        tables.push(exp::e5_streaming(scale));
-    }
-    if want("e6") {
-        tables.push(exp::e6_congest(scale));
-    }
-    if want("e7") {
-        tables.push(exp::e7_preprocess(scale));
-    }
-    if want("e8") {
-        tables.push(exp::e8_update_kinds(scale));
-    }
-    if want("e9") {
-        tables.push(exp::e9_backend_matrix(scale));
-    }
-    if want("e10") {
-        tables.push(exp::e10_rebuild_policy(scale));
-    }
-    if want("e11") {
-        tables.push(exp::e11_index_patching(scale));
-    }
-    if want("e12") {
-        tables.push(exp::e12_scenarios(scale));
-    }
-    if want("e13") {
-        tables.push(exp::e13_serving_throughput(scale));
-    }
-    if want("e14") {
-        tables.push(exp::e14_durability_overhead(scale));
-    }
-    if want("e15") {
-        tables.push(exp::e15_checkpoint_open(scale));
-    }
-    if want("e17") {
-        tables.push(exp::e17_write_amplification(scale));
-    }
-
-    if tables.is_empty() {
+    if let Some(unknown) = selected
+        .iter()
+        .find(|s| *s != "all" && !EXPERIMENTS.iter().any(|(id, _)| id == s))
+    {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
         eprintln!(
-            "unknown experiment id; use e1 e2 e3 e3b e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e17 or all"
+            "unknown experiment id {unknown}; use {} or all",
+            ids.join(" ")
         );
         std::process::exit(2);
     }
+    let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id || s == "all");
+    let tables: Vec<Table> = EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| want(id))
+        .map(|(_, run)| run(scale))
+        .collect();
     for t in &tables {
         println!("{}", t.render());
     }

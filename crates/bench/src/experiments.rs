@@ -1,5 +1,6 @@
 //! The experiments of the README's experiment index. Every function
-//! regenerates one table; the binary `experiments` prints them.
+//! regenerates one table, [`EXPERIMENTS`] lists them by id, and the binary
+//! `experiments` prints them.
 //!
 //! Every experiment that measures a maintainer builds it through
 //! [`MaintainerBuilder`] and feeds it to the one shared [`drive`] loop —
@@ -18,8 +19,7 @@ use pardfs::seq::augment::AugmentedGraph;
 use pardfs::seq::static_dfs::static_dfs;
 use pardfs::tree::TreeIndex;
 use pardfs::{
-    Backend, CheckpointPolicy, ConcurrentOutcome, ConcurrentScenarioRunner, DfsMaintainer,
-    DurabilityConfig, IndexPolicy, MaintainerBuilder, RebuildPolicy, Scenario, Server, Strategy,
+    Backend, DfsMaintainer, IndexPolicy, MaintainerBuilder, RebuildPolicy, Scenario, Strategy,
     StreamingDfsExt,
 };
 use pardfs_workload::{edge_workload, rng, workload, Family, Workload};
@@ -533,53 +533,6 @@ pub fn e8_update_kinds(scale: Scale) -> Table {
     t
 }
 
-/// E9 — the unified surface itself: every backend absorbing the same
-/// workload through the one trait driver, side by side.
-pub fn e9_backend_matrix(scale: Scale) -> Table {
-    let n = match scale {
-        Scale::Tiny => 128,
-        Scale::Quick => 512,
-        Scale::Full => 4096,
-    };
-    let mut t = Table::new(
-        format!("E9: all backends, same workload, one driver (sparse, n = {n})"),
-        &[
-            "backend",
-            "mean µs",
-            "mean query sets",
-            "max query sets",
-            "relinked/update",
-        ],
-    );
-    t.id = "E9".into();
-    let w = workload(Family::Sparse, n, scale.updates(), 123);
-    let m = w.graph.num_edges();
-    for backend in Backend::all_default() {
-        let mut dfs = MaintainerBuilder::new(backend).build(&w.graph);
-        let name = dfs.backend_name();
-        let summary = drive(dfs.as_mut(), &w.updates);
-        let relinked = summary.collect(|r| r.relinked_vertices() as f64);
-        let relinked_mean = relinked.iter().sum::<f64>() / relinked.len().max(1) as f64;
-        t.records.push(BenchRecord {
-            n,
-            m,
-            backend: name.into(),
-            policy: "default".into(),
-            ns_per_update: summary.mean_micros() * 1e3,
-            index_ns_per_update: None,
-            ..BenchRecord::stamped()
-        });
-        t.push_row(vec![
-            name.into(),
-            format!("{:.0}", summary.mean_micros()),
-            format!("{:.1}", summary.mean_query_sets()),
-            summary.max_query_sets().to_string(),
-            format!("{relinked_mean:.1}"),
-        ]);
-    }
-    t
-}
-
 /// E10 — the amortized rebuild policy: sweep the threshold factor and show
 /// the crossover between rebuilding `D` on every update and maintaining it
 /// incrementally through the overlay.
@@ -813,257 +766,9 @@ pub fn e12_scenarios(scale: Scale) -> Table {
     t
 }
 
-/// E13 — concurrent serving throughput: the read-mostly scenario replayed
-/// through the `pardfs-serve` layer (one writer group-committing the trace's
-/// update batches, `M` readers answering its query batches against published
-/// epoch snapshots) versus the single-threaded [`pardfs::ScenarioRunner`]
-/// replay of the same trace, per backend.
-///
-/// The headline metric is **queries/sec** (aggregate across readers over the
-/// serving wall-clock); `ns_per_update` is recorded as mean ns *per query*
-/// (`1e9 / qps`) so the gate's positive-timing invariant holds unchanged.
-/// Every concurrent run additionally asserts a zero torn-snapshot census —
-/// a torn read aborts the benchmark rather than polluting the baseline.
-pub fn e13_serving_throughput(scale: Scale) -> Table {
-    let n = match scale {
-        Scale::Tiny => 64,
-        Scale::Quick => 192,
-        Scale::Full => 768,
-    };
-    let scenario = Scenario::ReadMostly;
-    let trace = scenario.record(n, 0xE13);
-    let mut t = Table::new(
-        format!(
-            "E13: concurrent serving throughput — read-mostly trace (n ≈ {n}), \
-             single-threaded replay vs epoch-snapshot serving at 1/2/4 readers"
-        ),
-        &[
-            "backend",
-            "config",
-            "n",
-            "m",
-            "updates",
-            "queries",
-            "kq/s",
-            "vs single",
-            "torn",
-        ],
-    );
-    t.id = "E13".into();
-    for backend in Backend::all_default() {
-        // Single-threaded baseline: the plain ScenarioRunner replay, whose
-        // queries serialize through `&mut` access between update batches.
-        let (_, outcome) = MaintainerBuilder::new(backend).run_scenario(&trace);
-        let single_qps = if outcome.total_micros > 0.0 {
-            outcome.queries_answered() as f64 * 1e6 / outcome.total_micros
-        } else {
-            0.0
-        };
-        let mut push = |config: &str, qps: f64, updates: u64, queries: u64, torn: u64| {
-            t.records.push(BenchRecord {
-                n: trace.n,
-                m: trace.m(),
-                backend: outcome.backend.clone(),
-                policy: config.into(),
-                ns_per_update: 1e9 / qps.max(f64::MIN_POSITIVE),
-                queries_per_sec: Some(qps),
-                ..BenchRecord::stamped()
-            });
-            t.push_row(vec![
-                outcome.backend.clone(),
-                config.into(),
-                trace.n.to_string(),
-                trace.m().to_string(),
-                updates.to_string(),
-                queries.to_string(),
-                format!("{:.1}", qps / 1e3),
-                format!("{:.2}x", qps / single_qps.max(f64::MIN_POSITIVE)),
-                torn.to_string(),
-            ]);
-        };
-        push(
-            "single-thread",
-            single_qps,
-            outcome.updates_applied(),
-            outcome.queries_answered(),
-            0,
-        );
-        for readers in [1usize, 2, 4] {
-            // Best of two runs: serving throughput on a shared host is
-            // noisy, and the baseline should record capability, not jitter.
-            let best = (0..2)
-                .map(|_| {
-                    let dfs = MaintainerBuilder::new(backend).build(&trace.initial_graph());
-                    let (_, run) =
-                        ConcurrentScenarioRunner::new(&trace, readers).run(Server::new(dfs));
-                    assert_eq!(
-                        run.torn_snapshots, 0,
-                        "torn snapshot observed serving {} with {readers} readers",
-                        run.backend
-                    );
-                    run
-                })
-                .max_by(|a, b| a.queries_per_sec().total_cmp(&b.queries_per_sec()))
-                .expect("two runs recorded");
-            push(
-                &format!("readers={readers}"),
-                best.queries_per_sec(),
-                best.updates_applied,
-                best.queries_answered,
-                best.torn_snapshots,
-            );
-        }
-    }
-    t
-}
-
-/// E14 — durable-commit overhead: the merge-split-storm trace (write-heavy)
-/// committed through an in-memory `Server` versus a WAL-attached durable
-/// server, per backend. Configurations: `in-memory` (no durability), `wal`
-/// (append + fsync per group commit, checkpoint only at attach) and
-/// `wal+ckpt8` (the default every-8-epochs checkpoint policy, adding
-/// snapshot writes and WAL truncation to the steady state).
-///
-/// The headline metric is mean nanoseconds per committed update; `vs mem`
-/// is the durable/in-memory ratio — the price of crash recoverability. The
-/// final on-disk footprint (WAL + checkpoints) is reported per config. Every
-/// durable run is recovered afterwards and its tree fingerprint compared
-/// against the in-memory server's — a benchmark that measured a
-/// non-recoverable log would abort rather than record a meaningless number.
-pub fn e14_durability_overhead(scale: Scale) -> Table {
-    let n = match scale {
-        Scale::Tiny => 64,
-        Scale::Quick => 192,
-        Scale::Full => 768,
-    };
-    let scenario = Scenario::MergeSplitStorm;
-    let trace = scenario.record(n, 0xE14);
-    let batches: Vec<Vec<pardfs::Update>> = trace
-        .phases
-        .iter()
-        .flat_map(|p| &p.batches)
-        .filter_map(|b| match b {
-            TraceBatch::Updates(u) => Some(u.clone()),
-            TraceBatch::Queries(_) => None,
-        })
-        .collect();
-    let updates_total: usize = batches.iter().map(|b| b.len()).sum();
-    let mut t = Table::new(
-        format!(
-            "E14: durable-commit overhead — merge-split-storm trace (n ≈ {n}, \
-             {updates_total} updates in {} epochs), WAL + checkpoints vs in-memory",
-            batches.len()
-        ),
-        &[
-            "backend",
-            "config",
-            "n",
-            "m",
-            "updates",
-            "epochs",
-            "ns/update",
-            "vs mem",
-            "disk KiB",
-        ],
-    );
-    t.id = "E14".into();
-    let scratch = |tag: &str| {
-        let dir =
-            std::env::temp_dir().join(format!("pardfs-bench-e14-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
-    for backend in Backend::all_default() {
-        let builder = MaintainerBuilder::new(backend);
-        let commit_all = |server: &mut pardfs::Server| {
-            let writer = server.write_handle();
-            for batch in &batches {
-                writer.submit(batch.clone());
-                server.commit().expect("queued batch commits");
-            }
-        };
-        // In-memory baseline: best of two (fsync-free, so jitter-dominated).
-        let (mem_micros, backend_name, mem_fp) = (0..2)
-            .map(|_| {
-                let mut server = builder.serve_single(&trace.initial_graph());
-                let micros = micros(|| commit_all(&mut server));
-                let name = server.maintainer().backend_name();
-                let fp = pardfs::scenario::tree_fingerprint(server.maintainer());
-                (micros, name, fp)
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("two runs recorded");
-        let mem_ns = mem_micros * 1e3 / updates_total.max(1) as f64;
-        let mut push = |config: &str, ns: f64, disk: Option<u64>| {
-            t.records.push(BenchRecord {
-                n: trace.n,
-                m: trace.m(),
-                backend: backend_name.into(),
-                policy: config.into(),
-                ns_per_update: ns,
-                ..BenchRecord::stamped()
-            });
-            t.push_row(vec![
-                backend_name.into(),
-                config.into(),
-                trace.n.to_string(),
-                trace.m().to_string(),
-                updates_total.to_string(),
-                batches.len().to_string(),
-                format!("{ns:.0}"),
-                format!("{:.2}x", ns / mem_ns.max(f64::MIN_POSITIVE)),
-                disk.map_or("-".into(), |b| format!("{:.1}", b as f64 / 1024.0)),
-            ]);
-        };
-        push("in-memory", mem_ns, None);
-        for (config, policy) in [
-            ("wal", CheckpointPolicy::Manual),
-            ("wal+ckpt8", CheckpointPolicy::EveryKEpochs(8)),
-        ] {
-            let (durable_micros, disk) = (0..2)
-                .map(|run| {
-                    let dir = scratch(&format!("{backend_name}-{config}-{run}"));
-                    let durability = DurabilityConfig::new(&dir).policy(policy);
-                    let mut server = builder
-                        .serve_durable(&trace.initial_graph(), &durability)
-                        .expect("fresh durability dir attaches");
-                    let micros = micros(|| commit_all(&mut server));
-                    drop(server);
-                    let disk: u64 = std::fs::read_dir(&dir)
-                        .expect("durability dir readable")
-                        .flatten()
-                        .filter_map(|e| e.metadata().ok())
-                        .map(|m| m.len())
-                        .sum();
-                    // The number is only meaningful if the log it measured
-                    // actually recovers onto the same tree.
-                    let recovered = builder
-                        .recover(&durability)
-                        .expect("benchmark WAL recovers");
-                    assert_eq!(
-                        pardfs::scenario::tree_fingerprint(recovered.server.maintainer()),
-                        mem_fp,
-                        "{backend_name}/{config}: recovered tree diverged from in-memory commit"
-                    );
-                    drop(recovered);
-                    let _ = std::fs::remove_dir_all(&dir);
-                    (micros, disk)
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0))
-                .expect("two runs recorded");
-            push(
-                config,
-                durable_micros * 1e3 / updates_total.max(1) as f64,
-                Some(disk),
-            );
-        }
-    }
-    t
-}
-
 /// E15 — checkpoint recovery paths over the one `pardfs-snap v2` format:
 /// how long until a reader answers its *first* query off a checkpoint file?
-/// Each backend commits a deep-path-reroot trace (the paper's adversarial
+/// Each backend applies a deep-path-reroot trace (the paper's adversarial
 /// regime: long paths, sparse adjacency — where the `O(n log n)` index
 /// rebuild is largest relative to `m`) and takes one checkpoint of the end
 /// state, opened two ways:
@@ -1120,26 +825,24 @@ pub fn e15_checkpoint_open(scale: Scale) -> Table {
     };
     for &n in &sizes {
         let trace = Scenario::DeepPathStress.record(n, 0xE15);
-        let batches: Vec<Vec<pardfs::Update>> = trace
+        let batches: Vec<&[pardfs::Update]> = trace
             .phases
             .iter()
             .flat_map(|p| &p.batches)
             .filter_map(|b| match b {
-                TraceBatch::Updates(u) => Some(u.clone()),
+                TraceBatch::Updates(u) => Some(u.as_slice()),
                 TraceBatch::Queries(_) => None,
             })
             .collect();
         for backend in Backend::all_default() {
-            let builder = MaintainerBuilder::new(backend);
-            let mut server = builder.serve_single(&trace.initial_graph());
-            let writer = server.write_handle();
+            // One `apply_batch` per update batch: the state, and the epoch
+            // number, a server committing one batch per epoch would hold.
+            let mut dfs = MaintainerBuilder::new(backend).build(&trace.initial_graph());
             for batch in &batches {
-                writer.submit(batch.clone());
-                server.commit().expect("queued batch commits");
+                dfs.apply_batch(batch);
             }
-            let epoch = server.read_handle().epoch();
-            let ckpt = pardfs::wal::Checkpoint::capture(epoch, server.maintainer());
-            let backend_name = server.maintainer().backend_name();
+            let ckpt = pardfs::wal::Checkpoint::capture(batches.len() as u64, dfs.as_ref());
+            let backend_name = dfs.backend_name();
             let words = ckpt.graph.adjacency_words();
             let probe = ckpt.tree.children(0).first().copied().unwrap_or(0);
             let expected_parent = ckpt.tree.parent(probe);
@@ -1213,247 +916,28 @@ pub fn e15_checkpoint_open(scale: Scale) -> Table {
     t
 }
 
-/// The E17 workload: a deterministic **multi-component churn** trace —
-/// four disjoint path clusters, six waves of intra-cluster edge churn and
-/// vertex growth (never bridging), then one final merge wave that bridges
-/// two cluster pairs. This is the steady serving regime partitioned
-/// sharding exists for: components persist, so ownership stays spread
-/// across shards and each shard applies only its own share. (The
-/// `partition-storm` *corpus* trace is deliberately not used here: its
-/// bridge waves merge every cluster into one component, and since splits
-/// never migrate state back, one shard ends up owning the whole forest —
-/// the right stress for the migration differential suite, the wrong regime
-/// for a write-amplification headline.) The final merge wave still forces
-/// cross-shard migrations, so the measured runs exercise the full v2
-/// machinery.
-fn e17_multi_component_trace(n: usize) -> pardfs::Trace {
-    use pardfs::scenario::{TraceBuilder, TraceQuery};
-    use pardfs::Update;
+/// An experiment's command-line id and the function that regenerates its
+/// table.
+pub type Experiment = (&'static str, fn(Scale) -> Table);
 
-    const CLUSTERS: usize = 4;
-    let cs = (n / CLUSTERS).max(8);
-    let cap = CLUSTERS * cs;
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for c in 0..CLUSTERS {
-        let base = (c * cs) as u32;
-        for i in 0..cs as u32 - 1 {
-            edges.push((base + i, base + i + 1));
-        }
-    }
-    let g = pardfs::Graph::with_edges(cap, &edges);
-    let mut b = TraceBuilder::new("multi-component-churn", 0xE17, &g);
-    let mut queries = rng(0xE17);
-    for wave in 0..6u32 {
-        b.phase(&format!("churn-{wave}"));
-        for c in 0..CLUSTERS {
-            let base = (c * cs) as u32;
-            // Rewire one path edge, add a fresh chord, grow the cluster by
-            // one attached vertex (the insert is what exercises the
-            // partitioned router's id-allocation echoes).
-            let i = base + (wave * 3) % (cs as u32 - 1);
-            b.push_update(Update::DeleteEdge(i, i + 1));
-            b.push_update(Update::InsertEdge(i, i + 1));
-            b.push_update(Update::InsertEdge(base, base + 2 + wave));
-            b.push_update(Update::InsertVertex {
-                edges: vec![base + 1],
-            });
-        }
-        b.push_query(TraceQuery::ForestRoots);
-        b.random_queries(8, &mut queries);
-    }
-    // The merge wave: bridge clusters 0–1 and 2–3. Both bridges join
-    // components owned by different shards at k ∈ {2, 3} (labels 0..3 map
-    // to owners 0,1,0,1 and 0,1,2,0), so each forces a state migration.
-    b.phase("merge");
-    b.push_update(Update::InsertEdge(0, cs as u32));
-    b.push_update(Update::InsertEdge((2 * cs) as u32, (3 * cs) as u32));
-    b.push_query(TraceQuery::SameComponent(0, (2 * cs - 1) as u32));
-    b.random_queries(8, &mut queries);
-    b.finish()
-}
-
-/// E17 — sharded write amplification: a multi-component churn trace (four
-/// disjoint clusters, intra-cluster churn, a final cross-cluster merge
-/// wave — see `e17_multi_component_trace`) served through both sharded
-/// routing modes at k ∈ {2, 3} shards, per backend. The **replicated** v1
-/// [`pardfs::ShardRouter`] broadcasts every batch, so each shard applies the
-/// full update stream; the **partitioned** v2 [`pardfs::PartitionedRouter`]
-/// routes each update to the shard owning its component, paying only
-/// id-allocation echoes and cross-shard merge migrations on top of its own
-/// share (normative spec: `docs/SHARDING.md`).
-///
-/// The headline metric is **updates applied per shard** (the busiest
-/// shard's applied count, stamped into `updates_per_shard`): replication
-/// pins it to the whole stream, partitioning must keep it strictly below —
-/// the experiment aborts otherwise, so a committed `BENCH_E17.json` is
-/// itself the proof. `amp` is the aggregate amplification (updates applied
-/// across all shards over distinct updates: exactly `k` for replication,
-/// near 1 for partitioning), `kq/s` the served read throughput at 2
-/// readers, `migr` the cross-shard component merges the partitioned run
-/// survived (the merge wave must force at least one). Every run asserts a
-/// zero torn-view census. `ns_per_update` records mean ns *per query*
-/// (`1e9 / qps`) as in E13, keeping the gate's positive-timing invariant.
-pub fn e17_write_amplification(scale: Scale) -> Table {
-    let n = match scale {
-        Scale::Tiny => 64,
-        Scale::Quick => 192,
-        Scale::Full => 768,
-    };
-    let trace = e17_multi_component_trace(n);
-    let readers = 2usize;
-    let total_updates = trace.num_updates() as u64;
-    let mut t = Table::new(
-        format!(
-            "E17: sharded write amplification — multi-component churn trace (n ≈ {n}), \
-             replicated (v1) vs partitioned (v2) routing at 2/3 shards, {readers} readers"
-        ),
-        &[
-            "backend",
-            "config",
-            "n",
-            "m",
-            "updates",
-            "appl/shard",
-            "amp",
-            "kq/s",
-            "migr",
-            "torn",
-        ],
-    );
-    t.id = "E17".into();
-    for backend in Backend::all_default() {
-        for k in [2usize, 3] {
-            let runner = ConcurrentScenarioRunner::new(&trace, readers);
-            // Best of two runs per config, as in E13: the routing work is
-            // deterministic, only the wall-clock is noisy.
-            let (replicated, partitioned) = {
-                let rep = (0..2)
-                    .map(|_| {
-                        let router = MaintainerBuilder::new(backend)
-                            .shards(k)
-                            .serve(&trace.initial_graph());
-                        runner.run(router).1
-                    })
-                    .max_by(|a, b| a.queries_per_sec().total_cmp(&b.queries_per_sec()))
-                    .expect("two runs recorded");
-                let par = (0..2)
-                    .map(|_| {
-                        let router = MaintainerBuilder::new(backend)
-                            .partitioned_shards(k)
-                            .serve_partitioned(&trace.initial_graph());
-                        runner.run(router)
-                    })
-                    .max_by(|(_, a), (_, b)| a.queries_per_sec().total_cmp(&b.queries_per_sec()))
-                    .expect("two runs recorded");
-                (rep, par)
-            };
-            let (router, par_outcome) = partitioned;
-            let stats = router.stats().clone();
-            for outcome in [&replicated, &par_outcome] {
-                assert_eq!(
-                    outcome.commit_error, None,
-                    "commit died serving {} at k={k}",
-                    outcome.backend
-                );
-                assert_eq!(
-                    outcome.torn_snapshots, 0,
-                    "torn view observed serving {} at k={k}",
-                    outcome.backend
-                );
-                assert_eq!(
-                    outcome.updates_applied, total_updates,
-                    "{} at k={k} dropped updates",
-                    outcome.backend
-                );
-            }
-            assert_eq!(
-                replicated.final_fingerprint, par_outcome.final_fingerprint,
-                "routing modes disagree on the final forest at k={k}"
-            );
-            // The headline invariant — and the E17 acceptance gate: the
-            // busiest partitioned shard applies strictly fewer updates than
-            // any replicated shard (which applies all of them).
-            let replicated_per_shard = total_updates;
-            let partitioned_per_shard = stats.max_applied_per_shard();
-            assert!(
-                partitioned_per_shard < replicated_per_shard,
-                "partitioned routing amplified writes: {partitioned_per_shard} applied on the \
-                 busiest of {k} shards vs {replicated_per_shard} per replicated shard"
-            );
-            assert!(
-                stats.migrations > 0,
-                "the partition storm must force at least one cross-shard merge at k={k}"
-            );
-            let mut push = |config: String,
-                            outcome: &ConcurrentOutcome,
-                            per_shard: u64,
-                            amp: f64,
-                            migr: Option<u64>| {
-                let qps = outcome.queries_per_sec();
-                t.records.push(BenchRecord {
-                    n: trace.n,
-                    m: trace.m(),
-                    backend: outcome.backend.clone(),
-                    policy: config.clone(),
-                    ns_per_update: 1e9 / qps.max(f64::MIN_POSITIVE),
-                    queries_per_sec: Some(qps),
-                    updates_per_shard: Some(per_shard as f64),
-                    ..BenchRecord::stamped()
-                });
-                t.push_row(vec![
-                    outcome.backend.clone(),
-                    config,
-                    trace.n.to_string(),
-                    trace.m().to_string(),
-                    total_updates.to_string(),
-                    per_shard.to_string(),
-                    format!("{amp:.2}x"),
-                    format!("{:.1}", qps / 1e3),
-                    migr.map_or_else(|| "-".into(), |m| m.to_string()),
-                    outcome.torn_snapshots.to_string(),
-                ]);
-            };
-            push(
-                format!("replicated-k{k}"),
-                &replicated,
-                replicated_per_shard,
-                k as f64,
-                None,
-            );
-            push(
-                format!("partitioned-k{k}"),
-                &par_outcome,
-                partitioned_per_shard,
-                stats.total_applied() as f64 / total_updates.max(1) as f64,
-                Some(stats.migrations),
-            );
-        }
-    }
-    t
-}
-
-/// All experiments, in experiment-index order.
-pub fn all_experiments(scale: Scale) -> Vec<Table> {
-    vec![
-        e1_update_time(scale),
-        e2_scalability(scale),
-        e3_query_rounds(scale),
-        e3b_ablation(scale),
-        e4_fault_tolerant(scale),
-        e5_streaming(scale),
-        e6_congest(scale),
-        e7_preprocess(scale),
-        e8_update_kinds(scale),
-        e9_backend_matrix(scale),
-        e10_rebuild_policy(scale),
-        e11_index_patching(scale),
-        e12_scenarios(scale),
-        e13_serving_throughput(scale),
-        e14_durability_overhead(scale),
-        e15_checkpoint_open(scale),
-        e17_write_amplification(scale),
-    ]
-}
+/// Every experiment by its command-line id, in experiment-index order: the
+/// one list the `experiments` binary selects from, runs for `all`, and names
+/// in its unknown-id message.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("e1", e1_update_time),
+    ("e2", e2_scalability),
+    ("e3", e3_query_rounds),
+    ("e3b", e3b_ablation),
+    ("e4", e4_fault_tolerant),
+    ("e5", e5_streaming),
+    ("e6", e6_congest),
+    ("e7", e7_preprocess),
+    ("e8", e8_update_kinds),
+    ("e10", e10_rebuild_policy),
+    ("e11", e11_index_patching),
+    ("e12", e12_scenarios),
+    ("e15", e15_checkpoint_open),
+];
 
 #[cfg(test)]
 mod tests {
@@ -1538,94 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn serving_throughput_covers_every_backend_and_reader_count() {
-        let t = e13_serving_throughput(Scale::Tiny);
-        assert_eq!(t.id, "E13");
-        assert_eq!(t.rows.len(), 5 * 4, "5 backends × 4 configurations");
-        assert_eq!(t.records.len(), 5 * 4);
-        for config in ["single-thread", "readers=1", "readers=2", "readers=4"] {
-            assert_eq!(
-                t.records.iter().filter(|r| r.policy == config).count(),
-                5,
-                "{config} must appear once per backend"
-            );
-        }
-        for r in &t.records {
-            let qps = r.queries_per_sec.expect("every E13 row records qps");
-            assert!(qps.is_finite() && qps > 0.0, "{}/{}", r.backend, r.policy);
-            assert!(r.ns_per_update.is_finite() && r.ns_per_update > 0.0);
-        }
-        // The torn-snapshot column is all zeros by construction (a torn
-        // read panics inside the experiment), pinned here once more.
-        for row in &t.rows {
-            assert_eq!(row[8], "0");
-        }
-        let json = t.records_json().expect("E13 carries records");
-        assert!(json.contains("\"queries_per_sec\""));
-    }
-
-    #[test]
-    fn write_amplification_favors_partitioned_on_every_backend() {
-        let t = e17_write_amplification(Scale::Tiny);
-        assert_eq!(t.id, "E17");
-        assert_eq!(
-            t.rows.len(),
-            5 * 4,
-            "5 backends × {{replicated, partitioned}} × {{k2, k3}}"
-        );
-        assert_eq!(t.records.len(), 5 * 4);
-        for config in [
-            "replicated-k2",
-            "partitioned-k2",
-            "replicated-k3",
-            "partitioned-k3",
-        ] {
-            assert_eq!(
-                t.records.iter().filter(|r| r.policy == config).count(),
-                5,
-                "{config} must appear once per backend"
-            );
-        }
-        // The acceptance invariant, re-checked on the emitted records: the
-        // busiest partitioned shard applies strictly fewer updates than a
-        // replicated shard (which applies the whole stream), at both k.
-        for k in [2, 3] {
-            for backend in [
-                "parallel",
-                "sequential",
-                "streaming",
-                "congest",
-                "fault-tolerant",
-            ] {
-                let per_shard = |mode: &str| {
-                    t.records
-                        .iter()
-                        .find(|r| r.backend == backend && r.policy == format!("{mode}-k{k}"))
-                        .and_then(|r| r.updates_per_shard)
-                        .expect("every E17 row records updates_per_shard")
-                };
-                assert!(
-                    per_shard("partitioned") < per_shard("replicated"),
-                    "{backend} k={k}: partitioned routing failed to cut per-shard writes"
-                );
-            }
-        }
-        for r in &t.records {
-            let qps = r.queries_per_sec.expect("every E17 row records qps");
-            assert!(qps.is_finite() && qps > 0.0, "{}/{}", r.backend, r.policy);
-            assert!(r.ns_per_update.is_finite() && r.ns_per_update > 0.0);
-        }
-        // Torn-view column is all zeros by construction (a torn view panics
-        // inside the experiment), pinned here once more.
-        for row in &t.rows {
-            assert_eq!(row[9], "0");
-        }
-        let json = t.records_json().expect("E17 carries records");
-        assert!(json.contains("\"updates_per_shard\""));
-        assert!(json.contains("\"policy\": \"partitioned-k3\""));
-    }
-
-    #[test]
     fn checkpoint_open_measures_both_paths_per_backend() {
         let t = e15_checkpoint_open(Scale::Tiny);
         assert_eq!(t.id, "E15");
@@ -1667,22 +1063,5 @@ mod tests {
         }
         let json = t.records_json().expect("E15 carries records");
         assert!(json.contains("\"policy\": \"mapped-open\""));
-    }
-
-    #[test]
-    fn backend_matrix_covers_all_five() {
-        let t = e9_backend_matrix(Scale::Quick);
-        assert_eq!(t.rows.len(), 5);
-        let backends: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
-        assert_eq!(
-            backends,
-            vec![
-                "parallel",
-                "sequential",
-                "streaming",
-                "congest",
-                "fault-tolerant"
-            ]
-        );
     }
 }

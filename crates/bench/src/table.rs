@@ -19,18 +19,10 @@ pub struct BenchRecord {
     /// (patch splice or rebuild) — present for the experiments that isolate
     /// it (E11).
     pub index_ns_per_update: Option<f64>,
-    /// Aggregate read throughput — present for the serving experiments
-    /// (E13), where throughput rather than latency is the headline metric.
-    pub queries_per_sec: Option<f64>,
-    /// On-disk footprint of the durability directory in bytes — present for
-    /// the checkpoint/codec experiments (E14, E15).
+    /// Size of the checkpoint file in bytes — present for the checkpoint
+    /// experiment (E15).
     pub disk_bytes: Option<u64>,
-    /// Mean updates *applied per shard* — present for the sharded serving
-    /// experiments (E17), where write amplification is the headline:
-    /// replicated routing pins this to the full update count per shard,
-    /// partitioned routing drops it towards `total / k`.
-    pub updates_per_shard: Option<f64>,
-    /// [`pardfs_graph::Graph::adjacency_words`] of the workload graph at
+    /// [`pardfs::graph::Graph::adjacency_words`] of the workload graph at
     /// measurement time — the streaming memory accountant, stamped by the
     /// codec experiment (E15) so footprint regressions show up next to the
     /// timing ones.
@@ -63,9 +55,7 @@ impl BenchRecord {
             policy: String::new(),
             ns_per_update: 0.0,
             index_ns_per_update: None,
-            queries_per_sec: None,
             disk_bytes: None,
-            updates_per_shard: None,
             adjacency_words: None,
             host_cores: host_cores(),
         }
@@ -76,16 +66,8 @@ impl BenchRecord {
             Some(v) => format!(", \"index_ns_per_update\": {v:.1}"),
             None => String::new(),
         };
-        let qps = match self.queries_per_sec {
-            Some(v) => format!(", \"queries_per_sec\": {v:.1}"),
-            None => String::new(),
-        };
         let disk = match self.disk_bytes {
             Some(v) => format!(", \"disk_bytes\": {v}"),
-            None => String::new(),
-        };
-        let shard = match self.updates_per_shard {
-            Some(v) => format!(", \"updates_per_shard\": {v:.1}"),
             None => String::new(),
         };
         let words = match self.adjacency_words {
@@ -93,16 +75,14 @@ impl BenchRecord {
             None => String::new(),
         };
         format!(
-            "{{\"n\": {}, \"m\": {}, \"backend\": {}, \"policy\": {}, \"ns_per_update\": {:.1}{}{}{}{}{}, \"host_cores\": {}}}",
+            "{{\"n\": {}, \"m\": {}, \"backend\": {}, \"policy\": {}, \"ns_per_update\": {:.1}{}{}{}, \"host_cores\": {}}}",
             self.n,
             self.m,
             json_string(&self.backend),
             json_string(&self.policy),
             self.ns_per_update,
             index,
-            qps,
             disk,
-            shard,
             words,
             self.host_cores
         )
@@ -241,9 +221,7 @@ mod tests {
             backend: "parallel".into(),
             policy: "patched \"index\"".into(),
             ns_per_update: 1234.5,
-            queries_per_sec: Some(50000.5),
             disk_bytes: Some(8192),
-            updates_per_shard: Some(21.5),
             adjacency_words: Some(4096),
             ..BenchRecord::stamped()
         });
@@ -253,9 +231,7 @@ mod tests {
         assert!(json.contains("\"backend\": \"parallel\""));
         assert!(json.contains("patched \\\"index\\\""));
         assert!(json.contains("\"ns_per_update\": 1234.5"));
-        assert!(json.contains("\"queries_per_sec\": 50000.5"));
         assert!(json.contains("\"disk_bytes\": 8192"));
-        assert!(json.contains("\"updates_per_shard\": 21.5"));
         assert!(json.contains("\"adjacency_words\": 4096"));
         assert!(json.contains(&format!("\"host_cores\": {}", host_cores())));
         assert!(json.trim_end().ends_with(']'));

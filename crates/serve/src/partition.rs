@@ -517,8 +517,9 @@ impl RouterReadHandle {
 /// Compared to the replicated [`ShardRouter`](crate::ShardRouter), writes
 /// scale: each update applies on one shard (plus O(k) trivial allocation
 /// echoes per vertex insertion), so `k` shards do ~`1/k` of the write work
-/// each on multi-component workloads (measured in experiment E17), at the
-/// price of migration pauses when components merge across shards.
+/// each on multi-component workloads (asserted by the write-amplification
+/// test in `tests/serve_partitioned.rs`), at the price of migration pauses
+/// when components merge across shards.
 ///
 /// ```
 /// use pardfs_api::{DfsMaintainer, ForestQuery};

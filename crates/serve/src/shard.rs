@@ -19,10 +19,11 @@
 //! [`PartitionedRouter`](crate::PartitionedRouter) (v2) instead: each shard
 //! owns only its components' subtrees and applies ~`1/k` of the updates,
 //! with deterministic state migration on cross-shard merges (normative
-//! spec: `docs/SHARDING.md`, cost comparison: experiment E17). Replication
-//! keeps v1's per-shard trees byte-identical to a single server's replay —
-//! which is what the determinism suite pins — and remains the right choice
-//! when queries dominate and the update rate is low.
+//! spec: `docs/SHARDING.md`, cost comparison: the write-amplification test
+//! in `tests/serve_partitioned.rs`). Replication keeps v1's per-shard trees
+//! byte-identical to a single server's replay — which is what the
+//! determinism suite pins — and remains the right choice when queries
+//! dominate and the update rate is low.
 
 use crate::server::{CommitStats, Server};
 use crate::{ReadHandle, Snapshot};

@@ -20,8 +20,9 @@
 //! [`EpochReader`] (a [`ReadHandle`] or a [`RouterReadHandle`]).
 //!
 //! The headline metric is [`ConcurrentOutcome::queries_per_sec`]: aggregate
-//! queries answered across all readers over the serving wall-clock. E13
-//! benches it against the single-threaded runner's rate on the same trace.
+//! queries answered across all readers over the serving wall-clock. The
+//! `serve_tour` example prints it; reads beside writes are benchmarked by
+//! perfbench's `edge-churn-reads` workload.
 
 use crate::trace::{Trace, TraceBatch, TraceQuery};
 use pardfs_api::ForestQuery;
@@ -161,8 +162,9 @@ impl Served for Server {
 /// Reader `i` is pinned to shard `i mod k` (every shard is a full replica,
 /// so any shard answers any query authoritatively), and the log and the
 /// applied count are shard 0's: replication multiplies the applied work by
-/// the shard count, not the number of logical updates, and E17 reports the
-/// amplification from that invariant rather than from a counter.
+/// the shard count, not the number of logical updates: a replicated shard
+/// applies the whole stream, the invariant the write-amplification test in
+/// `tests/serve_partitioned.rs` compares partitioned shards against.
 impl Served for ShardRouter {
     type Reader = ReadHandle;
 

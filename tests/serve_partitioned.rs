@@ -12,10 +12,15 @@
 //! test drives the same traces through [`ConcurrentScenarioRunner::run`]
 //! with the router as the committer and the torn-read census at zero
 //! tolerance.
+//!
+//! Write amplification: on a persistently multi-component trace, the
+//! busiest partitioned shard must apply strictly fewer updates than the
+//! whole stream, which is what every replicated shard applies.
 
-use pardfs::scenario::TraceBatch;
+use pardfs::scenario::{rng, TraceBatch, TraceBuilder, TraceQuery};
 use pardfs::{
-    Backend, ConcurrentScenarioRunner, DfsMaintainer, ForestQuery, MaintainerBuilder, Trace, Update,
+    Backend, ConcurrentScenarioRunner, DfsMaintainer, ForestQuery, Graph, MaintainerBuilder, Trace,
+    Update,
 };
 use std::path::PathBuf;
 
@@ -159,5 +164,94 @@ fn concurrent_partitioned_runs_are_torn_free_and_match_the_unsharded_replay() {
             stats.total_applied() >= stats.updates_routed,
             "{name}: applied counts lost updates"
         );
+    }
+}
+
+/// A deterministic multi-component churn trace: four disjoint path
+/// clusters, six waves of intra-cluster edge churn and vertex growth (never
+/// bridging), then one merge wave that bridges two cluster pairs.
+/// Components persist, so ownership stays spread across shards and each
+/// shard applies only its own share. The corpus `partition-storm` trace is
+/// the wrong workload for this: its bridge waves merge every cluster into
+/// one component, and since splits never migrate state back, one shard ends
+/// up owning the whole forest. The merge wave here still forces cross-shard
+/// migrations.
+fn multi_component_churn_trace(n: usize) -> Trace {
+    const CLUSTERS: usize = 4;
+    let cs = (n / CLUSTERS).max(8);
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for c in 0..CLUSTERS {
+        let base = (c * cs) as u32;
+        for i in 0..cs as u32 - 1 {
+            edges.push((base + i, base + i + 1));
+        }
+    }
+    let g = Graph::with_edges(CLUSTERS * cs, &edges);
+    let mut b = TraceBuilder::new("multi-component-churn", 0xE17, &g);
+    let mut queries = rng(0xE17);
+    for wave in 0..6u32 {
+        b.phase(&format!("churn-{wave}"));
+        for c in 0..CLUSTERS {
+            let base = (c * cs) as u32;
+            // Rewire one path edge, add a fresh chord, grow the cluster by
+            // one attached vertex (the insert exercises the router's
+            // id-allocation echoes).
+            let i = base + (wave * 3) % (cs as u32 - 1);
+            b.push_update(Update::DeleteEdge(i, i + 1));
+            b.push_update(Update::InsertEdge(i, i + 1));
+            b.push_update(Update::InsertEdge(base, base + 2 + wave));
+            b.push_update(Update::InsertVertex {
+                edges: vec![base + 1],
+            });
+        }
+        b.push_query(TraceQuery::ForestRoots);
+        b.random_queries(8, &mut queries);
+    }
+    // The merge wave: bridge clusters 0–1 and 2–3. Both bridges join
+    // components owned by different shards at k ∈ {2, 3} (labels 0..3 map
+    // to owners 0,1,0,1 and 0,1,2,0), so each forces a state migration.
+    b.phase("merge");
+    b.push_update(Update::InsertEdge(0, cs as u32));
+    b.push_update(Update::InsertEdge((2 * cs) as u32, (3 * cs) as u32));
+    b.push_query(TraceQuery::SameComponent(0, (2 * cs - 1) as u32));
+    b.random_queries(8, &mut queries);
+    b.finish()
+}
+
+#[test]
+fn partitioned_shards_each_apply_less_than_the_whole_stream_on_a_multi_component_trace() {
+    let trace = multi_component_churn_trace(64);
+    let graph = trace.initial_graph();
+    let batches = update_batches(&trace);
+    let total = trace.num_updates() as u64;
+    for backend in Backend::all_default() {
+        for k in [2usize, 3] {
+            let builder = MaintainerBuilder::new(backend).partitioned_shards(k);
+            let mut reference = builder.build(&graph);
+            let mut router = builder.serve_partitioned(&graph);
+            let label = format!("{}/k={k}", reference.backend_name());
+            for batch in &batches {
+                reference.apply_batch(batch);
+                router
+                    .commit(batch)
+                    .expect("the trace's update batches are non-empty");
+            }
+            let stats = router.stats();
+            assert!(
+                stats.max_applied_per_shard() < total,
+                "{label}: the busiest shard applied {} of {total} updates; \
+                 a replicated shard applies all of them",
+                stats.max_applied_per_shard()
+            );
+            assert!(
+                stats.migrations > 0,
+                "{label}: the merge wave must force a cross-shard migration"
+            );
+            assert_eq!(
+                router.read_handle().view().fingerprint(),
+                reference.tree().fingerprint(),
+                "{label}: partitioned forest diverged from the unsharded replay"
+            );
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Crash-recovery fault-injection suite: every checked-in corpus trace is
-//! served durably, the server is killed at a seeded-random batch boundary,
+//! served durably (checkpointing every 3 epochs, and with manual checkpoints
+//! only), the server is killed at a seeded-random batch boundary,
 //! recovered from the WAL + latest checkpoint, and driven through the rest of
 //! the trace — the final tree fingerprint must equal the one an undisturbed
 //! single-[`ScenarioRunner`](pardfs::scenario::ScenarioRunner) replay
@@ -131,6 +132,16 @@ fn kill_and_recover(
         recovered.stats.torn_records_dropped, 0,
         "{ctx}: clean shutdown left a torn record"
     );
+    if matches!(policy, CheckpointPolicy::Manual) {
+        assert_eq!(
+            (
+                recovered.stats.checkpoint_epoch,
+                recovered.stats.records_replayed
+            ),
+            (0, kill as u64),
+            "{ctx}: a manual-policy log replays every record from the attach checkpoint"
+        );
+    }
 
     let mut server = recovered.server;
     let writer = server.write_handle();
@@ -154,7 +165,9 @@ fn kill_and_recover(
 
 /// The headline suite: every corpus trace × every backend, killed at one
 /// seeded-random batch boundary, must recover onto the undisturbed
-/// trajectory.
+/// trajectory — under a checkpoint every 3 epochs, and under
+/// `CheckpointPolicy::Manual`, where recovery replays the whole WAL from the
+/// attach checkpoint.
 #[test]
 fn kill_at_random_batch_recovers_the_undisturbed_trajectory_on_every_backend() {
     let seed = std::env::var("PARDFS_WAL_KILL_SEED")
@@ -177,17 +190,14 @@ fn kill_at_random_batch_recovers_the_undisturbed_trajectory_on_every_backend() {
                 batches.len()
             );
             let (_, outcome) = MaintainerBuilder::new(backend).run_scenario(&trace);
-            let recovered_fp = kill_and_recover(
-                &trace,
-                backend,
-                kill,
-                CheckpointPolicy::EveryKEpochs(3),
-                &ctx,
-            );
-            assert_eq!(
-                recovered_fp, outcome.tree_fingerprint,
-                "{ctx}: recovered trajectory diverged from the undisturbed replay"
-            );
+            for policy in [CheckpointPolicy::EveryKEpochs(3), CheckpointPolicy::Manual] {
+                let ctx = format!("{ctx} {policy:?}");
+                let recovered_fp = kill_and_recover(&trace, backend, kill, policy, &ctx);
+                assert_eq!(
+                    recovered_fp, outcome.tree_fingerprint,
+                    "{ctx}: recovered trajectory diverged from the undisturbed replay"
+                );
+            }
         }
     }
 }
