@@ -25,7 +25,7 @@
 //! ## The same argument for the index
 //!
 //! A patch splice costs `O(|region| · log n)` with non-trivial bookkeeping;
-//! a rebuild costs `O(n)`–`O(n log n)` with a cache-friendly linear sweep.
+//! a rebuild costs `O(n)` with a cache-friendly linear sweep.
 //! Below a constant fraction of `n`, the splice wins (and the paper's
 //! rerooting procedure guarantees most updates touch only the affected
 //! subtrees); past it, the rebuild does. Membership-changing updates (vertex
@@ -126,7 +126,7 @@ impl RebuildPolicyStats {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IndexPolicy {
     /// Rebuild `TreeIndex::from_parent_slice` after every update (the
-    /// pre-delta-patching behaviour; `O(n)`–`O(n log n)` per update).
+    /// pre-delta-patching behaviour; `O(n)` per update).
     EveryUpdate,
     /// Splice the patch whenever its region holds at most
     /// `max_fraction · n` vertices; rebuild otherwise. `max_fraction = 0.5`

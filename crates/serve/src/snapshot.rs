@@ -44,12 +44,12 @@ pub struct Snapshot {
 impl Snapshot {
     /// Capture the current state of `dfs` as epoch `epoch`.
     ///
-    /// The dominant cost is the [`TreeIndex`] clone. Since the index moved
-    /// to flat storage (children lists in one arena pool, the lifting table
-    /// in one stride-indexed buffer), that clone is a fixed handful of
-    /// contiguous `memcpy`-style buffer copies rather than `O(n)` separate
-    /// per-vertex allocations — which is what keeps the per-commit capture
-    /// off the serving layer's critical path at large `n`.
+    /// The dominant cost is the [`TreeIndex`] clone. The index is flat
+    /// storage (children lists in one arena pool, one jump pointer per
+    /// vertex), so that clone is a fixed handful of contiguous
+    /// `memcpy`-style buffer copies rather than `O(n)` separate per-vertex
+    /// allocations — which is what keeps the per-commit capture off the
+    /// serving layer's critical path at large `n`.
     pub fn capture(epoch: u64, dfs: &dyn pardfs_api::DfsMaintainer) -> Self {
         let tree = dfs.tree().clone();
         let fingerprint = tree.fingerprint();

@@ -5,13 +5,15 @@
 //! tree functions), Theorem 6 (parallel LCA) and Theorem 10 (the operations the
 //! rerooting algorithm needs on `T`). The paper's EREW PRAM bounds for
 //! building these structures are cited, not simulated; here we care about
-//! providing the queries in `O(1)`/`O(log n)` after an `O(n log n)` build.
-//! One binary-lifting table answers both LCA and level-ancestor queries in
-//! `O(log n)`, with `O(1)` ancestor tests from pre-order intervals.
+//! providing the queries in `O(1)`/`O(log n)` after an `O(n)` build.
+//! Ancestor tests are `O(1)` from pre-order intervals, the child of a vertex
+//! toward a descendant is a binary search of its children, and one
+//! skew-binary jump pointer per vertex (Myers, "An applicative random-access
+//! stack", 1983) answers LCA and level-ancestor queries in `O(log n)`.
 //!
-//! The index is no longer rebuilt from scratch after every committed update:
-//! [`crate::patch`] splices the orderings and binary-lifting rows of the
-//! touched subtree in place.
+//! The index is not rebuilt from scratch after every committed update:
+//! [`crate::patch`] splices the orderings and jump pointers of the touched
+//! subtree in place.
 
 use crate::rooted::{RootedTree, NO_VERTEX};
 use pardfs_graph::snap::{put_u32, put_u64, Cursor, SnapReader, SnapWriter};
@@ -25,16 +27,15 @@ pub(crate) const SEC_TREE_PARENTS: [u8; 4] = *b"TPAR";
 /// Structural index of a rooted tree.
 ///
 /// Construction performs a single traversal computing pre/post order numbers,
-/// levels and subtree sizes, then a binary-lifting table for `O(log n)` LCA
-/// and level-ancestor queries. After edge updates the structure can be
-/// delta-patched in place by [`TreeIndex::apply_patch`](crate::patch) instead
-/// of rebuilt.
+/// levels and subtree sizes, then one jump pointer per vertex, all in `O(n)`.
+/// After edge updates the structure can be delta-patched in place by
+/// [`TreeIndex::apply_patch`](crate::patch) instead of rebuilt.
 ///
-/// Every field is a flat array: children lists live in one shared
-/// [`AdjacencyArena`] pool and the binary-lifting table is a single
-/// stride-indexed buffer (`LiftingTable`), so `Clone` — the per-epoch
-/// snapshot capture in `pardfs-serve` — is a fixed handful of `memcpy`-style
-/// buffer copies instead of `O(n)` separate child/lifting-row allocations.
+/// Every field is a flat array (children lists live in one shared
+/// [`AdjacencyArena`] pool), so `Clone` — the per-epoch snapshot capture in
+/// `pardfs-serve` — is a fixed handful of `memcpy`-style buffer copies. Every
+/// field is a function of the parent array alone, so a patched index is
+/// [`TreeIndex::structural_eq`] to a fresh build.
 #[derive(Debug, Clone)]
 pub struct TreeIndex {
     pub(crate) root: Vertex,
@@ -45,51 +46,41 @@ pub struct TreeIndex {
     pub(crate) level: Vec<u32>,
     pub(crate) size: Vec<u32>,
     pub(crate) pre_order: Vec<Vertex>,
-    pub(crate) up: LiftingTable,
+    /// An ancestor of every vertex (the root's is itself, holes hold
+    /// [`NO_VERTEX`]), set by [`TreeIndex::set_jump`].
+    pub(crate) jump: Vec<Vertex>,
     pub(crate) n_tree: usize,
 }
 
 pub(crate) const UNSET: u32 = u32::MAX;
 
-/// The binary-lifting table as one flat buffer: row `k` (ancestors at
-/// distance `2^k`) occupies `data[k * cap .. (k + 1) * cap]`. Replaces the
-/// old `Vec<Vec<Vertex>>` so the whole table clones/serializes as a single
-/// contiguous copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LiftingTable {
-    cap: usize,
-    data: Vec<Vertex>,
-}
-
-impl LiftingTable {
-    /// An empty table over an id space of `cap` slots.
-    pub(crate) fn new(cap: usize) -> Self {
-        LiftingTable {
-            cap,
-            data: Vec::new(),
-        }
+/// The children lists of a parent array, each sorted by id and packed: `v`'s
+/// children are `flat[offsets[v]..offsets[v + 1]]`. Count, prefix-sum, then
+/// append every vertex to its parent's list in ascending id order. Every
+/// non-hole parent other than the root's must be a slot of `parent`.
+///
+/// The validator walks this packed form directly: loading it into an
+/// [`AdjacencyArena`] made validation, and so every mapped open, 2–4×
+/// slower.
+fn child_table(parent: &[Vertex], root: Vertex) -> (Vec<usize>, Vec<Vertex>) {
+    let non_root = || {
+        (0..parent.len() as Vertex).filter(move |&v| v != root && parent[v as usize] != NO_VERTEX)
+    };
+    let mut offsets = vec![0usize; parent.len() + 1];
+    for v in non_root() {
+        offsets[parent[v as usize] as usize + 1] += 1;
     }
-
-    /// Number of rows (`ceil(log2(max_level))`-ish, grown on demand).
-    pub(crate) fn rows(&self) -> usize {
-        self.data.len().checked_div(self.cap).unwrap_or(0)
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
     }
-
-    /// Ancestor of `v` at distance `2^k` ([`NO_VERTEX`] when none).
-    pub(crate) fn get(&self, k: usize, v: usize) -> Vertex {
-        self.data[k * self.cap + v]
+    let mut cursor = offsets.clone();
+    let mut flat = vec![0 as Vertex; offsets[parent.len()]];
+    for v in non_root() {
+        let p = parent[v as usize] as usize;
+        flat[cursor[p]] = v;
+        cursor[p] += 1;
     }
-
-    /// Write the `2^k`-ancestor of `v`.
-    pub(crate) fn set(&mut self, k: usize, v: usize, x: Vertex) {
-        self.data[k * self.cap + v] = x;
-    }
-
-    /// Append a full row (must have exactly `cap` entries).
-    pub(crate) fn push_row(&mut self, row: Vec<Vertex>) {
-        debug_assert_eq!(row.len(), self.cap, "lifting row width mismatch");
-        self.data.extend_from_slice(&row);
-    }
+    (offsets, flat)
 }
 
 impl TreeIndex {
@@ -105,38 +96,12 @@ impl TreeIndex {
         assert!((root as usize) < cap, "root outside id space");
         assert_eq!(parent[root as usize], root, "parent[root] must equal root");
 
-        // Children filled in ascending v keep every list sorted by id — the
-        // invariant the patch splice preserves. Counting first and
-        // bulk-loading the arena replaces per-push block doubling with one
-        // contiguous copy per parent.
-        let mut counts = vec![0usize; cap];
-        let mut n_tree = 0usize;
-        for v in 0..cap as Vertex {
-            let p = parent[v as usize];
-            if p == NO_VERTEX {
-                continue;
-            }
-            n_tree += 1;
-            if v != root {
-                assert_ne!(p, v, "non-root vertex {v} is its own parent");
-                counts[p as usize] += 1;
-            }
-        }
-        let mut cursor = Vec::with_capacity(cap);
-        let mut total = 0usize;
-        for &c in &counts {
-            cursor.push(total);
-            total += c;
-        }
-        let mut child_flat = vec![0 as Vertex; total];
-        for v in 0..cap as Vertex {
-            let p = parent[v as usize];
-            if p != NO_VERTEX && v != root {
-                child_flat[cursor[p as usize]] = v;
-                cursor[p as usize] += 1;
-            }
-        }
-        let children = AdjacencyArena::from_packed(&counts, &child_flat);
+        // Id-sorted children lists are the invariant the patch splice
+        // preserves, so a patched index numbers vertices as a fresh build.
+        let (offsets, flat) = child_table(parent, root);
+        let counts: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let children = AdjacencyArena::from_packed(&counts, &flat);
+        let n_tree = parent.iter().filter(|&&p| p != NO_VERTEX).count();
 
         let mut pre = vec![UNSET; cap];
         let mut post = vec![UNSET; cap];
@@ -178,35 +143,9 @@ impl TreeIndex {
             "parent array contains vertices unreachable from the root"
         );
 
-        // Binary lifting table.
-        let max_level = pre_order
-            .iter()
-            .map(|&v| level[v as usize])
-            .max()
-            .unwrap_or(0);
-        let levels_pow = if max_level == 0 {
-            1
-        } else {
-            (32 - max_level.leading_zeros()) as usize
-        };
-        let mut up = LiftingTable::new(cap);
-        let mut base = vec![NO_VERTEX; cap];
-        for &v in &pre_order {
-            base[v as usize] = if v == root { root } else { parent[v as usize] };
-        }
-        up.push_row(base);
-        for k in 1..levels_pow {
-            let mut row = vec![NO_VERTEX; cap];
-            for &v in &pre_order {
-                let mid = up.get(k - 1, v as usize);
-                if mid != NO_VERTEX {
-                    row[v as usize] = up.get(k - 1, mid as usize);
-                }
-            }
-            up.push_row(row);
-        }
-
-        TreeIndex {
+        let mut jump = vec![NO_VERTEX; cap];
+        jump[root as usize] = root;
+        let mut index = TreeIndex {
             root,
             parent: parent.to_vec(),
             children,
@@ -215,9 +154,33 @@ impl TreeIndex {
             level,
             size,
             pre_order,
-            up,
+            jump,
             n_tree,
+        };
+        for i in 1..n_tree {
+            index.set_jump(index.pre_order[i]);
         }
+        index
+    }
+
+    /// Set `v`'s jump pointer by Myers' skew-binary rule: when its parent
+    /// `p`'s jump and that vertex's own jump span equal level gaps, `v` jumps
+    /// over both, to `jump(jump(p))`; otherwise it jumps to `p`. Jump lengths
+    /// along every root path then follow the skew-binary numbers, so a climb
+    /// that takes each jump unless it overshoots and a parent step otherwise
+    /// reaches any ancestor in `O(log depth)` steps. `v`'s parent and level
+    /// must be final, and so must its ancestors' jumps, which setting
+    /// vertices in pre-order guarantees.
+    pub(crate) fn set_jump(&mut self, v: Vertex) {
+        let p = self.parent[v as usize];
+        let jp = self.jump[p as usize];
+        let jjp = self.jump[jp as usize];
+        let level = |x: Vertex| self.level[x as usize];
+        self.jump[v as usize] = if level(p) - level(jp) == level(jp) - level(jjp) {
+            jjp
+        } else {
+            p
+        };
     }
 
     /// The root of the indexed tree.
@@ -330,49 +293,57 @@ impl TreeIndex {
         pa <= pd && pd < pa + self.size[a as usize]
     }
 
-    /// Lowest common ancestor of `u` and `v`, by binary lifting: unless one
-    /// is an ancestor of the other, lift `u` to its highest ancestor that is
-    /// not an ancestor of `v`; that vertex's parent is the answer.
+    /// Lowest common ancestor of `u` and `v`: unless `v` is an ancestor of
+    /// `u`, climb from `u` to its lowest ancestor that is also an ancestor of
+    /// `v`, taking each jump that lands strictly below it and a parent step
+    /// otherwise.
     pub fn lca(&self, u: Vertex, v: Vertex) -> Vertex {
         debug_assert!(self.contains(u) && self.contains(v));
-        if self.covers(u, v) {
-            return u;
-        }
         if self.covers(v, u) {
             return v;
         }
         let mut cur = u;
-        for k in (0..self.up.rows()).rev() {
-            let next = self.up.get(k, cur as usize);
-            if !self.covers(next, v) {
-                cur = next;
-            }
-        }
-        self.parent[cur as usize]
-    }
-
-    /// The ancestor of `v` whose level is `target_level`
-    /// (requires `target_level <= level(v)`).
-    pub fn ancestor_at_level(&self, v: Vertex, target_level: u32) -> Vertex {
-        let lv = self.level[v as usize];
-        assert!(target_level <= lv, "requested level below vertex {v}");
-        let mut diff = lv - target_level;
-        let mut cur = v;
-        let mut k = 0usize;
-        while diff > 0 {
-            if diff & 1 == 1 {
-                cur = self.up.get(k, cur as usize);
-            }
-            diff >>= 1;
-            k += 1;
+        while !self.covers(cur, v) {
+            let j = self.jump[cur as usize];
+            cur = if self.covers(j, v) {
+                self.parent[cur as usize]
+            } else {
+                j
+            };
         }
         cur
     }
 
-    /// Child of `anc` on the tree path towards its proper descendant `desc`.
+    /// The ancestor of `v` whose level is `target_level`
+    /// (requires `target_level <= level(v)`), climbed by the same
+    /// jump-unless-it-overshoots rule as [`TreeIndex::lca`].
+    pub fn ancestor_at_level(&self, v: Vertex, target_level: u32) -> Vertex {
+        assert!(
+            target_level <= self.level[v as usize],
+            "requested level below vertex {v}"
+        );
+        let mut cur = v;
+        while self.level[cur as usize] > target_level {
+            let j = self.jump[cur as usize];
+            cur = if self.level[j as usize] >= target_level {
+                j
+            } else {
+                self.parent[cur as usize]
+            };
+        }
+        cur
+    }
+
+    /// Child of `anc` on the tree path towards its proper descendant `desc`:
+    /// the last child numbered at or before `desc` in pre-order. Children
+    /// lists are id-sorted and traversed in list order, so their pre-order
+    /// numbers increase along the list and a binary search finds it in
+    /// `O(log deg anc)`.
     pub fn child_toward(&self, anc: Vertex, desc: Vertex) -> Vertex {
         debug_assert!(self.is_ancestor(anc, desc) && anc != desc);
-        self.ancestor_at_level(desc, self.level[anc as usize] + 1)
+        let kids = self.children(anc);
+        let pd = self.pre[desc as usize];
+        kids[kids.partition_point(|&c| self.pre[c as usize] <= pd) - 1]
     }
 
     /// Is the edge `(u, v)` a back edge with respect to this tree (one endpoint
@@ -406,10 +377,6 @@ impl TreeIndex {
         if parent[root as usize] != root {
             return Err(format!("parent[{root}] is not the root itself"));
         }
-        // A flat child table (counts + prefix-sum cursor into one array)
-        // instead of per-vertex `Vec`s: validation runs on every recovery,
-        // so it uses the same allocation-light shape as the index build.
-        let mut counts = vec![0usize; capacity];
         let mut in_tree = 0usize;
         for v in 0..capacity as Vertex {
             let p = parent[v as usize];
@@ -429,31 +396,14 @@ impl TreeIndex {
             if parent[p as usize] == NO_VERTEX {
                 return Err(format!("vertex {v} parented to hole {p}"));
             }
-            counts[p as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(capacity + 1);
-        let mut total = 0usize;
-        for &c in &counts {
-            offsets.push(total);
-            total += c;
-        }
-        offsets.push(total);
-        let mut cursor = offsets.clone();
-        let mut child_flat = vec![0 as Vertex; total];
-        for v in 0..capacity as Vertex {
-            let p = parent[v as usize];
-            if p != NO_VERTEX && v != root {
-                child_flat[cursor[p as usize]] = v;
-                cursor[p as usize] += 1;
-            }
-        }
+        let (offsets, flat) = child_table(parent, root);
         let mut reached = 1usize;
         let mut stack = vec![root];
         while let Some(v) = stack.pop() {
-            for &c in &child_flat[offsets[v as usize]..offsets[v as usize + 1]] {
-                reached += 1;
-                stack.push(c);
-            }
+            let kids = &flat[offsets[v as usize]..offsets[v as usize + 1]];
+            reached += kids.len();
+            stack.extend_from_slice(kids);
         }
         if reached != in_tree {
             return Err(format!(
@@ -473,7 +423,7 @@ impl TreeIndex {
     ///
     /// Only the parent array and root are stored (see
     /// [`TreeIndex::parent_slice`]); the reader rebuilds the children lists,
-    /// orders, levels, sizes and lifting table deterministically, so the
+    /// orders, levels, sizes and jump pointers deterministically, so the
     /// result is structurally identical to the original
     /// ([`TreeIndex::structural_eq`]) and `parse(render(t))` is byte-stable.
     pub fn write_snap_sections(&self, w: &mut SnapWriter) {
@@ -523,11 +473,10 @@ impl TreeIndex {
 
     /// Deep structural comparison against `other`, checking **every** raw
     /// field — parent array, children lists, pre/post numbers, the pre-order
-    /// sequence, levels, sizes, the binary-lifting table and the tree size —
-    /// naming the first divergent field on mismatch. This is the
-    /// differential "loaded ≡ freshly built" check the snapshot round-trip
-    /// is pinned on; fingerprint equality alone would only cover pre-order
-    /// and parents.
+    /// sequence, levels, sizes, jump pointers and the tree size — naming the
+    /// first divergent field on mismatch. This is the differential "loaded ≡
+    /// freshly built" and "patched ≡ freshly built" check; fingerprint
+    /// equality alone would only cover pre-order and parents.
     pub fn structural_eq(&self, other: &TreeIndex) -> Result<(), String> {
         fn cmp<T: PartialEq + std::fmt::Debug>(field: &str, a: &T, b: &T) -> Result<(), String> {
             if a == b {
@@ -545,7 +494,7 @@ impl TreeIndex {
         cmp("level", &self.level, &other.level)?;
         cmp("size", &self.size, &other.size)?;
         cmp("pre_order", &self.pre_order, &other.pre_order)?;
-        cmp("up", &self.up, &other.up)?;
+        cmp("jump", &self.jump, &other.jump)?;
         Ok(())
     }
 
@@ -612,7 +561,7 @@ pub(crate) mod tests {
     }
 
     /// LCA by walking up the parent array (`parent[root] == root`): a
-    /// reference that shares no code with the index's lifting table.
+    /// reference that shares no code with the index's jump pointers.
     pub(crate) fn naive_lca(parent: &[Vertex], mut u: Vertex, mut v: Vertex) -> Vertex {
         let depth = |mut x: Vertex| {
             let mut d = 0;
@@ -696,7 +645,7 @@ pub(crate) mod tests {
             let mut parent = random_parent_array(n, &mut rng);
             if trial % 2 == 1 {
                 // Deep, narrow trees: each vertex hangs from one of the three
-                // before it, so most LCAs lie many lifting rows up.
+                // before it, so most LCAs lie many levels up.
                 for v in 1..n as Vertex {
                     parent[v as usize] = rng.gen_range(v.saturating_sub(3)..v);
                 }
@@ -752,6 +701,70 @@ pub(crate) mod tests {
                 }
                 cur = parent[cur as usize];
                 l -= 1;
+            }
+        }
+    }
+
+    /// Jump-or-parent steps of `ancestor_at_level(v, l)`, counted by walking
+    /// the index's jump pointers with the query's own rule.
+    fn climb_steps(idx: &TreeIndex, v: Vertex, l: u32) -> u32 {
+        let (mut cur, mut steps) = (v, 0);
+        while idx.level(cur) > l {
+            let j = idx.jump[cur as usize];
+            cur = if idx.level(j) >= l {
+                j
+            } else {
+                idx.parent[cur as usize]
+            };
+            steps += 1;
+        }
+        assert_eq!(cur, idx.ancestor_at_level(v, l));
+        steps
+    }
+
+    #[test]
+    fn deep_trees_match_parent_walks_within_the_log_hop_bound() {
+        // A 2^17-vertex path (depth 131,071) and a deep random tree whose
+        // vertices each hang from one of the three before them.
+        let n = 1usize << 17;
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let path: Vec<Vertex> = (0..n as Vertex).map(|v| v.saturating_sub(1)).collect();
+        let narrow: Vec<Vertex> = (0..n as Vertex)
+            .map(|v| rng.gen_range(v.saturating_sub(3)..=v.saturating_sub(1)))
+            .collect();
+        for parent in [path, narrow] {
+            let idx = TreeIndex::from_parent_slice(&parent, 0);
+            let up = |mut v: Vertex, steps: u32| {
+                for _ in 0..steps {
+                    v = parent[v as usize];
+                }
+                v
+            };
+            for _ in 0..48 {
+                let v = rng.gen_range(1..n as Vertex);
+                let depth = idx.level(v);
+                let l = rng.gen_range(0..depth);
+                // The parent-walk references: the ancestor at level `l` and
+                // its child toward `v`.
+                let below = up(v, depth - l - 1);
+                let anc = parent[below as usize];
+                assert_eq!(
+                    idx.ancestor_at_level(v, l),
+                    anc,
+                    "ancestor_at_level({v},{l})"
+                );
+                assert_eq!(idx.child_toward(anc, v), below, "child_toward({anc},{v})");
+                let u = rng.gen_range(0..n as Vertex);
+                assert_eq!(idx.lca(u, v), naive_lca(&parent, u, v), "lca({u},{v})");
+                // 3·⌈log₂(depth + 1)⌉: the bit length of `depth`, tripled.
+                let bound = 3 * (32 - depth.leading_zeros());
+                for target in [0, l, depth - 1] {
+                    let steps = climb_steps(&idx, v, target);
+                    assert!(
+                        steps <= bound,
+                        "ancestor_at_level({v},{target}) from depth {depth} took {steps} steps"
+                    );
+                }
             }
         }
     }
@@ -952,7 +965,7 @@ pub(crate) mod tests {
         }
 
         // The checkpoint differential: load(save(index)) ≡ index on *every*
-        // raw field — pre/post numbers, levels, sizes, lifting table — and on
+        // raw field — pre/post numbers, levels, sizes, jump pointers — and on
         // the fingerprint, including NO_VERTEX holes from
         // vertex churn. `structural_eq` is what pins the derived structures;
         // a snapshot format that dropped (say) children order would pass a

@@ -11,25 +11,25 @@
 //! * [`RootedTree`] — a mutable parent-array representation used while a new
 //!   DFS tree `T*` is being assembled.
 //! * [`TreeIndex`] — an immutable index over a rooted tree providing `O(1)`
-//!   pre/post order numbers, levels, subtree sizes and ancestor tests, and one
-//!   binary-lifting table for `O(log n)` LCA, level-ancestor and child-toward
-//!   queries (the paper's `O(1)` Schieber–Vishkin LCA bound is cited, not
-//!   implemented).
+//!   pre/post order numbers, levels, subtree sizes and ancestor tests,
+//!   child-toward queries by binary search of the children, and one
+//!   skew-binary jump pointer per vertex for `O(log n)` LCA and
+//!   level-ancestor queries (the paper's `O(1)` Schieber–Vishkin LCA bound is
+//!   cited, not implemented).
 //! * [`paths`] — helpers for ancestor–descendant paths: orientation,
 //!   enumeration, membership, and splitting around a vertex.
 //!
 //! * [`patch`] — **delta-patching**: the rerooting machinery emits a
 //!   [`TreePatch`] (the parent rewrites of one update) and
 //!   [`TreeIndex::apply_patch`] splices the touched subtree's orderings and
-//!   binary-lifting rows in place in `O(|region| · log n)`, falling back to
-//!   a full rebuild when the patch is not spliceable (membership changes)
-//!   or not worth it (region too large).
+//!   jump pointers in place in `O(|region| · log n)`, falling back to a full
+//!   rebuild when the patch is not spliceable (membership changes) or not
+//!   worth it (region too large).
 //!
-//! Index construction is `O(n)` work (plus `O(n log n)` for binary lifting)
-//! and parallelises trivially, matching the `O(log n)`-time, `n`-processor
-//! bound of Theorem 10 in the EREW PRAM cost model (the bound is cited, not
-//! simulated); with delta-patching that cost is paid only when a patch falls
-//! back, not on every committed update.
+//! Index construction is `O(n)` work and parallelises trivially, matching
+//! the `O(log n)`-time, `n`-processor bound of Theorem 10 in the EREW PRAM
+//! cost model (the bound is cited, not simulated); with delta-patching that
+//! cost is paid only when a patch falls back, not on every committed update.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

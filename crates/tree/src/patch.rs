@@ -20,15 +20,16 @@
 //! 2. **Splice.** A local DFS of the region (with the patched children lists,
 //!    kept id-sorted exactly like a fresh build's) recomputes `pre`, `post`,
 //!    `level`, `size` and the pre-order slice for region vertices only,
-//!    writing them into the same global slots; binary-lifting rows are
-//!    recomputed only for region vertices (`O(|region| · log n)`). Total:
+//!    writing them into the same global slots, then resets each region
+//!    vertex's jump pointer in pre-order, `O(1)` apiece. Total:
 //!    `O(|region| · log n)` — the `O(|patch| · polylog n)` bound, since the
 //!    region is the span of the patch.
 //! 3. **Equivalence.** Children lists stay sorted by vertex id, which is the
-//!    traversal order `from_parent_slice` uses, so a patched index is
-//!    *query-for-query identical* to a fresh build on the patched parent
-//!    array — the same pre/post numbers, not merely isomorphic answers. The
-//!    differential property suite pins this for all five backends.
+//!    traversal order `from_parent_slice` uses, and every field of the index
+//!    is a function of the parent array, so a patched index is
+//!    *structurally identical* ([`TreeIndex::structural_eq`]) to a fresh
+//!    build on the patched parent array. The differential property suite
+//!    pins this for all five backends.
 //!
 //! ## The fallback argument
 //!
@@ -53,7 +54,6 @@
 //! is always available.
 
 use crate::index::TreeIndex;
-use crate::rooted::NO_VERTEX;
 use pardfs_graph::Vertex;
 use std::collections::HashMap;
 
@@ -295,46 +295,9 @@ impl TreeIndex {
             self.post[v as usize] = post_base + i as u32;
         }
 
-        // Binary lifting: only region vertices can have changed ancestors.
-        // Rows are recomputed level by level so row k-1 is final everywhere
-        // before row k reads it (mid vertices may also lie in the region).
-        let region_max_level = order.iter().map(|&v| self.level[v as usize]).max().unwrap();
-        let rows_needed = if region_max_level == 0 {
-            1
-        } else {
-            (32 - region_max_level.leading_zeros()) as usize
-        };
-        while self.up.rows() < rows_needed {
-            // Depth grew past the table: extend with full rows (rare; each
-            // extension is O(n) and depth doublings are logarithmic).
-            let last = self.up.rows() - 1;
-            let mut row = vec![NO_VERTEX; self.parent.len()];
-            for &v in &self.pre_order {
-                let mid = self.up.get(last, v as usize);
-                if mid != NO_VERTEX {
-                    row[v as usize] = self.up.get(last, mid as usize);
-                }
-            }
-            self.up.push_row(row);
-        }
+        // Only region vertices can have changed ancestors.
         for &v in &order {
-            let p = if v == self.root {
-                self.root
-            } else {
-                self.parent[v as usize]
-            };
-            self.up.set(0, v as usize, p);
-        }
-        for k in 1..self.up.rows() {
-            for &v in &order {
-                let mid = self.up.get(k - 1, v as usize);
-                let x = if mid != NO_VERTEX {
-                    self.up.get(k - 1, mid as usize)
-                } else {
-                    NO_VERTEX
-                };
-                self.up.set(k, v as usize, x);
-            }
+            self.set_jump(v);
         }
 
         PatchOutcome::Applied {
@@ -347,50 +310,32 @@ impl TreeIndex {
 mod tests {
     use super::*;
     use crate::index::tests::naive_lca;
-    use crate::rooted::RootedTree;
+    use crate::rooted::{RootedTree, NO_VERTEX};
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
-    /// Assert that `idx` answers every structural query identically to a
-    /// fresh `from_parent_slice` build on the same parent array — including
-    /// the raw pre/post numbers, not just derived answers — and answers
-    /// `lca` as a walk up the parent array does.
+    /// Assert that `idx` is structurally a fresh `from_parent_slice` build
+    /// on its own parent array, and answers `lca` and `ancestor_at_level` as
+    /// walks up the parent array do.
     fn assert_identical_to_fresh(idx: &TreeIndex) {
-        let mut parent = vec![NO_VERTEX; idx.capacity()];
-        for &v in idx.pre_order_vertices() {
-            parent[v as usize] = idx.parent(v).unwrap_or(v);
-        }
-        let fresh = TreeIndex::from_parent_slice(&parent, idx.root());
-        assert_eq!(idx.num_vertices(), fresh.num_vertices());
-        assert_eq!(idx.pre_order_vertices(), fresh.pre_order_vertices());
-        for v in 0..idx.capacity() as Vertex {
-            assert_eq!(idx.contains(v), fresh.contains(v), "contains({v})");
-            if !idx.contains(v) {
-                continue;
-            }
-            assert_eq!(idx.pre(v), fresh.pre(v), "pre({v})");
-            assert_eq!(idx.post(v), fresh.post(v), "post({v})");
-            assert_eq!(idx.level(v), fresh.level(v), "level({v})");
-            assert_eq!(idx.size(v), fresh.size(v), "size({v})");
-            assert_eq!(idx.parent(v), fresh.parent(v), "parent({v})");
-            assert_eq!(idx.children(v), fresh.children(v), "children({v})");
+        let parent = idx.parent_slice();
+        let fresh = TreeIndex::from_parent_slice(parent, idx.root());
+        if let Err(e) = idx.structural_eq(&fresh) {
+            panic!("patched index differs from a fresh build: {e}");
         }
         let verts = fresh.pre_order_vertices();
         for &u in verts.iter().step_by(3) {
             for &v in verts.iter().step_by(2) {
-                assert_eq!(idx.lca(u, v), fresh.lca(u, v), "lca({u},{v})");
-                assert_eq!(
-                    idx.lca(u, v),
-                    naive_lca(&parent, u, v),
-                    "naive lca({u},{v})"
-                );
+                assert_eq!(idx.lca(u, v), naive_lca(parent, u, v), "naive lca({u},{v})");
             }
-            for l in 0..=fresh.level(u) {
+            let mut anc = u;
+            for l in (0..=idx.level(u)).rev() {
                 assert_eq!(
                     idx.ancestor_at_level(u, l),
-                    fresh.ancestor_at_level(u, l),
+                    anc,
                     "ancestor_at_level({u},{l})"
                 );
+                anc = parent[anc as usize];
             }
         }
     }
@@ -553,9 +498,9 @@ mod tests {
     }
 
     #[test]
-    fn depth_growth_extends_the_lifting_table() {
-        // A star re-chained into a path quadruples the depth; the patched
-        // binary-lifting table must grow rows accordingly.
+    fn depth_growth_keeps_the_index_identical_to_fresh_builds() {
+        // A star re-chained into a path: every vertex below the root changes
+        // level, and so does its jump pointer.
         let n = 34;
         let mut t = RootedTree::new(n, 0);
         for v in 1..n as Vertex {
@@ -577,9 +522,7 @@ mod tests {
     #[test]
     fn depth_shrink_keeps_queries_identical_to_fresh_builds() {
         // Re-hanging the lower half of a 17-vertex path under the root halves
-        // its depth. The splice keeps the lifting rows the old depth needed
-        // (a fresh build has one fewer), so the raw tables differ while every
-        // query answer must still match.
+        // its depth.
         let mut idx = path_index(17);
         let mut patch = TreePatch::new();
         patch.assign(9, 0);

@@ -91,42 +91,6 @@ impl RootedTree {
     pub fn parent_array(&self) -> &[Vertex] {
         &self.parent
     }
-
-    /// Iterator over vertices currently in the tree.
-    pub fn vertices(&self) -> impl Iterator<Item = Vertex> + '_ {
-        self.parent
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p != NO_VERTEX)
-            .map(|(v, _)| v as Vertex)
-    }
-
-    /// Check structural validity: exactly one root, every in-tree vertex
-    /// reaches the root without cycles.
-    pub fn validate(&self) -> Result<(), String> {
-        for v in self.vertices() {
-            let mut cur = v;
-            let mut steps = 0usize;
-            loop {
-                if cur == self.root {
-                    break;
-                }
-                let p = self.parent[cur as usize];
-                if p == NO_VERTEX {
-                    return Err(format!("vertex {v} does not reach the root"));
-                }
-                if p == cur {
-                    return Err(format!("vertex {cur} is a second root"));
-                }
-                cur = p;
-                steps += 1;
-                if steps > self.parent.len() {
-                    return Err(format!("cycle reachable from vertex {v}"));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -151,15 +115,6 @@ mod tests {
         assert_eq!(t.parent(3), Some(1));
         assert_eq!(t.len(), 5);
         assert!(t.contains(4));
-        assert!(t.validate().is_ok());
-    }
-
-    #[test]
-    fn detach_breaks_reachability() {
-        // Removing vertex 1 leaves its children 3 and 4 parented to a hole.
-        let mut t = small_tree();
-        t.set_parent(1, NO_VERTEX);
-        assert!(t.validate().is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Where [`TreeIndex::read_snap_sections`](crate::TreeIndex) copies the
 //! parent array out of the file and then rebuilds *every* derived structure
-//! (children arena, orderings, levels, sizes, binary lifting — the
-//! `O(n log n)` part that dominates checkpoint open time), a `TreeView`
+//! (children arena, orderings, levels, sizes, jump pointers — the part that
+//! dominates checkpoint open time), a `TreeView`
 //! **validates once and borrows thereafter**: the construction pass runs the
 //! exact same parent-array validation as the materializing parser (shared
 //! code), and every subsequent query reads the `TPAR` bytes in place — zero
@@ -12,8 +12,8 @@
 //!
 //! The trade: a view answers the *forest* query vocabulary (parent, roots,
 //! component membership by climbing to the depth-1 ancestor) in `O(depth)`
-//! per climb instead of the index's `O(log n)` binary lifting. That is the
-//! right trade for the open-latency path — a reader process serving a few
+//! per climb instead of the index's `O(log n)` jump-pointer climb. That is
+//! the right trade for the open-latency path — a reader process serving a few
 //! point queries off a freshly published epoch — while long-lived servers
 //! materialize a [`TreeIndex`] via [`TreeView::to_index`]
 //! when query volume warrants the rebuild. See `docs/FORMATS.md` for the
