@@ -271,7 +271,11 @@ mod tests {
             .map(|_| {
                 let w = verts[rng.gen_range(0..verts.len())];
                 let a = verts[rng.gen_range(0..verts.len())];
-                let anc = idx.ancestor_at_level(a, rng.gen_range(0..=idx.level(a)));
+                // A random ancestor of `a`, by walking up the parent array.
+                let mut anc = a;
+                for _ in rng.gen_range(0..=idx.level(a))..idx.level(a) {
+                    anc = idx.parent_slice()[anc as usize];
+                }
                 if rng.gen_bool(0.5) {
                     VertexQuery::new(w, a, anc)
                 } else {

@@ -258,15 +258,15 @@ pub(crate) fn step<M: Model>(
 
 impl<M: Model> ForestQuery for EngineDfs<M> {
     fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        forest::forest_parent(&self.idx, v)
+        forest::forest_parent(self.idx.parent_slice(), v)
     }
 
     fn forest_roots(&self) -> Vec<Vertex> {
-        forest::forest_roots(&self.idx)
+        forest::forest_roots(self.idx.children(forest::PSEUDO_ROOT))
     }
 
     fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        forest::same_component(&self.idx, u, v)
+        forest::same_component(self.idx.top_slice(), u, v)
     }
 
     fn num_vertices(&self) -> usize {

@@ -64,17 +64,17 @@ impl FtResult {
 
     /// Parent of user vertex `v` in the resulting DFS forest.
     pub fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        forest::forest_parent(&self.idx, v)
+        forest::forest_parent(self.idx.parent_slice(), v)
     }
 
     /// Roots of the resulting DFS forest (user ids).
     pub fn forest_roots(&self) -> Vec<Vertex> {
-        forest::forest_roots(&self.idx)
+        forest::forest_roots(self.idx.children(forest::PSEUDO_ROOT))
     }
 
     /// Are user vertices `u` and `v` connected in the updated graph?
     pub fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        forest::same_component(&self.idx, u, v)
+        forest::same_component(self.idx.top_slice(), u, v)
     }
 
     /// Number of user vertices in the updated graph.

@@ -463,9 +463,13 @@ mod tests {
     fn random_tree_path(idx: &TreeIndex, rng: &mut impl Rng) -> (Vertex, Vertex) {
         let verts = idx.pre_order_vertices();
         let a = verts[rng.gen_range(0..verts.len())];
-        // Pick a random ancestor of a (possibly a itself).
+        // Pick a random ancestor of a (possibly a itself), by walking up the
+        // parent array.
         let l = idx.level(a);
-        let b = idx.ancestor_at_level(a, rng.gen_range(0..=l));
+        let mut b = a;
+        for _ in rng.gen_range(0..=l)..l {
+            b = idx.parent_slice()[b as usize];
+        }
         if rng.gen_bool(0.5) {
             (a, b)
         } else {
@@ -716,7 +720,10 @@ mod tests {
             let current = TreeIndex::from_parent_slice(&cur_parent, 0);
             for _ in 0..40 {
                 let a = rng.gen_range(0..cur_parent.len() as Vertex);
-                let b = current.ancestor_at_level(a, rng.gen_range(0..=current.level(a)));
+                let mut b = a;
+                for _ in rng.gen_range(0..=current.level(a))..current.level(a) {
+                    b = cur_parent[b as usize];
+                }
                 let (near, far) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
                 let mut path = climb(&cur_parent, a, b);
                 if near == b {

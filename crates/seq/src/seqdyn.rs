@@ -140,18 +140,18 @@ impl SeqRerootDfs {
     /// graph (`None` when `v` is a component root or not present). Both the
     /// argument and the result are user ids.
     pub fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        forest::forest_parent(&self.idx, v)
+        forest::forest_parent(self.idx.parent_slice(), v)
     }
 
     /// Roots of the maintained DFS forest (user ids), one per connected
     /// component of the user graph.
     pub fn forest_roots(&self) -> Vec<Vertex> {
-        forest::forest_roots(&self.idx)
+        forest::forest_roots(self.idx.children(forest::PSEUDO_ROOT))
     }
 
     /// Are user vertices `u` and `v` in the same connected component?
     pub fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        forest::same_component(&self.idx, u, v)
+        forest::same_component(self.idx.top_slice(), u, v)
     }
 
     /// Number of user vertices currently in the graph.

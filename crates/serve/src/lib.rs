@@ -14,10 +14,11 @@
 //!
 //! ## The three moving parts
 //!
-//! * [`Snapshot`] — an immutable capture of one epoch: a cloned
-//!   [`TreeIndex`](pardfs_tree::TreeIndex) plus sizes and the epoch's tree
-//!   fingerprint, answering the full [`ForestQuery`](pardfs_api::ForestQuery)
-//!   vocabulary with live-maintainer semantics. [`Snapshot::publish_to`]
+//! * [`Snapshot`] — an immutable capture of one epoch: copies of the tree's
+//!   parent array and depth-1 ancestor labels plus sizes and the epoch's
+//!   tree fingerprint, answering the full
+//!   [`ForestQuery`](pardfs_api::ForestQuery) vocabulary with
+//!   live-maintainer semantics. [`Snapshot::publish_to`]
 //!   writes an epoch to disk as a `pardfs-snap` v2 container and
 //!   [`MappedEpoch`] serves `ForestQuery` reads straight off the mapped
 //!   file from any process — validated once at open, zero-copy thereafter.
@@ -87,34 +88,70 @@ mod tests {
         ]
     }
 
+    /// The graphs the snapshot read surfaces are checked on, each with a
+    /// burst of updates: a random connected graph, a sparse `G(n, p)` forest
+    /// of many trees (cross-tree `false` answers), and a 4096-vertex path
+    /// (a tree 4096 levels deep).
+    fn read_surface_cases() -> Vec<(Graph, Vec<Update>)> {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let sparse = generators::gnp(300, 0.004, &mut rng);
+        let sparse_updates = random_update_sequence(&sparse, 25, &UpdateMix::default(), &mut rng);
+        let path = generators::path(4096);
+        let path_updates = random_update_sequence(&path, 10, &UpdateMix::edges_only(), &mut rng);
+        vec![
+            graph_and_updates(80, 240, 25, 42),
+            (sparse, sparse_updates),
+            (path, path_updates),
+        ]
+    }
+
+    /// Assert that `q` answers every forest read as the live `dfs` does, on
+    /// every id up to two past the capacity, and return how many
+    /// `same_component` pairs it answered `false`.
+    fn assert_reads_match(q: &dyn ForestQuery, dfs: &dyn DfsMaintainer) -> usize {
+        let name = dfs.backend_name();
+        assert_eq!(q.num_vertices(), dfs.num_vertices());
+        assert_eq!(q.num_edges(), dfs.num_edges());
+        assert_eq!(q.forest_roots(), dfs.forest_roots(), "{name}: forest_roots");
+        let mut apart = 0;
+        for v in 0..dfs.augmented_graph().capacity() as Vertex + 1 {
+            assert_eq!(
+                q.forest_parent(v),
+                dfs.forest_parent(v),
+                "{name}: forest_parent({v})"
+            );
+            for u in [0, v / 2, v, v.wrapping_mul(2_654_435_761) % (v + 1)] {
+                let same = q.same_component(u, v);
+                assert_eq!(
+                    same,
+                    dfs.same_component(u, v),
+                    "{name}: same_component({u}, {v})"
+                );
+                apart += usize::from(!same);
+            }
+        }
+        apart
+    }
+
     #[test]
     fn snapshot_answers_match_the_live_maintainer() {
-        let (graph, updates) = graph_and_updates(80, 240, 25, 42);
-        for mut dfs in maintainers(&graph) {
-            for update in &updates {
-                dfs.apply_update(update);
-            }
-            let snap = Snapshot::capture(7, dfs.as_ref());
-            assert_eq!(snap.epoch(), 7);
-            assert_eq!(snap.backend(), dfs.backend_name());
-            assert_eq!(snap.num_vertices(), dfs.num_vertices());
-            assert_eq!(snap.num_edges(), dfs.num_edges());
-            assert_eq!(snap.forest_roots(), dfs.forest_roots());
-            assert_eq!(snap.fingerprint(), dfs.tree().fingerprint());
-            for v in 0..graph.capacity() as Vertex + 2 {
-                assert_eq!(
-                    snap.forest_parent(v),
-                    dfs.forest_parent(v),
-                    "{}: forest_parent({v})",
-                    dfs.backend_name()
-                );
-                for u in [0, v / 2, v] {
-                    assert_eq!(
-                        snap.same_component(u, v),
-                        dfs.same_component(u, v),
-                        "{}: same_component({u}, {v})",
-                        dfs.backend_name()
+        for (i, (graph, updates)) in read_surface_cases().into_iter().enumerate() {
+            for mut dfs in maintainers(&graph) {
+                for update in &updates {
+                    dfs.apply_update(update);
+                }
+                let snap = Snapshot::capture(7, dfs.as_ref());
+                assert_eq!(snap.epoch(), 7);
+                assert_eq!(snap.backend(), dfs.backend_name());
+                assert_eq!(snap.fingerprint(), dfs.tree().fingerprint());
+                assert_eq!(snap.recompute_fingerprint(), snap.fingerprint());
+                let apart = assert_reads_match(&snap, dfs.as_ref());
+                if i == 1 {
+                    assert!(
+                        dfs.forest_roots().len() > 100,
+                        "the sparse case is a forest"
                     );
+                    assert!(apart > 500, "cross-tree pairs answer false: {apart}");
                 }
             }
         }
@@ -124,41 +161,24 @@ mod tests {
     fn mapped_epoch_answers_match_the_live_maintainer() {
         let dir = std::env::temp_dir().join(format!("pardfs-serve-mapped-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let (graph, updates) = graph_and_updates(80, 240, 25, 42);
-        for mut dfs in maintainers(&graph) {
-            for update in &updates {
-                dfs.apply_update(update);
-            }
-            let snap = Snapshot::capture(9, dfs.as_ref());
-            let path = dir.join(format!("{}.epoch", dfs.backend_name()));
-            snap.publish_to(&path).unwrap();
-            let mapped = Snapshot::open_mapped(&path).unwrap();
-            assert_eq!(mapped.epoch(), 9);
-            assert_eq!(mapped.backend(), dfs.backend_name());
-            assert_eq!(mapped.num_vertices(), dfs.num_vertices());
-            assert_eq!(mapped.num_edges(), dfs.num_edges());
-            assert_eq!(mapped.forest_roots(), dfs.forest_roots());
-            assert_eq!(mapped.fingerprint(), dfs.tree().fingerprint());
-            for v in 0..graph.capacity() as Vertex + 2 {
-                assert_eq!(
-                    mapped.forest_parent(v),
-                    dfs.forest_parent(v),
-                    "{}: forest_parent({v})",
-                    dfs.backend_name()
-                );
-                for u in [0, v / 2, v] {
-                    assert_eq!(
-                        mapped.same_component(u, v),
-                        dfs.same_component(u, v),
-                        "{}: same_component({u}, {v})",
-                        dfs.backend_name()
-                    );
+        for (i, (graph, updates)) in read_surface_cases().into_iter().enumerate() {
+            for mut dfs in maintainers(&graph) {
+                for update in &updates {
+                    dfs.apply_update(update);
                 }
+                let snap = Snapshot::capture(9, dfs.as_ref());
+                let path = dir.join(format!("{i}-{}.epoch", dfs.backend_name()));
+                snap.publish_to(&path).unwrap();
+                let mapped = Snapshot::open_mapped(&path).unwrap();
+                assert_eq!(mapped.epoch(), 9);
+                assert_eq!(mapped.backend(), dfs.backend_name());
+                assert_eq!(mapped.fingerprint(), dfs.tree().fingerprint());
+                assert_reads_match(&mapped, dfs.as_ref());
+                // Materializing rebuilds the exact captured index
+                // (fingerprint re-verified inside `materialize`).
+                let index = mapped.materialize().unwrap();
+                dfs.tree().structural_eq(&index).unwrap();
             }
-            // Materializing rebuilds the exact captured index (fingerprint
-            // re-verified inside `materialize`).
-            let index = mapped.materialize().unwrap();
-            dfs.tree().structural_eq(&index).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -209,7 +229,7 @@ mod tests {
         // Every historical snapshot still recomputes to its recorded
         // fingerprint — immutability across later commits.
         for snap in &held {
-            assert_eq!(snap.tree().fingerprint(), snap.fingerprint());
+            assert_eq!(snap.recompute_fingerprint(), snap.fingerprint());
             assert_eq!(
                 reader.recorded_fingerprint(snap.epoch()),
                 Some(snap.fingerprint())

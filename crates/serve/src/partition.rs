@@ -43,7 +43,7 @@ use crate::snapshot::Snapshot;
 use pardfs_api::{DfsMaintainer, ForestQuery, OwnershipMap, RoutingStats, StatsRollup};
 use pardfs_graph::snap::{put_u64, Cursor};
 use pardfs_graph::{connected_components, Graph, SnapReader, SnapWriter, Update, Vertex};
-use pardfs_tree::{TreeIndex, NO_VERTEX};
+use pardfs_tree::{write_tree_sections, TreeIndex, NO_VERTEX};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 use std::time::Instant;
@@ -280,7 +280,7 @@ impl ComponentExport {
         put_u64(hdr, self.graph.capacity() as u64);
         put_u64(hdr, self.component_id as u64);
         self.graph.write_snap_sections(&mut w);
-        self.tree.write_snap_sections(&mut w);
+        write_tree_sections(&mut w, self.tree.root(), self.tree.parent_slice());
         w.finish()
     }
 
@@ -1042,7 +1042,7 @@ fn merge_component(m: &dyn DfsMaintainer, export: &ComponentExport) -> (Graph, T
 fn assembled_tree(ownership: &OwnershipMap, shards: &[Arc<Snapshot>]) -> TreeIndex {
     let cap = shards
         .iter()
-        .map(|s| s.tree().capacity())
+        .map(|s| s.parent_slice().len())
         .max()
         .unwrap_or(1)
         .max(ownership.capacity() + 1);
@@ -1050,10 +1050,7 @@ fn assembled_tree(ownership: &OwnershipMap, shards: &[Arc<Snapshot>]) -> TreeInd
     parent[0] = 0;
     for v in 0..ownership.capacity() as Vertex {
         if let Some(shard) = ownership.owner(v) {
-            parent[(v + 1) as usize] = shards[shard as usize]
-                .tree()
-                .parent(v + 1)
-                .expect("an owned vertex has a parent (possibly the pseudo root)");
+            parent[(v + 1) as usize] = shards[shard as usize].parent_slice()[(v + 1) as usize];
         }
     }
     TreeIndex::from_parent_slice(&parent, 0)

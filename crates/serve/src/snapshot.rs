@@ -1,13 +1,18 @@
 //! Immutable per-epoch snapshots of a maintained DFS forest — in-process
 //! ([`Snapshot`]) and cross-process ([`Snapshot::publish_to`] /
-//! [`MappedEpoch`]).
+//! [`MappedEpoch`]) — read through the same flat arrays: the parent array,
+//! each vertex's depth-1 ancestor label (which names its tree) and the pseudo
+//! root's children answer every [`ForestQuery`] in `O(1)` through
+//! [`pardfs_api::forest`]. A `Snapshot` copies them at capture and holds no
+//! index; a `.epoch` file carries the first two as `TPAR` and `TTOP`, checked
+//! against each other once at open and then read in place.
 
-use pardfs_api::forest::{self, internal_id, PSEUDO_ROOT};
+use pardfs_api::forest::{self, PSEUDO_ROOT};
 use pardfs_api::ForestQuery;
 use pardfs_graph::mapped::cast_u32s;
-use pardfs_graph::snap::{put_u64, Cursor, SnapReader, SnapWriter};
+use pardfs_graph::snap::{put_u32, put_u64, Cursor, SnapReader, SnapWriter};
 use pardfs_graph::{MappedSnapshot, Vertex};
-use pardfs_tree::{TreeIndex, TreeView};
+use pardfs_tree::{write_tree_sections, TreeIndex, TreeView, NO_VERTEX};
 use std::io::Write as _;
 use std::path::Path;
 
@@ -16,50 +21,54 @@ use std::path::Path;
 const SEC_EPOCH_HEADER: [u8; 4] = *b"SHDR";
 /// Section tag of a published epoch's backend name (UTF-8 bytes).
 const SEC_EPOCH_BACKEND: [u8; 4] = *b"SBKD";
+/// Section tag of a published epoch's depth-1 ancestor labels (`u32` per
+/// slot, `u32::MAX` for the root and for holes).
+const SEC_EPOCH_TOP: [u8; 4] = *b"TTOP";
 
 /// An **immutable** capture of one epoch of a maintained DFS forest.
 ///
-/// A snapshot owns its own [`TreeIndex`] clone, so it stays valid — and
-/// answers in constant state — no matter what the writer does afterwards:
-/// readers holding an `Arc<Snapshot>` never block the writer and never see a
-/// half-applied batch. It answers the full [`ForestQuery`] vocabulary with
-/// exactly the semantics of the live maintainer it was captured from (the
-/// same [`pardfs_api::forest`] helpers, run against the cloned index).
+/// A snapshot owns copies of the three arrays the forest reads need — the
+/// augmented tree's parent array, its depth-1 ancestor labels and the pseudo
+/// root's children — so it stays valid, and answers in constant state, no
+/// matter what the writer does afterwards: readers holding an
+/// `Arc<Snapshot>` never block the writer and never see a half-applied
+/// batch. It answers the full [`ForestQuery`] vocabulary with exactly the
+/// semantics of the live maintainer it was captured from (the same
+/// [`pardfs_api::forest`] functions, run on the copied arrays).
 ///
-/// Identity is the index's [`TreeIndex::fingerprint`], captured at commit
-/// time. Because the snapshot is immutable, recomputing the fingerprint from
-/// [`Snapshot::tree`] must always reproduce [`Snapshot::fingerprint`]; the
-/// stress suite uses that equation (plus the server's epoch log) as its
-/// torn-read detector.
+/// Identity is the index's [`TreeIndex::fingerprint`], taken from the live
+/// index at commit time. Because the snapshot is immutable,
+/// [`Snapshot::recompute_fingerprint`] must always reproduce
+/// [`Snapshot::fingerprint`]; the stress suite uses that equation (plus the
+/// server's epoch log) as its torn-read detector.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     epoch: u64,
     backend: &'static str,
-    tree: TreeIndex,
+    parent: Vec<Vertex>,
+    top: Vec<Vertex>,
+    /// The pseudo root's children (internal ids, ascending).
+    roots: Vec<Vertex>,
     num_vertices: usize,
     num_edges: usize,
     fingerprint: u64,
 }
 
 impl Snapshot {
-    /// Capture the current state of `dfs` as epoch `epoch`.
-    ///
-    /// The dominant cost is the [`TreeIndex`] clone. The index is flat
-    /// storage (children lists in one arena pool, one jump pointer per
-    /// vertex), so that clone is a fixed handful of contiguous
-    /// `memcpy`-style buffer copies rather than `O(n)` separate per-vertex
-    /// allocations — which is what keeps the per-commit capture off the
-    /// serving layer's critical path at large `n`.
+    /// Capture the current state of `dfs` as epoch `epoch`: two `n`-word
+    /// copies (the parent array and the `top` labels), the root list, and the
+    /// fingerprint of the live index.
     pub fn capture(epoch: u64, dfs: &dyn pardfs_api::DfsMaintainer) -> Self {
-        let tree = dfs.tree().clone();
-        let fingerprint = tree.fingerprint();
+        let tree = dfs.tree();
         Snapshot {
             epoch,
             backend: dfs.backend_name(),
-            tree,
+            parent: tree.parent_slice().to_vec(),
+            top: tree.top_slice().to_vec(),
+            roots: tree.children(PSEUDO_ROOT).to_vec(),
             num_vertices: dfs.num_vertices(),
             num_edges: dfs.num_edges(),
-            fingerprint,
+            fingerprint: tree.fingerprint(),
         }
     }
 
@@ -74,16 +83,24 @@ impl Snapshot {
         self.backend
     }
 
-    /// The captured DFS tree of the augmented graph (internal ids), same
-    /// contract as [`pardfs_api::DfsMaintainer::tree`].
-    pub fn tree(&self) -> &TreeIndex {
-        &self.tree
+    /// The captured parent array of the augmented tree (internal ids, the
+    /// pseudo root at 0 its own parent, [`NO_VERTEX`] for holes), same
+    /// contract as [`TreeIndex::parent_slice`].
+    pub fn parent_slice(&self) -> &[Vertex] {
+        &self.parent
     }
 
     /// The tree fingerprint captured at commit time
-    /// ([`TreeIndex::fingerprint`] of [`Snapshot::tree`]).
+    /// ([`TreeIndex::fingerprint`] of the live index).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Recompute the fingerprint from the captured parent array, by
+    /// rebuilding an index from it (`O(n)`). The torn-read census compares
+    /// it with [`Snapshot::fingerprint`] and the epoch log.
+    pub fn recompute_fingerprint(&self) -> u64 {
+        TreeIndex::from_parent_slice(&self.parent, PSEUDO_ROOT).fingerprint()
     }
 
     /// Publish this epoch to `path` as a `pardfs-snap v2` container so a
@@ -91,11 +108,11 @@ impl Snapshot {
     /// [`Snapshot::open_mapped`] — see `docs/FORMATS.md` for the byte layout.
     ///
     /// The file carries an `SHDR` header (epoch, fingerprint, vertex and edge
-    /// counts), the backend name, and the tree's 8-byte-aligned `THDR`/`TPAR`
-    /// sections. It is written atomically (tmp sibling + `sync_all` + rename)
-    /// and never modified in place afterwards — the publish discipline the
-    /// mapped reader's safety argument relies on
-    /// (see [`pardfs_graph::mapped`]).
+    /// counts), the backend name, the tree's 8-byte-aligned `THDR`/`TPAR`
+    /// sections and the `TTOP` labels. It is written atomically (tmp
+    /// sibling + `sync_all` + rename) and never modified in place afterwards
+    /// — the publish discipline the mapped reader's safety argument relies
+    /// on (see [`pardfs_graph::mapped`]).
     pub fn publish_to(&self, path: &Path) -> Result<(), String> {
         let mut w = SnapWriter::new();
         {
@@ -107,7 +124,11 @@ impl Snapshot {
         }
         w.section(SEC_EPOCH_BACKEND)
             .extend_from_slice(self.backend.as_bytes());
-        self.tree.write_snap_sections(&mut w);
+        write_tree_sections(&mut w, PSEUDO_ROOT, &self.parent);
+        let top = w.section_aligned(SEC_EPOCH_TOP, 8);
+        for &t in &self.top {
+            put_u32(top, t);
+        }
         let bytes = w.finish();
 
         let tmp_path = path.with_extension("epoch.tmp");
@@ -122,8 +143,9 @@ impl Snapshot {
 
     /// Open an epoch file published by [`Snapshot::publish_to`] as a
     /// [`MappedEpoch`]: checksum and structure are validated **once**, then
-    /// every query reads the mapped `TPAR` bytes in place (zero parent-array
-    /// bytes copied — the validate-once / borrow-thereafter invariant).
+    /// every query reads the mapped `TPAR` and `TTOP` bytes in place (zero
+    /// array bytes copied — the validate-once / borrow-thereafter
+    /// invariant).
     pub fn open_mapped(path: &Path) -> Result<MappedEpoch, String> {
         MappedEpoch::open(path)
     }
@@ -133,11 +155,12 @@ impl Snapshot {
 /// off the (usually `mmap`-ed) snapshot bytes.
 ///
 /// Opening validates the container exactly once — whole-file checksum,
-/// section table, header decode, and the full shared parent-array validation
-/// via [`TreeView::parse`] — and precomputes the root list (one `TPAR` scan).
-/// After that, `forest_parent` is a single in-place array read and
-/// `same_component` an `O(depth)` climb; no per-query allocation, no copies.
-/// Long-lived servers that want the `O(log n)` index surface instead call
+/// section table, header decode, the full shared parent-array validation via
+/// [`TreeView::parse`], and one pass checking every `TTOP` label against
+/// `TPAR` that also collects the root list. After that every read is `O(1)`
+/// on the mapped arrays, the same [`pardfs_api::forest`] functions a
+/// [`Snapshot`] runs on its copies; no per-query allocation, no copies.
+/// Long-lived servers that want the whole index instead call
 /// [`MappedEpoch::materialize`].
 ///
 /// # Examples
@@ -163,13 +186,13 @@ pub struct MappedEpoch {
     num_vertices: usize,
     num_edges: usize,
     fingerprint: u64,
-    /// Byte offset of the validated `TPAR` payload inside `map` and its
-    /// capacity in `u32` slots — enough to rebind a [`TreeView`] per query
-    /// without re-validating.
+    /// Byte offsets of the validated `TPAR` and `TTOP` payloads inside
+    /// `map`, each `capacity` `u32` slots.
     tpar_offset: usize,
+    ttop_offset: usize,
     capacity: usize,
-    root: Vertex,
-    /// User-id roots (children of the pseudo root), precomputed at open time.
+    /// The pseudo root's children (internal ids, ascending), collected at
+    /// open time.
     roots: Vec<Vertex>,
 }
 
@@ -177,17 +200,8 @@ impl MappedEpoch {
     fn open(path: &Path) -> Result<MappedEpoch, String> {
         let map =
             MappedSnapshot::open(path).map_err(|e| format!("opening {}: {e}", path.display()))?;
-        let (
-            epoch,
-            backend,
-            num_vertices,
-            num_edges,
-            fingerprint,
-            tpar_offset,
-            capacity,
-            root,
-            roots,
-        );
+        let (epoch, backend, num_vertices, num_edges, fingerprint);
+        let (tpar_offset, ttop_offset, capacity, roots);
         {
             let r = SnapReader::parse(map.bytes())?;
             let mut hdr = Cursor::new(SEC_EPOCH_HEADER, r.section(SEC_EPOCH_HEADER)?);
@@ -199,16 +213,27 @@ impl MappedEpoch {
             backend = String::from_utf8(r.section(SEC_EPOCH_BACKEND)?.to_vec())
                 .map_err(|_| "backend name is not UTF-8".to_string())?;
             let view = TreeView::parse(&r)?;
-            let parent = view.parent_slice();
-            tpar_offset = parent.as_ptr() as usize - map.bytes().as_ptr() as usize;
-            capacity = view.capacity();
-            root = view.root();
-            if root != PSEUDO_ROOT {
+            if view.root() != PSEUDO_ROOT {
                 return Err(format!(
-                    "published epoch tree is rooted at {root}, expected the pseudo root 0"
+                    "published epoch tree is rooted at {}, expected the pseudo root 0",
+                    view.root()
                 ));
             }
-            roots = view.root_children().iter().map(|&c| c - 1).collect();
+            let parent = view.parent_slice();
+            let top_bytes = r.section(SEC_EPOCH_TOP)?;
+            if top_bytes.len() != 4 * parent.len() {
+                return Err(format!(
+                    "TTOP section is {} bytes for capacity {}",
+                    top_bytes.len(),
+                    parent.len()
+                ));
+            }
+            let top = cast_u32s(top_bytes).map_err(|e| format!("TTOP section: {e}"))?;
+            roots = check_top(parent, top)?;
+            let base = map.bytes().as_ptr() as usize;
+            tpar_offset = parent.as_ptr() as usize - base;
+            ttop_offset = top.as_ptr() as usize - base;
+            capacity = parent.len();
         }
         Ok(MappedEpoch {
             map,
@@ -218,19 +243,18 @@ impl MappedEpoch {
             num_edges,
             fingerprint,
             tpar_offset,
+            ttop_offset,
             capacity,
-            root,
             roots,
         })
     }
 
-    /// Rebind the validated tree view over the mapped bytes. Infallible after
-    /// a successful open: the offset, length and alignment were all checked
-    /// then, and the mapping never moves.
-    fn view(&self) -> TreeView<'_> {
-        let bytes = &self.map.bytes()[self.tpar_offset..self.tpar_offset + 4 * self.capacity];
-        let parent = cast_u32s(bytes).expect("TPAR alignment was validated at open time");
-        TreeView::from_validated_parts(parent, self.root)
+    /// The validated `capacity`-slot array at byte `offset` of the mapping.
+    /// Infallible after a successful open: the offset, length and alignment
+    /// were all checked then, and the mapping never moves.
+    fn words(&self, offset: usize) -> &[Vertex] {
+        let bytes = &self.map.bytes()[offset..offset + 4 * self.capacity];
+        cast_u32s(bytes).expect("array alignment was validated at open time")
     }
 
     /// The epoch recorded in the published file.
@@ -249,22 +273,11 @@ impl MappedEpoch {
         self.fingerprint
     }
 
-    /// Is the file actually memory-mapped (vs. the read-into-aligned-buffer
-    /// fallback)? Query answers are identical either way.
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
-    }
-
-    /// Size of the published container in bytes.
-    pub fn file_len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Rebuild a full [`TreeIndex`] from the mapped bytes — the one
-    /// deliberate copy point, for long-lived servers that want `O(log n)`
-    /// queries. Verifies the recorded fingerprint against the rebuilt index.
+    /// Rebuild a full [`TreeIndex`] from the mapped parent array — the one
+    /// deliberate copy point, for long-lived servers that want the whole
+    /// index. Verifies the recorded fingerprint against the rebuilt index.
     pub fn materialize(&self) -> Result<TreeIndex, String> {
-        let index = self.view().to_index();
+        let index = TreeIndex::from_parent_slice(self.words(self.tpar_offset), PSEUDO_ROOT);
         let actual = index.fingerprint();
         if actual != self.fingerprint {
             return Err(format!(
@@ -276,25 +289,42 @@ impl MappedEpoch {
     }
 }
 
+/// Check published `top` labels against a validated parent array rooted at
+/// the pseudo root, slot by slot — the root and holes hold [`NO_VERTEX`], a
+/// child of the root its own id, any other vertex its parent's label — and
+/// collect the root's children on the way. Every parent chain reaches the
+/// root, so labels that pass are the depth-1 ancestors.
+fn check_top(parent: &[Vertex], top: &[Vertex]) -> Result<Vec<Vertex>, String> {
+    let mut roots = Vec::new();
+    for (v, (&p, &label)) in (0..).zip(parent.iter().zip(top)) {
+        let want = if v == PSEUDO_ROOT || p == NO_VERTEX {
+            NO_VERTEX
+        } else if p == PSEUDO_ROOT {
+            roots.push(v);
+            v
+        } else {
+            top[p as usize]
+        };
+        if label != want {
+            return Err(format!(
+                "TTOP label {label} of vertex {v} disagrees with TPAR, which implies {want}"
+            ));
+        }
+    }
+    Ok(roots)
+}
+
 impl ForestQuery for MappedEpoch {
     fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        self.view()
-            .parent(internal_id(v)?)
-            .filter(|&p| p != PSEUDO_ROOT)
-            .map(|p| p - 1)
+        forest::forest_parent(self.words(self.tpar_offset), v)
     }
 
     fn forest_roots(&self) -> Vec<Vertex> {
-        self.roots.clone()
+        forest::forest_roots(&self.roots)
     }
 
     fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        let view = self.view();
-        let top = |x: Vertex| internal_id(x).and_then(|xi| view.depth_one_ancestor(xi));
-        match (top(u), top(v)) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
+        forest::same_component(self.words(self.ttop_offset), u, v)
     }
 
     fn num_vertices(&self) -> usize {
@@ -307,16 +337,19 @@ impl ForestQuery for MappedEpoch {
 }
 
 impl ForestQuery for Snapshot {
+    #[inline]
     fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        forest::forest_parent(&self.tree, v)
+        forest::forest_parent(&self.parent, v)
     }
 
+    #[inline]
     fn forest_roots(&self) -> Vec<Vertex> {
-        forest::forest_roots(&self.tree)
+        forest::forest_roots(&self.roots)
     }
 
+    #[inline]
     fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        forest::same_component(&self.tree, u, v)
+        forest::same_component(&self.top, u, v)
     }
 
     fn num_vertices(&self) -> usize {

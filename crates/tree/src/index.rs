@@ -1,5 +1,5 @@
 //! Structural index over a rooted tree: orderings, sizes, levels, LCA and
-//! level-ancestor queries.
+//! depth-1 ancestor labels.
 //!
 //! This is the in-memory realisation of the paper's Theorem 4 (Tarjan–Vishkin
 //! tree functions), Theorem 6 (parallel LCA) and Theorem 10 (the operations the
@@ -7,13 +7,14 @@
 //! building these structures are cited, not simulated; here we care about
 //! providing the queries in `O(1)`/`O(log n)` after an `O(n)` build.
 //! Ancestor tests are `O(1)` from pre-order intervals, the child of a vertex
-//! toward a descendant is a binary search of its children, and one
-//! skew-binary jump pointer per vertex (Myers, "An applicative random-access
-//! stack", 1983) answers LCA and level-ancestor queries in `O(log n)`.
+//! toward a descendant is a binary search of its children, one skew-binary
+//! jump pointer per vertex (Myers, "An applicative random-access stack",
+//! 1983) answers LCA in `O(log n)`, and each vertex's depth-1 ancestor
+//! (`top`) names the tree of the forest below the root it lies in.
 //!
 //! The index is not rebuilt from scratch after every committed update:
-//! [`crate::patch`] splices the orderings and jump pointers of the touched
-//! subtree in place.
+//! [`crate::patch`] splices the orderings, jump pointers and `top` labels of
+//! the touched subtree in place.
 
 use crate::rooted::{RootedTree, NO_VERTEX};
 use pardfs_graph::snap::{put_u32, put_u64, Cursor, SnapReader, SnapWriter};
@@ -27,15 +28,17 @@ pub(crate) const SEC_TREE_PARENTS: [u8; 4] = *b"TPAR";
 /// Structural index of a rooted tree.
 ///
 /// Construction performs a single traversal computing pre/post order numbers,
-/// levels and subtree sizes, then one jump pointer per vertex, all in `O(n)`.
-/// After edge updates the structure can be delta-patched in place by
-/// [`TreeIndex::apply_patch`](crate::patch) instead of rebuilt.
+/// levels and subtree sizes, then one jump pointer and one `top` label per
+/// vertex, all in `O(n)`. After edge updates the structure can be
+/// delta-patched in place by [`TreeIndex::apply_patch`](crate::patch)
+/// instead of rebuilt.
 ///
 /// Every field is a flat array (children lists live in one shared
-/// [`AdjacencyArena`] pool), so `Clone` — the per-epoch snapshot capture in
-/// `pardfs-serve` — is a fixed handful of `memcpy`-style buffer copies. Every
-/// field is a function of the parent array alone, so a patched index is
-/// [`TreeIndex::structural_eq`] to a fresh build.
+/// [`AdjacencyArena`] pool) and a function of the parent array alone, so a
+/// patched index is [`TreeIndex::structural_eq`] to a fresh build. Readers of
+/// the forest need two of them, [`TreeIndex::parent_slice`] and
+/// [`TreeIndex::top_slice`]: the per-epoch snapshot in `pardfs-serve` copies
+/// those, not the index.
 #[derive(Debug, Clone)]
 pub struct TreeIndex {
     pub(crate) root: Vertex,
@@ -47,40 +50,69 @@ pub struct TreeIndex {
     pub(crate) size: Vec<u32>,
     pub(crate) pre_order: Vec<Vertex>,
     /// An ancestor of every vertex (the root's is itself, holes hold
-    /// [`NO_VERTEX`]), set by [`TreeIndex::set_jump`].
+    /// [`NO_VERTEX`]), set by [`TreeIndex::relink`].
     pub(crate) jump: Vec<Vertex>,
+    /// The depth-1 ancestor of every vertex ([`NO_VERTEX`] for the root and
+    /// for holes), set by [`TreeIndex::relink`].
+    pub(crate) top: Vec<Vertex>,
     pub(crate) n_tree: usize,
 }
 
 pub(crate) const UNSET: u32 = u32::MAX;
 
-/// The children lists of a parent array, each sorted by id and packed: `v`'s
-/// children are `flat[offsets[v]..offsets[v + 1]]`. Count, prefix-sum, then
-/// append every vertex to its parent's list in ascending id order. Every
-/// non-hole parent other than the root's must be a slot of `parent`.
+/// Check a parent array slot by slot (root in range and self-parented,
+/// every other non-hole parent inside the id space, not the vertex itself
+/// and not a hole) while packing its children lists, each sorted by id:
+/// `v`'s children are `flat[offsets[v]..offsets[v + 1]]`. Count, prefix-sum,
+/// then append every vertex to its parent's list in ascending id order.
 ///
 /// The validator walks this packed form directly: loading it into an
 /// [`AdjacencyArena`] made validation, and so every mapped open, 2–4×
 /// slower.
-fn child_table(parent: &[Vertex], root: Vertex) -> (Vec<usize>, Vec<Vertex>) {
-    let non_root = || {
-        (0..parent.len() as Vertex).filter(move |&v| v != root && parent[v as usize] != NO_VERTEX)
-    };
-    let mut offsets = vec![0usize; parent.len() + 1];
+fn child_table(parent: &[Vertex], root: Vertex) -> Result<(Vec<usize>, Vec<Vertex>), String> {
+    let capacity = parent.len();
+    if (root as usize) >= capacity {
+        return Err(format!("root {root} outside capacity {capacity}"));
+    }
+    if parent[root as usize] != root {
+        return Err(format!("parent[{root}] is not the root itself"));
+    }
+    let non_root =
+        || (0..capacity as Vertex).filter(move |&v| v != root && parent[v as usize] != NO_VERTEX);
+    let mut offsets = vec![0usize; capacity + 1];
     for v in non_root() {
-        offsets[parent[v as usize] as usize + 1] += 1;
+        let p = parent[v as usize];
+        if (p as usize) >= capacity {
+            return Err(format!("parent {p} of vertex {v} outside capacity"));
+        }
+        if p == v {
+            return Err(format!("non-root vertex {v} is its own parent"));
+        }
+        if parent[p as usize] == NO_VERTEX {
+            return Err(format!("vertex {v} parented to hole {p}"));
+        }
+        offsets[p as usize + 1] += 1;
     }
     for i in 1..offsets.len() {
         offsets[i] += offsets[i - 1];
     }
     let mut cursor = offsets.clone();
-    let mut flat = vec![0 as Vertex; offsets[parent.len()]];
+    let mut flat = vec![0 as Vertex; offsets[capacity]];
     for v in non_root() {
         let p = parent[v as usize] as usize;
         flat[cursor[p]] = v;
         cursor[p] += 1;
     }
-    (offsets, flat)
+    Ok((offsets, flat))
+}
+
+/// The error for a parent array whose `n_tree` vertices are not all
+/// reachable from `root`.
+fn unreachable_err(n_tree: usize, reached: usize, root: Vertex) -> String {
+    format!(
+        "parent array has {n_tree} tree vertices but {} are unreachable from root {root} (cycle or detached component)",
+        n_tree - reached
+    )
 }
 
 impl TreeIndex {
@@ -90,18 +122,23 @@ impl TreeIndex {
     }
 
     /// Build the index from a raw parent array (`parent[root] == root`,
-    /// `NO_VERTEX` for vertices outside the tree).
+    /// `NO_VERTEX` for vertices outside the tree). Panics with the error
+    /// [`TreeIndex::read_snap_sections`] returns if it is not such a tree.
     pub fn from_parent_slice(parent: &[Vertex], root: Vertex) -> Self {
-        let cap = parent.len();
-        assert!((root as usize) < cap, "root outside id space");
-        assert_eq!(parent[root as usize], root, "parent[root] must equal root");
+        Self::try_from_parent_slice(parent, root).unwrap_or_else(|e| panic!("{e}"))
+    }
 
+    /// [`TreeIndex::from_parent_slice`] as one fallible pass: the slot
+    /// checks and one child table, then one pre-order DFS that also proves
+    /// every tree vertex reachable from the root.
+    fn try_from_parent_slice(parent: &[Vertex], root: Vertex) -> Result<Self, String> {
+        let cap = parent.len();
         // Id-sorted children lists are the invariant the patch splice
         // preserves, so a patched index numbers vertices as a fresh build.
-        let (offsets, flat) = child_table(parent, root);
+        let (offsets, flat) = child_table(parent, root)?;
         let counts: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
         let children = AdjacencyArena::from_packed(&counts, &flat);
-        let n_tree = parent.iter().filter(|&&p| p != NO_VERTEX).count();
+        let n_tree = flat.len() + 1;
 
         let mut pre = vec![UNSET; cap];
         let mut post = vec![UNSET; cap];
@@ -137,11 +174,9 @@ impl TreeIndex {
                     .sum::<u32>();
             }
         }
-        assert_eq!(
-            pre_order.len(),
-            n_tree,
-            "parent array contains vertices unreachable from the root"
-        );
+        if pre_order.len() != n_tree {
+            return Err(unreachable_err(n_tree, pre_order.len(), root));
+        }
 
         let mut jump = vec![NO_VERTEX; cap];
         jump[root as usize] = root;
@@ -155,23 +190,25 @@ impl TreeIndex {
             size,
             pre_order,
             jump,
+            top: vec![NO_VERTEX; cap],
             n_tree,
         };
         for i in 1..n_tree {
-            index.set_jump(index.pre_order[i]);
+            index.relink(index.pre_order[i]);
         }
-        index
+        Ok(index)
     }
 
-    /// Set `v`'s jump pointer by Myers' skew-binary rule: when its parent
-    /// `p`'s jump and that vertex's own jump span equal level gaps, `v` jumps
-    /// over both, to `jump(jump(p))`; otherwise it jumps to `p`. Jump lengths
-    /// along every root path then follow the skew-binary numbers, so a climb
-    /// that takes each jump unless it overshoots and a parent step otherwise
-    /// reaches any ancestor in `O(log depth)` steps. `v`'s parent and level
-    /// must be final, and so must its ancestors' jumps, which setting
-    /// vertices in pre-order guarantees.
-    pub(crate) fn set_jump(&mut self, v: Vertex) {
+    /// Reset `v`'s ancestor links from its parent `p`'s: the jump pointer by
+    /// Myers' skew-binary rule — `jump(jump(p))` when `p`'s jump and that
+    /// vertex's own jump span equal level gaps, `p` otherwise, so jump
+    /// lengths along every root path follow the skew-binary numbers and a
+    /// climb that takes each jump unless it overshoots reaches any ancestor
+    /// in `O(log depth)` steps — and `top`: `v` itself under the root, `p`'s
+    /// label otherwise. `v` must not be the root; its parent and level must
+    /// be final, and so must its ancestors' links, which setting vertices in
+    /// pre-order guarantees.
+    pub(crate) fn relink(&mut self, v: Vertex) {
         let p = self.parent[v as usize];
         let jp = self.jump[p as usize];
         let jjp = self.jump[jp as usize];
@@ -180,6 +217,11 @@ impl TreeIndex {
             jjp
         } else {
             p
+        };
+        self.top[v as usize] = if p == self.root {
+            v
+        } else {
+            self.top[p as usize]
         };
     }
 
@@ -244,6 +286,13 @@ impl TreeIndex {
     /// All tree vertices in pre-order.
     pub fn pre_order_vertices(&self) -> &[Vertex] {
         &self.pre_order
+    }
+
+    /// The depth-1 ancestor of every slot (`v` itself for a child of the
+    /// root, [`NO_VERTEX`] for the root and for holes): two vertices share a
+    /// label iff they lie in the same tree of the forest below the root.
+    pub fn top_slice(&self) -> &[Vertex] {
+        &self.top
     }
 
     /// FNV-1a fingerprint of the tree structure: every pre-order vertex id
@@ -314,26 +363,6 @@ impl TreeIndex {
         cur
     }
 
-    /// The ancestor of `v` whose level is `target_level`
-    /// (requires `target_level <= level(v)`), climbed by the same
-    /// jump-unless-it-overshoots rule as [`TreeIndex::lca`].
-    pub fn ancestor_at_level(&self, v: Vertex, target_level: u32) -> Vertex {
-        assert!(
-            target_level <= self.level[v as usize],
-            "requested level below vertex {v}"
-        );
-        let mut cur = v;
-        while self.level[cur as usize] > target_level {
-            let j = self.jump[cur as usize];
-            cur = if self.level[j as usize] >= target_level {
-                j
-            } else {
-                self.parent[cur as usize]
-            };
-        }
-        cur
-    }
-
     /// Child of `anc` on the tree path towards its proper descendant `desc`:
     /// the last child numbered at or before `desc` in pre-order. Children
     /// lists are id-sorted and traversed in list order, so their pre-order
@@ -362,42 +391,14 @@ impl TreeIndex {
         &self.parent
     }
 
-    /// Validate a deserialized parent array (root in range and
+    /// Validate a parent array without building an index (root in range and
     /// self-parented, parents inside the id space, every non-hole vertex
-    /// reachable from the root) before the (assert-happy)
-    /// [`TreeIndex::from_parent_slice`] rebuild — shared by the snapshot
-    /// parser **and** the borrowed [`crate::TreeView`], so both reject a
-    /// corrupted checkpoint with a described `Err` rather than a panic, and
-    /// views and copies reject the same inputs.
+    /// reachable from the root): the check the borrowed [`crate::TreeView`]
+    /// runs once at open. It shares its slot checks and child table with
+    /// the materializing parser's build, so views and copies reject the same
+    /// inputs with the same described `Err`.
     pub(crate) fn validate_parent_array(parent: &[Vertex], root: Vertex) -> Result<(), String> {
-        let capacity = parent.len();
-        if (root as usize) >= capacity {
-            return Err(format!("root {root} outside capacity {capacity}"));
-        }
-        if parent[root as usize] != root {
-            return Err(format!("parent[{root}] is not the root itself"));
-        }
-        let mut in_tree = 0usize;
-        for v in 0..capacity as Vertex {
-            let p = parent[v as usize];
-            if p == NO_VERTEX {
-                continue;
-            }
-            in_tree += 1;
-            if v == root {
-                continue;
-            }
-            if (p as usize) >= capacity {
-                return Err(format!("parent {p} of vertex {v} outside capacity"));
-            }
-            if p == v {
-                return Err(format!("non-root vertex {v} is its own parent"));
-            }
-            if parent[p as usize] == NO_VERTEX {
-                return Err(format!("vertex {v} parented to hole {p}"));
-            }
-        }
-        let (offsets, flat) = child_table(parent, root);
+        let (offsets, flat) = child_table(parent, root)?;
         let mut reached = 1usize;
         let mut stack = vec![root];
         while let Some(v) = stack.pop() {
@@ -405,40 +406,16 @@ impl TreeIndex {
             reached += kids.len();
             stack.extend_from_slice(kids);
         }
-        if reached != in_tree {
-            return Err(format!(
-                "parent array has {in_tree} tree vertices but only {reached} reachable from root {root} (cycle or detached component)"
-            ));
+        if reached != flat.len() + 1 {
+            return Err(unreachable_err(flat.len() + 1, reached, root));
         }
         Ok(())
     }
 
-    /// Write the tree's sections into an open `pardfs-snap v2` container
-    /// (used by [`TreeIndex::render_snapshot_binary`] and by the WAL's
-    /// composite checkpoint container):
-    ///
-    /// * `THDR` — root id and capacity (`u64` each),
-    /// * `TPAR` — the parent array, `u32` per slot with `u32::MAX` marking
-    ///   [`NO_VERTEX`] holes.
-    ///
-    /// Only the parent array and root are stored (see
-    /// [`TreeIndex::parent_slice`]); the reader rebuilds the children lists,
-    /// orders, levels, sizes and jump pointers deterministically, so the
-    /// result is structurally identical to the original
-    /// ([`TreeIndex::structural_eq`]) and `parse(render(t))` is byte-stable.
-    pub fn write_snap_sections(&self, w: &mut SnapWriter) {
-        let hdr = w.section_aligned(SEC_TREE_HEADER, 8);
-        put_u64(hdr, self.root as u64);
-        put_u64(hdr, self.capacity() as u64);
-        let par = w.section_aligned(SEC_TREE_PARENTS, 8);
-        for &p in &self.parent {
-            put_u32(par, p);
-        }
-    }
-
-    /// Read the tree sections written by [`TreeIndex::write_snap_sections`]
-    /// out of a verified container, validating the parent array before the
-    /// rebuild.
+    /// Read the tree sections written by [`write_tree_sections`]
+    /// out of a verified container. The rebuild is the validation: one
+    /// child table and one DFS reject a damaged parent array with a
+    /// described `Err`.
     pub fn read_snap_sections(r: &SnapReader<'_>) -> Result<TreeIndex, String> {
         let mut hdr = Cursor::new(SEC_TREE_HEADER, r.section(SEC_TREE_HEADER)?);
         let root_raw = hdr.u64()?;
@@ -449,17 +426,16 @@ impl TreeIndex {
         let mut par = Cursor::new(SEC_TREE_PARENTS, r.section(SEC_TREE_PARENTS)?);
         let parent = par.u32s(capacity)?;
         par.finish()?;
-        Self::validate_parent_array(&parent, root)?;
-        Ok(TreeIndex::from_parent_slice(&parent, root))
+        Self::try_from_parent_slice(&parent, root)
     }
 
     /// Render the index as a standalone `pardfs-snap v2` binary snapshot,
     /// with the `TPAR` payload 8-byte aligned so [`crate::TreeView`] can
     /// answer parent/forest queries straight off the (mapped) bytes. See
-    /// [`TreeIndex::write_snap_sections`] for the section layout.
+    /// [`write_tree_sections`] for the section layout.
     pub fn render_snapshot_binary(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        self.write_snap_sections(&mut w);
+        write_tree_sections(&mut w, self.root, &self.parent);
         w.finish()
     }
 
@@ -473,10 +449,11 @@ impl TreeIndex {
 
     /// Deep structural comparison against `other`, checking **every** raw
     /// field — parent array, children lists, pre/post numbers, the pre-order
-    /// sequence, levels, sizes, jump pointers and the tree size — naming the
-    /// first divergent field on mismatch. This is the differential "loaded ≡
-    /// freshly built" and "patched ≡ freshly built" check; fingerprint
-    /// equality alone would only cover pre-order and parents.
+    /// sequence, levels, sizes, jump pointers, `top` labels and the tree
+    /// size — naming the first divergent field on mismatch. This is the
+    /// differential "loaded ≡ freshly built" and "patched ≡ freshly built"
+    /// check; fingerprint equality alone would only cover pre-order and
+    /// parents.
     pub fn structural_eq(&self, other: &TreeIndex) -> Result<(), String> {
         fn cmp<T: PartialEq + std::fmt::Debug>(field: &str, a: &T, b: &T) -> Result<(), String> {
             if a == b {
@@ -495,6 +472,7 @@ impl TreeIndex {
         cmp("size", &self.size, &other.size)?;
         cmp("pre_order", &self.pre_order, &other.pre_order)?;
         cmp("jump", &self.jump, &other.jump)?;
+        cmp("top", &self.top, &other.top)?;
         Ok(())
     }
 
@@ -519,6 +497,29 @@ impl TreeIndex {
                 None => return cur,
             }
         }
+    }
+}
+
+/// Write the sections of a tree, the parent array `parent` rooted at `root`,
+/// into an open `pardfs-snap v2` container (a standalone tree snapshot, a
+/// WAL checkpoint, a component export or a published epoch):
+///
+/// * `THDR` — root id and capacity (`u64` each),
+/// * `TPAR` — the parent array, `u32` per slot with `u32::MAX` marking
+///   [`NO_VERTEX`] holes.
+///
+/// Only the parent array and root are stored; the reader rebuilds the
+/// children lists, orders, levels, sizes, jump pointers and `top` labels
+/// deterministically, so the result is structurally identical to the
+/// original ([`TreeIndex::structural_eq`]) and `parse(render(t))` is
+/// byte-stable.
+pub fn write_tree_sections(w: &mut SnapWriter, root: Vertex, parent: &[Vertex]) {
+    let hdr = w.section_aligned(SEC_TREE_HEADER, 8);
+    put_u64(hdr, root as u64);
+    put_u64(hdr, parent.len() as u64);
+    let par = w.section_aligned(SEC_TREE_PARENTS, 8);
+    for &p in parent {
+        put_u32(par, p);
     }
 }
 
@@ -686,53 +687,75 @@ pub(crate) mod tests {
         assert_eq!(idx.heavy_descendant(0, 9), 0);
     }
 
+    /// `v`'s depth-1 ancestor by walking up the parent array
+    /// (`parent[root] == root`): a reference that shares no code with the
+    /// index's `top` labels. `None` for the root.
+    pub(crate) fn naive_top(parent: &[Vertex], mut v: Vertex) -> Option<Vertex> {
+        let root = |x: Vertex| parent[x as usize] == x;
+        if root(v) {
+            return None;
+        }
+        while !root(parent[v as usize]) {
+            v = parent[v as usize];
+        }
+        Some(v)
+    }
+
     #[test]
-    fn ancestor_at_level_matches_walking() {
+    fn top_labels_match_parent_walks() {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let parent = random_parent_array(120, &mut rng);
+        let mut parent = random_parent_array(120, &mut rng);
+        for hole in [17, 64, 119] {
+            // Re-hang the hole's children on the root, then punch it out.
+            for p in parent.iter_mut() {
+                if *p == hole {
+                    *p = 0;
+                }
+            }
+            parent[hole as usize] = NO_VERTEX;
+        }
         let idx = TreeIndex::from_parent_slice(&parent, 0);
         for v in 0..120u32 {
-            let mut cur = v;
-            let mut l = idx.level(v);
-            loop {
-                assert_eq!(idx.ancestor_at_level(v, l), cur);
-                if cur == 0 {
-                    break;
-                }
-                cur = parent[cur as usize];
-                l -= 1;
-            }
+            let want = if parent[v as usize] == NO_VERTEX {
+                NO_VERTEX
+            } else {
+                naive_top(&parent, v).unwrap_or(NO_VERTEX)
+            };
+            assert_eq!(idx.top_slice()[v as usize], want, "top({v})");
         }
     }
 
-    /// Jump-or-parent steps of `ancestor_at_level(v, l)`, counted by walking
-    /// the index's jump pointers with the query's own rule.
-    fn climb_steps(idx: &TreeIndex, v: Vertex, l: u32) -> u32 {
-        let (mut cur, mut steps) = (v, 0);
-        while idx.level(cur) > l {
+    /// Jump-or-parent steps of `lca(u, v)`, counted by walking the index's
+    /// jump pointers with the query's own rule.
+    fn lca_steps(idx: &TreeIndex, u: Vertex, v: Vertex) -> u32 {
+        let (mut cur, mut steps) = (if idx.covers(v, u) { v } else { u }, 0);
+        while !idx.covers(cur, v) {
             let j = idx.jump[cur as usize];
-            cur = if idx.level(j) >= l {
-                j
-            } else {
+            cur = if idx.covers(j, v) {
                 idx.parent[cur as usize]
+            } else {
+                j
             };
             steps += 1;
         }
-        assert_eq!(cur, idx.ancestor_at_level(v, l));
+        assert_eq!(cur, idx.lca(u, v));
         steps
     }
 
     #[test]
     fn deep_trees_match_parent_walks_within_the_log_hop_bound() {
-        // A 2^17-vertex path (depth 131,071) and a deep random tree whose
-        // vertices each hang from one of the three before them.
+        // A 2^17-vertex path (depth 131,071), two interleaved 2^16-vertex
+        // legs under the root (so LCAs across legs climb a whole leg), and a
+        // deep random tree whose vertices each hang from one of the three
+        // before them.
         let n = 1usize << 17;
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         let path: Vec<Vertex> = (0..n as Vertex).map(|v| v.saturating_sub(1)).collect();
+        let legs: Vec<Vertex> = (0..n as Vertex).map(|v| v.saturating_sub(2)).collect();
         let narrow: Vec<Vertex> = (0..n as Vertex)
             .map(|v| rng.gen_range(v.saturating_sub(3)..=v.saturating_sub(1)))
             .collect();
-        for parent in [path, narrow] {
+        for parent in [path, legs, narrow] {
             let idx = TreeIndex::from_parent_slice(&parent, 0);
             let up = |mut v: Vertex, steps: u32| {
                 for _ in 0..steps {
@@ -744,25 +767,23 @@ pub(crate) mod tests {
                 let v = rng.gen_range(1..n as Vertex);
                 let depth = idx.level(v);
                 let l = rng.gen_range(0..depth);
-                // The parent-walk references: the ancestor at level `l` and
-                // its child toward `v`.
+                // The parent-walk references: the ancestor at level `l`, its
+                // child toward `v`, and the depth-1 ancestor.
                 let below = up(v, depth - l - 1);
                 let anc = parent[below as usize];
-                assert_eq!(
-                    idx.ancestor_at_level(v, l),
-                    anc,
-                    "ancestor_at_level({v},{l})"
-                );
                 assert_eq!(idx.child_toward(anc, v), below, "child_toward({anc},{v})");
+                assert_eq!(idx.top_slice()[v as usize], up(v, depth - 1), "top({v})");
                 let u = rng.gen_range(0..n as Vertex);
                 assert_eq!(idx.lca(u, v), naive_lca(&parent, u, v), "lca({u},{v})");
-                // 3·⌈log₂(depth + 1)⌉: the bit length of `depth`, tripled.
-                let bound = 3 * (32 - depth.leading_zeros());
-                for target in [0, l, depth - 1] {
-                    let steps = climb_steps(&idx, v, target);
+                // 3·⌈log₂(depth + 1)⌉ + 1: the bit length of `u`'s depth,
+                // tripled, plus the final parent step onto the LCA.
+                for (a, b) in [(u, v), (v, u)] {
+                    let bound = 3 * (32 - idx.level(a).leading_zeros()) + 1;
+                    let steps = lca_steps(&idx, a, b);
                     assert!(
                         steps <= bound,
-                        "ancestor_at_level({v},{target}) from depth {depth} took {steps} steps"
+                        "lca({a},{b}) from depth {} took {steps} steps",
+                        idx.level(a)
                     );
                 }
             }
@@ -790,7 +811,7 @@ pub(crate) mod tests {
         assert_eq!(idx.level(0), 0);
         assert_eq!(idx.size(0), 1);
         assert_eq!(idx.lca(0, 0), 0);
-        assert_eq!(idx.ancestor_at_level(0, 0), 0);
+        assert_eq!(idx.top_slice(), &[NO_VERTEX]);
         assert_eq!(idx.parent(0), None);
         assert!(idx.is_ancestor(0, 0));
         assert_eq!(idx.subtree_vertices(0), &[0]);
@@ -810,7 +831,7 @@ pub(crate) mod tests {
                 idx.lca(v, (v % (n - 1)) + 1),
                 if v == (v % (n - 1)) + 1 { v } else { 0 }
             );
-            assert_eq!(idx.ancestor_at_level(v, 0), 0);
+            assert_eq!(idx.top_slice()[v as usize], v);
         }
         // Children come back sorted by id — the invariant the patch splice
         // preserves so its numbering matches a fresh build's.
@@ -827,7 +848,7 @@ pub(crate) mod tests {
         assert_eq!(idx.level(n - 1), n - 1);
         assert_eq!(idx.lca(n - 1, 0), 0);
         assert_eq!(idx.lca(100, 250), 100);
-        assert_eq!(idx.ancestor_at_level(n - 1, 137), 137);
+        assert_eq!(idx.top_slice()[n as usize - 1], 1);
         assert_eq!(idx.pre(200), 200);
         assert_eq!(idx.post(200), n - 1 - 200);
     }
@@ -852,7 +873,11 @@ pub(crate) mod tests {
         assert_eq!(idx.lca(3, 7), 2);
         assert_eq!(idx.size(2), 3);
         assert_eq!(idx.subtree_vertices(2), &[2, 3, 7]);
-        assert_eq!(idx.ancestor_at_level(7, 0), 0);
+        let mut top = [NO_VERTEX; 10];
+        for v in [2, 3, 7] {
+            top[v] = 2;
+        }
+        assert_eq!(idx.top_slice(), &top[..]);
     }
 
     #[test]
@@ -880,7 +905,7 @@ pub(crate) mod tests {
     }
 
     /// A container with hand-written tree sections, laid out as
-    /// [`TreeIndex::write_snap_sections`] lays them out.
+    /// [`write_tree_sections`] lays them out.
     fn hand_written(root: u64, capacity: u64, parents: &[u32]) -> Vec<u8> {
         let mut w = SnapWriter::new();
         let hdr = w.section_aligned(SEC_TREE_HEADER, 8);
@@ -965,8 +990,8 @@ pub(crate) mod tests {
         }
 
         // The checkpoint differential: load(save(index)) ≡ index on *every*
-        // raw field — pre/post numbers, levels, sizes, jump pointers — and on
-        // the fingerprint, including NO_VERTEX holes from
+        // raw field — pre/post numbers, levels, sizes, jump pointers, `top`
+        // labels — and on the fingerprint, including NO_VERTEX holes from
         // vertex churn. `structural_eq` is what pins the derived structures;
         // a snapshot format that dropped (say) children order would pass a
         // fingerprint check but fail here.

@@ -11,20 +11,21 @@
 //! * [`RootedTree`] — a mutable parent-array representation used while a new
 //!   DFS tree `T*` is being assembled.
 //! * [`TreeIndex`] — an immutable index over a rooted tree providing `O(1)`
-//!   pre/post order numbers, levels, subtree sizes and ancestor tests,
-//!   child-toward queries by binary search of the children, and one
-//!   skew-binary jump pointer per vertex for `O(log n)` LCA and
-//!   level-ancestor queries (the paper's `O(1)` Schieber–Vishkin LCA bound is
-//!   cited, not implemented).
+//!   pre/post order numbers, levels, subtree sizes, ancestor tests and
+//!   depth-1 ancestor labels (which tree of the forest below the root a
+//!   vertex lies in), child-toward queries by binary search of the children,
+//!   and one skew-binary jump pointer per vertex for `O(log n)` LCA queries
+//!   (the paper's `O(1)` Schieber–Vishkin LCA bound is cited, not
+//!   implemented).
 //! * [`paths`] — helpers for ancestor–descendant paths: orientation,
 //!   enumeration, membership, and splitting around a vertex.
 //!
 //! * [`patch`] — **delta-patching**: the rerooting machinery emits a
 //!   [`TreePatch`] (the parent rewrites of one update) and
-//!   [`TreeIndex::apply_patch`] splices the touched subtree's orderings and
-//!   jump pointers in place in `O(|region| · log n)`, falling back to a full
-//!   rebuild when the patch is not spliceable (membership changes) or not
-//!   worth it (region too large).
+//!   [`TreeIndex::apply_patch`] splices the touched subtree's orderings,
+//!   jump pointers and labels in place in `O(|region| · log n)`, falling back
+//!   to a full rebuild when the patch is not spliceable (membership changes)
+//!   or not worth it (region too large).
 //!
 //! Index construction is `O(n)` work and parallelises trivially, matching
 //! the `O(log n)`-time, `n`-processor bound of Theorem 10 in the EREW PRAM
@@ -40,7 +41,7 @@ pub mod paths;
 pub mod rooted;
 pub mod view;
 
-pub use index::TreeIndex;
+pub use index::{write_tree_sections, TreeIndex};
 pub use pardfs_graph::Vertex;
 pub use patch::{PatchOutcome, TreePatch};
 pub use rooted::{RootedTree, NO_VERTEX};

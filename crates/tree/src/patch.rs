@@ -21,9 +21,9 @@
 //!    kept id-sorted exactly like a fresh build's) recomputes `pre`, `post`,
 //!    `level`, `size` and the pre-order slice for region vertices only,
 //!    writing them into the same global slots, then resets each region
-//!    vertex's jump pointer in pre-order, `O(1)` apiece. Total:
-//!    `O(|region| · log n)` — the `O(|patch| · polylog n)` bound, since the
-//!    region is the span of the patch.
+//!    vertex's jump pointer and `top` label in pre-order, `O(1)` apiece.
+//!    Total: `O(|region| · log n)` — the `O(|patch| · polylog n)` bound,
+//!    since the region is the span of the patch.
 //! 3. **Equivalence.** Children lists stay sorted by vertex id, which is the
 //!    traversal order `from_parent_slice` uses, and every field of the index
 //!    is a function of the parent array, so a patched index is
@@ -295,9 +295,9 @@ impl TreeIndex {
             self.post[v as usize] = post_base + i as u32;
         }
 
-        // Only region vertices can have changed ancestors.
-        for &v in &order {
-            self.set_jump(v);
+        // Only region vertices below `a` can have changed ancestors.
+        for &v in &order[1..] {
+            self.relink(v);
         }
 
         PatchOutcome::Applied {
@@ -309,13 +309,13 @@ impl TreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::tests::naive_lca;
+    use crate::index::tests::{naive_lca, naive_top};
     use crate::rooted::{RootedTree, NO_VERTEX};
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
     /// Assert that `idx` is structurally a fresh `from_parent_slice` build
-    /// on its own parent array, and answers `lca` and `ancestor_at_level` as
+    /// on its own parent array, and answers `lca` and the `top` labels as
     /// walks up the parent array do.
     fn assert_identical_to_fresh(idx: &TreeIndex) {
         let parent = idx.parent_slice();
@@ -328,15 +328,8 @@ mod tests {
             for &v in verts.iter().step_by(2) {
                 assert_eq!(idx.lca(u, v), naive_lca(parent, u, v), "naive lca({u},{v})");
             }
-            let mut anc = u;
-            for l in (0..=idx.level(u)).rev() {
-                assert_eq!(
-                    idx.ancestor_at_level(u, l),
-                    anc,
-                    "ancestor_at_level({u},{l})"
-                );
-                anc = parent[anc as usize];
-            }
+            let top = naive_top(parent, u).unwrap_or(NO_VERTEX);
+            assert_eq!(idx.top_slice()[u as usize], top, "top({u})");
         }
     }
 
@@ -537,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn root_adjacent_reroot_keeps_lca_level_ancestor_and_orders() {
+    fn root_adjacent_reroot_keeps_lca_top_labels_and_orders() {
         // Move a whole root-child subtree under another root child — the
         // region is the entire tree below the root, the hardest splice that
         // is still membership-preserving.
@@ -571,7 +564,7 @@ mod tests {
         assert_identical_to_fresh(&idx);
         assert_eq!(idx.lca(6, 2), 1);
         assert_eq!(idx.lca(6, 8), 0);
-        assert_eq!(idx.ancestor_at_level(6, 1), 1);
+        assert_eq!(idx.top_slice()[6], 1);
         assert_eq!(idx.level(6), 5);
         // And a second, root-adjacent move straight back up.
         let mut patch = TreePatch::new();

@@ -3,22 +3,22 @@
 //!
 //! Where [`TreeIndex::read_snap_sections`](crate::TreeIndex) copies the
 //! parent array out of the file and then rebuilds *every* derived structure
-//! (children arena, orderings, levels, sizes, jump pointers — the part that
-//! dominates checkpoint open time), a `TreeView`
+//! (children arena, orderings, levels, sizes, jump pointers and `top`
+//! labels — the part that dominates checkpoint open time), a `TreeView`
 //! **validates once and borrows thereafter**: the construction pass runs the
-//! exact same parent-array validation as the materializing parser (shared
-//! code), and every subsequent query reads the `TPAR` bytes in place — zero
-//! `TPAR` bytes are ever copied on the read path.
+//! slot checks and child table of the materializing build (shared code) plus
+//! a reachability walk, and every subsequent read takes the `TPAR` bytes in
+//! place — zero `TPAR` bytes are ever copied on the read path.
 //!
-//! The trade: a view answers the *forest* query vocabulary (parent, roots,
-//! component membership by climbing to the depth-1 ancestor) in `O(depth)`
-//! per climb instead of the index's `O(log n)` jump-pointer climb. That is
-//! the right trade for the open-latency path — a reader process serving a few
-//! point queries off a freshly published epoch — while long-lived servers
-//! materialize a [`TreeIndex`] via [`TreeView::to_index`]
-//! when query volume warrants the rebuild. See `docs/FORMATS.md` for the
-//! byte layout and `docs/ARCHITECTURE.md` for where views sit in the
-//! serving data flow.
+//! A view answers parent reads only. The forest reads that need to know
+//! which tree a vertex is in (`same_component`) read its depth-1 ancestor
+//! label instead: a published serving epoch ships those labels as one more
+//! section, checked against `TPAR` once at open (`pardfs-serve`'s
+//! `MappedEpoch`), so every read stays `O(1)`. A checkpoint ships parents
+//! only; a reader that needs more than parents materializes a
+//! [`TreeIndex`] via [`TreeView::to_index`]. See `docs/FORMATS.md` for the
+//! byte layout and `docs/ARCHITECTURE.md` for where views sit in the serving
+//! data flow.
 
 use crate::index::{TreeIndex, SEC_TREE_HEADER, SEC_TREE_PARENTS};
 use crate::rooted::NO_VERTEX;
@@ -82,25 +82,9 @@ impl<'a> TreeView<'a> {
         Ok(TreeView { root, parent })
     }
 
-    /// Re-bind a view over a parent array that **has already been
-    /// validated** by [`TreeView::parse`] (or the shared parent-array
-    /// validation by way of a snapshot parser) —
-    /// the cheap per-query rebind a mapped epoch file uses so it can hand
-    /// out short-lived views without re-walking the tree. Debug builds
-    /// re-run the validation; release builds trust the caller.
-    pub fn from_validated_parts(parent: &'a [u32], root: Vertex) -> TreeView<'a> {
-        debug_assert!(TreeIndex::validate_parent_array(parent, root).is_ok());
-        TreeView { root, parent }
-    }
-
     /// The root vertex.
     pub fn root(&self) -> Vertex {
         self.root
-    }
-
-    /// Size of the underlying id space.
-    pub fn capacity(&self) -> usize {
-        self.parent.len()
     }
 
     /// Is `v` part of the tree? (Holes store [`NO_VERTEX`].)
@@ -122,39 +106,11 @@ impl<'a> TreeView<'a> {
         self.parent
     }
 
-    /// The depth-1 ancestor of `v`: the child of the root on the path from
-    /// the root to `v` (`v` itself if `v` is such a child, `None` for the
-    /// root or vertices outside the tree). Climbs the parent chain —
-    /// `O(depth)`, the documented view-vs-index trade.
-    pub fn depth_one_ancestor(&self, v: Vertex) -> Option<Vertex> {
-        if !self.contains(v) || v == self.root {
-            return None;
-        }
-        let mut cur = v;
-        while self.parent[cur as usize] != self.root {
-            cur = self.parent[cur as usize];
-        }
-        Some(cur)
-    }
-
-    /// The children of the root, in vertex-id order (a full `TPAR` scan —
-    /// callers that need this repeatedly compute it once at open time).
-    pub fn root_children(&self) -> Vec<Vertex> {
-        (0..self.parent.len() as Vertex)
-            .filter(|&v| v != self.root && self.parent[v as usize] == self.root)
-            .collect()
-    }
-
-    /// Number of vertices in the tree.
-    pub fn num_vertices(&self) -> usize {
-        self.parent.iter().filter(|&&p| p != NO_VERTEX).count()
-    }
-
     /// Materialize a full [`TreeIndex`] from the view — the one deliberate
-    /// copy-and-rebuild point, paid only when a caller needs the `O(log n)`
-    /// query surface (LCA, level ancestors) or a maintainer resume.
-    /// Validation already happened at [`TreeView::parse`] time and is
-    /// **not** repeated.
+    /// copy-and-rebuild point, paid only when a caller needs the index's
+    /// query surface (LCA, orderings, `top` labels) or a maintainer resume.
+    /// Validation already happened at [`TreeView::parse`] time, so the
+    /// build's own checks cannot fail.
     pub fn to_index(&self) -> TreeIndex {
         TreeIndex::from_parent_slice(self.parent, self.root)
     }
@@ -184,22 +140,12 @@ mod tests {
         let r = SnapReader::parse(&bytes).unwrap();
         let view = TreeView::parse(&r).unwrap();
         assert_eq!(view.root(), index.root());
-        assert_eq!(view.capacity(), index.capacity());
-        assert_eq!(view.num_vertices(), index.num_vertices());
         for v in 0..index.capacity() as Vertex {
             assert_eq!(view.contains(v), index.contains(v), "contains({v})");
             if index.contains(v) {
                 assert_eq!(view.parent(v), index.parent(v), "parent({v})");
-                if v != index.root() {
-                    assert_eq!(
-                        view.depth_one_ancestor(v),
-                        Some(index.ancestor_at_level(v, 1)),
-                        "depth-1 ancestor of {v}"
-                    );
-                }
             }
         }
-        assert_eq!(view.root_children(), index.children(0).to_vec());
         index.structural_eq(&view.to_index()).unwrap();
         // The same bytes parse identically through the copying path.
         let copied = TreeIndex::parse_snapshot_binary(&bytes).unwrap();

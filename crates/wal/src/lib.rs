@@ -79,7 +79,7 @@ use pardfs_api::{DfsMaintainer, RecoveryStats};
 use pardfs_graph::snap::{put_u64, Cursor};
 use pardfs_graph::{Graph, GraphView, MappedSnapshot, SnapReader, SnapWriter, Update};
 use pardfs_serve::{CommitLog, EpochRecord, Server};
-use pardfs_tree::{TreeIndex, TreeView};
+use pardfs_tree::{write_tree_sections, TreeIndex, TreeView};
 use pardfs_workload::wal::{parse_wal, WalRecord, WAL_MAGIC};
 use std::fs;
 use std::io::Write as _;
@@ -240,7 +240,7 @@ impl Checkpoint {
         w.section(SEC_CKPT_BACKEND)
             .extend_from_slice(self.backend.as_bytes());
         self.graph.write_snap_sections(&mut w);
-        self.tree.write_snap_sections(&mut w);
+        write_tree_sections(&mut w, self.tree.root(), self.tree.parent_slice());
         w.finish()
     }
 

@@ -225,7 +225,7 @@ impl EpochReader for ReadHandle {
     }
 
     fn is_torn(&self, snap: &Snapshot) -> bool {
-        let recomputed = snap.tree().fingerprint();
+        let recomputed = snap.recompute_fingerprint();
         recomputed != snap.fingerprint()
             || self.recorded_fingerprint(snap.epoch()) != Some(recomputed)
     }

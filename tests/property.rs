@@ -24,7 +24,7 @@ use pardfs::query::{Drifted, EdgeHit, QueryOracle, StructureD, VertexQuery};
 use pardfs::seq::augment::AugmentedGraph;
 use pardfs::seq::static_dfs::static_dfs;
 use pardfs::stream::PassOracle;
-use pardfs::tree::TreeIndex;
+use pardfs::tree::{TreeIndex, NO_VERTEX};
 use pardfs::{
     Backend, DfsMaintainer, DynamicDfs, FaultTolerantDfs, ForestQuery, IndexPolicy,
     MaintainerBuilder, RebuildPolicy, Strategy, StreamingDynamicDfs,
@@ -66,7 +66,7 @@ fn build_base(seed: u64, n: usize, extra_edges: usize) -> (Graph, TreeIndex, Str
 fn random_tree_path(idx: &TreeIndex, rng: &mut impl Rng) -> (Vertex, Vertex) {
     let verts = idx.pre_order_vertices();
     let a = verts[rng.gen_range(0..verts.len())];
-    let b = idx.ancestor_at_level(a, rng.gen_range(0..=idx.level(a)));
+    let b = ancestor_at(idx, a, rng.gen_range(0..=idx.level(a)));
     if rng.gen_bool(0.5) {
         (a, b)
     } else {
@@ -278,7 +278,7 @@ fn differential_fresh_rebuild_run(seed: u64, n: usize, extra_edges: usize, steps
             if idx.level(a) < 2 {
                 continue;
             }
-            let anc = idx.ancestor_at_level(a, rng.gen_range(1..idx.level(a)));
+            let anc = ancestor_at(&idx, a, rng.gen_range(1..idx.level(a)));
             if anc == proot || mirror.has_edge(a, anc) {
                 continue;
             }
@@ -440,6 +440,15 @@ fn oracle_differential_run(
     (checked, split)
 }
 
+/// The ancestor of `a` at level `level` (at most `a`'s), by walking up the
+/// parent array.
+fn ancestor_at(idx: &TreeIndex, mut a: Vertex, level: u32) -> Vertex {
+    for _ in level..idx.level(a) {
+        a = idx.parent_slice()[a as usize];
+    }
+    a
+}
+
 /// LCA by walking up the parent array (`parent[root] == root`): a reference
 /// that shares no code with the index's jump pointers.
 fn naive_lca(parent: &[Vertex], mut u: Vertex, mut v: Vertex) -> Vertex {
@@ -469,7 +478,7 @@ fn naive_lca(parent: &[Vertex], mut u: Vertex, mut v: Vertex) -> Vertex {
 
 /// Assert that a (possibly delta-patched) `TreeIndex` is structurally a
 /// fresh `from_parent_slice` build on its own parent array, and answers `lca`
-/// and `ancestor_at_level` as walks up the parent array do.
+/// and the `top` labels as walks up the parent array do.
 fn assert_index_matches_fresh_build(idx: &TreeIndex, ctx: &str) {
     let parent = idx.parent_slice();
     let fresh = TreeIndex::from_parent_slice(parent, idx.root());
@@ -485,15 +494,12 @@ fn assert_index_matches_fresh_build(idx: &TreeIndex, ctx: &str) {
                 "{ctx}: naive lca({u},{v})"
             );
         }
-        let mut anc = u;
-        for l in (0..=idx.level(u)).rev() {
-            assert_eq!(
-                idx.ancestor_at_level(u, l),
-                anc,
-                "{ctx}: ancestor_at_level({u},{l})"
-            );
-            anc = parent[anc as usize];
-        }
+        let top = if u == idx.root() {
+            NO_VERTEX
+        } else {
+            ancestor_at(idx, u, 1)
+        };
+        assert_eq!(idx.top_slice()[u as usize], top, "{ctx}: top({u})");
     }
 }
 
@@ -532,7 +538,7 @@ proptest! {
         // The acceptance property of the delta-patched indexing layer:
         // after arbitrary insert/delete interleavings (vertex churn
         // included — those updates exercise the fallback), the patched
-        // TreeIndex answers every parent/LCA/level-ancestor/pre-post query
+        // TreeIndex answers every parent/LCA/top-label/pre-post query
         // identically to a fresh `from_parent_slice` build, for all five
         // backends, under both the always-splice and the thresholded policy.
         let (g, updates) = graph_and_updates(seed, n, extra, 10);
@@ -605,7 +611,7 @@ proptest! {
         for _ in 0..50 {
             let w = verts[rng.gen_range(0..verts.len())];
             let a = verts[rng.gen_range(0..verts.len())];
-            let anc = idx.ancestor_at_level(a, rng.gen_range(0..=idx.level(a)));
+            let anc = ancestor_at(&idx, a, rng.gen_range(0..=idx.level(a)));
             let (near, far) = if rng.gen_bool(0.5) { (a, anc) } else { (anc, a) };
             let got = d.answer_batch(&[VertexQuery::new(w, near, far)])[0];
             // Brute force over the augmented graph's adjacency.

@@ -70,7 +70,7 @@ fn four_readers_mid_commit_never_observe_a_torn_snapshot() {
                             "published epoch moved backwards"
                         );
                         last_epoch = snap.epoch();
-                        let recomputed = snap.tree().fingerprint();
+                        let recomputed = snap.recompute_fingerprint();
                         if recomputed != snap.fingerprint()
                             || handle.recorded_fingerprint(snap.epoch()) != Some(recomputed)
                         {

@@ -14,12 +14,16 @@
 //!   the same bytes and the captured state agree, for every backend;
 //! * corruption at *every byte offset* and truncation at *every length* of
 //!   a checkpoint is rejected rather than silently absorbed, by the copying
-//!   parser and the view alike.
+//!   parser and the view alike;
+//! * the same holds for a published serving epoch opened by
+//!   [`Snapshot::open_mapped`], which also refuses a well-framed file whose
+//!   `TTOP` labels are missing, mis-sized or disagree with its parents.
 
 use pardfs::graph::generators;
+use pardfs::graph::snap::{SnapReader, SnapWriter};
 use pardfs::seq::static_dfs_index;
 use pardfs::wal::{Checkpoint, CheckpointView};
-use pardfs::{Backend, Graph, MaintainerBuilder, Update};
+use pardfs::{Backend, ForestQuery, Graph, MaintainerBuilder, Snapshot, Update};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -185,4 +189,94 @@ fn corrupting_any_region_of_a_binary_checkpoint_is_rejected() {
             "truncation to {cut} bytes was accepted by the view"
         );
     }
+}
+
+#[test]
+fn corrupting_any_region_of_a_published_epoch_is_rejected() {
+    // A sparse forest, so the labels name many trees.
+    let mut rng = ChaCha8Rng::seed_from_u64(0xE9);
+    let g = generators::gnp(40, 0.04, &mut rng);
+    let dfs = MaintainerBuilder::new(Backend::Sequential).build(&g);
+    assert!(
+        dfs.forest_roots().len() > 1,
+        "the epoch holds several trees"
+    );
+    let dir = std::env::temp_dir().join(format!("pardfs-epoch-corruption-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good_path = dir.join("good.epoch");
+    Snapshot::capture(5, dfs.as_ref())
+        .publish_to(&good_path)
+        .unwrap();
+    let good = std::fs::read(&good_path).unwrap();
+    let open = |bytes: &[u8]| {
+        let path = dir.join("bad.epoch");
+        std::fs::write(&path, bytes).unwrap();
+        Snapshot::open_mapped(&path).map(|_| ())
+    };
+    let mapped = Snapshot::open_mapped(&good_path).expect("the published epoch opens");
+    for u in 0..g.capacity() as u32 {
+        assert_eq!(mapped.forest_parent(u), dfs.forest_parent(u));
+        for v in 0..g.capacity() as u32 {
+            assert_eq!(mapped.same_component(u, v), dfs.same_component(u, v));
+        }
+    }
+
+    // One flipped byte anywhere, or a cut at any length, fails the frame.
+    for i in 0..good.len() {
+        let mut bad = good.clone();
+        bad[i] ^= 0x20;
+        assert!(
+            open(&bad).is_err(),
+            "flip at byte {i}/{} was accepted",
+            good.len()
+        );
+    }
+    for cut in 0..good.len() {
+        assert!(
+            open(&good[..cut]).is_err(),
+            "a cut to {cut} bytes was accepted"
+        );
+    }
+
+    // Well-framed (re-checksummed) files whose `TTOP` section is missing,
+    // mis-sized, or wrong in one slot.
+    let r = SnapReader::parse(&good).unwrap();
+    let compose = |top: Option<&[u8]>| {
+        let mut w = SnapWriter::new();
+        for (tag, align) in [(*b"SHDR", 8), (*b"SBKD", 1), (*b"THDR", 8), (*b"TPAR", 8)] {
+            w.section_aligned(tag, align)
+                .extend_from_slice(r.section(tag).unwrap());
+        }
+        if let Some(top) = top {
+            w.section_aligned(*b"TTOP", 8).extend_from_slice(top);
+        }
+        w.finish()
+    };
+    let top = r.section(*b"TTOP").unwrap();
+    assert_eq!(compose(Some(top)), good, "the composition is the writer's");
+    let mut bad_cases = vec![
+        ("missing", compose(None)),
+        ("one label short", compose(Some(&top[..top.len() - 4]))),
+        ("one label long", compose(Some(&[top, &[0; 4]].concat()))),
+    ];
+    for slot in 0..top.len() / 4 {
+        let mut labels = top.to_vec();
+        let label = &mut labels[4 * slot..4 * slot + 4];
+        let wrong = match u32::from_le_bytes(label.try_into().unwrap()) {
+            u32::MAX => 1,
+            l => l ^ 1,
+        };
+        label.copy_from_slice(&wrong.to_le_bytes());
+        bad_cases.push(("wrong slot", compose(Some(&labels))));
+    }
+    for (case, bytes) in bad_cases {
+        let err = open(&bytes)
+            .err()
+            .unwrap_or_else(|| panic!("{case}: accepted"));
+        assert!(
+            err.contains("TTOP"),
+            "{case}: the error does not name TTOP: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,8 +2,8 @@
 //!
 //! `pardfs::graph::snap::copied_array_bytes()` is a process-wide counter
 //! charged by the materializing array reader (`Cursor::u32s`) — every byte
-//! of `GADJ`/`GDEG`/`TPAR` payload that gets copied into an owned `Vec`
-//! moves it. The borrowed views ([`pardfs::GraphView`],
+//! of `GADJ`/`GDEG`/`TPAR`/`TTOP` payload that gets copied into an owned
+//! `Vec` moves it. The borrowed views ([`pardfs::GraphView`],
 //! [`pardfs::TreeView`], [`pardfs::CheckpointView`], [`pardfs::MappedEpoch`])
 //! must answer queries straight out of the mapped or in-memory buffer, so
 //! across *validate + query* the counter must not move at all.
@@ -48,7 +48,6 @@ fn view_backed_reads_copy_zero_array_bytes() {
             assert!(graph.neighbours(w).contains(&v), "symmetry at {v}");
         }
         let _ = tree.parent(v);
-        let _ = tree.depth_one_ancestor(v);
     }
     assert_eq!(degree_sum, 2 * graph.num_edges());
     assert_eq!(
@@ -58,7 +57,8 @@ fn view_backed_reads_copy_zero_array_bytes() {
     );
 
     // --- Mapped serving path: publish an epoch file, open it mmapped, and
-    // answer forest queries — still zero array bytes copied. ---
+    // answer forest queries off `TPAR` and `TTOP` in place — still zero
+    // array bytes copied. ---
     let dir = std::env::temp_dir().join(format!("pardfs-zero-copy-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("state.epoch");
@@ -70,6 +70,7 @@ fn view_backed_reads_copy_zero_array_bytes() {
     for v in 0..mapped.num_vertices() as u32 {
         let _ = mapped.forest_parent(v);
         assert!(mapped.same_component(v, v));
+        assert_eq!(mapped.same_component(v, 0), dfs.same_component(v, 0));
     }
     assert_eq!(
         copied_array_bytes(),
