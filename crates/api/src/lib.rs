@@ -24,10 +24,6 @@
 //!   structures ([`UpdateStats`], [`SeqUpdateStats`], [`StreamStats`],
 //!   [`CongestStats`]), which also live here so every backend crate and the
 //!   bench harness read them from one place;
-//! * [`OwnershipMap`] / [`RoutingStats`] — the partitioned-sharding routing
-//!   table (which shard owns which component's vertices) and its
-//!   accounting, read by the serving layer's partitioned router and the
-//!   bench harness alike;
 //! * [`RebuildPolicy`] / [`RebuildPolicyStats`] — the amortized rebuild
 //!   policy of incremental maintainers: when to fold `D`'s update overlay
 //!   back into a fresh build, and what the policy did;
@@ -48,7 +44,6 @@ pub mod forest;
 pub mod maintainer;
 pub mod policy;
 pub mod report;
-pub mod routing;
 pub mod stats;
 
 pub use maintainer::{DfsMaintainer, ForestQuery};
@@ -56,7 +51,6 @@ pub use policy::{
     maintain_index, IndexMaintenanceStats, IndexPolicy, RebuildPolicy, RebuildPolicyStats,
 };
 pub use report::{BatchReport, RecoveryStats, StatsReport, StatsRollup};
-pub use routing::{OwnershipMap, RoutingStats};
 pub use stats::{
     CongestStats, RerootStats, SeqUpdateStats, StreamStats, TraversalKind, UpdateStats,
 };

@@ -23,7 +23,7 @@ use crate::dynamic::note_update;
 use crate::engine::{step, EngineDfs, Model};
 use crate::reduction::ReductionInput;
 use crate::stats::UpdateStats;
-use pardfs_api::{forest, BatchReport, IndexMaintenanceStats, StatsReport};
+use pardfs_api::{forest, IndexMaintenanceStats, StatsReport};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{Drifted, QueryOracle, StructureD};
 use pardfs_seq::augment::AugmentedGraph;
@@ -90,21 +90,6 @@ impl FtResult {
     /// Validate the resulting tree against the updated graph.
     pub fn check(&self) -> Result<(), String> {
         check_spanning_dfs_tree(self.aug.graph(), &self.idx)
-    }
-
-    /// The batch's outcome in the unified reporting vocabulary of
-    /// [`pardfs_api`]: one [`StatsReport::FaultTolerant`] per absorbed update
-    /// plus the inserted vertex ids.
-    pub fn batch_report(&self) -> BatchReport {
-        BatchReport {
-            inserted: self.inserted.clone(),
-            per_update: self
-                .stats
-                .iter()
-                .zip(&self.index_per_update)
-                .map(|(&s, &index)| StatsReport::FaultTolerant { engine: s, index })
-                .collect(),
-        }
     }
 }
 
@@ -200,11 +185,6 @@ impl FaultTolerantDfs {
         self.model.d.clear_overlay();
         self.model.pending.clear();
         self.last_stats = UpdateStats::default();
-    }
-
-    /// The preprocessed DFS tree (internal ids).
-    pub fn original_tree(&self) -> &TreeIndex {
-        self.model.d.tree()
     }
 
     /// Size of the preprocessed structure `D` in words (the `O(m)` space claim

@@ -154,17 +154,6 @@ impl AdjacencyArena {
         &self.pool[h..h + self.len[s] as usize]
     }
 
-    /// Mutable access to the live entries of slot `s` (reorder in place;
-    /// cannot change the length).
-    pub fn list_mut(&mut self, s: Vertex) -> &mut [Vertex] {
-        let s = s as usize;
-        if self.len[s] == 0 {
-            return &mut [];
-        }
-        let h = self.head[s] as usize;
-        &mut self.pool[h..h + self.len[s] as usize]
-    }
-
     /// Length of slot `s`'s list.
     pub fn len_of(&self, s: Vertex) -> usize {
         self.len[s as usize] as usize
@@ -374,16 +363,5 @@ mod tests {
         assert_ne!(a.words(), b.words(), "physical layouts differ");
         b.push(1, 3);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn list_mut_allows_in_place_reorder() {
-        let mut a = AdjacencyArena::with_slots(1);
-        for x in [3, 1, 2] {
-            a.push(0, x);
-        }
-        a.list_mut(0).sort_unstable();
-        assert_eq!(a.list(0), &[1, 2, 3]);
-        assert_eq!(a.total_len(), 3);
     }
 }

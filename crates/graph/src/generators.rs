@@ -52,16 +52,6 @@ pub fn complete(n: usize) -> Graph {
     g
 }
 
-/// A complete binary tree with `n` vertices (vertex `v` has children `2v+1`,
-/// `2v+2` when they exist).
-pub fn binary_tree(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for v in 1..n {
-        g.insert_edge(v as Vertex, ((v - 1) / 2) as Vertex);
-    }
-    g
-}
-
 /// A `rows x cols` grid graph.
 pub fn grid(rows: usize, cols: usize) -> Graph {
     let n = rows * cols;

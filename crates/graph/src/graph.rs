@@ -418,14 +418,6 @@ impl Graph {
         self.adj.words()
     }
 
-    /// Sort every adjacency list (stable vertex order); handy for deterministic
-    /// ordered-DFS tests.
-    pub fn sort_adjacency(&mut self) {
-        for v in 0..self.capacity() as Vertex {
-            self.adj.list_mut(v).sort_unstable();
-        }
-    }
-
     /// Validate a flat adjacency encoding (per-slot degrees plus the
     /// concatenated neighbour runs) with [`validate_flat_adjacency`] and pack
     /// it into a graph — the shared tail of the snapshot parser and

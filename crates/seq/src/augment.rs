@@ -110,11 +110,6 @@ impl AugmentedGraph {
         self.graph.num_edges() - self.user_num_vertices()
     }
 
-    /// Iterator over user vertices, reported as internal ids.
-    pub fn user_vertices_internal(&self) -> impl Iterator<Item = Vertex> + '_ {
-        self.graph.vertices().filter(|&v| v != PSEUDO_ROOT)
-    }
-
     /// Translate a user update into internal ids.
     pub fn translate(&self, update: &Update) -> Update {
         match update {

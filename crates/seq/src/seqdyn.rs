@@ -23,7 +23,7 @@ use pardfs_api::{
 };
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{QueryOracle, StructureD, VertexQuery};
-use pardfs_tree::{RootedTree, TreeIndex, TreePatch};
+use pardfs_tree::{TreeIndex, TreePatch};
 
 pub use pardfs_api::SeqUpdateStats;
 
@@ -472,18 +472,6 @@ impl DfsMaintainer for SeqRerootDfs {
             index: self.index_stats,
         }
     }
-}
-
-/// Convenience: rebuild a DFS tree of the augmented graph from scratch
-/// (the "recompute" baseline of the experiments).
-pub fn recompute_augmented(graph: &Graph, proot: Vertex) -> TreeIndex {
-    TreeIndex::build(&static_dfs(graph, proot))
-}
-
-/// Convenience: build a [`RootedTree`] spanning the augmented graph from a
-/// parent slice (used by tests that cross-check maintainers).
-pub fn tree_from_parent(parent: &[Vertex], root: Vertex) -> RootedTree {
-    RootedTree::from_parent_array(parent.to_vec(), root)
 }
 
 #[cfg(test)]

@@ -29,15 +29,12 @@
 //!   publishes the next [`Snapshot`] behind an `Arc`-swapped pointer that
 //!   [`ReadHandle::snapshot`] clones lock-free-ly (a read lock held for a
 //!   pointer copy).
-//! * [`ShardRouter`] — **replicated** sharding (v1): writes broadcast to
-//!   every shard (`k` shards ⇒ `k ×` write work), reads route by
-//!   `component(v) mod k`, and per-shard
-//!   [`StatsRollup`](pardfs_api::StatsRollup)s merge into a group total.
-//! * [`PartitionedRouter`] — **partitioned** sharding (v2): each shard owns
-//!   only its components' subtrees, every update applies on exactly one
-//!   shard, and cross-shard component merges migrate state deterministically
-//!   through the [`ComponentExport`] wire format (normative spec:
-//!   `docs/SHARDING.md`).
+//! * [`PartitionedRouter`] — sharding by connected component: each shard
+//!   owns only its components' subtrees (an [`OwnershipMap`] routes every
+//!   vertex to its owner), every update applies on exactly one shard, and
+//!   cross-shard component merges migrate state deterministically through
+//!   the [`ComponentExport`] wire format, counted in [`RoutingStats`]
+//!   (normative spec: `docs/SHARDING.md`).
 //!
 //! ## Consistency contract
 //!
@@ -51,16 +48,16 @@
 #![warn(missing_docs)]
 
 mod partition;
+mod routing;
 mod server;
-mod shard;
 mod snapshot;
 
 pub use partition::{
     ComponentExport, PartitionedEpoch, PartitionedRouter, PartitionedView, RouterReadHandle,
     ShardFactory,
 };
+pub use routing::{OwnershipMap, RoutingStats};
 pub use server::{CommitLog, CommitStats, EpochRecord, ReadHandle, Server, WriteHandle};
-pub use shard::ShardRouter;
 pub use snapshot::{MappedEpoch, Snapshot};
 
 #[cfg(test)]
@@ -263,42 +260,5 @@ mod tests {
             server.maintainer().tree().fingerprint(),
             reader.snapshot().fingerprint()
         );
-    }
-
-    #[test]
-    fn shard_router_replicas_agree_and_route_by_component() {
-        let (graph, updates) = graph_and_updates(50, 150, 15, 23);
-        let replicas: Vec<Box<dyn DfsMaintainer>> = vec![
-            Box::new(SeqRerootDfs::new(&graph)),
-            Box::new(SeqRerootDfs::new(&graph)),
-            Box::new(SeqRerootDfs::new(&graph)),
-        ];
-        let mut router = ShardRouter::new(replicas, &graph);
-        assert_eq!(router.num_shards(), 3);
-        for chunk in updates.chunks(5) {
-            let commits = router.commit(chunk);
-            assert_eq!(commits.len(), 3);
-            // Replicas of a deterministic maintainer commit identical trees.
-            for commit in &commits[1..] {
-                assert_eq!(commit.record.fingerprint, commits[0].record.fingerprint);
-                assert_eq!(commit.record.updates, chunk.len());
-            }
-            let merged = ShardRouter::merged_rollup(&commits);
-            assert_eq!(merged.updates, 3 * commits[0].record.rollup.updates);
-        }
-        // Affinity routing: same component ⇒ same shard, every shard id in
-        // range, and the routed snapshot answers like shard 0 (replicas).
-        let reference = router.read_handle(0).snapshot();
-        for v in 0..reference.num_vertices() as Vertex {
-            let shard = router.shard_for(v);
-            assert!(shard < 3);
-            let routed = router.snapshot_for(v);
-            assert_eq!(routed.forest_parent(v), reference.forest_parent(v));
-            for u in [0, v] {
-                if routed.same_component(u, v) {
-                    assert_eq!(router.shard_for(u), shard, "{u} and {v} share a component");
-                }
-            }
-        }
     }
 }

@@ -1,18 +1,17 @@
 //! The [`PartitionedRouter`]: **component-owned** shards with routed commits
-//! and cross-shard merge migration — v2 of the sharding layer.
+//! and cross-shard merge migration.
 //!
-//! ## v2 routing rules (partitioned writes, owner reads)
+//! ## Routing rules (partitioned writes, owner reads)
 //!
-//! Where the replicated [`ShardRouter`](crate::ShardRouter) broadcasts every
-//! write to every shard (`k` shards ⇒ `k ×` write work), the partitioned
-//! router gives each shard **only its own components' subtrees** and routes
-//! each update to the single shard that owns the touched component:
+//! The unit of sharding is the connected component — in the paper, one DFS
+//! tree below the pseudo root. The router gives each shard **only its own
+//! components' subtrees** and routes each update to the single shard that
+//! owns the touched component:
 //!
 //! * **Ownership** — an [`OwnershipMap`] (one owning shard per user vertex)
 //!   seeded from the initial component labelling (`component c → shard
-//!   c mod k`, the same rule the replicated router uses for read affinity).
-//!   Component *splits* never move state: both halves stay with their
-//!   owner. New singleton vertices go to shard `id mod k`.
+//!   c mod k`). Component *splits* never move state: both halves stay with
+//!   their owner. New singleton vertices go to shard `id mod k`.
 //! * **Routing** — `InsertEdge`/`DeleteEdge`/`DeleteVertex` apply on exactly
 //!   one shard. `InsertVertex` applies on its owner and is **echoed** to
 //!   every other shard as an empty insert immediately retired by a delete,
@@ -38,9 +37,10 @@
 //! (`tests/serve_partitioned.rs`) pins the equivalence on every corpus
 //! trace at k ∈ {2, 3}.
 
+use crate::routing::{OwnershipMap, RoutingStats};
 use crate::server::Server;
 use crate::snapshot::Snapshot;
-use pardfs_api::{DfsMaintainer, ForestQuery, OwnershipMap, RoutingStats, StatsRollup};
+use pardfs_api::{DfsMaintainer, ForestQuery, StatsRollup};
 use pardfs_graph::snap::{put_u64, Cursor};
 use pardfs_graph::{connected_components, Graph, SnapReader, SnapWriter, Update, Vertex};
 use pardfs_tree::{write_tree_sections, TreeIndex, NO_VERTEX};
@@ -205,39 +205,11 @@ impl ComponentExport {
     /// the pseudo root's adjacency is filtered to the members, preserving
     /// relative order.
     pub fn extract(m: &dyn DfsMaintainer, members: &[Vertex]) -> ComponentExport {
-        let aug = m.augmented_graph();
-        let tree = m.tree();
-        let cap = aug.capacity();
-        let mut member = vec![false; cap];
+        let mut member = vec![false; m.augmented_graph().capacity()];
         for &v in members {
             member[(v + 1) as usize] = true;
         }
-        let mut lists: Vec<Vec<Vertex>> = Vec::with_capacity(cap);
-        let mut active = vec![false; cap];
-        active[0] = true;
-        lists.push(
-            aug.neighbors(0)
-                .iter()
-                .copied()
-                .filter(|&u| member[u as usize])
-                .collect(),
-        );
-        let mut parent = vec![NO_VERTEX; cap];
-        parent[0] = 0;
-        for i in 1..cap {
-            if member[i] {
-                active[i] = true;
-                lists.push(aug.neighbors(i as Vertex).to_vec());
-                parent[i] = tree
-                    .parent(i as Vertex)
-                    .expect("a non-pseudo tree vertex has a parent");
-            } else {
-                lists.push(Vec::new());
-            }
-        }
-        let graph = Graph::from_adjacency_lists(lists, active)
-            .expect("a component restriction of a valid shard graph is valid");
-        let tree = TreeIndex::from_parent_slice(&parent, 0);
+        let (graph, tree) = restrict(m, |i| member[i as usize]);
         let mut members = members.to_vec();
         members.sort_unstable();
         let component_id = members.first().copied().unwrap_or(0);
@@ -356,9 +328,9 @@ pub struct PartitionedEpoch {
 
 impl PartitionedEpoch {
     /// Project onto a single-server [`EpochRecord`](crate::EpochRecord) —
-    /// the router's per-epoch facts in the shape the workload runner and
-    /// bench harness already consume (`submissions` carries the shard
-    /// commit count, the closest analogue of group-commit absorption).
+    /// the router's per-epoch facts in the shape the workload runner
+    /// consumes (`submissions` carries the shard commit count, the closest
+    /// analogue of group-commit absorption).
     pub fn as_epoch_record(&self) -> crate::EpochRecord {
         crate::EpochRecord {
             epoch: self.epoch,
@@ -403,11 +375,6 @@ impl PartitionedView {
     /// The ownership table as of this epoch.
     pub fn ownership(&self) -> &OwnershipMap {
         &self.ownership
-    }
-
-    /// The per-shard snapshots, in shard order.
-    pub fn shard_snapshots(&self) -> &[Arc<Snapshot>] {
-        &self.shards
     }
 
     /// The snapshot owning user vertex `v`, if it is active.
@@ -514,12 +481,11 @@ impl RouterReadHandle {
 /// Partitioned sharding over component-owned shards (see the module docs
 /// for the routing rules and `docs/SHARDING.md` for the normative spec).
 ///
-/// Compared to the replicated [`ShardRouter`](crate::ShardRouter), writes
-/// scale: each update applies on one shard (plus O(k) trivial allocation
-/// echoes per vertex insertion), so `k` shards do ~`1/k` of the write work
-/// each on multi-component workloads (asserted by the write-amplification
-/// test in `tests/serve_partitioned.rs`), at the price of migration pauses
-/// when components merge across shards.
+/// Writes scale: each update applies on one shard (plus O(k) trivial
+/// allocation echoes per vertex insertion), so `k` shards do ~`1/k` of the
+/// write work each on multi-component workloads (asserted by the
+/// write-amplification test in `tests/serve_partitioned.rs`), at the price
+/// of migration pauses when components merge across shards.
 ///
 /// ```
 /// use pardfs_api::{DfsMaintainer, ForestQuery};
@@ -876,8 +842,9 @@ impl PartitionedRouter {
             .expect("a freshly extracted export round-trips");
 
         // Loser resumes on its remainder at its current server epoch.
-        let (rest_graph, rest_tree) =
-            subtract_component(self.servers[loser as usize].maintainer(), members);
+        let (rest_graph, rest_tree) = restrict(self.servers[loser as usize].maintainer(), |i| {
+            !export.graph().is_active(i)
+        });
         let epoch = self.servers[loser as usize].read_handle().epoch();
         let dfs = self
             .factory
@@ -955,17 +922,16 @@ fn component_of(g: &Graph, v: Vertex) -> Vec<Vertex> {
     members
 }
 
-/// The loser's post-migration state: its internal graph and tree with the
-/// exported members removed (lists verbatim for survivors; the pseudo
-/// root's list filtered, preserving relative order).
-fn subtract_component(m: &dyn DfsMaintainer, members: &[Vertex]) -> (Graph, TreeIndex) {
+/// A shard's internal graph and tree restricted to the vertices `keep`
+/// accepts (internal ids) plus the pseudo root, at full slot capacity:
+/// kept lists and tree parents verbatim, the pseudo root's list filtered to
+/// the kept vertices, preserving relative order. The export of a component
+/// keeps its members; the loser's remainder keeps everything else.
+fn restrict(m: &dyn DfsMaintainer, keep: impl Fn(Vertex) -> bool) -> (Graph, TreeIndex) {
     let aug = m.augmented_graph();
     let tree = m.tree();
     let cap = aug.capacity();
-    let mut member = vec![false; cap];
-    for &v in members {
-        member[(v + 1) as usize] = true;
-    }
+    let kept = |i: Vertex| aug.is_active(i) && keep(i);
     let mut lists: Vec<Vec<Vertex>> = Vec::with_capacity(cap);
     let mut active = vec![false; cap];
     active[0] = true;
@@ -973,13 +939,13 @@ fn subtract_component(m: &dyn DfsMaintainer, members: &[Vertex]) -> (Graph, Tree
         aug.neighbors(0)
             .iter()
             .copied()
-            .filter(|&u| !member[u as usize])
+            .filter(|&u| kept(u))
             .collect(),
     );
     let mut parent = vec![NO_VERTEX; cap];
     parent[0] = 0;
     for i in 1..cap {
-        if aug.is_active(i as Vertex) && !member[i] {
+        if kept(i as Vertex) {
             active[i] = true;
             lists.push(aug.neighbors(i as Vertex).to_vec());
             parent[i] = tree
@@ -990,7 +956,7 @@ fn subtract_component(m: &dyn DfsMaintainer, members: &[Vertex]) -> (Graph, Tree
         }
     }
     let graph = Graph::from_adjacency_lists(lists, active)
-        .expect("removing whole components keeps the shard graph valid");
+        .expect("splitting whole components keeps the shard graph valid");
     (graph, TreeIndex::from_parent_slice(&parent, 0))
 }
 

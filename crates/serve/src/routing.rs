@@ -1,22 +1,17 @@
-//! Ownership metadata and routing accounting for **partitioned** serving.
+//! Ownership metadata and routing accounting of the [`PartitionedRouter`].
 //!
-//! The replicated `ShardRouter` (pardfs-serve v1) broadcasts every write to
-//! every shard; the partitioned router (v2) instead routes each update to
-//! the single shard that *owns* the touched component. The two types here
-//! are the model-independent half of that design:
+//! The router applies each update on the single shard that *owns* the
+//! touched component. The two types here are its bookkeeping:
 //!
 //! * [`OwnershipMap`] — the routing table: one owning shard per user vertex
-//!   (or unowned for inactive slots). The serving layer derives it from a
+//!   (or unowned for inactive slots). The router derives it from a
 //!   component labelling and keeps it current across updates and component
 //!   migrations.
 //! * [`RoutingStats`] — what the routing did: how many updates went where,
 //!   how many allocation echoes were broadcast, and how many component
 //!   migrations moved how many vertices.
 //!
-//! They live in `pardfs-api` (not `pardfs-serve`) for the same reason
-//! [`StatsRollup`](crate::StatsRollup) does: the bench harness and the
-//! workload runner read them without depending on the serving layer's
-//! concrete router types.
+//! [`PartitionedRouter`]: crate::PartitionedRouter
 
 use pardfs_graph::Vertex;
 
@@ -31,7 +26,7 @@ use pardfs_graph::Vertex;
 /// when a cross-shard merge migrates a component.
 ///
 /// ```
-/// use pardfs_api::OwnershipMap;
+/// use pardfs_serve::OwnershipMap;
 ///
 /// // Two components labelled 0 and 1 over four vertices, two shards:
 /// // label mod k assigns component 0 -> shard 0, component 1 -> shard 1.
@@ -65,9 +60,7 @@ impl OwnershipMap {
     /// Build the initial table from a component labelling (as produced by
     /// `pardfs_graph::connected_components`: `labels[v] == u32::MAX` for
     /// inactive slots, components numbered from 0 in order of their
-    /// smallest vertex id). Component `c` is assigned to shard `c mod k` —
-    /// the same rule the replicated router uses for read affinity, so both
-    /// routing modes agree on the initial placement.
+    /// smallest vertex id). Component `c` is assigned to shard `c mod k`.
     ///
     /// # Panics
     ///
@@ -88,11 +81,6 @@ impl OwnershipMap {
                 .collect(),
             shards,
         }
-    }
-
-    /// Number of shards the table routes across.
-    pub fn shards(&self) -> usize {
-        self.shards as usize
     }
 
     /// Number of vertex slots tracked (mirrors the graph's capacity).
@@ -147,11 +135,6 @@ impl OwnershipMap {
         self.owner.push(shard);
     }
 
-    /// Number of vertices currently owned by `shard`.
-    pub fn count_for(&self, shard: u32) -> usize {
-        self.owner.iter().filter(|&&s| s == shard).count()
-    }
-
     /// Per-shard owned-vertex counts, in shard order.
     pub fn counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.shards as usize];
@@ -162,30 +145,19 @@ impl OwnershipMap {
         }
         counts
     }
-
-    /// The user vertices owned by `shard`, ascending.
-    pub fn owned(&self, shard: u32) -> Vec<Vertex> {
-        self.owner
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s == shard)
-            .map(|(v, _)| v as Vertex)
-            .collect()
-    }
 }
 
 /// Accounting of what a partitioned router's routing layer did.
 ///
-/// The headline comparison against replicated sharding is
-/// [`RoutingStats::max_applied_per_shard`]: with `k` replicas every shard
-/// applies *every* update (per-shard applied = total updates), while a
-/// partitioned router applies each routed update on exactly one shard —
-/// plus cheap allocation echoes — so the per-shard count drops towards
-/// `1/k` of the total on multi-component workloads (asserted by the
-/// write-amplification test in `tests/serve_partitioned.rs`).
+/// The headline is [`RoutingStats::max_applied_per_shard`]: a full copy of
+/// the forest applies *every* update, while the router applies each routed
+/// update on exactly one shard — plus cheap allocation echoes — so the
+/// per-shard count drops towards `1/k` of the total on multi-component
+/// workloads (asserted by the write-amplification test in
+/// `tests/serve_partitioned.rs`).
 ///
 /// ```
-/// use pardfs_api::RoutingStats;
+/// use pardfs_serve::RoutingStats;
 ///
 /// let mut stats = RoutingStats::new(2);
 /// stats.commits += 1;
@@ -224,7 +196,7 @@ impl RoutingStats {
     }
 
     /// The busiest shard's applied-update count — the write-amplification
-    /// headline (replicated sharding pins this to the total update count).
+    /// headline (a full copy of the forest applies the total update count).
     pub fn max_applied_per_shard(&self) -> u64 {
         self.applied_per_shard.iter().copied().max().unwrap_or(0)
     }
@@ -243,7 +215,6 @@ mod tests {
     fn from_labels_applies_label_mod_k_and_preserves_inactive_slots() {
         let labels = vec![0, 1, 2, 3, u32::MAX, 2];
         let map = OwnershipMap::from_labels(&labels, 3);
-        assert_eq!(map.shards(), 3);
         assert_eq!(map.capacity(), 6);
         assert_eq!(map.owner(0), Some(0));
         assert_eq!(map.owner(1), Some(1));
@@ -253,7 +224,6 @@ mod tests {
         assert_eq!(map.owner(5), Some(2));
         assert_eq!(map.owner(99), None, "out of range is unowned, not a panic");
         assert_eq!(map.counts(), vec![2, 1, 2]);
-        assert_eq!(map.owned(2), vec![2, 5]);
     }
 
     #[test]
@@ -268,8 +238,7 @@ mod tests {
         assert_eq!(map.capacity(), 5);
         assert_eq!(map.owner(3), None);
         assert_eq!(map.owner(4), Some(0));
-        assert_eq!(map.count_for(0), 2);
-        assert_eq!(map.count_for(1), 2);
+        assert_eq!(map.counts(), vec![2, 2]);
     }
 
     #[test]

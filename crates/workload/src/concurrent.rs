@@ -14,10 +14,9 @@
 //! keep a torn-read census by recomputing every newly-observed view's
 //! fingerprint against the epoch log.
 //!
-//! One loop serves every committer: whatever implements [`Served`] — a
-//! single [`Server`], a replicated [`ShardRouter`] or a partitioned
-//! [`PartitionedRouter`] — with readers holding the matching
-//! [`EpochReader`] (a [`ReadHandle`] or a [`RouterReadHandle`]).
+//! One loop serves both committers: whatever implements [`Served`] — a
+//! single [`Server`] or a [`PartitionedRouter`] — with readers holding the
+//! matching [`EpochReader`] (a [`ReadHandle`] or a [`RouterReadHandle`]).
 //!
 //! The headline metric is [`ConcurrentOutcome::queries_per_sec`]: aggregate
 //! queries answered across all readers over the serving wall-clock. The
@@ -29,7 +28,7 @@ use pardfs_api::ForestQuery;
 use pardfs_graph::Update;
 use pardfs_serve::{
     EpochRecord, PartitionedEpoch, PartitionedRouter, PartitionedView, ReadHandle,
-    RouterReadHandle, Server, ShardRouter, Snapshot,
+    RouterReadHandle, Server, Snapshot,
 };
 use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -158,33 +157,6 @@ impl Served for Server {
     }
 }
 
-/// The replicated group broadcasts each batch to every shard as one epoch.
-/// Reader `i` is pinned to shard `i mod k` (every shard is a full replica,
-/// so any shard answers any query authoritatively), and the log and the
-/// applied count are shard 0's: replication multiplies the applied work by
-/// the shard count, not the number of logical updates: a replicated shard
-/// applies the whole stream, the invariant the write-amplification test in
-/// `tests/serve_partitioned.rs` compares partitioned shards against.
-impl Served for ShardRouter {
-    type Reader = ReadHandle;
-
-    fn backend(&self) -> &'static str {
-        self.servers()[0].backend_name()
-    }
-
-    fn reader(&self, i: usize) -> ReadHandle {
-        self.read_handle(i % self.num_shards())
-    }
-
-    fn commit_batch(&mut self, updates: &[Update]) -> u64 {
-        self.commit(updates)[0].record.updates as u64
-    }
-
-    fn epoch_log(&self) -> Vec<EpochRecord> {
-        self.servers()[0].epochs()
-    }
-}
-
 /// The partitioned router routes each batch as one router epoch; its log
 /// records are projected through [`PartitionedEpoch::as_epoch_record`].
 impl Served for PartitionedRouter {
@@ -282,13 +254,12 @@ impl<'a> ConcurrentScenarioRunner<'a> {
     }
 
     /// Replay the trace through `served` (whose maintainers must have been
-    /// built over [`Trace::initial_graph`]) — `Server::new(dfs)`, a
-    /// [`ShardRouter`] or a [`PartitionedRouter`]. The calling thread
-    /// becomes the writer; reader threads run until the writer is done and
-    /// each has completed at least one full pass over the query batches.
-    /// The committer is handed back with the outcome, so callers can
-    /// inspect it afterwards (a router's
-    /// [`RoutingStats`](pardfs_api::RoutingStats), say).
+    /// built over [`Trace::initial_graph`]) — `Server::new(dfs)` or a
+    /// [`PartitionedRouter`]. The calling thread becomes the writer; reader
+    /// threads run until the writer is done and each has completed at least
+    /// one full pass over the query batches. The committer is handed back
+    /// with the outcome, so callers can inspect it afterwards (a router's
+    /// [`RoutingStats`](pardfs_serve::RoutingStats), say).
     pub fn run<S: Served>(&self, mut served: S) -> (S, ConcurrentOutcome) {
         let batches = || self.trace.phases.iter().flat_map(|p| &p.batches);
         let query_batches: Vec<&[TraceQuery]> = batches()
@@ -669,32 +640,21 @@ mod tests {
             reference.apply_update(update);
             prefix.push((epoch as u64 + 1, reference.tree().fingerprint()));
         }
-        let poisoned = || -> Box<dyn DfsMaintainer> {
-            Box::new(PanicAfter {
-                inner: Box::new(SeqRerootDfs::new(&graph)),
-                after: 3,
-            })
-        };
         let runner = ConcurrentScenarioRunner::new(&trace, 2);
 
-        let (server, single) = runner.run(Server::new(poisoned()));
+        let (server, single) = runner.run(Server::new(PanicAfterFactory(3).build(&graph)));
         assert_ne!(
             server.maintainer().tree().fingerprint(),
             single.final_fingerprint,
             "the poisoned maintainer moved past the last published epoch"
         );
-        let (_, replicated) = runner.run(ShardRouter::new(vec![poisoned(), poisoned()], &graph));
         let (_, partitioned) = runner.run(PartitionedRouter::new(
             Box::new(PanicAfterFactory(3)),
             &graph,
             2,
         ));
 
-        for (name, outcome) in [
-            ("server", single),
-            ("replicated", replicated),
-            ("partitioned", partitioned),
-        ] {
+        for (name, outcome) in [("server", single), ("partitioned", partitioned)] {
             assert!(
                 outcome.commit_error.is_some(),
                 "{name}: the third commit died"

@@ -1,22 +1,18 @@
 //! Serving tour: replay the checked-in read-mostly corpus trace through the
 //! epoch-snapshot serving layer — four concurrent readers against a
-//! group-committing writer — then route the same trace through a sharded
-//! replica group.
+//! group-committing writer.
 //!
 //! ```text
 //! cargo run --release --example serve_tour
 //! ```
 //!
-//! The first half drives the [`ConcurrentScenarioRunner`]: one writer turns
-//! every recorded update batch into one group-commit epoch while four reader
+//! The tour drives the [`ConcurrentScenarioRunner`]: one writer turns every
+//! recorded update batch into one group-commit epoch while four reader
 //! threads replay the trace's query batches against live snapshots, keeping
 //! a torn-read census. It prints the server's epoch log (commit sizes,
 //! post-commit graph, per-epoch tree fingerprints) and the aggregate read
-//! throughput. The second half commits the same batches through a 3-shard
-//! [`ShardRouter`] and shows the v1 routing rules: replicated writes land
-//! every shard on the same tree, reads route by component affinity.
+//! throughput. `shard_tour` routes a trace through partitioned shards.
 
-use pardfs::scenario::TraceBatch;
 use pardfs::{Backend, ConcurrentScenarioRunner, MaintainerBuilder, Server, Trace};
 
 fn main() {
@@ -68,49 +64,5 @@ fn main() {
         outcome.queries_per_sec(),
         outcome.torn_snapshots,
         outcome.final_fingerprint
-    );
-
-    // --- The same batches through a 3-shard replica group ------------------
-    let graph = trace.initial_graph();
-    let mut router = MaintainerBuilder::new(Backend::Parallel)
-        .shards(3)
-        .serve(&graph);
-    println!(
-        "\nbroadcast-committing the same batches through {} shards:",
-        router.num_shards()
-    );
-    let mut epochs = 0u64;
-    for batch in trace.phases.iter().flat_map(|p| &p.batches) {
-        let TraceBatch::Updates(updates) = batch else {
-            continue;
-        };
-        let commits = router.commit(updates);
-        epochs += 1;
-        let first = &commits[0].record;
-        assert!(
-            commits
-                .iter()
-                .all(|c| c.record.fingerprint == first.fingerprint),
-            "replicated shards must agree"
-        );
-        println!(
-            "  epoch {:>2}: {:>3} updates × {} shards -> tree {:016x} on every shard",
-            first.epoch,
-            first.updates,
-            commits.len(),
-            first.fingerprint
-        );
-    }
-    let reference = router.read_handle(0).snapshot();
-    let sample: Vec<_> = (0..6).map(|v| (v, router.shard_for(v))).collect();
-    println!("  after {epochs} epochs: component-affinity routing of vertices 0..6 -> {sample:?}");
-    assert_eq!(
-        reference.fingerprint(),
-        outcome.final_fingerprint,
-        "the sharded replay lands on the single-server tree"
-    );
-    println!(
-        "  shard 0 final tree {:016x} == concurrent replay's final tree (replicas are exact)",
-        reference.fingerprint()
     );
 }

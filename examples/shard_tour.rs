@@ -1,8 +1,6 @@
 //! Sharding tour: replay the checked-in partition-storm corpus trace through
-//! both sharded routing modes and watch the difference — the replicated v1
-//! [`ShardRouter`] broadcasts every batch to every shard, the partitioned v2
-//! [`PartitionedRouter`] routes each update to the shard that owns its
-//! component and migrates state when a cross-shard edge merges two
+//! a [`PartitionedRouter`], which routes each update to the shard that owns
+//! its component and migrates state when a cross-shard edge merges two
 //! components (normative spec: `docs/SHARDING.md`).
 //!
 //! ```text
@@ -14,9 +12,10 @@
 //! machinery: component extraction on the losing shard, byte-exact state
 //! transfer, resume on the winner. The tour prints the routed epoch log
 //! (updates routed, id-allocation echoes, migrations), the per-shard
-//! ownership census, and the write-amplification comparison against the
-//! replicated broadcast — ending with the determinism check: both modes,
-//! and an unsharded replay, land on the same forest fingerprint.
+//! ownership census, and the write amplification against full copies of the
+//! forest (each applies the whole stream) — ending with the determinism
+//! check: the partitioned and the unsharded replay land on the same forest
+//! fingerprint.
 
 use pardfs::scenario::TraceBatch;
 use pardfs::{Backend, MaintainerBuilder, Trace};
@@ -55,11 +54,9 @@ fn main() {
     let reference_fingerprint = reference.tree().fingerprint();
     println!("unsharded replay final forest: {reference_fingerprint:016x}");
 
-    // --- Partitioned (v2): routed commits, merge migrations -----------------
+    // --- Partitioned: routed commits, merge migrations ----------------------
     let k = 2;
-    let mut router = MaintainerBuilder::new(Backend::Parallel)
-        .partitioned_shards(k)
-        .serve_partitioned(&graph);
+    let mut router = MaintainerBuilder::new(Backend::Parallel).serve_partitioned(&graph, k);
     println!(
         "\nrouting the same batches through {} partitioned shards (initial ownership {:?}):",
         router.num_shards(),
@@ -97,22 +94,6 @@ fn main() {
         "partitioned replay must land on the unsharded forest"
     );
 
-    // --- Replicated (v1): broadcast commits ---------------------------------
-    let mut broadcast = MaintainerBuilder::new(Backend::Parallel)
-        .shards(k)
-        .serve(&graph);
-    for batch in &batches {
-        let commits = broadcast.commit(batch);
-        assert!(
-            commits
-                .iter()
-                .all(|c| c.record.fingerprint == commits[0].record.fingerprint),
-            "replicated shards must agree"
-        );
-    }
-    let replicated_fingerprint = broadcast.read_handle(0).snapshot().fingerprint();
-    assert_eq!(replicated_fingerprint, reference_fingerprint);
-
     // --- Write amplification -----------------------------------------------
     let total = trace.num_updates() as u64;
     println!(
@@ -120,11 +101,11 @@ fn main() {
         total
     );
     println!(
-        "  replicated  (v1): {total} applied per shard ({} total, {k}.00x)",
+        "  {k} full copies: {total} applied per copy ({} total, {k}.00x)",
         total * k as u64
     );
     println!(
-        "  partitioned (v2): {} applied on the busiest shard, {:?} per shard \
+        "  partitioned:   {} applied on the busiest shard, {:?} per shard \
          ({} total incl. echoes, {:.2}x)",
         stats.max_applied_per_shard(),
         stats.applied_per_shard,
@@ -132,7 +113,7 @@ fn main() {
         stats.total_applied() as f64 / total as f64
     );
     println!(
-        "\nall three replays agree on the final forest {reference_fingerprint:016x} — \
+        "\nboth replays agree on the final forest {reference_fingerprint:016x} — \
          routing is an implementation detail, the forest is the contract"
     );
 }

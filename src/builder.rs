@@ -15,7 +15,7 @@ use pardfs_core::{EngineDfs, FrozenD, LiveD, Model, Strategy};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_seq::static_dfs::static_dfs;
 use pardfs_seq::{AugmentedGraph, SeqRerootDfs};
-use pardfs_serve::{PartitionedRouter, Server, ShardFactory, ShardRouter};
+use pardfs_serve::{PartitionedRouter, Server, ShardFactory};
 use pardfs_stream::PassModel;
 use pardfs_tree::TreeIndex;
 use pardfs_wal::{recover_with, DurabilityConfig, Recovered};
@@ -97,7 +97,6 @@ pub struct MaintainerBuilder {
     rebuild_policy: RebuildPolicy,
     index_policy: IndexPolicy,
     num_threads: Option<usize>,
-    shards: usize,
 }
 
 impl MaintainerBuilder {
@@ -112,7 +111,6 @@ impl MaintainerBuilder {
             rebuild_policy: RebuildPolicy::default(),
             index_policy: IndexPolicy::default(),
             num_threads: None,
-            shards: 1,
         }
     }
 
@@ -165,36 +163,6 @@ impl MaintainerBuilder {
         self
     }
 
-    /// Number of shards [`MaintainerBuilder::serve`] routes over (replica
-    /// servers with component-affinity reads — see
-    /// [`ShardRouter`]). Clamped to at least 1; default 1.
-    ///
-    /// **Cost warning** — these shards are full *replicas*: every committed
-    /// batch is applied once per shard, so `k` shards multiply write work
-    /// by `k`. Replication scales read throughput only; when write
-    /// scalability matters, configure
-    /// [`MaintainerBuilder::partitioned_shards`] and serve through
-    /// [`MaintainerBuilder::serve_partitioned`] instead, where each shard
-    /// applies ~`1/k` of the updates (see `docs/SHARDING.md`).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Number of shards [`MaintainerBuilder::serve_partitioned`] partitions
-    /// the forest across (component-owned shards with routed commits — see
-    /// [`PartitionedRouter`]). Clamped to at least 1; default 1.
-    ///
-    /// Unlike [`MaintainerBuilder::shards`] replicas, partitioned shards
-    /// each own only their components' subtrees: every update applies on
-    /// exactly one shard, so `k` shards do ~`1/k` of the write work each on
-    /// multi-component workloads, with deterministic component migration
-    /// when a cross-shard edge merges two components (`docs/SHARDING.md`).
-    pub fn partitioned_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// The configured backend.
     pub fn backend(&self) -> Backend {
         self.backend
@@ -235,24 +203,15 @@ impl MaintainerBuilder {
         recover_with(config, |graph, tree| self.build_from_state(graph, tree))
     }
 
-    /// Build one replica maintainer per configured shard (see
-    /// [`MaintainerBuilder::shards`]) over `user_graph` and route them
-    /// behind a [`ShardRouter`]: broadcast writes, component-affinity
-    /// reads, merged roll-ups.
-    pub fn serve(&self, user_graph: &Graph) -> ShardRouter {
-        let replicas = (0..self.shards).map(|_| self.build(user_graph)).collect();
-        ShardRouter::new(replicas, user_graph)
-    }
-
-    /// Partition `user_graph` across the configured shard count (see
-    /// [`MaintainerBuilder::partitioned_shards`]) and serve it through a
-    /// [`PartitionedRouter`]: each shard owns only its components'
-    /// subtrees, commits route to the owning shard, and cross-shard merges
-    /// migrate state deterministically. The builder itself is the router's
+    /// Partition `user_graph` across `shards` shards (at least one) and
+    /// serve it through a [`PartitionedRouter`]: each shard owns only its
+    /// components' subtrees, commits route to the owning shard, and
+    /// cross-shard merges migrate state deterministically
+    /// (`docs/SHARDING.md`). The builder itself is the router's
     /// [`ShardFactory`], so migrations resume shards with exactly this
     /// configuration's backend and policies.
-    pub fn serve_partitioned(&self, user_graph: &Graph) -> PartitionedRouter {
-        PartitionedRouter::new(Box::new(*self), user_graph, self.shards)
+    pub fn serve_partitioned(&self, user_graph: &Graph, shards: usize) -> PartitionedRouter {
+        PartitionedRouter::new(Box::new(*self), user_graph, shards.max(1))
     }
 
     /// Construct the maintainer over `user_graph`.
@@ -712,7 +671,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_wraps_every_backend_and_shards_route() {
+    fn serve_single_wraps_every_backend() {
         let g = generators::grid(4, 4);
         let updates = [Update::DeleteEdge(0, 1), Update::InsertEdge(0, 15)];
         for backend in Backend::all_default() {
@@ -727,17 +686,6 @@ mod tests {
             assert_eq!(snap.epoch(), 1);
             assert!(snap.same_component(0, 15));
             assert_eq!(snap.fingerprint(), server.maintainer().tree().fingerprint());
-
-            // Sharded router over the same configuration.
-            let mut router = MaintainerBuilder::new(backend).shards(2).serve(&g);
-            assert_eq!(router.num_shards(), 2);
-            let commits = router.commit(&updates);
-            assert_eq!(commits.len(), 2);
-            assert_eq!(
-                commits[0].record.fingerprint, commits[1].record.fingerprint,
-                "replicas agree"
-            );
-            assert!(router.snapshot_for(3).same_component(0, 15));
         }
     }
 
@@ -750,9 +698,10 @@ mod tests {
             g.insert_edge(i + 4, i + 5);
         }
         for backend in Backend::all_default() {
-            let builder = MaintainerBuilder::new(backend).partitioned_shards(2);
+            let builder = MaintainerBuilder::new(backend);
+            assert_eq!(builder.serve_partitioned(&g, 0).num_shards(), 1);
             let mut reference = builder.build(&g);
-            let mut router = builder.serve_partitioned(&g);
+            let mut router = builder.serve_partitioned(&g, 2);
             assert_eq!(router.num_shards(), 2);
             assert_eq!(router.ownership().counts(), vec![4, 4]);
             // A cross-shard merge migrates the losing component, and the

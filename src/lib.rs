@@ -24,12 +24,12 @@
 //!   that drives any backend through a [`Trace`] with per-phase roll-ups;
 //! * [`serve`] — the epoch-snapshot concurrent serving layer: a [`Server`]
 //!   wrapping any maintainer with group-committed writes and immutable
-//!   published snapshots, [`ShardRouter`] replica routing (v1),
-//!   [`PartitionedRouter`] component-owned sharding with routed commits and
-//!   cross-shard merge migration (v2 — `docs/SHARDING.md`), and (in
-//!   [`scenario`]) the [`ConcurrentScenarioRunner`] that turns any trace
-//!   into a concurrent-serving benchmark through any of the three
-//!   committers (its [`Served`] trait);
+//!   published snapshots, [`PartitionedRouter`] component-owned sharding
+//!   with routed commits and cross-shard merge migration
+//!   (`docs/SHARDING.md`), and (in [`scenario`]) the
+//!   [`ConcurrentScenarioRunner`] that turns any trace into a
+//!   concurrent-serving benchmark through either committer (its [`Served`]
+//!   trait);
 //! * [`wal`] — trace-as-WAL durability: write-ahead logging of committed
 //!   epochs, snapshot checkpoints, crash recovery
 //!   ([`MaintainerBuilder::serve_durable`] / [`MaintainerBuilder::recover`]).
@@ -93,14 +93,14 @@ pub use pardfs_api::{
     BatchReport, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, RebuildPolicy,
     RebuildPolicyStats, StatsReport,
 };
-pub use pardfs_api::{OwnershipMap, RoutingStats};
 pub use pardfs_congest::{DistributedDfsExt, DistributedDynamicDfs};
 pub use pardfs_core::{DynamicDfs, EngineDfs, FaultTolerantDfs, Model, Strategy};
 pub use pardfs_graph::{Graph, GraphView, MappedSnapshot, Update, Vertex};
 pub use pardfs_seq::SeqRerootDfs;
 pub use pardfs_serve::{
-    ComponentExport, MappedEpoch, PartitionedEpoch, PartitionedRouter, PartitionedView, ReadHandle,
-    RouterReadHandle, Server, ShardFactory, ShardRouter, Snapshot, WriteHandle,
+    ComponentExport, MappedEpoch, OwnershipMap, PartitionedEpoch, PartitionedRouter,
+    PartitionedView, ReadHandle, RouterReadHandle, RoutingStats, Server, ShardFactory, Snapshot,
+    WriteHandle,
 };
 pub use pardfs_stream::{StreamingDfsExt, StreamingDynamicDfs};
 pub use pardfs_tree::TreeView;

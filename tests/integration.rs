@@ -315,11 +315,7 @@ fn forest_queries_on_the_top_vertex_id_answer_absent_on_every_surface() {
         check(name, dfs.as_ref());
         let snapshot = builder.serve_single(&g).read_handle().snapshot();
         check(&format!("{name} snapshot"), &*snapshot);
-        let view = builder
-            .partitioned_shards(2)
-            .serve_partitioned(&g)
-            .read_handle()
-            .view();
+        let view = builder.serve_partitioned(&g, 2).read_handle().view();
         check(&format!("{name} partitioned view"), &*view);
         let path = dir.join(format!("{name}.epoch"));
         snapshot.publish_to(&path).expect("epoch publishes");

@@ -15,7 +15,7 @@
 //!
 //! Write amplification: on a persistently multi-component trace, the
 //! busiest partitioned shard must apply strictly fewer updates than the
-//! whole stream, which is what every replicated shard applies.
+//! whole stream, which is what a full copy of the forest applies.
 
 use pardfs::scenario::{rng, TraceBatch, TraceBuilder, TraceQuery};
 use pardfs::{
@@ -66,9 +66,9 @@ fn partitioned_replay_matches_unsharded_per_epoch_on_every_corpus_trace() {
         let graph = trace.initial_graph();
         for backend in Backend::all_default() {
             for k in [2usize, 3] {
-                let builder = MaintainerBuilder::new(backend).partitioned_shards(k);
+                let builder = MaintainerBuilder::new(backend);
                 let mut reference: Box<dyn DfsMaintainer> = builder.build(&graph);
-                let mut router = builder.serve_partitioned(&graph);
+                let mut router = builder.serve_partitioned(&graph, k);
                 let label = format!("{name}/{}/k={k}", reference.backend_name());
                 assert_eq!(
                     router.read_handle().view().fingerprint(),
@@ -99,6 +99,13 @@ fn partitioned_replay_matches_unsharded_per_epoch_on_every_corpus_trace() {
                         reference.forest_parent(v),
                         "{label}: forest_parent({v})"
                     );
+                    for u in [0, v / 2, v, u32::MAX] {
+                        assert_eq!(
+                            view.same_component(u, v),
+                            reference.same_component(u, v),
+                            "{label}: same_component({u}, {v})"
+                        );
+                    }
                 }
                 for server in router.servers() {
                     server
@@ -124,13 +131,13 @@ fn concurrent_partitioned_runs_are_torn_free_and_match_the_unsharded_replay() {
         let graph = trace.initial_graph();
         // One backend suffices here — per-epoch equivalence across all five
         // is pinned above; this test is about the concurrent read path.
-        let builder = MaintainerBuilder::new(Backend::Sequential).partitioned_shards(2);
+        let builder = MaintainerBuilder::new(Backend::Sequential);
         let mut reference = builder.build(&graph);
         for batch in update_batches(&trace) {
             reference.apply_batch(batch);
         }
         let runner = ConcurrentScenarioRunner::new(&trace, 3);
-        let (router, outcome) = runner.run(builder.serve_partitioned(&graph));
+        let (router, outcome) = runner.run(builder.serve_partitioned(&graph, 2));
         assert_eq!(outcome.commit_error, None, "{name}");
         assert_eq!(outcome.reader_panics, 0, "{name}");
         assert_eq!(
@@ -219,16 +226,16 @@ fn multi_component_churn_trace(n: usize) -> Trace {
 }
 
 #[test]
-fn partitioned_shards_each_apply_less_than_the_whole_stream_on_a_multi_component_trace() {
+fn busiest_shard_applies_less_than_the_whole_stream_when_components_persist() {
     let trace = multi_component_churn_trace(64);
     let graph = trace.initial_graph();
     let batches = update_batches(&trace);
     let total = trace.num_updates() as u64;
     for backend in Backend::all_default() {
         for k in [2usize, 3] {
-            let builder = MaintainerBuilder::new(backend).partitioned_shards(k);
+            let builder = MaintainerBuilder::new(backend);
             let mut reference = builder.build(&graph);
-            let mut router = builder.serve_partitioned(&graph);
+            let mut router = builder.serve_partitioned(&graph, k);
             let label = format!("{}/k={k}", reference.backend_name());
             for batch in &batches {
                 reference.apply_batch(batch);
@@ -240,7 +247,7 @@ fn partitioned_shards_each_apply_less_than_the_whole_stream_on_a_multi_component
             assert!(
                 stats.max_applied_per_shard() < total,
                 "{label}: the busiest shard applied {} of {total} updates; \
-                 a replicated shard applies all of them",
+                 a full copy applies all of them",
                 stats.max_applied_per_shard()
             );
             assert!(

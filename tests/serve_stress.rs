@@ -13,9 +13,6 @@
 //! * **Serving equivalence.** Replaying a trace through the server (writer
 //!   group-committing the recorded batches) leaves exactly the tree a
 //!   single-threaded `ScenarioRunner` replay leaves, for every backend.
-//! * **Replica agreement.** Every shard of a `ShardRouter` broadcast commit
-//!   holds the same tree, and reads route to a valid shard by component
-//!   affinity.
 //! * **Migration atomicity.** A `PartitionedRouter` cross-shard component
 //!   migration — which tears a component out of one shard's maintainer and
 //!   resumes another shard's from the merged state — must be invisible to
@@ -204,9 +201,7 @@ fn migrations_under_concurrent_readers_never_tear_a_view() {
     // smaller component id — cluster 0 — wins and cluster 1 moves wholesale.
     batches.push(vec![Update::InsertEdge(0, cs)]);
 
-    let mut router = MaintainerBuilder::new(Backend::Parallel)
-        .partitioned_shards(2)
-        .serve_partitioned(&graph);
+    let mut router = MaintainerBuilder::new(Backend::Parallel).serve_partitioned(&graph, 2);
     assert_eq!(router.ownership().counts(), vec![cs as usize, cs as usize]);
     let read_handle = router.read_handle();
     let done = AtomicBool::new(false);
@@ -274,51 +269,4 @@ fn migrations_under_concurrent_readers_never_tear_a_view() {
     assert!(view.same_component(0, cs), "everything merged at the end");
     assert_eq!(view.num_vertices(), 2 * cs as usize + 12);
     assert_eq!(router.ownership().counts(), vec![2 * cs as usize + 12, 0]);
-}
-
-#[test]
-fn sharded_router_replicas_agree_and_route_by_component() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5E26);
-    let graph = generators::random_connected_gnm(80, 240, &mut rng);
-    let updates = update_sequence(&graph, 24, 0x5E27);
-
-    let mut router = MaintainerBuilder::new(Backend::Parallel)
-        .shards(3)
-        .serve(&graph);
-    assert_eq!(router.num_shards(), 3);
-
-    for chunk in updates.chunks(4) {
-        let commits = router.commit(chunk);
-        assert_eq!(commits.len(), 3, "one commit per shard");
-        // Replicated writes: every shard commits the same epoch and lands
-        // on the same tree.
-        for stats in &commits[1..] {
-            assert_eq!(stats.record.epoch, commits[0].record.epoch);
-            assert_eq!(stats.record.fingerprint, commits[0].record.fingerprint);
-        }
-        // The merged roll-up is the whole group's work for the epoch: with
-        // replicated writes, every shard absorbs the full chunk.
-        let rollup = pardfs::ShardRouter::merged_rollup(&commits);
-        assert_eq!(rollup.updates, (3 * chunk.len()) as u64);
-    }
-
-    // Affinity reads: every vertex routes to a valid shard, and the shard's
-    // snapshot answers exactly like shard 0's (replicas agree).
-    let reference = router.read_handle(0).snapshot();
-    for v in 0..reference.num_vertices() as pardfs::Vertex {
-        let shard = router.shard_for(v);
-        assert!(shard < router.num_shards());
-        let snap = router.snapshot_for(v);
-        assert_eq!(
-            snap.forest_parent(v),
-            reference.forest_parent(v),
-            "shard {shard} disagrees on vertex {v}"
-        );
-    }
-    // Whole-forest queries route to shard 0 by the v1 rules.
-    assert_eq!(router.shard_for(u32::MAX), 0);
-    assert_eq!(
-        router.read_handle(0).snapshot().forest_roots(),
-        reference.forest_roots()
-    );
 }
