@@ -219,14 +219,15 @@ impl IndexMaintenanceStats {
 /// unmodified pre-update index plus the patch, over `capacity` vertex slots
 /// (the graph's id space after the update). Engines describe an update to
 /// the index purely by its `TreePatch`, so the patch path never pays an
-/// `O(n)` copy. Returns whether the parent array was materialised.
+/// `O(n)` copy: [`IndexMaintenanceStats::full_rebuilds`] counts the
+/// materialisations.
 pub fn maintain_index(
     idx: &mut pardfs_tree::TreeIndex,
     patch: &pardfs_tree::TreePatch,
     capacity: usize,
     policy: IndexPolicy,
     stats: &mut IndexMaintenanceStats,
-) -> bool {
+) {
     use pardfs_tree::PatchOutcome;
     match policy.region_limit(idx.num_vertices()) {
         None => {}
@@ -234,7 +235,7 @@ pub fn maintain_index(
             PatchOutcome::Applied { vertices_touched } => {
                 stats.patches_applied += 1;
                 stats.vertices_touched += vertices_touched as u64;
-                return false;
+                return;
             }
             PatchOutcome::RegionTooLarge { .. } | PatchOutcome::Unsupported(_) => {
                 stats.fallback_rebuilds += 1;
@@ -244,7 +245,6 @@ pub fn maintain_index(
     let par = patched_parents(idx, patch, capacity);
     *idx = pardfs_tree::TreeIndex::from_parent_slice(&par, idx.root());
     stats.full_rebuilds += 1;
-    true
 }
 
 /// The parent array of the tree `patch` turns `old` into (`parent[root] ==

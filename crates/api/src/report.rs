@@ -288,17 +288,6 @@ impl BatchReport {
     pub fn is_empty(&self) -> bool {
         self.per_update.is_empty()
     }
-
-    /// Absorb another batch's report into this one, in application order.
-    ///
-    /// The serve layer's group commit drains several submitted batches into
-    /// one `apply_batch` *per shard*, then needs the per-shard reports as a
-    /// single epoch report; merging keeps `applied`/`inserted`/`per_update`
-    /// consistent as if one big batch had been applied.
-    pub fn merge(&mut self, other: BatchReport) {
-        self.inserted.extend(other.inserted);
-        self.per_update.extend(other.per_update);
-    }
 }
 
 #[cfg(test)]

@@ -68,23 +68,6 @@ impl RerootStats {
             TraversalKind::PathHalve => self.path_halve_traversals += 1,
         }
     }
-
-    /// Merge another reroot's statistics into this one (used when an update
-    /// reroots several independent subtrees).
-    pub fn merge(&mut self, other: &RerootStats) {
-        self.rounds = self.rounds.max(other.rounds);
-        self.query_sets = self.query_sets.max(other.query_sets);
-        self.query_batches += other.query_batches;
-        self.queries += other.queries;
-        self.components += other.components;
-        self.relinked_vertices += other.relinked_vertices;
-        self.root_path_traversals += other.root_path_traversals;
-        self.disintegrate_traversals += other.disintegrate_traversals;
-        self.path_halve_traversals += other.path_halve_traversals;
-        self.max_paths_in_component = self
-            .max_paths_in_component
-            .max(other.max_paths_in_component);
-    }
 }
 
 /// Statistics of one full update handled by an engine-based maintainer
@@ -145,16 +128,6 @@ pub struct StreamStats {
     pub peak_partial_words: u64,
 }
 
-impl StreamStats {
-    /// Accumulate another snapshot (totals add, peaks take the maximum).
-    pub fn merge(&mut self, other: &StreamStats) {
-        self.passes += other.passes;
-        self.edges_scanned += other.edges_scanned;
-        self.queries += other.queries;
-        self.peak_partial_words = self.peak_partial_words.max(other.peak_partial_words);
-    }
-}
-
 /// Per-update distributed cost in the CONGEST(B) model (Theorem 16).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CongestStats {
@@ -166,16 +139,6 @@ pub struct CongestStats {
     pub words: u64,
     /// Broadcast phases (one per set of independent queries).
     pub broadcast_phases: u64,
-}
-
-impl CongestStats {
-    /// Accumulate another update's cost.
-    pub fn merge(&mut self, other: &CongestStats) {
-        self.rounds += other.rounds;
-        self.messages += other.messages;
-        self.words += other.words;
-        self.broadcast_phases += other.broadcast_phases;
-    }
 }
 
 #[cfg(test)]
@@ -195,29 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_takes_max_of_depth_and_sum_of_work() {
-        let mut a = RerootStats {
-            rounds: 3,
-            query_sets: 5,
-            queries: 100,
-            components: 4,
-            ..Default::default()
-        };
-        let b = RerootStats {
-            rounds: 7,
-            query_sets: 2,
-            queries: 50,
-            components: 1,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.rounds, 7);
-        assert_eq!(a.query_sets, 5);
-        assert_eq!(a.queries, 150);
-        assert_eq!(a.components, 5);
-    }
-
-    #[test]
     fn total_query_sets_adds_reduction_and_reroot() {
         let stats = UpdateStats {
             reduction_query_sets: 2,
@@ -228,38 +168,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(stats.total_query_sets(), 11);
-    }
-
-    #[test]
-    fn stream_and_congest_merge_accumulate() {
-        let mut s = StreamStats {
-            passes: 2,
-            edges_scanned: 10,
-            queries: 4,
-            peak_partial_words: 8,
-        };
-        s.merge(&StreamStats {
-            passes: 1,
-            edges_scanned: 5,
-            queries: 2,
-            peak_partial_words: 16,
-        });
-        assert_eq!(s.passes, 3);
-        assert_eq!(s.peak_partial_words, 16);
-
-        let mut c = CongestStats {
-            rounds: 5,
-            messages: 9,
-            words: 20,
-            broadcast_phases: 2,
-        };
-        c.merge(&CongestStats {
-            rounds: 1,
-            messages: 1,
-            words: 1,
-            broadcast_phases: 1,
-        });
-        assert_eq!(c.rounds, 6);
-        assert_eq!(c.broadcast_phases, 3);
     }
 }

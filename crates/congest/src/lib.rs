@@ -24,8 +24,8 @@
 //!   per-node adjacency only.
 //! * [`BroadcastModel`] — the engine model of Theorem 16, and
 //!   [`DistributedDynamicDfs`], `pardfs-core`'s `EngineDfs` in that model,
-//!   reporting rounds and messages per update ([`DistributedDfsExt`] adds
-//!   the model's own counters).
+//!   reporting rounds, messages and words per update through
+//!   `stats().congest()`.
 //!
 //! The pseudo root of the augmented graph is not a network node; queries whose
 //! answer is a pseudo edge are resolved locally (they correspond to "this
@@ -37,7 +37,7 @@
 pub mod network;
 
 use network::Network;
-use pardfs_api::{DfsMaintainer, IndexMaintenanceStats, StatsReport};
+use pardfs_api::{IndexMaintenanceStats, StatsReport};
 use pardfs_core::reduction::ReductionInput;
 use pardfs_core::{EngineDfs, Model, UpdateStats};
 use pardfs_graph::{Graph, Update, Vertex};
@@ -122,7 +122,6 @@ pub type DistributedDynamicDfs = EngineDfs<BroadcastModel>;
 pub struct BroadcastModel {
     bandwidth: usize,
     last: CongestStats,
-    total: CongestStats,
 }
 
 impl Model for BroadcastModel {
@@ -133,7 +132,6 @@ impl Model for BroadcastModel {
         BroadcastModel {
             bandwidth: bandwidth.max(1),
             last: CongestStats::default(),
-            total: CongestStats::default(),
         }
     }
 
@@ -166,7 +164,6 @@ impl Model for BroadcastModel {
         let mut network = network.into_inner();
         network.broadcast_words(2 * (stats.reroot.relinked_vertices as usize + 1));
         self.last = network.finish();
-        self.total.merge(&self.last);
         stats
     }
 
@@ -197,46 +194,10 @@ fn user_view(aug: &AugmentedGraph) -> Graph {
     user
 }
 
-/// The CONGEST model's own quantities on a [`DistributedDynamicDfs`]. The
-/// engine statistics of the last update (`last_stats`) are on the
-/// maintainer itself.
-pub trait DistributedDfsExt {
-    /// Message bandwidth `B` in words.
-    fn bandwidth(&self) -> usize;
-
-    /// Distributed cost of the most recent update.
-    fn last_congest_stats(&self) -> CongestStats;
-
-    /// Accumulated distributed cost.
-    fn total_congest_stats(&self) -> CongestStats;
-
-    /// Per-node space in words: current tree + partially built tree + own
-    /// adjacency (the `O(n)` space claim).
-    fn per_node_space_words(&self) -> usize;
-}
-
-impl DistributedDfsExt for DistributedDynamicDfs {
-    fn bandwidth(&self) -> usize {
-        self.model().bandwidth
-    }
-
-    fn last_congest_stats(&self) -> CongestStats {
-        self.model().last
-    }
-
-    fn total_congest_stats(&self) -> CongestStats {
-        self.model().total
-    }
-
-    fn per_node_space_words(&self) -> usize {
-        let g = self.augmented_graph();
-        2 * self.tree().capacity() + g.vertices().map(|v| g.degree(v)).max().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pardfs_api::DfsMaintainer;
     use pardfs_core::Strategy;
     use pardfs_graph::generators;
     use pardfs_graph::updates::{random_update_sequence, UpdateMix};
@@ -244,6 +205,12 @@ mod tests {
     use pardfs_seq::static_dfs::static_dfs;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
+
+    fn congest(dfs: &DistributedDynamicDfs) -> CongestStats {
+        *dfs.stats()
+            .congest()
+            .expect("CONGEST reports carry network costs")
+    }
 
     #[test]
     fn broadcast_oracle_matches_structure_d() {
@@ -313,11 +280,10 @@ mod tests {
             d.apply_update(u);
             d.check()
                 .unwrap_or_else(|e| panic!("update {i} ({u:?}) broke the DFS tree: {e}"));
-            let s = d.last_congest_stats();
+            let s = congest(&d);
             assert!(s.rounds > 0);
             assert!(s.messages > 0);
         }
-        assert!(d.total_congest_stats().rounds > 0);
     }
 
     #[test]
@@ -333,11 +299,10 @@ mod tests {
         star_dfs.apply_update(&Update::DeleteEdge(0, 50));
         path_dfs.check().unwrap();
         star_dfs.check().unwrap();
+        let (path_rounds, star_rounds) = (congest(&path_dfs).rounds, congest(&star_dfs).rounds);
         assert!(
-            path_dfs.last_congest_stats().rounds > 4 * star_dfs.last_congest_stats().rounds,
-            "path: {} rounds, star: {} rounds",
-            path_dfs.last_congest_stats().rounds,
-            star_dfs.last_congest_stats().rounds
+            path_rounds > 4 * star_rounds,
+            "path: {path_rounds} rounds, star: {star_rounds} rounds"
         );
     }
 
@@ -350,18 +315,19 @@ mod tests {
         wide.apply_update(&Update::DeleteEdge(27, 28));
         narrow.check().unwrap();
         wide.check().unwrap();
-        assert!(narrow.last_congest_stats().rounds >= wide.last_congest_stats().rounds);
+        assert!(congest(&narrow).rounds >= congest(&wide).rounds);
     }
 
     #[test]
     fn message_size_limit_is_respected() {
         let g = generators::grid(5, 5);
         let mut d = DistributedDynamicDfs::with_config(&g, Strategy::Phased, 3);
-        d.apply_update(&Update::InsertEdge(0, 24));
-        d.apply_update(&Update::DeleteVertex(12));
-        d.check().unwrap();
-        let s = d.total_congest_stats();
-        // No message may carry more than B words.
-        assert!(s.words <= s.messages * 3);
+        for u in [Update::InsertEdge(0, 24), Update::DeleteVertex(12)] {
+            d.apply_update(&u);
+            d.check().unwrap();
+            // No message may carry more than B words.
+            let s = congest(&d);
+            assert!(s.words <= s.messages * 3, "{u:?}: {s:?}");
+        }
     }
 }

@@ -14,7 +14,9 @@
 //! Only when the overlay outgrows the configured [`RebuildPolicy`] threshold
 //! (`c · m / log₂ n` by default) is `D` rebuilt on the current tree — the
 //! `O(log n)`-time, `m`-processor preprocessing of Theorem 8, now an
-//! amortized rather than per-update event.
+//! amortized rather than per-update event. What the policy decided, and on
+//! what inputs, is read from `DfsMaintainer::stats`
+//! ([`StatsReport::rebuild_policy`]).
 
 use crate::engine::{EngineDfs, Model};
 use crate::reduction::ReductionInput;
@@ -129,29 +131,6 @@ impl DynamicDfs {
     pub fn with_strategy(user_graph: &Graph, strategy: Strategy) -> Self {
         Self::with_config(user_graph, strategy, RebuildPolicy::default())
     }
-
-    /// The rebuild policy in use.
-    pub fn rebuild_policy(&self) -> RebuildPolicy {
-        self.model.policy
-    }
-
-    /// What the rebuild policy has done so far.
-    pub fn policy_stats(&self) -> RebuildPolicyStats {
-        self.model.policy_stats
-    }
-
-    /// Number of overlay records currently pending on `D` (0 right after a
-    /// rebuild).
-    pub fn overlay_updates(&self) -> usize {
-        self.model.d.overlay_updates()
-    }
-
-    /// Rebuild `D` on the current tree right now, regardless of the policy,
-    /// discarding the overlay. Counted in [`Self::policy_stats`] like a
-    /// policy-triggered rebuild.
-    pub fn force_rebuild(&mut self) {
-        self.model.rebuild(self.aug.graph(), &self.idx);
-    }
 }
 
 /// Record one applied update (internal ids) in `D`'s overlay, so the queries
@@ -187,6 +166,12 @@ mod tests {
     use pardfs_graph::updates::{random_update_sequence, UpdateMix};
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
+
+    fn rebuild_stats(dfs: &DynamicDfs) -> RebuildPolicyStats {
+        *dfs.stats()
+            .rebuild_policy()
+            .expect("parallel reports carry policy stats")
+    }
 
     fn exercise(graph: Graph, updates: &[Update], strategy: Strategy) -> DynamicDfs {
         exercise_with_policy(graph, updates, strategy, RebuildPolicy::default())
@@ -299,7 +284,8 @@ mod tests {
         let g = generators::random_connected_gnm(40, 300, &mut rng);
         let updates = random_update_sequence(&g, 40, &UpdateMix::edges_only(), &mut rng);
         let dfs = exercise(g, &updates, Strategy::Phased);
-        assert_eq!(dfs.updates_applied(), 40);
+        let census = *dfs.stats().index_maintenance();
+        assert_eq!(census.patches_applied + census.full_rebuilds, 40);
     }
 
     #[test]
@@ -309,7 +295,7 @@ mod tests {
         // Deleting a handle edge forces a real reroot of the lower half.
         dfs.apply_update(&Update::DeleteEdge(5, 6));
         dfs.check().unwrap();
-        let s = dfs.last_stats();
+        let s = *dfs.stats().engine().unwrap();
         assert_eq!(s.reroot_jobs, 1);
         assert!(s.reroot.relinked_vertices > 0);
         assert!(s.reroot.rounds >= 1);
@@ -317,7 +303,7 @@ mod tests {
         // Inserting a cross edge between two bristles re-hangs a leaf in O(1).
         dfs.apply_update(&Update::InsertEdge(20, 25));
         dfs.check().unwrap();
-        let s = dfs.last_stats();
+        let s = *dfs.stats().engine().unwrap();
         assert_eq!(s.reroot_jobs, 1);
         assert_eq!(s.reroot.rounds, 1);
     }
@@ -335,7 +321,7 @@ mod tests {
         .enumerate()
         {
             dfs.apply_update(u);
-            let p = dfs.policy_stats();
+            let p = rebuild_stats(&dfs);
             assert_eq!(p.rebuilds, i as u64 + 1);
             assert_eq!(p.overlay_updates, 0, "overlay folded into the rebuild");
             assert_eq!(p.updates_since_rebuild, 0);
@@ -349,13 +335,12 @@ mod tests {
         let g = generators::random_connected_gnm(30, 80, &mut rng);
         let updates = random_update_sequence(&g, 25, &UpdateMix::edges_only(), &mut rng);
         let dfs = exercise_with_policy(g, &updates, Strategy::Phased, RebuildPolicy::Never);
-        let p = dfs.policy_stats();
+        let p = rebuild_stats(&dfs);
         assert_eq!(p.rebuilds, 0);
         assert_eq!(p.total_rebuild_micros, 0);
         assert_eq!(p.threshold, u64::MAX);
         assert_eq!(p.updates_since_rebuild, 25);
         assert_eq!(p.overlay_updates, 25, "one overlay record per edge update");
-        assert_eq!(dfs.overlay_updates(), 25);
     }
 
     #[test]
@@ -368,11 +353,11 @@ mod tests {
         let updates = random_update_sequence(&g, 12, &UpdateMix::edges_only(), &mut rng);
         let mut saw_rebuild = false;
         for u in &updates {
-            let before = dfs.policy_stats();
-            let overlay_before = dfs.overlay_updates() as u64;
+            let before = rebuild_stats(&dfs);
+            let overlay_before = before.overlay_updates;
             dfs.apply_update(u);
             dfs.check().unwrap();
-            let after = dfs.policy_stats();
+            let after = rebuild_stats(&dfs);
             if after.rebuilds > before.rebuilds {
                 saw_rebuild = true;
                 // The rebuild fired only because this update pushed the
@@ -389,30 +374,6 @@ mod tests {
             saw_rebuild,
             "12 edge updates must cross a threshold of ⌈0.5·31/log₂17⌉"
         );
-    }
-
-    #[test]
-    fn force_rebuild_clears_overlay_and_counts_as_rebuild() {
-        let g = generators::path(10);
-        let mut dfs = DynamicDfs::with_config(&g, Strategy::Phased, RebuildPolicy::Never);
-        dfs.apply_update(&Update::DeleteEdge(4, 5));
-        dfs.apply_update(&Update::InsertEdge(0, 9));
-        assert!(dfs.overlay_updates() > 0);
-        let before = dfs.policy_stats();
-        assert_eq!(before.rebuilds, 0);
-        dfs.force_rebuild();
-        let after = dfs.policy_stats();
-        assert_eq!(after.rebuilds, 1);
-        assert_eq!(after.overlay_updates, 0);
-        assert_eq!(
-            after.threshold,
-            u64::MAX,
-            "a manual epoch still reports the configured policy's threshold"
-        );
-        assert_eq!(dfs.overlay_updates(), 0);
-        // The maintainer keeps working from the fresh base tree.
-        dfs.apply_update(&Update::DeleteEdge(7, 8));
-        dfs.check().unwrap();
     }
 
     #[test]
@@ -478,7 +439,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(inc.policy_stats().rebuilds, 0);
-        assert_eq!(full.policy_stats().rebuilds, 40);
+        assert_eq!(rebuild_stats(&inc).rebuilds, 0);
+        assert_eq!(rebuild_stats(&full).rebuilds, 40);
     }
 }

@@ -20,6 +20,10 @@
 //!    from a materialised parent array only when the splice is refused, and
 //!    the model finishes the update ([`Model::finish`]); both are timed as
 //!    [`UpdateStats::rebuild_micros`].
+//!
+//! Everything the loop and the model count reaches callers through
+//! [`DfsMaintainer::stats`]: the last update's [`UpdateStats`], the index
+//! census since construction, and the model's own counters.
 
 use crate::reduction::{reduce_update, ReductionInput};
 use crate::reroot::{Rerooter, Strategy};
@@ -85,18 +89,10 @@ pub struct EngineDfs<M> {
     pub(crate) aug: AugmentedGraph,
     pub(crate) idx: TreeIndex,
     pub(crate) model: M,
-    pub(crate) strategy: Strategy,
-    pub(crate) upkeep: IndexUpkeep,
+    strategy: Strategy,
+    index_policy: IndexPolicy,
+    index_stats: IndexMaintenanceStats,
     pub(crate) last_stats: UpdateStats,
-    updates_applied: u64,
-}
-
-/// The tree index's maintenance policy and what it has done.
-#[derive(Debug, Default)]
-pub(crate) struct IndexUpkeep {
-    policy: IndexPolicy,
-    pub(crate) stats: IndexMaintenanceStats,
-    parent_materializations: u64,
 }
 
 impl<M: Model> EngineDfs<M> {
@@ -136,59 +132,15 @@ impl<M: Model> EngineDfs<M> {
             aug,
             idx,
             strategy,
-            upkeep: IndexUpkeep::default(),
+            index_policy: IndexPolicy::default(),
+            index_stats: IndexMaintenanceStats::default(),
             last_stats: UpdateStats::default(),
-            updates_applied: 0,
         }
-    }
-
-    /// The model the engine runs in.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    /// The rerooting strategy in use.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 
     /// Select when the tree index is delta-patched versus rebuilt.
     pub fn set_index_policy(&mut self, policy: IndexPolicy) {
-        self.upkeep.policy = policy;
-    }
-
-    /// The index-maintenance policy in use.
-    pub fn index_policy(&self) -> IndexPolicy {
-        self.upkeep.policy
-    }
-
-    /// What the index-maintenance policy has done since construction.
-    pub fn index_stats(&self) -> IndexMaintenanceStats {
-        self.upkeep.stats
-    }
-
-    /// How many times an update had to materialise a full `O(n)` parent
-    /// array. The engine describes every update to the index by its
-    /// [`TreePatch`] alone; the array is rebuilt from the old index plus the
-    /// patch only when the index falls back to a rebuild (membership change,
-    /// oversized region, [`IndexPolicy::EveryUpdate`]).
-    pub fn parent_materializations(&self) -> u64 {
-        self.upkeep.parent_materializations
-    }
-
-    /// The pseudo root (internal id).
-    pub fn pseudo_root(&self) -> Vertex {
-        self.aug.pseudo_root()
-    }
-
-    /// Statistics of the most recent update.
-    pub fn last_stats(&self) -> UpdateStats {
-        self.last_stats
-    }
-
-    /// Total number of updates applied through [`DfsMaintainer`].
-    pub fn updates_applied(&self) -> u64 {
-        self.updates_applied
+        self.index_policy = policy;
     }
 }
 
@@ -202,58 +154,6 @@ impl<M: Model<Config = ()>> EngineDfs<M> {
     pub fn with_strategy(user_graph: &Graph, strategy: Strategy) -> Self {
         Self::with_config(user_graph, strategy, ())
     }
-}
-
-/// Run one update (user ids) through the loop. It works on borrowed state
-/// so that `FaultTolerantDfs::tree_after` can run it on a scratch copy of
-/// the preprocessed graph and tree. Returns the user id of the vertex a
-/// vertex insertion created, and the update's statistics.
-pub(crate) fn step<M: Model>(
-    aug: &mut AugmentedGraph,
-    idx: &mut TreeIndex,
-    model: &mut M,
-    strategy: Strategy,
-    upkeep: &mut IndexUpkeep,
-    update: &Update,
-) -> (Option<Vertex>, UpdateStats) {
-    let proot = aug.pseudo_root();
-    let internal = aug.translate(update);
-    let inserted = aug.apply_internal(&internal);
-    let input = match inserted {
-        Some(nv) => ReductionInput {
-            inserted: Some(nv),
-            inserted_neighbors: aug
-                .graph()
-                .neighbors(nv)
-                .iter()
-                .copied()
-                .filter(|&x| x != proot)
-                .collect(),
-        },
-        None => ReductionInput::default(),
-    };
-
-    let mut patch = TreePatch::new();
-    let mut stats = model.absorb(aug, idx, &internal, &input, |oracle| {
-        let start = Instant::now();
-        let mut stats = UpdateStats::default();
-        let jobs = reduce_update(
-            idx, oracle, proot, &internal, &input, &mut patch, &mut stats,
-        );
-        stats.reroot_jobs = jobs.len() as u64;
-        stats.reroot = Rerooter::new(idx, oracle, strategy).run(&jobs, &mut patch);
-        stats.reroot_micros = start.elapsed().as_micros() as u64;
-        stats
-    });
-
-    let start = Instant::now();
-    let capacity = aug.graph().capacity();
-    if maintain_index(idx, &patch, capacity, upkeep.policy, &mut upkeep.stats) {
-        upkeep.parent_materializations += 1;
-    }
-    model.finish(aug, idx);
-    stats.rebuild_micros = start.elapsed().as_micros() as u64;
-    (inserted.map(|v| aug.to_user(v)), stats)
 }
 
 impl<M: Model> ForestQuery for EngineDfs<M> {
@@ -284,17 +184,52 @@ impl<M: Model> DfsMaintainer for EngineDfs<M> {
     }
 
     fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        let (inserted, stats) = step(
-            &mut self.aug,
+        let proot = self.aug.pseudo_root();
+        let internal = self.aug.translate(update);
+        let inserted = self.aug.apply_internal(&internal);
+        let input = match inserted {
+            Some(nv) => ReductionInput {
+                inserted: Some(nv),
+                inserted_neighbors: self
+                    .aug
+                    .graph()
+                    .neighbors(nv)
+                    .iter()
+                    .copied()
+                    .filter(|&x| x != proot)
+                    .collect(),
+            },
+            None => ReductionInput::default(),
+        };
+
+        let (idx, strategy) = (&self.idx, self.strategy);
+        let mut patch = TreePatch::new();
+        let mut stats = self
+            .model
+            .absorb(&self.aug, idx, &internal, &input, |oracle| {
+                let start = Instant::now();
+                let mut stats = UpdateStats::default();
+                let jobs = reduce_update(
+                    idx, oracle, proot, &internal, &input, &mut patch, &mut stats,
+                );
+                stats.reroot_jobs = jobs.len() as u64;
+                stats.reroot = Rerooter::new(idx, oracle, strategy).run(&jobs, &mut patch);
+                stats.reroot_micros = start.elapsed().as_micros() as u64;
+                stats
+            });
+
+        let start = Instant::now();
+        maintain_index(
             &mut self.idx,
-            &mut self.model,
-            self.strategy,
-            &mut self.upkeep,
-            update,
+            &patch,
+            self.aug.graph().capacity(),
+            self.index_policy,
+            &mut self.index_stats,
         );
+        self.model.finish(&self.aug, &self.idx);
+        stats.rebuild_micros = start.elapsed().as_micros() as u64;
         self.last_stats = stats;
-        self.updates_applied += 1;
-        inserted
+        inserted.map(|v| self.aug.to_user(v))
     }
 
     fn tree(&self) -> &TreeIndex {
@@ -310,6 +245,6 @@ impl<M: Model> DfsMaintainer for EngineDfs<M> {
     }
 
     fn stats(&self) -> StatsReport {
-        self.model.report(self.last_stats, self.upkeep.stats)
+        self.model.report(self.last_stats, self.index_stats)
     }
 }

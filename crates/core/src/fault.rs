@@ -2,11 +2,11 @@
 //!
 //! The graph is preprocessed **once**: a DFS tree `T` and the structure `D`
 //! are built. For any batch of `k` updates, a DFS tree of the updated graph is
-//! computed *without touching the preprocessed `D`*: the updates are recorded
-//! in `D`'s overlay, the updates are processed one by one, and every query
-//! that the reduction or the rerooting engine issues against a path of the
-//! *current* tree `T*_i` is decomposed into ancestor–descendant segments of
-//! the *original* tree (the argument of Theorem 9: every traversed path of
+//! computed *without rebuilding the preprocessed `D`*: the updates are
+//! recorded in `D`'s overlay, the updates are processed one by one, and every
+//! query that the reduction or the rerooting engine issues against a path of
+//! the *current* tree `T*_i` is decomposed into ancestor–descendant segments
+//! of the *original* tree (the argument of Theorem 9: every traversed path of
 //! `T*_i` is a concatenation of monotone runs of original tree edges, plus the
 //! freshly inserted vertices). The decomposition lives next to `D`, in
 //! `pardfs-query`: [`FrozenD`] queries `D` through its
@@ -20,99 +20,27 @@
 //! processors.
 
 use crate::dynamic::note_update;
-use crate::engine::{step, EngineDfs, Model};
+use crate::engine::{EngineDfs, Model};
 use crate::reduction::ReductionInput;
 use crate::stats::UpdateStats;
-use pardfs_api::{forest, IndexMaintenanceStats, StatsReport};
-use pardfs_graph::{Graph, Update, Vertex};
+use pardfs_api::{IndexMaintenanceStats, StatsReport};
+use pardfs_graph::Update;
 use pardfs_query::{Drifted, QueryOracle, StructureD};
 use pardfs_seq::augment::AugmentedGraph;
-use pardfs_seq::check::check_spanning_dfs_tree;
 use pardfs_tree::TreeIndex;
-
-/// The result of absorbing a batch of updates with the fault tolerant
-/// structure: the DFS tree of the updated graph and the per-update statistics.
-#[derive(Debug, Clone)]
-pub struct FtResult {
-    idx: TreeIndex,
-    aug: AugmentedGraph,
-    /// Statistics of every processed update, in order.
-    pub stats: Vec<UpdateStats>,
-    /// User ids of the vertices created by `InsertVertex` updates, in order.
-    pub inserted: Vec<Vertex>,
-    /// Index-maintenance census accumulated while computing this result
-    /// (patches spliced vs fallback rebuilds of the per-batch tree index).
-    pub index: IndexMaintenanceStats,
-    /// Cumulative index census *after each update* of this result, aligned
-    /// with [`FtResult::stats`] — so per-update deltas can be recovered with
-    /// [`IndexMaintenanceStats::since`], matching the snapshot semantics of
-    /// `DfsMaintainer::stats` elsewhere. The last entry equals
-    /// [`FtResult::index`].
-    pub index_per_update: Vec<IndexMaintenanceStats>,
-}
-
-impl FtResult {
-    /// The DFS tree of the updated augmented graph (internal ids).
-    pub fn tree(&self) -> &TreeIndex {
-        &self.idx
-    }
-
-    /// The updated augmented graph (internal ids).
-    pub fn augmented_graph(&self) -> &Graph {
-        self.aug.graph()
-    }
-
-    /// Parent of user vertex `v` in the resulting DFS forest.
-    pub fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        forest::forest_parent(self.idx.parent_slice(), v)
-    }
-
-    /// Roots of the resulting DFS forest (user ids).
-    pub fn forest_roots(&self) -> Vec<Vertex> {
-        forest::forest_roots(self.idx.children(forest::PSEUDO_ROOT))
-    }
-
-    /// Are user vertices `u` and `v` connected in the updated graph?
-    pub fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        forest::same_component(self.idx.top_slice(), u, v)
-    }
-
-    /// Number of user vertices in the updated graph.
-    pub fn num_vertices(&self) -> usize {
-        self.aug.user_num_vertices()
-    }
-
-    /// Number of user edges in the updated graph (pseudo edges excluded).
-    pub fn num_edges(&self) -> usize {
-        self.aug.user_num_edges()
-    }
-
-    /// Validate the resulting tree against the updated graph.
-    pub fn check(&self) -> Result<(), String> {
-        check_spanning_dfs_tree(self.aug.graph(), &self.idx)
-    }
-}
 
 /// Fault tolerant DFS: preprocess once, answer any batch of `k` updates.
 ///
-/// Two usage styles are supported:
-///
-/// * **Query style** (the paper's setting): call [`FaultTolerantDfs::tree_after`]
-///   with independent batches; each call answers "what would the DFS tree be
-///   after these `k` failures" from the frozen preprocessed structure and
-///   leaves the maintainer untouched.
-/// * **Maintainer style** ([`DfsMaintainer`](pardfs_api::DfsMaintainer)):
-///   `apply_update` and `apply_batch` *accumulate* updates; the maintained
-///   tree is always `tree_after(all updates so far)`. `D` is still never
-///   rebuilt — the overlay records of the accumulated batch stay alive
-///   between calls, so absorbing the `i`-th update resumes from the current
-///   tree and costs **one** absorption (`O(log n + i)` per query from the
-///   overlay scan, not an `O(i)`-update replay; total absorptions over a
-///   batch of `k` are `O(k)`, not `O(k²)`). Query-style [`Self::tree_after`]
-///   calls can be freely interleaved: they stash the maintainer overlay,
-///   run against the pristine structure, and restore it.
-///   [`FaultTolerantDfs::reset`] drops the accumulated batch (and its
-///   overlay) and returns to the preprocessed state.
+/// A batch is absorbed through [`DfsMaintainer`](pardfs_api::DfsMaintainer):
+/// `apply_update` and `apply_batch` *accumulate* updates against the frozen
+/// `D`, so the maintained tree is always a DFS tree of the preprocessed graph
+/// after every update since the last [`FaultTolerantDfs::reset`]. `D` is
+/// never rebuilt — the overlay records of the accumulated batch stay alive
+/// between calls, so absorbing the `i`-th update resumes from the current
+/// tree and costs **one** absorption (`O(log n + i)` per query from the
+/// overlay scan, not an `O(i)`-update replay; `O(k)` absorptions for a batch
+/// of `k`). [`FaultTolerantDfs::reset`] drops the accumulated batch (and its
+/// overlay) and returns to the preprocessed state, ready for the next batch.
 pub type FaultTolerantDfs = EngineDfs<FrozenD>;
 
 /// The frozen-`D` model (Theorem 14): `D` is built once on the preprocessed
@@ -121,14 +49,10 @@ pub type FaultTolerantDfs = EngineDfs<FrozenD>;
 #[derive(Debug)]
 pub struct FrozenD {
     /// `D`, built on the preprocessed tree, carrying the overlay of the
-    /// pending maintainer-style batch.
+    /// accumulated batch.
     d: StructureD,
-    /// The preprocessed graph, restored by `reset` and copied by
-    /// `tree_after`.
+    /// The preprocessed graph, restored by `reset`.
     base: AugmentedGraph,
-    /// The pending batch (internal ids) with its reduction inputs, replayed
-    /// into `d`'s overlay after a query-style call wipes it.
-    pending: Vec<(Update, ReductionInput)>,
 }
 
 impl Model for FrozenD {
@@ -139,7 +63,6 @@ impl Model for FrozenD {
         FrozenD {
             d: StructureD::build(aug.graph(), idx.clone()),
             base: aug.clone(),
-            pending: Vec::new(),
         }
     }
 
@@ -152,7 +75,6 @@ impl Model for FrozenD {
         reroot: impl FnOnce(&dyn QueryOracle) -> UpdateStats,
     ) -> UpdateStats {
         note_update(&mut self.d, update, input, aug.pseudo_root());
-        self.pending.push((update.clone(), input.clone()));
         reroot(&Drifted::new(&self.d))
     }
 
@@ -162,28 +84,14 @@ impl Model for FrozenD {
 }
 
 impl FaultTolerantDfs {
-    /// Number of updates accumulated in maintainer style since the last
-    /// reset.
-    pub fn pending_updates(&self) -> usize {
-        self.model.pending.len()
-    }
-
-    /// Total single-update absorptions performed in maintainer style since
-    /// construction. With the resumable overlay this grows by exactly one per
-    /// `apply_update` — `O(k)` for `k` accumulated updates.
-    pub fn absorptions(&self) -> u64 {
-        self.updates_applied()
-    }
-
-    /// Drop the accumulated maintainer-style updates (and their overlay
-    /// records), returning to the preprocessed graph and tree. The as-built
-    /// part of the structure `D` is untouched (it never changes); the index
-    /// census keeps counting from construction.
+    /// Drop the accumulated updates (and their overlay records), returning
+    /// to the preprocessed graph and tree. The as-built part of the
+    /// structure `D` is untouched (it never changes); the index census keeps
+    /// counting from construction.
     pub fn reset(&mut self) {
         self.aug = self.model.base.clone();
         self.idx = self.model.d.tree().clone();
         self.model.d.clear_overlay();
-        self.model.pending.clear();
         self.last_stats = UpdateStats::default();
     }
 
@@ -191,56 +99,6 @@ impl FaultTolerantDfs {
     /// of Theorem 14).
     pub fn structure_words(&self) -> usize {
         self.model.d.size_words()
-    }
-
-    /// Compute a DFS tree of the graph obtained by applying `updates`
-    /// (user ids) to the preprocessed graph. The preprocessed structure is not
-    /// modified; the overlay used during the computation is discarded at the
-    /// end, so the call can be repeated with arbitrary other batches. Any
-    /// maintainer-style pending batch is unaffected: its overlay records are
-    /// stashed for the duration of the call and replayed afterwards.
-    pub fn tree_after(&mut self, updates: &[Update]) -> FtResult {
-        // Maintainer-style absorptions keep their overlay alive in `d`; a
-        // query-style batch is relative to the *preprocessed* graph, so it
-        // must see a pristine overlay and stay out of the pending batch.
-        let pending = std::mem::take(&mut self.model.pending);
-        self.model.d.clear_overlay();
-        let mut aug = self.model.base.clone();
-        let mut idx = self.model.d.tree().clone();
-        let before = self.upkeep.stats;
-        let mut stats = Vec::with_capacity(updates.len());
-        let mut index_per_update = Vec::with_capacity(updates.len());
-        let mut inserted = Vec::new();
-        for update in updates {
-            let (nv, s) = step(
-                &mut aug,
-                &mut idx,
-                &mut self.model,
-                self.strategy,
-                &mut self.upkeep,
-                update,
-            );
-            inserted.extend(nv);
-            stats.push(s);
-            index_per_update.push(self.upkeep.stats.since(&before));
-        }
-
-        // Restore the preprocessed structure, then the pending batch's
-        // overlay, for the next call.
-        self.model.d.clear_overlay();
-        for (update, input) in &pending {
-            note_update(&mut self.model.d, update, input, aug.pseudo_root());
-        }
-        self.model.pending = pending;
-
-        FtResult {
-            idx,
-            aug,
-            stats,
-            inserted,
-            index: self.upkeep.stats.since(&before),
-            index_per_update,
-        }
     }
 }
 
@@ -253,14 +111,22 @@ mod tests {
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
+    /// One absorption per update: every update maintains the tree index
+    /// exactly once, by a patch or a rebuild.
+    fn index_maintenances(ft: &FaultTolerantDfs) -> u64 {
+        let census = *ft.stats().index_maintenance();
+        census.patches_applied + census.full_rebuilds
+    }
+
     #[test]
     fn single_failures_match_a_fresh_dfs() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let g = generators::random_connected_gnm(30, 70, &mut rng);
         let mut ft = FaultTolerantDfs::new(&g);
         for (u, v) in generators::sample_edges(&g, 8, &mut rng) {
-            let result = ft.tree_after(&[Update::DeleteEdge(u, v)]);
-            result.check().unwrap();
+            ft.reset();
+            ft.apply_batch(&[Update::DeleteEdge(u, v)]);
+            ft.check().unwrap();
         }
     }
 
@@ -271,11 +137,11 @@ mod tests {
         let mut ft = FaultTolerantDfs::new(&g);
         for k in 1..=6usize {
             let updates = random_update_sequence(&g, k, &UpdateMix::default(), &mut rng);
-            let result = ft.tree_after(&updates);
-            result
-                .check()
+            ft.reset();
+            let report = ft.apply_batch(&updates);
+            ft.check()
                 .unwrap_or_else(|e| panic!("batch of {k} updates broke the DFS tree: {e}"));
-            assert_eq!(result.stats.len(), updates.len());
+            assert_eq!(report.applied(), updates.len());
         }
     }
 
@@ -284,34 +150,35 @@ mod tests {
         let g = generators::grid(5, 5);
         let mut ft = FaultTolerantDfs::new(&g);
         let words_before = ft.structure_words();
-        let r1 = ft.tree_after(&[Update::DeleteVertex(12), Update::DeleteEdge(0, 1)]);
-        r1.check().unwrap();
-        let r2 = ft.tree_after(&[Update::InsertEdge(0, 24)]);
-        r2.check().unwrap();
+        ft.apply_batch(&[Update::DeleteVertex(12), Update::DeleteEdge(0, 1)]);
+        ft.check().unwrap();
+        ft.reset();
         assert_eq!(ft.structure_words(), words_before);
-        // The second batch must not see the first batch's deletions.
-        assert!(
-            r2.augmented_graph().has_edge(1, 2),
-            "vertex 12 must still exist"
-        );
+        ft.apply_batch(&[Update::InsertEdge(0, 24)]);
+        ft.check().unwrap();
+        // The second batch must not see the first batch's updates.
+        assert!(ft.augmented_graph().has_edge(1, 2), "edge (0, 1) is back");
+        assert_eq!(ft.num_vertices(), 25, "vertex 12 is back");
     }
 
     #[test]
     fn maintainer_style_absorption_count_is_linear_in_k() {
-        // The old implementation replayed the whole accumulated batch on
-        // every apply_update (k(k+1)/2 absorptions for k updates); the
-        // resumable overlay makes it exactly k.
+        // Absorbing the i-th update resumes from the current tree: a batch
+        // of k updates costs k absorptions, not a k(k+1)/2 replay.
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let g = generators::random_connected_gnm(30, 70, &mut rng);
         let k = 12;
         let updates = random_update_sequence(&g, k, &UpdateMix::default(), &mut rng);
         let mut ft = FaultTolerantDfs::new(&g);
         for u in &updates {
-            DfsMaintainer::apply_update(&mut ft, u);
-            DfsMaintainer::check(&ft).unwrap();
+            ft.apply_update(u);
+            ft.check().unwrap();
         }
-        assert_eq!(ft.absorptions(), k as u64, "one absorption per update");
-        assert_eq!(ft.pending_updates(), k);
+        assert_eq!(
+            index_maintenances(&ft),
+            k as u64,
+            "one absorption per update"
+        );
     }
 
     #[test]
@@ -320,18 +187,18 @@ mod tests {
         let g = generators::random_connected_gnm(25, 60, &mut rng);
         let updates = random_update_sequence(&g, 9, &UpdateMix::default(), &mut rng);
         let mut ft = FaultTolerantDfs::new(&g);
-        let r1 = DfsMaintainer::apply_batch(&mut ft, &updates[..4]);
+        let r1 = ft.apply_batch(&updates[..4]);
         assert_eq!(r1.applied(), 4);
-        let r2 = DfsMaintainer::apply_batch(&mut ft, &updates[4..]);
+        let r2 = ft.apply_batch(&updates[4..]);
         assert_eq!(r2.applied(), 5);
-        DfsMaintainer::check(&ft).unwrap();
-        assert_eq!(ft.absorptions(), 9);
+        ft.check().unwrap();
+        assert_eq!(index_maintenances(&ft), 9);
         // Per-update reports cover only the new updates, not the backlog.
         assert_eq!(r2.per_update.len(), 5);
         // Empty batches are free.
-        let r3 = DfsMaintainer::apply_batch(&mut ft, &[]);
+        let r3 = ft.apply_batch(&[]);
         assert!(r3.is_empty());
-        assert_eq!(ft.absorptions(), 9);
+        assert_eq!(index_maintenances(&ft), 9);
     }
 
     #[test]
@@ -341,10 +208,7 @@ mod tests {
         // consecutive entries recovers the per-update work.
         let g = generators::grid(4, 4);
         let mut ft = FaultTolerantDfs::new(&g);
-        let r = DfsMaintainer::apply_batch(
-            &mut ft,
-            &[Update::DeleteEdge(0, 1), Update::DeleteEdge(5, 6)],
-        );
+        let r = ft.apply_batch(&[Update::DeleteEdge(0, 1), Update::DeleteEdge(5, 6)]);
         let censuses: Vec<_> = r
             .per_update
             .iter()
@@ -353,10 +217,6 @@ mod tests {
         assert_eq!(censuses.len(), 2);
         assert_eq!(censuses[0].patches_applied + censuses[0].full_rebuilds, 1);
         assert_eq!(censuses[1].patches_applied + censuses[1].full_rebuilds, 2);
-        // Query style records them per result too.
-        let q = ft.tree_after(&[Update::DeleteEdge(10, 11), Update::InsertEdge(0, 15)]);
-        assert_eq!(q.index_per_update.len(), 2);
-        assert_eq!(*q.index_per_update.last().unwrap(), q.index);
     }
 
     #[test]
@@ -366,14 +226,11 @@ mod tests {
         // does — not the census since the reset.
         let g = generators::grid(4, 4);
         let mut ft = FaultTolerantDfs::new(&g);
-        DfsMaintainer::apply_batch(
-            &mut ft,
-            &[Update::DeleteEdge(0, 1), Update::DeleteEdge(5, 6)],
-        );
+        ft.apply_batch(&[Update::DeleteEdge(0, 1), Update::DeleteEdge(5, 6)]);
         ft.reset();
-        let r = DfsMaintainer::apply_batch(&mut ft, &[Update::DeleteEdge(10, 11)]);
+        let r = ft.apply_batch(&[Update::DeleteEdge(10, 11)]);
         let census = *r.per_update.last().unwrap().index_maintenance();
-        assert_eq!(census, *DfsMaintainer::stats(&ft).index_maintenance());
+        assert_eq!(census, *ft.stats().index_maintenance());
         assert_eq!(
             (
                 census.patches_applied,
@@ -385,69 +242,35 @@ mod tests {
     }
 
     #[test]
-    fn query_style_calls_do_not_disturb_the_pending_batch() {
-        // Interleave maintainer-style updates with query-style tree_after
-        // calls: the pending batch's overlay must survive the query-style
-        // clear/restore cycle, and both styles must stay correct.
-        let g = generators::grid(5, 5);
-        let mut ft = FaultTolerantDfs::new(&g);
-        DfsMaintainer::apply_update(&mut ft, &Update::DeleteEdge(0, 1));
-        DfsMaintainer::apply_update(&mut ft, &Update::InsertVertex { edges: vec![3, 17] });
-        DfsMaintainer::check(&ft).unwrap();
-        let roots_before = ForestQuery::forest_roots(&ft);
-
-        // A query-style batch relative to the *preprocessed* graph: it must
-        // still see edge (0,1) and must not see the inserted vertex.
-        let q = ft.tree_after(&[Update::DeleteVertex(12)]);
-        q.check().unwrap();
-        assert!(q.augmented_graph().has_edge(1, 2), "(0,1) untouched");
-        assert_eq!(q.num_vertices(), 24, "25 - the deleted vertex");
-
-        // The maintainer state is unchanged and can keep absorbing.
-        assert_eq!(ForestQuery::forest_roots(&ft), roots_before);
-        DfsMaintainer::apply_update(&mut ft, &Update::DeleteEdge(12, 13));
-        DfsMaintainer::check(&ft).unwrap();
-        assert_eq!(ft.absorptions(), 3);
-        assert_eq!(ForestQuery::num_vertices(&ft), 26, "25 + inserted");
-    }
-
-    #[test]
     fn reset_drops_the_batch_and_its_overlay() {
         let g = generators::path(10);
         let mut ft = FaultTolerantDfs::new(&g);
         let words = ft.structure_words();
-        DfsMaintainer::apply_update(&mut ft, &Update::DeleteEdge(4, 5));
-        DfsMaintainer::apply_update(&mut ft, &Update::InsertEdge(0, 9));
+        ft.apply_update(&Update::DeleteEdge(4, 5));
+        ft.apply_update(&Update::InsertEdge(0, 9));
         assert!(ft.structure_words() > words, "overlay holds records");
         ft.reset();
-        assert_eq!(ft.pending_updates(), 0);
         assert_eq!(ft.structure_words(), words, "overlay gone");
-        DfsMaintainer::check(&ft).unwrap();
-        assert_eq!(ForestQuery::num_edges(&ft), 9, "back to preprocessed");
-        // And the structure is reusable in either style afterwards.
-        let r = ft.tree_after(&[Update::DeleteEdge(4, 5)]);
-        r.check().unwrap();
-        DfsMaintainer::apply_update(&mut ft, &Update::DeleteEdge(7, 8));
-        DfsMaintainer::check(&ft).unwrap();
+        ft.check().unwrap();
+        assert_eq!(ft.num_edges(), 9, "back to preprocessed");
+        // And the structure absorbs the next batch afterwards.
+        ft.apply_batch(&[Update::DeleteEdge(4, 5), Update::DeleteEdge(7, 8)]);
+        ft.check().unwrap();
     }
 
     #[test]
     fn vertex_insertion_batches() {
         let g = generators::broom(8, 4);
         let mut ft = FaultTolerantDfs::new(&g);
-        let result = ft.tree_after(&[
+        let report = ft.apply_batch(&[
             Update::InsertVertex {
                 edges: vec![0, 5, 9],
             },
             Update::InsertVertex { edges: vec![12, 2] },
             Update::DeleteEdge(3, 4),
         ]);
-        result.check().unwrap();
-        assert!(
-            result.forest_parent(12).is_some() || {
-                // vertex 12 may itself be a component root
-                true
-            }
-        );
+        ft.check().unwrap();
+        assert_eq!(report.inserted, vec![12, 13]);
+        assert!(ft.same_component(13, 9), "13 hangs off 12, which meets 9");
     }
 }

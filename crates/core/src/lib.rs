@@ -37,6 +37,7 @@
 //!   `pardfs_query::Drifted`, which decomposes every queried path of the
 //!   evolving tree into ancestor–descendant segments of the *original* tree
 //!   (Theorem 9). The decomposition lives next to `D`, in `pardfs-query`.
+//!   `reset` returns to the preprocessed state before the next batch.
 //! * [`stats`] — instrumentation: engine rounds, sequential query sets,
 //!   traversal census. These are the quantities the paper's theorems bound
 //!   (`O(log^2 n)` query sets per reroot, `O(log^3 n)` EREW time), and the
@@ -46,7 +47,10 @@
 //!
 //! [`EngineDfs`] implements [`pardfs_api::DfsMaintainer`], the unified trait
 //! the bench harness, examples and integration tests program against, once
-//! for every model.
+//! for every model. It is the only way to drive a maintainer and read its
+//! counters, which reach callers through [`DfsMaintainer::stats`] alone;
+//! the fault tolerant maintainer adds only `reset` and the `O(m)` size of
+//! `D` (`structure_words`).
 //!
 //! ## Faithfulness note
 //!
@@ -79,7 +83,7 @@ pub use pardfs_api::stats;
 
 pub use dynamic::{DynamicDfs, LiveD};
 pub use engine::{EngineDfs, Model};
-pub use fault::{FaultTolerantDfs, FrozenD, FtResult};
+pub use fault::{FaultTolerantDfs, FrozenD};
 pub use pardfs_api::{BatchReport, DfsMaintainer, RebuildPolicy, RebuildPolicyStats, StatsReport};
 pub use reduction::reduce_update;
 pub use reroot::{RerootJob, Rerooter, Strategy};

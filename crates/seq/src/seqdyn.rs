@@ -46,7 +46,6 @@ pub struct SeqRerootDfs {
     d: StructureD,
     index_policy: IndexPolicy,
     index_stats: IndexMaintenanceStats,
-    parent_materializations: u64,
     last_stats: SeqUpdateStats,
 }
 
@@ -63,7 +62,6 @@ impl SeqRerootDfs {
             d,
             index_policy: IndexPolicy::default(),
             index_stats: IndexMaintenanceStats::default(),
-            parent_materializations: 0,
             last_stats: SeqUpdateStats::default(),
         }
     }
@@ -91,7 +89,6 @@ impl SeqRerootDfs {
             d,
             index_policy: IndexPolicy::default(),
             index_stats: IndexMaintenanceStats::default(),
-            parent_materializations: 0,
             last_stats: SeqUpdateStats::default(),
         }
     }
@@ -101,90 +98,10 @@ impl SeqRerootDfs {
         self.index_policy = policy;
     }
 
-    /// The index-maintenance policy in use.
-    pub fn index_policy(&self) -> IndexPolicy {
-        self.index_policy
-    }
-
-    /// What the index-maintenance policy has done so far.
-    pub fn index_stats(&self) -> IndexMaintenanceStats {
-        self.index_stats
-    }
-
-    /// How many times an update had to materialise a full `O(n)` parent
-    /// array. Updates are described to the index purely by their
-    /// [`TreePatch`]; the full array is reconstructed **only** when the
-    /// index falls back to a rebuild (membership change, oversized region,
-    /// [`IndexPolicy::EveryUpdate`]) — the patch path never pays the copy
-    /// that used to be taken unconditionally per update.
-    pub fn parent_materializations(&self) -> u64 {
-        self.parent_materializations
-    }
-
-    /// The current DFS tree of the augmented graph (rooted at the pseudo root).
-    pub fn tree(&self) -> &TreeIndex {
-        &self.idx
-    }
-
-    /// The pseudo root.
-    pub fn pseudo_root(&self) -> Vertex {
-        self.aug.pseudo_root()
-    }
-
-    /// The augmented graph (pseudo root included).
-    pub fn graph(&self) -> &Graph {
-        self.aug.graph()
-    }
-
-    /// Parent of user vertex `v` in the maintained DFS *forest* of the user
-    /// graph (`None` when `v` is a component root or not present). Both the
-    /// argument and the result are user ids.
-    pub fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        forest::forest_parent(self.idx.parent_slice(), v)
-    }
-
-    /// Roots of the maintained DFS forest (user ids), one per connected
-    /// component of the user graph.
-    pub fn forest_roots(&self) -> Vec<Vertex> {
-        forest::forest_roots(self.idx.children(forest::PSEUDO_ROOT))
-    }
-
-    /// Are user vertices `u` and `v` in the same connected component?
-    pub fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        forest::same_component(self.idx.top_slice(), u, v)
-    }
-
-    /// Number of user vertices currently in the graph.
-    pub fn num_vertices(&self) -> usize {
-        self.aug.user_num_vertices()
-    }
-
-    /// Number of user edges currently in the graph.
-    pub fn num_edges(&self) -> usize {
-        self.aug.user_num_edges()
-    }
-
-    /// Statistics of the most recent update.
-    pub fn last_stats(&self) -> SeqUpdateStats {
-        self.last_stats
-    }
-
-    /// Validate the maintained tree against the augmented graph.
-    pub fn check(&self) -> Result<(), String> {
-        check_spanning_dfs_tree(self.aug.graph(), &self.idx)
-    }
-
-    /// Apply one dynamic update (user vertex ids), returning the user id of
-    /// the inserted vertex for vertex insertions.
-    pub fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        let internal = self.aug.translate(update);
-        self.apply_internal(&internal).map(|v| self.aug.to_user(v))
-    }
-
     /// Apply one dynamic update expressed in internal (augmented) vertex ids.
     fn apply_internal(&mut self, update: &Update) -> Option<Vertex> {
         let mut stats = SeqUpdateStats::default();
-        let proot = self.pseudo_root();
+        let proot = self.aug.pseudo_root();
 
         // Record the update in D's overlay first so that reroot queries see the
         // updated edge set (deleted edges in particular must not be returned).
@@ -232,15 +149,13 @@ impl SeqRerootDfs {
         // The parent array is materialised lazily: only the rebuild
         // fallbacks (membership change, oversized region, an `EveryUpdate`
         // policy) reconstruct it from the pre-update index plus the patch.
-        if maintain_index(
+        maintain_index(
             &mut self.idx,
             &patch,
             self.aug.graph().capacity(),
             self.index_policy,
             &mut self.index_stats,
-        ) {
-            self.parent_materializations += 1;
-        }
+        );
         self.d = StructureD::build(self.aug.graph(), self.idx.clone());
         self.last_stats = stats;
         inserted
@@ -257,7 +172,7 @@ impl SeqRerootDfs {
         stats: &mut SeqUpdateStats,
     ) -> Vec<RerootJob> {
         let idx = &self.idx;
-        let proot = self.pseudo_root();
+        let proot = self.aug.pseudo_root();
         match update {
             Update::InsertEdge(u, v) => {
                 if idx.is_back_edge(*u, *v) {
@@ -425,23 +340,23 @@ impl SeqRerootDfs {
 
 impl ForestQuery for SeqRerootDfs {
     fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        SeqRerootDfs::forest_parent(self, v)
+        forest::forest_parent(self.idx.parent_slice(), v)
     }
 
     fn forest_roots(&self) -> Vec<Vertex> {
-        SeqRerootDfs::forest_roots(self)
+        forest::forest_roots(self.idx.children(forest::PSEUDO_ROOT))
     }
 
     fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        SeqRerootDfs::same_component(self, u, v)
+        forest::same_component(self.idx.top_slice(), u, v)
     }
 
     fn num_vertices(&self) -> usize {
-        SeqRerootDfs::num_vertices(self)
+        self.aug.user_num_vertices()
     }
 
     fn num_edges(&self) -> usize {
-        SeqRerootDfs::num_edges(self)
+        self.aug.user_num_edges()
     }
 }
 
@@ -451,11 +366,12 @@ impl DfsMaintainer for SeqRerootDfs {
     }
 
     fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        SeqRerootDfs::apply_update(self, update)
+        let internal = self.aug.translate(update);
+        self.apply_internal(&internal).map(|v| self.aug.to_user(v))
     }
 
     fn tree(&self) -> &TreeIndex {
-        SeqRerootDfs::tree(self)
+        &self.idx
     }
 
     fn augmented_graph(&self) -> &Graph {
@@ -463,7 +379,7 @@ impl DfsMaintainer for SeqRerootDfs {
     }
 
     fn check(&self) -> Result<(), String> {
-        SeqRerootDfs::check(self)
+        check_spanning_dfs_tree(self.aug.graph(), &self.idx)
     }
 
     fn stats(&self) -> StatsReport {
@@ -581,12 +497,12 @@ mod tests {
             dfs.apply_update(u);
         }
         dfs.check().unwrap();
+        let census = *dfs.stats().index_maintenance();
         assert_eq!(
-            dfs.parent_materializations(),
-            0,
+            census.full_rebuilds, 0,
             "patched edge updates must not copy the parent array"
         );
-        assert_eq!(dfs.index_stats().patches_applied, updates.len() as u64);
+        assert_eq!(census.patches_applied, updates.len() as u64);
 
         // Rebuild-every-update pays exactly one materialisation per update —
         // the pre-fix behaviour, now confined to the rebuild path.
@@ -596,7 +512,10 @@ mod tests {
             rebuilt.apply_update(u);
         }
         rebuilt.check().unwrap();
-        assert_eq!(rebuilt.parent_materializations(), updates.len() as u64);
+        assert_eq!(
+            rebuilt.stats().index_maintenance().full_rebuilds,
+            updates.len() as u64
+        );
     }
 
     #[test]
@@ -620,12 +539,9 @@ mod tests {
         }
         // Only the membership-changing updates (plus any oversized-region
         // fallbacks) materialised; edge updates stayed on the patch path.
-        assert!(dfs.parent_materializations() >= churn);
-        assert_eq!(
-            dfs.parent_materializations(),
-            dfs.index_stats().full_rebuilds
-        );
-        assert!(dfs.index_stats().patches_applied > 0);
+        let census = *dfs.stats().index_maintenance();
+        assert!(census.full_rebuilds >= churn);
+        assert!(census.patches_applied > 0);
     }
 
     #[test]
@@ -641,6 +557,6 @@ mod tests {
             }
         }
         assert_eq!(roots, 2);
-        assert!(dyn_dfs.last_stats().reroot_jobs >= 1);
+        assert!(dyn_dfs.stats().reroot_jobs() >= 1);
     }
 }

@@ -33,8 +33,7 @@ pub struct EpochRecord {
 }
 
 /// What one [`Server::commit`] did: the epoch's log record plus the full
-/// per-update [`BatchReport`] (callers that replay traces fold successive
-/// reports together with [`BatchReport::merge`]).
+/// per-update [`BatchReport`].
 #[derive(Debug, Clone)]
 pub struct CommitStats {
     /// The record appended to the epoch log.

@@ -19,18 +19,19 @@
 //! * [`PassModel`] — the engine model of Theorem 15, and
 //!   [`StreamingDynamicDfs`], `pardfs-core`'s `EngineDfs` in that model:
 //!   the same reduction and rerooting engine as every other backend, driven
-//!   by the pass oracle, with no `D` ever materialised. [`StreamingDfsExt`]
-//!   adds the model's own counters.
+//!   by the pass oracle, with no `D` ever materialised. Its per-update
+//!   stream counters are `stats().stream()`; [`StreamingDfsExt`] adds the
+//!   resident words of the `O(n)` space claim, which no report carries.
 //!
 //! ### Pass accounting
 //!
 //! The engine issues one batch per component per step; a synchronised
 //! implementation would overlap the batches of different components into a
-//! single pass (that is how the paper reaches `O(log^2 n)`). The oracle
-//! therefore reports both numbers: [`StreamStats::passes`] (batches actually
-//! executed, i.e. passes of this implementation) and the maintainer exposes
-//! the *batched-model* pass count `total_query_sets` from the engine
-//! statistics, which is the quantity Theorem 15 bounds. See
+//! single pass (that is how the paper reaches `O(log^2 n)`). The
+//! maintainer's `stats()` therefore reports both numbers:
+//! [`StreamStats::passes`] (batches actually executed, i.e. passes of this
+//! implementation) and the *batched-model* pass count `total_query_sets()`
+//! of the engine statistics, which is the quantity Theorem 15 bounds. See
 //! `docs/ARCHITECTURE.md` and experiment E5 in the README's experiment
 //! index.
 
@@ -132,7 +133,6 @@ pub type StreamingDynamicDfs = EngineDfs<PassModel>;
 #[derive(Debug, Default)]
 pub struct PassModel {
     last: StreamStats,
-    total: StreamStats,
 }
 
 impl Model for PassModel {
@@ -157,7 +157,6 @@ impl Model for PassModel {
         let oracle = PassOracle::new(aug.graph(), idx);
         let stats = reroot(&oracle);
         self.last = oracle.stats();
-        self.total.merge(&self.last);
         stats
     }
 
@@ -170,31 +169,17 @@ impl Model for PassModel {
     }
 }
 
-/// The semi-streaming model's own quantities on a [`StreamingDynamicDfs`].
-/// The engine statistics of the last update (`last_stats`, whose
-/// `total_query_sets()` is the batched-model pass count Theorem 15 bounds)
-/// are on the maintainer itself.
+/// The one semi-streaming quantity no [`StatsReport`] carries. The stream
+/// counters of the last update are `stats().stream()`, and its engine
+/// statistics' `total_query_sets()` is the batched-model pass count
+/// Theorem 15 bounds.
 pub trait StreamingDfsExt {
-    /// Stream-access statistics of the most recent update.
-    fn last_stream_stats(&self) -> StreamStats;
-
-    /// Accumulated stream-access statistics.
-    fn total_stream_stats(&self) -> StreamStats;
-
     /// Resident local state in words: the tree (one parent word per vertex)
     /// plus the partially built tree — the `O(n)` space claim.
     fn resident_words(&self) -> usize;
 }
 
 impl StreamingDfsExt for StreamingDynamicDfs {
-    fn last_stream_stats(&self) -> StreamStats {
-        self.model().last
-    }
-
-    fn total_stream_stats(&self) -> StreamStats {
-        self.model().total
-    }
-
     fn resident_words(&self) -> usize {
         2 * self.tree().capacity()
     }
@@ -258,6 +243,7 @@ mod tests {
         let updates = random_update_sequence(&g, 25, &UpdateMix::default(), &mut rng);
         let mut s = StreamingDynamicDfs::new(&g);
         s.check().unwrap();
+        let mut passes = 0;
         for (i, u) in updates.iter().enumerate() {
             s.apply_update(u);
             s.check()
@@ -266,13 +252,15 @@ mod tests {
             let log2n = n.log2().max(1.0);
             // Batched-model pass count must stay within the Theorem 15 envelope
             // (generous constant; the experiments report the exact numbers).
+            let report = s.stats();
             assert!(
-                (s.last_stats().total_query_sets() as f64) <= 20.0 * log2n * log2n,
+                (report.total_query_sets() as f64) <= 20.0 * log2n * log2n,
                 "update {i}: {} query sets for n={n}",
-                s.last_stats().total_query_sets()
+                report.total_query_sets()
             );
+            passes += report.stream().unwrap().passes;
         }
-        assert!(s.total_stream_stats().passes > 0);
+        assert!(passes > 0);
         assert!(s.resident_words() <= 4 * (s.tree().capacity()));
     }
 

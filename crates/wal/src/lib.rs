@@ -26,24 +26,13 @@
 //!
 //! ## Crash semantics
 //!
-//! Under the default [`SyncPolicy::EveryCommit`], a record is readable by
-//! recovery as soon as its commit is acknowledged, and the server only
-//! publishes an epoch after its record is logged — so no reader ever
-//! observed an epoch recovery cannot reproduce. A crash mid-append leaves a
-//! **torn tail**: recovery drops it and resumes at the last complete epoch.
-//! Damage *before* intact records (interior corruption) is a hard error
-//! naming the epoch — see [`pardfs_workload::wal`] for the discrimination
-//! rule.
-//!
-//! [`SyncPolicy::EveryKCommits`] trades that guarantee for throughput by
-//! grouping `fsync` across commits: records are still *written* (and framed
-//! with per-record checksums) at every commit, but only forced to disk every
-//! `k`-th commit. On a crash, **at most the last `k − 1` acknowledged
-//! epochs may be lost** — they are the newest records, so recovery still
-//! lands on a prefix of the acknowledged history, and a partially persisted
-//! record is still a torn tail (dropped, never misread). Checkpoints always
-//! `sync` regardless of policy, so a checkpoint is never ahead of the
-//! durable WAL.
+//! Every commit `sync_data`s its record before the server publishes the
+//! epoch, so a record is readable by recovery as soon as its commit is
+//! acknowledged, and no reader ever observed an epoch recovery cannot
+//! reproduce. A crash mid-append leaves a **torn tail**: recovery drops it
+//! and resumes at the last complete epoch. Damage *before* intact records
+//! (interior corruption) is a hard error naming the epoch — see
+//! [`pardfs_workload::wal`] for the discrimination rule.
 //!
 //! ## Checkpoint format
 //!
@@ -99,42 +88,15 @@ pub const WAL_FILE: &str = "wal.log";
 pub enum CheckpointPolicy {
     /// After every `k` committed epochs (`k >= 1`).
     EveryKEpochs(u64),
-    /// Once the WAL has grown past `b` bytes since the last checkpoint.
-    EveryBytes(u64),
     /// Only when [`Server::force_checkpoint`] is called.
     Manual,
 }
 
 impl CheckpointPolicy {
-    fn due(&self, epochs_since: u64, bytes_since: u64) -> bool {
+    fn due(&self, epochs_since: u64) -> bool {
         match *self {
             CheckpointPolicy::EveryKEpochs(k) => epochs_since >= k.max(1),
-            CheckpointPolicy::EveryBytes(b) => bytes_since >= b,
             CheckpointPolicy::Manual => false,
-        }
-    }
-}
-
-/// How often the [`WalWriter`] forces committed records to disk.
-///
-/// See the [module docs](self) for the exact loss bound: with
-/// `EveryKCommits(k)` a crash loses **at most the last `k − 1` acknowledged
-/// epochs**, always a suffix, never a torn/interior read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// `sync_data` after every commit (no acknowledged epoch is ever lost).
-    #[default]
-    EveryCommit,
-    /// `sync_data` on every `k`-th commit (`k >= 1`; `k == 1` is equivalent
-    /// to [`SyncPolicy::EveryCommit`]).
-    EveryKCommits(u64),
-}
-
-impl SyncPolicy {
-    fn due(&self, commits_since_sync: u64) -> bool {
-        match *self {
-            SyncPolicy::EveryCommit => true,
-            SyncPolicy::EveryKCommits(k) => commits_since_sync >= k.max(1),
         }
     }
 }
@@ -147,30 +109,21 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// Checkpoint cadence.
     pub policy: CheckpointPolicy,
-    /// Fsync cadence for committed records.
-    pub sync: SyncPolicy,
 }
 
 impl DurabilityConfig {
     /// Durability in `dir` with a default policy (checkpoint every 8
-    /// epochs, `fsync` every commit).
+    /// epochs).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             policy: CheckpointPolicy::EveryKEpochs(8),
-            sync: SyncPolicy::EveryCommit,
         }
     }
 
     /// Select the checkpoint cadence.
     pub fn policy(mut self, policy: CheckpointPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Select the fsync cadence (see [`SyncPolicy`] for the loss bound).
-    pub fn sync_policy(mut self, sync: SyncPolicy) -> Self {
-        self.sync = sync;
         self
     }
 
@@ -190,7 +143,7 @@ impl DurabilityConfig {
         }
         fs::create_dir_all(&self.dir)
             .map_err(|e| format!("creating {}: {e}", self.dir.display()))?;
-        let writer = WalWriter::create(self.dir.clone(), self.policy, self.sync)?;
+        let writer = WalWriter::create(self.dir.clone(), self.policy)?;
         server.set_commit_log(Box::new(writer));
         // The initial checkpoint makes the pre-WAL state durable.
         server.force_checkpoint()
@@ -428,21 +381,12 @@ pub struct WalWriter {
     dir: PathBuf,
     file: fs::File,
     policy: CheckpointPolicy,
-    sync: SyncPolicy,
-    last_checkpoint_epoch: u64,
     epochs_since_checkpoint: u64,
-    bytes_since_checkpoint: u64,
-    commits_since_sync: u64,
-    syncs: u64,
 }
 
 impl WalWriter {
     /// Create a fresh WAL (magic line only) in `dir`.
-    fn create(
-        dir: PathBuf,
-        policy: CheckpointPolicy,
-        sync: SyncPolicy,
-    ) -> Result<WalWriter, String> {
+    fn create(dir: PathBuf, policy: CheckpointPolicy) -> Result<WalWriter, String> {
         let path = dir.join(WAL_FILE);
         let mut file =
             fs::File::create(&path).map_err(|e| format!("creating {}: {e}", path.display()))?;
@@ -453,25 +397,16 @@ impl WalWriter {
             dir,
             file,
             policy,
-            sync,
-            last_checkpoint_epoch: 0,
             epochs_since_checkpoint: 0,
-            bytes_since_checkpoint: 0,
-            commits_since_sync: 0,
-            syncs: 0,
         })
     }
 
     /// Reopen an existing WAL for append after recovery. `valid_len` is the
     /// verified prefix length — anything after it (a torn tail) is cut off.
-    #[allow(clippy::too_many_arguments)]
     fn reattach(
         dir: PathBuf,
         policy: CheckpointPolicy,
-        sync: SyncPolicy,
-        checkpoint_epoch: u64,
         epochs_since: u64,
-        bytes_since: u64,
         valid_len: u64,
     ) -> Result<WalWriter, String> {
         let path = dir.join(WAL_FILE);
@@ -486,26 +421,8 @@ impl WalWriter {
             dir,
             file,
             policy,
-            sync,
-            last_checkpoint_epoch: checkpoint_epoch,
             epochs_since_checkpoint: epochs_since,
-            bytes_since_checkpoint: bytes_since,
-            commits_since_sync: 0,
-            syncs: 0,
         })
-    }
-
-    /// Epoch of the most recent checkpoint.
-    pub fn last_checkpoint_epoch(&self) -> u64 {
-        self.last_checkpoint_epoch
-    }
-
-    /// Number of `sync_data` calls [`CommitLog::log_commit`] has issued over
-    /// this writer's lifetime — the observable for fsync batching: with
-    /// [`SyncPolicy::EveryKCommits`] this grows by one per `k` commits
-    /// instead of one per commit.
-    pub fn syncs_performed(&self) -> u64 {
-        self.syncs
     }
 
     fn take_checkpoint(
@@ -552,11 +469,7 @@ impl WalWriter {
                 }
             }
         }
-        self.last_checkpoint_epoch = record.epoch;
         self.epochs_since_checkpoint = 0;
-        self.bytes_since_checkpoint = 0;
-        // The restarted WAL was just synced; nothing is pending.
-        self.commits_since_sync = 0;
         Ok(())
     }
 }
@@ -573,24 +486,14 @@ impl CommitLog for WalWriter {
             updates: updates.to_vec(),
             fingerprint: record.fingerprint,
         };
-        let text = wal_record.render();
         self.file
-            .write_all(text.as_bytes())
+            .write_all(wal_record.render().as_bytes())
             .map_err(|e| format!("appending epoch {} to the WAL: {e}", record.epoch))?;
-        self.commits_since_sync += 1;
-        if self.sync.due(self.commits_since_sync) {
-            self.file
-                .sync_data()
-                .map_err(|e| format!("syncing epoch {} to the WAL: {e}", record.epoch))?;
-            self.commits_since_sync = 0;
-            self.syncs += 1;
-        }
+        self.file
+            .sync_data()
+            .map_err(|e| format!("syncing epoch {} to the WAL: {e}", record.epoch))?;
         self.epochs_since_checkpoint += 1;
-        self.bytes_since_checkpoint += text.len() as u64;
-        if self
-            .policy
-            .due(self.epochs_since_checkpoint, self.bytes_since_checkpoint)
-        {
+        if self.policy.due(self.epochs_since_checkpoint) {
             self.take_checkpoint(record, state)?;
         }
         Ok(())
@@ -677,7 +580,6 @@ pub fn recover_with(
         torn_records_dropped: parsed.torn_records_dropped,
         wal_bytes,
     };
-    let mut bytes_since = 0u64;
     for record in parsed.records.iter().filter(|r| r.epoch > ckpt_epoch) {
         if record.epoch != stats.recovered_epoch + 1 {
             return Err(format!(
@@ -696,16 +598,12 @@ pub fn recover_with(
         stats.recovered_epoch = record.epoch;
         stats.records_replayed += 1;
         stats.updates_replayed += record.updates.len() as u64;
-        bytes_since += record.render().len() as u64;
     }
 
     let writer = WalWriter::reattach(
         config.dir.clone(),
         config.policy,
-        config.sync,
-        ckpt_epoch,
         stats.records_replayed,
-        bytes_since,
         wal_bytes - parsed.torn_bytes_dropped,
     )?;
     let mut server = Server::resume(dfs, stats.recovered_epoch);
@@ -860,62 +758,5 @@ mod tests {
             .expect_err("corrupt binary checkpoint rejected")
             .contains("checksum"));
         assert!(Checkpoint::parse_binary(&bytes[..bytes.len() - 7]).is_err());
-    }
-
-    #[test]
-    fn sync_policy_batches_fsyncs() {
-        let g = generators::grid(4, 4);
-        let dfs = DynamicDfs::new(&g);
-        let fabricate = |epoch: u64| EpochRecord {
-            epoch,
-            updates: 0,
-            submissions: 0,
-            fingerprint: dfs.tree().fingerprint(),
-            num_vertices: dfs.augmented_graph().num_vertices(),
-            num_edges: dfs.augmented_graph().num_edges(),
-            rollup: Default::default(),
-            micros: 0,
-        };
-        let drive = |sync: SyncPolicy, commits: u64| -> u64 {
-            let dir = scratch_dir("syncs");
-            let mut w = WalWriter::create(dir.clone(), CheckpointPolicy::Manual, sync).unwrap();
-            for e in 1..=commits {
-                w.log_commit(&fabricate(e), &[], &dfs).unwrap();
-            }
-            let syncs = w.syncs_performed();
-            drop(w);
-            let _ = fs::remove_dir_all(&dir);
-            syncs
-        };
-        assert_eq!(drive(SyncPolicy::EveryCommit, 4), 4);
-        assert_eq!(
-            drive(SyncPolicy::EveryKCommits(1), 4),
-            4,
-            "k=1 ≡ EveryCommit"
-        );
-        assert_eq!(drive(SyncPolicy::EveryKCommits(3), 7), 2, "7 commits, k=3");
-        assert_eq!(drive(SyncPolicy::EveryKCommits(3), 9), 3);
-    }
-
-    #[test]
-    fn batched_sync_still_recovers_every_written_epoch() {
-        // Without a crash, a clean close leaves all records readable even if
-        // the final sync was still pending — and recovery replays them all.
-        let dir = scratch_dir("batched");
-        let g = generators::grid(4, 4);
-        let mut server = Server::new(Box::new(DynamicDfs::new(&g)));
-        let config = DurabilityConfig::new(&dir)
-            .policy(CheckpointPolicy::Manual)
-            .sync_policy(SyncPolicy::EveryKCommits(4));
-        config.attach(&mut server).expect("attach");
-        let mut last_fp = 0;
-        for i in 0..5u32 {
-            last_fp = commit(&mut server, vec![Update::DeleteEdge(i, i + 1)]);
-        }
-        drop(server);
-        let recovered = recover_with(&config, parallel_factory).expect("recovery succeeds");
-        assert_eq!(recovered.stats.recovered_epoch, 5);
-        assert_eq!(recovered.server.maintainer().tree().fingerprint(), last_fp);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -93,7 +93,7 @@ pub use pardfs_api::{
     BatchReport, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, RebuildPolicy,
     RebuildPolicyStats, StatsReport,
 };
-pub use pardfs_congest::{DistributedDfsExt, DistributedDynamicDfs};
+pub use pardfs_congest::DistributedDynamicDfs;
 pub use pardfs_core::{DynamicDfs, EngineDfs, FaultTolerantDfs, Model, Strategy};
 pub use pardfs_graph::{Graph, GraphView, MappedSnapshot, Update, Vertex};
 pub use pardfs_seq::SeqRerootDfs;
@@ -104,7 +104,7 @@ pub use pardfs_serve::{
 };
 pub use pardfs_stream::{StreamingDfsExt, StreamingDynamicDfs};
 pub use pardfs_tree::TreeView;
-pub use pardfs_wal::{CheckpointPolicy, CheckpointView, DurabilityConfig, Recovered, SyncPolicy};
+pub use pardfs_wal::{CheckpointPolicy, CheckpointView, DurabilityConfig, Recovered};
 pub use pardfs_workload::{
     ConcurrentOutcome, ConcurrentScenarioRunner, EpochReader, PhaseReport, Scenario,
     ScenarioOutcome, ScenarioRunner, Served, Trace, TraceBuilder,

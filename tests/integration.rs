@@ -4,10 +4,10 @@
 //! agree on connectivity with a reference graph. (The exhaustive lockstep
 //! comparison lives in `tests/conformance.rs`; this file covers the
 //! workspace-level wiring — builder, umbrella re-exports, batch API,
-//! fault-tolerant query style — and a few scripted scenarios.)
+//! fault-tolerant batches — and a few scripted scenarios.)
 
 use pardfs::graph::updates::{random_update_sequence, UpdateMix};
-use pardfs::graph::{connected_components, generators, Graph, Update};
+use pardfs::graph::{connected_components, generators, Graph, Update, Vertex};
 use pardfs::{
     Backend, BatchReport, DfsMaintainer, DistributedDynamicDfs, DynamicDfs, EngineDfs,
     FaultTolerantDfs, ForestQuery, IndexMaintenanceStats, IndexPolicy, MaintainerBuilder, Model,
@@ -74,37 +74,30 @@ fn fault_tolerant_agrees_with_fully_dynamic_processing() {
 
     for k in [1usize, 2, 4, 6] {
         let updates = random_update_sequence(&g, k, &UpdateMix::default(), &mut rng);
-        // Fault tolerant, query style: one shot from the preprocessed
-        // structure, maintainer state untouched.
-        let result = ft.tree_after(&updates);
-        result.check().unwrap();
-
-        // The same batch through the unified batch API must agree.
-        let report: BatchReport = ft.apply_batch(&updates);
-        assert_eq!(report.applied(), k);
-        assert_eq!(report.inserted, result.inserted, "k = {k}");
-        assert_eq!(
-            DfsMaintainer::tree(&ft).num_vertices(),
-            result.tree().num_vertices(),
-            "k = {k}"
-        );
+        // Fault tolerant: back to the preprocessed structure, then one
+        // batch through the unified batch API.
         ft.reset();
+        let report: BatchReport = ft.apply_batch(&updates);
+        ft.check().unwrap();
+        assert_eq!(report.applied(), k);
 
         // Fully dynamic: process the same updates one by one.
         let mut dynamic = MaintainerBuilder::new(Backend::Parallel).build(&g);
-        for u in &updates {
-            dynamic.apply_update(u);
-        }
+        let inserted: Vec<Vertex> = updates
+            .iter()
+            .filter_map(|u| dynamic.apply_update(u))
+            .collect();
         dynamic.check().unwrap();
+        assert_eq!(report.inserted, inserted, "k = {k}");
 
         // Both must span the same vertex set (same number of tree vertices).
         assert_eq!(
-            result.tree().num_vertices(),
+            ft.tree().num_vertices(),
             dynamic.tree().num_vertices(),
             "k = {k}"
         );
         // ... and agree on the resulting forest structure queries.
-        assert_eq!(result.forest_roots().len(), dynamic.forest_roots().len());
+        assert_eq!(ft.forest_roots().len(), dynamic.forest_roots().len());
     }
 }
 
@@ -242,19 +235,19 @@ fn batch_reports_expose_normalised_statistics() {
 fn patch_path_never_materializes_the_parent_array_on_any_engine_backend() {
     // The sequential baseline's pin, on the four engine models: edge updates
     // under a splice-everything policy keep the index by TreePatch splices
-    // alone, so no update builds an O(n) parent array; rebuilding every
-    // update builds exactly one per update, on the rebuild path.
+    // alone, so no update builds an O(n) parent array (only a full rebuild
+    // does); rebuilding every update builds exactly one per update.
     fn run<M: Model>(
         mut dfs: EngineDfs<M>,
         policy: IndexPolicy,
         updates: &[Update],
-    ) -> (u64, IndexMaintenanceStats) {
+    ) -> IndexMaintenanceStats {
         dfs.set_index_policy(policy);
         for u in updates {
             dfs.apply_update(u);
         }
         dfs.check().unwrap();
-        (dfs.parent_materializations(), dfs.index_stats())
+        *dfs.stats().index_maintenance()
     }
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let g = generators::random_connected_gnm(60, 150, &mut rng);
@@ -280,13 +273,18 @@ fn patch_path_never_materializes_the_parent_array_on_any_engine_backend() {
                 run(FaultTolerantDfs::new(&g), policy, &updates),
             ),
         ];
-        for (name, (copies, census)) in runs {
+        for (name, census) in runs {
             if policy == IndexPolicy::PatchAlways {
-                assert_eq!(copies, 0, "{name}: patched edge updates copied parents");
+                assert_eq!(
+                    census.full_rebuilds, 0,
+                    "{name}: patched edge updates copied parents"
+                );
                 assert_eq!(census.patches_applied, k, "{name}");
             } else {
-                assert_eq!(copies, k, "{name}: one parent array per rebuild");
-                assert_eq!(census.full_rebuilds, k, "{name}");
+                assert_eq!(
+                    census.full_rebuilds, k,
+                    "{name}: one parent array per rebuild"
+                );
             }
         }
     }

@@ -587,12 +587,13 @@ proptest! {
     ) {
         let (g, updates) = graph_and_updates(seed, n, extra, k);
         let mut ft = FaultTolerantDfs::new(&g);
-        let result = ft.tree_after(&updates);
-        prop_assert!(result.check().is_ok(), "{:?}", result.check());
+        ft.apply_batch(&updates);
+        prop_assert!(ft.check().is_ok(), "{:?}", ft.check());
         // A second, different batch from the same preprocessed structure.
         let (_, updates2) = graph_and_updates(seed.wrapping_add(1), n, extra, k);
-        let result2 = ft.tree_after(&updates2);
-        prop_assert!(result2.check().is_ok(), "{:?}", result2.check());
+        ft.reset();
+        ft.apply_batch(&updates2);
+        prop_assert!(ft.check().is_ok(), "{:?}", ft.check());
     }
 
     #[test]
@@ -673,7 +674,7 @@ proptest! {
             prop_assert!(full.check().is_ok());
             prop_assert_eq!(inc.forest_roots().len(), full.forest_roots().len());
         }
-        prop_assert_eq!(inc.policy_stats().rebuilds, 0);
+        prop_assert_eq!(inc.stats().rebuild_policy().unwrap().rebuilds, 0);
     }
 
     #[test]
@@ -689,19 +690,31 @@ proptest! {
     }
 
     #[test]
-    fn fault_tolerant_maintainer_absorbs_each_update_once(
+    fn fault_tolerant_reset_is_a_fresh_preprocess(
         seed in any::<u64>(),
         n in 5usize..30,
         extra in 0usize..40,
         k in 1usize..8,
     ) {
+        // After any batch, `reset` must leave no trace of it: the tree is
+        // the preprocessed one again, and the next batch lands exactly where
+        // a freshly preprocessed maintainer lands on it.
         let (g, updates) = graph_and_updates(seed, n, extra, k);
         let mut ft = FaultTolerantDfs::new(&g);
+        let preprocessed = ft.tree().fingerprint();
         for u in &updates {
-            DfsMaintainer::apply_update(&mut ft, u);
-            prop_assert!(DfsMaintainer::check(&ft).is_ok());
+            ft.apply_update(u);
+            prop_assert!(ft.check().is_ok(), "after {u:?}: {:?}", ft.check());
         }
-        prop_assert_eq!(ft.absorptions(), updates.len() as u64);
+        ft.reset();
+        prop_assert_eq!(ft.tree().fingerprint(), preprocessed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED);
+        let second = random_update_sequence(&g, k, &UpdateMix::default(), &mut rng);
+        ft.apply_batch(&second);
+        prop_assert!(ft.check().is_ok(), "{:?}", ft.check());
+        let mut fresh = FaultTolerantDfs::new(&g);
+        fresh.apply_batch(&second);
+        prop_assert_eq!(ft.tree().fingerprint(), fresh.tree().fingerprint());
     }
 }
 

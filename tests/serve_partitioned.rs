@@ -93,7 +93,7 @@ fn partitioned_replay_matches_unsharded_per_epoch_on_every_corpus_trace() {
                 // tree is a valid DFS tree of its restriction.
                 let view = router.read_handle().view();
                 assert_eq!(view.forest_roots(), reference.forest_roots(), "{label}");
-                for v in 0..graph.capacity() as u32 + 8 {
+                for v in 0..router.ownership().capacity() as u32 + 8 {
                     assert_eq!(
                         view.forest_parent(v),
                         reference.forest_parent(v),
