@@ -7,8 +7,9 @@
 //!   introduced for the incremental parallel maintainer), and
 //! * the `O(n)` tree index ([`IndexPolicy`] / [`IndexMaintenanceStats`]): the
 //!   reroot engine emits a `TreePatch` and the index is delta-patched in
-//!   `O(|region| · log n)` unless the patch's region outgrows the policy's
-//!   threshold, in which case a full `from_parent_slice` rebuild is cheaper.
+//!   `O(|region| + k · log n)` for `k` moved children unless the region
+//!   outgrows the policy's threshold; then the index rebuilds from its own
+//!   parent array, which is cheaper.
 //!
 //! ## The amortization argument (structure `D`)
 //!
@@ -24,11 +25,13 @@
 //!
 //! ## The same argument for the index
 //!
-//! A patch splice costs `O(|region| · log n)` with non-trivial bookkeeping;
-//! a rebuild costs `O(n)` with a cache-friendly linear sweep.
-//! Below a constant fraction of `n`, the splice wins (and the paper's
-//! rerooting procedure guarantees most updates touch only the affected
-//! subtrees); past it, the rebuild does. Membership-changing updates (vertex
+//! A splice walks and numbers its region with the routines a rebuild runs
+//! over the whole tree, but costs more per vertex (`BENCH_E11.json`, 2-core
+//! host, `n = 4096`–16384: 0.16–0.20 µs per touched vertex against
+//! 0.063–0.086 µs per vertex rebuilt). Below a constant fraction of `n`
+//! (about 0.4 there), the splice wins (and the paper's rerooting procedure
+//! guarantees most updates touch only the affected subtrees); past it, the
+//! rebuild does. Membership-changing updates (vertex
 //! insertions/deletions renumber every later vertex) always rebuild —
 //! there is no sublinear splice for them, as `pardfs-tree::patch` documents.
 //!
@@ -130,8 +133,8 @@ pub enum IndexPolicy {
     EveryUpdate,
     /// Splice the patch whenever its region holds at most
     /// `max_fraction · n` vertices; rebuild otherwise. `max_fraction = 0.5`
-    /// is the default: past half the tree, the cache-friendly linear rebuild
-    /// beats the splice's bookkeeping.
+    /// is the default: a region of half the tree costs about what a rebuild
+    /// does.
     Patched {
         /// Largest patchable region, as a fraction of the tree size.
         max_fraction: f64,
@@ -211,16 +214,11 @@ impl IndexMaintenanceStats {
 }
 
 /// Maintain `idx` after one update: splice `patch` if `policy` allows and the
-/// patch is spliceable, otherwise rebuild the index from the parent array of
-/// the updated tree. The one decision point every backend routes through.
-///
-/// The parent array is **materialised lazily**: only the rebuild paths
-/// (policy says rebuild, patch refused) reconstruct it, from the still
-/// unmodified pre-update index plus the patch, over `capacity` vertex slots
-/// (the graph's id space after the update). Engines describe an update to
-/// the index purely by its `TreePatch`, so the patch path never pays an
-/// `O(n)` copy: [`IndexMaintenanceStats::full_rebuilds`] counts the
-/// materialisations.
+/// patch is spliceable, otherwise rebuild the index from its own parent
+/// array with the patch written in, over `capacity` vertex slots (the
+/// graph's id space after the update). The one decision point every backend
+/// routes through; [`IndexMaintenanceStats::full_rebuilds`] counts the
+/// rebuilds.
 pub fn maintain_index(
     idx: &mut pardfs_tree::TreeIndex,
     patch: &pardfs_tree::TreePatch,
@@ -242,33 +240,8 @@ pub fn maintain_index(
             }
         },
     }
-    let par = patched_parents(idx, patch, capacity);
-    *idx = pardfs_tree::TreeIndex::from_parent_slice(&par, idx.root());
+    idx.rebuild(patch, capacity);
     stats.full_rebuilds += 1;
-}
-
-/// The parent array of the tree `patch` turns `old` into (`parent[root] ==
-/// root`, `NO_VERTEX` outside the tree), over at least `capacity` slots.
-fn patched_parents(
-    old: &pardfs_tree::TreeIndex,
-    patch: &pardfs_tree::TreePatch,
-    capacity: usize,
-) -> Vec<pardfs_graph::Vertex> {
-    let mut par = vec![pardfs_tree::NO_VERTEX; capacity.max(old.capacity())];
-    for &v in old.pre_order_vertices() {
-        par[v as usize] = old.parent(v).unwrap_or(v);
-    }
-    // Assignments replay in application order (last one wins, matching the
-    // array an engine writing parents directly would hold); removals are
-    // recorded before any reroot can touch other vertices, and never
-    // conflict with an assignment.
-    for &(child, parent) in patch.assignments() {
-        par[child as usize] = parent;
-    }
-    for &v in patch.removed() {
-        par[v as usize] = pardfs_tree::NO_VERTEX;
-    }
-    par
 }
 
 #[cfg(test)]
@@ -349,18 +322,7 @@ mod tests {
         parent[0] = 0;
         let mut idx = TreeIndex::from_parent_slice(&parent, 0);
         let mut stats = IndexMaintenanceStats::default();
-        // The index's parent array, as `maintain_index` materialises it.
-        let parents = |idx: &TreeIndex| -> Vec<u32> {
-            (0..idx.capacity() as u32)
-                .map(|v| {
-                    if idx.contains(v) {
-                        idx.parent(v).unwrap_or(v)
-                    } else {
-                        NO_VERTEX
-                    }
-                })
-                .collect()
-        };
+        let parents = |idx: &TreeIndex| idx.parent_slice().to_vec();
 
         // Small patch: leaf 7 re-hangs under 3 — the region is subtree(3),
         // 5 of 8 vertices, spliced under a generous fraction.

@@ -4,7 +4,7 @@
 //! [`DynamicDfs`] is the engine ([`crate::engine`]) in the live-`D` model
 //! [`LiveD`]. Per update the model records the update in `D`'s overlay and
 //! answers the reroot's queries from `D`; the engine delta-patches the tree
-//! index with the update's `TreePatch` (`O(|region| · log n)`,
+//! index with the update's `TreePatch` (`O(|region| + k · log n)`,
 //! [`IndexPolicy`](pardfs_api::IndexPolicy)). The `O(m)` structure `D` is
 //! *not* rebuilt per update: it stays anchored to the tree it was last built
 //! on (the *base* tree), queries against paths of the current tree are

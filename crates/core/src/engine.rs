@@ -17,7 +17,7 @@
 //! 3. [`reduce_update`] and [`Rerooter::run`] describe the new tree as a
 //!    [`TreePatch`] (timed as [`UpdateStats::reroot_micros`]);
 //! 4. [`maintain_index`] splices the patch into the tree index, rebuilding
-//!    from a materialised parent array only when the splice is refused, and
+//!    from the index's own parent array only when the splice is refused, and
 //!    the model finishes the update ([`Model::finish`]); both are timed as
 //!    [`UpdateStats::rebuild_micros`].
 //!

@@ -159,11 +159,6 @@ impl AdjacencyArena {
         self.len[s as usize] as usize
     }
 
-    /// Total live entries across all slots.
-    pub fn total_len(&self) -> usize {
-        self.len.iter().map(|&l| l as usize).sum()
-    }
-
     /// Size class of a (power-of-two) block capacity.
     fn class(cap: u32) -> usize {
         debug_assert!(cap.is_power_of_two());

@@ -341,22 +341,6 @@ impl Graph {
         v
     }
 
-    /// Re-activate a previously deleted vertex id (used when replaying update
-    /// sequences backwards in tests). Returns `false` if `v` is already active
-    /// or out of range.
-    pub fn reactivate_vertex(&mut self, v: Vertex, edges: &[Vertex]) -> bool {
-        let vi = v as usize;
-        if vi >= self.active.len() || self.active[vi] {
-            return false;
-        }
-        self.active[vi] = true;
-        self.num_active += 1;
-        for &u in edges {
-            let _ = self.insert_edge(v, u);
-        }
-        true
-    }
-
     /// Delete vertex `v` together with all incident edges.
     ///
     /// Returns the list of former neighbours (useful for undo / replay), or
@@ -667,18 +651,6 @@ mod tests {
         assert!(!g.has_edge(0, 1));
         assert!(g.has_edge(2, 3));
         assert!(g.delete_vertex(1).is_none());
-    }
-
-    #[test]
-    fn reactivation_roundtrip() {
-        let mut g = Graph::new(3);
-        g.insert_edge(0, 1);
-        g.insert_edge(1, 2);
-        let nbrs = g.delete_vertex(1).unwrap();
-        assert!(g.reactivate_vertex(1, &nbrs));
-        assert!(!g.reactivate_vertex(1, &nbrs));
-        assert_eq!(g.num_edges(), 2);
-        assert!(g.has_edge(0, 1) && g.has_edge(1, 2));
     }
 
     #[test]

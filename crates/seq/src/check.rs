@@ -1,6 +1,6 @@
 //! DFS-tree validity checking — the correctness oracle of the whole workspace.
 
-use pardfs_graph::{Graph, Vertex};
+use pardfs_graph::Graph;
 use pardfs_tree::TreeIndex;
 
 /// Check that `idx` is a DFS tree of the connected component of its root in
@@ -78,13 +78,6 @@ pub fn check_spanning_dfs_tree(g: &Graph, idx: &TreeIndex) -> Result<(), String>
     check_dfs_tree(g, idx)
 }
 
-/// Check that `idx` is a valid DFS tree and report which vertex set it spans.
-/// Handy in tests that operate on one component of a forest.
-pub fn dfs_tree_component(g: &Graph, idx: &TreeIndex) -> Result<Vec<Vertex>, String> {
-    check_dfs_tree(g, idx)?;
-    Ok(idx.pre_order_vertices().to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +91,6 @@ mod tests {
         let idx = static_dfs_index(&g, 2);
         check_dfs_tree(&g, &idx).unwrap();
         check_spanning_dfs_tree(&g, &idx).unwrap();
-        assert_eq!(dfs_tree_component(&g, &idx).unwrap().len(), 6);
     }
 
     #[test]

@@ -146,9 +146,6 @@ impl SeqRerootDfs {
 
         // Delta-patch the tree index with the update's rewrites; `D` is
         // still rebuilt per update on the new tree (this baseline's model).
-        // The parent array is materialised lazily: only the rebuild
-        // fallbacks (membership change, oversized region, an `EveryUpdate`
-        // policy) reconstruct it from the pre-update index plus the patch.
         maintain_index(
             &mut self.idx,
             &patch,
@@ -504,8 +501,8 @@ mod tests {
         );
         assert_eq!(census.patches_applied, updates.len() as u64);
 
-        // Rebuild-every-update pays exactly one materialisation per update —
-        // the pre-fix behaviour, now confined to the rebuild path.
+        // Rebuild-every-update pays exactly one rebuild per update — the
+        // pre-fix behaviour, now confined to the rebuild path.
         let mut rebuilt = SeqRerootDfs::new(&g);
         rebuilt.set_index_policy(IndexPolicy::EveryUpdate);
         for u in &updates {
@@ -520,10 +517,9 @@ mod tests {
 
     #[test]
     fn lazy_materialization_matches_direct_rebuild_under_churn() {
-        // Vertex churn always falls back to a rebuild; the lazily
-        // materialised parent array (old index + patch) must reproduce the
-        // tree the old eager copy produced — `check` after every update plus
-        // the forest queries pin it.
+        // Vertex churn always falls back to a rebuild; the index's parent
+        // array with the patch written in (`TreeIndex::rebuild`) must hold
+        // the new tree — `check` after every update pins it.
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let g = generators::random_connected_gnm(40, 100, &mut rng);
         let updates = random_update_sequence(&g, 30, &UpdateMix::default(), &mut rng);
@@ -538,7 +534,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("update {i} ({u:?}) broke the tree: {e}"));
         }
         // Only the membership-changing updates (plus any oversized-region
-        // fallbacks) materialised; edge updates stayed on the patch path.
+        // fallbacks) rebuilt; edge updates stayed on the patch path.
         let census = *dfs.stats().index_maintenance();
         assert!(census.full_rebuilds >= churn);
         assert!(census.patches_applied > 0);

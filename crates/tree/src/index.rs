@@ -12,9 +12,10 @@
 //! 1983) answers LCA in `O(log n)`, and each vertex's depth-1 ancestor
 //! (`top`) names the tree of the forest below the root it lies in.
 //!
-//! The index is not rebuilt from scratch after every committed update:
-//! [`crate::patch`] splices the orderings, jump pointers and `top` labels of
-//! the touched subtree in place.
+//! Every field is numbered by one walk and one numbering routine (`walk` and
+//! `number`). A build runs them over the whole tree; after a committed
+//! update, [`crate::patch`] runs them over the touched subtree only, in
+//! place, instead of rebuilding.
 
 use crate::rooted::{RootedTree, NO_VERTEX};
 use pardfs_graph::snap::{put_u32, put_u64, Cursor, SnapReader, SnapWriter};
@@ -27,11 +28,11 @@ pub(crate) const SEC_TREE_PARENTS: [u8; 4] = *b"TPAR";
 
 /// Structural index of a rooted tree.
 ///
-/// Construction performs a single traversal computing pre/post order numbers,
-/// levels and subtree sizes, then one jump pointer and one `top` label per
-/// vertex, all in `O(n)`. After edge updates the structure can be
-/// delta-patched in place by [`TreeIndex::apply_patch`](crate::patch)
-/// instead of rebuilt.
+/// Construction walks the tree once in pre-order and numbers it from the
+/// parent array: pre/post order numbers, levels, subtree sizes, one jump
+/// pointer and one `top` label per vertex, all in `O(n)`. After edge updates
+/// [`TreeIndex::apply_patch`](crate::patch) runs the same walk and numbering
+/// over the touched subtree only, instead of a rebuild.
 ///
 /// Every field is a flat array (children lists live in one shared
 /// [`AdjacencyArena`] pool) and a function of the parent array alone, so a
@@ -125,78 +126,92 @@ impl TreeIndex {
     /// `NO_VERTEX` for vertices outside the tree). Panics with the error
     /// [`TreeIndex::read_snap_sections`] returns if it is not such a tree.
     pub fn from_parent_slice(parent: &[Vertex], root: Vertex) -> Self {
-        Self::try_from_parent_slice(parent, root).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_from_parents(parent.to_vec(), root).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`TreeIndex::from_parent_slice`] as one fallible pass: the slot
-    /// checks and one child table, then one pre-order DFS that also proves
-    /// every tree vertex reachable from the root.
-    fn try_from_parent_slice(parent: &[Vertex], root: Vertex) -> Result<Self, String> {
+    /// [`TreeIndex::from_parent_slice`] as one fallible pass over an owned
+    /// parent array: the slot checks and one child table, then one
+    /// [`TreeIndex::walk`] from the root that also proves every tree vertex
+    /// reachable, then [`TreeIndex::number`] over the whole pre-order.
+    pub(crate) fn try_from_parents(parent: Vec<Vertex>, root: Vertex) -> Result<Self, String> {
         let cap = parent.len();
         // Id-sorted children lists are the invariant the patch splice
         // preserves, so a patched index numbers vertices as a fresh build.
-        let (offsets, flat) = child_table(parent, root)?;
+        let (offsets, flat) = child_table(&parent, root)?;
         let counts: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        let children = AdjacencyArena::from_packed(&counts, &flat);
         let n_tree = flat.len() + 1;
-
-        let mut pre = vec![UNSET; cap];
-        let mut post = vec![UNSET; cap];
-        let mut level = vec![UNSET; cap];
-        let mut size = vec![0u32; cap];
-        let mut pre_order = Vec::with_capacity(n_tree);
-
-        // Iterative DFS: (vertex, next child position).
-        let mut stack: Vec<(Vertex, usize)> = Vec::with_capacity(64);
-        level[root as usize] = 0;
-        pre[root as usize] = 0;
-        pre_order.push(root);
-        stack.push((root, 0));
-        let mut pre_counter = 1u32;
-        let mut post_counter = 0u32;
-        while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-            if *ci < children.len_of(v) {
-                let c = children.list(v)[*ci];
-                *ci += 1;
-                level[c as usize] = level[v as usize] + 1;
-                pre[c as usize] = pre_counter;
-                pre_counter += 1;
-                pre_order.push(c);
-                stack.push((c, 0));
-            } else {
-                stack.pop();
-                post[v as usize] = post_counter;
-                post_counter += 1;
-                size[v as usize] = 1 + children
-                    .list(v)
-                    .iter()
-                    .map(|&c| size[c as usize])
-                    .sum::<u32>();
-            }
-        }
-        if pre_order.len() != n_tree {
-            return Err(unreachable_err(n_tree, pre_order.len(), root));
-        }
-
         let mut jump = vec![NO_VERTEX; cap];
         jump[root as usize] = root;
         let mut index = TreeIndex {
             root,
-            parent: parent.to_vec(),
-            children,
-            pre,
-            post,
-            level,
-            size,
-            pre_order,
+            parent,
+            children: AdjacencyArena::from_packed(&counts, &flat),
+            pre: vec![UNSET; cap],
+            post: vec![UNSET; cap],
+            level: vec![UNSET; cap],
+            size: vec![0; cap],
+            pre_order: Vec::new(),
             jump,
             top: vec![NO_VERTEX; cap],
             n_tree,
         };
-        for i in 1..n_tree {
-            index.relink(index.pre_order[i]);
+        index.pre_order = index.walk(root, n_tree);
+        if index.pre_order.len() != n_tree {
+            return Err(unreachable_err(n_tree, index.pre_order.len(), root));
         }
+        index.number(0, n_tree);
         Ok(index)
+    }
+
+    /// The subtree of `a` in pre-order over the id-sorted children lists,
+    /// the one traversal both numbering paths run (the build from the root,
+    /// the patch splice from its region root). It stops once it holds more
+    /// than `limit` vertices, so a caller expecting exactly `limit` sees a
+    /// cycle or an escaping child as a wrong count in `O(limit)`.
+    pub(crate) fn walk(&self, a: Vertex, limit: usize) -> Vec<Vertex> {
+        let mut order = Vec::with_capacity(limit);
+        let mut stack = vec![a];
+        while let Some(v) = stack.pop() {
+            order.push(v);
+            if order.len() > limit {
+                break;
+            }
+            stack.extend(self.children.list(v).iter().rev());
+        }
+        order
+    }
+
+    /// Number the subtree listed at `pre_order[start..start + len]` (a
+    /// [`TreeIndex::walk`], so its first vertex is its root) from the final
+    /// parent array: `pre`, then `level` (the parent's plus one), then
+    /// `size` (summed in reverse pre-order), then `post`, since
+    /// `post = pre + size − 1 − level` holds in any tree: the vertices
+    /// finished before `v` are those numbered before it that are not its
+    /// ancestors, plus its proper descendants. Then [`TreeIndex::relink`]
+    /// every vertex below the subtree's root in pre-order. The root's own
+    /// links, and everything outside the subtree, must already be final.
+    pub(crate) fn number(&mut self, start: usize, len: usize) {
+        let order = &self.pre_order[start..start + len];
+        for (i, &v) in order.iter().enumerate() {
+            let v = v as usize;
+            self.pre[v] = (start + i) as u32;
+            self.level[v] = if v == self.root as usize {
+                0
+            } else {
+                self.level[self.parent[v] as usize] + 1
+            };
+            self.size[v] = 1;
+        }
+        for &v in order[1..].iter().rev() {
+            self.size[self.parent[v as usize] as usize] += self.size[v as usize];
+        }
+        for &v in order {
+            let v = v as usize;
+            self.post[v] = self.pre[v] + self.size[v] - 1 - self.level[v];
+        }
+        for i in start + 1..start + len {
+            self.relink(self.pre_order[i]);
+        }
     }
 
     /// Reset `v`'s ancestor links from its parent `p`'s: the jump pointer by
@@ -426,7 +441,7 @@ impl TreeIndex {
         let mut par = Cursor::new(SEC_TREE_PARENTS, r.section(SEC_TREE_PARENTS)?);
         let parent = par.u32s(capacity)?;
         par.finish()?;
-        Self::try_from_parent_slice(&parent, root)
+        Self::try_from_parents(parent, root)
     }
 
     /// Render the index as a standalone `pardfs-snap v2` binary snapshot,

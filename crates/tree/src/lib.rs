@@ -8,8 +8,9 @@
 //! vertices of an ancestor–descendant path (Section 5.3, Theorem 10). This
 //! crate packages those operations:
 //!
-//! * [`RootedTree`] — a mutable parent-array representation used while a new
-//!   DFS tree `T*` is being assembled.
+//! * [`RootedTree`] — a mutable parent-array representation: the static
+//!   DFS's output and a test fixture (the engines describe a new tree `T*`
+//!   as a [`TreePatch`], not a `RootedTree`).
 //! * [`TreeIndex`] — an immutable index over a rooted tree providing `O(1)`
 //!   pre/post order numbers, levels, subtree sizes, ancestor tests and
 //!   depth-1 ancestor labels (which tree of the forest below the root a
@@ -22,10 +23,12 @@
 //!
 //! * [`patch`] — **delta-patching**: the rerooting machinery emits a
 //!   [`TreePatch`] (the parent rewrites of one update) and
-//!   [`TreeIndex::apply_patch`] splices the touched subtree's orderings,
-//!   jump pointers and labels in place in `O(|region| · log n)`, falling back
-//!   to a full rebuild when the patch is not spliceable (membership changes)
-//!   or not worth it (region too large).
+//!   [`TreeIndex::apply_patch`] re-walks and renumbers the touched subtree's
+//!   orderings, jump pointers and labels in place with the build's own
+//!   routines, in `O(|region| + k · log n)` for `k` moved children; when the
+//!   patch is not spliceable (membership changes) or not worth it (region
+//!   too large), [`TreeIndex::rebuild`] writes it into the index's parent
+//!   array and rebuilds.
 //!
 //! Index construction is `O(n)` work and parallelises trivially, matching
 //! the `O(log n)`-time, `n`-processor bound of Theorem 10 in the EREW PRAM

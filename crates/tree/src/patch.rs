@@ -17,12 +17,15 @@
 //!    and after the patch — so its pre-order and post-order intervals keep
 //!    their global positions and lengths, and everything outside the region
 //!    is untouched.
-//! 2. **Splice.** A local DFS of the region (with the patched children lists,
-//!    kept id-sorted exactly like a fresh build's) recomputes `pre`, `post`,
-//!    `level`, `size` and the pre-order slice for region vertices only,
-//!    writing them into the same global slots, then resets each region
-//!    vertex's jump pointer and `top` label in pre-order, `O(1)` apiece.
-//!    Total: `O(|region| · log n)` — the `O(|patch| · polylog n)` bound,
+//! 2. **Splice.** Only the children lists of the moved children's old and
+//!    new parents change, kept id-sorted exactly like a fresh build's (the
+//!    gained children are grouped by new parent with one sort). The region
+//!    is then listed by the index's own pre-order walk, copied into its slice
+//!    of the global pre-order, and numbered (`pre`, `level`, `size`, `post`,
+//!    then each vertex's jump pointer and `top` label): the walk and the
+//!    numbering are the routines a fresh build runs over the whole tree.
+//!    Total: `O(|region| + k · log n)` for `k` moved children, the `log n`
+//!    being the LCA fold that finds `a` — the `O(|patch| · polylog n)` bound,
 //!    since the region is the span of the patch.
 //! 3. **Equivalence.** Children lists stay sorted by vertex id, which is the
 //!    traversal order `from_parent_slice` uses, and every field of the index
@@ -33,8 +36,9 @@
 //!
 //! ## The fallback argument
 //!
-//! Patching is refused — and the caller must rebuild — in exactly three
-//! situations, reported through [`PatchOutcome`]:
+//! Patching is refused — and the caller rebuilds with
+//! [`TreeIndex::rebuild`] — in exactly three situations, reported through
+//! [`PatchOutcome`]:
 //!
 //! * **Membership changes** (vertex insertions/deletions). A vertex entering
 //!   or leaving the tree shifts the pre/post numbers of every later vertex,
@@ -42,18 +46,19 @@
 //!   `O(n)` anyway, which is what the rebuild already costs.
 //! * **Region too large.** When `|region|` exceeds the caller's limit
 //!   (`pardfs-api`'s `IndexPolicy` mirrors the `RebuildPolicy` amortization:
-//!   past a constant fraction of `n` the splice's bookkeeping no longer beats
-//!   the cache-friendly linear rebuild).
-//! * **Inapplicable patches** (unknown vertices, a moved root, a region DFS
-//!   that does not close). These indicate the patch does not describe a
-//!   valid rewrite of this tree; the index is left for the caller to rebuild
-//!   from the authoritative parent array.
+//!   a region near the whole tree costs about what the rebuild does).
+//! * **Inapplicable patches** (unknown vertices, a moved root, a region walk
+//!   that does not list exactly the region's vertices). These indicate the
+//!   patch does not describe a valid rewrite of this tree; the index is left
+//!   untouched.
 //!
-//! The fallback keeps correctness independent of the patch path: the parent
-//! array the engine produced is always authoritative, and a rebuild from it
-//! is always available.
+//! The fallback keeps correctness independent of the splice:
+//! [`TreeIndex::rebuild`] writes the patch into the index's own parent array
+//! and rebuilds every other field from it, needing nothing the splice
+//! computed.
 
 use crate::index::TreeIndex;
+use crate::rooted::NO_VERTEX;
 use pardfs_graph::Vertex;
 use std::collections::HashMap;
 
@@ -118,24 +123,12 @@ impl TreePatch {
     pub fn is_empty(&self) -> bool {
         self.assignments.is_empty() && !self.changes_membership()
     }
-
-    /// Number of recorded assignments.
-    pub fn len(&self) -> usize {
-        self.assignments.len()
-    }
-
-    /// Drop all recorded changes (reuse the allocation for the next update).
-    pub fn clear(&mut self) {
-        self.assignments.clear();
-        self.removed.clear();
-        self.added.clear();
-    }
 }
 
 /// What [`TreeIndex::apply_patch`] did.
 ///
 /// On every variant other than `Applied` the index was **not** modified and
-/// the caller must rebuild it from the authoritative parent array.
+/// the caller rebuilds it with [`TreeIndex::rebuild`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatchOutcome {
     /// The patch was spliced in; `vertices_touched` is the region size (0 for
@@ -161,7 +154,7 @@ impl TreeIndex {
     /// holds at most `limit` vertices. See the [module docs](self) for the
     /// contract; on any outcome other than [`PatchOutcome::Applied`] the
     /// index is unchanged and the caller is expected to rebuild it with
-    /// [`TreeIndex::from_parent_slice`].
+    /// [`TreeIndex::rebuild`].
     pub fn apply_patch(&mut self, patch: &TreePatch, limit: usize) -> PatchOutcome {
         if patch.changes_membership() {
             return PatchOutcome::Unsupported("membership change");
@@ -207,102 +200,70 @@ impl TreeIndex {
             return PatchOutcome::RegionTooLarge { region, limit };
         }
 
-        // Patched children lists for the region, kept sorted by id (the
-        // traversal order of a fresh build). Computed up front so a patch
-        // that fails verification leaves the index untouched.
-        let changed_map: HashMap<Vertex, Vertex> = changed.iter().copied().collect();
-        let mut gained: HashMap<Vertex, Vec<Vertex>> = HashMap::new();
-        for &(c, p) in &changed {
-            gained.entry(p).or_default().push(c);
-        }
-        let old_members: Vec<Vertex> = self.subtree_vertices(a).to_vec();
-        let mut new_children: HashMap<Vertex, Vec<Vertex>> =
-            HashMap::with_capacity(old_members.len());
-        for &v in &old_members {
-            let mut kids: Vec<Vertex> = self
-                .children
-                .list(v)
+        // Edit only the children lists of the moved children's old and new
+        // parents, kept id-sorted (a fresh build's traversal order), saving
+        // the old lists so a patch that fails the walk leaves no trace. The
+        // gained children are grouped by new parent with one sort.
+        changed.sort_unstable_by_key(|&(c, p)| (p, c));
+        let mut parents: Vec<Vertex> = changed
+            .iter()
+            .flat_map(|&(c, p)| [self.parent[c as usize], p])
+            .collect();
+        parents.sort_unstable();
+        parents.dedup();
+        let mut saved = Vec::with_capacity(parents.len());
+        for v in parents {
+            let old = self.children.list(v).to_vec();
+            let gained = &changed[changed.partition_point(|&(_, p)| p < v)..];
+            let gained = &gained[..gained.partition_point(|&(_, p)| p == v)];
+            let mut kids: Vec<Vertex> = old
                 .iter()
                 .copied()
-                .filter(|c| changed_map.get(c).is_none_or(|&np| np == v))
+                .filter(|c| target.get(c).is_none_or(|&p| p == v))
+                .chain(gained.iter().map(|&(c, _)| c))
                 .collect();
-            if let Some(extra) = gained.get(&v) {
-                kids.extend(extra.iter().copied().filter(|&c| {
-                    self.parent[c as usize] != v // not already kept above
-                }));
-            }
             kids.sort_unstable();
-            new_children.insert(v, kids);
+            self.children.replace(v, &kids);
+            saved.push((v, old));
         }
 
-        // Local DFS of the region over the patched children lists, into
-        // scratch buffers (committed only after the traversal closes).
-        let pre_base = self.pre[a as usize];
-        let post_base = self.post[a as usize] + 1 - region as u32;
-        let level_base = self.level[a as usize];
-
-        let mut order: Vec<Vertex> = Vec::with_capacity(region); // pre-order
-        let mut post_order_loc: Vec<Vertex> = Vec::with_capacity(region);
-        let mut level_loc: HashMap<Vertex, u32> = HashMap::with_capacity(region);
-        let mut size_loc: HashMap<Vertex, u32> = HashMap::with_capacity(region);
-
-        let mut stack: Vec<(Vertex, usize)> = Vec::with_capacity(64);
-        level_loc.insert(a, level_base);
-        order.push(a);
-        stack.push((a, 0));
-        let mut escaped = false;
-        while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-            let kids = &new_children[&v];
-            if *ci < kids.len() {
-                let c = kids[*ci];
-                *ci += 1;
-                if !new_children.contains_key(&c) {
-                    // A child outside the old region: the patch does not
-                    // preserve the region's membership after all.
-                    escaped = true;
-                    break;
-                }
-                level_loc.insert(c, level_loc[&v] + 1);
-                order.push(c);
-                stack.push((c, 0));
-            } else {
-                stack.pop();
-                post_order_loc.push(v);
-                let s = 1 + kids.iter().map(|c| size_loc[c]).sum::<u32>();
-                size_loc.insert(v, s);
+        let order = self.walk(a, region);
+        if order.len() != region {
+            // A cycle: the patch does not describe a valid rewrite of this
+            // region. Restore the lists, leaving the index untouched.
+            for (v, old) in saved {
+                self.children.replace(v, &old);
             }
-        }
-        if escaped || order.len() != region {
-            // A cycle or an escaping edge: the patch does not describe a
-            // valid rewrite of this region. Leave the index untouched.
             return PatchOutcome::Unsupported("patch does not preserve the region");
         }
-
-        // ---- Commit ------------------------------------------------------
         for &(c, p) in &changed {
             self.parent[c as usize] = p;
         }
-        for (v, kids) in new_children {
-            self.children.replace(v, &kids);
-        }
-        for (i, &v) in order.iter().enumerate() {
-            self.pre[v as usize] = pre_base + i as u32;
-            self.pre_order[(pre_base as usize) + i] = v;
-            self.level[v as usize] = level_loc[&v];
-            self.size[v as usize] = size_loc[&v];
-        }
-        for (i, &v) in post_order_loc.iter().enumerate() {
-            self.post[v as usize] = post_base + i as u32;
-        }
-
-        // Only region vertices below `a` can have changed ancestors.
-        for &v in &order[1..] {
-            self.relink(v);
-        }
-
+        let start = self.pre[a as usize] as usize;
+        self.pre_order[start..start + region].copy_from_slice(&order);
+        self.number(start, region);
         PatchOutcome::Applied {
             vertices_touched: region,
         }
+    }
+
+    /// The fallback for a patch [`TreeIndex::apply_patch`] refused (and for
+    /// a policy that never splices): write `patch` into the index's own
+    /// parent array, grown to at least `capacity` slots (the graph's id space
+    /// after the update), and rebuild every other field from it. Assignments
+    /// replay in application order, so the last one wins, and removed
+    /// vertices become holes; removals are recorded before any reroot can
+    /// touch other vertices, so they never conflict with an assignment.
+    pub fn rebuild(&mut self, patch: &TreePatch, capacity: usize) {
+        let mut parent = std::mem::take(&mut self.parent);
+        parent.resize(parent.len().max(capacity), NO_VERTEX);
+        for &(c, p) in &patch.assignments {
+            parent[c as usize] = p;
+        }
+        for &v in &patch.removed {
+            parent[v as usize] = NO_VERTEX;
+        }
+        *self = Self::try_from_parents(parent, self.root).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -458,6 +419,25 @@ mod tests {
         assert_eq!(idx.pre_order_vertices(), snapshot.pre_order_vertices());
         for v in 0..6 {
             assert_eq!(idx.parent(v), snapshot.parent(v));
+        }
+    }
+
+    #[test]
+    fn refused_splices_restore_the_children_lists() {
+        // The splice edits the children lists before its walk can see the
+        // cycle, so a refusal must put every edited list back.
+        let mut idx = path_index(8);
+        let snapshot = idx.clone();
+        for (c, p) in [(2, 5), (3, 3), (1, 7)] {
+            let mut patch = TreePatch::new();
+            patch.assign(c, p);
+            patch.assign(6, 2); // a valid move riding along
+            assert_eq!(
+                idx.apply_patch(&patch, usize::MAX),
+                PatchOutcome::Unsupported("patch does not preserve the region")
+            );
+            idx.structural_eq(&snapshot)
+                .expect("refused splice is a no-op");
         }
     }
 

@@ -12,9 +12,11 @@ pub const NO_VERTEX: Vertex = u32::MAX;
 /// * `parent[v] == NO_VERTEX` marks a vertex that is not part of the tree
 ///   (deleted, or simply not in this component).
 ///
-/// This is the representation in which a new DFS tree `T*` is assembled by the
-/// rerooting engine: vertices are attached one path at a time by writing their
-/// parent, and the finished array is then frozen into a [`crate::TreeIndex`].
+/// This is the static DFS's output (`pardfs-seq`'s `static_dfs` attaches each
+/// vertex as the traversal reaches it, and the finished array is then frozen
+/// into a [`crate::TreeIndex`]) and a test fixture. The rerooting engines
+/// never hold one: they describe each new tree `T*` as a [`crate::TreePatch`]
+/// against the current index.
 #[derive(Debug, Clone)]
 pub struct RootedTree {
     parent: Vec<Vertex>,
@@ -26,15 +28,6 @@ impl RootedTree {
     pub fn new(capacity: usize, root: Vertex) -> Self {
         let mut parent = vec![NO_VERTEX; capacity];
         parent[root as usize] = root;
-        RootedTree { parent, root }
-    }
-
-    /// Wrap an existing parent array. `parent[root]` must equal `root`.
-    pub fn from_parent_array(parent: Vec<Vertex>, root: Vertex) -> Self {
-        assert_eq!(
-            parent[root as usize], root,
-            "root must be its own parent in the parent array"
-        );
         RootedTree { parent, root }
     }
 
@@ -71,8 +64,7 @@ impl RootedTree {
         self.parent[child as usize] = parent;
     }
 
-    /// Overwrite the parent of `child` unconditionally (used by the sequential
-    /// baseline when it re-hangs a subtree in place).
+    /// Overwrite the parent of `child` unconditionally.
     pub fn set_parent(&mut self, child: Vertex, parent: Vertex) {
         self.parent[child as usize] = parent;
     }
@@ -115,13 +107,5 @@ mod tests {
         assert_eq!(t.parent(3), Some(1));
         assert_eq!(t.len(), 5);
         assert!(t.contains(4));
-    }
-
-    #[test]
-    fn from_parent_array_roundtrip() {
-        let t = small_tree();
-        let arr = t.parent_array().to_vec();
-        let t2 = RootedTree::from_parent_array(arr.clone(), 0);
-        assert_eq!(t2.parent_array(), &arr[..]);
     }
 }

@@ -589,8 +589,10 @@ proptest! {
         let mut ft = FaultTolerantDfs::new(&g);
         ft.apply_batch(&updates);
         prop_assert!(ft.check().is_ok(), "{:?}", ft.check());
-        // A second, different batch from the same preprocessed structure.
-        let (_, updates2) = graph_and_updates(seed.wrapping_add(1), n, extra, k);
+        // A second, different batch on the same graph, from the same
+        // preprocessed structure.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(1));
+        let updates2 = random_update_sequence(&g, k, &UpdateMix::default(), &mut rng);
         ft.reset();
         ft.apply_batch(&updates2);
         prop_assert!(ft.check().is_ok(), "{:?}", ft.check());
@@ -794,6 +796,36 @@ fn patched_index_differential_smoke() {
     for backend in Backend::all_default() {
         patched_index_differential_run(backend, IndexPolicy::PatchAlways, &g, &updates);
     }
+}
+
+#[test]
+fn patched_index_matches_fresh_builds_on_large_regions() {
+    // The other patch differentials run on trees of under 80 vertices, but
+    // served splices touch hundreds: one 1024-vertex run under PatchAlways,
+    // compared with a fresh build after every update (`structural_eq` only;
+    // the naive-LCA sweep is quadratic at this size).
+    let mut rng = ChaCha8Rng::seed_from_u64(1024);
+    let g = generators::random_connected_gnm(1024, 4096, &mut rng);
+    let updates = random_update_sequence(&g, 60, &UpdateMix::edges_only(), &mut rng);
+    let mut dfs = MaintainerBuilder::new(Backend::Parallel)
+        .index_policy(IndexPolicy::PatchAlways)
+        .build(&g);
+    let mut largest = 0;
+    for (i, u) in updates.iter().enumerate() {
+        let before = *dfs.stats().index_maintenance();
+        dfs.apply_update(u);
+        let census = dfs.stats().index_maintenance().since(&before);
+        largest = largest.max(census.vertices_touched);
+        let idx = dfs.tree();
+        let fresh = TreeIndex::from_parent_slice(idx.parent_slice(), idx.root());
+        if let Err(e) = idx.structural_eq(&fresh) {
+            panic!("update {i} ({u:?}): patched index differs from a fresh build: {e}");
+        }
+    }
+    assert!(
+        largest > 256,
+        "the largest splice touched only {largest} vertices"
+    );
 }
 
 #[test]
