@@ -355,7 +355,9 @@ impl Server {
         rollup.absorb_batch(&report);
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        let snapshot = Arc::new(Snapshot::capture(epoch, self.dfs.as_ref()));
+        // An unmoved tree shares the published epoch's arrays (see capture_after).
+        let last = self.shared.published.read().clone();
+        let snapshot = Arc::new(Snapshot::capture_after(epoch, self.dfs.as_ref(), &last));
         let record = EpochRecord {
             epoch,
             updates: updates.len(),

@@ -3,9 +3,10 @@
 //! [`MappedEpoch`]) — read through the same flat arrays: the parent array,
 //! each vertex's depth-1 ancestor label (which names its tree) and the pseudo
 //! root's children answer every [`ForestQuery`] in `O(1)` through
-//! [`pardfs_api::forest`]. A `Snapshot` copies them at capture and holds no
-//! index; a `.epoch` file carries the first two as `TPAR` and `TTOP`, checked
-//! against each other once at open and then read in place.
+//! [`pardfs_api::forest`]. A `Snapshot` holds them behind `Arc`s (copied at
+//! capture, shared with the previous epoch when the tree did not move) and
+//! holds no index; a `.epoch` file carries the first two as `TPAR` and
+//! `TTOP`, checked against each other once at open and then read in place.
 
 use pardfs_api::forest::{self, PSEUDO_ROOT};
 use pardfs_api::ForestQuery;
@@ -15,6 +16,7 @@ use pardfs_graph::{MappedSnapshot, Vertex};
 use pardfs_tree::{write_tree_sections, TreeIndex, TreeView, NO_VERTEX};
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Section tag of a published epoch's header (epoch, fingerprint,
 /// num_vertices, num_edges — `u64` each).
@@ -27,14 +29,19 @@ const SEC_EPOCH_TOP: [u8; 4] = *b"TTOP";
 
 /// An **immutable** capture of one epoch of a maintained DFS forest.
 ///
-/// A snapshot owns copies of the three arrays the forest reads need — the
-/// augmented tree's parent array, its depth-1 ancestor labels and the pseudo
-/// root's children — so it stays valid, and answers in constant state, no
-/// matter what the writer does afterwards: readers holding an
+/// A snapshot holds immutable copies of the three arrays the forest reads
+/// need — the augmented tree's parent array, its depth-1 ancestor labels and
+/// the pseudo root's children — so it stays valid, and answers in constant
+/// state, no matter what the writer does afterwards: readers holding an
 /// `Arc<Snapshot>` never block the writer and never see a half-applied
 /// batch. It answers the full [`ForestQuery`] vocabulary with exactly the
 /// semantics of the live maintainer it was captured from (the same
-/// [`pardfs_api::forest`] functions, run on the copied arrays).
+/// [`pardfs_api::forest`] functions, run on the captured arrays).
+///
+/// The arrays sit behind `Arc`s so that consecutive epochs can share them:
+/// the server publishes an epoch whose tree did not move (its updates
+/// relinked nothing, e.g. a non-tree edge insert) on its predecessor's arrays
+/// and fingerprint instead of copying and re-hashing them.
 ///
 /// Identity is the index's [`TreeIndex::fingerprint`], taken from the live
 /// index at commit time. Because the snapshot is immutable,
@@ -45,10 +52,10 @@ const SEC_EPOCH_TOP: [u8; 4] = *b"TTOP";
 pub struct Snapshot {
     epoch: u64,
     backend: &'static str,
-    parent: Vec<Vertex>,
-    top: Vec<Vertex>,
+    parent: Arc<[Vertex]>,
+    top: Arc<[Vertex]>,
     /// The pseudo root's children (internal ids, ascending).
-    roots: Vec<Vertex>,
+    roots: Arc<[Vertex]>,
     num_vertices: usize,
     num_edges: usize,
     fingerprint: u64,
@@ -57,18 +64,47 @@ pub struct Snapshot {
 impl Snapshot {
     /// Capture the current state of `dfs` as epoch `epoch`: two `n`-word
     /// copies (the parent array and the `top` labels), the root list, and the
-    /// fingerprint of the live index.
+    /// fingerprint of the live index, which is most of the cost.
     pub fn capture(epoch: u64, dfs: &dyn pardfs_api::DfsMaintainer) -> Self {
         let tree = dfs.tree();
         Snapshot {
             epoch,
             backend: dfs.backend_name(),
-            parent: tree.parent_slice().to_vec(),
-            top: tree.top_slice().to_vec(),
-            roots: tree.children(PSEUDO_ROOT).to_vec(),
+            parent: tree.parent_slice().into(),
+            top: tree.top_slice().into(),
+            roots: tree.children(PSEUDO_ROOT).into(),
             num_vertices: dfs.num_vertices(),
             num_edges: dfs.num_edges(),
             fingerprint: tree.fingerprint(),
+        }
+    }
+
+    /// Capture `dfs` as epoch `epoch`, the epoch after `last`. If the live
+    /// parent array equals `last`'s (one comparison of `n` words), the new
+    /// snapshot shares `last`'s arrays, root list and fingerprint and reads
+    /// only the sizes afresh; otherwise this is [`Snapshot::capture`].
+    ///
+    /// Sharing is exact because the `top` labels, the roots and the
+    /// fingerprint's pre-order (children lists are id-sorted) all follow from
+    /// the parent array; debug builds re-check that on every shared capture.
+    pub(crate) fn capture_after(
+        epoch: u64,
+        dfs: &dyn pardfs_api::DfsMaintainer,
+        last: &Snapshot,
+    ) -> Self {
+        let tree = dfs.tree();
+        if tree.parent_slice() != &*last.parent {
+            return Snapshot::capture(epoch, dfs);
+        }
+        debug_assert_eq!(tree.fingerprint(), last.fingerprint, "shared fingerprint");
+        debug_assert_eq!(tree.top_slice(), &*last.top, "shared top labels");
+        debug_assert_eq!(tree.children(PSEUDO_ROOT), &*last.roots, "shared roots");
+        Snapshot {
+            epoch,
+            backend: dfs.backend_name(),
+            num_vertices: dfs.num_vertices(),
+            num_edges: dfs.num_edges(),
+            ..last.clone()
         }
     }
 
@@ -126,7 +162,7 @@ impl Snapshot {
             .extend_from_slice(self.backend.as_bytes());
         write_tree_sections(&mut w, PSEUDO_ROOT, &self.parent);
         let top = w.section_aligned(SEC_EPOCH_TOP, 8);
-        for &t in &self.top {
+        for &t in self.top.iter() {
             put_u32(top, t);
         }
         let bytes = w.finish();

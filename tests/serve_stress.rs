@@ -13,6 +13,11 @@
 //! * **Serving equivalence.** Replaying a trace through the server (writer
 //!   group-committing the recorded batches) leaves exactly the tree a
 //!   single-threaded `ScenarioRunner` replay leaves, for every backend.
+//! * **Unchanged trees are shared, not copied.** A commit that leaves the
+//!   parent array as it was publishes its epoch on the previous epoch's
+//!   arrays (the same allocation) and fingerprint; a commit that moves the
+//!   tree publishes fresh copies, and every held epoch still recomputes to
+//!   its logged fingerprint.
 //! * **Migration atomicity.** A `PartitionedRouter` cross-shard component
 //!   migration — which tears a component out of one shard's maintainer and
 //!   resumes another shard's from the merged state — must be invisible to
@@ -129,6 +134,70 @@ fn group_commit_absorbs_concurrent_submissions_into_one_epoch() {
     assert_eq!(stats.report.applied(), updates.len());
     assert!(server.commit().is_none(), "queue fully drained");
     assert_eq!(server.epochs().len(), 2, "epoch 0 + the group commit");
+}
+
+#[test]
+fn an_epoch_whose_tree_did_not_move_shares_its_predecessors_arrays() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5E29);
+    let graph = generators::random_connected_gnm(512, 2048, &mut rng);
+    let updates = random_update_sequence(&graph, 200, &UpdateMix::edges_only(), &mut rng);
+    for backend in [Backend::Parallel, Backend::Sequential] {
+        let mut server = Server::new(MaintainerBuilder::new(backend).build(&graph));
+        let reader = server.read_handle();
+        let writer = server.write_handle();
+        // Holding every epoch keeps each allocation alive, so two epochs
+        // share a pointer only if the second really reuses the first's array.
+        let mut held = vec![reader.snapshot()];
+        let (mut shared, mut copied) = (0, 0);
+        for update in &updates {
+            writer.submit(vec![update.clone()]);
+            let stats = server.commit().expect("one submission queued");
+            let snap = reader.snapshot();
+            let last = held.last().expect("epoch 0 is held");
+            let epoch = snap.epoch();
+            let live = server.maintainer().tree();
+            assert_eq!(
+                snap.parent_slice(),
+                live.parent_slice(),
+                "{backend:?} {epoch}"
+            );
+            assert_eq!(
+                snap.fingerprint(),
+                live.fingerprint(),
+                "{backend:?} {epoch}"
+            );
+            assert_eq!(snap.fingerprint(), stats.record.fingerprint);
+            let unmoved = snap.parent_slice() == last.parent_slice();
+            assert_eq!(
+                snap.parent_slice().as_ptr() == last.parent_slice().as_ptr(),
+                unmoved,
+                "{backend:?} epoch {epoch}: the parent array is shared iff it did not change"
+            );
+            if unmoved {
+                assert_eq!(
+                    Some(snap.fingerprint()),
+                    reader.recorded_fingerprint(last.epoch()),
+                    "{backend:?} epoch {epoch}: a shared epoch keeps its predecessor's fingerprint"
+                );
+                shared += 1;
+            } else {
+                copied += 1;
+            }
+            held.push(snap);
+        }
+        for snap in &held {
+            assert_eq!(
+                Some(snap.recompute_fingerprint()),
+                reader.recorded_fingerprint(snap.epoch()),
+                "{backend:?} epoch {}",
+                snap.epoch()
+            );
+        }
+        assert!(
+            shared > 0 && copied > 0,
+            "{backend:?}: {shared} shared and {copied} copied epochs"
+        );
+    }
 }
 
 #[test]
