@@ -16,8 +16,9 @@
 //! workspace's trajectory semantics depend on:
 //!
 //! * `neighbors(v)` must stay a **contiguous `&[Vertex]` slice** — every
-//!   consumer from the DFS engines to the CSR view iterates it directly, and
-//!   a linked list would force either an allocation per call or an API break.
+//!   consumer from the DFS engines to the snapshot writer iterates it
+//!   directly, and a linked list would force either an allocation per call
+//!   or an API break.
 //! * Deletion must keep the exact `swap_remove` reordering of the previous
 //!   `Vec<Vec<_>>` representation: adjacency *order* determines DFS tree
 //!   shape, and the recorded corpus traces pin tree fingerprints update by

@@ -385,13 +385,6 @@ impl Graph {
         }
     }
 
-    /// Build an immutable CSR snapshot of the current graph (a compaction of
-    /// the adjacency arena — each per-vertex block is already contiguous, so
-    /// this is a sequence of block copies, not a pointer chase).
-    pub fn csr(&self) -> crate::csr::Csr {
-        crate::csr::Csr::from_graph(self)
-    }
-
     /// Words of memory backing the adjacency structure (the streaming memory
     /// accountant): the **whole arena pool** — live entries, slack inside
     /// partially-filled blocks, and freed blocks awaiting reuse — plus one
@@ -472,10 +465,53 @@ impl Graph {
         Self::from_validated_flat(degrees, flat, active, claimed)
     }
 
+    /// This graph with a hub: every id shifted up by one, and vertex `0`
+    /// joined to every active vertex (the pseudo-root augmentation of
+    /// Section 2). Holes stay holes, one slot higher.
+    ///
+    /// The lists are packed by counting (count, prefix-sum, scatter) into
+    /// exactly the order that inserting the edges one by one leaves — every
+    /// [`Graph::edges`] entry in turn, then the hub's edges in ascending id
+    /// order: vertex `x + 1` lists its lower neighbours ascending, then its
+    /// higher neighbours in `x`'s own list order, then `0`, and `0` lists
+    /// the active vertices ascending. The result is valid by construction,
+    /// so it skips the validator [`Graph::from_adjacency_lists`] runs.
+    pub fn with_hub(&self) -> Graph {
+        let cap = self.capacity();
+        let mut degrees = vec![0usize; cap + 1];
+        degrees[0] = self.num_active;
+        for v in self.vertices() {
+            degrees[v as usize + 1] = self.degree(v) + 1;
+        }
+        let mut cursor = Vec::with_capacity(cap + 1);
+        let mut total = 0;
+        for &d in &degrees {
+            cursor.push(total);
+            total += d;
+        }
+        let mut flat = vec![0 as Vertex; total];
+        let mut push = |s: Vertex, x: Vertex| {
+            flat[cursor[s as usize]] = x;
+            cursor[s as usize] += 1;
+        };
+        for u in self.vertices() {
+            for &v in self.neighbors(u).iter().filter(|&&v| u < v) {
+                push(u + 1, v + 1);
+                push(v + 1, u + 1);
+            }
+            push(u + 1, 0);
+            push(0, u + 1);
+        }
+        let mut active = Vec::with_capacity(cap + 1);
+        active.push(true);
+        active.extend_from_slice(&self.active);
+        Self::assemble_validated(&degrees, &flat, active)
+    }
+
     /// Pack an **already validated** flat adjacency encoding into a graph —
-    /// the shared materialization tail of [`Graph::from_validated_flat`] and
-    /// [`crate::GraphView::to_graph`] (which validated at view-open time and
-    /// must not pay for validation twice).
+    /// the shared materialization tail of [`Graph::from_validated_flat`],
+    /// [`Graph::with_hub`] and [`crate::GraphView::to_graph`] (which
+    /// validated at view-open time and must not pay for validation twice).
     pub(crate) fn assemble_validated(
         degrees: &[usize],
         flat: &[Vertex],

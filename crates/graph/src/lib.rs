@@ -11,8 +11,9 @@
 //! * [`Graph`] — an adjacency-list dynamic undirected graph with stable vertex
 //!   identifiers, supporting all four update kinds, stored in a flat
 //!   [`AdjacencyArena`] (one contiguous pool for every neighbour list).
-//! * [`Csr`] — an immutable compressed-sparse-row snapshot for cache-friendly
-//!   static traversals (a compaction of the arena).
+//!   Bulk constructions pack the pool by counting instead of inserting edge
+//!   by edge: [`Graph::with_hub`] (the pseudo-root augmentation, valid by
+//!   construction) and the validating [`Graph::from_adjacency_lists`].
 //! * [`snap`] — the `pardfs-snap v2` binary snapshot container (aligned
 //!   sections, one whole-file checksum) used by the graph/tree binary
 //!   codecs, the WAL's checkpoints and published serving epochs (normative
@@ -39,7 +40,6 @@
 
 pub mod arena;
 pub mod connectivity;
-pub mod csr;
 pub mod generators;
 pub mod graph;
 pub mod mapped;
@@ -49,7 +49,6 @@ pub mod view;
 
 pub use arena::AdjacencyArena;
 pub use connectivity::{connected_components, is_connected, DisjointSets};
-pub use csr::Csr;
 pub use graph::{Edge, Graph, Vertex, INVALID_VERTEX};
 pub use mapped::MappedSnapshot;
 pub use snap::{SnapReader, SnapWriter};

@@ -20,9 +20,10 @@
 //!
 //! The crate exposes:
 //!
-//! * [`StructureD`] — the sorted-adjacency structure with an *overlay* that
-//!   absorbs edge/vertex updates without rebuilding (Theorem 9), which is what
-//!   the fault-tolerant algorithm relies on;
+//! * [`StructureD`] — the sorted rows, one flat buffer packed by a counting
+//!   pass, with an *overlay* that absorbs edge/vertex updates without
+//!   rebuilding (Theorem 9), which is what the fault-tolerant algorithm
+//!   relies on;
 //! * [`Drifted`] — `D` queried on the paths of a tree that has drifted from
 //!   the one `D` was built on, each path cut into maximal base-tree segments
 //!   by [`base_segments`] (Theorem 9);

@@ -3,6 +3,10 @@
 //! `D` built on one tree answer queries on the paths of a later one
 //! ([`base_segments`], queried through the [`Drifted`] oracle).
 //!
+//! The sorted lists are one flat buffer with per-vertex offsets, packed in
+//! `O(n + m)` by one counting pass that visits the tree in post-order, so the
+//! build sorts nothing (see [`StructureD::build`]).
+//!
 //! ## The overlay / rebuild contract
 //!
 //! `D` is built **once** on a DFS tree (the *base* tree) of a graph in which
@@ -46,7 +50,7 @@ use pardfs_tree::paths::path_vertices;
 use pardfs_tree::TreeIndex;
 use rayon::prelude::*;
 
-/// Batches smaller than this are answered sequentially.
+/// Query batches smaller than this are answered sequentially.
 const PAR_THRESHOLD: usize = 256;
 
 /// The paper's data structure `D`, built over a DFS tree `T` of a graph `G`.
@@ -55,7 +59,8 @@ const PAR_THRESHOLD: usize = 256;
 /// post-order number in `T`. Because every edge of `G` is a back edge of `T`
 /// (the defining property of a DFS tree), the neighbours of `w` lying on an
 /// ancestor–descendant path and *above* `w` form a contiguous post-order
-/// window, so a query is a binary search (Section 5.2).
+/// window, so a query is a binary search (Section 5.2). The sorted rows sit
+/// in one flat buffer: `w`'s row is `rows[row_start[w]..row_start[w + 1]]`.
 ///
 /// The *overlay* absorbs updates applied after the build (Theorem 9): inserted
 /// edges are kept in small per-vertex lists that every query scans linearly,
@@ -65,7 +70,8 @@ const PAR_THRESHOLD: usize = 256;
 #[derive(Debug, Clone)]
 pub struct StructureD {
     idx: TreeIndex,
-    sorted_adj: Vec<Vec<Vertex>>,
+    rows: Vec<Vertex>,
+    row_start: Vec<usize>,
     extra_adj: Vec<Vec<Vertex>>,
     removed: Vec<Vec<Vertex>>,
     dead: Vec<bool>,
@@ -79,41 +85,58 @@ impl StructureD {
     /// back edge of the tree (checked in debug builds); edges violating this
     /// would silently corrupt binary searches, so callers route them through
     /// the overlay instead.
+    ///
+    /// The rows are packed by counting, like the tree's children lists: count
+    /// each tree vertex's tree neighbours, prefix-sum the counts into row
+    /// offsets, then visit the tree's vertices in post-order and append each
+    /// to its neighbours' rows, which therefore come out sorted, in `O(n + m)`
+    /// with no sort.
     pub fn build(graph: &Graph, idx: TreeIndex) -> Self {
         let cap = graph.capacity().max(idx.capacity());
-        let sorted_row = |v: Vertex| {
-            if !graph.is_active(v) || !idx.contains(v) {
-                return Vec::new();
+        let tree_nbrs = |v: Vertex| {
+            let nbrs = if graph.is_active(v) && idx.contains(v) {
+                graph.neighbors(v)
+            } else {
+                &[]
+            };
+            nbrs.iter().copied().filter(|&u| idx.contains(u))
+        };
+        let mut row_start = Vec::with_capacity(cap + 1);
+        row_start.push(0);
+        for v in 0..cap as Vertex {
+            row_start.push(row_start[v as usize] + tree_nbrs(v).count());
+        }
+        let mut by_post = vec![0 as Vertex; idx.num_vertices()];
+        for &v in idx.pre_order_vertices() {
+            by_post[idx.post(v) as usize] = v;
+        }
+        let mut cursor = row_start[..cap].to_vec();
+        let mut rows = vec![0 as Vertex; row_start[cap]];
+        for &v in &by_post {
+            for u in tree_nbrs(v) {
+                debug_assert!(
+                    idx.is_back_edge(u, v),
+                    "graph contains a cross edge w.r.t. the supplied DFS tree"
+                );
+                rows[cursor[u as usize]] = v;
+                cursor[u as usize] += 1;
             }
-            let mut nbrs: Vec<Vertex> = graph
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| idx.contains(u))
-                .collect();
-            debug_assert!(
-                nbrs.iter().all(|&u| idx.is_back_edge(u, v)),
-                "graph contains a cross edge w.r.t. the supplied DFS tree"
-            );
-            nbrs.sort_unstable_by_key(|&u| idx.post(u));
-            nbrs
-        };
-        // Small builds stay on the calling thread: with the executor now
-        // genuinely parallel, entering the pool costs two context switches,
-        // which dwarfs sorting a few dozen adjacency rows.
-        let sorted_adj: Vec<Vec<Vertex>> = if cap < PAR_THRESHOLD {
-            (0..cap as Vertex).map(sorted_row).collect()
-        } else {
-            (0..cap as Vertex).into_par_iter().map(sorted_row).collect()
-        };
+        }
         StructureD {
             idx,
-            sorted_adj,
+            rows,
+            row_start,
             extra_adj: vec![Vec::new(); cap],
             removed: vec![Vec::new(); cap],
             dead: vec![false; cap],
             overlay_updates: 0,
         }
+    }
+
+    /// `w`'s base row: its tree neighbours in ascending post-order.
+    fn row(&self, w: Vertex) -> &[Vertex] {
+        let w = w as usize;
+        &self.rows[self.row_start[w]..self.row_start[w + 1]]
     }
 
     /// The DFS tree index the structure was built on.
@@ -129,14 +152,14 @@ impl StructureD {
     /// Memory footprint in machine words (adjacency entries only) — the
     /// `O(m)` size claim of Theorem 8.
     pub fn size_words(&self) -> usize {
-        self.sorted_adj.iter().map(Vec::len).sum::<usize>()
+        self.rows.len()
             + self.extra_adj.iter().map(Vec::len).sum::<usize>()
             + self.removed.iter().map(Vec::len).sum::<usize>()
     }
 
     fn grow(&mut self, cap: usize) {
-        if cap > self.sorted_adj.len() {
-            self.sorted_adj.resize_with(cap, Vec::new);
+        if cap > self.dead.len() {
+            self.row_start.resize(cap + 1, self.rows.len());
             self.extra_adj.resize_with(cap, Vec::new);
             self.removed.resize_with(cap, Vec::new);
             self.dead.resize(cap, false);
@@ -224,7 +247,7 @@ impl StructureD {
     /// Answer a single query (see [`VertexQuery`] for the semantics).
     pub fn query_vertex(&self, q: VertexQuery) -> Option<EdgeHit> {
         let w = q.w;
-        if (w as usize) >= self.sorted_adj.len() || self.is_dead(w) {
+        if (w as usize) >= self.dead.len() || self.is_dead(w) {
             return None;
         }
         let idx = &self.idx;
@@ -234,7 +257,7 @@ impl StructureD {
         // A target outside the build tree (a vertex inserted after the
         // build) has no post-order window: only overlay edges can reach it.
         if let Some((top, bottom)) = nearest.path().filter(|_| idx.contains(w)) {
-            let adj = &self.sorted_adj[w as usize];
+            let adj = self.row(w);
 
             // Fast path: neighbours of `w` that are ancestors of `w` on the
             // path. They fill the window adj[lo..hi]; the survivor nearest
@@ -627,6 +650,88 @@ mod tests {
         let idx = dfs_tree(&g, 0);
         let d = StructureD::build(&g, idx);
         assert_eq!(d.size_words(), 2 * 200);
+    }
+
+    /// `w`'s row as the build must lay it out: its neighbours in `g` that
+    /// the tree contains, sorted by post-order number (empty outside it).
+    fn expected_row(g: &Graph, idx: &TreeIndex, w: Vertex) -> Vec<Vertex> {
+        if !g.is_active(w) || !idx.contains(w) {
+            return Vec::new();
+        }
+        let mut row: Vec<Vertex> = g
+            .neighbors(w)
+            .iter()
+            .copied()
+            .filter(|&u| idx.contains(u))
+            .collect();
+        row.sort_by_key(|&u| idx.post(u));
+        row
+    }
+
+    #[test]
+    fn rows_are_the_tree_neighbours_in_post_order() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xD0);
+        let (mut holes, mut outside) = (0, 0);
+        for trial in 0..40 {
+            let n: usize = rng.gen_range(2..90);
+            let m = rng.gen_range(n - 1..=(n * (n - 1) / 2).min(4 * n));
+            let mut g = generators::random_connected_gnm(n, m, &mut rng);
+            if trial % 2 == 1 {
+                for _ in 0..rng.gen_range(1..=n / 3 + 1) {
+                    g.delete_vertex(rng.gen_range(1..n as Vertex));
+                }
+            }
+            let idx = dfs_tree(&g, 0);
+            let d = StructureD::build(&g, idx.clone());
+            for w in 0..g.capacity() as Vertex {
+                assert_eq!(
+                    d.row(w),
+                    expected_row(&g, &idx, w),
+                    "trial {trial}, vertex {w}"
+                );
+            }
+            holes += g.capacity() - g.num_vertices();
+            outside += g.num_vertices() - idx.num_vertices();
+        }
+        assert!(
+            holes > 50 && outside > 0,
+            "{holes} holes, {outside} outside"
+        );
+    }
+
+    #[test]
+    fn vertices_without_a_row_answer_only_through_the_overlay() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xD1);
+        let g = generators::random_connected_gnm(40, 120, &mut rng);
+        let idx = dfs_tree(&g, 0);
+        // A vertex the tree never saw, with graph edges into the tree: its
+        // row is empty and no row lists it.
+        let mut grown = g.clone();
+        let outside = grown.insert_vertex(&[3, 17, 29]);
+        let mut d = StructureD::build(&grown, idx.clone());
+        for w in 0..grown.capacity() as Vertex {
+            assert_eq!(d.row(w), expected_row(&grown, &idx, w), "vertex {w}");
+        }
+        assert!(d.row(outside).is_empty());
+        let deepest = *idx
+            .pre_order_vertices()
+            .iter()
+            .max_by_key(|&&v| idx.level(v))
+            .unwrap();
+        let whole_path = |w| VertexQuery::new(w, 0, deepest);
+        assert_eq!(d.query_vertex(whole_path(outside)), None);
+        d.note_insert_edge(outside, 0);
+        let hit = d.query_vertex(whole_path(outside)).unwrap();
+        assert_eq!((hit.from, hit.on_path), (outside, 0));
+
+        // A slot added through the overlay gets an empty row too.
+        let fresh = grown.capacity() as Vertex;
+        d.note_insert_vertex(fresh, &[deepest]);
+        assert!(d.row(fresh).is_empty());
+        // The base rows hold the 120 tree edges only, the overlay two more.
+        assert_eq!(d.size_words(), 2 * 120 + 2 + 2);
+        let hit = d.query_vertex(whole_path(fresh)).unwrap();
+        assert_eq!((hit.from, hit.on_path), (fresh, deepest));
     }
 
     /// The vertices from `from` up to its ancestor `to`, by walking a parent

@@ -29,21 +29,12 @@ pub struct AugmentedGraph {
 
 impl AugmentedGraph {
     /// Augment a user graph with a pseudo root adjacent to every active
-    /// vertex. The user graph is copied into the shifted id space.
+    /// vertex. The user graph is copied into the shifted id space in one
+    /// packing pass ([`Graph::with_hub`]).
     pub fn new(user: &Graph) -> Self {
-        let mut graph = Graph::new(user.capacity() + 1);
-        for v in 0..user.capacity() as Vertex {
-            if !user.is_active(v) {
-                graph.delete_vertex(v + 1);
-            }
+        AugmentedGraph {
+            graph: user.with_hub(),
         }
-        for e in user.edges() {
-            graph.insert_edge(e.0 + 1, e.1 + 1);
-        }
-        for v in user.vertices() {
-            graph.insert_edge(PSEUDO_ROOT, v + 1);
-        }
-        AugmentedGraph { graph }
     }
 
     /// Re-wrap an *internal-id* graph (pseudo root and pseudo edges already
@@ -163,6 +154,72 @@ impl AugmentedGraph {
 mod tests {
     use super::*;
     use pardfs_graph::generators;
+    use pardfs_graph::updates::{random_update_sequence, UpdateMix};
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
+
+    /// The augmentation built one insert at a time: holes first, then every
+    /// [`Graph::edges`] entry, then each active vertex's pseudo edge.
+    fn insert_built(user: &Graph) -> Graph {
+        let mut graph = Graph::new(user.capacity() + 1);
+        for v in 0..user.capacity() as Vertex {
+            if !user.is_active(v) {
+                graph.delete_vertex(v + 1);
+            }
+        }
+        for e in user.edges() {
+            graph.insert_edge(e.0 + 1, e.1 + 1);
+        }
+        for v in user.vertices() {
+            graph.insert_edge(PSEUDO_ROOT, v + 1);
+        }
+        graph
+    }
+
+    #[test]
+    fn packed_augmentation_equals_the_insert_built_one() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA06);
+        let mut users = vec![Graph::new(0), Graph::new(1)];
+        for _ in 0..60 {
+            let n: usize = rng.gen_range(2..50);
+            let m = rng.gen_range(n - 1..=(n * (n - 1) / 2).min(4 * n));
+            let mut g = generators::random_connected_gnm(n, m, &mut rng);
+            let churn = rng.gen_range(0..120);
+            for u in random_update_sequence(&g, churn, &UpdateMix::default(), &mut rng) {
+                g.apply(&u);
+            }
+            users.push(g);
+        }
+        let (mut holes, mut unsorted) = (0, 0);
+        for (case, user) in users.iter().enumerate() {
+            let packed = AugmentedGraph::new(user);
+            let (packed, want) = (packed.graph(), insert_built(user));
+            assert_eq!(packed.capacity(), want.capacity(), "case {case}");
+            for v in 0..want.capacity() as Vertex {
+                assert_eq!(
+                    packed.is_active(v),
+                    want.is_active(v),
+                    "case {case}, slot {v}"
+                );
+                assert_eq!(
+                    packed.neighbors(v),
+                    want.neighbors(v),
+                    "case {case}, slot {v}"
+                );
+            }
+            assert_eq!(packed.num_edges(), want.num_edges(), "case {case}");
+            assert_eq!(packed.num_vertices(), want.num_vertices(), "case {case}");
+            holes += user.capacity() - user.num_vertices();
+            unsorted += user
+                .vertices()
+                .filter(|&v| !user.neighbors(v).is_sorted())
+                .count();
+        }
+        assert!(
+            holes > 100 && unsorted > 100,
+            "{holes} holes, {unsorted} unsorted lists"
+        );
+    }
 
     #[test]
     fn augmentation_connects_everything() {
