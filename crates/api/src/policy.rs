@@ -123,32 +123,31 @@ impl RebuildPolicyStats {
     }
 }
 
+/// The largest region [`IndexPolicy::Patched`] splices is
+/// `⌈n / PATCHED_REGION_DIVISOR⌉` of a tree of `n` vertices: half the tree.
+/// In `BENCH_E11.json` (2-core host) the splice costs 0.16–0.20 µs per
+/// touched vertex against 0.063–0.086 µs per vertex rebuilt, so regions
+/// above about 0.4 n are cheaper rebuilt, and this limit beats splicing
+/// every patch by 2–20 % at every `n`.
+const PATCHED_REGION_DIVISOR: usize = 2;
+
 /// When a maintainer rebuilds its tree index from scratch instead of splicing
 /// the update's `TreePatch` into it — the index-layer mirror of
 /// [`RebuildPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IndexPolicy {
     /// Rebuild `TreeIndex::from_parent_slice` after every update (the
     /// pre-delta-patching behaviour; `O(n)` per update).
     EveryUpdate,
-    /// Splice the patch whenever its region holds at most
-    /// `max_fraction · n` vertices; rebuild otherwise. `max_fraction = 0.5`
-    /// is the default: a region of half the tree costs about what a rebuild
-    /// does.
-    Patched {
-        /// Largest patchable region, as a fraction of the tree size.
-        max_fraction: f64,
-    },
+    /// The default: splice the patch whenever its region holds at most half
+    /// the tree's vertices (rounded up); rebuild otherwise. A region of half
+    /// the tree costs about what a rebuild does.
+    #[default]
+    Patched,
     /// Splice every spliceable patch regardless of region size
     /// (membership-changing updates still rebuild — no splice exists for
     /// them). Useful for tests and for measuring the splice's own ceiling.
     PatchAlways,
-}
-
-impl Default for IndexPolicy {
-    fn default() -> Self {
-        IndexPolicy::Patched { max_fraction: 0.5 }
-    }
 }
 
 impl IndexPolicy {
@@ -158,9 +157,7 @@ impl IndexPolicy {
         match self {
             IndexPolicy::EveryUpdate => None,
             IndexPolicy::PatchAlways => Some(usize::MAX),
-            IndexPolicy::Patched { max_fraction } => {
-                Some(((max_fraction * n_tree as f64).ceil() as usize).max(1))
-            }
+            IndexPolicy::Patched => Some(n_tree.div_ceil(PATCHED_REGION_DIVISOR).max(1)),
         }
     }
 }
@@ -299,19 +296,13 @@ mod tests {
             IndexPolicy::PatchAlways.region_limit(1000),
             Some(usize::MAX)
         );
-        assert_eq!(
-            IndexPolicy::Patched { max_fraction: 0.5 }.region_limit(1000),
-            Some(500)
-        );
+        // Half the tree, rounded up.
+        assert_eq!(IndexPolicy::Patched.region_limit(1000), Some(500));
+        assert_eq!(IndexPolicy::Patched.region_limit(7), Some(4));
         // Degenerate sizes still allow trivial patches.
-        assert_eq!(
-            IndexPolicy::Patched { max_fraction: 0.1 }.region_limit(1),
-            Some(1)
-        );
-        assert_eq!(
-            IndexPolicy::default(),
-            IndexPolicy::Patched { max_fraction: 0.5 }
-        );
+        assert_eq!(IndexPolicy::Patched.region_limit(1), Some(1));
+        assert_eq!(IndexPolicy::Patched.region_limit(0), Some(1));
+        assert_eq!(IndexPolicy::default(), IndexPolicy::Patched);
     }
 
     #[test]
@@ -324,26 +315,27 @@ mod tests {
         let mut stats = IndexMaintenanceStats::default();
         let parents = |idx: &TreeIndex| idx.parent_slice().to_vec();
 
-        // Small patch: leaf 7 re-hangs under 3 — the region is subtree(3),
-        // 5 of 8 vertices, spliced under a generous fraction.
+        // Small patch: leaf 7 re-hangs under 5 — the region is subtree(5),
+        // 3 of 8 vertices, within half the tree: spliced.
         let mut expected = parent.clone();
-        expected[7] = 3;
+        expected[7] = 5;
         let mut patch = TreePatch::new();
-        patch.assign(7, 3);
+        patch.assign(7, 5);
         maintain_index(
             &mut idx,
             &patch,
             expected.len(),
-            IndexPolicy::Patched { max_fraction: 0.7 },
+            IndexPolicy::Patched,
             &mut stats,
         );
         assert_eq!(stats.patches_applied, 1);
         assert!(stats.vertices_touched >= 2);
         assert_eq!(stats.full_rebuilds, 0);
-        assert_eq!(idx.parent(7), Some(3));
+        assert_eq!(idx.parent(7), Some(5));
         assert_eq!(parents(&idx), expected);
 
-        // Oversized region under a tight policy — fallback rebuild.
+        // A region of nearly the whole path, past half the tree: fallback
+        // rebuild.
         let mut expected2 = expected.clone();
         expected2[1] = 3; // would-be region is nearly the whole path
         expected2[2] = 1;
@@ -356,7 +348,7 @@ mod tests {
             &mut idx,
             &patch,
             expected2.len(),
-            IndexPolicy::Patched { max_fraction: 0.1 },
+            IndexPolicy::Patched,
             &mut stats,
         );
         assert_eq!(stats.fallback_rebuilds, 1);

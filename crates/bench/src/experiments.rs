@@ -774,15 +774,16 @@ pub fn e12_scenarios(scale: Scale) -> Table {
 /// relative to `m`) and takes one checkpoint of the end
 /// state, opened two ways:
 ///
-/// * `materialize` — render, write and `sync_all` the file, then read it and
-///   [`pardfs::wal::Checkpoint::parse_binary`] it: copy every array out of
-///   the buffer, rebuild the adjacency arena and the whole `TreeIndex`
-///   (orders, levels, sizes, jump pointers), and check the recorded
-///   fingerprint;
+/// * `materialize` — render, write and `sync_all` the file, then read it,
+///   validate it as a [`pardfs::CheckpointView`] and
+///   [`materialize`](pardfs::CheckpointView::materialize) it: recovery's
+///   decode without the mapping. It copies every array out of the buffer,
+///   rebuilds the adjacency arena and the whole `TreeIndex` (orders,
+///   levels, sizes, jump pointers), and checks the recorded fingerprint;
 /// * `mapped-open` — [`pardfs::MappedSnapshot`] plus
 ///   [`pardfs::CheckpointView`]: validate the container **once** (checksum,
-///   framing, the same structural validation the parser runs) and answer
-///   straight off the mapped bytes with zero array bytes copied.
+///   framing, the same structural validation) and answer straight off the
+///   mapped bytes with zero array bytes copied.
 ///
 /// Both rows end with the same pair of first queries (a tree parent probe
 /// and a neighbourhood scan), so the ratio of their open times isolates
@@ -801,7 +802,7 @@ pub fn e15_checkpoint_open(scale: Scale) -> Table {
         Scale::Full => vec![1024, 4096],
     };
     let mut t = Table::new(
-        "E15: checkpoint open — materializing parse vs mapped zero-copy view, to first query",
+        "E15: checkpoint open — materialize (recovery's decode) vs mapped zero-copy view, to first query",
         &[
             "backend",
             "path",
@@ -842,12 +843,11 @@ pub fn e15_checkpoint_open(scale: Scale) -> Table {
             for batch in &batches {
                 dfs.apply_batch(batch);
             }
-            let ckpt = pardfs::wal::Checkpoint::capture(batches.len() as u64, dfs.as_ref());
             let backend_name = dfs.backend_name();
-            let words = ckpt.graph.adjacency_words();
-            let probe = ckpt.tree.children(0).first().copied().unwrap_or(0);
-            let expected_parent = ckpt.tree.parent(probe);
-            let expected_deg = ckpt.graph.neighbors(0).len();
+            let words = dfs.augmented_graph().adjacency_words();
+            let probe = dfs.tree().children(0).first().copied().unwrap_or(0);
+            let expected_parent = dfs.tree().parent(probe);
+            let expected_deg = dfs.augmented_graph().neighbors(0).len();
             let dir = std::env::temp_dir().join(format!(
                 "pardfs-bench-e15-{}-{backend_name}-{n}",
                 std::process::id()
@@ -857,17 +857,21 @@ pub fn e15_checkpoint_open(scale: Scale) -> Table {
             let file = dir.join("checkpoint.ckpt");
             let write_us = best(2, &mut || {
                 let mut f = std::fs::File::create(&file).expect("checkpoint file creates");
-                f.write_all(&ckpt.render_binary())
-                    .and_then(|()| f.sync_all())
-                    .expect("checkpoint file writes");
+                f.write_all(&pardfs::wal::render_checkpoint(
+                    batches.len() as u64,
+                    dfs.as_ref(),
+                ))
+                .and_then(|()| f.sync_all())
+                .expect("checkpoint file writes");
             });
             let disk = std::fs::metadata(&file).expect("written file").len();
             let materialize_us = best(8, &mut || {
                 let bytes = std::fs::read(&file).expect("checkpoint reads");
-                let loaded =
-                    pardfs::wal::Checkpoint::parse_binary(&bytes).expect("own checkpoint parses");
-                assert_eq!(loaded.tree.parent(probe), expected_parent);
-                assert_eq!(loaded.graph.neighbors(0).len(), expected_deg);
+                let (graph, tree) = pardfs::CheckpointView::parse(&bytes)
+                    .and_then(|view| view.materialize())
+                    .expect("own checkpoint materializes");
+                assert_eq!(tree.parent(probe), expected_parent);
+                assert_eq!(graph.neighbors(0).len(), expected_deg);
             });
             let mut mapped = false;
             let mapped_us = best(8, &mut || {

@@ -24,8 +24,8 @@ pub struct BenchRecord {
     pub disk_bytes: Option<u64>,
     /// [`pardfs::graph::Graph::adjacency_words`] of the workload graph at
     /// measurement time — the streaming memory accountant, stamped by the
-    /// codec experiment (E15) so footprint regressions show up next to the
-    /// timing ones.
+    /// checkpoint experiment (E15) so footprint regressions show up next to
+    /// the timing ones.
     pub adjacency_words: Option<usize>,
     /// Logical cores of the host that recorded the row. The bench gate
     /// compares this against the committed baseline's stamp and downgrades

@@ -1,7 +1,7 @@
 //! The dynamic undirected [`Graph`] type.
 
 use crate::arena::AdjacencyArena;
-use crate::snap::{put_u32, put_u64, Cursor, SnapReader, SnapWriter};
+use crate::snap::{put_u32, put_u64, SnapWriter};
 use crate::updates::Update;
 
 /// Vertex identifier. Vertices are dense `u32` indices; identifiers are stable
@@ -51,11 +51,10 @@ pub(crate) const SEC_GRAPH_ADJACENCY: [u8; 4] = *b"GADJ";
 /// activity, capacity bounds, self loops, duplicates, symmetry and the
 /// claimed edge count, all in `O(E + n)` counting passes (no sort, no
 /// `contains` scan per edge — the latter degenerates to `O(E·deg)` on the
-/// hub vertices adversarial workloads produce). Shared by the materializing
-/// parsers
-/// ([`Graph::from_validated_flat`]) and the borrowed [`crate::GraphView`],
-/// so copies and views reject exactly the same inputs. The `degree_of` /
-/// `is_active` accessors abstract over owned `Vec`s vs borrowed file bytes.
+/// hub vertices adversarial workloads produce). Run by the snapshot decoder
+/// [`crate::GraphView::parse`] and by [`Graph::from_adjacency_lists`]; the
+/// `degree_of` / `is_active` accessors abstract over owned `Vec`s vs
+/// borrowed file bytes.
 pub(crate) fn validate_flat_adjacency(
     capacity: usize,
     degree_of: impl Fn(usize) -> usize,
@@ -65,9 +64,8 @@ pub(crate) fn validate_flat_adjacency(
 ) -> Result<(), String> {
     // Everything below is `O(E + n)` — two passes over the payload plus a
     // per-vertex multiset check against counting-sorted incoming edges. This
-    // runs on every snapshot open (zero-copy views and materializing parses
-    // alike), where an earlier sort-based symmetry check dominated cold-open
-    // latency.
+    // runs on every snapshot open, where an earlier sort-based symmetry
+    // check dominated cold-open latency.
     //
     // Pass 1: per-entry representation checks, in-degree histogram, and
     // duplicate detection (`last_from[u]` stamps the most recent vertex that
@@ -191,9 +189,9 @@ pub(crate) fn validate_flat_adjacency(
 /// same edges but different adjacency order are **not** equal, which is
 /// deliberate — adjacency order determines DFS tree shape, so order-exact
 /// equality is the property snapshot round-trips
-/// ([`Graph::render_snapshot_binary`] / [`Graph::parse_snapshot_binary`])
-/// must preserve. Where the blocks sit in the pool is a transient artefact
-/// of update history and is deliberately excluded.
+/// ([`Graph::write_snap_sections`] / [`crate::GraphView::to_graph`]) must
+/// preserve. Where the blocks sit in the pool is a transient artefact of
+/// update history and is deliberately excluded.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     adj: AdjacencyArena,
@@ -395,31 +393,10 @@ impl Graph {
         self.adj.words()
     }
 
-    /// Validate a flat adjacency encoding (per-slot degrees plus the
-    /// concatenated neighbour runs) with [`validate_flat_adjacency`] and pack
-    /// it into a graph — the shared tail of the snapshot parser and
-    /// [`Graph::from_adjacency_lists`], so both reject exactly the same
-    /// inputs.
-    fn from_validated_flat(
-        degrees: Vec<usize>,
-        flat: Vec<Vertex>,
-        active: Vec<bool>,
-        claimed_edges: usize,
-    ) -> Result<Graph, String> {
-        validate_flat_adjacency(
-            active.len(),
-            |v| degrees[v],
-            |v| active[v],
-            &flat,
-            claimed_edges,
-        )?;
-        Ok(Self::assemble_validated(&degrees, &flat, active))
-    }
-
     /// Build a graph directly from per-vertex adjacency lists **in stored
     /// order** plus an activity mask, validating the encoding exactly like
-    /// the snapshot parser (symmetry, no duplicates/self-loops, inactive
-    /// slots empty and unreferenced).
+    /// the snapshot decoder [`crate::GraphView::parse`] (symmetry, no
+    /// duplicates/self-loops, inactive slots empty and unreferenced).
     ///
     /// Adjacency order is part of a graph's identity here — DFS tree shape
     /// depends on it — so this is the constructor for callers that must
@@ -461,8 +438,14 @@ impl Graph {
         }
         let degrees: Vec<usize> = lists.iter().map(Vec::len).collect();
         let flat: Vec<Vertex> = lists.into_iter().flatten().collect();
-        let claimed = flat.len() / 2;
-        Self::from_validated_flat(degrees, flat, active, claimed)
+        validate_flat_adjacency(
+            active.len(),
+            |v| degrees[v],
+            |v| active[v],
+            &flat,
+            flat.len() / 2,
+        )?;
+        Ok(Self::assemble_validated(&degrees, &flat, active))
     }
 
     /// This graph with a hub: every id shifted up by one, and vertex `0`
@@ -509,7 +492,7 @@ impl Graph {
     }
 
     /// Pack an **already validated** flat adjacency encoding into a graph —
-    /// the shared materialization tail of [`Graph::from_validated_flat`],
+    /// the shared materialization tail of [`Graph::from_adjacency_lists`],
     /// [`Graph::with_hub`] and [`crate::GraphView::to_graph`] (which
     /// validated at view-open time and must not pay for validation twice).
     pub(crate) fn assemble_validated(
@@ -527,8 +510,8 @@ impl Graph {
     }
 
     /// Write the graph's sections into an open `pardfs-snap v2` container
-    /// (used by the standalone [`Graph::render_snapshot_binary`] and by the
-    /// WAL's composite checkpoint container):
+    /// (a WAL checkpoint or a component export), read back by
+    /// [`crate::GraphView`]:
     ///
     /// * `GHDR` — capacity and edge count (`u64` each),
     /// * `GACT` — activity bitmap (capacity bits packed into `u64` words),
@@ -538,8 +521,9 @@ impl Graph {
     ///   recover a *different* DFS tree than the one that crashed).
     ///
     /// Sections are emitted from logical state only (the arena's free blocks
-    /// and slack never leak into the file), so rendering is canonical:
-    /// `render(parse(render(g))) == render(g)` byte for byte.
+    /// and slack never leak into the file), so rendering is canonical: a
+    /// graph decoded by [`crate::GraphView::to_graph`] writes the same
+    /// bytes again.
     pub fn write_snap_sections(&self, w: &mut SnapWriter) {
         let cap = self.capacity();
         let hdr = w.section_aligned(SEC_GRAPH_HEADER, 8);
@@ -563,72 +547,6 @@ impl Graph {
                 put_u32(adj, u);
             }
         }
-    }
-
-    /// Read the graph sections written by [`Graph::write_snap_sections`] out
-    /// of a verified container, applying the representation validation
-    /// shared with [`crate::GraphView`] (activity of endpoints, self loops,
-    /// duplicates, symmetry, edge count) before constructing the graph.
-    pub fn read_snap_sections(r: &SnapReader<'_>) -> Result<Graph, String> {
-        let mut hdr = Cursor::new(SEC_GRAPH_HEADER, r.section(SEC_GRAPH_HEADER)?);
-        let capacity = usize::try_from(hdr.u64()?).map_err(|_| "graph capacity overflows")?;
-        let claimed_edges =
-            usize::try_from(hdr.u64()?).map_err(|_| "graph edge count overflows")?;
-        hdr.finish()?;
-
-        let mut act = Cursor::new(SEC_GRAPH_ACTIVE, r.section(SEC_GRAPH_ACTIVE)?);
-        let mut active = Vec::with_capacity(capacity);
-        while active.len() < capacity {
-            let word = act.u64()?;
-            let take = (capacity - active.len()).min(64);
-            for i in 0..take {
-                active.push((word >> i) & 1 == 1);
-            }
-            if take < 64 && (word >> take) != 0 {
-                return Err("activity bitmap has bits set past the capacity".to_string());
-            }
-        }
-        act.finish()?;
-
-        let mut deg = Cursor::new(SEC_GRAPH_DEGREES, r.section(SEC_GRAPH_DEGREES)?);
-        let degrees: Vec<usize> = deg
-            .u32s(capacity)?
-            .into_iter()
-            .map(|d| d as usize)
-            .collect();
-        deg.finish()?;
-
-        // The adjacency payload is already the flat representation we store:
-        // validate it in place (one contiguous pass per check) and bulk-load
-        // the arena, instead of reconstructing per-vertex `Vec`s only to
-        // flatten them again. Per-vertex runs are located by a prefix-sum
-        // offset table over the degrees — a transient CSR view of the file.
-        let mut adj_cur = Cursor::new(SEC_GRAPH_ADJACENCY, r.section(SEC_GRAPH_ADJACENCY)?);
-        let total: usize = degrees.iter().sum();
-        let flat: Vec<Vertex> = adj_cur.u32s(total)?;
-        adj_cur.finish()?;
-        Self::from_validated_flat(degrees, flat, active, claimed_edges)
-    }
-
-    /// Render the graph as a standalone `pardfs-snap v2` binary snapshot —
-    /// the flat-array serialization of the arena representation, with the
-    /// array payloads 8-byte aligned so [`crate::GraphView`] can serve
-    /// queries straight off the (mapped) bytes. See
-    /// [`Graph::write_snap_sections`] for the section layout and the
-    /// byte-stability guarantee; [`crate::snap`] documents the framing.
-    pub fn render_snapshot_binary(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.write_snap_sections(&mut w);
-        w.finish()
-    }
-
-    /// Parse a binary snapshot produced by [`Graph::render_snapshot_binary`].
-    /// Framing damage (bad magic, checksum mismatch, truncated or escaping
-    /// sections) and representation violations are both rejected with a
-    /// description.
-    pub fn parse_snapshot_binary(bytes: &[u8]) -> Result<Graph, String> {
-        let r = SnapReader::parse(bytes)?;
-        Self::read_snap_sections(&r)
     }
 }
 
@@ -699,87 +617,6 @@ mod tests {
         g.apply(&Update::DeleteVertex(0));
         assert_eq!(g.num_vertices(), 2);
         assert_eq!(g.num_edges(), 1);
-    }
-
-    /// Build a graph whose representation a canonical edge list could NOT
-    /// reproduce: deletions swap_remove, vertex churn leaves holes.
-    fn history_dependent_graph() -> Graph {
-        let mut g = Graph::new(5);
-        g.insert_edge(0, 1);
-        g.insert_edge(0, 2);
-        g.insert_edge(0, 3);
-        g.insert_edge(2, 4);
-        g.delete_edge(0, 1); // swap_remove scrambles 0's adjacency
-        g.delete_vertex(3); // hole at id 3
-        let v = g.insert_vertex(&[0, 4]);
-        assert_eq!(v, 5);
-        g
-    }
-
-    #[test]
-    fn binary_snapshot_round_trip_is_byte_stable() {
-        let g = history_dependent_graph();
-        let bytes = g.render_snapshot_binary();
-        let back = Graph::parse_snapshot_binary(&bytes).expect("own binary snapshot parses");
-        assert_eq!(back, g, "representation equality, not just edge-set");
-        assert_eq!(back.neighbors(0), g.neighbors(0), "adjacency order kept");
-        assert!(!back.is_active(3));
-        assert_eq!(
-            back.render_snapshot_binary(),
-            bytes,
-            "parse(render(g)) is byte-stable"
-        );
-    }
-
-    /// A container with hand-written graph sections: `(capacity, claimed
-    /// edges, activity word, degrees, adjacency)`.
-    fn hand_written(cap: u64, edges: u64, active: u64, deg: &[u32], adj: &[u32]) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        let hdr = w.section(SEC_GRAPH_HEADER);
-        put_u64(hdr, cap);
-        put_u64(hdr, edges);
-        put_u64(w.section(SEC_GRAPH_ACTIVE), active);
-        let d = w.section(SEC_GRAPH_DEGREES);
-        deg.iter().for_each(|&x| put_u32(d, x));
-        let a = w.section(SEC_GRAPH_ADJACENCY);
-        adj.iter().for_each(|&x| put_u32(a, x));
-        w.finish()
-    }
-
-    #[test]
-    fn binary_snapshot_rejects_corruption() {
-        let mut g = Graph::new(4);
-        g.insert_edge(0, 1);
-        g.insert_edge(1, 2);
-        let good = g.render_snapshot_binary();
-        // Any bit flip fails the whole-file checksum before interpretation.
-        let mut bad = good.clone();
-        let mid = good.len() / 2;
-        bad[mid] ^= 1;
-        assert!(Graph::parse_snapshot_binary(&bad)
-            .unwrap_err()
-            .contains("checksum"));
-        // Truncation is a framing error.
-        assert!(Graph::parse_snapshot_binary(&good[..good.len() - 3]).is_err());
-        // Representation damage behind a *valid* frame is still rejected.
-        let cases: [(&[u8], &str); 5] = [
-            // 0 lists 1; 1 lists nothing.
-            (&hand_written(2, 1, 0b11, &[1, 0], &[1]), "asymmetric"),
-            (&hand_written(1, 0, 0b1, &[1], &[0]), "self loop"),
-            (
-                &hand_written(2, 1, 0b11, &[2, 2], &[1, 1, 0, 0]),
-                "duplicate",
-            ),
-            (
-                &hand_written(2, 2, 0b11, &[1, 1], &[1, 0]),
-                "claims 2 edges",
-            ),
-            (&hand_written(2, 1, 0b01, &[1, 1], &[1, 0]), "inactive"),
-        ];
-        for (bytes, want) in cases {
-            let err = Graph::parse_snapshot_binary(bytes).unwrap_err();
-            assert!(err.contains(want), "expected `{want}`, got: {err}");
-        }
     }
 
     #[test]

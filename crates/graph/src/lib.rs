@@ -15,13 +15,14 @@
 //!   by edge: [`Graph::with_hub`] (the pseudo-root augmentation, valid by
 //!   construction) and the validating [`Graph::from_adjacency_lists`].
 //! * [`snap`] — the `pardfs-snap v2` binary snapshot container (aligned
-//!   sections, one whole-file checksum) used by the graph/tree binary
-//!   codecs, the WAL's checkpoints and published serving epochs (normative
-//!   spec: `docs/FORMATS.md`).
-//! * [`view`] / [`mapped`] — zero-copy reading: [`GraphView`] serves
-//!   neighbour queries by borrowing a container's bytes in place
-//!   (validate once, borrow thereafter), and [`MappedSnapshot`] backs that
-//!   with a read-only `mmap` of a snapshot file.
+//!   sections, one whole-file checksum) used by the WAL's checkpoints,
+//!   published serving epochs and component exports (normative spec:
+//!   `docs/FORMATS.md`).
+//! * [`view`] / [`mapped`] — zero-copy reading: [`GraphView`], the one
+//!   decoder of the graph sections, serves neighbour queries by borrowing
+//!   a container's bytes in place (validate once, borrow thereafter), and
+//!   [`MappedSnapshot`] backs that with a read-only `mmap` of a snapshot
+//!   file.
 //! * [`Update`] and [`UpdateBatch`] — the update vocabulary shared by the
 //!   sequential baseline, the parallel engine, and the streaming/distributed
 //!   adaptations.

@@ -1,8 +1,10 @@
 //! `pardfs-snap v2` — the binary snapshot container.
 //!
-//! Every binary snapshot in the workspace (graph snapshots, tree snapshots,
-//! WAL checkpoint bodies, published serving epochs, component exports) is
-//! one self-describing file in this framing; the normative byte-level
+//! Every binary snapshot in the workspace (WAL checkpoints, published
+//! serving epochs, component exports) is one self-describing file in this
+//! framing, and its graph and tree sections have one decoder each: the
+//! validating views [`crate::GraphView`] and the tree's `TreeView`, whose
+//! `to_graph` / `to_index` materialize owned state. The normative byte-level
 //! specification (with a worked hex dump) lives in `docs/FORMATS.md` at the
 //! repository root.
 //!
@@ -32,9 +34,8 @@
 //! other magic is refused with an error naming it.
 //!
 //! All multi-byte scalars are little-endian. Writers emit sections in a
-//! deterministic order from logical state only, which is what makes
-//! `parse(render(x))` byte-stable for the graph and tree codecs built on
-//! this module.
+//! deterministic order from logical state only, so state decoded from a
+//! container writes the same bytes again.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,17 +46,24 @@ pub const SNAP_MAGIC_V2: [u8; 8] = *b"PDFSNAP2";
 pub const MAX_SECTION_ALIGN: u32 = 4096;
 
 /// Process-wide count of array bytes *materialized* (copied out of a snapshot
-/// buffer into freshly allocated `Vec`s) by [`Cursor::u32s`] — the only array
-/// copy point in the container layer.
+/// buffer into owned state), charged through [`charge_copied_array_bytes`]
+/// by the decoders' copy points: `GraphView::to_graph`, `TreeView::to_index`
+/// and `MappedEpoch::materialize`.
 ///
 /// The zero-copy read path is pinned on this counter: opening a container
 /// through `GraphView`/`TreeView` and answering queries must not move it,
-/// while the materializing parse path must. See `tests/zero_copy.rs`.
+/// while materializing must. See `tests/zero_copy.rs`.
 static COPIED_ARRAY_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Current value of the process-wide [`Cursor::u32s`] copy counter (bytes).
+/// Current value of the process-wide array copy counter (bytes).
 pub fn copied_array_bytes() -> u64 {
     COPIED_ARRAY_BYTES.load(Ordering::Relaxed)
+}
+
+/// Charge `bytes` of array payload copied out of a snapshot buffer to
+/// [`copied_array_bytes`].
+pub fn charge_copied_array_bytes(bytes: usize) {
+    COPIED_ARRAY_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 /// FNV-1a folded over 64-bit little-endian words — the whole-file checksum
@@ -318,10 +326,10 @@ impl<'a> SnapReader<'a> {
 /// ```
 /// use pardfs_graph::snap::Cursor;
 ///
-/// let data = [7u8, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0];
+/// let data = [7u8, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0];
 /// let mut c = Cursor::new(*b"DEMO", &data);
 /// assert_eq!(c.u32().unwrap(), 7);
-/// assert_eq!(c.u32s(2).unwrap(), vec![1, 2]);
+/// assert_eq!(c.u64().unwrap(), 1);
 /// c.finish().unwrap(); // everything consumed, no trailing bytes
 /// ```
 #[derive(Debug)]
@@ -359,21 +367,6 @@ impl<'a> Cursor<'a> {
     /// Read one `u64` LE.
     pub fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.need(8)?.try_into().expect("8")))
-    }
-
-    /// Read `n` consecutive `u32` LE values in one bounds check — the array
-    /// fast path the materializing flat-section parsers are built on. Every
-    /// call charges `4 * n` bytes to the process-wide
-    /// [`copied_array_bytes`] counter; the borrowed view types
-    /// ([`crate::GraphView`], the tree's `TreeView`) never call it, which is
-    /// how "zero bytes copied on the view read path" is testable.
-    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, String> {
-        let bytes = self.need(4 * n)?;
-        COPIED_ARRAY_BYTES.fetch_add(4 * n as u64, Ordering::Relaxed);
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4")))
-            .collect())
     }
 
     /// Bytes not yet consumed.
@@ -529,14 +522,5 @@ mod tests {
         assert_eq!(c.u32().unwrap(), 1);
         assert!(c.u64().unwrap_err().contains("truncated"));
         assert!(c.finish().unwrap_err().contains("trailing"));
-    }
-
-    #[test]
-    fn u32s_charges_the_copy_counter() {
-        let before = copied_array_bytes();
-        let data = [0u8; 16];
-        let mut c = Cursor::new(*b"TEST", &data);
-        c.u32s(4).unwrap();
-        assert!(copied_array_bytes() >= before + 16);
     }
 }

@@ -1,27 +1,27 @@
-//! [`GraphView`] — a borrowed, zero-copy read surface over the graph
-//! sections of a `pardfs-snap` container.
+//! [`GraphView`] — the decoder of the graph sections of a `pardfs-snap`
+//! container: a borrowed, zero-copy read surface.
 //!
-//! Where [`crate::Graph::read_snap_sections`] copies every array out of the
-//! file into freshly allocated storage and rebuilds the arena, a `GraphView`
-//! **validates once and borrows thereafter**: the one construction pass runs
-//! the exact same representation checks as the materializing parser (shared
-//! code, so both reject the same inputs), and every subsequent
+//! A `GraphView` **validates once and borrows thereafter**: the one
+//! construction pass runs every representation check (shared with
+//! [`crate::Graph::from_adjacency_lists`]), and every subsequent
 //! [`GraphView::neighbours`] call is a slice of the original bytes — zero
 //! `GADJ` bytes are ever copied on the read path (pinned by the
 //! [`crate::snap::copied_array_bytes`] counter in `tests/zero_copy.rs`).
+//! [`GraphView::to_graph`] is the one copy point, for callers that need an
+//! owned [`Graph`].
 //!
 //! Borrowing `u32` arrays straight out of file bytes requires the payloads
 //! to be 4-byte aligned, which is what the container's 8-byte section
 //! alignment (plus the 8-byte-aligned base of [`crate::MappedSnapshot`])
 //! guarantees; a misaligned buffer is rejected with a description, not
-//! mis-read. See `docs/FORMATS.md` for the byte-level layout.
+//! mis-read. See `docs/FORMATS.md` for the byte layout.
 
 use crate::graph::{
     validate_flat_adjacency, Graph, Vertex, SEC_GRAPH_ACTIVE, SEC_GRAPH_ADJACENCY,
     SEC_GRAPH_DEGREES, SEC_GRAPH_HEADER,
 };
 use crate::mapped::cast_u32s;
-use crate::snap::{Cursor, SnapReader};
+use crate::snap::{charge_copied_array_bytes, Cursor, SnapReader};
 
 /// Is bit `v` set in a little-endian packed `u64`-word bitmap, addressed as
 /// raw bytes? (Bit `v` of LE word `v / 64` is bit `v % 8` of byte `v / 8`.)
@@ -33,23 +33,24 @@ fn bit(bytes: &[u8], v: usize) -> bool {
 /// `GDEG`/`GADJ` sections served in place.
 ///
 /// Construction ([`GraphView::parse`]) is the only pass over the data — it
-/// verifies the same invariants as the materializing parser (activity of
-/// endpoints, capacity bounds, self loops, duplicates, symmetry, claimed
-/// edge count) and derives a prefix-sum offset table over the degrees (the
-/// one small owned allocation, `capacity + 1` words of *metadata*, not
-/// payload). After that, queries are bounds-checked slicing.
+/// verifies every representation invariant (activity of endpoints,
+/// capacity bounds, self loops, duplicates, symmetry, claimed edge count)
+/// and derives a prefix-sum offset table over the degrees (the one small
+/// owned allocation, `capacity + 1` words of *metadata*, not payload).
+/// After that, queries are bounds-checked slicing.
 ///
 /// # Examples
 ///
 /// ```
-/// use pardfs_graph::{Graph, GraphView};
-/// use pardfs_graph::snap::SnapReader;
+/// use pardfs_graph::{Graph, GraphView, SnapReader, SnapWriter};
 ///
 /// let mut g = Graph::new(3);
 /// g.insert_edge(0, 1);
 /// g.insert_edge(1, 2);
 ///
-/// let bytes = g.render_snapshot_binary();
+/// let mut w = SnapWriter::new();
+/// g.write_snap_sections(&mut w);
+/// let bytes = w.finish();
 /// let r = SnapReader::parse(&bytes).unwrap();
 /// let view = GraphView::parse(&r).unwrap();
 /// assert_eq!(view.num_edges(), 2);
@@ -171,9 +172,11 @@ impl<'a> GraphView<'a> {
 
     /// Materialize an owned [`Graph`] from the view — the one deliberate
     /// copy point, paid only when a caller genuinely needs a mutable graph
-    /// (e.g. a maintainer's `from_state` resume). Validation already
-    /// happened at [`GraphView::parse`] time and is **not** repeated.
+    /// (e.g. a maintainer's `from_state` resume), and charged to
+    /// [`crate::snap::copied_array_bytes`]. Validation already happened at
+    /// [`GraphView::parse`] time and is **not** repeated.
     pub fn to_graph(&self) -> Graph {
+        charge_copied_array_bytes(4 * (self.degrees.len() + self.adj.len()));
         let degrees: Vec<usize> = self.degrees.iter().map(|&d| d as usize).collect();
         let active: Vec<bool> = (0..self.capacity).map(|v| bit(self.active, v)).collect();
         Graph::assemble_validated(&degrees, self.adj, active)
@@ -184,6 +187,7 @@ impl<'a> GraphView<'a> {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::snap::{fnv1a64_words, put_u32, put_u64, SnapWriter};
     use rand::SeedableRng;
 
     fn sample() -> Graph {
@@ -191,10 +195,36 @@ mod tests {
         generators::random_connected_gnm(48, 120, &mut rng)
     }
 
+    /// `g`'s sections alone in one container.
+    fn render(g: &Graph) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        g.write_snap_sections(&mut w);
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Graph, String> {
+        GraphView::parse(&SnapReader::parse(bytes)?).map(|view| view.to_graph())
+    }
+
+    /// A graph whose representation a canonical edge list could NOT
+    /// reproduce: deletions swap_remove, vertex churn leaves holes.
+    fn history_dependent_graph() -> Graph {
+        let mut g = Graph::new(5);
+        g.insert_edge(0, 1);
+        g.insert_edge(0, 2);
+        g.insert_edge(0, 3);
+        g.insert_edge(2, 4);
+        g.delete_edge(0, 1); // swap_remove scrambles 0's adjacency
+        g.delete_vertex(3); // hole at id 3
+        let v = g.insert_vertex(&[0, 4]);
+        assert_eq!(v, 5);
+        g
+    }
+
     #[test]
-    fn view_agrees_with_the_materializing_parser() {
+    fn view_serves_the_written_graph_in_place() {
         let g = sample();
-        let bytes = g.render_snapshot_binary();
+        let bytes = render(&g);
         let r = SnapReader::parse(&bytes).unwrap();
         let view = GraphView::parse(&r).unwrap();
         assert_eq!(view.capacity(), g.capacity());
@@ -205,8 +235,17 @@ mod tests {
             assert_eq!(view.neighbours(v), g.neighbors(v), "vertex {v}");
         }
         assert_eq!(view.to_graph(), g);
-        // And the same bytes parse identically through the copying path.
-        assert_eq!(Graph::parse_snapshot_binary(&bytes).unwrap(), g);
+    }
+
+    #[test]
+    fn decoded_graph_round_trip_is_byte_stable() {
+        let g = history_dependent_graph();
+        let bytes = render(&g);
+        let back = decode(&bytes).expect("own sections decode");
+        assert_eq!(back, g, "representation equality, not just edge-set");
+        assert_eq!(back.neighbors(0), g.neighbors(0), "adjacency order kept");
+        assert!(!back.is_active(3));
+        assert_eq!(render(&back), bytes, "decode then write is byte-stable");
     }
 
     #[test]
@@ -216,7 +255,7 @@ mod tests {
         // boundary must be rejected (with an error naming alignment), and
         // the aligned shifts must parse identically.
         let g = sample();
-        let bytes = g.render_snapshot_binary();
+        let bytes = render(&g);
         let r = SnapReader::parse(&bytes).unwrap();
         let (deg_off, _) = r.section_range(SEC_GRAPH_DEGREES).unwrap();
         let mut arena = vec![0u8; bytes.len() + 4];
@@ -235,29 +274,98 @@ mod tests {
         assert!(saw_misaligned, "4 shifts must cover a misaligned residue");
     }
 
+    /// A container with hand-written graph sections, laid out as
+    /// [`Graph::write_snap_sections`] lays them out: `(capacity, claimed
+    /// edges, activity word, degrees, adjacency)`.
+    fn hand_written(cap: u64, edges: u64, active: u64, deg: &[u32], adj: &[u32]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        let hdr = w.section_aligned(SEC_GRAPH_HEADER, 8);
+        put_u64(hdr, cap);
+        put_u64(hdr, edges);
+        put_u64(w.section_aligned(SEC_GRAPH_ACTIVE, 8), active);
+        let d = w.section_aligned(SEC_GRAPH_DEGREES, 8);
+        deg.iter().for_each(|&x| put_u32(d, x));
+        let a = w.section_aligned(SEC_GRAPH_ADJACENCY, 8);
+        adj.iter().for_each(|&x| put_u32(a, x));
+        w.finish()
+    }
+
     #[test]
-    fn view_rejects_structural_corruption_like_the_parser_does() {
+    fn view_rejects_corruption() {
+        let mut g = Graph::new(4);
+        g.insert_edge(0, 1);
+        g.insert_edge(1, 2);
+        let good = render(&g);
+        assert_eq!(
+            good,
+            hand_written(4, 2, 0b1111, &[1, 2, 1, 0], &[1, 0, 2, 1]),
+            "the hand-written layout is the writer's"
+        );
+        // Any byte flip fails the magic or the whole-file checksum before
+        // interpretation, and any cut is a framing error.
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0x20;
+            let err = decode(&bad).unwrap_err();
+            assert!(
+                err.contains("checksum") || err.contains("magic"),
+                "flip at {i}: {err}"
+            );
+        }
+        for cut in 0..good.len() {
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        // Representation damage behind a *valid* frame is still rejected.
+        let cases: [(&[u8], &str); 8] = [
+            // 0 lists 1; 1 lists nothing.
+            (&hand_written(2, 1, 0b11, &[1, 0], &[1]), "asymmetric"),
+            (&hand_written(1, 0, 0b1, &[1], &[0]), "self loop"),
+            (
+                &hand_written(2, 1, 0b11, &[2, 2], &[1, 1, 0, 0]),
+                "duplicate",
+            ),
+            (
+                &hand_written(2, 2, 0b11, &[1, 1], &[1, 0]),
+                "claims 2 edges",
+            ),
+            (&hand_written(2, 1, 0b01, &[1, 1], &[1, 0]), "inactive"),
+            (
+                &hand_written(2, 1, 0b111, &[1, 1], &[1, 0]),
+                "bits set past the capacity",
+            ),
+            (
+                &hand_written(3, 1, 0b111, &[1, 1], &[1, 0]),
+                "degree section is 8 bytes for capacity 3",
+            ),
+            (
+                &hand_written(2, 1, 0b11, &[1, 1], &[1, 0, 0]),
+                "adjacency section is 12 bytes, degrees sum to 2 entries",
+            ),
+        ];
+        for (bytes, want) in cases {
+            let err = decode(bytes).unwrap_err();
+            assert!(err.contains(want), "expected `{want}`, got: {err}");
+        }
+    }
+
+    #[test]
+    fn view_rejects_structural_corruption() {
         let g = sample();
-        let good = g.render_snapshot_binary();
+        let good = render(&g);
         let r = SnapReader::parse(&good).unwrap();
         let (adj_off, adj_len) = r.section_range(SEC_GRAPH_ADJACENCY).unwrap();
         assert!(adj_len >= 8);
-        // Break symmetry: overwrite one adjacency entry, re-stamp checksum.
+        // Break symmetry: overwrite vertex 0's first adjacency entry with an
+        // active vertex it does not list, and re-stamp the checksum.
         let mut bad = good[..good.len() - 8].to_vec();
         let cur = u32::from_le_bytes(bad[adj_off..adj_off + 4].try_into().unwrap());
-        let replacement = (0..g.capacity() as Vertex)
+        let replacement = (1..g.capacity() as Vertex)
             .find(|&u| g.is_active(u) && u != cur && !g.neighbors(0).contains(&u))
-            .unwrap_or(cur);
+            .expect("vertex 0 is not adjacent to every vertex");
         bad[adj_off..adj_off + 4].copy_from_slice(&replacement.to_le_bytes());
-        let sum = crate::snap::fnv1a64_words(&bad);
-        crate::snap::put_u64(&mut bad, sum);
-        let r = SnapReader::parse(&bad).unwrap();
-        let view_err = GraphView::parse(&r);
-        let parse_err = Graph::read_snap_sections(&r);
-        assert_eq!(
-            view_err.is_err(),
-            parse_err.is_err(),
-            "view and parser must agree"
-        );
+        let sum = fnv1a64_words(&bad);
+        put_u64(&mut bad, sum);
+        let err = decode(&bad).unwrap_err();
+        assert!(err.contains("asymmetric"), "{err}");
     }
 }

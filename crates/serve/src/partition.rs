@@ -42,8 +42,10 @@ use crate::server::Server;
 use crate::snapshot::Snapshot;
 use pardfs_api::{DfsMaintainer, ForestQuery, StatsRollup};
 use pardfs_graph::snap::{put_u64, Cursor};
-use pardfs_graph::{connected_components, Graph, SnapReader, SnapWriter, Update, Vertex};
-use pardfs_tree::{write_tree_sections, TreeIndex, NO_VERTEX};
+use pardfs_graph::{
+    connected_components, Graph, GraphView, SnapReader, SnapWriter, Update, Vertex,
+};
+use pardfs_tree::{write_tree_sections, TreeIndex, TreeView, NO_VERTEX};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 use std::time::Instant;
@@ -256,9 +258,13 @@ impl ComponentExport {
         w.finish()
     }
 
-    /// Parse a serialized export, re-validating the graph sections exactly
-    /// like a snapshot open and re-deriving the member list from the
-    /// graph's activity bitmap (the header's claimed count must agree).
+    /// Parse a serialized export with the snapshot decoders ([`GraphView`]
+    /// and [`TreeView`], which validate the graph and tree sections exactly
+    /// like a checkpoint open), re-deriving the member list from the graph's
+    /// activity bitmap (the header's claimed count must agree). Like every
+    /// view, it requires `bytes` to start at a 4-byte-aligned address (as
+    /// the `Vec<u8>` of [`ComponentExport::to_bytes`] and a mapped file do);
+    /// a misaligned buffer is refused with an error naming the alignment.
     pub fn from_bytes(bytes: &[u8]) -> Result<ComponentExport, String> {
         let r = SnapReader::parse(bytes)?;
         let mut hdr = Cursor::new(SEC_MIGRATION_HEADER, r.section(SEC_MIGRATION_HEADER)?);
@@ -267,8 +273,8 @@ impl ComponentExport {
         let component_id = Vertex::try_from(hdr.u64()?)
             .map_err(|_| "component id overflows the vertex id space".to_string())?;
         hdr.finish()?;
-        let graph = Graph::read_snap_sections(&r)?;
-        let tree = TreeIndex::read_snap_sections(&r)?;
+        let graph = GraphView::parse(&r)?;
+        let tree = TreeView::parse(&r)?;
         if graph.capacity() != claimed_cap {
             return Err(format!(
                 "export header claims capacity {claimed_cap}, graph encodes {}",
@@ -288,7 +294,7 @@ impl ComponentExport {
                 members.len()
             ));
         }
-        ComponentExport::new(graph, tree, members, component_id)
+        ComponentExport::new(graph.to_graph(), tree.to_index(), members, component_id)
     }
 }
 
@@ -1094,6 +1100,100 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         assert!(ComponentExport::from_bytes(&bytes).is_err());
+    }
+
+    /// Export wire bytes laid out as [`ComponentExport::to_bytes`] lays them
+    /// out, with the `MHDR` member count and capacity given explicitly.
+    fn payload(
+        members: usize,
+        capacity: usize,
+        id: Vertex,
+        graph: &Graph,
+        tree: &TreeIndex,
+    ) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        let hdr = w.section_aligned(SEC_MIGRATION_HEADER, 8);
+        for field in [members as u64, capacity as u64, id as u64] {
+            put_u64(hdr, field);
+        }
+        graph.write_snap_sections(&mut w);
+        write_tree_sections(&mut w, tree.root(), tree.parent_slice());
+        w.finish()
+    }
+
+    #[test]
+    fn damaged_component_exports_are_refused() {
+        let g = clustered();
+        let dfs = ParFactory.build(&g);
+        let export = ComponentExport::extract(dfs.as_ref(), &[4, 5, 6, 7]);
+        let bytes = export.to_bytes();
+        let (graph, tree) = (export.graph(), export.tree());
+        let cap = graph.capacity();
+        assert_eq!(
+            payload(4, cap, 4, graph, tree),
+            bytes,
+            "the layout is the writer's"
+        );
+
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0x20;
+            let err = ComponentExport::from_bytes(&bad).unwrap_err();
+            assert!(
+                err.contains("checksum") || err.contains("magic"),
+                "flip at {i}: {err}"
+            );
+        }
+        for cut in 0..bytes.len() {
+            let err = ComponentExport::from_bytes(&bytes[..cut]).unwrap_err();
+            assert!(
+                err.contains("checksum") || err.contains("truncated"),
+                "cut at {cut}: {err}"
+            );
+        }
+
+        // Well-framed payloads whose header disagrees with the graph, or
+        // whose graph has lost its pseudo root.
+        let mut lists: Vec<Vec<Vertex>> = (0..cap as Vertex)
+            .map(|v| {
+                graph
+                    .neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&u| u != 0)
+                    .collect()
+            })
+            .collect();
+        lists[0].clear();
+        let active = (0..cap as Vertex)
+            .map(|v| v != 0 && graph.is_active(v))
+            .collect();
+        let rootless = Graph::from_adjacency_lists(lists, active).expect("a valid graph");
+        let cases = [
+            (
+                payload(5, cap, 4, graph, tree),
+                "export header claims 5 members, graph encodes 4",
+            ),
+            (
+                payload(3, cap, 4, graph, tree),
+                "export header claims 3 members, graph encodes 4",
+            ),
+            (
+                payload(4, cap + 1, 4, graph, tree),
+                &*format!(
+                    "export header claims capacity {}, graph encodes {cap}",
+                    cap + 1
+                ),
+            ),
+            (
+                payload(4, cap, 4, &rootless, tree),
+                "export graph's pseudo root is inactive",
+            ),
+        ];
+        for (bad, want) in cases {
+            let err = ComponentExport::from_bytes(&bad).unwrap_err();
+            assert!(err.contains(want), "expected `{want}`, got: {err}");
+        }
     }
 
     #[test]

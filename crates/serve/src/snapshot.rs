@@ -11,7 +11,9 @@
 use pardfs_api::forest::{self, PSEUDO_ROOT};
 use pardfs_api::ForestQuery;
 use pardfs_graph::mapped::cast_u32s;
-use pardfs_graph::snap::{put_u32, put_u64, Cursor, SnapReader, SnapWriter};
+use pardfs_graph::snap::{
+    charge_copied_array_bytes, put_u32, put_u64, Cursor, SnapReader, SnapWriter,
+};
 use pardfs_graph::{MappedSnapshot, Vertex};
 use pardfs_tree::{write_tree_sections, TreeIndex, TreeView, NO_VERTEX};
 use std::io::Write as _;
@@ -311,8 +313,10 @@ impl MappedEpoch {
 
     /// Rebuild a full [`TreeIndex`] from the mapped parent array — the one
     /// deliberate copy point, for long-lived servers that want the whole
-    /// index. Verifies the recorded fingerprint against the rebuilt index.
+    /// index, charged to [`pardfs_graph::snap::copied_array_bytes`].
+    /// Verifies the recorded fingerprint against the rebuilt index.
     pub fn materialize(&self) -> Result<TreeIndex, String> {
+        charge_copied_array_bytes(4 * self.capacity);
         let index = TreeIndex::from_parent_slice(self.words(self.tpar_offset), PSEUDO_ROOT);
         let actual = index.fingerprint();
         if actual != self.fingerprint {

@@ -18,7 +18,7 @@
 //! place, instead of rebuilding.
 
 use crate::rooted::{RootedTree, NO_VERTEX};
-use pardfs_graph::snap::{put_u32, put_u64, Cursor, SnapReader, SnapWriter};
+use pardfs_graph::snap::{put_u32, put_u64, SnapWriter};
 use pardfs_graph::{AdjacencyArena, Vertex};
 
 /// Section tag of the tree binary-snapshot header (root, capacity).
@@ -124,7 +124,7 @@ impl TreeIndex {
 
     /// Build the index from a raw parent array (`parent[root] == root`,
     /// `NO_VERTEX` for vertices outside the tree). Panics with the error
-    /// [`TreeIndex::read_snap_sections`] returns if it is not such a tree.
+    /// [`crate::TreeView::parse`] returns if it is not such a tree.
     pub fn from_parent_slice(parent: &[Vertex], root: Vertex) -> Self {
         Self::try_from_parents(parent.to_vec(), root).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -408,10 +408,10 @@ impl TreeIndex {
 
     /// Validate a parent array without building an index (root in range and
     /// self-parented, parents inside the id space, every non-hole vertex
-    /// reachable from the root): the check the borrowed [`crate::TreeView`]
-    /// runs once at open. It shares its slot checks and child table with
-    /// the materializing parser's build, so views and copies reject the same
-    /// inputs with the same described `Err`.
+    /// reachable from the root): the check the snapshot decoder
+    /// [`crate::TreeView`] runs once at open. It shares its slot checks and
+    /// child table with the index build, so an array it accepts always
+    /// builds.
     pub(crate) fn validate_parent_array(parent: &[Vertex], root: Vertex) -> Result<(), String> {
         let (offsets, flat) = child_table(parent, root)?;
         let mut reached = 1usize;
@@ -425,41 +425,6 @@ impl TreeIndex {
             return Err(unreachable_err(flat.len() + 1, reached, root));
         }
         Ok(())
-    }
-
-    /// Read the tree sections written by [`write_tree_sections`]
-    /// out of a verified container. The rebuild is the validation: one
-    /// child table and one DFS reject a damaged parent array with a
-    /// described `Err`.
-    pub fn read_snap_sections(r: &SnapReader<'_>) -> Result<TreeIndex, String> {
-        let mut hdr = Cursor::new(SEC_TREE_HEADER, r.section(SEC_TREE_HEADER)?);
-        let root_raw = hdr.u64()?;
-        let capacity = usize::try_from(hdr.u64()?).map_err(|_| "tree capacity overflows")?;
-        hdr.finish()?;
-        let root = Vertex::try_from(root_raw)
-            .map_err(|_| format!("tree root {root_raw} overflows the vertex id space"))?;
-        let mut par = Cursor::new(SEC_TREE_PARENTS, r.section(SEC_TREE_PARENTS)?);
-        let parent = par.u32s(capacity)?;
-        par.finish()?;
-        Self::try_from_parents(parent, root)
-    }
-
-    /// Render the index as a standalone `pardfs-snap v2` binary snapshot,
-    /// with the `TPAR` payload 8-byte aligned so [`crate::TreeView`] can
-    /// answer parent/forest queries straight off the (mapped) bytes. See
-    /// [`write_tree_sections`] for the section layout.
-    pub fn render_snapshot_binary(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        write_tree_sections(&mut w, self.root, &self.parent);
-        w.finish()
-    }
-
-    /// Parse a binary snapshot produced by
-    /// [`TreeIndex::render_snapshot_binary`]. Framing damage and parent-array
-    /// violations are both rejected with a description.
-    pub fn parse_snapshot_binary(bytes: &[u8]) -> Result<TreeIndex, String> {
-        let r = SnapReader::parse(bytes)?;
-        Self::read_snap_sections(&r)
     }
 
     /// Deep structural comparison against `other`, checking **every** raw
@@ -516,18 +481,18 @@ impl TreeIndex {
 }
 
 /// Write the sections of a tree, the parent array `parent` rooted at `root`,
-/// into an open `pardfs-snap v2` container (a standalone tree snapshot, a
-/// WAL checkpoint, a component export or a published epoch):
+/// into an open `pardfs-snap v2` container (a WAL checkpoint, a component
+/// export or a published epoch), read back by [`crate::TreeView`]:
 ///
 /// * `THDR` — root id and capacity (`u64` each),
 /// * `TPAR` — the parent array, `u32` per slot with `u32::MAX` marking
 ///   [`NO_VERTEX`] holes.
 ///
-/// Only the parent array and root are stored; the reader rebuilds the
-/// children lists, orders, levels, sizes, jump pointers and `top` labels
-/// deterministically, so the result is structurally identical to the
-/// original ([`TreeIndex::structural_eq`]) and `parse(render(t))` is
-/// byte-stable.
+/// Only the parent array and root are stored; [`crate::TreeView::to_index`]
+/// rebuilds the children lists, orders, levels, sizes, jump pointers and
+/// `top` labels deterministically, so the result is structurally identical
+/// to the original ([`TreeIndex::structural_eq`]) and writes the same bytes
+/// again.
 pub fn write_tree_sections(w: &mut SnapWriter, root: Vertex, parent: &[Vertex]) {
     let hdr = w.section_aligned(SEC_TREE_HEADER, 8);
     put_u64(hdr, root as u64);
@@ -545,7 +510,7 @@ pub(crate) mod tests {
     use rand_chacha::ChaCha8Rng;
 
     /// Build a random tree parent array on `n` vertices rooted at 0.
-    fn random_parent_array(n: usize, rng: &mut impl Rng) -> Vec<Vertex> {
+    pub(crate) fn random_parent_array(n: usize, rng: &mut impl Rng) -> Vec<Vertex> {
         let mut parent = vec![NO_VERTEX; n];
         parent[0] = 0;
         for v in 1..n as Vertex {
@@ -904,131 +869,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn binary_snapshot_round_trip_is_structurally_identical() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4321);
-        let parent = random_parent_array(60, &mut rng);
-        let idx = TreeIndex::from_parent_slice(&parent, 0);
-        let bytes = idx.render_snapshot_binary();
-        let loaded = TreeIndex::parse_snapshot_binary(&bytes).expect("own binary snapshot parses");
-        loaded.structural_eq(&idx).expect("loaded ≡ original");
-        assert_eq!(loaded.fingerprint(), idx.fingerprint());
-        assert_eq!(
-            loaded.render_snapshot_binary(),
-            bytes,
-            "parse(render(t)) is byte-stable"
-        );
-    }
-
-    /// A container with hand-written tree sections, laid out as
-    /// [`write_tree_sections`] lays them out.
-    fn hand_written(root: u64, capacity: u64, parents: &[u32]) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        let hdr = w.section_aligned(SEC_TREE_HEADER, 8);
-        put_u64(hdr, root);
-        put_u64(hdr, capacity);
-        let par = w.section_aligned(SEC_TREE_PARENTS, 8);
-        parents.iter().for_each(|&p| put_u32(par, p));
-        w.finish()
-    }
-
-    #[test]
-    fn binary_snapshot_rejects_corruption_without_panicking() {
-        let idx = TreeIndex::from_parent_slice(&[0, 0, 1, NO_VERTEX], 0);
-        let good = idx.render_snapshot_binary();
-        assert_eq!(good, hand_written(0, 4, &[0, 0, 1, NO_VERTEX]));
-        let mut bad = good.clone();
-        bad[good.len() / 2] ^= 1;
-        assert!(TreeIndex::parse_snapshot_binary(&bad)
-            .unwrap_err()
-            .contains("checksum"));
-        assert!(TreeIndex::parse_snapshot_binary(&good[..good.len() - 5]).is_err());
-        // Parent-array damage behind a *valid* frame.
-        let cases: [(Vec<u8>, &str); 5] = [
-            // A cycle detached from the root.
-            (hand_written(0, 4, &[0, 0, 3, 2]), "reachable"),
-            (hand_written(0, 2, &[1, 0]), "root"),
-            (hand_written(0, 3, &[0, 2, NO_VERTEX]), "hole"),
-            (hand_written(0, 5, &[0, 0]), "truncated"),
-            (hand_written(7, 2, &[0, 0]), "outside capacity"),
-        ];
-        for (bytes, want) in cases {
-            let err = TreeIndex::parse_snapshot_binary(&bytes).unwrap_err();
-            assert!(err.contains(want), "expected `{want}`, got: {err}");
-        }
-    }
-
-    #[test]
-    fn snapshot_with_holes_round_trips() {
-        let mut parent = vec![NO_VERTEX; 10];
-        parent[0] = 0;
-        parent[2] = 0;
-        parent[3] = 2;
-        parent[7] = 2;
-        let idx = TreeIndex::from_parent_slice(&parent, 0);
-        let loaded = TreeIndex::parse_snapshot_binary(&idx.render_snapshot_binary()).unwrap();
-        loaded.structural_eq(&idx).expect("holes preserved");
-        assert_eq!(loaded.parent_slice(), idx.parent_slice());
-        assert!(!loaded.contains(4));
-    }
-
-    #[test]
     fn structural_eq_names_the_divergent_field() {
         let a = TreeIndex::from_parent_slice(&[0, 0, 1], 0);
         let b = TreeIndex::from_parent_slice(&[0, 0, 0], 0);
         let err = a.structural_eq(&b).unwrap_err();
         assert!(err.contains("parent"), "got: {err}");
         a.structural_eq(&a.clone()).expect("reflexive");
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Random forest-of-one-tree parent arrays *with NO_VERTEX holes*:
-        /// the shape vertex churn leaves behind (deleted ids keep their
-        /// slots). Every present non-root vertex is attached to an earlier
-        /// present vertex, so the array is always valid.
-        fn holey_parent_array(n: usize, seed: u64, hole_bits: u64) -> Vec<Vertex> {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut parent = vec![NO_VERTEX; n];
-            parent[0] = 0;
-            let mut present = vec![0u32];
-            for v in 1..n as Vertex {
-                if (hole_bits >> (v % 64)) & 1 == 1 {
-                    continue; // a churned-away id
-                }
-                let p = present[rng.gen_range(0..present.len())];
-                parent[v as usize] = p;
-                present.push(v);
-            }
-            parent
-        }
-
-        // The checkpoint differential: load(save(index)) ≡ index on *every*
-        // raw field — pre/post numbers, levels, sizes, jump pointers, `top`
-        // labels — and on the fingerprint, including NO_VERTEX holes from
-        // vertex churn. `structural_eq` is what pins the derived structures;
-        // a snapshot format that dropped (say) children order would pass a
-        // fingerprint check but fail here.
-        proptest! {
-            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-            #[test]
-            fn snapshot_load_is_identical_to_saved_index(
-                n in 1usize..140,
-                seed in any::<u64>(),
-                hole_bits in any::<u64>(),
-            ) {
-                let parent = holey_parent_array(n, seed, hole_bits);
-                let idx = TreeIndex::from_parent_slice(&parent, 0);
-                let bytes = idx.render_snapshot_binary();
-                let loaded = TreeIndex::parse_snapshot_binary(&bytes)
-                    .expect("a rendered snapshot always parses");
-                prop_assert!(loaded.structural_eq(&idx).is_ok(),
-                    "{}", loaded.structural_eq(&idx).unwrap_err());
-                prop_assert_eq!(loaded.fingerprint(), idx.fingerprint());
-                prop_assert_eq!(loaded.render_snapshot_binary(), bytes);
-            }
-        }
     }
 }

@@ -1,14 +1,13 @@
-//! [`TreeView`] — a borrowed, zero-copy read surface over the tree sections
-//! of a `pardfs-snap` container.
+//! [`TreeView`] — the decoder of the tree sections of a `pardfs-snap`
+//! container: a borrowed, zero-copy read surface.
 //!
-//! Where [`TreeIndex::read_snap_sections`](crate::TreeIndex) copies the
-//! parent array out of the file and then rebuilds *every* derived structure
-//! (children arena, orderings, levels, sizes, jump pointers and `top`
-//! labels — the part that dominates checkpoint open time), a `TreeView`
-//! **validates once and borrows thereafter**: the construction pass runs the
-//! slot checks and child table of the materializing build (shared code) plus
-//! a reachability walk, and every subsequent read takes the `TPAR` bytes in
-//! place — zero `TPAR` bytes are ever copied on the read path.
+//! A `TreeView` **validates once and borrows thereafter**: the construction
+//! pass runs the slot checks and child table of the index build (shared
+//! code) plus a reachability walk, and every subsequent read takes the
+//! `TPAR` bytes in place — zero `TPAR` bytes are ever copied on the read
+//! path. [`TreeView::to_index`] is the one copy point: it rebuilds every
+//! derived structure (children arena, orderings, levels, sizes, jump
+//! pointers and `top` labels) from the parent array.
 //!
 //! A view answers parent reads only. The forest reads that need to know
 //! which tree a vertex is in (`same_component`) read its depth-1 ancestor
@@ -23,7 +22,7 @@
 use crate::index::{TreeIndex, SEC_TREE_HEADER, SEC_TREE_PARENTS};
 use crate::rooted::NO_VERTEX;
 use pardfs_graph::mapped::cast_u32s;
-use pardfs_graph::snap::{Cursor, SnapReader};
+use pardfs_graph::snap::{charge_copied_array_bytes, Cursor, SnapReader};
 use pardfs_graph::Vertex;
 
 /// A validated, borrowed view of a tree snapshot: the `THDR`/`TPAR`
@@ -32,8 +31,8 @@ use pardfs_graph::Vertex;
 /// # Examples
 ///
 /// ```
-/// use pardfs_graph::snap::SnapReader;
-/// use pardfs_tree::{RootedTree, TreeIndex, TreeView};
+/// use pardfs_graph::{SnapReader, SnapWriter};
+/// use pardfs_tree::{write_tree_sections, RootedTree, TreeIndex, TreeView};
 ///
 /// let mut t = RootedTree::new(4, 0);
 /// t.set_parent(1, 0);
@@ -41,7 +40,9 @@ use pardfs_graph::Vertex;
 /// t.set_parent(3, 1);
 /// let index = TreeIndex::build(&t);
 ///
-/// let bytes = index.render_snapshot_binary();
+/// let mut w = SnapWriter::new();
+/// write_tree_sections(&mut w, index.root(), index.parent_slice());
+/// let bytes = w.finish();
 /// let r = SnapReader::parse(&bytes).unwrap();
 /// let view = TreeView::parse(&r).unwrap();
 /// assert_eq!(view.root(), 0);
@@ -57,12 +58,13 @@ pub struct TreeView<'a> {
 impl<'a> TreeView<'a> {
     /// Validate the tree sections of a parsed container and borrow them.
     ///
-    /// Runs the same parent-array validation as the materializing parser
-    /// (root self-parented and in range, parents in capacity, no
-    /// parent-to-hole, full reachability from the root), exactly once.
-    /// Requires the `TPAR` payload to sit at a 4-byte-aligned address
-    /// (containers in an aligned buffer always do); misaligned buffers are
-    /// rejected with an error naming the alignment problem.
+    /// Runs the parent-array validation (root self-parented and in range,
+    /// parents in capacity, no parent-to-hole, full reachability from the
+    /// root), exactly once. The header's capacity is untrusted: `TPAR` must
+    /// hold exactly that many slots, or the error names both. Requires the
+    /// `TPAR` payload to sit at a 4-byte-aligned address (containers in an
+    /// aligned buffer always do); misaligned buffers are rejected with an
+    /// error naming the alignment problem.
     pub fn parse(r: &SnapReader<'a>) -> Result<TreeView<'a>, String> {
         let mut hdr = Cursor::new(SEC_TREE_HEADER, r.section(SEC_TREE_HEADER)?);
         let root_raw = hdr.u64()?;
@@ -71,9 +73,9 @@ impl<'a> TreeView<'a> {
         let root = Vertex::try_from(root_raw)
             .map_err(|_| format!("tree root {root_raw} overflows the vertex id space"))?;
         let par_bytes = r.section(SEC_TREE_PARENTS)?;
-        if par_bytes.len() != 4 * capacity {
+        if capacity.checked_mul(4) != Some(par_bytes.len()) {
             return Err(format!(
-                "parent section is {} bytes for capacity {capacity}",
+                "TPAR parent section is {} bytes for capacity {capacity}",
                 par_bytes.len()
             ));
         }
@@ -108,10 +110,12 @@ impl<'a> TreeView<'a> {
 
     /// Materialize a full [`TreeIndex`] from the view — the one deliberate
     /// copy-and-rebuild point, paid only when a caller needs the index's
-    /// query surface (LCA, orderings, `top` labels) or a maintainer resume.
+    /// query surface (LCA, orderings, `top` labels) or a maintainer resume,
+    /// and charged to [`pardfs_graph::snap::copied_array_bytes`].
     /// Validation already happened at [`TreeView::parse`] time, so the
     /// build's own checks cannot fail.
     pub fn to_index(&self) -> TreeIndex {
+        charge_copied_array_bytes(4 * self.parent.len());
         TreeIndex::from_parent_slice(self.parent, self.root)
     }
 }
@@ -119,7 +123,12 @@ impl<'a> TreeView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::tests::random_parent_array;
     use crate::rooted::RootedTree;
+    use crate::write_tree_sections;
+    use pardfs_graph::snap::{fnv1a64_words, put_u32, put_u64, SnapWriter};
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
 
     fn sample() -> TreeIndex {
         // root 0 with a two-component forest shape under a pseudo root:
@@ -133,13 +142,37 @@ mod tests {
         TreeIndex::build(&t)
     }
 
+    /// `index`'s sections alone in one container.
+    fn render(index: &TreeIndex) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        write_tree_sections(&mut w, index.root(), index.parent_slice());
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<TreeIndex, String> {
+        TreeView::parse(&SnapReader::parse(bytes)?).map(|view| view.to_index())
+    }
+
+    /// A container with hand-written tree sections, laid out as
+    /// [`write_tree_sections`] lays them out.
+    fn hand_written(root: u64, capacity: u64, parents: &[u32]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        let hdr = w.section_aligned(SEC_TREE_HEADER, 8);
+        put_u64(hdr, root);
+        put_u64(hdr, capacity);
+        let par = w.section_aligned(SEC_TREE_PARENTS, 8);
+        parents.iter().for_each(|&p| put_u32(par, p));
+        w.finish()
+    }
+
     #[test]
-    fn view_agrees_with_the_materializing_parser() {
+    fn view_serves_the_written_tree_in_place() {
         let index = sample();
-        let bytes = index.render_snapshot_binary();
+        let bytes = render(&index);
         let r = SnapReader::parse(&bytes).unwrap();
         let view = TreeView::parse(&r).unwrap();
         assert_eq!(view.root(), index.root());
+        assert_eq!(view.parent_slice(), index.parent_slice());
         for v in 0..index.capacity() as Vertex {
             assert_eq!(view.contains(v), index.contains(v), "contains({v})");
             if index.contains(v) {
@@ -147,35 +180,151 @@ mod tests {
             }
         }
         index.structural_eq(&view.to_index()).unwrap();
-        // The same bytes parse identically through the copying path.
-        let copied = TreeIndex::parse_snapshot_binary(&bytes).unwrap();
-        index.structural_eq(&copied).unwrap();
     }
 
     #[test]
-    fn view_rejects_what_the_parser_rejects() {
+    fn decoded_tree_round_trip_is_structurally_identical() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4321);
+        let idx = TreeIndex::from_parent_slice(&random_parent_array(60, &mut rng), 0);
+        let bytes = render(&idx);
+        let loaded = decode(&bytes).expect("own sections decode");
+        loaded.structural_eq(&idx).expect("loaded ≡ original");
+        assert_eq!(loaded.fingerprint(), idx.fingerprint());
+        assert_eq!(render(&loaded), bytes, "decode then write is byte-stable");
+    }
+
+    #[test]
+    fn tree_with_holes_round_trips() {
+        let mut parent = vec![NO_VERTEX; 10];
+        parent[0] = 0;
+        parent[2] = 0;
+        parent[3] = 2;
+        parent[7] = 2;
+        let idx = TreeIndex::from_parent_slice(&parent, 0);
+        let loaded = decode(&render(&idx)).unwrap();
+        loaded.structural_eq(&idx).expect("holes preserved");
+        assert_eq!(loaded.parent_slice(), idx.parent_slice());
+        assert!(!loaded.contains(4));
+    }
+
+    #[test]
+    fn view_rejects_corruption_without_panicking() {
+        let idx = TreeIndex::from_parent_slice(&[0, 0, 1, NO_VERTEX], 0);
+        let good = render(&idx);
+        assert_eq!(good, hand_written(0, 4, &[0, 0, 1, NO_VERTEX]));
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0x20;
+            let err = decode(&bad).unwrap_err();
+            assert!(
+                err.contains("checksum") || err.contains("magic"),
+                "flip at {i}: {err}"
+            );
+        }
+        for cut in 0..good.len() {
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        // Parent-array damage behind a *valid* frame.
+        let cases: [(Vec<u8>, &str); 6] = [
+            // A cycle detached from the root.
+            (hand_written(0, 4, &[0, 0, 3, 2]), "reachable"),
+            (hand_written(0, 2, &[1, 0]), "root"),
+            (hand_written(0, 3, &[0, 2, NO_VERTEX]), "hole"),
+            (
+                hand_written(0, 5, &[0, 0]),
+                "parent section is 8 bytes for capacity 5",
+            ),
+            (hand_written(7, 2, &[0, 0]), "outside capacity"),
+            (
+                hand_written(1 << 32, 1, &[0]),
+                "overflows the vertex id space",
+            ),
+        ];
+        for (bytes, want) in cases {
+            let err = decode(&bytes).unwrap_err();
+            assert!(err.contains(want), "expected `{want}`, got: {err}");
+        }
+    }
+
+    #[test]
+    fn a_capacity_whose_byte_length_overflows_is_refused() {
+        // `4 * capacity` wraps to 4 in a release build, which would accept
+        // this container as a 1-slot tree that disagrees with its own header.
+        let capacity = (1u64 << 62) + 1;
+        let err = decode(&hand_written(0, capacity, &[0])).unwrap_err();
+        assert!(
+            err.contains("TPAR") && err.contains(&capacity.to_string()),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn view_rejects_every_self_parented_slot() {
         let index = sample();
-        let good = index.render_snapshot_binary();
+        let good = render(&index);
         let r = SnapReader::parse(&good).unwrap();
         let (par_off, par_len) = r.section_range(SEC_TREE_PARENTS).unwrap();
-        // Point each slot's parent at itself in turn (cycle / not-root
-        // self-parent), re-stamp the checksum, and demand both paths reject.
+        // Point each non-root slot's parent at itself in turn (the hole at 6
+        // included), re-stamp the checksum, and demand the view rejects it.
         for slot in 1..par_len / 4 {
             let mut bad = good[..good.len() - 8].to_vec();
             let at = par_off + 4 * slot;
             bad[at..at + 4].copy_from_slice(&(slot as u32).to_le_bytes());
-            let sum = pardfs_graph::snap::fnv1a64_words(&bad);
-            pardfs_graph::snap::put_u64(&mut bad, sum);
+            let sum = fnv1a64_words(&bad);
+            put_u64(&mut bad, sum);
             let r = SnapReader::parse(&bad).unwrap();
-            let view = TreeView::parse(&r);
-            let parsed = TreeIndex::read_snap_sections(&r);
-            assert_eq!(
-                view.is_err(),
-                parsed.is_err(),
-                "slot {slot}: view and parser must agree"
-            );
-            if index.contains(slot as Vertex) {
-                assert!(view.is_err(), "self-parented non-root slot {slot}");
+            let err = TreeView::parse(&r).unwrap_err();
+            assert!(err.contains("its own parent"), "slot {slot}: {err}");
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Random forest-of-one-tree parent arrays *with NO_VERTEX holes*:
+        /// the shape vertex churn leaves behind (deleted ids keep their
+        /// slots). Every present non-root vertex is attached to an earlier
+        /// present vertex, so the array is always valid.
+        fn holey_parent_array(n: usize, seed: u64, hole_bits: u64) -> Vec<Vertex> {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut parent = vec![NO_VERTEX; n];
+            parent[0] = 0;
+            let mut present = vec![0u32];
+            for v in 1..n as Vertex {
+                if (hole_bits >> (v % 64)) & 1 == 1 {
+                    continue; // a churned-away id
+                }
+                let p = present[rng.gen_range(0..present.len())];
+                parent[v as usize] = p;
+                present.push(v);
+            }
+            parent
+        }
+
+        // The checkpoint differential: decode(write(index)) ≡ index on
+        // *every* raw field — pre/post numbers, levels, sizes, jump
+        // pointers, `top` labels — and on the fingerprint, including
+        // NO_VERTEX holes from vertex churn. `structural_eq` is what pins
+        // the derived structures; a format that dropped (say) children
+        // order would pass a fingerprint check but fail here.
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            #[test]
+            fn decoded_tree_is_identical_to_the_written_index(
+                n in 1usize..140,
+                seed in any::<u64>(),
+                hole_bits in any::<u64>(),
+            ) {
+                let parent = holey_parent_array(n, seed, hole_bits);
+                let idx = TreeIndex::from_parent_slice(&parent, 0);
+                let bytes = render(&idx);
+                let loaded = decode(&bytes).expect("written sections always decode");
+                prop_assert!(loaded.structural_eq(&idx).is_ok(),
+                    "{}", loaded.structural_eq(&idx).unwrap_err());
+                prop_assert_eq!(loaded.fingerprint(), idx.fingerprint());
+                prop_assert_eq!(render(&loaded), bytes);
             }
         }
     }

@@ -14,9 +14,10 @@
 //!   its commit path: append the epoch's framed record, `sync`, and (per
 //!   [`CheckpointPolicy`]) take a checkpoint.
 //! * The **checkpoint** — an atomic snapshot file serializing the
-//!   maintainer's complete recoverable state: the *augmented* graph exactly
-//!   as held (adjacency order included — DFS tree shape depends on it) and
-//!   the maintained tree's parent array. Superseded WAL records are
+//!   maintainer's complete recoverable state, written straight from the
+//!   live maintainer by [`render_checkpoint`]: the *augmented* graph
+//!   exactly as held (adjacency order included — DFS tree shape depends on
+//!   it) and the maintained tree's parent array. Superseded WAL records are
 //!   truncated once the checkpoint is durable.
 //! * [`recover_with`] — load the latest checkpoint, rebuild the maintainer
 //!   via a caller-supplied factory (the umbrella crate's
@@ -43,6 +44,7 @@
 //! whole-file checksum, with the array payloads 8-byte aligned so recovery
 //! opens the file as a borrowed [`CheckpointView`] (validate once on the
 //! mapped bytes, materialize arenas only when the backend factory runs).
+//! [`CheckpointView`] is the one checkpoint decoder.
 //! v2 is the only format recovery reads: any other file — including the
 //! retired v1 container and the line-oriented text checkpoints of early
 //! builds — is refused with the container parser's error, naming the file,
@@ -150,83 +152,25 @@ impl DurabilityConfig {
     }
 }
 
-/// A parsed checkpoint file: the complete recoverable state of a maintainer
-/// at one epoch.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Epoch the state was captured at.
-    pub epoch: u64,
-    /// Backend name of the maintainer that produced it (informational —
-    /// recovery may rebuild with any backend via its factory).
-    pub backend: String,
-    /// Tree fingerprint at capture time (verified after load).
-    pub fingerprint: u64,
-    /// The augmented graph, exactly as held.
-    pub graph: Graph,
-    /// The maintained DFS tree.
-    pub tree: TreeIndex,
-}
-
-impl Checkpoint {
-    /// Capture a maintainer's recoverable state at `epoch`.
-    pub fn capture(epoch: u64, state: &dyn DfsMaintainer) -> Checkpoint {
-        Checkpoint {
-            epoch,
-            backend: state.backend_name().to_string(),
-            fingerprint: state.tree().fingerprint(),
-            graph: state.augmented_graph().clone(),
-            tree: state.tree().clone(),
-        }
-    }
-
-    /// Render the checkpoint as a `pardfs-snap v2` container: the WAL
-    /// header sections (`CHDR`, `CBKD`) composed with the graph's and the
-    /// tree's flat-array sections under one whole-file checksum, with the
-    /// array payloads 8-byte aligned so recovery (and any other reader) can
-    /// serve the file as a borrowed [`CheckpointView`] without
-    /// materializing. This is the format [`WalWriter`] writes.
-    pub fn render_binary(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        let hdr = w.section_aligned(SEC_CKPT_HEADER, 8);
-        put_u64(hdr, self.epoch);
-        put_u64(hdr, self.fingerprint);
-        w.section(SEC_CKPT_BACKEND)
-            .extend_from_slice(self.backend.as_bytes());
-        self.graph.write_snap_sections(&mut w);
-        write_tree_sections(&mut w, self.tree.root(), self.tree.parent_slice());
-        w.finish()
-    }
-
-    /// Parse a checkpoint produced by [`Checkpoint::render_binary`] into
-    /// owned state — the copying counterpart of [`CheckpointView`], built
-    /// on the same `read_snap_sections` parsers as component exports.
-    /// Checks the container framing, both snapshot sections, and the
-    /// recorded tree fingerprint.
-    pub fn parse_binary(bytes: &[u8]) -> Result<Checkpoint, String> {
-        let r = SnapReader::parse(bytes)?;
-        let mut hdr = Cursor::new(SEC_CKPT_HEADER, r.section(SEC_CKPT_HEADER)?);
-        let epoch = hdr.u64()?;
-        let fingerprint = hdr.u64()?;
-        hdr.finish()?;
-        let backend = std::str::from_utf8(r.section(SEC_CKPT_BACKEND)?)
-            .map_err(|_| "checkpoint backend name is not UTF-8".to_string())?
-            .to_string();
-        let graph = Graph::read_snap_sections(&r)?;
-        let tree = TreeIndex::read_snap_sections(&r)?;
-        if tree.fingerprint() != fingerprint {
-            return Err(format!(
-                "checkpoint for epoch {epoch}: loaded tree fingerprint {:016x} disagrees with recorded {fingerprint:016x}",
-                tree.fingerprint()
-            ));
-        }
-        Ok(Checkpoint {
-            epoch,
-            backend,
-            fingerprint,
-            graph,
-            tree,
-        })
-    }
+/// Render `state`'s recoverable state at `epoch` as a `pardfs-snap v2`
+/// checkpoint, read straight from the live maintainer: the WAL header
+/// sections (`CHDR` epoch and tree fingerprint, `CBKD` backend name)
+/// composed with the augmented graph's and the tree's flat-array sections
+/// under one whole-file checksum, with the array payloads 8-byte aligned so
+/// recovery (and any other reader) can serve the file as a borrowed
+/// [`CheckpointView`] without materializing. This is the format
+/// [`WalWriter`] writes.
+pub fn render_checkpoint(epoch: u64, state: &dyn DfsMaintainer) -> Vec<u8> {
+    let tree = state.tree();
+    let mut w = SnapWriter::new();
+    let hdr = w.section_aligned(SEC_CKPT_HEADER, 8);
+    put_u64(hdr, epoch);
+    put_u64(hdr, tree.fingerprint());
+    w.section(SEC_CKPT_BACKEND)
+        .extend_from_slice(state.backend_name().as_bytes());
+    state.augmented_graph().write_snap_sections(&mut w);
+    write_tree_sections(&mut w, tree.root(), tree.parent_slice());
+    w.finish()
 }
 
 /// A **borrowed, zero-copy view** of a `pardfs-snap v2` checkpoint:
@@ -234,42 +178,38 @@ impl Checkpoint {
 /// aligned in-memory) bytes.
 ///
 /// Parsing validates everything exactly once — container framing and
-/// checksum, then the same graph/tree representation invariants the
-/// materializing [`Checkpoint::parse_binary`] enforces (shared validator
-/// code) — and thereafter every read borrows the underlying buffer. Nothing
-/// is copied until [`CheckpointView::materialize`], which is deliberately
-/// deferred to the moment a backend's `from_state` resume actually needs
-/// owned arenas. The recorded tree fingerprint is verified there (the view
-/// itself cannot compute a pre-order fingerprint without building the
-/// index); until then the whole-file checksum vouches for the bytes.
+/// checksum, then the graph and tree representation invariants of
+/// [`GraphView`] and [`TreeView`] — and thereafter every read borrows the
+/// underlying buffer, which must start at a 4-byte-aligned address (as a
+/// mapped file and an allocator's `Vec<u8>` do; a misaligned buffer is
+/// refused with an error naming the alignment). Nothing is copied until
+/// [`CheckpointView::materialize`], which is deliberately deferred to the
+/// moment a backend's `from_state` resume actually needs owned arenas. The
+/// recorded tree fingerprint is verified there (the view itself cannot
+/// compute a pre-order fingerprint without building the index); until then
+/// the whole-file checksum vouches for the bytes.
 ///
 /// # Examples
 ///
 /// ```
-/// use pardfs_wal::{Checkpoint, CheckpointView};
+/// use pardfs_api::DfsMaintainer;
 /// use pardfs_graph::Graph;
-/// use pardfs_tree::{RootedTree, TreeIndex};
+/// use pardfs_seq::SeqRerootDfs;
+/// use pardfs_wal::{render_checkpoint, CheckpointView};
 ///
 /// # fn demo() -> Result<(), String> {
 /// let mut g = Graph::new(2);
 /// g.insert_edge(0, 1);
-/// let mut t = RootedTree::new(2, 0);
-/// t.set_parent(1, 0);
-/// let tree = TreeIndex::build(&t);
-/// let ckpt = Checkpoint {
-///     epoch: 9,
-///     backend: "sequential".into(),
-///     fingerprint: tree.fingerprint(),
-///     graph: g,
-///     tree,
-/// };
-/// let bytes = ckpt.render_binary();
+/// let dfs = SeqRerootDfs::new(&g);
+/// let bytes = render_checkpoint(9, &dfs);
 /// let view = CheckpointView::parse(&bytes)?;
 /// assert_eq!(view.epoch, 9);
-/// assert_eq!(view.backend(), "sequential");
-/// assert_eq!(view.graph().neighbours(1), &[0]); // borrowed from `bytes`
-/// let (graph, tree) = view.materialize()?;       // copies, exactly once
-/// assert_eq!(graph, ckpt.graph);
+/// assert_eq!(view.backend(), dfs.backend_name());
+/// // Internal ids: the pseudo root 0 is joined to both user vertices.
+/// assert_eq!(view.graph().neighbours(0), &[1, 2]); // borrowed from `bytes`
+/// let (graph, tree) = view.materialize()?;          // copies, exactly once
+/// assert_eq!(&graph, dfs.augmented_graph());
+/// assert_eq!(tree.fingerprint(), dfs.tree().fingerprint());
 /// # Ok(()) }
 /// # demo().unwrap();
 /// ```
@@ -324,10 +264,9 @@ impl<'a> CheckpointView<'a> {
     }
 
     /// Materialize owned state for a backend resume — the single copy point
-    /// of the view-based recovery path. Validation is **not** repeated (it
-    /// ran at [`CheckpointView::parse`] time); the recorded tree fingerprint
-    /// is verified against the rebuilt index here, exactly as
-    /// [`Checkpoint::parse_binary`] does.
+    /// of the recovery path. Validation is **not** repeated (it ran at
+    /// [`CheckpointView::parse`] time); the recorded tree fingerprint is
+    /// verified against the rebuilt index here.
     pub fn materialize(&self) -> Result<(Graph, TreeIndex), String> {
         let graph = self.graph.to_graph();
         let tree = self.tree.to_index();
@@ -430,16 +369,16 @@ impl WalWriter {
         record: &EpochRecord,
         state: &dyn DfsMaintainer,
     ) -> Result<(), String> {
-        let ckpt = Checkpoint::capture(record.epoch, state);
         debug_assert_eq!(
-            ckpt.fingerprint, record.fingerprint,
+            state.tree().fingerprint(),
+            record.fingerprint,
             "the maintainer and the epoch record agree on the tree"
         );
         let final_path = self.dir.join(checkpoint_file_name(record.epoch));
         let tmp_path = self.dir.join("checkpoint.tmp");
         let mut tmp = fs::File::create(&tmp_path)
             .map_err(|e| format!("creating {}: {e}", tmp_path.display()))?;
-        tmp.write_all(&ckpt.render_binary())
+        tmp.write_all(&render_checkpoint(record.epoch, state))
             .and_then(|()| tmp.sync_all())
             .map_err(|e| format!("writing {}: {e}", tmp_path.display()))?;
         drop(tmp);
@@ -739,24 +678,26 @@ mod tests {
     fn binary_checkpoint_round_trips_and_rejects_corruption() {
         let g = generators::broom(6, 6);
         let dfs = DynamicDfs::new(&g);
-        let ckpt = Checkpoint::capture(9, &dfs);
-        let bytes = ckpt.render_binary();
-        let parsed = Checkpoint::parse_binary(&bytes).expect("own binary checkpoint parses");
-        assert_eq!(parsed.epoch, ckpt.epoch);
-        assert_eq!(parsed.backend, ckpt.backend);
-        assert_eq!(parsed.fingerprint, ckpt.fingerprint);
-        assert_eq!(parsed.graph, ckpt.graph);
-        parsed
-            .tree
-            .structural_eq(&ckpt.tree)
-            .expect("identical tree");
-        assert_eq!(parsed.render_binary(), bytes, "byte-stable round trip");
+        let bytes = render_checkpoint(9, &dfs);
+        let view = CheckpointView::parse(&bytes).expect("own binary checkpoint parses");
+        assert_eq!(view.epoch, 9);
+        assert_eq!(view.backend(), dfs.backend_name());
+        assert_eq!(view.fingerprint, dfs.tree().fingerprint());
+        let (graph, tree) = view.materialize().expect("own checkpoint materializes");
+        assert_eq!(&graph, dfs.augmented_graph());
+        tree.structural_eq(dfs.tree()).expect("identical tree");
+        let resumed = parallel_factory(graph, tree).expect("materialized state resumes");
+        assert_eq!(
+            render_checkpoint(9, resumed.as_ref()),
+            bytes,
+            "byte-stable round trip"
+        );
         // Any single-byte flip breaks the whole-file checksum.
         let mut bad = bytes.clone();
         bad[bytes.len() / 2] ^= 1;
-        assert!(Checkpoint::parse_binary(&bad)
+        assert!(CheckpointView::parse(&bad)
             .expect_err("corrupt binary checkpoint rejected")
             .contains("checksum"));
-        assert!(Checkpoint::parse_binary(&bytes[..bytes.len() - 7]).is_err());
+        assert!(CheckpointView::parse(&bytes[..bytes.len() - 7]).is_err());
     }
 }

@@ -1,29 +1,35 @@
-//! Differential suite for the `pardfs-snap v2` snapshot codecs: a
-//! binary-loaded structure must be indistinguishable from a freshly built
-//! one — not just equal at load time, but equally *usable* (further updates
-//! applied to both must keep them identical).
+//! Differential suite for the `pardfs-snap v2` snapshot decoders: state
+//! decoded from a container must be indistinguishable from the state that
+//! wrote it — not just equal at load time, but equally *usable* (further
+//! updates applied to both must keep them identical).
 //!
-//! Covered here at the workspace level (each crate pins its own framing
-//! details in unit tests):
-//! * binary round trip ≡ identity for [`Graph`] and
-//!   [`pardfs::tree::TreeIndex`], including byte-stability of
-//!   `render(parse(render(x)))`;
-//! * a binary-loaded graph stays behaviourally identical under continued
+//! Every graph and tree section has one decoder, the validating view
+//! ([`GraphView`], [`pardfs::TreeView`]) that recovery, component exports
+//! and published epochs all read through. Covered here at the workspace
+//! level (each crate pins its own framing details in unit tests):
+//! * decode ≡ identity for [`Graph`] and [`pardfs::tree::TreeIndex`],
+//!   including byte-stability of writing the decoded state again;
+//! * a decoded graph stays behaviourally identical under continued
 //!   mutation;
-//! * a [`Checkpoint`]'s copying parse, the zero-copy [`CheckpointView`] over
-//!   the same bytes and the captured state agree, for every backend;
+//! * [`render_checkpoint`]'s bytes, read back through [`CheckpointView`],
+//!   materialize the live maintainer's state and resume into a maintainer
+//!   that writes the same bytes, for every backend;
 //! * corruption at *every byte offset* and truncation at *every length* of
-//!   a checkpoint is rejected rather than silently absorbed, by the copying
-//!   parser and the view alike;
+//!   a checkpoint is rejected rather than silently absorbed;
 //! * the same holds for a published serving epoch opened by
 //!   [`Snapshot::open_mapped`], which also refuses a well-framed file whose
-//!   `TTOP` labels are missing, mis-sized or disagree with its parents.
+//!   `TTOP` labels are missing, mis-sized or disagree with its parents;
+//! * a tree header whose capacity overflows the parent section's byte
+//!   length is refused in a checkpoint and in a published epoch alike.
 
 use pardfs::graph::generators;
 use pardfs::graph::snap::{SnapReader, SnapWriter};
 use pardfs::seq::static_dfs_index;
-use pardfs::wal::{Checkpoint, CheckpointView};
-use pardfs::{Backend, ForestQuery, Graph, MaintainerBuilder, Snapshot, Update};
+use pardfs::tree::{write_tree_sections, TreeIndex};
+use pardfs::wal::{render_checkpoint, CheckpointView};
+use pardfs::{
+    Backend, ForestQuery, Graph, GraphView, MaintainerBuilder, Snapshot, TreeView, Update,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -49,12 +55,71 @@ fn churned_graph(seed: u64) -> Graph {
     g
 }
 
+/// `g`'s sections alone in one container.
+fn graph_bytes(g: &Graph) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    g.write_snap_sections(&mut w);
+    w.finish()
+}
+
+fn decode_graph(bytes: &[u8]) -> Graph {
+    let r = SnapReader::parse(bytes).expect("own container parses");
+    GraphView::parse(&r)
+        .expect("own sections validate")
+        .to_graph()
+}
+
+/// The container `good`'s sections `tags`, in order, with the payloads
+/// `replaced` names swapped in (`None` drops the section), re-checksummed
+/// so that only the decoders can refuse it.
+fn recompose(
+    good: &[u8],
+    tags: &[([u8; 4], u32)],
+    replaced: &[([u8; 4], Option<&[u8]>)],
+) -> Vec<u8> {
+    let r = SnapReader::parse(good).expect("the original parses");
+    let mut w = SnapWriter::new();
+    for &(tag, align) in tags {
+        let body = match replaced.iter().find(|(t, _)| *t == tag) {
+            Some(&(_, body)) => body,
+            None => Some(r.section(tag).expect("the section exists")),
+        };
+        if let Some(body) = body {
+            w.section_aligned(tag, align).extend_from_slice(body);
+        }
+    }
+    w.finish()
+}
+
+/// A tree header capacity whose parent section length, `4 * capacity`,
+/// wraps to 4 in a release build.
+const OVERFLOWING_CAPACITY: u64 = (1 << 62) + 1;
+
+/// `good` with a `THDR` claiming root 0 and [`OVERFLOWING_CAPACITY`] over a
+/// one-slot `TPAR` of `[0]`; it must be refused with an error naming `TPAR`
+/// and the claimed capacity.
+fn overflowing_tree_capacity(good: &[u8], tags: &[([u8; 4], u32)]) -> Vec<u8> {
+    let thdr = [0u64.to_le_bytes(), OVERFLOWING_CAPACITY.to_le_bytes()].concat();
+    recompose(
+        good,
+        tags,
+        &[(*b"THDR", Some(&thdr)), (*b"TPAR", Some(&[0; 4]))],
+    )
+}
+
+fn assert_overflow_refused(err: Option<String>, what: &str) {
+    let err = err.unwrap_or_else(|| panic!("{what}: an overflowing capacity was accepted"));
+    assert!(
+        err.contains("TPAR") && err.contains(&OVERFLOWING_CAPACITY.to_string()),
+        "{what}: {err}"
+    );
+}
+
 #[test]
 fn binary_loaded_graph_is_indistinguishable_from_a_freshly_built_one() {
     let fresh = churned_graph(0xC0DEC);
-    let loaded =
-        Graph::parse_snapshot_binary(&fresh.render_snapshot_binary()).expect("own bytes parse");
-    assert_eq!(loaded, fresh, "binary round trip changed the graph");
+    let loaded = decode_graph(&graph_bytes(&fresh));
+    assert_eq!(loaded, fresh, "decoding changed the graph");
 
     // The loaded arena must be fully usable, not merely equal at load time:
     // drive both copies through the same further mutations and they must
@@ -67,24 +132,24 @@ fn binary_loaded_graph_is_indistinguishable_from_a_freshly_built_one() {
     b.delete_edge(0, b.neighbors(0)[0]);
     a.insert_edge(w, 5);
     b.insert_edge(w, 5);
-    assert_eq!(a, b, "binary-loaded graph diverged under further updates");
+    assert_eq!(a, b, "decoded graph diverged under further updates");
     assert_eq!(
         static_dfs_index(&a, 0).fingerprint(),
         static_dfs_index(&b, 0).fingerprint(),
-        "binary-loaded graph produced a different DFS tree"
+        "decoded graph produced a different DFS tree"
     );
 }
 
 #[test]
 fn graph_codec_round_trip_is_byte_stable() {
     let g = churned_graph(0xA11CE);
-    let bytes = g.render_snapshot_binary();
-    let loaded = Graph::parse_snapshot_binary(&bytes).expect("own bytes parse");
-    assert_eq!(loaded, g, "binary round trip changed the graph");
+    let bytes = graph_bytes(&g);
+    let loaded = decode_graph(&bytes);
+    assert_eq!(loaded, g, "decoding changed the graph");
     assert_eq!(
-        loaded.render_snapshot_binary(),
+        graph_bytes(&loaded),
         bytes,
-        "binary rendering is not byte-stable across a round trip"
+        "writing the decoded graph is not byte-stable"
     );
 }
 
@@ -92,13 +157,21 @@ fn graph_codec_round_trip_is_byte_stable() {
 fn tree_codec_round_trip_is_byte_stable() {
     let g = churned_graph(0x7EE);
     let idx = static_dfs_index(&g, 0);
-    let bytes = idx.render_snapshot_binary();
-    let loaded = pardfs::tree::TreeIndex::parse_snapshot_binary(&bytes).expect("own bytes parse");
+    let tree_bytes = |t: &TreeIndex| {
+        let mut w = SnapWriter::new();
+        write_tree_sections(&mut w, t.root(), t.parent_slice());
+        w.finish()
+    };
+    let bytes = tree_bytes(&idx);
+    let r = SnapReader::parse(&bytes).expect("own container parses");
+    let loaded = TreeView::parse(&r)
+        .expect("own sections validate")
+        .to_index();
     loaded
         .structural_eq(&idx)
-        .expect("binary round trip changed the tree");
+        .expect("decoding changed the tree");
     assert_eq!(loaded.fingerprint(), idx.fingerprint());
-    assert_eq!(loaded.render_snapshot_binary(), bytes);
+    assert_eq!(tree_bytes(&loaded), bytes);
 }
 
 #[test]
@@ -113,39 +186,33 @@ fn checkpoint_codecs_agree_for_every_backend() {
         },
     ];
     for backend in Backend::all_default() {
-        let mut dfs = MaintainerBuilder::new(backend).build(&g);
+        let builder = MaintainerBuilder::new(backend);
+        let mut dfs = builder.build(&g);
         dfs.apply_batch(&updates);
-        let ckpt = Checkpoint::capture(7, dfs.as_ref());
-        let bytes = ckpt.render_binary();
-        let copied = Checkpoint::parse_binary(&bytes).expect("checkpoint parses");
-        assert_eq!(
-            copied.render_binary(),
-            bytes,
-            "checkpoint is not byte-stable"
-        );
-        // The zero-copy view over the same bytes must materialize the state
-        // the copying parser produces.
+        let label = dfs.backend_name();
+        let bytes = render_checkpoint(7, dfs.as_ref());
         let view = CheckpointView::parse(&bytes).expect("checkpoint validates as a view");
-        assert_eq!(view.epoch, 7);
-        assert_eq!(view.backend(), ckpt.backend);
-        let (view_graph, view_tree) = view.materialize().expect("view materializes");
-        let from_view = Checkpoint {
-            epoch: view.epoch,
-            backend: view.backend().to_string(),
-            fingerprint: view.fingerprint,
-            graph: view_graph,
-            tree: view_tree,
-        };
-        for (label, loaded) in [("copy", &copied), ("view", &from_view)] {
-            assert_eq!(loaded.epoch, 7, "{label}: epoch");
-            assert_eq!(loaded.backend, ckpt.backend, "{label}: backend");
-            assert_eq!(loaded.fingerprint, ckpt.fingerprint, "{label}: fingerprint");
-            assert_eq!(loaded.graph, ckpt.graph, "{label}: graph");
-            loaded
-                .tree
-                .structural_eq(&ckpt.tree)
-                .unwrap_or_else(|e| panic!("{label}: tree diverged: {e}"));
-        }
+        assert_eq!(view.epoch, 7, "{label}: epoch");
+        assert_eq!(view.backend(), label, "{label}: backend");
+        assert_eq!(
+            view.fingerprint,
+            dfs.tree().fingerprint(),
+            "{label}: fingerprint"
+        );
+        let (graph, tree) = view.materialize().expect("view materializes");
+        assert_eq!(&graph, dfs.augmented_graph(), "{label}: graph");
+        tree.structural_eq(dfs.tree())
+            .unwrap_or_else(|e| panic!("{label}: tree diverged: {e}"));
+        // The maintainer recovery would resume from the decoded state writes
+        // the same checkpoint again.
+        let resumed = builder
+            .build_from_state(graph, tree)
+            .expect("decoded state resumes");
+        assert_eq!(
+            render_checkpoint(7, resumed.as_ref()),
+            bytes,
+            "{label}: checkpoint is not byte-stable"
+        );
     }
 }
 
@@ -154,41 +221,49 @@ fn corrupting_any_region_of_a_binary_checkpoint_is_rejected() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xBAD);
     let g = generators::random_connected_gnm(48, 100, &mut rng);
     let dfs = MaintainerBuilder::new(Backend::Sequential).build(&g);
-    let bytes = Checkpoint::capture(3, dfs.as_ref()).render_binary();
-    assert!(Checkpoint::parse_binary(&bytes).is_ok(), "good bytes parse");
+    let bytes = render_checkpoint(3, dfs.as_ref());
     assert!(CheckpointView::parse(&bytes).is_ok(), "good bytes validate");
 
     // Flip one byte at *every* offset of the file — magic, section table,
     // alignment padding, each payload, checksum. Every flip must surface as
-    // an error through the copying parser and through the zero-copy view:
-    // the whole-file checksum guards regions no structural validation
-    // reaches.
+    // an error: the whole-file checksum guards regions no structural
+    // validation reaches.
     for i in 0..bytes.len() {
         let mut bad = bytes.clone();
         bad[i] ^= 0x20;
         assert!(
-            Checkpoint::parse_binary(&bad).is_err(),
+            CheckpointView::parse(&bad).is_err(),
             "flip at byte {i}/{} was silently accepted",
             bytes.len()
         );
-        assert!(
-            CheckpointView::parse(&bad).is_err(),
-            "flip at byte {i}/{} was accepted by the view",
-            bytes.len()
-        );
     }
-    // Truncation at *every* length is rejected too (never a partial load),
-    // by both paths.
+    // Truncation at *every* length is rejected too (never a partial load).
     for cut in 0..bytes.len() {
         assert!(
-            Checkpoint::parse_binary(&bytes[..cut]).is_err(),
+            CheckpointView::parse(&bytes[..cut]).is_err(),
             "truncation to {cut} bytes was silently accepted"
         );
-        assert!(
-            CheckpointView::parse(&bytes[..cut]).is_err(),
-            "truncation to {cut} bytes was accepted by the view"
-        );
     }
+
+    // A well-framed checkpoint whose tree header claims a capacity that
+    // overflows the parent section's byte length.
+    let tags = [
+        (*b"CHDR", 8),
+        (*b"CBKD", 1),
+        (*b"GHDR", 8),
+        (*b"GACT", 8),
+        (*b"GDEG", 8),
+        (*b"GADJ", 8),
+        (*b"THDR", 8),
+        (*b"TPAR", 8),
+    ];
+    assert_eq!(
+        recompose(&bytes, &tags, &[]),
+        bytes,
+        "the composition is the writer's"
+    );
+    let overflowing = overflowing_tree_capacity(&bytes, &tags);
+    assert_overflow_refused(CheckpointView::parse(&overflowing).err(), "checkpoint");
 }
 
 #[test]
@@ -240,18 +315,15 @@ fn corrupting_any_region_of_a_published_epoch_is_rejected() {
 
     // Well-framed (re-checksummed) files whose `TTOP` section is missing,
     // mis-sized, or wrong in one slot.
+    let tags = [
+        (*b"SHDR", 8),
+        (*b"SBKD", 1),
+        (*b"THDR", 8),
+        (*b"TPAR", 8),
+        (*b"TTOP", 8),
+    ];
+    let compose = |top: Option<&[u8]>| recompose(&good, &tags, &[(*b"TTOP", top)]);
     let r = SnapReader::parse(&good).unwrap();
-    let compose = |top: Option<&[u8]>| {
-        let mut w = SnapWriter::new();
-        for (tag, align) in [(*b"SHDR", 8), (*b"SBKD", 1), (*b"THDR", 8), (*b"TPAR", 8)] {
-            w.section_aligned(tag, align)
-                .extend_from_slice(r.section(tag).unwrap());
-        }
-        if let Some(top) = top {
-            w.section_aligned(*b"TTOP", 8).extend_from_slice(top);
-        }
-        w.finish()
-    };
     let top = r.section(*b"TTOP").unwrap();
     assert_eq!(compose(Some(top)), good, "the composition is the writer's");
     let mut bad_cases = vec![
@@ -278,5 +350,10 @@ fn corrupting_any_region_of_a_published_epoch_is_rejected() {
             "{case}: the error does not name TTOP: {err}"
         );
     }
+
+    // A well-framed epoch whose tree header claims a capacity that
+    // overflows the parent section's byte length.
+    let overflowing = overflowing_tree_capacity(&good, &tags);
+    assert_overflow_refused(open(&overflowing).err(), "published epoch");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,20 +1,21 @@
 //! Pins the zero-copy contract of the v2 read path.
 //!
 //! `pardfs::graph::snap::copied_array_bytes()` is a process-wide counter
-//! charged by the materializing array reader (`Cursor::u32s`) — every byte
-//! of `GADJ`/`GDEG`/`TPAR`/`TTOP` payload that gets copied into an owned
-//! `Vec` moves it. The borrowed views ([`pardfs::GraphView`],
+//! charged where owned state is made from snapshot bytes
+//! (`GraphView::to_graph`, `TreeView::to_index`, `MappedEpoch::materialize`)
+//! — every byte of `GADJ`/`GDEG`/`TPAR` payload copied into owned state
+//! moves it. The borrowed views ([`pardfs::GraphView`],
 //! [`pardfs::TreeView`], [`pardfs::CheckpointView`], [`pardfs::MappedEpoch`])
 //! must answer queries straight out of the mapped or in-memory buffer, so
 //! across *validate + query* the counter must not move at all.
 //!
 //! This pin lives in its own integration-test binary on purpose: the counter
-//! is process-global, and any concurrently running test that parses a
-//! checkpoint the materializing way would charge it mid-measurement.
+//! is process-global, and any concurrently running test that materializes a
+//! checkpoint would charge it mid-measurement.
 
 use pardfs::graph::generators;
 use pardfs::graph::snap::copied_array_bytes;
-use pardfs::wal::{Checkpoint, CheckpointView};
+use pardfs::wal::{render_checkpoint, CheckpointView};
 use pardfs::{Backend, ForestQuery, MaintainerBuilder, Snapshot, Update};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -33,8 +34,7 @@ fn view_backed_reads_copy_zero_array_bytes() {
             dfs.apply_update(&Update::InsertEdge(u, v));
         }
     }
-    let ckpt = Checkpoint::capture(11, dfs.as_ref());
-    let v2 = ckpt.render_binary();
+    let v2 = render_checkpoint(11, dfs.as_ref());
 
     // --- View path: validate once, then borrow. Zero array bytes copied. ---
     let before = copied_array_bytes();
@@ -77,16 +77,26 @@ fn view_backed_reads_copy_zero_array_bytes() {
         before,
         "the mapped epoch read path copied array bytes"
     );
-    std::fs::remove_dir_all(&dir).ok();
 
-    // --- Materializing path: the same bytes, parsed the copying way, must
-    // charge at least the three u32 array payloads (adjacency, degrees,
-    // parents). This is what makes the zero above meaningful. ---
+    // --- Materializing paths: the same bytes, materialized, must charge at
+    // least the u32 array payloads they copy (adjacency, degrees, parents),
+    // and a mapped epoch its parent array. This is what makes the zeros
+    // above meaningful. ---
     let before = copied_array_bytes();
-    let loaded = Checkpoint::parse_binary(&v2).expect("materializing parse");
-    let floor = 4 * (2 * loaded.graph.num_edges() + 2 * loaded.graph.capacity()) as u64;
+    let (graph, _tree) = view.materialize().expect("the checkpoint materializes");
+    let floor = 4 * (2 * graph.num_edges() + 2 * graph.capacity()) as u64;
     assert!(
         copied_array_bytes() >= before + floor,
-        "materializing parse should copy at least {floor} array bytes"
+        "materializing a checkpoint should copy at least {floor} array bytes"
     );
+    let before = copied_array_bytes();
+    let index = mapped
+        .materialize()
+        .expect("the published epoch materializes");
+    let floor = 4 * index.capacity() as u64;
+    assert!(
+        copied_array_bytes() >= before + floor,
+        "materializing an epoch should copy at least {floor} array bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
