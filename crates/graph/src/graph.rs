@@ -46,116 +46,94 @@ pub(crate) const SEC_GRAPH_DEGREES: [u8; 4] = *b"GDEG";
 /// Section tag of the concatenated adjacency lists, in vertex-id order.
 pub(crate) const SEC_GRAPH_ADJACENCY: [u8; 4] = *b"GADJ";
 
-/// Validate a flat adjacency encoding — per-slot degrees plus the
-/// concatenated neighbour runs — without materializing anything: endpoint
-/// activity, capacity bounds, self loops, duplicates, symmetry and the
-/// claimed edge count, all in `O(E + n)` counting passes (no sort, no
-/// `contains` scan per edge — the latter degenerates to `O(E·deg)` on the
-/// hub vertices adversarial workloads produce). Run by the snapshot decoder
-/// [`crate::GraphView::parse`] and by [`Graph::from_adjacency_lists`]; the
-/// `degree_of` / `is_active` accessors abstract over owned `Vec`s vs
-/// borrowed file bytes.
+/// Validate a flat adjacency encoding — `v`'s neighbour run is
+/// `flat[offsets[v]..offsets[v + 1]]` — without materializing anything:
+/// capacity bounds, self loops, inactive vertices with neighbours,
+/// duplicates, symmetry and the claimed edge count. Run by the snapshot
+/// decoder [`crate::GraphView::parse`] and by [`Graph::from_adjacency_lists`];
+/// `is_active` abstracts over owned flags vs a borrowed file bitmap.
+///
+/// One ascending sweep, `O(E + n)` with no sort and no `contains` scan per
+/// edge (which degenerates to `O(E·deg)` on the hubs adversarial workloads
+/// produce). Every entry `u > v` of `v`'s run appends `v` to `u`'s
+/// *bucket*, which has room for `deg(u)` entries and so fills in ascending
+/// order; a run listing `u` twice puts `v` in it twice in a row. When the
+/// sweep reaches `u`, its bucket holds every lower vertex that lists it,
+/// and `u`'s lower entries must match those one to one: each bucket entry
+/// stamps its vertex with `u`, each lower entry consumes a stamp, and the
+/// counts must agree. That makes the lists symmetric and duplicate-free, so
+/// an inactive vertex, whose run is empty, is listed by nobody either.
 pub(crate) fn validate_flat_adjacency(
-    capacity: usize,
-    degree_of: impl Fn(usize) -> usize,
+    offsets: &[usize],
     is_active: impl Fn(usize) -> bool,
     flat: &[Vertex],
     claimed_edges: usize,
 ) -> Result<(), String> {
-    // Everything below is `O(E + n)` — two passes over the payload plus a
-    // per-vertex multiset check against counting-sorted incoming edges. This
-    // runs on every snapshot open, where an earlier sort-based symmetry
-    // check dominated cold-open latency.
-    //
-    // Pass 1: per-entry representation checks, in-degree histogram, and
-    // duplicate detection (`last_from[u]` stamps the most recent vertex that
-    // listed `u` — lists are per-vertex contiguous, so a repeat stamp is a
-    // duplicate neighbour).
-    let mut in_cnt = vec![0u32; capacity];
-    let mut last_from = vec![Vertex::MAX; capacity];
-    let mut off = 0usize;
+    let capacity = offsets.len() - 1;
+    assert_eq!(
+        offsets[capacity],
+        flat.len(),
+        "the offsets must partition the adjacency payload"
+    );
+    // `bucket[offsets[u]..offsets[u] + filled[u]]`: the lower vertices
+    // listing `u`, as far as the sweep has come.
+    let mut bucket = vec![0 as Vertex; flat.len()];
+    let mut filled = vec![0u32; capacity];
+    // `stamp[w] == v` while `w`'s entry in `v`'s bucket is unmatched; 0 is
+    // never a live stamp, since vertex 0 has no lower neighbours.
+    let mut stamp = vec![0 as Vertex; capacity];
     for v in 0..capacity {
-        let d = degree_of(v);
-        if d > flat.len() - off {
-            return Err(format!(
-                "degrees sum past the adjacency payload at vertex {v}"
-            ));
+        let run = &flat[offsets[v]..offsets[v + 1]];
+        if run.is_empty() {
+            continue;
         }
-        if d > 0 && !is_active(v) {
+        if !is_active(v) {
             return Err(format!("inactive vertex {v} has nonzero degree"));
         }
-        for &u in &flat[off..off + d] {
-            if (u as usize) >= capacity {
-                return Err(format!("neighbour {u} of vertex {v} outside capacity"));
-            }
-            if u as usize == v {
+        let vv = v as Vertex;
+        let lower = offsets[v]..offsets[v] + filled[v] as usize;
+        for &w in &bucket[lower.clone()] {
+            stamp[w as usize] = vv;
+        }
+        let mut matched = 0;
+        for (i, &u) in run.iter().enumerate() {
+            let ui = u as usize;
+            if u > vv {
+                if ui >= capacity {
+                    return Err(format!("neighbour {u} of vertex {v} outside capacity"));
+                }
+                let (start, f) = (offsets[ui], filled[ui] as usize);
+                if f > 0 && bucket[start + f - 1] == vv {
+                    return Err(format!("duplicate neighbour {u} of vertex {v}"));
+                }
+                if start + f == offsets[ui + 1] {
+                    return Err(format!(
+                        "asymmetric adjacency: more lower vertices list {u} than its degree {f}"
+                    ));
+                }
+                bucket[start + f] = vv;
+                filled[ui] += 1;
+            } else if u < vv {
+                if stamp[ui] != vv {
+                    return Err(if run[..i].contains(&u) {
+                        format!("duplicate neighbour {u} of vertex {v}")
+                    } else {
+                        format!("asymmetric adjacency: {v} lists {u} but not back")
+                    });
+                }
+                stamp[ui] = 0;
+                matched += 1;
+            } else {
                 return Err(format!("self loop on vertex {v}"));
             }
-            if !is_active(u as usize) {
-                return Err(format!("vertex {v} adjacent to inactive vertex {u}"));
-            }
-            if last_from[u as usize] == v as Vertex {
-                return Err(format!("duplicate neighbour {u} of vertex {v}"));
-            }
-            last_from[u as usize] = v as Vertex;
-            in_cnt[u as usize] += 1;
         }
-        off += d;
-    }
-    if off != flat.len() {
-        return Err(format!(
-            "adjacency payload has {} entries, degrees sum to {off}",
-            flat.len()
-        ));
-    }
-    // In-degree must equal out-degree vertex-wise (necessary for symmetry),
-    // which also makes `in_off` the prefix sums of the out-degrees.
-    let mut in_off = vec![0u32; capacity + 1];
-    for v in 0..capacity {
-        let d = degree_of(v);
-        if in_cnt[v] as usize != d {
-            return Err(format!(
-                "asymmetric adjacency: vertex {v} has out-degree {d} but in-degree {}",
-                in_cnt[v]
-            ));
+        if matched != lower.len() {
+            let w = bucket[lower]
+                .iter()
+                .find(|&&w| stamp[w as usize] == vv)
+                .expect("an unmatched bucket entry keeps its stamp");
+            return Err(format!("asymmetric adjacency: {w} lists {v} but not back"));
         }
-        in_off[v + 1] = in_off[v] + in_cnt[v];
-    }
-    // Pass 2: counting-sort the incoming edges — `in_src[in_off[v]..
-    // in_off[v+1]]` becomes the multiset of vertices listing `v`, reusing
-    // `in_cnt` as the per-target write cursor.
-    let mut in_src = vec![0 as Vertex; flat.len()];
-    in_cnt.copy_from_slice(&in_off[..capacity]);
-    let mut off = 0usize;
-    for v in 0..capacity {
-        let d = degree_of(v);
-        for &u in &flat[off..off + d] {
-            let cursor = &mut in_cnt[u as usize];
-            in_src[*cursor as usize] = v as Vertex;
-            *cursor += 1;
-        }
-        off += d;
-    }
-    // Pass 3: per vertex, `+1` per outgoing neighbour and `-1` per incoming
-    // source against one shared count scratch. The two runs have equal
-    // length (checked above) and duplicates are already excluded, so on
-    // valid input every touched entry returns to zero — and any asymmetry
-    // forces some decrement negative, which is an unreciprocated edge.
-    let mut count = vec![0i32; capacity];
-    let mut off = 0usize;
-    for v in 0..capacity {
-        let d = degree_of(v);
-        for &u in &flat[off..off + d] {
-            count[u as usize] += 1;
-        }
-        for &s in &in_src[in_off[v] as usize..in_off[v + 1] as usize] {
-            let c = &mut count[s as usize];
-            *c -= 1;
-            if *c < 0 {
-                return Err(format!("asymmetric adjacency: {s} lists {v} but not back"));
-            }
-        }
-        off += d;
     }
     debug_assert!(
         flat.len().is_multiple_of(2),
@@ -438,13 +416,13 @@ impl Graph {
         }
         let degrees: Vec<usize> = lists.iter().map(Vec::len).collect();
         let flat: Vec<Vertex> = lists.into_iter().flatten().collect();
-        validate_flat_adjacency(
-            active.len(),
-            |v| degrees[v],
-            |v| active[v],
-            &flat,
-            flat.len() / 2,
-        )?;
+        let offsets: Vec<usize> = std::iter::once(0)
+            .chain(degrees.iter().scan(0, |total, &d| {
+                *total += d;
+                Some(*total)
+            }))
+            .collect();
+        validate_flat_adjacency(&offsets, |v| active[v], &flat, flat.len() / 2)?;
         Ok(Self::assemble_validated(&degrees, &flat, active))
     }
 
@@ -553,6 +531,11 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators;
+    use crate::updates::{random_update_sequence, UpdateMix};
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::{BTreeMap, HashSet};
 
     #[test]
     fn edge_canonicalisation() {
@@ -628,6 +611,129 @@ mod tests {
         let mut es: Vec<Edge> = g.edges().collect();
         es.sort();
         assert_eq!(es, vec![Edge(0, 1), Edge(1, 3), Edge(2, 4)]);
+    }
+
+    /// Is `(lists, active)` a simple undirected graph, by brute force: every
+    /// entry an active slot other than its own, no list repeating an entry,
+    /// inactive slots empty, and every listed pair listed back.
+    fn is_graph_by_brute_force(lists: &[Vec<Vertex>], active: &[bool]) -> bool {
+        let mut pairs = HashSet::new();
+        for (v, list) in lists.iter().enumerate() {
+            if !active[v] && !list.is_empty() {
+                return false;
+            }
+            for &u in list {
+                let usable = (u as usize) < active.len() && active[u as usize];
+                if !usable || u as usize == v || !pairs.insert((v as Vertex, u)) {
+                    return false;
+                }
+            }
+        }
+        pairs.iter().all(|&(v, u)| pairs.contains(&(u, v)))
+    }
+
+    /// One random corruption of valid adjacency lists: an entry pointed at
+    /// another vertex (often one its list or a neighbour's list already
+    /// holds), a duplicated entry, an entry dropped with its degree, a self
+    /// loop, an entry pointed at or appended as an inactive or out-of-range
+    /// slot, or two entries swapped between lists.
+    fn mutate(lists: &mut [Vec<Vertex>], active: &[bool], rng: &mut ChaCha8Rng) -> &'static str {
+        let cap = lists.len();
+        let listed: Vec<usize> = (0..cap).filter(|&v| !lists[v].is_empty()).collect();
+        let Some(&v) = listed.choose(rng) else {
+            let v = rng.gen_range(0..cap);
+            lists[v].push(v as Vertex);
+            return "self loop";
+        };
+        let i = rng.gen_range(0..lists[v].len());
+        match rng.gen_range(0..6) {
+            0 => {
+                let near = lists[v][rng.gen_range(0..lists[v].len())];
+                let far = lists[near as usize].choose(rng).copied().unwrap_or(near);
+                lists[v][i] =
+                    [rng.gen_range(0..cap as Vertex), near, far][rng.gen_range(0..3usize)];
+                "entry pointed at another vertex"
+            }
+            1 => {
+                let at = rng.gen_range(0..=lists[v].len());
+                lists[v].insert(at, lists[v][i]);
+                "entry duplicated"
+            }
+            2 => {
+                lists[v].remove(i);
+                "entry dropped"
+            }
+            3 => {
+                lists[v][i] = v as Vertex;
+                "self loop"
+            }
+            4 => {
+                let holes: Vec<Vertex> = (0..cap as Vertex)
+                    .filter(|&u| !active[u as usize])
+                    .collect();
+                let t = match holes.choose(rng) {
+                    Some(&h) if rng.gen_bool(0.5) => h,
+                    _ => cap as Vertex + rng.gen_range(0..3u32),
+                };
+                if rng.gen_bool(0.5) {
+                    lists[v][i] = t;
+                } else {
+                    lists[v].push(t);
+                }
+                "entry at an inactive or out-of-range slot"
+            }
+            _ => {
+                let &w = listed.choose(rng).expect("v is listed");
+                let j = rng.gen_range(0..lists[w].len());
+                let (a, b) = (lists[v][i], lists[w][j]);
+                lists[v][i] = b;
+                lists[w][j] = a;
+                "entries swapped between lists"
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_adjacency_lists_are_accepted_exactly_when_they_form_a_graph() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x6AD);
+        let mut outcomes = BTreeMap::<&str, [usize; 2]>::new();
+        for case in 0..3000 {
+            let n: usize = rng.gen_range(2..30);
+            let m = rng.gen_range(n - 1..=(n * (n - 1) / 2).min(3 * n));
+            let mut g = generators::random_connected_gnm(n, m, &mut rng);
+            let churn = rng.gen_range(0..40);
+            for u in random_update_sequence(&g, churn, &UpdateMix::default(), &mut rng) {
+                g.apply(&u);
+            }
+            if case % 2 == 1 {
+                g = g.with_hub();
+            }
+            let cap = g.capacity();
+            let mut lists: Vec<Vec<Vertex>> = (0..cap as Vertex)
+                .map(|v| g.neighbors(v).to_vec())
+                .collect();
+            let active: Vec<bool> = (0..cap as Vertex).map(|v| g.is_active(v)).collect();
+            let kind = if case % 10 == 0 {
+                "unmutated"
+            } else {
+                mutate(&mut lists, &active, &mut rng)
+            };
+            let want = is_graph_by_brute_force(&lists, &active);
+            let got = Graph::from_adjacency_lists(lists.clone(), active.clone());
+            assert_eq!(
+                got.is_ok(),
+                want,
+                "case {case} ({kind}): {got:?}\nlists {lists:?}\nactive {active:?}"
+            );
+            outcomes.entry(kind).or_default()[got.is_err() as usize] += 1;
+        }
+        // [accepted, refused] per kind: every corruption kind must be seen
+        // refused; a swap or a retarget can leave a graph.
+        assert_eq!(outcomes.len(), 7, "{outcomes:?}");
+        assert_eq!(outcomes["unmutated"][1], 0);
+        for (kind, [_, refused]) in &outcomes {
+            assert!(*kind == "unmutated" || *refused >= 100, "{outcomes:?}");
+        }
     }
 
     #[test]

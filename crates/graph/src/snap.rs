@@ -210,7 +210,7 @@ impl SnapWriter {
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     base: &'a [u8],
-    sections: Vec<([u8; 4], u32, &'a [u8])>,
+    sections: Vec<([u8; 4], &'a [u8])>,
 }
 
 impl<'a> SnapReader<'a> {
@@ -242,7 +242,7 @@ impl<'a> SnapReader<'a> {
                 "binary snapshot section table ({count} sections) exceeds the file"
             ));
         }
-        let mut sections: Vec<([u8; 4], u32, &'a [u8])> = Vec::with_capacity(count);
+        let mut sections: Vec<([u8; 4], &'a [u8])> = Vec::with_capacity(count);
         for i in 0..count {
             let at = 12 + 24 * i;
             let tag: [u8; 4] = bytes[at..at + 4].try_into().expect("4 bytes");
@@ -270,10 +270,10 @@ impl<'a> SnapReader<'a> {
                     "section {tag:?} [{offset}, {end}) escapes the container body"
                 ));
             }
-            if sections.iter().any(|(t, _, _)| *t == tag) {
+            if sections.iter().any(|(t, _)| *t == tag) {
                 return Err(format!("duplicate section tag {tag:?}"));
             }
-            sections.push((tag, align, &bytes[offset..end]));
+            sections.push((tag, &bytes[offset..end]));
         }
         Ok(SnapReader {
             base: bytes,
@@ -285,22 +285,8 @@ impl<'a> SnapReader<'a> {
     pub fn section(&self, tag: [u8; 4]) -> Result<&'a [u8], String> {
         self.sections
             .iter()
-            .find(|(t, _, _)| *t == tag)
-            .map(|(_, _, body)| *body)
-            .ok_or_else(|| {
-                format!(
-                    "binary snapshot is missing its `{}` section",
-                    String::from_utf8_lossy(&tag)
-                )
-            })
-    }
-
-    /// The declared alignment of the section tagged `tag`.
-    pub fn section_align(&self, tag: [u8; 4]) -> Result<u32, String> {
-        self.sections
-            .iter()
-            .find(|(t, _, _)| *t == tag)
-            .map(|(_, align, _)| *align)
+            .find(|(t, _)| *t == tag)
+            .map(|(_, body)| *body)
             .ok_or_else(|| {
                 format!(
                     "binary snapshot is missing its `{}` section",
@@ -441,7 +427,6 @@ mod tests {
         let (off8, len8) = r.section_range(*b"AL8B").unwrap();
         assert_eq!(off8 % 8, 0, "AL8B starts at {off8}");
         assert_eq!(len8, 8);
-        assert_eq!(r.section_align(*b"AL8B").unwrap(), 8);
         let (off4, _) = r.section_range(*b"AL4B").unwrap();
         assert_eq!(off4 % 4, 0, "AL4B starts at {off4}");
         assert_eq!(r.section(*b"ODDB").unwrap(), &[0xAB]);

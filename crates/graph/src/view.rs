@@ -112,7 +112,7 @@ impl<'a> GraphView<'a> {
         offsets.push(total);
 
         let adj_bytes = r.section(SEC_GRAPH_ADJACENCY)?;
-        if adj_bytes.len() != 4 * total {
+        if total.checked_mul(4) != Some(adj_bytes.len()) {
             return Err(format!(
                 "adjacency section is {} bytes, degrees sum to {total} entries",
                 adj_bytes.len()
@@ -120,13 +120,7 @@ impl<'a> GraphView<'a> {
         }
         let adj = cast_u32s(adj_bytes).map_err(|e| format!("GADJ section: {e}"))?;
 
-        validate_flat_adjacency(
-            capacity,
-            |v| degrees[v] as usize,
-            |v| bit(active, v),
-            adj,
-            claimed_edges,
-        )?;
+        validate_flat_adjacency(&offsets, |v| bit(active, v), adj, claimed_edges)?;
         let num_active = (0..capacity).filter(|&v| bit(active, v)).count();
         Ok(GraphView {
             capacity,

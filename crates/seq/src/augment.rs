@@ -42,8 +42,12 @@ impl AugmentedGraph {
     /// graph exactly (adjacency order included, because DFS tree shape
     /// depends on it), and this constructor validates the pseudo-root
     /// invariants before trusting it. Rejects a graph whose vertex 0 is
-    /// inactive, whose active vertices are missing their pseudo edge, or
-    /// whose pseudo root carries edges to nowhere.
+    /// inactive or is not adjacent to every other active vertex.
+    ///
+    /// Counting the pseudo root's edges suffices: a [`Graph`] is simple, so
+    /// vertex 0's neighbours are distinct active vertices other than itself,
+    /// and when there are as many as there are active user vertices, they
+    /// are all of them.
     pub fn from_internal(graph: Graph) -> Result<Self, String> {
         if !graph.is_active(PSEUDO_ROOT) {
             return Err("pseudo root (internal id 0) is not active".to_string());
@@ -54,11 +58,6 @@ impl AugmentedGraph {
                 "pseudo root has {} edges but there are {user_vertices} user vertices",
                 graph.degree(PSEUDO_ROOT)
             ));
-        }
-        for v in graph.vertices().filter(|&v| v != PSEUDO_ROOT) {
-            if !graph.has_edge(PSEUDO_ROOT, v) {
-                return Err(format!("active internal vertex {v} lacks its pseudo edge"));
-            }
         }
         Ok(AugmentedGraph { graph })
     }
@@ -219,6 +218,45 @@ mod tests {
             holes > 100 && unsorted > 100,
             "{holes} holes, {unsorted} unsorted lists"
         );
+    }
+
+    #[test]
+    fn from_internal_accepts_hubs_and_refuses_a_missing_pseudo_edge() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xF1);
+        let mut orphans = 0;
+        for case in 0..60 {
+            let n: usize = rng.gen_range(2..40);
+            let m = rng.gen_range(n - 1..=(n * (n - 1) / 2).min(3 * n));
+            let mut user = generators::random_connected_gnm(n, m, &mut rng);
+            let churn = rng.gen_range(0..80);
+            for u in random_update_sequence(&user, churn, &UpdateMix::default(), &mut rng) {
+                user.apply(&u);
+            }
+            let hub = user.with_hub();
+            assert!(
+                AugmentedGraph::from_internal(hub.clone()).is_ok(),
+                "case {case}"
+            );
+
+            let mut rootless = hub.clone();
+            rootless.delete_vertex(PSEUDO_ROOT);
+            let err = AugmentedGraph::from_internal(rootless).unwrap_err();
+            assert!(err.contains("is not active"), "case {case}: {err}");
+
+            let users: Vec<Vertex> = hub.vertices().filter(|&v| v != PSEUDO_ROOT).collect();
+            let Some(&v) = users.choose(&mut rng) else {
+                continue;
+            };
+            let mut orphan = hub;
+            orphan.delete_edge(PSEUDO_ROOT, v);
+            let err = AugmentedGraph::from_internal(orphan).unwrap_err();
+            assert!(
+                err.contains("pseudo root has") && err.contains("user vertices"),
+                "case {case}: {err}"
+            );
+            orphans += 1;
+        }
+        assert!(orphans > 50, "only {orphans} cases had a user vertex");
     }
 
     #[test]

@@ -61,16 +61,8 @@ pub struct TreeIndex {
 
 pub(crate) const UNSET: u32 = u32::MAX;
 
-/// Check a parent array slot by slot (root in range and self-parented,
-/// every other non-hole parent inside the id space, not the vertex itself
-/// and not a hole) while packing its children lists, each sorted by id:
-/// `v`'s children are `flat[offsets[v]..offsets[v + 1]]`. Count, prefix-sum,
-/// then append every vertex to its parent's list in ascending id order.
-///
-/// The validator walks this packed form directly: loading it into an
-/// [`AdjacencyArena`] made validation, and so every mapped open, 2–4×
-/// slower.
-fn child_table(parent: &[Vertex], root: Vertex) -> Result<(Vec<usize>, Vec<Vertex>), String> {
+/// The root's own slot check: inside the id space and its own parent.
+fn check_root(parent: &[Vertex], root: Vertex) -> Result<(), String> {
     let capacity = parent.len();
     if (root as usize) >= capacity {
         return Err(format!("root {root} outside capacity {capacity}"));
@@ -78,20 +70,37 @@ fn child_table(parent: &[Vertex], root: Vertex) -> Result<(Vec<usize>, Vec<Verte
     if parent[root as usize] != root {
         return Err(format!("parent[{root}] is not the root itself"));
     }
+    Ok(())
+}
+
+/// A non-root tree vertex `v`'s slot check: its parent `p` inside the id
+/// space, not `v` itself and not a hole.
+fn check_parent(parent: &[Vertex], v: Vertex, p: Vertex) -> Result<(), String> {
+    if (p as usize) >= parent.len() {
+        return Err(format!("parent {p} of vertex {v} outside capacity"));
+    }
+    if p == v {
+        return Err(format!("non-root vertex {v} is its own parent"));
+    }
+    if parent[p as usize] == NO_VERTEX {
+        return Err(format!("vertex {v} parented to hole {p}"));
+    }
+    Ok(())
+}
+
+/// Check a parent array slot by slot while packing its children lists,
+/// each sorted by id: `v`'s children are `flat[offsets[v]..offsets[v + 1]]`.
+/// Count, prefix-sum, then append every vertex to its parent's list in
+/// ascending id order.
+fn child_table(parent: &[Vertex], root: Vertex) -> Result<(Vec<usize>, Vec<Vertex>), String> {
+    let capacity = parent.len();
+    check_root(parent, root)?;
     let non_root =
         || (0..capacity as Vertex).filter(move |&v| v != root && parent[v as usize] != NO_VERTEX);
     let mut offsets = vec![0usize; capacity + 1];
     for v in non_root() {
         let p = parent[v as usize];
-        if (p as usize) >= capacity {
-            return Err(format!("parent {p} of vertex {v} outside capacity"));
-        }
-        if p == v {
-            return Err(format!("non-root vertex {v} is its own parent"));
-        }
-        if parent[p as usize] == NO_VERTEX {
-            return Err(format!("vertex {v} parented to hole {p}"));
-        }
+        check_parent(parent, v, p)?;
         offsets[p as usize + 1] += 1;
     }
     for i in 1..offsets.len() {
@@ -408,21 +417,50 @@ impl TreeIndex {
 
     /// Validate a parent array without building an index (root in range and
     /// self-parented, parents inside the id space, every non-hole vertex
-    /// reachable from the root): the check the snapshot decoder
-    /// [`crate::TreeView`] runs once at open. It shares its slot checks and
-    /// child table with the index build, so an array it accepts always
-    /// builds.
+    /// reaching the root): the check the snapshot decoder [`crate::TreeView`]
+    /// runs once at open. After the slot checks (the index build's, in the
+    /// same order) it climbs from every tree vertex in id order, marking each
+    /// vertex with the start of the first climb that reached it, and stops at
+    /// the first marked vertex. A climb that stops on its own mark has closed
+    /// a cycle; one that stops on an earlier climb's path reaches the root
+    /// exactly when that climb did. So every vertex is climbed over once.
     pub(crate) fn validate_parent_array(parent: &[Vertex], root: Vertex) -> Result<(), String> {
-        let (offsets, flat) = child_table(parent, root)?;
-        let mut reached = 1usize;
-        let mut stack = vec![root];
-        while let Some(v) = stack.pop() {
-            let kids = &flat[offsets[v as usize]..offsets[v as usize + 1]];
-            reached += kids.len();
-            stack.extend_from_slice(kids);
+        check_root(parent, root)?;
+        let capacity = parent.len();
+        for (v, &p) in parent.iter().enumerate() {
+            if v != root as usize && p != NO_VERTEX {
+                check_parent(parent, v as Vertex, p)?;
+            }
         }
-        if reached != flat.len() + 1 {
-            return Err(unreachable_err(flat.len() + 1, reached, root));
+        // `climbed_by[x]`: the start of the first climb through `x`;
+        // `reaches_root[s]`: whether the climb started at `s` did.
+        let mut climbed_by = vec![NO_VERTEX; capacity];
+        let mut reaches_root = vec![false; capacity];
+        climbed_by[root as usize] = root;
+        reaches_root[root as usize] = true;
+        let (mut n_tree, mut reached) = (0, 1);
+        for v in 0..capacity as Vertex {
+            if parent[v as usize] == NO_VERTEX {
+                continue;
+            }
+            n_tree += 1;
+            if climbed_by[v as usize] != NO_VERTEX {
+                continue;
+            }
+            let (mut x, mut len) = (v, 0);
+            while climbed_by[x as usize] == NO_VERTEX {
+                climbed_by[x as usize] = v;
+                x = parent[x as usize];
+                len += 1;
+            }
+            // On a cycle `x` carries `v`'s own mark, still unflagged.
+            if reaches_root[climbed_by[x as usize] as usize] {
+                reaches_root[v as usize] = true;
+                reached += len;
+            }
+        }
+        if reached != n_tree {
+            return Err(unreachable_err(n_tree, reached, root));
         }
         Ok(())
     }

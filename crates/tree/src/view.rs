@@ -2,12 +2,12 @@
 //! container: a borrowed, zero-copy read surface.
 //!
 //! A `TreeView` **validates once and borrows thereafter**: the construction
-//! pass runs the slot checks and child table of the index build (shared
-//! code) plus a reachability walk, and every subsequent read takes the
-//! `TPAR` bytes in place — zero `TPAR` bytes are ever copied on the read
-//! path. [`TreeView::to_index`] is the one copy point: it rebuilds every
-//! derived structure (children arena, orderings, levels, sizes, jump
-//! pointers and `top` labels) from the parent array.
+//! pass runs the index build's slot checks plus one climb per vertex to the
+//! root, and every subsequent read takes the `TPAR` bytes in place — zero
+//! `TPAR` bytes are ever copied on the read path. [`TreeView::to_index`] is
+//! the one copy point: it rebuilds every derived structure (children arena,
+//! orderings, levels, sizes, jump pointers and `top` labels) from the
+//! parent array.
 //!
 //! A view answers parent reads only. The forest reads that need to know
 //! which tree a vertex is in (`same_component`) read its depth-1 ancestor
@@ -278,29 +278,162 @@ mod tests {
         }
     }
 
+    /// Random forest-of-one-tree parent arrays *with NO_VERTEX holes*: the
+    /// shape vertex churn leaves behind (deleted ids keep their slots).
+    /// Every present non-root vertex is attached to an earlier present
+    /// vertex, so the array is always valid.
+    fn holey_parent_array(n: usize, seed: u64, hole_bits: u64) -> Vec<Vertex> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut parent = vec![NO_VERTEX; n];
+        parent[0] = 0;
+        let mut present = vec![0u32];
+        for v in 1..n as Vertex {
+            if (hole_bits >> (v % 64)) & 1 == 1 {
+                continue; // a churned-away id
+            }
+            let p = present[rng.gen_range(0..present.len())];
+            parent[v as usize] = p;
+            present.push(v);
+        }
+        parent
+    }
+
+    /// Is `parent` a tree rooted at `root`, by brute force: every slot
+    /// checked on its own and every tree vertex's parent chain walked until
+    /// it meets the root or runs longer than the array.
+    fn is_tree_by_brute_force(parent: &[Vertex], root: Vertex) -> bool {
+        let cap = parent.len();
+        let in_tree = |v: Vertex| (v as usize) < cap && parent[v as usize] != NO_VERTEX;
+        if !in_tree(root) || parent[root as usize] != root {
+            return false;
+        }
+        (0..cap as Vertex).filter(|&v| in_tree(v)).all(|v| {
+            let mut x = v;
+            for _ in 0..=cap {
+                if x == root {
+                    return true;
+                }
+                let p = parent[x as usize];
+                if p == x || !in_tree(p) {
+                    return false;
+                }
+                x = p;
+            }
+            false
+        })
+    }
+
+    /// One random corruption of a valid parent array rooted at 0: a
+    /// self-parented slot, a parent that is a hole, an out-of-range parent,
+    /// a detached cycle, a vertex re-hung under its own descendant, or a
+    /// tree vertex turned into a hole.
+    fn mutate(parent: &mut [Vertex], rng: &mut ChaCha8Rng) -> &'static str {
+        let cap = parent.len();
+        let slots: Vec<Vertex> = (1..cap as Vertex).collect();
+        let tree: Vec<Vertex> = slots
+            .iter()
+            .copied()
+            .filter(|&v| parent[v as usize] != NO_VERTEX)
+            .collect();
+        let holes: Vec<Vertex> = slots
+            .iter()
+            .copied()
+            .filter(|&v| parent[v as usize] == NO_VERTEX)
+            .collect();
+        let Some(&v) = tree.choose(rng) else {
+            parent[0] = NO_VERTEX;
+            return "hole at the root";
+        };
+        match rng.gen_range(0..6) {
+            0 => {
+                let &s = slots.choose(rng).expect("a tree vertex is a slot");
+                parent[s as usize] = s;
+                "self parent"
+            }
+            1 => match holes.choose(rng) {
+                Some(&h) => {
+                    parent[v as usize] = h;
+                    "parent is a hole"
+                }
+                None => {
+                    parent[v as usize] = NO_VERTEX - 1;
+                    "parent past the id space"
+                }
+            },
+            2 => {
+                parent[v as usize] = cap as Vertex + rng.gen_range(0..3u32);
+                "parent outside capacity"
+            }
+            3 => {
+                let mut ring = slots.clone();
+                ring.shuffle(rng);
+                ring.truncate(rng.gen_range(2..=slots.len().max(2)));
+                for (i, &x) in ring.iter().enumerate() {
+                    parent[x as usize] = ring[(i + 1) % ring.len()];
+                }
+                "detached cycle"
+            }
+            4 => {
+                let below: Vec<Vertex> = tree
+                    .iter()
+                    .copied()
+                    .filter(|&d| {
+                        let mut x = d;
+                        while x != 0 && x != v {
+                            x = parent[x as usize];
+                        }
+                        x == v
+                    })
+                    .collect();
+                let &d = below.choose(rng).expect("v is its own descendant");
+                parent[v as usize] = d;
+                "re-hung under a descendant"
+            }
+            _ => {
+                parent[v as usize] = NO_VERTEX;
+                "tree vertex turned into a hole"
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_parent_arrays_parse_exactly_when_they_build() {
+        // The view's climb and the index build share only their slot
+        // checks, so this differential pins that an array the view accepts
+        // always builds, and the brute force pins both.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7EE);
+        let mut outcomes = std::collections::BTreeMap::<&str, [usize; 2]>::new();
+        for case in 0..3000 {
+            let n = rng.gen_range(1..48);
+            let mut parent = holey_parent_array(n, rng.gen(), rng.gen::<u64>() & rng.gen::<u64>());
+            let kind = if case % 10 == 0 {
+                "unmutated"
+            } else {
+                mutate(&mut parent, &mut rng)
+            };
+            let bytes = hand_written(0, n as u64, &parent);
+            let viewed = TreeView::parse(&SnapReader::parse(&bytes).unwrap()).map(|_| ());
+            let built = TreeIndex::try_from_parents(parent.clone(), 0).map(|_| ());
+            assert_eq!(viewed, built, "case {case} ({kind}): {parent:?}");
+            assert_eq!(
+                viewed.is_ok(),
+                is_tree_by_brute_force(&parent, 0),
+                "case {case} ({kind}): {parent:?}"
+            );
+            outcomes.entry(kind).or_default()[viewed.is_err() as usize] += 1;
+        }
+        // [accepted, refused] per kind; every corruption kind must be seen
+        // refused, and a hole punched into a leaf is still a tree.
+        assert_eq!(outcomes.len(), 9, "{outcomes:?}");
+        assert_eq!(outcomes["unmutated"][1], 0);
+        for (kind, [_, refused]) in &outcomes {
+            assert!(*kind == "unmutated" || *refused >= 20, "{outcomes:?}");
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
-
-        /// Random forest-of-one-tree parent arrays *with NO_VERTEX holes*:
-        /// the shape vertex churn leaves behind (deleted ids keep their
-        /// slots). Every present non-root vertex is attached to an earlier
-        /// present vertex, so the array is always valid.
-        fn holey_parent_array(n: usize, seed: u64, hole_bits: u64) -> Vec<Vertex> {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut parent = vec![NO_VERTEX; n];
-            parent[0] = 0;
-            let mut present = vec![0u32];
-            for v in 1..n as Vertex {
-                if (hole_bits >> (v % 64)) & 1 == 1 {
-                    continue; // a churned-away id
-                }
-                let p = present[rng.gen_range(0..present.len())];
-                parent[v as usize] = p;
-                present.push(v);
-            }
-            parent
-        }
 
         // The checkpoint differential: decode(write(index)) ≡ index on
         // *every* raw field — pre/post numbers, levels, sizes, jump

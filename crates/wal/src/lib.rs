@@ -490,7 +490,7 @@ pub fn recover_with(
     let in_ckpt = |e: String| format!("{}: {e}", ckpt_path.display());
     let view = CheckpointView::parse(mapped.bytes()).map_err(in_ckpt)?;
     let (graph, tree) = view.materialize().map_err(in_ckpt)?;
-    let (ckpt_epoch, ckpt_fingerprint) = (view.epoch, view.fingerprint);
+    let ckpt_epoch = view.epoch;
 
     let wal_path = config.dir.join(WAL_FILE);
     let wal_raw =
@@ -502,13 +502,16 @@ pub fn recover_with(
     let wal_text = String::from_utf8_lossy(&wal_raw);
     let parsed = parse_wal(&wal_text).map_err(|e| e.to_string())?;
 
+    // The checkpoint's tree already matched its recorded fingerprint in
+    // `materialize`, so the factory's tree is held to the checkpoint's root
+    // and parent array in place: equal arrays give equal fingerprints.
     let mut dfs = factory(graph, tree)?;
-    if dfs.tree().fingerprint() != ckpt_fingerprint {
-        return Err(format!(
-            "rebuilt maintainer's tree fingerprint {:016x} disagrees with the checkpoint's {:016x}",
-            dfs.tree().fingerprint(),
-            ckpt_fingerprint
-        ));
+    let resumed = dfs.tree();
+    if resumed.root() != view.tree().root() || resumed.parent_slice() != view.tree().parent_slice()
+    {
+        return Err(
+            "rebuilt maintainer's tree disagrees with the checkpoint's parent array".to_string(),
+        );
     }
 
     let mut stats = RecoveryStats {
@@ -648,6 +651,29 @@ mod tests {
         assert_eq!(recovered.stats.checkpoint_epoch, 4);
         assert_eq!(recovered.stats.records_replayed, 1);
         assert_eq!(recovered.stats.recovered_epoch, 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_factory_that_resumes_a_different_tree_is_refused() {
+        let dir = scratch_dir("divergent");
+        let (server, config) = durable_server(&dir, CheckpointPolicy::Manual);
+        drop(server);
+        let divergent = |graph, tree| {
+            let mut dfs = parallel_factory(graph, tree)?;
+            // Cutting the tree edge above user vertex 5 (internal 6) moves it.
+            let p = dfs.tree().parent(6).expect("internal 6 is in the tree");
+            dfs.apply_update(&Update::DeleteEdge(5, p - 1));
+            Ok(dfs)
+        };
+        let err = match recover_with(&config, divergent) {
+            Err(e) => e,
+            Ok(_) => panic!("a tree that is not the checkpoint's must be refused"),
+        };
+        assert!(
+            err.contains("disagrees with the checkpoint's parent array"),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
