@@ -53,13 +53,12 @@ pub trait ForestQuery: Send + Sync {
 ///
 /// `Send` is a supertrait so a boxed maintainer can be driven from inside
 /// `rayon::ThreadPool::install` (the executor is genuinely multi-threaded;
-/// the bench harness's thread-scaling sweep and the umbrella crate's
-/// `MaintainerBuilder::num_threads` pool decorator both move maintainers
-/// onto worker threads). Every backend is plain owned data plus atomics, so
-/// the bound costs implementors nothing. [`ForestQuery`] is a supertrait so
-/// every live maintainer answers the same read vocabulary as a published
-/// snapshot — the serve layer's `Server` reads through it when capturing an
-/// epoch.
+/// the bench harness's thread-scaling sweep and the determinism suite run
+/// maintainers on a worker thread of the caller's own pool). Every backend
+/// is plain owned data plus atomics, so the bound costs implementors
+/// nothing. [`ForestQuery`] is a supertrait so every live maintainer answers
+/// the same read vocabulary as a published snapshot — the serve layer's
+/// `Server` reads through it when capturing an epoch.
 pub trait DfsMaintainer: Send + ForestQuery {
     /// Short, stable backend name ("parallel", "sequential", "streaming",
     /// "congest", "fault-tolerant"), used in reports and test labels.

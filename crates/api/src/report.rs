@@ -143,14 +143,6 @@ impl StatsReport {
         }
     }
 
-    /// Sequential-baseline statistics, when this report came from it.
-    pub fn sequential(&self) -> Option<&SeqUpdateStats> {
-        match self {
-            StatsReport::Sequential { engine, .. } => Some(engine),
-            _ => None,
-        }
-    }
-
     /// Stream-access statistics, when this report came from the streaming
     /// backend.
     pub fn stream(&self) -> Option<&StreamStats> {

@@ -102,7 +102,7 @@ pub fn reduce_update(
                 .inserted
                 .expect("vertex insertion provides the inserted id");
             let vj = input.inserted_neighbors.first().copied().unwrap_or(proot);
-            patch.record_added(nv);
+            patch.record_added();
             patch.assign(nv, vj);
             let mut jobs: Vec<RerootJob> = Vec::new();
             for &vi in input.inserted_neighbors.iter().skip(1) {

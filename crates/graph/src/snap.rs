@@ -66,6 +66,25 @@ pub fn charge_copied_array_bytes(bytes: usize) {
     COPIED_ARRAY_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
+/// The FNV-1a 64 offset basis: the hash of no bytes, where every
+/// [`fnv1a64`] chain starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Byte-wise FNV-1a 64: fold `bytes` into the running hash `hash`, one
+/// multiply per byte. Start a chain at [`FNV_OFFSET`]; folding `a` and then
+/// `b` equals folding their concatenation. The tree fingerprint, the WAL
+/// record checksum and the scenario runner's fingerprints are all this one
+/// function (`docs/FORMATS.md`, "Checksums").
+#[inline]
+pub fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
 /// FNV-1a folded over 64-bit little-endian words — the whole-file checksum
 /// of the container.
 ///
@@ -77,8 +96,6 @@ pub fn charge_copied_array_bytes(bytes: usize) {
 /// on the zero-copy open path where the checksum would otherwise rival the
 /// validators.
 pub fn fnv1a64_words(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = (FNV_OFFSET ^ bytes.len() as u64).wrapping_mul(FNV_PRIME);
     let mut words = bytes.chunks_exact(8);
     for w in words.by_ref() {
@@ -376,6 +393,15 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bytewise_fnv1a64_matches_the_reference_vectors_and_chains() {
+        assert_eq!(fnv1a64(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        let chained = fnv1a64(fnv1a64(FNV_OFFSET, b"foo"), b"bar");
+        assert_eq!(chained, fnv1a64(FNV_OFFSET, b"foobar"));
+    }
 
     #[test]
     fn round_trip_two_sections() {

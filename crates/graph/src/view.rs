@@ -107,7 +107,9 @@ impl<'a> GraphView<'a> {
         let mut total = 0usize;
         for &d in degrees {
             offsets.push(total);
-            total += d as usize;
+            total = total
+                .checked_add(d as usize)
+                .ok_or("GDEG section: degrees sum past usize::MAX")?;
         }
         offsets.push(total);
 

@@ -236,7 +236,7 @@ impl SeqRerootDfs {
                     .filter(|&x| x != proot)
                     .collect();
                 let vj = nbrs.first().copied().unwrap_or(proot);
-                patch.record_added(nv);
+                patch.record_added();
                 patch.assign(nv, vj);
                 stats.relinked_vertices += 1;
                 // Group the remaining neighbours by the subtree hanging from

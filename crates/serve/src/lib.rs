@@ -234,31 +234,4 @@ mod tests {
         }
         assert_eq!(reader.epochs().len(), updates.len() + 1);
     }
-
-    #[test]
-    fn commit_next_blocks_until_work_and_ends_on_writer_drop() {
-        let (graph, updates) = graph_and_updates(40, 120, 6, 3);
-        let mut server = Server::new(Box::new(SeqRerootDfs::new(&graph)));
-        let writer = server.write_handle();
-        let reader = server.read_handle();
-
-        let submitter = std::thread::spawn(move || {
-            for update in updates {
-                writer.submit(vec![update]);
-            }
-            // `writer` drops here: the commit loop must terminate.
-        });
-        let commits = server.run();
-        submitter.join().unwrap();
-
-        assert!(!commits.is_empty());
-        let applied: usize = commits.iter().map(|c| c.record.updates).sum();
-        assert_eq!(applied, 6, "every submitted update was committed");
-        assert_eq!(reader.epoch(), commits.last().unwrap().record.epoch);
-        // The server's writer-side view agrees with the last snapshot.
-        assert_eq!(
-            server.maintainer().tree().fingerprint(),
-            reader.snapshot().fingerprint()
-        );
-    }
 }

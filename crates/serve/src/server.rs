@@ -4,7 +4,7 @@
 use crate::snapshot::Snapshot;
 use pardfs_api::{BatchReport, DfsMaintainer, ForestQuery, StatsRollup};
 use pardfs_graph::Update;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,9 +72,7 @@ pub trait CommitLog: Send {
 struct Shared {
     /// Group-commit queue: submissions accumulate here until the writer
     /// drains them all into one `apply_batch`.
-    queue: Mutex<QueueState>,
-    /// Signalled on every submission and on every writer-handle drop.
-    queue_cv: Condvar,
+    queue: Mutex<Vec<Vec<Update>>>,
     /// The published snapshot pointer. Readers clone the `Arc` under the
     /// read lock (a pointer copy — no tree data is copied, and the writer
     /// is only ever inside the write lock for the swap itself).
@@ -84,11 +82,6 @@ struct Shared {
     epochs: Mutex<Vec<EpochRecord>>,
     /// First epoch in `epochs` (see above).
     epoch_offset: u64,
-}
-
-struct QueueState {
-    pending: Vec<Vec<Update>>,
-    writers: usize,
 }
 
 /// Handle through which clients read the served forest, cheaply cloneable
@@ -137,11 +130,11 @@ impl ReadHandle {
 
 /// Handle through which clients submit update batches.
 ///
-/// Submissions enqueue; nothing is applied until the server's next commit,
-/// which drains *every* pending submission into one `apply_batch` (group
-/// commit). Dropping the last write handle is the shutdown signal:
-/// [`Server::commit_next`] returns `None` once the queue is empty and no
-/// writer remains.
+/// Submissions enqueue; nothing is applied until the server's next
+/// [`Server::commit`], which drains *every* pending submission into one
+/// `apply_batch` (group commit). Cheap to clone; any number of threads may
+/// submit at once.
+#[derive(Clone)]
 pub struct WriteHandle {
     shared: Arc<Shared>,
 }
@@ -149,36 +142,20 @@ pub struct WriteHandle {
 impl WriteHandle {
     /// Enqueue one batch of updates for the next group commit.
     pub fn submit(&self, updates: Vec<Update>) {
-        self.shared.queue.lock().pending.push(updates);
-        self.shared.queue_cv.notify_all();
-    }
-}
-
-impl Clone for WriteHandle {
-    fn clone(&self) -> Self {
-        self.shared.queue.lock().writers += 1;
-        WriteHandle {
-            shared: self.shared.clone(),
-        }
-    }
-}
-
-impl Drop for WriteHandle {
-    fn drop(&mut self) {
-        self.shared.queue.lock().writers -= 1;
-        // Wake a server blocked in `commit_next` so it can observe shutdown.
-        self.shared.queue_cv.notify_all();
+        self.shared.queue.lock().push(updates);
     }
 }
 
 /// An epoch-snapshot server over one [`DfsMaintainer`].
 ///
 /// The server **owns the writer**: all mutation funnels through
-/// [`Server::commit`]/[`Server::commit_next`] on whichever thread owns the
-/// `Server` (it is `Send`, not `Sync` — one writer, by construction). Each
-/// commit drains the group-commit queue into a single `apply_batch`, appends
-/// an [`EpochRecord`] to the log, and then publishes an immutable
-/// [`Snapshot`] that any number of [`ReadHandle`]s query concurrently.
+/// [`Server::commit`] on whichever thread owns the `Server` (it is `Send`,
+/// not `Sync` — one writer, by construction). Each commit drains the
+/// group-commit queue into a single `apply_batch`, appends an
+/// [`EpochRecord`] to the log, and then publishes an immutable [`Snapshot`]
+/// that any number of [`ReadHandle`]s query concurrently. Whoever owns the
+/// server decides when to commit: there is no commit thread to start or
+/// stop.
 ///
 /// Epoch lifecycle:
 ///
@@ -220,11 +197,7 @@ impl Server {
         Server {
             dfs,
             shared: Arc::new(Shared {
-                queue: Mutex::new(QueueState {
-                    pending: Vec::new(),
-                    writers: 0,
-                }),
-                queue_cv: Condvar::new(),
+                queue: Mutex::new(Vec::new()),
                 published: RwLock::new(Arc::new(snapshot)),
                 epochs: Mutex::new(vec![record]),
                 epoch_offset: epoch,
@@ -238,11 +211,6 @@ impl Server {
     /// through `log` *before* its snapshot is published (see [`CommitLog`]).
     pub fn set_commit_log(&mut self, log: Box<dyn CommitLog>) {
         self.commit_log = Some(log);
-    }
-
-    /// The attached commit log, if any.
-    pub fn commit_log(&self) -> Option<&dyn CommitLog> {
-        self.commit_log.as_deref()
     }
 
     /// Checkpoint the current state through the attached [`CommitLog`] now,
@@ -275,11 +243,9 @@ impl Server {
         }
     }
 
-    /// A new write handle. The server counts live write handles: once all
-    /// are dropped and the queue is drained, [`Server::commit_next`] returns
-    /// `None`.
+    /// A new write handle (cheap; clone freely across submitting threads).
+    /// Its submissions wait in the queue until the next [`Server::commit`].
     pub fn write_handle(&self) -> WriteHandle {
-        self.shared.queue.lock().writers += 1;
         WriteHandle {
             shared: self.shared.clone(),
         }
@@ -293,56 +259,14 @@ impl Server {
     /// Commit everything currently queued as one epoch. Returns `None` when
     /// the queue is empty (no epoch is minted for zero submissions).
     pub fn commit(&mut self) -> Option<CommitStats> {
-        let drained = {
-            let mut q = self.shared.queue.lock();
-            if q.pending.is_empty() {
-                return None;
-            }
-            std::mem::take(&mut q.pending)
-        };
-        Some(self.commit_batches(drained))
-    }
-
-    /// Block until at least one submission is queued, then commit the whole
-    /// queue as one epoch. Returns `None` when the queue is empty and every
-    /// [`WriteHandle`] has been dropped — the server's shutdown condition,
-    /// so `while let Some(_) = server.commit_next() {}` is a complete
-    /// writer loop.
-    pub fn commit_next(&mut self) -> Option<CommitStats> {
-        let drained = {
-            let mut q = self.shared.queue.lock();
-            loop {
-                if !q.pending.is_empty() {
-                    break std::mem::take(&mut q.pending);
-                }
-                if q.writers == 0 {
-                    return None;
-                }
-                self.shared.queue_cv.wait(&mut q);
-            }
-        };
-        Some(self.commit_batches(drained))
-    }
-
-    /// Run the writer loop to completion: commit until the queue is drained
-    /// and every write handle is dropped. Returns the commits in order.
-    pub fn run(&mut self) -> Vec<CommitStats> {
-        let mut out = Vec::new();
-        while let Some(stats) = self.commit_next() {
-            out.push(stats);
-        }
-        out
+        let drained = std::mem::take(&mut *self.shared.queue.lock());
+        (!drained.is_empty()).then(|| self.commit_batches(drained))
     }
 
     /// Direct read access to the wrapped maintainer (the writer's view —
     /// always at the latest epoch).
     pub fn maintainer(&self) -> &dyn DfsMaintainer {
         self.dfs.as_ref()
-    }
-
-    /// Unwrap the server, returning the maintainer at its final state.
-    pub fn into_inner(self) -> Box<dyn DfsMaintainer> {
-        self.dfs
     }
 
     fn commit_batches(&mut self, batches: Vec<Vec<Update>>) -> CommitStats {

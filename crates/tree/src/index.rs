@@ -18,7 +18,7 @@
 //! place, instead of rebuilding.
 
 use crate::rooted::{RootedTree, NO_VERTEX};
-use pardfs_graph::snap::{put_u32, put_u64, SnapWriter};
+use pardfs_graph::snap::{fnv1a64, put_u32, put_u64, SnapWriter, FNV_OFFSET};
 use pardfs_graph::{AdjacencyArena, Vertex};
 
 /// Section tag of the tree binary-snapshot header (root, capacity).
@@ -329,18 +329,11 @@ impl TreeIndex {
     /// "same tree" everywhere. Two indexes answer equal fingerprints iff
     /// their vertex sets, pre-orders and parent assignments agree.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut hash = FNV_OFFSET;
-        let fold = |hash: &mut u64, value: u64| {
-            for byte in value.to_le_bytes() {
-                *hash ^= byte as u64;
-                *hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
         for &v in &self.pre_order {
-            fold(&mut hash, v as u64);
-            fold(&mut hash, self.parent(v).map_or(0, |p| p as u64 + 1));
+            hash = fnv1a64(hash, &(v as u64).to_le_bytes());
+            let parent = self.parent(v).map_or(0, |p| p as u64 + 1);
+            hash = fnv1a64(hash, &parent.to_le_bytes());
         }
         hash
     }

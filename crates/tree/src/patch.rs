@@ -63,8 +63,8 @@ use pardfs_graph::Vertex;
 use std::collections::HashMap;
 
 /// The delta the rerooting machinery applied to the DFS tree: new parent
-/// assignments (reversed paths are sequences of such assignments) plus the
-/// vertices that entered or left the tree.
+/// assignments (reversed paths are sequences of such assignments), the
+/// vertices that left the tree, and whether one entered it.
 ///
 /// Assignments are recorded in application order; for a child assigned more
 /// than once, the **last** assignment wins (matching the parent array the
@@ -73,7 +73,7 @@ use std::collections::HashMap;
 pub struct TreePatch {
     assignments: Vec<(Vertex, Vertex)>,
     removed: Vec<Vertex>,
-    added: Vec<Vertex>,
+    added: bool,
 }
 
 impl TreePatch {
@@ -92,9 +92,10 @@ impl TreePatch {
         self.removed.push(v);
     }
 
-    /// Record that `v` entered the tree (vertex insertion).
-    pub fn record_added(&mut self, v: Vertex) {
-        self.added.push(v);
+    /// Record that a vertex entered the tree (vertex insertion); its parent
+    /// arrives as an [`assign`](Self::assign).
+    pub fn record_added(&mut self) {
+        self.added = true;
     }
 
     /// The recorded `(child, new_parent)` assignments, in application order.
@@ -107,16 +108,10 @@ impl TreePatch {
         &self.removed
     }
 
-    /// The vertices recorded as having entered the tree, in application
-    /// order.
-    pub fn added(&self) -> &[Vertex] {
-        &self.added
-    }
-
     /// Does the patch change the tree's vertex *set* (insertions/deletions)?
     /// Such patches cannot be spliced and always fall back to a rebuild.
     pub fn changes_membership(&self) -> bool {
-        !self.removed.is_empty() || !self.added.is_empty()
+        !self.removed.is_empty() || self.added
     }
 
     /// True when nothing was recorded at all.
@@ -382,7 +377,7 @@ mod tests {
             PatchOutcome::Unsupported("membership change")
         );
         let mut patch = TreePatch::new();
-        patch.record_added(7);
+        patch.record_added();
         assert!(matches!(
             idx.apply_patch(&patch, usize::MAX),
             PatchOutcome::Unsupported(_)

@@ -499,6 +499,8 @@ pub fn recover_with(
     // The format is pure ASCII; non-UTF-8 bytes can only be corruption, and
     // the lossy replacement shifts frame lengths so the damaged record fails
     // its checksum and is handled by the torn/corrupt discrimination below.
+    // A replacement grows the text, so only the verified prefix's length,
+    // which is all ASCII, is an offset into `wal_raw`.
     let wal_text = String::from_utf8_lossy(&wal_raw);
     let parsed = parse_wal(&wal_text).map_err(|e| e.to_string())?;
 
@@ -546,7 +548,7 @@ pub fn recover_with(
         config.dir.clone(),
         config.policy,
         stats.records_replayed,
-        wal_bytes - parsed.torn_bytes_dropped,
+        parsed.valid_len as u64,
     )?;
     let mut server = Server::resume(dfs, stats.recovered_epoch);
     server.set_commit_log(Box::new(writer));

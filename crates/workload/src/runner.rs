@@ -4,18 +4,12 @@
 
 use crate::trace::{Trace, TraceBatch, TraceQuery};
 use pardfs_api::{DfsMaintainer, IndexMaintenanceStats, StatsRollup};
+use pardfs_graph::snap::{fnv1a64, FNV_OFFSET};
 use std::time::Instant;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Fold one `u64` into a running FNV-1a hash, byte by byte.
-fn fold(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+fn fold(hash: u64, value: u64) -> u64 {
+    fnv1a64(hash, &value.to_le_bytes())
 }
 
 /// Fingerprint of a maintainer's current DFS tree (pre-order vertex ids and

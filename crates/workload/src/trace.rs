@@ -209,12 +209,16 @@ fn render_query(q: &TraceQuery) -> String {
 /// Line-oriented parser with positioned errors.
 struct Parser<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    /// The text's byte length: no section can hold more lines than this, so
+    /// it bounds every pre-allocation sized by an untrusted count.
+    max_lines: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
             lines: text.lines().enumerate(),
+            max_lines: text.len(),
         }
     }
 
@@ -272,7 +276,7 @@ impl<'a> Parser<'a> {
                 "edge section size {edge_count} disagrees with header m {m}"
             ));
         }
-        let mut edges = Vec::with_capacity(edge_count);
+        let mut edges = Vec::with_capacity(edge_count.min(self.max_lines));
         for _ in 0..edge_count {
             let (no, text) = self.next_line()?;
             let mut it = text.split(' ');
@@ -312,7 +316,7 @@ impl<'a> Parser<'a> {
                 let count: usize = parse_num((no, text), count)?;
                 match kind {
                     "update" => {
-                        let mut updates = Vec::with_capacity(count);
+                        let mut updates = Vec::with_capacity(count.min(self.max_lines));
                         for _ in 0..count {
                             let line = self.next_line()?;
                             updates.push(parse_update(line)?);
@@ -320,7 +324,7 @@ impl<'a> Parser<'a> {
                         phase.batches.push(TraceBatch::Updates(updates));
                     }
                     "query" => {
-                        let mut queries = Vec::with_capacity(count);
+                        let mut queries = Vec::with_capacity(count.min(self.max_lines));
                         for _ in 0..count {
                             let line = self.next_line()?;
                             queries.push(parse_query(line)?);
@@ -584,5 +588,26 @@ mod tests {
         // Trailing garbage after `end`.
         let bad = format!("{good}rogue\n");
         assert!(Trace::parse(&bad).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn counts_no_text_can_hold_are_errors_not_aborts() {
+        // Every count is untrusted: the pre-allocation it sizes is bounded
+        // by the text, so a count of 10^12 fails on the missing lines
+        // instead of asking for terabytes up front.
+        let good = demo_trace().render();
+        let huge = 1_000_000_000_000u64;
+        for (from, to) in [
+            ("m 3\n", format!("m {huge}\n")),
+            ("batch update 3\n", format!("batch update {huge}\n")),
+            ("batch query 3\n", format!("batch query {huge}\n")),
+        ] {
+            let mut bad = good.replacen(from, &to, 1);
+            if from.starts_with('m') {
+                bad = bad.replacen("edges 3\n", &format!("edges {huge}\n"), 1);
+            }
+            assert_ne!(bad, good, "{from:?} was not found");
+            assert!(Trace::parse(&bad).is_err(), "{to:?} was accepted");
+        }
     }
 }

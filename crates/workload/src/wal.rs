@@ -36,25 +36,20 @@
 //! interior — a hard [`WalError::Corrupt`] naming the epoch; if nothing
 //! valid follows, the failure is a torn tail — the broken suffix is dropped
 //! and recovery proceeds to the last complete epoch ([`WalParse`] reports
-//! how much was dropped).
+//! where the verified prefix ends).
 
 use crate::trace::{parse_update, render_update};
+use pardfs_graph::snap::{fnv1a64, FNV_OFFSET};
 use pardfs_graph::Update;
 use std::fmt::Write as _;
 
 /// The magic first line of every WAL file.
 pub const WAL_MAGIC: &str = "pardfs-wal v1";
 
-/// FNV-1a 64 over a byte string — the workspace's standard cheap fingerprint
-/// (the tree fingerprint uses the same constants), reused here as the record
-/// checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The record checksum: byte-wise FNV-1a 64 over `"epoch <epoch>\n"` + body.
+fn checksum(epoch: u64, body: &str) -> u64 {
+    let head = fnv1a64(FNV_OFFSET, format!("epoch {epoch}\n").as_bytes());
+    fnv1a64(head, body.as_bytes())
 }
 
 /// One durable WAL record: the update batch committed as `epoch`, plus the
@@ -91,15 +86,8 @@ impl WalRecord {
             "record {} {} {:016x}\n{body}sync\n",
             self.epoch,
             body.len(),
-            self.checksum(&body)
+            checksum(self.epoch, &body)
         )
-    }
-
-    /// The record checksum: FNV-1a 64 over `"epoch <epoch>\n"` + body.
-    fn checksum(&self, body: &str) -> u64 {
-        let mut buf = format!("epoch {}\n", self.epoch).into_bytes();
-        buf.extend_from_slice(body.as_bytes());
-        fnv1a64(&buf)
     }
 
     /// Parse a record body (the text between the `record` header and the
@@ -115,7 +103,9 @@ impl WalRecord {
             .strip_prefix("batch update ")
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| format!("body line {no}: expected `batch update <k>`, got `{head}`"))?;
-        let mut updates = Vec::with_capacity(count);
+        // The count is untrusted (a checksum is not a MAC): every update
+        // takes at least one byte of the body, so that bounds the allocation.
+        let mut updates = Vec::with_capacity(count.min(body.len()));
         for _ in 0..count {
             let line = lines
                 .next()
@@ -162,8 +152,12 @@ pub struct WalParse {
     /// Number of torn records dropped from the tail (0 or 1 — a single
     /// crash tears at most the record being appended).
     pub torn_records_dropped: u64,
-    /// Bytes of torn tail dropped (0 when the log ended cleanly).
-    pub torn_bytes_dropped: u64,
+    /// Byte length of the verified prefix (the magic line and every record
+    /// in `records`): the whole text when the log ended cleanly, else the
+    /// offset where the torn record starts. The prefix framed as ASCII, so a
+    /// lossy decoding of the file left it untouched and the length is also
+    /// an offset into the raw bytes, where recovery truncates.
+    pub valid_len: usize,
 }
 
 /// A WAL that cannot be recovered from, as opposed to a torn tail (which
@@ -245,7 +239,10 @@ fn frame_record(text: &str, at: usize) -> Frame {
         };
     };
     let body_start = header_end + 1;
-    let Some(body) = rest.get(body_start..body_start + len) else {
+    let Some(body) = body_start
+        .checked_add(len)
+        .and_then(|body_end| rest.get(body_start..body_end))
+    else {
         return Frame::Broken {
             epoch: Some(epoch),
             detail: format!(
@@ -254,9 +251,7 @@ fn frame_record(text: &str, at: usize) -> Frame {
             ),
         };
     };
-    let mut buf = format!("epoch {epoch}\n").into_bytes();
-    buf.extend_from_slice(body.as_bytes());
-    if fnv1a64(&buf) != crc {
+    if checksum(epoch, body) != crc {
         return Frame::Broken {
             epoch: Some(epoch),
             detail: "checksum mismatch".into(),
@@ -282,22 +277,18 @@ fn frame_record(text: &str, at: usize) -> Frame {
 
 /// Does any complete record exist at or after byte offset `from`? (The
 /// resync scan that discriminates interior corruption from a torn tail.)
+///
+/// The scan walks bytes: `from` may fall inside a multi-byte character (a
+/// damaged byte that lossy decoding replaced), while a candidate header
+/// starts with an ASCII `r`, which is always a character boundary.
 fn any_complete_record_after(text: &str, from: usize) -> bool {
-    let mut at = from;
-    loop {
-        let rest = &text[at..];
-        let Some(pos) = rest.find("record ") else {
-            return false;
-        };
+    let bytes = text.as_bytes();
+    (from..bytes.len()).any(|cand| {
         // Only line-initial `record ` tokens are candidate headers.
-        let cand = at + pos;
-        if cand == 0 || text.as_bytes()[cand - 1] == b'\n' {
-            if let Frame::Ok(..) = frame_record(text, cand) {
-                return true;
-            }
-        }
-        at = cand + "record ".len();
-    }
+        (cand == 0 || bytes[cand - 1] == b'\n')
+            && bytes[cand..].starts_with(b"record ")
+            && matches!(frame_record(text, cand), Frame::Ok(..))
+    })
 }
 
 /// Parse a WAL file's full text.
@@ -316,7 +307,6 @@ pub fn parse_wal(text: &str) -> Result<WalParse, WalError> {
     let mut at = first_nl + 1;
     let mut records: Vec<WalRecord> = Vec::new();
     let mut torn_records_dropped = 0;
-    let mut torn_bytes_dropped = 0;
     while at < text.len() {
         match frame_record(text, at) {
             Frame::Ok(record, next) => {
@@ -336,7 +326,6 @@ pub fn parse_wal(text: &str) -> Result<WalParse, WalError> {
                     return Err(WalError::Corrupt { epoch, detail });
                 }
                 torn_records_dropped = 1;
-                torn_bytes_dropped = (text.len() - at) as u64;
                 break;
             }
         }
@@ -344,13 +333,17 @@ pub fn parse_wal(text: &str) -> Result<WalParse, WalError> {
     Ok(WalParse {
         records,
         torn_records_dropped,
-        torn_bytes_dropped,
+        valid_len: at,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pardfs_graph::generators::random_connected_gnm;
+    use pardfs_graph::updates::{random_update_sequence, UpdateMix};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn demo_records() -> Vec<WalRecord> {
         vec![
@@ -382,7 +375,7 @@ mod tests {
         let parsed = parse_wal(&text).expect("clean WAL parses");
         assert_eq!(parsed.records, records);
         assert_eq!(parsed.torn_records_dropped, 0);
-        assert_eq!(parsed.torn_bytes_dropped, 0);
+        assert_eq!(parsed.valid_len, text.len());
         assert_eq!(render_wal(&parsed.records), text);
     }
 
@@ -434,12 +427,9 @@ mod tests {
         for cut in last_start..text.len() {
             let parsed = parse_wal(&text[..cut])
                 .unwrap_or_else(|e| panic!("cut at {cut} must stay recoverable, got {e}"));
-            if cut == last_start {
-                assert_eq!(parsed.torn_records_dropped, 0, "clean cut at {cut}");
-            } else {
-                assert_eq!(parsed.torn_records_dropped, 1, "torn cut at {cut}");
-                assert_eq!(parsed.torn_bytes_dropped as usize, cut - last_start);
-            }
+            let torn = u64::from(cut > last_start);
+            assert_eq!(parsed.torn_records_dropped, torn, "cut at {cut}");
+            assert_eq!(parsed.valid_len, last_start, "cut at {cut}");
             assert_eq!(parsed.records, records[..2], "cut at {cut}");
         }
     }
@@ -499,6 +489,136 @@ mod tests {
             parse_wal("pardfs-trace v1\n"),
             Err(WalError::NotAWal(_))
         ));
+    }
+
+    #[test]
+    fn worked_example_in_formats_md_is_byte_stable() {
+        // docs/FORMATS.md's WAL example, and so every WAL already on disk:
+        // render and parse share the checksum, so only a pinned byte string
+        // notices a change to it.
+        let record = WalRecord {
+            epoch: 5,
+            updates: vec![Update::InsertEdge(3, 7), Update::DeleteEdge(3, 7)],
+            fingerprint: 0x1b2c_3d4e_5f60_7182,
+        };
+        let expect = "record 5 63 5cfc59ccdd405b88\n\
+                      batch update 2\n\
+                      ie 3 7\n\
+                      de 3 7\n\
+                      fingerprint tree 1b2c3d4e5f607182\n\
+                      sync\n";
+        assert_eq!(record.render(), expect);
+    }
+
+    /// Every byte of a seeded multi-record WAL, replaced by each hostile
+    /// value and decoded the way recovery decodes the file
+    /// (`from_utf8_lossy`, which turns a stray high byte into a 3-byte
+    /// U+FFFD): the parser answers every time. Damage before the intact
+    /// final record (and the newline that opens its header) is an error,
+    /// never a shorter log; damage from there on is a torn tail, and the
+    /// verified prefix it reports is, byte for byte, the raw file's prefix
+    /// that renders the records kept.
+    #[test]
+    fn every_mutated_byte_is_an_error_or_a_torn_tail_never_a_panic() {
+        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        let graph = random_connected_gnm(12, 30, &mut rng);
+        let updates = random_update_sequence(&graph, 10, &UpdateMix::default(), &mut rng);
+        let records: Vec<WalRecord> = updates
+            .chunks(3)
+            .zip(1..)
+            .map(|(batch, epoch)| WalRecord {
+                epoch,
+                updates: batch.to_vec(),
+                fingerprint: rng.gen(),
+            })
+            .collect();
+        let clean = render_wal(&records).into_bytes();
+        let final_start = clean.len() - records.last().unwrap().render().len();
+        let final_line = final_start - 1;
+        let assert_torn_tail = |bytes: &[u8], ctx: &str| {
+            let parsed = parse_wal(&String::from_utf8_lossy(bytes))
+                .unwrap_or_else(|e| panic!("{ctx}: torn tail refused: {e}"));
+            assert!(parsed.records.len() < records.len(), "{ctx}: damage missed");
+            assert!(records.starts_with(&parsed.records), "{ctx}");
+            let kept = render_wal(&parsed.records);
+            assert_eq!(parsed.valid_len, kept.len(), "{ctx}");
+            assert_eq!(
+                &bytes[..kept.len()],
+                kept.as_bytes(),
+                "{ctx}: not a raw prefix"
+            );
+        };
+        for at in 0..clean.len() {
+            for value in [0x00, b'\n', b' ', 0x7F, 0x80, 0xC3, 0xFF] {
+                if clean[at] == value {
+                    continue;
+                }
+                let mut bytes = clean.clone();
+                bytes[at] = value;
+                let ctx = format!("byte {at} of {} set to {value:#04x}", clean.len());
+                if at < final_line {
+                    let parsed = parse_wal(&String::from_utf8_lossy(&bytes));
+                    assert!(parsed.is_err(), "{ctx}: damage became {parsed:?}");
+                } else {
+                    assert_torn_tail(&bytes, &ctx);
+                }
+            }
+        }
+        // A run of high bytes over the final record's header: each becomes
+        // a U+FFFD, so the decoded text outgrows the file by two bytes per
+        // byte of the run, and none of that may leak into the prefix.
+        for run in 1..=clean.len() - final_start {
+            let mut bytes = clean.clone();
+            bytes[final_start..final_start + run].fill(0xFF);
+            let ctx = format!("{run} bytes 0xff from the final header");
+            assert_torn_tail(&bytes, &ctx);
+            let parsed = parse_wal(&String::from_utf8_lossy(&bytes)).unwrap();
+            assert_eq!(parsed.valid_len, final_start, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn hostile_lengths_and_counts_are_refused_without_panicking() {
+        let records = demo_records();
+        let text = render_wal(&records);
+        let len = records[1].render_body().len();
+        let header = format!("record 2 {len} ");
+        let huge_lengths = [
+            usize::MAX.to_string(),
+            (usize::MAX - 1).to_string(),
+            (usize::MAX - 8).to_string(),
+            (usize::MAX / 2 + 1).to_string(),
+            "18446744073709551616".to_string(), // u64::MAX + 1: not a usize
+        ];
+        for huge in &huge_lengths {
+            let bad = text.replacen(&header, &format!("record 2 {huge} "), 1);
+            let err = parse_wal(&bad).expect_err("an interior record with a huge length");
+            assert!(matches!(err, WalError::Corrupt { .. }), "{huge}: {err:?}");
+            // The same header on the final record is a torn tail.
+            let tail = &bad[..text.find("record 3").unwrap()];
+            let parsed = parse_wal(tail).expect("a torn final record");
+            assert_eq!(parsed.records, records[..1], "{huge}");
+        }
+        // A checksum is not a MAC: a forged body can pass it while claiming a
+        // batch no body could hold.
+        for count in ["1000000000000", &usize::MAX.to_string()] {
+            let body = format!("batch update {count}\nie 0 4\nfingerprint tree 0000000000000007\n");
+            let forged = format!(
+                "record 2 {} {:016x}\n{body}sync\n",
+                body.len(),
+                checksum(2, &body)
+            );
+            let start = text.find("record 2").unwrap();
+            let end = text.find("record 3").unwrap();
+            let bad = format!("{}{forged}{}", &text[..start], &text[end..]);
+            match parse_wal(&bad) {
+                Err(WalError::Corrupt { epoch, detail }) => {
+                    assert_eq!(epoch, Some(2));
+                    assert!(detail.contains("canonical"), "{detail}");
+                }
+                other => panic!("forged count {count}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -38,8 +38,8 @@ fn main() {
         dfs.forest_roots().len()
     );
     // The executor is genuinely parallel; the worker count comes from
-    // `PARDFS_THREADS` (or the machine), or per-maintainer via
-    // `MaintainerBuilder::num_threads`.
+    // `PARDFS_THREADS` (or the machine), or from the pool of a caller's own
+    // `rayon::ThreadPool::install`.
     println!(
         "parallel sections run on {} worker thread(s)\n",
         rayon::current_num_threads()

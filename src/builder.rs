@@ -96,7 +96,6 @@ pub struct MaintainerBuilder {
     check_mode: CheckMode,
     rebuild_policy: RebuildPolicy,
     index_policy: IndexPolicy,
-    num_threads: Option<usize>,
 }
 
 impl MaintainerBuilder {
@@ -110,7 +109,6 @@ impl MaintainerBuilder {
             check_mode: CheckMode::Never,
             rebuild_policy: RebuildPolicy::default(),
             index_policy: IndexPolicy::default(),
-            num_threads: None,
         }
     }
 
@@ -142,24 +140,6 @@ impl MaintainerBuilder {
     /// Select the automatic-validation mode.
     pub fn check_mode(mut self, check_mode: CheckMode) -> Self {
         self.check_mode = check_mode;
-        self
-    }
-
-    /// Give the built maintainer its **own** worker pool of `num_threads`
-    /// threads: every trait call is routed through
-    /// [`rayon::ThreadPool::install`], so the engine's `par_*` work runs on
-    /// that pool regardless of the process-global configuration. `0` means
-    /// "resolve from the environment" (the `PARDFS_THREADS` variable, then
-    /// the machine's available parallelism).
-    ///
-    /// Without this call the maintainer runs on the caller's thread and its
-    /// parallel sections use the global pool — which honors
-    /// `PARDFS_THREADS` too, so the env override reaches every maintainer
-    /// either way; this knob is for giving one maintainer a dedicated or
-    /// differently-sized pool (e.g. the bench harness's thread-scaling
-    /// sweep).
-    pub fn num_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = Some(num_threads);
         self
     }
 
@@ -257,8 +237,7 @@ impl MaintainerBuilder {
     /// This configuration's maintainer over an augmented graph and a DFS tree
     /// of it — the one backend assembly behind [`MaintainerBuilder::build`]
     /// (over the static-DFS tree) and [`MaintainerBuilder::build_from_state`]
-    /// (over a checkpointed one), wrapped per the check mode and thread
-    /// count.
+    /// (over a checkpointed one), wrapped per the check mode.
     fn assemble(&self, aug: AugmentedGraph, index: TreeIndex) -> Box<dyn DfsMaintainer> {
         let inner: Box<dyn DfsMaintainer> = match self.backend {
             Backend::Parallel => engine::<LiveD>(self, aug, index, self.rebuild_policy),
@@ -271,22 +250,9 @@ impl MaintainerBuilder {
             Backend::Congest { bandwidth } => engine::<BroadcastModel>(self, aug, index, bandwidth),
             Backend::FaultTolerant => engine::<FrozenD>(self, aug, index, ()),
         };
-        let checked = match self.check_mode {
+        match self.check_mode {
             CheckMode::Never => inner,
             CheckMode::EveryUpdate => Box::new(Checked { inner }),
-        };
-        match self.num_threads {
-            None => checked,
-            Some(n) => {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(n)
-                    .build()
-                    .expect("failed to build the maintainer's thread pool");
-                Box::new(Threaded {
-                    pool,
-                    inner: checked,
-                })
-            }
         }
     }
 
@@ -327,73 +293,6 @@ impl ShardFactory for MaintainerBuilder {
 
     fn resume(&self, aug_graph: Graph, tree: TreeIndex) -> Result<Box<dyn DfsMaintainer>, String> {
         self.build_from_state(aug_graph, tree)
-    }
-}
-
-/// Decorator implementing [`MaintainerBuilder::num_threads`]: work-carrying
-/// calls run inside the maintainer's private pool; cheap accessors answer on
-/// the calling thread (entering a pool costs two context switches, which
-/// would dwarf a parent lookup).
-struct Threaded {
-    pool: rayon::ThreadPool,
-    inner: Box<dyn DfsMaintainer>,
-}
-
-impl ForestQuery for Threaded {
-    // `&self` queries answer on the calling thread: entering the pool costs
-    // two context switches, which would dwarf a parent lookup.
-    fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        self.inner.forest_parent(v)
-    }
-
-    fn forest_roots(&self) -> Vec<Vertex> {
-        self.inner.forest_roots()
-    }
-
-    fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        self.inner.same_component(u, v)
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.inner.num_edges()
-    }
-}
-
-impl DfsMaintainer for Threaded {
-    fn backend_name(&self) -> &'static str {
-        self.inner.backend_name()
-    }
-
-    fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        let inner = &mut self.inner;
-        self.pool.install(|| inner.apply_update(update))
-    }
-
-    fn apply_batch(&mut self, updates: &[Update]) -> BatchReport {
-        let inner = &mut self.inner;
-        self.pool.install(|| inner.apply_batch(updates))
-    }
-
-    fn tree(&self) -> &TreeIndex {
-        self.inner.tree()
-    }
-
-    fn augmented_graph(&self) -> &Graph {
-        self.inner.augmented_graph()
-    }
-
-    fn check(&self) -> Result<(), String> {
-        // Also answered on the calling thread — `check` is a validation
-        // path, not the update hot path.
-        self.inner.check()
-    }
-
-    fn stats(&self) -> StatsReport {
-        self.inner.stats()
     }
 }
 
@@ -608,38 +507,6 @@ mod tests {
                 rebuilt.backend_name()
             );
         }
-    }
-
-    #[test]
-    fn num_threads_pool_decorator_matches_default_build() {
-        let g = generators::grid(6, 6);
-        let updates = [
-            Update::DeleteEdge(0, 1),
-            Update::InsertEdge(0, 35),
-            Update::DeleteEdge(14, 15),
-            Update::InsertVertex { edges: vec![3, 9] },
-        ];
-        let mut pooled = MaintainerBuilder::new(Backend::Parallel)
-            .num_threads(3)
-            .check_mode(CheckMode::EveryUpdate)
-            .build(&g);
-        let mut plain = MaintainerBuilder::new(Backend::Parallel)
-            .check_mode(CheckMode::EveryUpdate)
-            .build(&g);
-        for u in &updates {
-            pooled.apply_update(u);
-            plain.apply_update(u);
-        }
-        assert!(pooled.check().is_ok());
-        // Same structural outcome on and off the private pool (the executor's
-        // determinism contract, exercised through the decorator).
-        let parents = |dfs: &dyn DfsMaintainer| -> Vec<Option<Vertex>> {
-            (0..dfs.num_vertices() as Vertex)
-                .map(|v| dfs.forest_parent(v))
-                .collect()
-        };
-        assert_eq!(parents(pooled.as_ref()), parents(plain.as_ref()));
-        assert_eq!(pooled.forest_roots(), plain.forest_roots());
     }
 
     #[test]

@@ -291,31 +291,3 @@ fn serve_layer_replay_is_thread_count_invariant_for_every_backend() {
         }
     }
 }
-
-#[test]
-fn builder_num_threads_pools_are_thread_count_invariant() {
-    // Same invariant through the `MaintainerBuilder::num_threads` decorator
-    // (a private pool per maintainer) instead of an ambient `install`.
-    let mut rng = ChaCha8Rng::seed_from_u64(23);
-    let graph = generators::random_connected_gnm(400, 1600, &mut rng);
-    let updates = workload(&graph, 25, 555);
-    let run = |threads: usize| {
-        let mut dfs = MaintainerBuilder::new(Backend::Parallel)
-            .num_threads(threads)
-            .build(&graph);
-        let mut fingerprints = Vec::new();
-        for update in &updates {
-            dfs.apply_update(update);
-            fingerprints.push(fingerprint(&dfs.stats()));
-        }
-        dfs.check().expect("valid tree");
-        let parents: Vec<Option<Vertex>> = (0..dfs.num_vertices() as Vertex)
-            .map(|v| dfs.forest_parent(v))
-            .collect();
-        (parents, dfs.forest_roots(), fingerprints)
-    };
-    let baseline = run(THREAD_COUNTS[0]);
-    for &threads in &THREAD_COUNTS[1..] {
-        assert_eq!(run(threads), baseline, "num_threads({threads}) diverged");
-    }
-}

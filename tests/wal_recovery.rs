@@ -12,7 +12,10 @@
 //! truncated at **every byte offset** (recovery must always land on the last
 //! complete epoch), and an interior record is damaged by one byte (recovery
 //! must refuse with a hard error naming the epoch — resuming past silent
-//! corruption would serve a wrong tree as if it were durable).
+//! corruption would serve a wrong tree as if it were durable). A byte that
+//! is not UTF-8 at the start of an interior header is refused the same way;
+//! at the start of the final header it is a torn tail, and the log is cut
+//! exactly where that header began.
 //!
 //! Format coverage: a directory whose latest checkpoint is not a
 //! `pardfs-snap v2` container (a legacy text checkpoint, or a container with
@@ -266,8 +269,89 @@ fn truncating_the_final_record_at_every_byte_offset_recovers_the_last_complete_e
                 "cut at byte {cut}: torn bytes vanished without being reported"
             );
         }
+        assert_eq!(
+            std::fs::read(dir.join("wal.log")).expect("wal survives"),
+            wal[..final_start],
+            "cut at byte {cut}: reattach did not cut the log at the final header"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bytes that are not UTF-8 where the *final* record's header starts are a
+/// torn tail, and reattach cuts `wal.log` exactly at that header. Lossy
+/// decoding turns each such byte into a 3-byte U+FFFD, so a cut measured on
+/// the decoded text would land inside the previous record's `sync` line, and
+/// the next recovery would drop that durable epoch as a torn tail. Checked
+/// for one byte, the header line and the whole record; each time one more
+/// commit follows and a second recovery must reach it.
+#[test]
+fn non_utf8_bytes_opening_the_final_header_are_cut_at_that_header() {
+    let (_, trace) = corpus_traces()
+        .into_iter()
+        .find(|(name, _)| name.starts_with("merge-split-storm"))
+        .expect("merge-split-storm trace is in the corpus");
+    let commits = 3;
+    let batches = update_batches(&trace);
+    let builder = MaintainerBuilder::new(Backend::Parallel);
+    for span in ["byte", "header line", "record"] {
+        let (dir, wal, fingerprints) = seeded_wal_run(&trace, commits);
+        let config = DurabilityConfig::new(&dir).policy(CheckpointPolicy::Manual);
+        let text = String::from_utf8(wal.clone()).expect("wal is text");
+        let final_start = text.rfind("\nrecord ").expect("3 records on disk") + 1;
+        let run = match span {
+            "byte" => 1,
+            "header line" => text[final_start..].find('\n').expect("header line ends"),
+            _ => wal.len() - final_start,
+        };
+        let ctx = format!("0xff over the final {span} ({run} bytes)");
+        let mut damaged = wal.clone();
+        damaged[final_start..final_start + run].fill(0xFF);
+        std::fs::write(dir.join("wal.log"), &damaged).expect("damage the wal");
+
+        let recovered = builder
+            .recover(&config)
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        assert_eq!(
+            (
+                recovered.stats.recovered_epoch,
+                recovered.stats.torn_records_dropped
+            ),
+            ((commits - 1) as u64, 1),
+            "{ctx}: {:?}",
+            recovered.stats
+        );
+        assert_eq!(
+            std::fs::read(dir.join("wal.log")).expect("wal survives"),
+            wal[..final_start],
+            "{ctx}: reattach did not cut the log at the final header"
+        );
+        let mut server = recovered.server;
+        let writer = server.write_handle();
+        writer.submit(batches[commits - 1].clone());
+        server.commit().expect("commit after recovery");
+        drop(writer);
+        drop(server);
+
+        let again = builder
+            .recover(&config)
+            .unwrap_or_else(|e| panic!("{ctx}: second recovery failed: {e}"));
+        assert_eq!(
+            (
+                again.stats.recovered_epoch,
+                again.stats.torn_records_dropped
+            ),
+            (commits as u64, 0),
+            "{ctx}: the second recovery lost an epoch"
+        );
+        assert_eq!(
+            tree_fingerprint(again.server.maintainer()),
+            fingerprints[commits],
+            "{ctx}: the second recovery served the wrong tree"
+        );
+        drop(again);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Interior corruption is not a torn tail: one flipped byte in a record that
@@ -300,6 +384,42 @@ fn flipping_one_byte_of_an_interior_record_fails_recovery_naming_the_epoch() {
     assert!(
         err.contains("epoch 2"),
         "error does not name the damaged epoch: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A byte that is not UTF-8 where a record header starts: recovery decodes
+/// the log lossily, so the damaged byte becomes a 3-byte U+FFFD and the
+/// resync scan starts inside it. With record 3 intact after the damage, the
+/// answer is the corruption error for an unreadable header, not a panic.
+#[test]
+fn a_non_utf8_byte_opening_an_interior_header_fails_recovery_as_corrupt() {
+    let (_, trace) = corpus_traces()
+        .into_iter()
+        .find(|(name, _)| name.starts_with("merge-split-storm"))
+        .expect("merge-split-storm trace is in the corpus");
+    let (dir, wal, _) = seeded_wal_run(&trace, 3);
+    let builder = MaintainerBuilder::new(Backend::Parallel);
+    let config = DurabilityConfig::new(&dir).policy(CheckpointPolicy::Manual);
+
+    let text = String::from_utf8(wal.clone()).expect("wal is text");
+    let hdr = text.find("\nrecord 2 ").expect("epoch 2 on disk") + 1;
+    let mut damaged = wal.clone();
+    damaged[hdr] = 0xFF;
+    std::fs::write(dir.join("wal.log"), &damaged).expect("damage the wal");
+
+    let err = match builder.recover(&config) {
+        Err(e) => e,
+        Ok(_) => panic!("recovery accepted an interior-corrupt WAL"),
+    };
+    assert!(
+        err.contains("WAL record with unreadable header is corrupt"),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(dir.join("wal.log")).expect("wal still there"),
+        damaged,
+        "a refused recovery rewrote the log"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
