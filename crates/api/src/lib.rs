@@ -20,10 +20,11 @@
 //!   shift, shared by every maintainer and every served snapshot;
 //! * [`BatchReport`] — what a batch of updates did (applied count, inserted
 //!   vertex ids, per-update statistics);
-//! * [`StatsReport`] — a normalising enum over the per-model statistics
-//!   structures ([`UpdateStats`], [`SeqUpdateStats`], [`StreamStats`],
-//!   [`CongestStats`]), which also live here so every backend crate and the
-//!   bench harness read them from one place;
+//! * [`StatsReport`] — one update's statistics in one record for every
+//!   backend: the engine's [`UpdateStats`], the index census, and at most
+//!   one model record ([`ModelStats`]: [`RebuildPolicyStats`],
+//!   [`StreamStats`] or [`CongestStats`]). Every statistics type is defined
+//!   here and named from here alone;
 //! * [`RebuildPolicy`] / [`RebuildPolicyStats`] — the amortized rebuild
 //!   policy of incremental maintainers: when to fold `D`'s update overlay
 //!   back into a fresh build, and what the policy did;
@@ -50,7 +51,5 @@ pub use maintainer::{DfsMaintainer, ForestQuery};
 pub use policy::{
     maintain_index, IndexMaintenanceStats, IndexPolicy, RebuildPolicy, RebuildPolicyStats,
 };
-pub use report::{BatchReport, RecoveryStats, StatsReport, StatsRollup};
-pub use stats::{
-    CongestStats, RerootStats, SeqUpdateStats, StreamStats, TraversalKind, UpdateStats,
-};
+pub use report::{BatchReport, ModelStats, RecoveryStats, StatsReport, StatsRollup};
+pub use stats::{CongestStats, RerootStats, StreamStats, TraversalKind, UpdateStats};

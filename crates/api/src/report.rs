@@ -1,144 +1,72 @@
 //! Unified statistics and batch reporting across backends.
 
 use crate::policy::{IndexMaintenanceStats, RebuildPolicyStats};
-use crate::stats::{CongestStats, SeqUpdateStats, StreamStats, UpdateStats};
+use crate::stats::{CongestStats, StreamStats, UpdateStats};
 use pardfs_graph::Vertex;
 
-/// The statistics of one update, normalised across backends.
+/// The statistics of one update, in one record for all five backends.
 ///
-/// Every variant describes a *single* update; what differs is which model
-/// quantities the backend tracks. The accessor methods project the common
-/// quantities so generic drivers (the bench harness, the conformance tests)
-/// can compare backends without matching on the variant; the per-variant
-/// accessors expose the model-specific counters when callers want them.
-/// Every variant also carries the maintainer's cumulative
-/// [`IndexMaintenanceStats`] — all five backends keep their tree index by
-/// delta-patching now, so the patch/fallback census is model-independent.
-#[derive(Debug, Clone)]
-pub enum StatsReport {
-    /// Shared-memory parallel maintainer (Theorem 13).
-    Parallel {
-        /// Engine statistics (reduction + reroot) of the update.
-        engine: UpdateStats,
-        /// What the amortized rebuild policy has done so far
-        /// ([`crate::RebuildPolicy`]).
-        rebuild: RebuildPolicyStats,
-        /// What the index-maintenance policy has done so far.
-        index: IndexMaintenanceStats,
-    },
-    /// Sequential baseline maintainer (reference \[6\] of the paper).
-    Sequential {
-        /// Engine statistics of the update.
-        engine: SeqUpdateStats,
-        /// What the index-maintenance policy has done so far.
-        index: IndexMaintenanceStats,
-    },
-    /// Fault tolerant maintainer (Theorem 14); engine statistics of the
-    /// update, answered from the frozen preprocessed structure.
-    FaultTolerant {
-        /// Engine statistics of the update.
-        engine: UpdateStats,
-        /// What the index-maintenance policy has done so far.
-        index: IndexMaintenanceStats,
-    },
-    /// Semi-streaming maintainer (Theorem 15).
-    Streaming {
-        /// Engine statistics (reduction + reroot).
-        engine: UpdateStats,
-        /// Stream-access statistics of the same update.
-        stream: StreamStats,
-        /// What the index-maintenance policy has done so far.
-        index: IndexMaintenanceStats,
-    },
-    /// Distributed CONGEST maintainer (Theorem 16).
-    Congest {
-        /// Engine statistics (reduction + reroot).
-        engine: UpdateStats,
-        /// Simulated network cost of the same update.
-        congest: CongestStats,
-        /// What the index-maintenance policy has done so far.
-        index: IndexMaintenanceStats,
-    },
+/// Every backend runs the paper's one algorithm — a reduction to subtree
+/// reroots, answered by sets of independent queries on `D` — so every
+/// backend fills the same [`UpdateStats`], the sequential baseline included.
+/// Beside it sit the maintainer's cumulative [`IndexMaintenanceStats`] (all
+/// five backends keep their tree index by delta-patching) and at most one
+/// record of the execution model's own counters.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StatsReport {
+    /// Reduction and reroot statistics of the update.
+    pub engine: UpdateStats,
+    /// What the index-maintenance policy has done so far.
+    pub index: IndexMaintenanceStats,
+    /// The execution model's own counters; `None` for the sequential and
+    /// fault tolerant backends, which keep none.
+    pub model: Option<ModelStats>,
+}
+
+/// The counters an execution model keeps beside the engine's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ModelStats {
+    /// What the parallel maintainer's amortized rebuild policy has done so
+    /// far ([`crate::RebuildPolicy`]).
+    Rebuild(RebuildPolicyStats),
+    /// Stream access of the semi-streaming maintainer's last update.
+    Stream(StreamStats),
+    /// Simulated network cost of the CONGEST maintainer's last update.
+    Congest(CongestStats),
 }
 
 impl StatsReport {
-    /// Short name of the backend that produced this report.
-    pub fn backend(&self) -> &'static str {
-        match self {
-            StatsReport::Parallel { .. } => "parallel",
-            StatsReport::Sequential { .. } => "sequential",
-            StatsReport::FaultTolerant { .. } => "fault-tolerant",
-            StatsReport::Streaming { .. } => "streaming",
-            StatsReport::Congest { .. } => "congest",
-        }
-    }
-
     /// Sequential sets of independent `D` queries the update needed — the
     /// paper's cross-model cost measure (query sets ≙ streaming passes ≙
-    /// broadcast phases). For the sequential baseline this is its
-    /// `answer_batch` call count (its batches run one after another).
+    /// broadcast phases).
     pub fn total_query_sets(&self) -> u64 {
-        match self {
-            StatsReport::Sequential { engine, .. } => engine.query_batches as u64,
-            StatsReport::FaultTolerant { engine, .. }
-            | StatsReport::Parallel { engine, .. }
-            | StatsReport::Streaming { engine, .. }
-            | StatsReport::Congest { engine, .. } => engine.total_query_sets(),
-        }
+        self.engine.total_query_sets()
     }
 
     /// Number of vertices whose parent pointer the update rewrote.
     pub fn relinked_vertices(&self) -> u64 {
-        match self {
-            StatsReport::Sequential { engine, .. } => engine.relinked_vertices as u64,
-            StatsReport::FaultTolerant { engine, .. }
-            | StatsReport::Parallel { engine, .. }
-            | StatsReport::Streaming { engine, .. }
-            | StatsReport::Congest { engine, .. } => engine.reroot.relinked_vertices,
-        }
-    }
-
-    /// Number of independent subtree reroots the reduction produced.
-    pub fn reroot_jobs(&self) -> u64 {
-        match self {
-            StatsReport::Sequential { engine, .. } => engine.reroot_jobs as u64,
-            StatsReport::FaultTolerant { engine, .. }
-            | StatsReport::Parallel { engine, .. }
-            | StatsReport::Streaming { engine, .. }
-            | StatsReport::Congest { engine, .. } => engine.reroot_jobs,
-        }
+        self.engine.reroot.relinked_vertices
     }
 
     /// Cumulative index-maintenance census (patches spliced, vertices
-    /// touched, fallback rebuilds) — carried by every variant.
+    /// touched, fallback rebuilds).
     pub fn index_maintenance(&self) -> &IndexMaintenanceStats {
-        match self {
-            StatsReport::Parallel { index, .. }
-            | StatsReport::Sequential { index, .. }
-            | StatsReport::FaultTolerant { index, .. }
-            | StatsReport::Streaming { index, .. }
-            | StatsReport::Congest { index, .. } => index,
-        }
+        &self.index
     }
 
-    /// Engine statistics, for the backends that run the shared parallel
-    /// rerooting engine (everything except the sequential baseline).
+    /// The engine statistics. Always `Some`: every backend fills them. The
+    /// `Option` remains so that code written when the sequential baseline
+    /// kept a record of its own still compiles.
     pub fn engine(&self) -> Option<&UpdateStats> {
-        match self {
-            StatsReport::FaultTolerant { engine, .. }
-            | StatsReport::Parallel { engine, .. }
-            | StatsReport::Streaming { engine, .. }
-            | StatsReport::Congest { engine, .. } => Some(engine),
-            StatsReport::Sequential { .. } => None,
-        }
+        Some(&self.engine)
     }
 
-    /// Rebuild-policy statistics, for backends that maintain `D`
-    /// incrementally under an amortized rebuild policy (currently the
-    /// parallel maintainer).
+    /// Rebuild-policy statistics, for the backend that maintains `D`
+    /// incrementally under an amortized rebuild policy (the parallel
+    /// maintainer).
     pub fn rebuild_policy(&self) -> Option<&RebuildPolicyStats> {
-        match self {
-            StatsReport::Parallel { rebuild, .. } => Some(rebuild),
+        match &self.model {
+            Some(ModelStats::Rebuild(rebuild)) => Some(rebuild),
             _ => None,
         }
     }
@@ -146,8 +74,8 @@ impl StatsReport {
     /// Stream-access statistics, when this report came from the streaming
     /// backend.
     pub fn stream(&self) -> Option<&StreamStats> {
-        match self {
-            StatsReport::Streaming { stream, .. } => Some(stream),
+        match &self.model {
+            Some(ModelStats::Stream(stream)) => Some(stream),
             _ => None,
         }
     }
@@ -155,8 +83,8 @@ impl StatsReport {
     /// Simulated network cost, when this report came from the CONGEST
     /// backend.
     pub fn congest(&self) -> Option<&CongestStats> {
-        match self {
-            StatsReport::Congest { congest, .. } => Some(congest),
+        match &self.model {
+            Some(ModelStats::Congest(congest)) => Some(congest),
             _ => None,
         }
     }
@@ -189,7 +117,7 @@ impl StatsRollup {
         self.query_sets += sets;
         self.max_query_sets = self.max_query_sets.max(sets);
         self.relinked_vertices += report.relinked_vertices();
-        self.reroot_jobs += report.reroot_jobs();
+        self.reroot_jobs += report.engine.reroot_jobs;
     }
 
     /// Fold a whole batch's per-update reports into the roll-up.
@@ -288,7 +216,7 @@ mod tests {
     use crate::stats::RerootStats;
 
     fn parallel_report(sets: u64, relinked: u64) -> StatsReport {
-        StatsReport::Parallel {
+        StatsReport {
             engine: UpdateStats {
                 reduction_query_sets: 1,
                 reroot: RerootStats {
@@ -298,66 +226,39 @@ mod tests {
                 },
                 ..Default::default()
             },
-            rebuild: RebuildPolicyStats::default(),
-            index: IndexMaintenanceStats::default(),
+            model: Some(ModelStats::Rebuild(RebuildPolicyStats::default())),
+            ..Default::default()
         }
     }
 
     #[test]
-    fn normalised_accessors_cover_every_variant() {
-        let reports = [
-            parallel_report(4, 7),
-            StatsReport::Sequential {
-                engine: SeqUpdateStats {
-                    reroot_jobs: 2,
-                    relinked_vertices: 5,
-                    queries: 40,
-                    query_batches: 3,
-                },
-                index: IndexMaintenanceStats {
-                    patches_applied: 9,
-                    ..Default::default()
-                },
+    fn accessors_read_the_record() {
+        let report = parallel_report(4, 7);
+        assert_eq!(report.total_query_sets(), 4);
+        assert_eq!(report.relinked_vertices(), 7);
+        assert_eq!(report.engine().map(|e| e.reroot.query_sets), Some(3));
+        assert!(report.rebuild_policy().is_some());
+        assert!(report.stream().is_none() && report.congest().is_none());
+        let stream = StatsReport {
+            model: Some(ModelStats::Stream(StreamStats::default())),
+            ..Default::default()
+        };
+        assert!(stream.stream().is_some() && stream.rebuild_policy().is_none());
+        let congest = StatsReport {
+            model: Some(ModelStats::Congest(CongestStats::default())),
+            ..Default::default()
+        };
+        assert!(congest.congest().is_some() && congest.stream().is_none());
+        let sequential = StatsReport {
+            index: IndexMaintenanceStats {
+                patches_applied: 9,
+                ..Default::default()
             },
-            StatsReport::FaultTolerant {
-                engine: UpdateStats::default(),
-                index: IndexMaintenanceStats::default(),
-            },
-            StatsReport::Streaming {
-                engine: UpdateStats::default(),
-                stream: StreamStats::default(),
-                index: IndexMaintenanceStats::default(),
-            },
-            StatsReport::Congest {
-                engine: UpdateStats::default(),
-                congest: CongestStats::default(),
-                index: IndexMaintenanceStats::default(),
-            },
-        ];
-        let names: Vec<&str> = reports.iter().map(|r| r.backend()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "parallel",
-                "sequential",
-                "fault-tolerant",
-                "streaming",
-                "congest"
-            ]
-        );
-        assert_eq!(reports[0].total_query_sets(), 4);
-        assert_eq!(reports[0].relinked_vertices(), 7);
-        assert_eq!(reports[1].total_query_sets(), 3);
-        assert_eq!(reports[1].relinked_vertices(), 5);
-        assert!(reports[1].engine().is_none());
-        assert!(reports[0].rebuild_policy().is_some());
-        assert!(reports[1].rebuild_policy().is_none());
-        assert!(reports[3].stream().is_some());
-        assert!(reports[4].congest().is_some());
-        for r in &reports {
-            let _ = r.index_maintenance(); // every variant carries it
-        }
-        assert_eq!(reports[1].index_maintenance().patches_applied, 9);
+            ..Default::default()
+        };
+        assert!(sequential.engine().is_some());
+        assert!(sequential.rebuild_policy().is_none());
+        assert_eq!(sequential.index_maintenance().patches_applied, 9);
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //! capture the model quantities so the experiments can compare them against
 //! their theoretical envelopes directly.
 //!
-//! This module is the single home of all per-model statistics types; the
-//! backend crates re-export them from their historical paths
-//! (`pardfs_core::UpdateStats`, `pardfs_seq::SeqUpdateStats`,
-//! `pardfs_stream::StreamStats`, `pardfs_congest::CongestStats`).
+//! This module is the single home of all per-model statistics types, which
+//! callers name from `pardfs_api` (or the umbrella crate) alone.
 
 /// The traversal a component performed in one engine round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,8 +68,8 @@ impl RerootStats {
     }
 }
 
-/// Statistics of one full update handled by an engine-based maintainer
-/// (parallel, fault tolerant, streaming, CONGEST).
+/// Statistics of one full update, filled by every maintainer: the four
+/// engine models and the sequential baseline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpdateStats {
     /// Reduction cost: query sets used to turn the update into reroot jobs
@@ -83,10 +81,10 @@ pub struct UpdateStats {
     /// subtrees are rerooted in parallel, so `rounds`/`query_sets` take the
     /// maximum across jobs while totals add up).
     pub reroot: RerootStats,
-    /// Wall-clock microseconds spent in the reroot (excluding the rebuild of
-    /// `D` and of the tree index).
+    /// Wall-clock microseconds spent in the reduction and the reroot
+    /// (excluding the maintenance of the tree index and of `D`).
     pub reroot_micros: u64,
-    /// Wall-clock microseconds spent rebuilding the tree index and `D`.
+    /// Wall-clock microseconds spent maintaining the tree index and `D`.
     pub rebuild_micros: u64,
 }
 
@@ -96,22 +94,6 @@ impl UpdateStats {
     pub fn total_query_sets(&self) -> u64 {
         self.reduction_query_sets + self.reroot.query_sets
     }
-}
-
-/// Statistics of one update handled by the sequential baseline maintainer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SeqUpdateStats {
-    /// Number of subtrees the reduction asked to reroot.
-    pub reroot_jobs: usize,
-    /// Number of vertices whose parent pointer changed.
-    pub relinked_vertices: usize,
-    /// Number of individual `D` queries issued.
-    pub queries: usize,
-    /// Number of `answer_batch` calls issued. The sequential algorithm runs
-    /// its batches one after another, so this is also its count of
-    /// *sequential* query sets — the quantity comparable to
-    /// [`UpdateStats::total_query_sets`].
-    pub query_batches: usize,
 }
 
 /// Counters of the semi-streaming model (Theorem 15).

@@ -4,8 +4,8 @@
 //! its own copy of the measure-one-backend loop (one per backend × experiment,
 //! ~500 lines of duplication). Now there is exactly one driver: it applies an
 //! update sequence to *any* maintainer, timing each update and collecting its
-//! [`StatsReport`]; the experiments read the normalised accessors (and the
-//! per-model ones where a table is model-specific).
+//! [`StatsReport`]; the experiments read its engine record (and its model
+//! record where a table is model-specific).
 
 use pardfs::{DfsMaintainer, StatsReport, Update};
 use std::time::Instant;
@@ -42,22 +42,22 @@ impl DriveSummary {
     /// Mean engine rounds per update (0 for the sequential baseline, which
     /// has no round structure).
     pub fn mean_rounds(&self) -> f64 {
-        mean(&self.collect(|r| r.engine().map_or(0.0, |e| e.reroot.rounds as f64)))
+        mean(&self.collect(|r| r.engine.reroot.rounds as f64))
     }
 
     /// Maximum engine rounds any update needed.
     pub fn max_rounds(&self) -> u64 {
         self.per_update
             .iter()
-            .filter_map(|r| r.engine().map(|e| e.reroot.rounds))
+            .map(|r| r.engine.reroot.rounds)
             .max()
             .unwrap_or(0)
     }
 
-    /// Mean wall-clock microseconds spent inside the reroot itself
-    /// (excluding rebuilds; engine backends only).
+    /// Mean wall-clock microseconds spent in the reduction and the reroot
+    /// (excluding index and `D` maintenance).
     pub fn mean_reroot_micros(&self) -> f64 {
-        mean(&self.collect(|r| r.engine().map_or(0.0, |e| e.reroot_micros as f64)))
+        mean(&self.collect(|r| r.engine.reroot_micros as f64))
     }
 
     /// Project one number per update.
@@ -75,8 +75,8 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Apply `updates` one by one, timing each and snapshotting the maintainer's
-/// statistics. Panics if the maintainer's own validity check would — callers
-/// wanting that protection should build with `CheckMode::EveryUpdate`.
+/// statistics. The tree is not validated; callers that want it call
+/// [`DfsMaintainer::check`].
 pub fn drive(dfs: &mut dyn DfsMaintainer, updates: &[Update]) -> DriveSummary {
     let mut micros = Vec::with_capacity(updates.len());
     let mut per_update = Vec::with_capacity(updates.len());

@@ -661,7 +661,7 @@ pub fn e11_index_patching(scale: Scale) -> Table {
                     .build(&w.graph);
                 let summary = drive(dfs.as_mut(), &w.updates);
                 let index_ns = summary
-                    .collect(|r| r.engine().map_or(0.0, |e| e.rebuild_micros as f64))
+                    .collect(|r| r.engine.rebuild_micros as f64)
                     .iter()
                     .sum::<f64>()
                     / w.updates.len().max(1) as f64
@@ -948,15 +948,15 @@ pub const EXPERIMENTS: &[Experiment] = &[
 mod tests {
     use super::*;
 
-    /// Smoke test: representative experiments run end-to-end at a tiny scale
-    /// and produce non-empty tables. (The quick scale itself is exercised by
+    /// Smoke test: every experiment runs end-to-end at the tiny scale and
+    /// produces a non-empty table. (The quick scale itself is exercised by
     /// the `experiments` binary.)
     #[test]
     fn experiments_smoke() {
-        let tables = vec![e3_query_rounds(Scale::Quick), e5_streaming(Scale::Quick)];
-        for t in tables {
-            assert!(!t.rows.is_empty());
-            assert!(t.render().contains("=="));
+        for (id, run) in EXPERIMENTS {
+            let t = run(Scale::Tiny);
+            assert!(!t.rows.is_empty(), "{id}");
+            assert!(t.render().contains("=="), "{id}");
         }
     }
 

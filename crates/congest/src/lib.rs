@@ -37,17 +37,15 @@
 pub mod network;
 
 use network::Network;
-use pardfs_api::{IndexMaintenanceStats, StatsReport};
+use pardfs_api::{CongestStats, ModelStats, UpdateStats};
 use pardfs_core::reduction::ReductionInput;
-use pardfs_core::{EngineDfs, Model, UpdateStats};
+use pardfs_core::{EngineDfs, Model};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::scan::Nearest;
 use pardfs_query::{EdgeHit, QueryOracle, VertexQuery};
 use pardfs_seq::augment::AugmentedGraph;
 use pardfs_tree::TreeIndex;
 use parking_lot::Mutex;
-
-pub use pardfs_api::CongestStats;
 
 /// A [`QueryOracle`] that answers batches from per-node adjacency lists and
 /// charges the simulated network for the convergecast/broadcast needed to
@@ -167,12 +165,8 @@ impl Model for BroadcastModel {
         stats
     }
 
-    fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport {
-        StatsReport::Congest {
-            engine,
-            congest: self.last,
-            index,
-        }
+    fn stats(&self) -> Option<ModelStats> {
+        Some(ModelStats::Congest(self.last))
     }
 }
 

@@ -8,7 +8,7 @@
 //! components operate in parallel, so rounds take the maximum over components
 //! while messages add up.
 
-use crate::CongestStats;
+use pardfs_api::CongestStats;
 use pardfs_graph::Graph;
 
 /// Round/message accountant for one recovery stage (one update).

@@ -16,13 +16,12 @@
 //! `O(log n)`-time, `m`-processor preprocessing of Theorem 8, now an
 //! amortized rather than per-update event. What the policy decided, and on
 //! what inputs, is read from `DfsMaintainer::stats`
-//! ([`StatsReport::rebuild_policy`]).
+//! ([`pardfs_api::StatsReport::rebuild_policy`]).
 
 use crate::engine::{EngineDfs, Model};
 use crate::reduction::ReductionInput;
 use crate::reroot::Strategy;
-use crate::stats::UpdateStats;
-use pardfs_api::{IndexMaintenanceStats, RebuildPolicy, RebuildPolicyStats, StatsReport};
+use pardfs_api::{ModelStats, RebuildPolicy, RebuildPolicyStats, UpdateStats};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{Drifted, QueryOracle, StructureD};
 use pardfs_seq::augment::AugmentedGraph;
@@ -110,12 +109,8 @@ impl Model for LiveD {
         self.policy_stats.overlay_updates = self.d.overlay_updates() as u64;
     }
 
-    fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport {
-        StatsReport::Parallel {
-            engine,
-            rebuild: self.policy_stats,
-            index,
-        }
+    fn stats(&self) -> Option<ModelStats> {
+        Some(ModelStats::Rebuild(self.policy_stats))
     }
 }
 
@@ -295,7 +290,7 @@ mod tests {
         // Deleting a handle edge forces a real reroot of the lower half.
         dfs.apply_update(&Update::DeleteEdge(5, 6));
         dfs.check().unwrap();
-        let s = *dfs.stats().engine().unwrap();
+        let s = dfs.stats().engine;
         assert_eq!(s.reroot_jobs, 1);
         assert!(s.reroot.relinked_vertices > 0);
         assert!(s.reroot.rounds >= 1);
@@ -303,7 +298,7 @@ mod tests {
         // Inserting a cross edge between two bristles re-hangs a leaf in O(1).
         dfs.apply_update(&Update::InsertEdge(20, 25));
         dfs.check().unwrap();
-        let s = *dfs.stats().engine().unwrap();
+        let s = dfs.stats().engine;
         assert_eq!(s.reroot_jobs, 1);
         assert_eq!(s.reroot.rounds, 1);
     }
@@ -402,9 +397,6 @@ mod tests {
             last.total_rebuild_micros > 0,
             "30 rebuilds of a 120-edge D must take measurable time"
         );
-        // The engine-side timer is populated too.
-        let engine = DfsMaintainer::stats(&dfs);
-        assert!(engine.engine().is_some());
     }
 
     #[test]

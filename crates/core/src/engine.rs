@@ -6,8 +6,8 @@
 //! Theorems 13–16 run it in four models that differ only in how a set of
 //! independent queries is answered: live `D`, frozen `D` plus the Theorem 9
 //! segment decomposition, one stream pass, or one CONGEST broadcast. A
-//! [`Model`] supplies exactly that — its [`QueryOracle`], its own counters
-//! and its [`StatsReport`] variant — and [`EngineDfs`] owns everything else:
+//! [`Model`] supplies exactly that — its [`QueryOracle`] and its own
+//! counters ([`Model::stats`]) — and [`EngineDfs`] owns everything else:
 //! the augmented graph, the tree index, the strategy, the index policy and
 //! its census. Per update the loop is:
 //!
@@ -22,15 +22,15 @@
 //!    [`UpdateStats::rebuild_micros`].
 //!
 //! Everything the loop and the model count reaches callers through
-//! [`DfsMaintainer::stats`]: the last update's [`UpdateStats`], the index
-//! census since construction, and the model's own counters.
+//! [`DfsMaintainer::stats`], one [`StatsReport`]: the last update's
+//! [`UpdateStats`], the index census since construction, and the model's
+//! own counters.
 
 use crate::reduction::{reduce_update, ReductionInput};
 use crate::reroot::{Rerooter, Strategy};
-use crate::stats::UpdateStats;
 use pardfs_api::{
     forest, maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy,
-    StatsReport,
+    ModelStats, StatsReport, UpdateStats,
 };
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::QueryOracle;
@@ -73,8 +73,12 @@ pub trait Model: fmt::Debug + Send + Sync {
         let _ = (aug, idx);
     }
 
-    /// The model's [`StatsReport`] variant for the last update.
-    fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport;
+    /// The model's own counters, reported beside the engine's in
+    /// [`DfsMaintainer::stats`]. `None` by default: a model that keeps no
+    /// counters of its own (the frozen-`D` model) reports none.
+    fn stats(&self) -> Option<ModelStats> {
+        None
+    }
 }
 
 /// A fully dynamic DFS maintainer running the engine loop in model `M`.
@@ -245,6 +249,10 @@ impl<M: Model> DfsMaintainer for EngineDfs<M> {
     }
 
     fn stats(&self) -> StatsReport {
-        self.model.report(self.last_stats, self.index_stats)
+        StatsReport {
+            engine: self.last_stats,
+            index: self.index_stats,
+            model: self.model.stats(),
+        }
     }
 }

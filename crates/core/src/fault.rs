@@ -22,8 +22,7 @@
 use crate::dynamic::note_update;
 use crate::engine::{EngineDfs, Model};
 use crate::reduction::ReductionInput;
-use crate::stats::UpdateStats;
-use pardfs_api::{IndexMaintenanceStats, StatsReport};
+use pardfs_api::UpdateStats;
 use pardfs_graph::Update;
 use pardfs_query::{Drifted, QueryOracle, StructureD};
 use pardfs_seq::augment::AugmentedGraph;
@@ -76,10 +75,6 @@ impl Model for FrozenD {
     ) -> UpdateStats {
         note_update(&mut self.d, update, input, aug.pseudo_root());
         reroot(&Drifted::new(&self.d))
-    }
-
-    fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport {
-        StatsReport::FaultTolerant { engine, index }
     }
 }
 

@@ -38,12 +38,13 @@
 //!   evolving tree into ancestor–descendant segments of the *original* tree
 //!   (Theorem 9). The decomposition lives next to `D`, in `pardfs-query`.
 //!   `reset` returns to the preprocessed state before the next batch.
-//! * [`stats`] — instrumentation: engine rounds, sequential query sets,
-//!   traversal census. These are the quantities the paper's theorems bound
-//!   (`O(log^2 n)` query sets per reroot, `O(log^3 n)` EREW time), and the
-//!   experiment harness reports them next to wall-clock numbers. The types
-//!   themselves live in [`pardfs_api`] (shared by every backend) and are
-//!   re-exported here under their historical paths.
+//!
+//! The engine's instrumentation — rounds, sequential query sets, the
+//! traversal census — is the quantity the paper's theorems bound
+//! (`O(log^2 n)` query sets per reroot, `O(log^3 n)` EREW time), and the
+//! experiment harness reports it next to wall-clock numbers. Its types
+//! ([`pardfs_api::UpdateStats`] and the rest) live in [`pardfs_api`], shared
+//! by every backend.
 //!
 //! [`EngineDfs`] implements [`pardfs_api::DfsMaintainer`], the unified trait
 //! the bench harness, examples and integration tests program against, once
@@ -79,12 +80,9 @@ pub mod fault;
 pub mod reduction;
 pub mod reroot;
 
-pub use pardfs_api::stats;
-
 pub use dynamic::{DynamicDfs, LiveD};
 pub use engine::{EngineDfs, Model};
 pub use fault::{FaultTolerantDfs, FrozenD};
-pub use pardfs_api::{BatchReport, DfsMaintainer, RebuildPolicy, RebuildPolicyStats, StatsReport};
+pub use pardfs_api::{BatchReport, DfsMaintainer, RebuildPolicy};
 pub use reduction::reduce_update;
 pub use reroot::{RerootJob, Rerooter, Strategy};
-pub use stats::{RerootStats, TraversalKind, UpdateStats};

@@ -8,7 +8,7 @@
 //! are local computations on the current tree index.
 
 use crate::reroot::RerootJob;
-use crate::stats::UpdateStats;
+use pardfs_api::UpdateStats;
 use pardfs_graph::{Update, Vertex};
 use pardfs_query::{QueryOracle, VertexQuery};
 use pardfs_tree::{TreeIndex, TreePatch};

@@ -35,7 +35,7 @@
 //! component minus that path, so it has an edge to the path (Lemma 1). The
 //! engine therefore never looks further back than the latest traversal.
 
-use crate::stats::{RerootStats, TraversalKind};
+use pardfs_api::{RerootStats, TraversalKind};
 use pardfs_graph::Vertex;
 use pardfs_query::{EdgeHit, QueryOracle, VertexQuery};
 use pardfs_tree::paths::{path_vertices, PathSeg};

@@ -35,5 +35,5 @@ pub mod static_dfs;
 pub use articulation::{articulation_points, bridges, Biconnectivity};
 pub use augment::AugmentedGraph;
 pub use check::{check_dfs_tree, check_spanning_dfs_tree};
-pub use seqdyn::{SeqRerootDfs, SeqUpdateStats};
+pub use seqdyn::SeqRerootDfs;
 pub use static_dfs::{ordered_dfs, static_dfs, static_dfs_index};

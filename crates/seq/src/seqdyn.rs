@@ -10,6 +10,10 @@
 //! `D` ([`StructureD`]), so a reroot costs `O(path lengths + rerooted subtree
 //! sizes)` local work plus one `D` query per hanging subtree.
 //!
+//! The baseline reports the engine's [`UpdateStats`]: its `D` queries run
+//! one `answer_batch` call after another, so each call is one sequential
+//! query set, counted under the reduction or the reroot that issued it.
+//!
 //! This is the comparison baseline for every parallel experiment, and it also
 //! doubles as an independent implementation against which the parallel
 //! engine's output is cross-checked in tests.
@@ -19,13 +23,12 @@ use crate::check::check_spanning_dfs_tree;
 use crate::static_dfs::static_dfs;
 use pardfs_api::{
     forest, maintain_index, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy,
-    StatsReport,
+    RerootStats, StatsReport, UpdateStats,
 };
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::{QueryOracle, StructureD, VertexQuery};
 use pardfs_tree::{TreeIndex, TreePatch};
-
-pub use pardfs_api::SeqUpdateStats;
+use std::time::Instant;
 
 /// A reroot job produced by the reduction of Section 3.
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +49,7 @@ pub struct SeqRerootDfs {
     d: StructureD,
     index_policy: IndexPolicy,
     index_stats: IndexMaintenanceStats,
-    last_stats: SeqUpdateStats,
+    last_stats: UpdateStats,
 }
 
 impl SeqRerootDfs {
@@ -62,7 +65,7 @@ impl SeqRerootDfs {
             d,
             index_policy: IndexPolicy::default(),
             index_stats: IndexMaintenanceStats::default(),
-            last_stats: SeqUpdateStats::default(),
+            last_stats: UpdateStats::default(),
         }
     }
 
@@ -89,7 +92,7 @@ impl SeqRerootDfs {
             d,
             index_policy: IndexPolicy::default(),
             index_stats: IndexMaintenanceStats::default(),
-            last_stats: SeqUpdateStats::default(),
+            last_stats: UpdateStats::default(),
         }
     }
 
@@ -100,7 +103,7 @@ impl SeqRerootDfs {
 
     /// Apply one dynamic update expressed in internal (augmented) vertex ids.
     fn apply_internal(&mut self, update: &Update) -> Option<Vertex> {
-        let mut stats = SeqUpdateStats::default();
+        let mut stats = UpdateStats::default();
         let proot = self.aug.pseudo_root();
 
         // Record the update in D's overlay first so that reroot queries see the
@@ -137,15 +140,18 @@ impl SeqRerootDfs {
 
         // The update's parent rewrites are described entirely by the
         // `TreePatch` — no per-update `O(n)` copy of the old parent array.
+        let start = Instant::now();
         let mut patch = TreePatch::new();
         let jobs = self.reduce(update, inserted, &mut patch, &mut stats);
-        stats.reroot_jobs = jobs.len();
+        stats.reroot_jobs = jobs.len() as u64;
         for job in jobs {
-            self.reroot(job, &mut patch, &mut stats);
+            self.reroot(job, &mut patch, &mut stats.reroot);
         }
+        stats.reroot_micros = start.elapsed().as_micros() as u64;
 
         // Delta-patch the tree index with the update's rewrites; `D` is
         // still rebuilt per update on the new tree (this baseline's model).
+        let start = Instant::now();
         maintain_index(
             &mut self.idx,
             &patch,
@@ -154,6 +160,7 @@ impl SeqRerootDfs {
             &mut self.index_stats,
         );
         self.d = StructureD::build(self.aug.graph(), self.idx.clone());
+        stats.rebuild_micros = start.elapsed().as_micros() as u64;
         self.last_stats = stats;
         inserted
     }
@@ -166,7 +173,7 @@ impl SeqRerootDfs {
         update: &Update,
         inserted: Option<Vertex>,
         patch: &mut TreePatch,
-        stats: &mut SeqUpdateStats,
+        stats: &mut UpdateStats,
     ) -> Vec<RerootJob> {
         let idx = &self.idx;
         let proot = self.aug.pseudo_root();
@@ -199,8 +206,9 @@ impl SeqRerootDfs {
                 } else {
                     return Vec::new(); // back edge: nothing to do
                 };
+                stats.reduction_query_sets += 1;
                 let hit = self
-                    .lowest_edge_from_subtree(c, p, proot, stats)
+                    .lowest_edge_from_subtree(c, p, proot)
                     .expect("pseudo edges guarantee an attachment");
                 vec![RerootJob {
                     sub_root: c,
@@ -212,8 +220,9 @@ impl SeqRerootDfs {
                 let anchor = idx.parent(*u).unwrap_or(proot);
                 let mut jobs = Vec::new();
                 for &c in idx.children(*u) {
+                    stats.reduction_query_sets += 1;
                     let hit = self
-                        .lowest_edge_from_subtree(c, anchor, proot, stats)
+                        .lowest_edge_from_subtree(c, anchor, proot)
                         .expect("pseudo edges guarantee an attachment");
                     jobs.push(RerootJob {
                         sub_root: c,
@@ -222,7 +231,7 @@ impl SeqRerootDfs {
                     });
                 }
                 patch.record_removed(*u);
-                stats.relinked_vertices += 1;
+                stats.reroot.relinked_vertices += 1;
                 jobs
             }
             Update::InsertVertex { .. } => {
@@ -238,7 +247,7 @@ impl SeqRerootDfs {
                 let vj = nbrs.first().copied().unwrap_or(proot);
                 patch.record_added();
                 patch.assign(nv, vj);
-                stats.relinked_vertices += 1;
+                stats.reroot.relinked_vertices += 1;
                 // Group the remaining neighbours by the subtree hanging from
                 // path(vj, root) that contains them; one reroot per subtree.
                 let mut jobs: Vec<RerootJob> = Vec::new();
@@ -264,13 +273,13 @@ impl SeqRerootDfs {
 
     /// `Query(T(c), path(near, far))`: lowest edge (nearest to `near`) from the
     /// subtree rooted at `c` to the tree path between `near` and `far`.
-    /// Returns `(vertex_in_subtree, vertex_on_path)`.
+    /// Returns `(vertex_in_subtree, vertex_on_path)`. One `answer_batch`
+    /// call, of one query per vertex of the subtree.
     fn lowest_edge_from_subtree(
         &self,
         c: Vertex,
         near: Vertex,
         far: Vertex,
-        stats: &mut SeqUpdateStats,
     ) -> Option<(Vertex, Vertex)> {
         let queries: Vec<VertexQuery> = self
             .idx
@@ -278,8 +287,6 @@ impl SeqRerootDfs {
             .iter()
             .map(|&w| VertexQuery::new(w, near, far))
             .collect();
-        stats.queries += queries.len();
-        stats.query_batches += 1;
         self.d
             .answer_batch(&queries)
             .into_iter()
@@ -290,7 +297,7 @@ impl SeqRerootDfs {
 
     /// Reroot the old subtree `job.sub_root` at `job.new_root`, hanging it
     /// from `job.attach_parent`, recording the new parents into `patch`.
-    fn reroot(&self, job: RerootJob, patch: &mut TreePatch, stats: &mut SeqUpdateStats) {
+    fn reroot(&self, job: RerootJob, patch: &mut TreePatch, stats: &mut RerootStats) {
         let idx = &self.idx;
         let mut pending = vec![job];
         while let Some(RerootJob {
@@ -321,8 +328,11 @@ impl SeqRerootDfs {
                     if path.contains(&c) {
                         continue;
                     }
+                    stats.query_sets += 1;
+                    stats.query_batches += 1;
+                    stats.queries += u64::from(idx.size(c));
                     let hit = self
-                        .lowest_edge_from_subtree(c, sub_root, new_root, stats)
+                        .lowest_edge_from_subtree(c, sub_root, new_root)
                         .expect("a hanging subtree always has its tree edge to the path");
                     pending.push(RerootJob {
                         sub_root: c,
@@ -380,9 +390,10 @@ impl DfsMaintainer for SeqRerootDfs {
     }
 
     fn stats(&self) -> StatsReport {
-        StatsReport::Sequential {
+        StatsReport {
             engine: self.last_stats,
             index: self.index_stats,
+            model: None,
         }
     }
 }
@@ -553,6 +564,6 @@ mod tests {
             }
         }
         assert_eq!(roots, 2);
-        assert!(dyn_dfs.stats().reroot_jobs() >= 1);
+        assert!(dyn_dfs.stats().engine.reroot_jobs >= 1);
     }
 }

@@ -38,17 +38,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pardfs_api::{DfsMaintainer, IndexMaintenanceStats, StatsReport};
+use pardfs_api::{DfsMaintainer, ModelStats, StreamStats, UpdateStats};
 use pardfs_core::reduction::ReductionInput;
-use pardfs_core::{EngineDfs, Model, UpdateStats};
+use pardfs_core::{EngineDfs, Model};
 use pardfs_graph::{Graph, Update, Vertex};
 use pardfs_query::scan::Nearest;
 use pardfs_query::{EdgeHit, QueryOracle, VertexQuery};
 use pardfs_seq::augment::AugmentedGraph;
 use pardfs_tree::TreeIndex;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-pub use pardfs_api::StreamStats;
 
 /// A [`QueryOracle`] that answers each batch with one pass over the stream.
 ///
@@ -160,16 +158,12 @@ impl Model for PassModel {
         stats
     }
 
-    fn report(&self, engine: UpdateStats, index: IndexMaintenanceStats) -> StatsReport {
-        StatsReport::Streaming {
-            engine,
-            stream: self.last,
-            index,
-        }
+    fn stats(&self) -> Option<ModelStats> {
+        Some(ModelStats::Stream(self.last))
     }
 }
 
-/// The one semi-streaming quantity no [`StatsReport`] carries. The stream
+/// The one semi-streaming quantity no [`pardfs_api::StatsReport`] carries. The stream
 /// counters of the last update are `stats().stream()`, and its engine
 /// statistics' `total_query_sets()` is the batched-model pass count
 /// Theorem 15 bounds.

@@ -467,11 +467,7 @@ mod tests {
             Ok(())
         }
         fn stats(&self) -> StatsReport {
-            StatsReport::Parallel {
-                engine: Default::default(),
-                rebuild: Default::default(),
-                index: Default::default(),
-            }
+            StatsReport::default()
         }
     }
 

@@ -337,8 +337,8 @@ impl<'a> Parser<'a> {
                 let (key, hex) = rest
                     .rsplit_once(' ')
                     .ok_or_else(|| format!("line {no}: expected `fingerprint <key> <hex>`"))?;
-                let value = u64::from_str_radix(hex, 16)
-                    .map_err(|_| format!("line {no}: bad fingerprint value `{hex}`"))?;
+                let value = canonical_hex(hex)
+                    .ok_or_else(|| format!("line {no}: bad fingerprint value `{hex}`"))?;
                 fingerprints.push((key.to_string(), value));
             } else {
                 return Err(format!(
@@ -385,12 +385,12 @@ fn parse_phase_summary(line: (usize, &str)) -> Result<(String, usize, usize), St
     let updates = it
         .next()
         .and_then(|t| t.strip_prefix("updates="))
-        .and_then(|t| t.parse().ok())
+        .and_then(canonical_num)
         .ok_or_else(|| format!("line {no}: phase summary missing updates=<u>"))?;
     let queries = it
         .next()
         .and_then(|t| t.strip_prefix("queries="))
-        .and_then(|t| t.parse().ok())
+        .and_then(canonical_num)
         .ok_or_else(|| format!("line {no}: phase summary missing queries=<q>"))?;
     if it.next().is_some() {
         return Err(format!("line {no}: trailing tokens in phase summary"));
@@ -398,15 +398,38 @@ fn parse_phase_summary(line: (usize, &str)) -> Result<(String, usize, usize), St
     Ok((name.to_string(), updates, queries))
 }
 
+/// A decimal token as `{}` renders it: digits only, with no sign and no
+/// leading zero (except `0` itself). Every decimal token of a trace or a WAL
+/// is read through here, so parsing accepts exactly what rendering emits.
+pub(crate) fn canonical_num<T: std::str::FromStr>(token: &str) -> Option<T> {
+    let digits = !token.is_empty() && token.bytes().all(|b| b.is_ascii_digit());
+    if digits && (token == "0" || !token.starts_with('0')) {
+        token.parse().ok()
+    } else {
+        None
+    }
+}
+
+/// A hex token as `{:016x}` renders it: exactly 16 lowercase hex digits.
+pub(crate) fn canonical_hex(token: &str) -> Option<u64> {
+    let digits = token
+        .bytes()
+        .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if token.len() == 16 && digits {
+        u64::from_str_radix(token, 16).ok()
+    } else {
+        None
+    }
+}
+
 fn parse_num<T: std::str::FromStr>(line: (usize, &str), token: &str) -> Result<T, String> {
-    token
-        .parse()
-        .map_err(|_| format!("line {}: bad number `{token}` in `{}`", line.0, line.1))
+    canonical_num(token)
+        .ok_or_else(|| format!("line {}: bad number `{token}` in `{}`", line.0, line.1))
 }
 
 fn parse_vertex(no: usize, token: Option<&str>) -> Result<Vertex, String> {
     token
-        .and_then(|t| t.parse().ok())
+        .and_then(canonical_num)
         .ok_or_else(|| format!("line {no}: expected a vertex id"))
 }
 
@@ -432,13 +455,9 @@ pub(crate) fn parse_update(line: (usize, &str)) -> Result<Update, String> {
             Ok(Update::DeleteVertex(v))
         }
         Some("iv") => {
-            let mut edges = Vec::new();
-            for t in it {
-                edges.push(
-                    t.parse()
-                        .map_err(|_| format!("line {no}: bad vertex id `{t}`"))?,
-                );
-            }
+            let edges = it
+                .map(|t| parse_vertex(no, Some(t)))
+                .collect::<Result<_, _>>()?;
             Ok(Update::InsertVertex { edges })
         }
         _ => Err(format!("line {no}: unknown update record `{text}`")),
@@ -588,6 +607,44 @@ mod tests {
         // Trailing garbage after `end`.
         let bad = format!("{good}rogue\n");
         assert!(Trace::parse(&bad).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn numbers_are_refused_unless_spelled_as_rendered() {
+        // Decimals render with `{}` and fingerprints with `{:016x}`: a sign,
+        // a leading zero, an uppercase digit or a short or long hex token is
+        // a different spelling of a value, and the parser refuses it rather
+        // than render back different bytes.
+        let good = demo_trace().render();
+        for (from, to) in [
+            ("seed 7\n", "seed +7\n"),
+            ("seed 7\n", "seed 07\n"),
+            ("n 4\n", "n 04\n"),
+            ("m 3\n", "m +3\n"),
+            ("warm updates=3", "warm updates=03"),
+            ("serve updates=1 queries=3", "serve updates=1 queries=+3"),
+            ("edges 3\n", "edges 03\n"),
+            ("\n1 2\n", "\n1 +2\n"),
+            ("batch update 3\n", "batch update +3\n"),
+            ("batch query 3\n", "batch query 03\n"),
+            ("de 1 2\n", "de +1 02\n"),
+            ("iv 0 3\n", "iv 00 3\n"),
+            ("iv 0 3\n", "iv 0 +3\n"),
+            ("dv 1\n", "dv 01\n"),
+            ("sc 0 3\n", "sc 0 03\n"),
+            ("fp 2\n", "fp +2\n"),
+            ("components 000000000000abcd", "components 000000000000ABCD"),
+            ("components 000000000000abcd", "components abcd"),
+            (
+                "components 000000000000abcd",
+                "components 0000000000000abcd",
+            ),
+            ("components 000000000000abcd", "components +00000000000abcd"),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "{from:?} was not found");
+            assert!(Trace::parse(&bad).is_err(), "{to:?} was accepted");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! and recovery proceeds to the last complete epoch ([`WalParse`] reports
 //! where the verified prefix ends).
 
-use crate::trace::{parse_update, render_update};
+use crate::trace::{canonical_hex, canonical_num, parse_update, render_update};
 use pardfs_graph::snap::{fnv1a64, FNV_OFFSET};
 use pardfs_graph::Update;
 use std::fmt::Write as _;
@@ -101,7 +101,7 @@ impl WalRecord {
             .ok_or_else(|| "empty record body".to_string())?;
         let count: usize = head
             .strip_prefix("batch update ")
-            .and_then(|t| t.parse().ok())
+            .and_then(canonical_num)
             .ok_or_else(|| format!("body line {no}: expected `batch update <k>`, got `{head}`"))?;
         // The count is untrusted (a checksum is not a MAC): every update
         // takes at least one byte of the body, so that bounds the allocation.
@@ -117,7 +117,7 @@ impl WalRecord {
             .ok_or_else(|| "record body missing its fingerprint line".to_string())?;
         let fingerprint = fp_line
             .strip_prefix("fingerprint tree ")
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
+            .and_then(canonical_hex)
             .ok_or_else(|| {
                 format!("body line {no}: expected `fingerprint tree <hex16>`, got `{fp_line}`")
             })?;
@@ -229,9 +229,9 @@ fn frame_record(text: &str, at: usize) -> Frame {
         .map(|r| r.split(' '))
         .into_iter()
         .flatten();
-    let epoch: Option<u64> = it.next().and_then(|t| t.parse().ok());
-    let len: Option<usize> = it.next().and_then(|t| t.parse().ok());
-    let crc: Option<u64> = it.next().and_then(|t| u64::from_str_radix(t, 16).ok());
+    let epoch: Option<u64> = it.next().and_then(canonical_num);
+    let len: Option<usize> = it.next().and_then(canonical_num);
+    let crc: Option<u64> = it.next().and_then(canonical_hex);
     let (Some(epoch), Some(len), Some(crc), None) = (epoch, len, crc, it.next()) else {
         return Frame::Broken {
             epoch,
@@ -617,6 +617,86 @@ mod tests {
                     assert!(detail.contains("canonical"), "{detail}");
                 }
                 other => panic!("forged count {count}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn numbers_are_refused_unless_spelled_as_rendered() {
+        // Each record is reframed with a recomputed checksum and length, so
+        // only the spelling of one number differs from a valid record.
+        let records: Vec<WalRecord> = (1..=3)
+            .map(|epoch| WalRecord {
+                epoch,
+                updates: vec![
+                    Update::InsertEdge(3, 7),
+                    Update::InsertVertex { edges: vec![1, 2] },
+                ],
+                fingerprint: 0xabc,
+            })
+            .collect();
+        let body = records[0].render_body();
+        let bodies = [
+            ("batch update 2", "batch update 02"),
+            ("batch update 2", "batch update +2"),
+            ("ie 3 7", "ie +3 07"),
+            ("iv 1 2", "iv 01 2"),
+            ("iv 1 2", "iv 1 +2"),
+            ("tree 0000000000000abc", "tree 0000000000000ABC"),
+            ("tree 0000000000000abc", "tree abc"),
+            ("tree 0000000000000abc", "tree 00000000000000abc"),
+            ("tree 0000000000000abc", "tree +000000000000abc"),
+        ]
+        .map(|(from, to)| {
+            let bad = body.replacen(from, to, 1);
+            assert_ne!(bad, body, "{from:?} was not found");
+            assert!(
+                WalRecord::parse_body(1, &bad).is_err(),
+                "{to:?} was accepted"
+            );
+            bad
+        });
+        // A record of `epoch` whose header spells its numbers as `header`
+        // does, given the epoch, the body length and the checksum.
+        type Header = fn(u64, usize, u64) -> String;
+        let headers: [Header; 6] = [
+            |e, len, crc| format!("record 0{e} {len} {crc:016x}"),
+            |e, len, crc| format!("record +{e} {len} {crc:016x}"),
+            |e, len, crc| format!("record {e} 0{len} {crc:016x}"),
+            |e, len, crc| format!("record {e} +{len} {crc:016x}"),
+            |e, len, crc| format!("record {e} {len} {crc:016X}"),
+            |e, len, crc| format!("record {e} {len} 0{crc:016x}"),
+        ];
+        let canonical: Header = |e, len, crc| format!("record {e} {len} {crc:016x}");
+        let mut cases: Vec<(Header, &str)> = headers.iter().map(|&h| (h, &body[..])).collect();
+        cases.extend(bodies.iter().map(|b| (canonical, &b[..])));
+        for (header, body) in cases {
+            for at in [2, 3] {
+                let damaged = format!(
+                    "{}\n{body}sync\n",
+                    header(at, body.len(), checksum(at, body))
+                );
+                let text: String = std::iter::once(format!("{WAL_MAGIC}\n"))
+                    .chain(records.iter().map(|r| {
+                        if r.epoch == at {
+                            damaged.clone()
+                        } else {
+                            r.render()
+                        }
+                    }))
+                    .collect();
+                assert_ne!(text, render_wal(&records), "{damaged:?} is canonical");
+                let parsed = parse_wal(&text);
+                if at == 2 {
+                    assert!(
+                        matches!(parsed, Err(WalError::Corrupt { .. })),
+                        "interior {damaged:?}: {parsed:?}"
+                    );
+                } else {
+                    let parsed = parsed.expect("a damaged final record is a torn tail");
+                    assert_eq!(parsed.records, records[..2], "final {damaged:?}");
+                    assert_eq!(parsed.torn_records_dropped, 1, "final {damaged:?}");
+                }
             }
         }
     }

@@ -7,8 +7,8 @@
 //! Builds a random sparse graph, selects a backend through the
 //! `MaintainerBuilder`, applies a mixed stream of edge and vertex updates,
 //! and after every update prints a one-line summary of what the maintainer
-//! did (how many subtrees were rerooted, how many query sets it took) while
-//! the builder's checked mode asserts the tree stays a valid DFS tree.
+//! did (how many subtrees were rerooted, how many query sets it took), and
+//! checks after every update that the tree is still a valid DFS tree.
 //!
 //! Change `Backend::Parallel` to `Backend::Sequential`, `Backend::Streaming`,
 //! `Backend::Congest { bandwidth: 8 }` or `Backend::FaultTolerant` — the rest
@@ -17,7 +17,7 @@
 
 use pardfs::graph::generators;
 use pardfs::graph::updates::{random_update_sequence, UpdateMix};
-use pardfs::{Backend, CheckMode, MaintainerBuilder, Strategy};
+use pardfs::{Backend, MaintainerBuilder, Strategy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -30,7 +30,6 @@ fn main() {
 
     let mut dfs = MaintainerBuilder::new(Backend::Parallel)
         .strategy(Strategy::Phased)
-        .check_mode(CheckMode::EveryUpdate) // panic loudly if the tree breaks
         .build(&graph);
     println!(
         "initial DFS forest built with the {} backend: {} component root(s)",
@@ -48,11 +47,14 @@ fn main() {
     let updates = random_update_sequence(&graph, 25, &UpdateMix::default(), &mut rng);
     for (i, update) in updates.iter().enumerate() {
         dfs.apply_update(update);
+        // Panic loudly if the tree breaks.
+        dfs.check()
+            .unwrap_or_else(|e| panic!("update {i} broke the DFS tree: {e}"));
         let report = dfs.stats();
         println!(
             "update {i:>2} {:<14} jobs={} query_sets={} relinked={} components={}",
             format!("{:?}", update.kind()),
-            report.reroot_jobs(),
+            report.engine.reroot_jobs,
             report.total_query_sets(),
             report.relinked_vertices(),
             dfs.forest_roots().len(),

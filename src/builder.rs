@@ -1,5 +1,5 @@
-//! Runtime backend selection: [`Backend`] × [`Strategy`](crate::Strategy) ×
-//! [`CheckMode`] through a [`MaintainerBuilder`].
+//! Runtime backend selection: [`Backend`] × [`Strategy`](crate::Strategy)
+//! through a [`MaintainerBuilder`].
 //!
 //! The umbrella crate is the only crate that depends on every backend, so the
 //! factory lives here; the trait it hands out ([`DfsMaintainer`]) lives in
@@ -7,12 +7,10 @@
 //! [`EngineDfs`] for the four engine models, and once by the sequential
 //! baseline.
 
-use pardfs_api::{
-    BatchReport, DfsMaintainer, ForestQuery, IndexPolicy, RebuildPolicy, StatsReport,
-};
+use pardfs_api::{DfsMaintainer, IndexPolicy, RebuildPolicy};
 use pardfs_congest::BroadcastModel;
 use pardfs_core::{EngineDfs, FrozenD, LiveD, Model, Strategy};
-use pardfs_graph::{Graph, Update, Vertex};
+use pardfs_graph::Graph;
 use pardfs_seq::static_dfs::static_dfs;
 use pardfs_seq::{AugmentedGraph, SeqRerootDfs};
 use pardfs_serve::{PartitionedRouter, Server, ShardFactory};
@@ -60,22 +58,6 @@ impl Backend {
     }
 }
 
-/// When the built maintainer re-validates its tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckMode {
-    /// Never validate automatically (production default); callers may still
-    /// invoke [`DfsMaintainer::check`] themselves.
-    #[default]
-    Never,
-    /// Validate after every update and **panic** on an invalid tree. Meant
-    /// for tests and debugging: it turns a silently corrupted structure into
-    /// an immediate, located failure, at `O(n + m)` cost per update. Batches
-    /// are applied update-by-update so the panic names the exact offending
-    /// update — a backend's native batch path (the fault tolerant
-    /// absorption) is bypassed in this mode.
-    EveryUpdate,
-}
-
 /// Builder for a runtime-selected [`DfsMaintainer`].
 ///
 /// ```
@@ -93,20 +75,18 @@ pub enum CheckMode {
 pub struct MaintainerBuilder {
     backend: Backend,
     strategy: Strategy,
-    check_mode: CheckMode,
     rebuild_policy: RebuildPolicy,
     index_policy: IndexPolicy,
 }
 
 impl MaintainerBuilder {
-    /// Start a builder for the given backend with the phased strategy, no
-    /// automatic checking, the default amortized rebuild policy and the
-    /// default (patched) index-maintenance policy.
+    /// Start a builder for the given backend with the phased strategy, the
+    /// default amortized rebuild policy and the default (patched)
+    /// index-maintenance policy.
     pub fn new(backend: Backend) -> Self {
         MaintainerBuilder {
             backend,
             strategy: Strategy::Phased,
-            check_mode: CheckMode::Never,
             rebuild_policy: RebuildPolicy::default(),
             index_policy: IndexPolicy::default(),
         }
@@ -134,12 +114,6 @@ impl MaintainerBuilder {
     /// state.
     pub fn index_policy(mut self, index_policy: IndexPolicy) -> Self {
         self.index_policy = index_policy;
-        self
-    }
-
-    /// Select the automatic-validation mode.
-    pub fn check_mode(mut self, check_mode: CheckMode) -> Self {
-        self.check_mode = check_mode;
         self
     }
 
@@ -237,9 +211,9 @@ impl MaintainerBuilder {
     /// This configuration's maintainer over an augmented graph and a DFS tree
     /// of it — the one backend assembly behind [`MaintainerBuilder::build`]
     /// (over the static-DFS tree) and [`MaintainerBuilder::build_from_state`]
-    /// (over a checkpointed one), wrapped per the check mode.
+    /// (over a checkpointed one).
     fn assemble(&self, aug: AugmentedGraph, index: TreeIndex) -> Box<dyn DfsMaintainer> {
-        let inner: Box<dyn DfsMaintainer> = match self.backend {
+        match self.backend {
             Backend::Parallel => engine::<LiveD>(self, aug, index, self.rebuild_policy),
             Backend::Sequential => {
                 let mut dfs = SeqRerootDfs::from_state(aug, index);
@@ -249,10 +223,6 @@ impl MaintainerBuilder {
             Backend::Streaming => engine::<PassModel>(self, aug, index, ()),
             Backend::Congest { bandwidth } => engine::<BroadcastModel>(self, aug, index, bandwidth),
             Backend::FaultTolerant => engine::<FrozenD>(self, aug, index, ()),
-        };
-        match self.check_mode {
-            CheckMode::Never => inner,
-            CheckMode::EveryUpdate => Box::new(Checked { inner }),
         }
     }
 
@@ -296,104 +266,21 @@ impl ShardFactory for MaintainerBuilder {
     }
 }
 
-/// Decorator implementing [`CheckMode::EveryUpdate`].
-struct Checked {
-    inner: Box<dyn DfsMaintainer>,
-}
-
-impl Checked {
-    fn validate(&self, context: &str) {
-        if let Err(e) = self.inner.check() {
-            panic!(
-                "{} maintainer holds an invalid DFS tree after {context}: {e}",
-                self.inner.backend_name()
-            );
-        }
-    }
-}
-
-impl DfsMaintainer for Checked {
-    fn backend_name(&self) -> &'static str {
-        self.inner.backend_name()
-    }
-
-    fn apply_update(&mut self, update: &Update) -> Option<Vertex> {
-        let out = self.inner.apply_update(update);
-        self.validate(&format!("{update:?}"));
-        out
-    }
-
-    fn apply_batch(&mut self, updates: &[Update]) -> BatchReport {
-        // Apply update-by-update so a corrupted tree panics at the exact
-        // offending update, as the CheckMode::EveryUpdate contract promises
-        // (this forgoes a backend's native batch path — diagnosis over
-        // speed is what checked mode is for).
-        let mut report = BatchReport::default();
-        for (i, update) in updates.iter().enumerate() {
-            let out = self.inner.apply_update(update);
-            self.validate(&format!("update {i} of a batch ({update:?})"));
-            if let Some(v) = out {
-                report.inserted.push(v);
-            }
-            report.per_update.push(self.inner.stats());
-        }
-        report
-    }
-
-    fn tree(&self) -> &TreeIndex {
-        self.inner.tree()
-    }
-
-    fn augmented_graph(&self) -> &Graph {
-        self.inner.augmented_graph()
-    }
-
-    fn check(&self) -> Result<(), String> {
-        self.inner.check()
-    }
-
-    fn stats(&self) -> StatsReport {
-        self.inner.stats()
-    }
-}
-
-impl ForestQuery for Checked {
-    fn forest_parent(&self, v: Vertex) -> Option<Vertex> {
-        self.inner.forest_parent(v)
-    }
-
-    fn forest_roots(&self) -> Vec<Vertex> {
-        self.inner.forest_roots()
-    }
-
-    fn same_component(&self, u: Vertex, v: Vertex) -> bool {
-        self.inner.same_component(u, v)
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.inner.num_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pardfs_graph::generators;
+    use pardfs_api::ForestQuery;
+    use pardfs_graph::{generators, Update};
 
     #[test]
     fn every_backend_builds_and_updates() {
         let g = generators::grid(4, 4);
         for backend in Backend::all_default() {
-            let mut dfs = MaintainerBuilder::new(backend)
-                .check_mode(CheckMode::EveryUpdate)
-                .build(&g);
-            dfs.apply_update(&Update::DeleteEdge(0, 1));
-            dfs.apply_update(&Update::InsertEdge(0, 15));
-            assert!(dfs.check().is_ok(), "{}", dfs.backend_name());
+            let mut dfs = MaintainerBuilder::new(backend).build(&g);
+            for update in [Update::DeleteEdge(0, 1), Update::InsertEdge(0, 15)] {
+                dfs.apply_update(&update);
+                assert!(dfs.check().is_ok(), "{}", dfs.backend_name());
+            }
             assert_eq!(dfs.num_vertices(), 16, "{}", dfs.backend_name());
             assert_eq!(dfs.forest_roots().len(), 1, "{}", dfs.backend_name());
             assert!(dfs.same_component(0, 15), "{}", dfs.backend_name());
@@ -425,13 +312,13 @@ mod tests {
         for strategy in [Strategy::Simple, Strategy::Phased] {
             let mut dfs = MaintainerBuilder::new(Backend::Parallel)
                 .strategy(strategy)
-                .check_mode(CheckMode::EveryUpdate)
                 .build(&g);
             let report = dfs.apply_batch(&[
                 Update::DeleteEdge(4, 5),
                 Update::InsertEdge(0, 19),
                 Update::InsertVertex { edges: vec![1, 7] },
             ]);
+            assert!(dfs.check().is_ok(), "{strategy:?}");
             assert_eq!(report.applied(), 3);
             assert_eq!(report.inserted, vec![20]);
             assert_eq!(report.per_update.len(), 3);
@@ -448,15 +335,14 @@ mod tests {
         ];
         let mut never = MaintainerBuilder::new(Backend::Parallel)
             .rebuild_policy(RebuildPolicy::Never)
-            .check_mode(CheckMode::EveryUpdate)
             .build(&g);
         let mut always = MaintainerBuilder::new(Backend::Parallel)
             .rebuild_policy(RebuildPolicy::EveryUpdate)
-            .check_mode(CheckMode::EveryUpdate)
             .build(&g);
         for u in &updates {
             never.apply_update(u);
             always.apply_update(u);
+            assert!(never.check().is_ok() && always.check().is_ok(), "{u:?}");
         }
         let p_never = *never.stats().rebuild_policy().unwrap();
         let p_always = *always.stats().rebuild_policy().unwrap();
@@ -479,16 +365,16 @@ mod tests {
             // PatchAlways: every edge update must go through the splice.
             let mut patched = MaintainerBuilder::new(backend)
                 .index_policy(IndexPolicy::PatchAlways)
-                .check_mode(CheckMode::EveryUpdate)
                 .build(&g);
             // EveryUpdate: the splice must never run.
             let mut rebuilt = MaintainerBuilder::new(backend)
                 .index_policy(IndexPolicy::EveryUpdate)
-                .check_mode(CheckMode::EveryUpdate)
                 .build(&g);
             for u in &updates {
                 patched.apply_update(u);
                 rebuilt.apply_update(u);
+                assert!(patched.check().is_ok(), "{}: {u:?}", patched.backend_name());
+                assert!(rebuilt.check().is_ok(), "{}: {u:?}", rebuilt.backend_name());
             }
             let p = *patched.stats().index_maintenance();
             let r = *rebuilt.stats().index_maintenance();
@@ -587,58 +473,5 @@ mod tests {
             let view = router.read_handle().view();
             assert!(view.same_component(0, 7), "{}", reference.backend_name());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid DFS tree")]
-    fn checked_mode_panics_on_corruption() {
-        // A maintainer whose check always fails.
-        struct Broken(TreeIndex, Graph);
-        impl ForestQuery for Broken {
-            fn forest_parent(&self, _v: Vertex) -> Option<Vertex> {
-                None
-            }
-            fn forest_roots(&self) -> Vec<Vertex> {
-                Vec::new()
-            }
-            fn same_component(&self, _u: Vertex, _v: Vertex) -> bool {
-                false
-            }
-            fn num_vertices(&self) -> usize {
-                0
-            }
-            fn num_edges(&self) -> usize {
-                0
-            }
-        }
-        impl DfsMaintainer for Broken {
-            fn backend_name(&self) -> &'static str {
-                "broken"
-            }
-            fn apply_update(&mut self, _update: &Update) -> Option<Vertex> {
-                None
-            }
-            fn tree(&self) -> &TreeIndex {
-                &self.0
-            }
-            fn augmented_graph(&self) -> &Graph {
-                &self.1
-            }
-            fn check(&self) -> Result<(), String> {
-                Err("intentionally broken".into())
-            }
-            fn stats(&self) -> StatsReport {
-                StatsReport::Parallel {
-                    engine: Default::default(),
-                    rebuild: Default::default(),
-                    index: Default::default(),
-                }
-            }
-        }
-        let idx = TreeIndex::from_parent_slice(&[0], 0);
-        let mut checked = Checked {
-            inner: Box::new(Broken(idx, Graph::new(1))),
-        };
-        checked.apply_update(&Update::InsertEdge(0, 1));
     }
 }

@@ -37,7 +37,7 @@
 //! It also hosts the [`MaintainerBuilder`]: all five backends (the engine in
 //! four models, plus the sequential reference) implement the same
 //! [`DfsMaintainer`] trait, and the builder selects one at runtime by
-//! [`Backend`] × [`Strategy`] × [`CheckMode`] — and replays a recorded
+//! [`Backend`] × [`Strategy`] — and replays a recorded
 //! [`Trace`] end to end via [`MaintainerBuilder::run_scenario`].
 //!
 //! ## Quick start
@@ -87,11 +87,11 @@ pub use pardfs_tree as tree;
 pub use pardfs_wal as wal;
 pub use pardfs_workload as scenario;
 
-pub use builder::{Backend, CheckMode, MaintainerBuilder};
+pub use builder::{Backend, MaintainerBuilder};
 pub use pardfs_api::StatsRollup;
 pub use pardfs_api::{
-    BatchReport, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, RebuildPolicy,
-    RebuildPolicyStats, StatsReport,
+    BatchReport, DfsMaintainer, ForestQuery, IndexMaintenanceStats, IndexPolicy, ModelStats,
+    RebuildPolicy, RebuildPolicyStats, StatsReport,
 };
 pub use pardfs_congest::DistributedDynamicDfs;
 pub use pardfs_core::{DynamicDfs, EngineDfs, FaultTolerantDfs, Model, Strategy};

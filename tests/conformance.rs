@@ -10,7 +10,7 @@
 use pardfs::graph::updates::{random_update_sequence, UpdateMix};
 use pardfs::graph::{connected_components, generators, Graph, Update};
 use pardfs::{
-    Backend, CheckMode, DfsMaintainer, FaultTolerantDfs, MaintainerBuilder, RebuildPolicy, Strategy,
+    Backend, DfsMaintainer, FaultTolerantDfs, MaintainerBuilder, RebuildPolicy, Strategy,
 };
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -281,22 +281,6 @@ fn conformance_batch_equals_one_by_one() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn conformance_checked_mode_accepts_all_backends() {
-    // CheckMode::EveryUpdate wraps every backend; a short mixed run must not
-    // trip it.
-    let mut rng = ChaCha8Rng::seed_from_u64(77);
-    let g = generators::random_connected_gnm(25, 60, &mut rng);
-    let updates = random_update_sequence(&g, 8, &UpdateMix::default(), &mut rng);
-    for (name, builder) in contenders() {
-        let mut dfs = builder.check_mode(CheckMode::EveryUpdate).build(&g);
-        for u in &updates {
-            dfs.apply_update(u);
-        }
-        assert!(dfs.check().is_ok(), "{name}");
     }
 }
 

@@ -26,7 +26,7 @@
 
 use pardfs::graph::updates::{random_update_sequence, UpdateMix};
 use pardfs::graph::{generators, Graph, Update, Vertex};
-use pardfs::{Backend, MaintainerBuilder, Scenario, StatsReport, Strategy};
+use pardfs::{Backend, MaintainerBuilder, ModelStats, Scenario, StatsReport, Strategy};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -43,39 +43,33 @@ struct Outcome {
 
 /// Structural (non-timing) projection of a [`StatsReport`].
 fn fingerprint(report: &StatsReport) -> Vec<u64> {
-    let index = report.index_maintenance();
+    let (engine, index) = (&report.engine, &report.index);
     let mut out = vec![
-        report.total_query_sets(),
-        report.relinked_vertices(),
-        report.reroot_jobs(),
+        engine.reroot_jobs,
+        engine.reduction_query_sets,
+        engine.reroot.rounds,
+        engine.reroot.query_sets,
+        engine.reroot.query_batches,
+        engine.reroot.queries,
+        engine.reroot.components,
+        engine.reroot.relinked_vertices,
         index.patches_applied,
         index.full_rebuilds,
         index.fallback_rebuilds,
         index.vertices_touched,
     ];
-    if let Some(engine) = report.engine() {
-        out.extend([
-            engine.reduction_query_sets,
-            engine.reroot.rounds,
-            engine.reroot.query_sets,
-            engine.reroot.query_batches,
-            engine.reroot.queries,
-            engine.reroot.components,
-        ]);
-    }
-    if let Some(policy) = report.rebuild_policy() {
-        out.extend([policy.rebuilds, policy.overlay_updates]);
-    }
-    if let Some(stream) = report.stream() {
-        out.extend([stream.passes, stream.edges_scanned, stream.queries]);
-    }
-    if let Some(congest) = report.congest() {
-        out.extend([
+    match report.model {
+        Some(ModelStats::Rebuild(policy)) => out.extend([policy.rebuilds, policy.overlay_updates]),
+        Some(ModelStats::Stream(stream)) => {
+            out.extend([stream.passes, stream.edges_scanned, stream.queries]);
+        }
+        Some(ModelStats::Congest(congest)) => out.extend([
             congest.rounds,
             congest.messages,
             congest.words,
             congest.broadcast_phases,
-        ]);
+        ]),
+        None => {}
     }
     out
 }

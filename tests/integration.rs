@@ -224,10 +224,29 @@ fn batch_reports_expose_normalised_statistics() {
             dfs.backend_name()
         );
         assert!(report.max_query_sets() <= report.total_query_sets());
-        // Every per-update report carries the right backend tag.
+        // Every backend's per-update report carries the engine record, and
+        // the accessors read that record.
         for r in &report.per_update {
-            assert_eq!(r.backend(), dfs.backend_name());
+            let engine = r.engine().expect("every backend fills the engine record");
+            assert_eq!(
+                r.total_query_sets(),
+                engine.reduction_query_sets + engine.reroot.query_sets
+            );
+            assert_eq!(r.relinked_vertices(), engine.reroot.relinked_vertices);
+            assert_eq!(r.index_maintenance(), &r.index);
         }
+        // The reroot's query sets are counted on every backend, the
+        // sequential baseline's included.
+        let reroot_sets: u64 = report
+            .per_update
+            .iter()
+            .map(|r| r.engine.reroot.query_sets)
+            .sum();
+        assert!(
+            reroot_sets > 0,
+            "{}: no reroot query set",
+            dfs.backend_name()
+        );
     }
 }
 

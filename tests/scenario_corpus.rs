@@ -9,6 +9,13 @@
 //! corpus (`cargo run --release -p pardfs-bench --bin record_corpus`) and
 //! commit the diff, making the behavioural change reviewable.
 //!
+//! The same replays also check the work each backend did against
+//! `tests/corpus/work.ledger` (see
+//! `corpus_replays_match_recorded_fingerprints_on_every_backend`), so a
+//! refactor that changes how much a backend queries, relinks or rebuilds
+//! fails here even when every answer stays the same. Regenerating the corpus
+//! means re-recording the ledger too.
+//!
 //! The `--ignored` deep sweep re-records every scenario family at a larger
 //! size and replays it everywhere (nightly CI; set `SCENARIO_SWEEP_DIR` to
 //! keep the per-backend roll-up summaries as an artifact).
@@ -75,8 +82,19 @@ fn corpus_is_nonempty_and_round_trips_byte_identically() {
     }
 }
 
+/// Replays every (corpus trace, backend) pair, checks the final tree and the
+/// recorded fingerprints, and compares the work the replay did with
+/// `tests/corpus/work.ledger` exactly: one line per (trace, backend,
+/// counter), holding the replay's summed [`pardfs::StatsRollup`], the
+/// queries answered and the index-maintenance census.
+///
+/// A change that alters that work on purpose re-records the ledger with
+/// `PARDFS_RECORD_LEDGER=1 cargo test --release --test scenario_corpus` and
+/// commits the diff, so the new counts are reviewed like the corpus
+/// fingerprints are.
 #[test]
 fn corpus_replays_match_recorded_fingerprints_on_every_backend() {
+    let mut ledger = String::from("# trace backend counter value\n");
     for (name, trace, _) in corpus_traces() {
         for backend in Backend::all_default() {
             let (dfs, outcome) = MaintainerBuilder::new(backend).run_scenario(&trace);
@@ -91,8 +109,37 @@ fn corpus_replays_match_recorded_fingerprints_on_every_backend() {
                 "{name}/{}: dropped updates",
                 outcome.backend
             );
+            let rollup = outcome.rollup();
+            let index = outcome.index();
+            for (counter, value) in [
+                ("updates", rollup.updates),
+                ("query_sets", rollup.query_sets),
+                ("max_query_sets", rollup.max_query_sets),
+                ("relinked_vertices", rollup.relinked_vertices),
+                ("reroot_jobs", rollup.reroot_jobs),
+                ("queries", outcome.queries_answered()),
+                ("patches_applied", index.patches_applied),
+                ("vertices_touched", index.vertices_touched),
+                ("fallback_rebuilds", index.fallback_rebuilds),
+                ("full_rebuilds", index.full_rebuilds),
+            ] {
+                let _ = writeln!(ledger, "{name} {} {counter} {value}", outcome.backend);
+            }
         }
     }
+    let path = corpus_dir().join("work.ledger");
+    if std::env::var_os("PARDFS_RECORD_LEDGER").is_some() {
+        std::fs::write(&path, &ledger).expect("write tests/corpus/work.ledger");
+    }
+    let recorded = std::fs::read_to_string(&path).expect("tests/corpus/work.ledger exists");
+    for (line, (want, got)) in recorded.lines().zip(ledger.lines()).enumerate() {
+        assert_eq!(got, want, "work.ledger line {} drifted", line + 1);
+    }
+    assert_eq!(
+        ledger.lines().count(),
+        recorded.lines().count(),
+        "work.ledger: replayed and recorded line counts differ"
+    );
 }
 
 /// Nightly deep sweep: freshly record every scenario family at a larger
